@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .quadrature import Grid, Profile, TriangularField, require_same_grid
+from .quadrature import Grid, Profile, TriangularField, require_same_grid, volterra_apply
 from .kernels import (
     KernelComponent,
     StructuredKernel,
@@ -34,6 +34,12 @@ from .spectral import (
 
 class UnderdeterminedError(ValueError):
     """Fewer target data than parameters with no regularization."""
+
+
+# An accepted LM step that lowers the cost by at most this fraction of it ends
+# the fit as converged: the cost has reached the floor the discretization
+# leaves, and further steps only trade round-off.
+STALL_RTOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,6 +144,8 @@ def recover_profile(
 
     Minimizes 0.5 * ||stacked residual||^2 with a second-difference
     regularizer of weight mu; the Jacobian is forward finite differences.
+    The fit converges when the cost drops below ftol, the step below xtol,
+    or an accepted step lowers the cost by at most STALL_RTOL of it.
     """
     problem.check_weight_condition()
     params = np.asarray(init, dtype=float).copy()
@@ -188,6 +196,7 @@ def recover_profile(
             trial_res = _stacked_residual(trial, problem, mu)
             trial_cost = float(np.linalg.norm(trial_res))
             if trial_cost < cost:
+                stalled = cost - trial_cost <= STALL_RTOL * cost
                 params, res, cost = trial, trial_res, trial_cost
                 damping = max(damping / 3.0, 1e-12)
                 accepted = True
@@ -196,7 +205,7 @@ def recover_profile(
         history.append(cost)
         if not accepted:
             break
-        if cost < opts.ftol or np.linalg.norm(delta) < opts.xtol * (
+        if stalled or cost < opts.ftol or np.linalg.norm(delta) < opts.xtol * (
             1.0 + np.linalg.norm(params)
         ):
             converged = True
@@ -262,12 +271,7 @@ def recover_sequential(
 def _triangle_double_integral(outer, field_vals, inner, grid: Grid) -> complex:
     """Nested trapezoid of outer(x) * integral over [0,x] of field(x,t) inner(t)."""
     h = grid.step
-    n = grid.n_nodes
-    inner_vals = np.zeros(n, dtype=complex)
-    for i in range(1, n):
-        f = field_vals[i, : i + 1] * inner[: i + 1]
-        inner_vals[i] = h * (f.sum() - 0.5 * (f[0] + f[i]))
-    f = outer * inner_vals
+    f = outer * volterra_apply(field_vals, inner, h)
     return complex(h * (f.sum() - 0.5 * (f[0] + f[-1])))
 
 

@@ -120,13 +120,6 @@ def check_B_nonvanishing(b: Profile, tol: float | None = None) -> bool:
     return True
 
 
-def require_B_nonvanishing(r: TriangularField, tol: float | None = None) -> Profile:
-    b = compute_B(r)
-    if not check_B_nonvanishing(b, tol):
-        raise WeightVanishesError("weight B(x) vanishes (or nearly) inside (0, pi]")
-    return b
-
-
 # --- analytic families for tests and configs ---------------------------------
 
 def field_from_family(grid: Grid, family: str, coeffs) -> TriangularField:

@@ -72,6 +72,22 @@ def integrate_nodes(samples, grid: Grid, i_from: int, i_to: int):
     return grid.step * (seg.sum() - 0.5 * (seg[0] + seg[-1]))
 
 
+def volterra_apply(values, vec, h: float) -> np.ndarray:
+    """Row-wise trapezoid of a lower-triangular field against a vector.
+
+    out[i] = trapezoid over j = 0..i of values[i, j] * vec[j] with step h,
+    and out[0] = 0 (an empty range). values must be zero above the diagonal:
+    the plain sum over j is then one matrix-vector product, and the two end
+    weights per row are corrected with column 0 and the diagonal.
+    """
+    values = np.asarray(values)
+    vec = np.asarray(vec)
+    ends = values[:, 0] * vec[0] + np.diagonal(values) * vec
+    out = h * (values @ vec - 0.5 * ends)
+    out[0] = 0.0
+    return out
+
+
 def trapezoid_weights(n_nodes: int, step: float) -> np.ndarray:
     """Weight vector w with sum(w * f) = trapezoid of f over the full range."""
     w = np.full(n_nodes, step)
@@ -136,7 +152,8 @@ class TriangularField:
     """Complex function sampled on the triangle 0 <= t <= x <= pi.
 
     values[i, j] = f(x_i, t_j) for j <= i; entries above the diagonal are
-    kept at zero and must never be read as data.
+    kept at zero, which the Picard step and volterra_apply rely on: they sum
+    whole rows and columns in matrix products.
     """
 
     grid: Grid

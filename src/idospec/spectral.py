@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import Grid, TriangularField, require_same_grid, trapezoid_weights
+from .quadrature import (
+    Grid,
+    TriangularField,
+    require_same_grid,
+    trapezoid_weights,
+    volterra_apply,
+)
 from .transform import TransformKernel, reflected_kernel
 
 
@@ -166,26 +172,14 @@ def eval_z_decomposed(b, k: TriangularField, lam: complex) -> np.ndarray:
     """z(x, lambda) from its split form B(x) exp(-i lam x) + int K exp(-i lam t)."""
     grid = k.grid
     ex = np.exp(-1j * lam * grid.nodes)
-    z = np.asarray(b.values, dtype=complex) * ex
-    h = grid.step
-    for i in range(1, grid.n_nodes):
-        f = k.values[i, : i + 1] * ex[: i + 1]
-        z[i] += h * (f.sum() - 0.5 * (f[0] + f[i]))
-    return z
+    return b.values * ex + volterra_apply(k.values, ex, grid.step)
 
 
 def eval_e_via_g(g: TransformKernel, lam: complex) -> np.ndarray:
     """e(x, lambda) from the transformation-operator representation."""
     grid = g.grid
-    x = grid.nodes
-    gv = g.g.values
-    ex = np.exp(-1j * lam * x)
-    out = ex.copy()
-    h = grid.step
-    for i in range(1, grid.n_nodes):
-        f = gv[i, : i + 1] * ex[: i + 1]
-        out[i] += h * (f.sum() - 0.5 * (f[0] + f[i]))
-    return out
+    ex = np.exp(-1j * lam * grid.nodes)
+    return ex + volterra_apply(g.g.values, ex, grid.step)
 
 
 def char_delta(g: TransformKernel, lam) -> complex | np.ndarray:

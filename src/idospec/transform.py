@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .quadrature import Grid, Profile, TriangularField, require_same_grid
 from .kernels import compute_B
@@ -34,46 +35,72 @@ class TransformKernel:
         return self.g.grid
 
 
+def _diagonal_columns(buf: np.ndarray, n: int) -> np.ndarray:
+    """(n, n) writable view of a flat buffer with row stride n + 1.
+
+    With an n x n C-ordered field stored from offset n - 1 of buf,
+    view[i, n-1-d] is field[i, i-d]: diagonal offset d becomes view column
+    n-1-d, whose rows i < d fall on the buffer's first n - 1 elements or on
+    the field's upper triangle. Distinct view entries address distinct
+    elements, so results can be written through the view.
+    """
+    s = buf.itemsize
+    return as_strided(buf, shape=(n, n), strides=((n + 1) * s, s), writeable=True)
+
+
 def _cumtrapz_along_diagonals(vals: np.ndarray, h: float) -> np.ndarray:
     """out[i, j] = trapezoid over k of vals[k, k-(i-j)] for k = i-j .. i.
 
     This is the discrete form of integrating a field along the line
     t - x = const, which is how both G_1 and the outer integral of the
     Picard step read their integrand. out[i, i-d] depends only on the
-    diagonal at offset d, so each diagonal is one cumulative trapezoid.
+    diagonal at offset d, so one cumulative sum down the columns of a
+    sheared copy integrates every diagonal at once:
+    out[i, j] = h * (C[i, j] - vals[i, j] / 2 - vals[i-j, 0] / 2), where C is
+    the running sum along the diagonal up to (i, j). The zeros above the
+    diagonal of vals lead each running sum, so they must be exact zeros;
+    the result is zero there too, and its column 0 is exactly zero.
     """
     n = vals.shape[0]
-    out = np.zeros_like(vals)
-    for d in range(n):
-        diag = np.ascontiguousarray(np.diagonal(vals, offset=-d))
-        ct = np.empty_like(diag)
-        ct[0] = 0.0
-        csum = np.cumsum(diag)
-        ct[1:] = h * (csum[1:] - 0.5 * diag[1:] - 0.5 * diag[0])
-        rows = np.arange(d, n)
-        out[rows, rows - d] = ct
+    src = np.zeros(n * n + n - 1, dtype=complex)
+    src[n - 1 :] = vals.ravel()
+    buf = np.zeros_like(src)
+    np.cumsum(_diagonal_columns(src, n), axis=0, out=_diagonal_columns(buf, n))
+    out = buf[n - 1 :].reshape(n, n)
+    half = src[n - 1 :].reshape(n, n)   # reused as scratch from here on
+    half *= 0.5
+    out -= half
+    # vals[i-j, 0] / 2 where j <= i, zero above the diagonal
+    first = np.concatenate([vals[::-1, 0], np.zeros(n - 1, dtype=complex)])
+    np.multiply(sliding_window_view(first, n)[::-1], 0.5, out=half)
+    out -= half
+    out *= h
+    out[:, 0] = 0.0
     return out
 
 
 def picard_g1(m: TriangularField) -> TriangularField:
     """First term: G_1(x,t) = i * integral over s in [x-t, x] of m(s, t+s-x)."""
-    out = 1j * _cumtrapz_along_diagonals(m.values, m.grid.step)
+    out = _cumtrapz_along_diagonals(m.values, m.grid.step)
+    out *= 1j
     return TriangularField(m.grid, out)
 
 
 def _inner_table(mv: np.ndarray, gv: np.ndarray, h: float) -> np.ndarray:
-    """inner[k, c] = trapezoid over tau in [x_c, x_k] of m(x_k, tau) g(tau, x_c)."""
-    n = mv.shape[0]
-    inner = np.zeros_like(mv)
-    for c in range(n - 1):
-        sub = mv[c:, c:]                    # rows k >= c, cols tau >= c
-        gc = gv[c:, c]                      # g(tau, x_c) for tau >= c
-        prod = sub * gc[None, :]
-        partial = np.cumsum(prod, axis=1).diagonal().copy()
-        diag = prod.diagonal()
-        col = h * (partial - 0.5 * prod[:, 0] - 0.5 * diag)
-        col[0] = 0.0
-        inner[c:, c] = col
+    """inner[k, c] = trapezoid over tau in [x_c, x_k] of m(x_k, tau) g(tau, x_c).
+
+    Both factors are zero above the diagonal, so the plain sum over tau is
+    the matrix product; halving the diagonal of m supplies the end weight at
+    tau = x_k, and subtracting m(x_k, x_c) g(x_c, x_c) / 2 the one at
+    tau = x_c. The upper triangle of the result is zero by the same
+    structure; the diagonal (an empty range) is set to zero.
+    """
+    scratch = h * mv
+    np.einsum("ii->i", scratch)[...] *= 0.5
+    inner = scratch @ gv
+    np.multiply(mv, (0.5 * h) * np.diagonal(gv), out=scratch)
+    inner -= scratch
+    np.einsum("ii->i", inner)[...] = 0.0
     return inner
 
 
@@ -81,8 +108,8 @@ def picard_step(m: TriangularField, g_n: TriangularField) -> TriangularField:
     """Next term: G_{n+1}(x,t) = i * iterated integral of m against G_n."""
     require_same_grid(m.grid, g_n.grid)
     h = m.grid.step
-    inner = _inner_table(m.values, g_n.values, h)
-    out = 1j * _cumtrapz_along_diagonals(inner, h)
+    out = _cumtrapz_along_diagonals(_inner_table(m.values, g_n.values, h), h)
+    out *= 1j
     return TriangularField(m.grid, out)
 
 

@@ -11,6 +11,7 @@ from idospec.kernels import (
 from idospec.transform import compute_g
 from idospec.spectral import SearchWindow, Spectrum, find_spectrum
 from idospec.inverse import (
+    STALL_RTOL,
     InverseProblem,
     RecoverOptions,
     UnderdeterminedError,
@@ -124,6 +125,26 @@ class TestRecoverProfile:
         report = recover_profile(const_problem, np.full(4, 0.5), opts)
         assert report.iterations <= 1
         assert not report.converged
+
+    def test_stall_at_discretization_floor_converges(self, const_problem):
+        # target from a finer grid, so the cost has a floor above zero; with
+        # ftol and xtol off, only the stall rule can end the fit as converged
+        fine = make_grid(160)
+        m = assemble_kernel(StructuredKernel(
+            TriangularField.zeros(fine),
+            (KernelComponent(TriangularField.constant(fine, 1.0),
+                             Profile.constant(fine, 1.0)),),
+        ))
+        problem = InverseProblem(
+            m0=const_problem.m0, r=const_problem.r,
+            target=find_spectrum(compute_g(m), WINDOW), d=4,
+        )
+        opts = RecoverOptions(ftol=0.0, xtol=0.0)
+        report = recover_profile(problem, np.full(4, 0.8), opts)
+        assert report.converged
+        before, after = report.history[-2:]
+        assert 0.0 < before - after <= STALL_RTOL * before
+        assert np.abs(report.recovered.values - 1.0).max() < 5e-3  # O(h^2) grid mismatch
 
     def test_empty_target_without_regularization(self, const_problem):
         empty = Spectrum(eigenvalues=(), window=WINDOW, total_count=0)

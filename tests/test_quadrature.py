@@ -9,6 +9,7 @@ from idospec.quadrature import (
     integrate_nodes,
     interp_profile,
     make_grid,
+    volterra_apply,
 )
 
 
@@ -119,3 +120,17 @@ class TestTriangularField:
         g = make_grid(6)
         f = TriangularField.from_function(g, lambda x, t: x + t)
         assert np.all(f.values[np.triu_indices(7, k=1)] == 0)
+
+
+class TestVolterraApply:
+    def test_rows_match_integrate_nodes(self):
+        grid = make_grid(12)
+        rng = np.random.default_rng(3)
+        n = grid.n_nodes
+        vals = np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        out = volterra_apply(vals, vec, grid.step)
+        assert out[0] == 0.0
+        for i in range(n):
+            ref = integrate_nodes(vals[i, : i + 1] * vec[: i + 1], grid, 0, i)
+            assert abs(out[i] - ref) < 1e-13

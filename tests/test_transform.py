@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idospec.quadrature import PI, TriangularField, make_grid
 from idospec.transform import (
     PicardConvergenceError,
+    _cumtrapz_along_diagonals,
+    _inner_table,
     assemble_z_kernel,
     compute_g,
     picard_g1,
@@ -12,6 +15,66 @@ from idospec.transform import (
 )
 
 from conftest import family_fields, family_diag_integrals
+
+
+# Loop forms of the two Picard helpers, kept as reference oracles for the
+# vectorized versions in idospec.transform.
+def _cumtrapz_along_diagonals_loop(vals, h):
+    n = vals.shape[0]
+    out = np.zeros_like(vals)
+    for d in range(n):
+        diag = np.ascontiguousarray(np.diagonal(vals, offset=-d))
+        ct = np.empty_like(diag)
+        ct[0] = 0.0
+        csum = np.cumsum(diag)
+        ct[1:] = h * (csum[1:] - 0.5 * diag[1:] - 0.5 * diag[0])
+        rows = np.arange(d, n)
+        out[rows, rows - d] = ct
+    return out
+
+
+def _inner_table_loop(mv, gv, h):
+    n = mv.shape[0]
+    inner = np.zeros_like(mv)
+    for c in range(n - 1):
+        sub = mv[c:, c:]
+        gc = gv[c:, c]
+        prod = sub * gc[None, :]
+        partial = np.cumsum(prod, axis=1).diagonal().copy()
+        diag = prod.diagonal()
+        col = h * (partial - 0.5 * prod[:, 0] - 0.5 * diag)
+        col[0] = 0.0
+        inner[c:, c] = col
+    return inner
+
+
+def _random_lower(rng, n, scale):
+    vals = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.tril(scale * vals)
+
+
+class TestPicardHelpersMatchLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 64),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-6, 1.0, 1e3]),
+    )
+    def test_random_lower_triangular_fields(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        mv = _random_lower(rng, n, scale)
+        gv = _random_lower(rng, n, 1.0)
+        h = PI / (n - 1)
+
+        inner = _inner_table(mv, gv, h)
+        ref = _inner_table_loop(mv, gv, h)
+        assert np.abs(inner - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.all(np.triu(inner) == 0.0)
+
+        ct = _cumtrapz_along_diagonals(mv, h)
+        assert np.array_equal(ct, _cumtrapz_along_diagonals_loop(mv, h))
+        assert np.all(ct[:, 0] == 0.0)
+        assert np.all(np.triu(ct, 1) == 0.0)
 
 
 class TestPicardTerms:
