@@ -41,11 +41,11 @@ from .transform import (
 )
 from .spectral import (
     BoundaryNearZeroError,
+    DeltaEvaluator,
     ExtrapolatedDelta,
     PhaseTrackingError,
     SearchWindow,
     SpectrumOptions,
-    char_delta,
     eval_e_direct,
     eval_e_via_g,
     eval_psi,
@@ -227,10 +227,9 @@ def cmd_spectrum(cfg, sha, out: Path, args) -> int:
         g_f = compute_g(assemble_kernel(kernel_f), tol=cfg.get("picard_tol"),
                         max_terms=cfg.get("max_terms", 60))
         evaluator = ExtrapolatedDelta(g, g_f)
-        spec = find_spectrum(evaluator, window, opts)
     else:
-        evaluator = None
-        spec = find_spectrum(g, window, opts)
+        evaluator = DeltaEvaluator(g)
+    spec = find_spectrum(evaluator, window, opts)
 
     data = serialize.spectrum_to_dict(spec, grid.step)
     data = {"provenance": _provenance("spectrum", sha, n), **data}
@@ -245,7 +244,7 @@ def cmd_spectrum(cfg, sha, out: Path, args) -> int:
             fh.write("re,im,abs_delta\n")
             for im in ims:
                 lams = res + 1j * im
-                vals = np.abs(char_delta(g, lams.astype(complex)))
+                vals = np.abs(evaluator(lams.astype(complex)))
                 for re_, v in zip(res, vals):
                     fh.write(f"{serialize.fmt(re_)},{serialize.fmt(im)},{serialize.fmt(v)}\n")
     return EXIT_OK

@@ -68,13 +68,16 @@ def profile_from_csv(path, grid: Grid | None = None) -> Profile:
 
 
 def field_to_csv(f: TriangularField, path) -> None:
-    nodes = f.grid.nodes
+    """One line per node pair t <= x, rows of the triangle in order."""
+    nodes = [fmt(x) for x in f.grid.nodes]
     with open(path, "w") as fh:
         fh.write("x,t,re,im\n")
-        for i in range(f.grid.n_nodes):
-            for j in range(i + 1):
-                v = f.values[i, j]
-                fh.write(f"{fmt(nodes[i])},{fmt(nodes[j])},{fmt(v.real)},{fmt(v.imag)}\n")
+        for i, x in enumerate(nodes):
+            row = f.values[i, : i + 1]
+            fh.write("".join(
+                f"{x},{t},{re:.17g},{im:.17g}\n"
+                for t, re, im in zip(nodes, row.real.tolist(), row.imag.tolist())
+            ))
 
 
 def field_from_csv(path, grid: Grid | None = None) -> TriangularField:
@@ -89,10 +92,7 @@ def field_from_csv(path, grid: Grid | None = None) -> TriangularField:
     elif grid.n_intervals != n:
         raise ValueError(f"field file has {n} intervals, grid has {grid.n_intervals}")
     vals = np.zeros((n + 1, n + 1), dtype=complex)
-    k = 0
-    for i in range(n + 1):
-        vals[i, : i + 1] = data[k : k + i + 1, 2] + 1j * data[k : k + i + 1, 3]
-        k += i + 1
+    vals[np.tril_indices(n + 1)] = data[:, 2] + 1j * data[:, 3]  # row-major, as written
     return TriangularField(grid, vals)
 
 
@@ -142,6 +142,7 @@ def spectrum_to_dict(spec: Spectrum, h: float) -> dict:
                 "im": ev.value.imag,
                 "multiplicity": ev.multiplicity,
                 "residual": ev.residual,
+                "newton_converged": ev.newton_converged,
             }
             for ev in spec.eigenvalues
         ],
@@ -161,6 +162,7 @@ def spectrum_from_json(path) -> Spectrum:
             value=complex(e["re"], e["im"]),
             multiplicity=int(e["multiplicity"]),
             residual=float(e["residual"]),
+            newton_converged=bool(e.get("newton_converged", True)),  # absent in older files
         )
         for e in data["eigenvalues"]
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from scipy.fft import fft, ifft, next_fast_len
 
 from .quadrature import Grid, Profile, TriangularField, require_same_grid
 from .kernels import compute_B
@@ -157,6 +158,27 @@ def reflected_kernel(m: TriangularField) -> TriangularField:
     return TriangularField(m.grid, np.tril(vals))
 
 
+def _shear(vals: np.ndarray) -> np.ndarray:
+    """out[i, d] = vals[i, i-d] for d <= i and zero for d > i.
+
+    Diagonal offset d of a lower-triangular field becomes column d, so a
+    product against the sheared field integrates along the lines
+    x - t = const. vals must be zero above the diagonal.
+    """
+    m = vals.shape[0]
+    buf = np.zeros(m * m + m - 1, dtype=complex)
+    buf[m - 1 :] = vals.ravel()
+    return np.ascontiguousarray(_diagonal_columns(buf, m)[:, ::-1])
+
+
+def _unshear(sheared: np.ndarray) -> np.ndarray:
+    """Inverse of _shear: out[i, i-d] = sheared[i, d]; sheared must vanish for d > i."""
+    m = sheared.shape[0]
+    buf = np.zeros(m * m + m - 1, dtype=complex)
+    _diagonal_columns(buf, m)[:, ::-1] = sheared
+    return buf[m - 1 :].reshape(m, m)
+
+
 def assemble_z_kernel(
     k1: TriangularField,
     k2: TriangularField,
@@ -165,51 +187,85 @@ def assemble_z_kernel(
     """Split z(x, lambda) into B(x) exp(-i*lambda*x) + int K(x,t) exp(-i*lambda*t) dt.
 
     k1 is the transformation kernel of the reflected solution w, k2 that of
-    the second forward solution; r is the convolution factor. K collects
-    three contributions: k1 entering at shifted argument x-t+tau, k2 at
-    t+xi, and their bilinear convolution.
+    the second forward solution; r is the convolution factor. With
+    R[i, k] = r(pi - t_k, x_i - t_k), R2[i, s] = R[i, i-s] and the sheared
+    kernels S1[k, d] = k1[k, k-d], S2[k, d] = k2[k, k-d], every sum below is
+    a trapezoid in the summation index, and K collects three terms:
+
+    - k1 at shifted argument x-t+tau: K[i, i-d] += trapezoid over k in
+      [d, i] of R[i, k] S1[k, d], i.e. _inner_table(R, S1, h)[i, d];
+    - k2 at t+xi: K[i, i-d] += _inner_table(R2, S2, h)[i, d];
+    - their bilinear convolution: K[i, j] += h * sum over 0 < k < i of
+      R[i, k] C_k[j], where C_k[j] is the trapezoid over tau of
+      k1[k, tau] k2[i-k, j-tau]. The plain sums over tau are one FFT
+      convolution per row i; the trapezoid end weights in tau are two
+      sheared products (against the diagonals of k1 and k2) and two plain
+      ones (against column 0 of k1 and k2). The term is zero on the
+      diagonal j = i, where the tau range is empty.
+
+    No Python loop runs over pairs of grid nodes: the only loop is over
+    rows i, one vector-matrix product and one inverse FFT each.
     """
     require_same_grid(k1.grid, k2.grid, r.grid)
     grid = r.grid
-    n = grid.n_intervals
-    h = grid.step
+    n, m, h = grid.n_intervals, grid.n_nodes, grid.step
     rv, k1v, k2v = r.values, k1.values, k2.values
+    h2 = h * h
 
-    kout = np.zeros_like(rv)
-    for i in range(1, grid.n_nodes):
-        k_all = np.arange(i + 1)
-        r_slice = rv[n - k_all, i - k_all]  # r(pi - t_k, x_i - t_k)
+    idx = np.arange(m)
+    lag = idx[:, None] - idx   # i - k; negative indices land on zeros of the factor
 
-        # term 1: u = x - t + tau, t from x-u to x
-        for j in range(1, i + 1):
-            ks = np.arange(i - j, i + 1)
-            f = rv[n - ks, i - ks] * k1v[ks, j - i + ks]
-            if ks.size > 1:
-                kout[i, j] += h * (f.sum() - 0.5 * (f[0] + f[-1]))
+    def lagged(x, v):
+        """x[i, k] * v[i - k] below the diagonal, zero on and above it."""
+        out = v[lag]
+        out *= x
+        np.einsum("ii->i", out)[...] = 0.0
+        return out
 
-        # term 2: u = t + xi, t from 0 to u
-        for j in range(1, i + 1):
-            ks = np.arange(0, j + 1)
-            f = rv[n - ks, i - ks] * k2v[i - ks, j - ks]
-            if ks.size > 1:
-                kout[i, j] += h * (f.sum() - 0.5 * (f[0] + f[-1]))
+    # R[i, k] = r[n-k, i-k]; for k > i this reads r's upper triangle, i.e. 0
+    rmat = rv[n - idx, lag]
+    rmat2 = _shear(rmat)
+    s1, s2 = _shear(k1v), _shear(k2v)
+    d1, d2 = np.diagonal(k1v), np.diagonal(k2v)
 
-        # term 3: bilinear k1 * k2 contribution; for each t the tau-integral
-        # is a finite convolution of k1(t, .) with k2(x-t, .)
-        conv_tab = np.zeros((i + 1, i + 1), dtype=complex)
-        js = np.arange(1, i + 1)
-        for k in range(1, i):
-            a = k1v[k, : k + 1]
-            b = k2v[i - k, : i - k + 1]
-            s = np.convolve(a, b)  # s[u] = sum over tau of a[tau] b[u - tau]
-            lo = np.maximum(0, js - (i - k))
-            hi = np.minimum(k, js)
-            valid = hi > lo
-            end = a[lo] * b[js - lo] + a[hi] * b[js - hi]
-            conv_tab[k, js[valid]] = h * (s[js[valid]] - 0.5 * end[valid])
-        for j in range(1, i + 1):
-            f = r_slice * conv_tab[k_all, j]
-            kout[i, j] += h * (f.sum() - 0.5 * (f[0] + f[-1]))
+    # terms 1 and 2, and the sheared end weights of term 3, indexed [i, d]
+    acc = _inner_table(rmat, s1, h)
+    acc += _inner_table(rmat2, s2, h)
+    tmp = lagged(rmat, d2)               # R[i, k] k2(x_i - t_k, x_i - t_k)
+    ends = tmp @ s1
+    tmp *= k1v[:, 0]                     # k = d is the column-0 case, below
+    ends -= tmp
+    ends += lagged(rmat2, d1) @ s2
+    ends[:, 0] = 0.0
+    ends *= 0.5 * h2
+    acc -= ends
+    del tmp, ends, s1, s2
+    kout = _unshear(acc)
+    del acc
 
+    # plain end weights of term 3, indexed [i, j]
+    plain = lagged(rmat2, k1v[:, 0]) @ k2v
+    tmp = lagged(rmat, k2v[:, 0])
+    plain += tmp @ k1v
+    tmp *= d1                            # k = j is the diagonal case, above
+    plain -= tmp
+    del tmp
+    plain *= -0.5 * h2
+    kout += plain
+    del plain
+
+    # plain sums of term 3: rows of k1 and k2 vanish past the diagonal, so
+    # each convolution has degree <= i < m and a length >= m cannot wrap
+    size = next_fast_len(m)
+    fa = fft(k1v, size, axis=1)
+    fb = fft(k2v, size, axis=1)
+    prod = np.empty((m - 2, size), dtype=complex)
+    for i in range(2, m):
+        p = np.multiply(fa[1:i], fb[i - 1 : 0 : -1], out=prod[: i - 1])
+        spec = rmat[i, 1:i] @ p
+        spec *= h2
+        kout[i, 1:i] += ifft(spec)[1:i]
+
+    kout[:, 0] = 0.0
     b = compute_B(r)
-    return b, TriangularField(grid, np.tril(kout))
+    return b, TriangularField(grid, kout)

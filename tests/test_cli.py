@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from idospec import serialize
+from idospec.quadrature import TriangularField, make_grid
+from idospec.spectral import ExtrapolatedDelta, char_delta
+from idospec.transform import compute_g
 from idospec.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -130,6 +133,25 @@ class TestSpectrum:
         lines = (out / "delta_heatmap.csv").read_text().strip().splitlines()
         assert lines[0] == "re,im,abs_delta"
         assert len(lines) == 1 + 10 * 8
+
+    def test_extrapolated_heatmap_uses_the_search_evaluator(self, workdir):
+        cfg = write_config(workdir / "spec_hm_ex.json", {
+            "grid_n": 40,
+            "kernel": CONST_KERNEL,
+            "window": {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5},
+            "extrapolate": True,
+            "heatmap": {"nx": 6, "ny": 5},
+        })
+        out = workdir / "spec_hm_ex_out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        data = np.loadtxt(out / "delta_heatmap.csv", delimiter=",", skiprows=1)
+        lams = data[:, 0] + 1j * data[:, 1]
+        # CONST_KERNEL assembles to M = 1 exactly
+        g, g_f = (compute_g(TriangularField.constant(make_grid(n), 1.0)) for n in (40, 80))
+        expect = np.abs(ExtrapolatedDelta(g, g_f)(lams))
+        assert np.abs(data[:, 2] - expect).max() <= 1e-12 * expect.max()
+        coarse = np.abs(char_delta(g, lams))
+        assert np.abs(data[:, 2] - coarse).max() > 1e-6 * expect.max()
 
     def test_bad_window_is_config_error(self, workdir):
         cfg = write_config(workdir / "spec_badwin.json", {

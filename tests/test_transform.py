@@ -14,6 +14,8 @@ from idospec.transform import (
     reflected_kernel,
 )
 
+from idospec.kernels import compute_B
+
 from conftest import family_fields, family_diag_integrals
 
 
@@ -46,6 +48,47 @@ def _inner_table_loop(mv, gv, h):
         col[0] = 0.0
         inner[c:, c] = col
     return inner
+
+
+def _assemble_z_kernel_loop(k1v, k2v, rv, h):
+    """Node-by-node form of assemble_z_kernel's K (before the final tril)."""
+    n = rv.shape[0] - 1
+    kout = np.zeros_like(rv)
+    for i in range(1, n + 1):
+        k_all = np.arange(i + 1)
+        r_slice = rv[n - k_all, i - k_all]  # r(pi - t_k, x_i - t_k)
+
+        # term 1: u = x - t + tau, t from x-u to x
+        for j in range(1, i + 1):
+            ks = np.arange(i - j, i + 1)
+            f = rv[n - ks, i - ks] * k1v[ks, j - i + ks]
+            if ks.size > 1:
+                kout[i, j] += h * (f.sum() - 0.5 * (f[0] + f[-1]))
+
+        # term 2: u = t + xi, t from 0 to u
+        for j in range(1, i + 1):
+            ks = np.arange(0, j + 1)
+            f = rv[n - ks, i - ks] * k2v[i - ks, j - ks]
+            if ks.size > 1:
+                kout[i, j] += h * (f.sum() - 0.5 * (f[0] + f[-1]))
+
+        # term 3: bilinear k1 * k2 contribution; for each t the tau-integral
+        # is a finite convolution of k1(t, .) with k2(x-t, .)
+        conv_tab = np.zeros((i + 1, i + 1), dtype=complex)
+        js = np.arange(1, i + 1)
+        for k in range(1, i):
+            a = k1v[k, : k + 1]
+            b = k2v[i - k, : i - k + 1]
+            s = np.convolve(a, b)  # s[u] = sum over tau of a[tau] b[u - tau]
+            lo = np.maximum(0, js - (i - k))
+            hi = np.minimum(k, js)
+            valid = hi > lo
+            end = a[lo] * b[js - lo] + a[hi] * b[js - hi]
+            conv_tab[k, js[valid]] = h * (s[js[valid]] - 0.5 * end[valid])
+        for j in range(1, i + 1):
+            f = r_slice * conv_tab[k_all, j]
+            kout[i, j] += h * (f.sum() - 0.5 * (f[0] + f[-1]))
+    return kout
 
 
 def _random_lower(rng, n, scale):
@@ -163,6 +206,27 @@ class TestReflectedKernel:
 
 
 class TestZKernelAssembly:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+    def test_matches_loop_oracle(self, n, seed):
+        rng = np.random.default_rng(seed)
+        grid = make_grid(n)
+        # column 0 and the diagonal carry the trapezoid end weights, so
+        # keep them non-zero
+        fields = []
+        for _ in range(3):
+            vals = _random_lower(rng, n + 1, 1.0)
+            vals[:, 0] += 2.0
+            np.einsum("ii->i", vals)[...] += 2.0
+            fields.append(TriangularField(grid, vals))
+        k1, k2, r = fields
+        b, k = assemble_z_kernel(k1, k2, r)
+        ref = _assemble_z_kernel_loop(k1.values, k2.values, r.values, grid.step)
+        assert np.abs(k.values - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(b.values, compute_B(r).values)
+        assert np.all(np.triu(k.values, 1) == 0.0)
+        assert np.all(k.values[:, 0] == 0.0)
+
     def test_zero_transform_kernels(self, grid50):
         r = TriangularField.constant(grid50, 1.0)
         z = TriangularField.zeros(grid50)
