@@ -31,18 +31,16 @@ from .transform import (
 )
 from .spectral import (
     BoundaryNearZeroError,
+    DeltaEvaluator,
     Eigenvalue,
-    ExtrapolatedDelta,
     PhaseTrackingError,
     SearchWindow,
     Spectrum,
     SpectrumOptions,
     char_delta,
-    char_delta_prime,
     eval_e_direct,
     eval_e_via_g,
     eval_psi,
-    eval_w,
     eval_z,
     find_spectrum,
 )

@@ -42,7 +42,6 @@ from .transform import (
 from .spectral import (
     BoundaryNearZeroError,
     DeltaEvaluator,
-    ExtrapolatedDelta,
     PhaseTrackingError,
     SearchWindow,
     SpectrumOptions,
@@ -73,16 +72,35 @@ class ConfigError(ValueError):
     pass
 
 
+def _finite_number(text: str) -> float:
+    """Parse a config number, refusing NaN, Infinity and overflowing literals."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ConfigError(f"config number {text} is not finite")
+    return value
+
+
 def _load_config(path) -> tuple[dict, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     raw = p.read_bytes()
     try:
-        cfg = json.loads(raw)
+        cfg = json.loads(raw, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as ex:
         raise ConfigError(f"config is not valid JSON: {ex}") from ex
     return cfg, hashlib.sha256(raw).hexdigest()
+
+
+def _require_finite(sampled, what):
+    """Pass a sampled field or profile through, or refuse one carrying NaN or inf.
+
+    Config numbers are finite, but CSV samples need not be, and a finite
+    analytic coefficient can still overflow on the grid.
+    """
+    if not np.isfinite(sampled.values).all():
+        raise ConfigError(f"{what} has non-finite samples")
+    return sampled
 
 
 def _field_from_spec(spec, grid) -> TriangularField:
@@ -90,15 +108,17 @@ def _field_from_spec(spec, grid) -> TriangularField:
         raise ConfigError(f"bad field spec: {spec!r}")
     if spec["kind"] == "analytic":
         try:
-            return field_from_family(grid, spec["family"], spec["coeffs"])
+            f = field_from_family(grid, spec["family"], spec["coeffs"])
         except (KeyError, ValueError) as ex:
             raise ConfigError(f"bad analytic field spec: {ex}") from ex
-    if spec["kind"] == "samples":
+    elif spec["kind"] == "samples":
         path = Path(spec.get("path", ""))
         if not path.is_file():
             raise ConfigError(f"field samples file not found: {path}")
-        return serialize.field_from_csv(path, grid)
-    raise ConfigError(f"unknown field kind {spec['kind']!r}")
+        f = serialize.field_from_csv(path, grid)
+    else:
+        raise ConfigError(f"unknown field kind {spec['kind']!r}")
+    return _require_finite(f, "field")
 
 
 def _profile_from_spec(spec, grid) -> Profile:
@@ -106,15 +126,17 @@ def _profile_from_spec(spec, grid) -> Profile:
         raise ConfigError(f"bad profile spec: {spec!r}")
     if spec["kind"] == "analytic":
         try:
-            return profile_from_family(grid, spec["family"], spec["coeffs"])
+            p = profile_from_family(grid, spec["family"], spec["coeffs"])
         except (KeyError, ValueError) as ex:
             raise ConfigError(f"bad analytic profile spec: {ex}") from ex
-    if spec["kind"] == "samples":
+    elif spec["kind"] == "samples":
         path = Path(spec.get("path", ""))
         if not path.is_file():
             raise ConfigError(f"profile samples file not found: {path}")
-        return serialize.profile_from_csv(path, grid)
-    raise ConfigError(f"unknown profile kind {spec['kind']!r}")
+        p = serialize.profile_from_csv(path, grid)
+    else:
+        raise ConfigError(f"unknown profile kind {spec['kind']!r}")
+    return _require_finite(p, "profile")
 
 
 def _kernel_from_config(cfg, grid) -> StructuredKernel:
@@ -161,6 +183,13 @@ def _grid_n(cfg, override) -> int:
     return n
 
 
+def _picard_tol(cfg) -> float | None:
+    tol = cfg.get("picard_tol")
+    if tol is not None and not (isinstance(tol, (int, float)) and tol > 0):
+        raise ConfigError(f"picard_tol must be a positive number, got {tol!r}")
+    return tol
+
+
 def _provenance(command, sha, grid_n) -> dict:
     return {"command": command, "config_sha256": sha, "grid_n": grid_n}
 
@@ -182,7 +211,7 @@ def cmd_forward(cfg, sha, out: Path, args) -> int:
     grid = make_grid(n)
     kernel = _kernel_from_config(cfg.get("kernel", cfg), grid)
     m = assemble_kernel(kernel)
-    g = compute_g(m, tol=cfg.get("picard_tol"), max_terms=cfg.get("max_terms", 60))
+    g = compute_g(m, tol=_picard_tol(cfg), max_terms=cfg.get("max_terms", 60))
 
     serialize.transform_kernel_to_files(g, out / "g_kernel.csv", out / "g_kernel_meta.json")
 
@@ -220,13 +249,13 @@ def cmd_spectrum(cfg, sha, out: Path, args) -> int:
     opts = _spectrum_opts(cfg)
 
     m = assemble_kernel(kernel)
-    g = compute_g(m, tol=cfg.get("picard_tol"), max_terms=cfg.get("max_terms", 60))
+    g = compute_g(m, tol=_picard_tol(cfg), max_terms=cfg.get("max_terms", 60))
     if cfg.get("extrapolate", False):
         grid_f = make_grid(2 * n)
         kernel_f = _kernel_from_config(cfg.get("kernel", cfg), grid_f)
-        g_f = compute_g(assemble_kernel(kernel_f), tol=cfg.get("picard_tol"),
+        g_f = compute_g(assemble_kernel(kernel_f), tol=_picard_tol(cfg),
                         max_terms=cfg.get("max_terms", 60))
-        evaluator = ExtrapolatedDelta(g, g_f)
+        evaluator = DeltaEvaluator(g, g_f)
     else:
         evaluator = DeltaEvaluator(g)
     spec = find_spectrum(evaluator, window, opts)
@@ -287,14 +316,14 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
     if len(spectra) == 1 and kernel.p_count == 1:
         problem = InverseProblem(
             m0=kernel.m0, r=kernel.components[0].r, target=spectra[0],
-            d=d, mu=mu, picard_tol=cfg.get("picard_tol"),
+            d=d, mu=mu, picard_tol=_picard_tol(cfg),
         )
         reports = [recover_profile(problem, make_init(), ropts)]
     else:
         reports = recover_sequential(
             spectra, kernel, d, ropts, mu=mu,
             inits=[make_init() for _ in spectra],
-            picard_tol=cfg.get("picard_tol"),
+            picard_tol=_picard_tol(cfg),
         )
 
     stages = []

@@ -17,6 +17,7 @@ from .quadrature import Grid, Profile, TriangularField, require_same_grid, volte
 from .kernels import (
     KernelComponent,
     StructuredKernel,
+    _shift_matrix,
     assemble_kernel,
     compute_B,
     check_B_nonvanishing,
@@ -315,9 +316,7 @@ def verify_change_of_variables(
     psi = eval_psi(m, lam)
     et = eval_e_direct(mt, lam)
     dp = p.values - p_tilde.values
-    idx = np.arange(grid.n_nodes)
-    dp_shift = np.tril(dp[np.abs(idx[:, None] - idx[None, :])])
-    form_a = _triangle_double_integral(psi, r.values * dp_shift, et, grid)
+    form_a = _triangle_double_integral(psi, r.values * _shift_matrix(dp), et, grid)
 
     z = eval_z(r, m, mt, lam)
     h = grid.step

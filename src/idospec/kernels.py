@@ -15,8 +15,8 @@ from .quadrature import (
     Grid,
     Profile,
     TriangularField,
-    integrate_nodes,
     require_same_grid,
+    volterra_apply,
 )
 
 MAX_COMPONENTS = 8
@@ -63,23 +63,34 @@ class StructuredKernel:
         return len(self.components)
 
 
-def _shift_matrix(p: Profile) -> np.ndarray:
-    """Lower-triangular matrix with entry (i, j) = p(x_i - t_j).
+def _shift_matrix(v: np.ndarray) -> np.ndarray:
+    """Lower-triangular matrix with entry (i, j) = v(x_i - t_j) from node samples v.
 
     On a uniform grid x_i - t_j is the node x_{i-j}, so no interpolation
     error enters here.
     """
-    n = p.grid.n_nodes
-    idx = np.arange(n)
+    idx = np.arange(v.shape[0])
     diff = idx[:, None] - idx[None, :]
-    return np.tril(p.values[np.abs(diff)])
+    return np.tril(v[np.abs(diff)])
+
+
+def shifted_factor(r: TriangularField) -> np.ndarray:
+    """Lower-triangular matrix R[i, k] = r(pi - t_k, x_i - t_k), zero for k > i.
+
+    The factor r enters the weight B and the function z(x, lambda) at this
+    shifted argument; with it both are Volterra products. For k > i the
+    gather reads r's upper triangle, which is zero.
+    """
+    n = r.grid.n_intervals
+    idx = np.arange(n + 1)
+    return r.values[n - idx, idx[:, None] - idx]
 
 
 def assemble_kernel(sk: StructuredKernel) -> TriangularField:
     """Sample M = M0 + sum_j R_j * P_j(x - t) on the triangle."""
     vals = sk.m0.values.copy()
     for comp in sk.components:
-        vals += comp.r.values * _shift_matrix(comp.p)
+        vals += comp.r.values * _shift_matrix(comp.p.values)
     return TriangularField(sk.grid, np.tril(vals))
 
 
@@ -93,13 +104,8 @@ def truncate_kernel(sk: StructuredKernel, k: int) -> StructuredKernel:
 def compute_B(r: TriangularField) -> Profile:
     """Weight B(x) = integral over [0, x] of r(pi - t, x - t) dt."""
     grid = r.grid
-    n = grid.n_intervals
-    vals = np.zeros(grid.n_nodes, dtype=complex)
-    for i in range(1, grid.n_nodes):
-        k = np.arange(i + 1)
-        samples = r.values[n - k, i - k]
-        vals[i] = integrate_nodes(samples, grid, 0, i)
-    return Profile(grid, vals)
+    ones = np.ones(grid.n_nodes, dtype=complex)
+    return Profile(grid, volterra_apply(shifted_factor(r), ones, grid.step))
 
 
 def check_B_nonvanishing(b: Profile, tol: float | None = None) -> bool:

@@ -30,7 +30,8 @@ def _json_render(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return fmt(obj)
+        # JSON has no inf or nan; write the literals json.load reads back
+        return fmt(obj) if np.isfinite(obj) else json.dumps(float(obj))
     return json.dumps(obj)
 
 
@@ -155,7 +156,9 @@ def spectrum_to_json(spec: Spectrum, h: float, path) -> None:
 
 def spectrum_from_json(path) -> Spectrum:
     with open(path) as fh:
-        data = json.load(fh)
+        # fmt writes integral floats without a point ("-0", "2"); reading
+        # them as floats keeps -0.0, so a rewrite is byte-identical
+        data = json.load(fh, parse_int=float)
     win = SearchWindow(**data["window"])
     evs = tuple(
         Eigenvalue(

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import (
-    Grid,
     TriangularField,
     require_same_grid,
     trapezoid_weights,
     volterra_apply,
 )
+from .kernels import _shift_matrix, shifted_factor
 from .transform import TransformKernel, reflected_kernel
 
 
@@ -46,6 +46,9 @@ class SearchWindow:
     im_max: float
 
     def __post_init__(self):
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not np.isfinite(bounds).all():
+            raise ValueError(f"search window bounds must be finite, got {bounds}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("degenerate search window")
 
@@ -114,37 +117,12 @@ def eval_e_direct(m: TriangularField, lam: complex) -> np.ndarray:
 
 
 def eval_psi(m: TriangularField, lam: complex) -> np.ndarray:
-    """Backward-march the adjoint-type equation with psi(pi, lambda) = 1."""
-    grid = m.grid
-    n = grid.n_nodes
-    h = grid.step
-    x = grid.nodes
-    mv = m.values
+    """Adjoint-type solution psi(x, lambda) with psi(pi, lambda) = 1.
 
-    ex = np.exp(1j * lam * (x - np.pi))   # exp(i lam (x_i - pi))
-    phase = np.exp(-1j * lam * x)         # exp(-i lam x_s)
-
-    psi = np.empty(n, dtype=complex)
-    tail = np.zeros(n, dtype=complex)     # tail[k] = integral of m(., x_k) psi over [x_k, pi]
-    psi[n - 1] = 1.0
-    for i in range(n - 2, -1, -1):
-        guess = psi[i + 1]
-        col = mv[i:, i]                   # m(x_t, x_i) for t >= i
-        g_known = phase[i + 1 :] * tail[i + 1 :]
-        base = g_known.sum() - 0.5 * g_known[-1]
-        for _ in range(2):
-            psi[i] = guess
-            ti = h * (np.dot(col, psi[i:]) - 0.5 * (col[0] * psi[i] + col[-1] * psi[-1]))
-            s = np.exp(1j * lam * x[i]) * h * (base + 0.5 * phase[i] * ti)
-            guess = ex[i] + 1j * s
-        psi[i] = guess
-        tail[i] = h * (np.dot(col, psi[i:]) - 0.5 * (col[0] * psi[i] + col[-1] * psi[-1]))
-    return psi
-
-
-def eval_w(m: TriangularField, lam: complex) -> np.ndarray:
-    """Reflected solution w(x, lambda) = psi(pi - x, lambda); w(0, lambda) = 1."""
-    return eval_psi(m, lam)[::-1].copy()
+    w(x) = psi(pi - x) solves the forward equation of the reflected kernel
+    m(pi - t, pi - x), so psi is that forward march read backwards.
+    """
+    return eval_e_direct(reflected_kernel(m), lam)[::-1]
 
 
 def eval_z(
@@ -153,19 +131,16 @@ def eval_z(
     m_tilde: TriangularField,
     lam: complex,
 ) -> np.ndarray:
-    """z(x, lambda) = integral of r(pi-t, x-t) w(t) e_tilde(x-t) over [0, x]."""
+    """z(x, lambda) = integral of r(pi-t, x-t) w(t) e_tilde(x-t) over [0, x].
+
+    w(t) = psi(pi - t, lambda) is the forward solution of the reflected
+    kernel, so z is one Volterra product of R[i, k] e_tilde(x_i - t_k)
+    against w.
+    """
     require_same_grid(r.grid, m.grid, m_tilde.grid)
-    grid = r.grid
-    n = grid.n_intervals
-    h = grid.step
-    w = eval_w(m, lam)
+    w = eval_e_direct(reflected_kernel(m), lam)
     et = eval_e_direct(m_tilde, lam)
-    z = np.zeros(grid.n_nodes, dtype=complex)
-    for i in range(1, grid.n_nodes):
-        k = np.arange(i + 1)
-        f = r.values[n - k, i - k] * w[k] * et[i - k]
-        z[i] = h * (f.sum() - 0.5 * (f[0] + f[-1]))
-    return z
+    return volterra_apply(shifted_factor(r) * _shift_matrix(et), w, r.grid.step)
 
 
 def eval_z_decomposed(b, k: TriangularField, lam: complex) -> np.ndarray:
@@ -185,11 +160,6 @@ def eval_e_via_g(g: TransformKernel, lam: complex) -> np.ndarray:
 def char_delta(g: TransformKernel, lam) -> complex | np.ndarray:
     """Delta(lambda) = e(pi, lambda); accepts a scalar or an array of lambda."""
     return char_delta_deriv(g, lam, order=0)
-
-
-def char_delta_prime(g: TransformKernel, lam) -> complex | np.ndarray:
-    """Analytic derivative of Delta by differentiating under the integral."""
-    return char_delta_deriv(g, lam, order=1)
 
 
 def char_delta_deriv(g: TransformKernel, lam, order: int = 0):
@@ -233,51 +203,39 @@ def _rect_boundary(re0, re1, im0, im1, n_per_edge):
 
 
 class DeltaEvaluator:
-    """Vectorized Delta and Delta' from one transformation kernel."""
+    """Vectorized Delta and Delta' from a transformation kernel.
 
-    def __init__(self, g: TransformKernel):
-        self.g = g
-        self.evals = 0
-
-    def __call__(self, lam):
-        lam = np.asarray(lam, dtype=complex)
-        self.evals += lam.size
-        return char_delta_deriv(self.g, lam, order=0)
-
-    def deriv(self, lam):
-        return char_delta_deriv(self.g, np.asarray([lam], dtype=complex), order=1)[0]
-
-
-class ExtrapolatedDelta:
-    """Richardson-extrapolated Delta from kernels at step h and h/2.
-
-    Both discretizations are second order with smooth error expansions, so
-    (4 * fine - coarse) / 3 cancels the h^2 term for Delta and Delta' alike.
+    With a second kernel g_fine on the grid of half the step, both are
+    Richardson-extrapolated: the discretizations are second order with
+    smooth error expansions, so (4 * fine - coarse) / 3 cancels the h^2
+    term for Delta and Delta' alike.
     """
 
-    def __init__(self, g_coarse: TransformKernel, g_fine: TransformKernel):
-        if g_fine.grid.n_intervals != 2 * g_coarse.grid.n_intervals:
+    def __init__(self, g: TransformKernel, g_fine: TransformKernel | None = None):
+        if g_fine is not None and g_fine.grid.n_intervals != 2 * g.grid.n_intervals:
             raise ValueError("fine grid must halve the coarse step")
-        self.coarse = g_coarse
-        self.fine = g_fine
+        self.g = g
+        self.g_fine = g_fine
         self.evals = 0
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)
         self.evals += lam.size
-        return (
-            4.0 * char_delta_deriv(self.fine, lam, order=0)
-            - char_delta_deriv(self.coarse, lam, order=0)
-        ) / 3.0
+        coarse = char_delta_deriv(self.g, lam, order=0)
+        if self.g_fine is None:
+            return coarse
+        return (4.0 * char_delta_deriv(self.g_fine, lam, order=0) - coarse) / 3.0
 
     def deriv(self, lam):
         lam = np.asarray([lam], dtype=complex)
+        coarse = char_delta_deriv(self.g, lam, order=1)
+        # numpy and Python complex scalars round division differently in
+        # _newton_polish; each branch keeps its scalar type so the roots it
+        # finds stay reproducible bit for bit
+        if self.g_fine is None:
+            return coarse[0]
         return complex(
-            (
-                4.0 * char_delta_deriv(self.fine, lam, order=1)
-                - char_delta_deriv(self.coarse, lam, order=1)
-            )[0]
-            / 3.0
+            (4.0 * char_delta_deriv(self.g_fine, lam, order=1) - coarse)[0] / 3.0
         )
 
 

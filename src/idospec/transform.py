@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.fft import fft, ifft, next_fast_len
 
 from .quadrature import Grid, Profile, TriangularField, require_same_grid
-from .kernels import compute_B
+from .kernels import compute_B, shifted_factor
 
 
 class PicardConvergenceError(RuntimeError):
@@ -123,20 +123,22 @@ def compute_g(
 
     The exact series converges absolutely and uniformly for continuous
     kernels; non-convergence here signals a discretization or configuration
-    problem and raises PicardConvergenceError.
+    problem and raises PicardConvergenceError, as does a term whose sup norm
+    is not finite (a kernel carrying NaN or overflowing).
     """
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
-    term = picard_g1(m)
-    if tol is None:
-        tol = 1e-12 * (1.0 + term.sup_norm())
-    if tol <= 0:
+    if tol is not None and not tol > 0:
         raise ValueError("tol must be positive")
-
+    term = picard_g1(m)
     total = term.values.copy()
     norms = [term.sup_norm()]
+    if tol is None:
+        tol = 1e-12 * (1.0 + norms[0])
     n_terms = 1
-    while norms[-1] >= tol:
+    while not norms[-1] < tol:
+        if not np.isfinite(norms[-1]):
+            raise PicardConvergenceError(f"term {n_terms} has sup norm {norms[-1]}")
         if n_terms >= max_terms:
             raise PicardConvergenceError(
                 f"term sup norm {norms[-1]:.3e} still >= tol {tol:.3e} "
@@ -208,8 +210,8 @@ def assemble_z_kernel(
     """
     require_same_grid(k1.grid, k2.grid, r.grid)
     grid = r.grid
-    n, m, h = grid.n_intervals, grid.n_nodes, grid.step
-    rv, k1v, k2v = r.values, k1.values, k2.values
+    m, h = grid.n_nodes, grid.step
+    k1v, k2v = k1.values, k2.values
     h2 = h * h
 
     idx = np.arange(m)
@@ -222,8 +224,7 @@ def assemble_z_kernel(
         np.einsum("ii->i", out)[...] = 0.0
         return out
 
-    # R[i, k] = r[n-k, i-k]; for k > i this reads r's upper triangle, i.e. 0
-    rmat = rv[n - idx, lag]
+    rmat = shifted_factor(r)
     rmat2 = _shear(rmat)
     s1, s2 = _shear(k1v), _shear(k2v)
     d1, d2 = np.diagonal(k1v), np.diagonal(k2v)

@@ -15,7 +15,7 @@ from idospec.quadrature import PI, Profile, TriangularField, cumtrapz_nodes, mak
 from idospec.kernels import KernelComponent, StructuredKernel, assemble_kernel, truncate_kernel
 from idospec.transform import compute_g, reflected_kernel, assemble_z_kernel
 from idospec.spectral import (
-    ExtrapolatedDelta,
+    DeltaEvaluator,
     SearchWindow,
     char_delta,
     eval_e_direct,
@@ -118,7 +118,7 @@ def test_criterion_03_representation_consistency(g_cache):
 
 def test_criterion_04_constant_kernel_oracle(g_cache):
     """Delta and eigenvalues for M = 1 against the closed-form ODE reduction."""
-    ev = ExtrapolatedDelta(
+    ev = DeltaEvaluator(
         g_cache("const1", 400, lambda g: TriangularField.constant(g, 1.0)),
         g_cache("const1", 800, lambda g: TriangularField.constant(g, 1.0)),
     )
@@ -224,10 +224,10 @@ def test_criterion_08_reflection_spectral_identity(g_cache):
         ("structured", fam("structured")),
     ):
         key = "const1" if name == "constant" else f"fam-{name}"
-        ev = ExtrapolatedDelta(
+        ev = DeltaEvaluator(
             g_cache(key, 400, builder), g_cache(key, 800, builder)
         )
-        ev_r = ExtrapolatedDelta(
+        ev_r = DeltaEvaluator(
             g_cache(f"refl-{name}", 400, lambda g: reflected_kernel(builder(g))),
             g_cache(f"refl-{name}", 800, lambda g: reflected_kernel(builder(g))),
         )

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from idospec import serialize
-from idospec.quadrature import TriangularField, make_grid
-from idospec.spectral import ExtrapolatedDelta, char_delta
+from idospec.quadrature import Profile, TriangularField, make_grid
+from idospec.spectral import DeltaEvaluator, char_delta
 from idospec.transform import compute_g
 from idospec.cli import (
     EXIT_CONFIG,
@@ -148,7 +148,7 @@ class TestSpectrum:
         lams = data[:, 0] + 1j * data[:, 1]
         # CONST_KERNEL assembles to M = 1 exactly
         g, g_f = (compute_g(TriangularField.constant(make_grid(n), 1.0)) for n in (40, 80))
-        expect = np.abs(ExtrapolatedDelta(g, g_f)(lams))
+        expect = np.abs(DeltaEvaluator(g, g_f)(lams))
         assert np.abs(data[:, 2] - expect).max() <= 1e-12 * expect.max()
         coarse = np.abs(char_delta(g, lams))
         assert np.abs(data[:, 2] - coarse).max() > 1e-6 * expect.max()
@@ -277,6 +277,78 @@ class TestConfigErrors:
         })
         out = workdir / "cfg_family_out"
         assert main(["forward", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+
+
+class TestNonFiniteInput:
+    """NaN and infinity in a config or a samples file are config errors (exit 2)."""
+
+    WINDOW = {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5}
+
+    def nan_kernel(self):
+        kernel = json.loads(json.dumps(CONST_KERNEL))
+        kernel["components"][0]["p"]["coeffs"] = [float("nan")]
+        return kernel
+
+    def run(self, workdir, name, command, cfg):
+        path = write_config(workdir / f"{name}.json", cfg)
+        return main([command, "--config", path, "--out", str(workdir / f"{name}_out")])
+
+    def test_forward_nan_coefficient(self, workdir):
+        cfg = {"grid_n": 20, "kernel": self.nan_kernel()}
+        assert self.run(workdir, "nan_fwd", "forward", cfg) == EXIT_CONFIG
+
+    def test_spectrum_nan_coefficient(self, workdir):
+        cfg = {"grid_n": 20, "kernel": self.nan_kernel(), "window": self.WINDOW}
+        assert self.run(workdir, "nan_spec", "spectrum", cfg) == EXIT_CONFIG
+
+    def test_spectrum_infinite_window(self, workdir):
+        cfg = {"grid_n": 20, "kernel": CONST_KERNEL,
+               "window": {**self.WINDOW, "re_min": float("-inf")}}
+        assert self.run(workdir, "inf_win", "spectrum", cfg) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_picard_tol(self, workdir, tol):
+        cfg = {"grid_n": 20, "kernel": CONST_KERNEL, "picard_tol": tol}
+        assert self.run(workdir, f"tol_{tol}", "forward", cfg) == EXIT_CONFIG
+
+    def test_non_finite_lambda(self, workdir):
+        cfg = {"grid_n": 20, "kernel": CONST_KERNEL, "lambdas": [[float("nan"), 0.0]]}
+        assert self.run(workdir, "nan_lambda", "forward", cfg) == EXIT_CONFIG
+
+    def test_overflowing_literal(self, workdir):
+        cfg = {"grid_n": 20, "kernel": CONST_KERNEL, "window": self.WINDOW}
+        path = workdir / "overflow.json"
+        path.write_text(json.dumps(cfg).replace('"re_max": 4.0', '"re_max": 1e999'))
+        assert "1e999" in path.read_text()
+        out = str(workdir / "overflow_out")
+        assert main(["spectrum", "--config", str(path), "--out", out]) == EXIT_CONFIG
+
+    def test_overflowing_analytic_profile(self, workdir):
+        kernel = json.loads(json.dumps(CONST_KERNEL))
+        kernel["components"][0]["p"] = {
+            "kind": "analytic", "family": "polynomial", "coeffs": [0.0, 0.0, 0.0, 1e308],
+        }
+        cfg = {"grid_n": 20, "kernel": kernel}
+        assert self.run(workdir, "overflow_profile", "forward", cfg) == EXIT_CONFIG
+
+    def test_nan_field_samples(self, workdir):
+        grid = make_grid(10)
+        vals = TriangularField.constant(grid, 1.0).values
+        vals[4, 2] = np.nan
+        serialize.field_to_csv(TriangularField(grid, vals), workdir / "nan_field.csv")
+        kernel = {"m0": {"kind": "samples", "path": str(workdir / "nan_field.csv")}}
+        cfg = {"grid_n": 10, "kernel": kernel}
+        assert self.run(workdir, "nan_field", "forward", cfg) == EXIT_CONFIG
+
+    def test_infinite_profile_samples(self, workdir):
+        grid = make_grid(10)
+        vals = np.ones(grid.n_nodes, dtype=complex)
+        vals[3] = complex(0.0, np.inf)
+        serialize.profile_to_csv(Profile(grid, vals), workdir / "inf_profile.csv")
+        kernel = json.loads(json.dumps(CONST_KERNEL))
+        kernel["components"][0]["p"] = {"kind": "samples", "path": str(workdir / "inf_profile.csv")}
+        cfg = {"grid_n": 10, "kernel": kernel}
+        assert self.run(workdir, "inf_profile", "forward", cfg) == EXIT_CONFIG
 
 
 @pytest.mark.skipif(shutil.which("idospec") is None, reason="entry point not installed")

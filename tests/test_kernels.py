@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from idospec.quadrature import PI, Profile, TriangularField, make_grid
+from idospec.quadrature import PI, Profile, TriangularField, integrate_nodes, make_grid
 from idospec.kernels import (
     ComponentCountError,
     KernelComponent,
@@ -13,6 +14,7 @@ from idospec.kernels import (
     profile_from_family,
     truncate_kernel,
 )
+from idospec.transform import assemble_z_kernel
 
 
 def one_component(grid, r_fun, p_fun):
@@ -86,6 +88,23 @@ class TestTruncate:
             assemble_kernel(tk).values, assemble_kernel(self.sk).values
         )
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_truncation_composes(self, data):
+        grid = make_grid(4)
+        p = data.draw(st.integers(0, 8))
+        k = data.draw(st.integers(0, p))
+        j = data.draw(st.integers(0, k))
+        sk = StructuredKernel(
+            TriangularField.constant(grid, 1.0),
+            tuple(one_component(grid, lambda x, t: 0 * x + c, np.cos) for c in range(p)),
+        )
+        twice = truncate_kernel(truncate_kernel(sk, k), j)
+        once = truncate_kernel(sk, j)
+        assert twice.m0 is once.m0 is sk.m0
+        assert len(twice.components) == len(once.components) == j
+        assert all(a is b for a, b in zip(twice.components, once.components))
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             truncate_kernel(self.sk, 4)
@@ -93,7 +112,32 @@ class TestTruncate:
             truncate_kernel(self.sk, -1)
 
 
+def _compute_B_loop(r):
+    """Row-by-row trapezoid of r(pi - t, x - t), the reference oracle for compute_B."""
+    grid = r.grid
+    n = grid.n_intervals
+    vals = np.zeros(grid.n_nodes, dtype=complex)
+    for i in range(1, grid.n_nodes):
+        k = np.arange(i + 1)
+        vals[i] = integrate_nodes(r.values[n - k, i - k], grid, 0, i)
+    return vals
+
+
 class TestComputeB:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+    def test_matches_row_loop(self, n, seed):
+        rng = np.random.default_rng(seed)
+        grid = make_grid(n)
+        vals = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
+        r = TriangularField(grid, np.tril(vals))
+        b = compute_B(r)
+        ref = _compute_B_loop(r)
+        assert b.values[0] == 0.0
+        assert np.abs(b.values - ref).max() <= 1e-13 * np.abs(ref).max()
+        z = TriangularField.zeros(grid)
+        assert np.array_equal(assemble_z_kernel(z, z, r)[0].values, b.values)
+
     def test_unit_r_gives_identity(self, grid100):
         r = TriangularField.constant(grid100, 1.0)
         b = compute_B(r)

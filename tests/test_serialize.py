@@ -155,6 +155,31 @@ class TestSpectrumJson:
         back = serialize.spectrum_from_json(path)
         assert all(ev.newton_converged for ev in back.eigenvalues)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_write_read_write_is_byte_exact(self, tmp_path_factory, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        bounds = st.lists(finite, min_size=2, max_size=2, unique=True).map(sorted)
+        win = SearchWindow(*data.draw(bounds), *data.draw(bounds))
+        evs = tuple(
+            Eigenvalue(
+                value=complex(data.draw(finite), data.draw(finite)),
+                multiplicity=data.draw(st.integers(1, 5)),
+                residual=data.draw(st.floats(0.0) | st.just(np.nan)),
+                newton_converged=data.draw(st.booleans()),
+            )
+            for _ in range(data.draw(st.integers(0, 6)))
+        )
+        spec = Spectrum(evs, win, sum(ev.multiplicity for ev in evs))
+        out = tmp_path_factory.mktemp("spec")
+        serialize.spectrum_to_json(spec, np.pi / 100, out / "a.json")
+        back = serialize.spectrum_from_json(out / "a.json")
+        serialize.spectrum_to_json(back, np.pi / 100, out / "b.json")
+        assert (out / "a.json").read_bytes() == (out / "b.json").read_bytes()
+        assert [ev.newton_converged for ev in back.eigenvalues] == [
+            ev.newton_converged for ev in evs
+        ]
+
     def test_byte_identical_rewrites(self, tmp_path):
         spec = self.make_spectrum()
         p1 = tmp_path / "a.json"

@@ -1,22 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idospec.quadrature import PI, TriangularField, make_grid
 from idospec.transform import compute_g
 from idospec.spectral import (
     BoundaryNearZeroError,
     DeltaEvaluator,
-    ExtrapolatedDelta,
     PhaseTrackingError,
     SearchWindow,
     SpectrumOptions,
     char_delta,
     char_delta_deriv,
-    char_delta_prime,
     eval_e_direct,
     eval_e_via_g,
     eval_psi,
-    eval_w,
     eval_z,
     eval_z_decomposed,
     find_spectrum,
@@ -30,6 +28,83 @@ from oracles import constant_kernel_delta, constant_kernel_e, oracle_roots_in_wi
 
 def constant_field(n, c=1.0):
     return TriangularField.constant(make_grid(n), c)
+
+
+# Node-by-node forms of psi and z, kept as reference oracles for the
+# reflected forward march and the Volterra product in idospec.spectral.
+def _eval_psi_march(m, lam):
+    """Backward march of the adjoint-type equation with psi(pi) = 1."""
+    grid = m.grid
+    n = grid.n_nodes
+    h = grid.step
+    x = grid.nodes
+    mv = m.values
+    ex = np.exp(1j * lam * (x - np.pi))
+    phase = np.exp(-1j * lam * x)
+    psi = np.empty(n, dtype=complex)
+    tail = np.zeros(n, dtype=complex)  # tail[k] = integral of m(., x_k) psi over [x_k, pi]
+    psi[n - 1] = 1.0
+    for i in range(n - 2, -1, -1):
+        guess = psi[i + 1]
+        col = mv[i:, i]
+        g_known = phase[i + 1 :] * tail[i + 1 :]
+        base = g_known.sum() - 0.5 * g_known[-1]
+        for _ in range(2):
+            psi[i] = guess
+            ti = h * (np.dot(col, psi[i:]) - 0.5 * (col[0] * psi[i] + col[-1] * psi[-1]))
+            s = np.exp(1j * lam * x[i]) * h * (base + 0.5 * phase[i] * ti)
+            guess = ex[i] + 1j * s
+        psi[i] = guess
+        tail[i] = h * (np.dot(col, psi[i:]) - 0.5 * (col[0] * psi[i] + col[-1] * psi[-1]))
+    return psi
+
+
+def _eval_z_loop(r, m, m_tilde, lam):
+    """Row-by-row trapezoid of r(pi-t, x-t) w(t) e_tilde(x-t), w(t) = psi(pi-t)."""
+    grid = r.grid
+    n = grid.n_intervals
+    h = grid.step
+    w = _eval_psi_march(m, lam)[::-1]
+    et = eval_e_direct(m_tilde, lam)
+    z = np.zeros(grid.n_nodes, dtype=complex)
+    for i in range(1, grid.n_nodes):
+        k = np.arange(i + 1)
+        f = r.values[n - k, i - k] * w[k] * et[i - k]
+        z[i] = h * (f.sum() - 0.5 * (f[0] + f[-1]))
+    return z
+
+
+def _random_field(rng, grid):
+    n = grid.n_nodes
+    vals = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return TriangularField(grid, np.tril(vals))
+
+
+def _rel_err(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+class TestMarchesMatchLoops:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 64),
+        seed=st.integers(0, 2**32 - 1),
+        re=st.floats(-5.0, 5.0),
+        im=st.floats(-2.0, 1.0),
+    )
+    def test_random_complex_fields(self, n, seed, re, im):
+        rng = np.random.default_rng(seed)
+        grid = make_grid(n)
+        r, m, mt = (_random_field(rng, grid) for _ in range(3))
+        lam = complex(re, im)
+
+        psi = eval_psi(m, lam)
+        assert psi[-1] == 1.0
+        assert _rel_err(psi, _eval_psi_march(m, lam)) <= 1e-13
+
+        z = eval_z(r, m, mt, lam)
+        assert z[0] == 0.0
+        assert _rel_err(z, _eval_z_loop(r, m, mt, lam)) <= 1e-13
 
 
 @pytest.fixture(scope="module")
@@ -62,11 +137,6 @@ class TestForwardSolutions:
     def test_psi_terminal_value(self, grid100):
         psi = eval_psi(mild_family_fields(grid100)["trig"], 0.7 + 0.1j)
         assert psi[-1] == 1.0
-
-    def test_w_is_reflected_psi(self, grid100):
-        m = mild_family_fields(grid100)["structured"]
-        lam = 1.1 - 0.3j
-        assert np.array_equal(eval_w(m, lam), eval_psi(m, lam)[::-1])
 
     @pytest.mark.parametrize("name", ["constant", "polynomial", "structured"])
     def test_two_representations_agree(self, grid100, name, g_cache):
@@ -104,7 +174,7 @@ class TestCharDelta:
         h = 1e-5
         for lam in (0.7 + 0j, -1.2 - 0.4j):
             fd = (char_delta(g_const_200, lam + h) - char_delta(g_const_200, lam - h)) / (2 * h)
-            assert abs(char_delta_prime(g_const_200, lam) - fd) < 1e-7
+            assert abs(char_delta_deriv(g_const_200, lam, order=1) - fd) < 1e-7
 
     def test_second_derivative_finite_difference(self, g_const_200):
         lam = 0.4 - 0.3j
@@ -120,21 +190,72 @@ class TestCharDelta:
 class TestExtrapolatedDelta:
     def test_grid_ratio_enforced(self, g_const_200):
         with pytest.raises(ValueError):
-            ExtrapolatedDelta(g_const_200, g_const_200)
+            DeltaEvaluator(g_const_200, g_const_200)
 
     def test_fourth_order_accuracy(self, g_const_200, g_const_400):
-        ev = ExtrapolatedDelta(g_const_200, g_const_400)
+        ev = DeltaEvaluator(g_const_200, g_const_400)
         lams = np.array([0.5 + 0j, -1.5 - 0.5j, 2.0 + 0.25j])
         vals = ev(lams)
         for lam, v in zip(lams, vals):
             assert abs(v - constant_kernel_delta(complex(lam))) < 5e-7
 
     def test_deriv_extrapolates_too(self, g_const_200, g_const_400):
-        ev = ExtrapolatedDelta(g_const_200, g_const_400)
+        ev = DeltaEvaluator(g_const_200, g_const_400)
         lam = 0.8 - 0.2j
         h = 1e-5
         fd = (ev(np.array([lam + h]))[0] - ev(np.array([lam - h]))[0]) / (2 * h)
         assert abs(ev.deriv(lam) - fd) < 1e-7
+
+
+class TestDeltaEvaluator:
+    """Delta and Delta', plain and extrapolated, equal in value and scalar type
+    to the formulas written out: char_delta_deriv, and (4 * fine - coarse) / 3."""
+
+    LAMS = np.array([0.3 + 0j, -1.7 - 0.6j, 2.2 + 0.1j, -4.0 - 3.0j])
+
+    def test_plain_matches_formula(self, g_const_200):
+        ev = DeltaEvaluator(g_const_200)
+        assert np.array_equal(ev(self.LAMS), char_delta_deriv(g_const_200, self.LAMS))
+        for lam in self.LAMS:
+            got = ev(lam)
+            want = char_delta_deriv(g_const_200, lam)
+            assert type(got) is type(want) and got == want
+            got = ev.deriv(lam)
+            want = char_delta_deriv(g_const_200, np.asarray([lam]), order=1)[0]
+            assert type(got) is type(want) and got == want
+        assert ev.evals == 2 * self.LAMS.size
+
+    def test_extrapolated_matches_formula(self, g_const_200, g_const_400):
+        ev = DeltaEvaluator(g_const_200, g_const_400)
+
+        def delta(lam, order=0):
+            return (
+                4.0 * char_delta_deriv(g_const_400, lam, order=order)
+                - char_delta_deriv(g_const_200, lam, order=order)
+            ) / 3.0
+
+        assert np.array_equal(ev(self.LAMS), delta(self.LAMS))
+        for lam in self.LAMS:
+            got, want = ev(lam), delta(lam)
+            assert type(got) is type(want) and got == want
+            got = ev.deriv(lam)
+            want = complex(delta(np.asarray([lam]), order=1)[0])
+            assert type(got) is complex and got == want
+        assert ev.evals == 2 * self.LAMS.size
+
+
+class TestZeroKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 64),
+        re=st.floats(-20.0, 20.0),
+        im=st.floats(-8.0, 8.0),
+    )
+    def test_delta_is_exponential(self, n, re, im):
+        g = compute_g(TriangularField.zeros(make_grid(n)))
+        lam = complex(re, im)
+        want = np.exp(-1j * lam * PI)
+        assert abs(char_delta(g, lam) - want) <= 1e-14 * abs(want)
 
 
 class TestFindSpectrum:
@@ -173,7 +294,7 @@ class TestFindSpectrum:
             find_spectrum(g_const_200, bad)
 
     def test_evaluator_interface(self, g_const_200, g_const_400):
-        ev = ExtrapolatedDelta(g_const_200, g_const_400)
+        ev = DeltaEvaluator(g_const_200, g_const_400)
         window = SearchWindow(-6.0, 6.0, -6.0, 0.5)
         spec = find_spectrum(ev, window)
         oracle = oracle_roots_in_window(-6.0, 6.0, -6.0, 0.5)
@@ -220,6 +341,14 @@ class TestSearchWindow:
             SearchWindow(1.0, 1.0, -1.0, 1.0)
         with pytest.raises(ValueError):
             SearchWindow(-1.0, 1.0, 2.0, -2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        for k in range(4):
+            bounds = [-1.0, 1.0, -1.0, 1.0]
+            bounds[k] = bad
+            with pytest.raises(ValueError):
+                SearchWindow(*bounds)
 
     def test_dimensions(self):
         w = SearchWindow(-2.0, 4.0, -1.0, 0.5)

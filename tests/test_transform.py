@@ -180,6 +180,18 @@ class TestComputeG:
         with pytest.raises(PicardConvergenceError):
             compute_g(TriangularField.constant(grid50, 1.0), max_terms=2)
 
+    @pytest.mark.parametrize("tol", [None, 1e-10])
+    def test_non_finite_term_raises(self, grid50, tol):
+        vals = TriangularField.constant(grid50, 1.0).values
+        vals[7, 3] = np.nan
+        with pytest.raises(PicardConvergenceError):
+            compute_g(TriangularField(grid50, vals), tol=tol)
+
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-10])
+    def test_bad_tol_rejected(self, grid50, tol):
+        with pytest.raises(ValueError):
+            compute_g(TriangularField.constant(grid50, 1.0), tol=tol)
+
     def test_grid_convergence(self):
         # full kernel G against a fine-grid reference, second order in h
         ref = compute_g(family_fields(make_grid(400))["trig"]).g.values
@@ -192,6 +204,14 @@ class TestComputeG:
 
 
 class TestReflectedKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+    def test_involution_bitwise(self, n, seed):
+        rng = np.random.default_rng(seed)
+        m = TriangularField(make_grid(n), _random_lower(rng, n + 1, 1.0))
+        back = reflected_kernel(reflected_kernel(m))
+        assert back.values.tobytes() == m.values.tobytes()
+
     def test_involution(self, grid50):
         m = family_fields(grid50)["structured"]
         back = reflected_kernel(reflected_kernel(m))
