@@ -7,7 +7,6 @@ from .quadrature import (
     GridMismatchError,
     Profile,
     TriangularField,
-    integrate_nodes,
     interp_profile,
     make_grid,
 )

@@ -56,22 +56,6 @@ def require_same_grid(*grids: Grid) -> None:
             )
 
 
-def integrate_nodes(samples, grid: Grid, i_from: int, i_to: int):
-    """Composite trapezoid of node samples over [nodes[i_from], nodes[i_to]].
-
-    Exact for affine integrands; returns exactly 0 for an empty range.
-    """
-    samples = np.asarray(samples)
-    if i_from > i_to:
-        raise IndexError(f"i_from={i_from} > i_to={i_to}")
-    if i_from < 0 or i_to >= samples.shape[0]:
-        raise IndexError(f"index range [{i_from}, {i_to}] out of bounds")
-    if i_from == i_to:
-        return samples.dtype.type(0)
-    seg = samples[i_from : i_to + 1]
-    return grid.step * (seg.sum() - 0.5 * (seg[0] + seg[-1]))
-
-
 def volterra_apply(values, vec, h: float) -> np.ndarray:
     """Row-wise trapezoid of a lower-triangular field against a vector.
 

@@ -45,6 +45,15 @@ def write_json(path, obj) -> None:
         fh.write(dumps_json(obj))
 
 
+def _complex(re, im) -> np.ndarray:
+    """Complex array from its parts, set one by one: re + 1j * im would turn an
+    infinite imaginary part into nan + inf j and lose the real part."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
 # --- profiles -------------------------------------------------------------------
 
 
@@ -62,7 +71,7 @@ def profile_from_csv(path, grid: Grid | None = None) -> Profile:
         grid = make_grid(n)
     elif grid.n_intervals != n:
         raise ValueError(f"profile file has {n} intervals, grid has {grid.n_intervals}")
-    return Profile(grid, data[:, 1] + 1j * data[:, 2])
+    return Profile(grid, _complex(data[:, 1], data[:, 2]))
 
 
 # --- triangular fields ----------------------------------------------------------
@@ -93,7 +102,7 @@ def field_from_csv(path, grid: Grid | None = None) -> TriangularField:
     elif grid.n_intervals != n:
         raise ValueError(f"field file has {n} intervals, grid has {grid.n_intervals}")
     vals = np.zeros((n + 1, n + 1), dtype=complex)
-    vals[np.tril_indices(n + 1)] = data[:, 2] + 1j * data[:, 3]  # row-major, as written
+    vals[np.tril_indices(n + 1)] = _complex(data[:, 2], data[:, 3])  # row-major, as written
     return TriangularField(grid, vals)
 
 

@@ -9,6 +9,7 @@ plus Newton polishing the natural search strategy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,24 +182,30 @@ def char_delta_deriv(g: TransformKernel, lam, order: int = 0):
 
 @dataclass(frozen=True)
 class SpectrumOptions:
-    cell_size: float = 1e-3
+    cell_size: float = 1e-3                    # bisection floor for winding >= 2
     residual_tol: float | None = None          # absolute; default set from boundary scale
     boundary_rel_tol: float = 1e-9             # |Delta| guard relative to boundary max
-    initial_edge_samples: int = 32
+    initial_edge_samples: int = 32             # per-edge minimum; see _rect_boundary
     max_phase_refinements: int = 14
     newton_max_iter: int = 60
     newton_tol: float = 1e-12
     max_depth: int = 60
 
 
-def _rect_boundary(re0, re1, im0, im1, n_per_edge):
-    """Closed counterclockwise path along the rectangle boundary."""
-    ts = np.linspace(0.0, 1.0, n_per_edge, endpoint=False)
-    bottom = re0 + ts * (re1 - re0) + 1j * im0
-    right = re1 + 1j * (im0 + ts * (im1 - im0))
-    top = re1 - ts * (re1 - re0) + 1j * im1
-    left = re0 + 1j * (im1 - ts * (im1 - im0))
-    pts = np.concatenate([bottom, right, top, left])
+def _rect_boundary(rect, min_per_edge):
+    """Closed counterclockwise path along the rectangle boundary.
+
+    Each edge gets at least min_per_edge points and at least four per unit of
+    length, so the carrier exp(-i lambda pi) of Delta turns at most pi/4
+    between neighbours however long the edge is.
+    """
+    re0, re1, im0, im1 = rect
+    corners = (complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1))
+    edges = []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        n = max(min_per_edge, math.ceil(4.0 * abs(b - a)))
+        edges.append(a + np.linspace(0.0, 1.0, n, endpoint=False) * (b - a))
+    pts = np.concatenate(edges)
     return np.concatenate([pts, pts[:1]])
 
 
@@ -246,8 +253,7 @@ def _winding_number(f, rect, opts: SpectrumOptions, guard: float | None):
     are safe; the summed phase must land within 0.1 * 2pi of an integer.
     Returns (winding, min |Delta| on the path).
     """
-    re0, re1, im0, im1 = rect
-    pts = _rect_boundary(re0, re1, im0, im1, opts.initial_edge_samples)
+    pts = _rect_boundary(rect, opts.initial_edge_samples)
     vals = f(pts)
     for _ in range(opts.max_phase_refinements):
         dphi = np.angle(vals[1:] / vals[:-1])
@@ -299,7 +305,12 @@ def _split_rect(f, rect, opts, guard):
     raise BoundaryNearZeroError(complex(cut, 0.5 * (im0 + im1)), 0.0)
 
 
-def _newton_polish(f, z0: complex, mult: int, opts: SpectrumOptions):
+def _newton_polish(f, z0: complex, mult: int, opts: SpectrumOptions, cell=None):
+    """Newton's method from z0, with the step scaled by the multiplicity mult.
+
+    Returns (root, |f(root)|, converged). With a cell (re0, re1, im0, im1)
+    the attempt is abandoned, unconverged, as soon as an iterate leaves it.
+    """
     z = z0
     for _ in range(opts.newton_max_iter):
         fz = complex(f(np.asarray([z]))[0])
@@ -308,6 +319,10 @@ def _newton_polish(f, z0: complex, mult: int, opts: SpectrumOptions):
             break
         step = mult * fz / dz
         z -= step
+        if cell is not None and not (
+            cell[0] <= z.real <= cell[1] and cell[2] <= z.imag <= cell[3]
+        ):
+            return z, math.inf, False
         if abs(step) < opts.newton_tol * (1.0 + abs(z)):
             return z, abs(complex(f(np.asarray([z]))[0])), True
     return z, abs(complex(f(np.asarray([z]))[0])), False
@@ -320,17 +335,20 @@ def find_spectrum(
 ) -> Spectrum:
     """Locate all zeros of Delta inside the window, counted with multiplicity.
 
-    Recursive rectangle subdivision by the argument principle, then Newton
-    polishing (modified by the cell's winding number w, so clusters and
-    multiple roots of order w converge quadratically). `g` is either a
-    TransformKernel or any evaluator exposing __call__(lam_array) and
-    deriv(lam).
+    Recursive rectangle subdivision by the argument principle. A cell of
+    winding number 1 holds exactly one simple zero, so Newton starts from its
+    centre at once; a result that converged, never left the cell and has a
+    residual within residual_tol is that zero. Otherwise the cell is split
+    further. Cells of higher winding w are bisected down to cell_size and
+    polished by Newton modified by w, so clusters and multiple roots of
+    order w converge quadratically. `g` is either a TransformKernel or any
+    evaluator exposing __call__(lam_array) and deriv(lam).
     """
     f = DeltaEvaluator(g) if isinstance(g, TransformKernel) else g
     rect0 = (window.re_min, window.re_max, window.im_min, window.im_max)
 
     # boundary-magnitude guard, relative to the outer boundary scale
-    pts = _rect_boundary(*rect0, opts.initial_edge_samples)
+    pts = _rect_boundary(rect0, opts.initial_edge_samples)
     boundary_max = float(np.abs(f(pts)).max())
     guard = opts.boundary_rel_tol * boundary_max
     wind0, _ = _winding_number(f, rect0, opts, guard)
@@ -344,8 +362,14 @@ def find_spectrum(
         if wind == 0:
             return
         re0, re1, im0, im1 = rect
-        if max(re1 - re0, im1 - im0) < opts.cell_size or depth >= opts.max_depth:
-            center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
+        center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
+        leaf = max(re1 - re0, im1 - im0) < opts.cell_size or depth >= opts.max_depth
+        if wind == 1 and not leaf:
+            root, resid, ok = _newton_polish(f, center, 1, opts, cell=rect)
+            if ok and resid <= residual_tol:
+                found.append(Eigenvalue(value=root, multiplicity=1, residual=resid))
+                return
+        if leaf:
             root, resid, ok = _newton_polish(f, center, wind, opts)
             margin = 2.0 * opts.cell_size
             inside = (

@@ -4,6 +4,9 @@ For a constant kernel M = c the problem reduces to the second-order ODE
 i y'' - lambda y' + c y = 0 with y(0) = 1, y'(0) = -i lambda, solved in
 closed form through the roots of i mu^2 - lambda mu + c = 0. These
 routines never touch the solver's quadrature or Picard machinery.
+
+integrate_nodes is the plain composite trapezoid on a range of grid nodes,
+the reference rule for the package's vectorized Volterra products.
 """
 
 from __future__ import annotations
@@ -11,6 +14,22 @@ from __future__ import annotations
 import numpy as np
 
 PI = np.pi
+
+
+def integrate_nodes(samples, grid, i_from: int, i_to: int):
+    """Composite trapezoid of node samples over [nodes[i_from], nodes[i_to]].
+
+    Exact for affine integrands; returns exactly 0 for an empty range.
+    """
+    samples = np.asarray(samples)
+    if i_from > i_to:
+        raise IndexError(f"i_from={i_from} > i_to={i_to}")
+    if i_from < 0 or i_to >= samples.shape[0]:
+        raise IndexError(f"index range [{i_from}, {i_to}] out of bounds")
+    if i_from == i_to:
+        return samples.dtype.type(0)
+    seg = samples[i_from : i_to + 1]
+    return grid.step * (seg.sum() - 0.5 * (seg[0] + seg[-1]))
 
 
 def constant_kernel_e(x, lam: complex, c: float = 1.0):

@@ -6,11 +6,12 @@ from idospec.quadrature import (
     Profile,
     TriangularField,
     TriangleIndexError,
-    integrate_nodes,
     interp_profile,
     make_grid,
     volterra_apply,
 )
+
+from oracles import integrate_nodes
 
 
 class TestMakeGrid:

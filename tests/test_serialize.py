@@ -54,6 +54,14 @@ class TestProfileCsv:
         with pytest.raises(ValueError):
             serialize.profile_from_csv(path, make_grid(8))
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_imaginary_part_keeps_real_part(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("x,re,im\n0,1.5,inf\n1,2.5,-inf\n3,0.5,0\n")
+        q = serialize.profile_from_csv(path)
+        assert np.array_equal(q.values.real, [1.5, 2.5, 0.5])
+        assert np.array_equal(q.values.imag, [np.inf, -np.inf, 0.0])
+
 
 def _field_to_csv_loop(f, path):
     """Cell-by-cell writer, kept as the byte-level oracle for field_to_csv."""
@@ -92,6 +100,14 @@ class TestFieldCsv:
         serialize.field_to_csv(f, path)
         g = serialize.field_from_csv(path, grid)
         assert np.array_equal(f.values, g.values)
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_imaginary_part_keeps_real_part(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("x,t,re,im\n0,0,0,0\n1,0,0,0\n1,1,1,0\n2,0,0,0\n2,1,2,inf\n2,2,3,-inf\n")
+        f = serialize.field_from_csv(path)
+        assert f.values[2, 1] == complex(2.0, np.inf)
+        assert f.values[2, 2] == complex(3.0, -np.inf)
 
     def test_non_triangular_row_count_rejected(self, tmp_path):
         path = tmp_path / "f.csv"

@@ -312,6 +312,108 @@ class TestFindSpectrum:
             assert abs(a.value - b.value) < 1e-2
 
 
+WIDE = (-20.0, 20.0, -8.0, 0.5)
+
+
+def _assert_matches_oracle(spec, window, c, tol):
+    """Found roots match the closed-form roots one-to-one within tol.
+
+    Oracle roots on the window grown by tol are candidates; each found root
+    claims its nearest one, and every oracle root farther than tol inside
+    the edge must be claimed (one within tol of the edge may be found or not).
+    """
+    re0, re1, im0, im1 = window
+    oracle = np.array(oracle_roots_in_window(re0 - tol, re1 + tol, im0 - tol, im1 + tol, c=c))
+    claimed = set()
+    for ev in spec.eigenvalues:
+        assert ev.multiplicity == 1 and ev.newton_converged
+        dist = np.abs(oracle - ev.value)
+        k = int(np.argmin(dist))
+        assert dist[k] < tol and k not in claimed
+        claimed.add(k)
+    for k, z in enumerate(oracle):
+        if re0 + tol < z.real < re1 - tol and im0 + tol < z.imag < im1 - tol:
+            assert k in claimed
+
+
+class TestConstantKernelProperty:
+    # N=100 discretization error of roots near |Re lambda| = 20
+    TOL = 2e-2
+
+    @settings(max_examples=6, deadline=None)
+    @given(c=st.floats(0.5, 2.0))
+    def test_wide_window_matches_closed_form(self, c):
+        spec = find_spectrum(compute_g(constant_field(100, c)), SearchWindow(*WIDE))
+        _assert_matches_oracle(spec, WIDE, c, self.TOL)
+
+    # These put a root 0.13 and 0.09 below the top edge. With 32 samples on
+    # that 40-unit edge the carrier exp(-i lambda pi) turns 1.25 pi between
+    # two samples and the root can add the rest of a whole turn, which the
+    # phase tracking cannot see.
+    @pytest.mark.parametrize("c, count", [(0.583873, 19), (1.772611, 18)])
+    def test_root_just_below_the_top_edge(self, c, count):
+        spec = find_spectrum(compute_g(constant_field(100, c)), SearchWindow(*WIDE))
+        assert spec.total_count == count
+        _assert_matches_oracle(spec, WIDE, c, self.TOL)
+
+    def test_wide_window_eval_budget(self, g_const_200):
+        ev = DeltaEvaluator(g_const_200)
+        spec = find_spectrum(ev, SearchWindow(*WIDE))
+        assert spec.total_count == 18
+        # bisecting every root cell down to cell_size costs about 120k points
+        assert ev.evals < 30_000
+
+
+class PolyExp:
+    """p(lambda) exp(a lambda) with p given by its roots: an entire function
+    whose zeros and multiplicities are known exactly."""
+
+    def __init__(self, roots, a=0.3j):
+        self.roots = np.asarray(roots, dtype=complex)
+        self.a = a
+        self.evals = 0
+
+    def __call__(self, lam):
+        lam = np.asarray(lam, dtype=complex)
+        self.evals += lam.size
+        return np.prod(lam[..., None] - self.roots, axis=-1) * np.exp(self.a * lam)
+
+    def deriv(self, lam):
+        d = lam - self.roots
+        dp = sum(np.prod(np.delete(d, k)) for k in range(d.size))
+        return complex((dp + self.a * np.prod(d)) * np.exp(self.a * lam))
+
+
+class TestSyntheticSearch:
+    def test_double_root(self):
+        double, simple = 0.3217 - 0.4123j, -1.1 + 0.27j
+        spec = find_spectrum(PolyExp([double, double, simple]), SearchWindow(-2.0, 2.0, -1.0, 1.0))
+        assert spec.total_count == 3
+        (a, b) = spec.eigenvalues
+        assert a.multiplicity == 1 and abs(a.value - simple) < 1e-12
+        assert b.multiplicity == 2 and abs(b.value - double) < 1e-10
+
+    def test_close_simple_roots(self):
+        roots = [0.2 + 0.1j, 0.21 + 0.1j]
+        spec = find_spectrum(PolyExp(roots), SearchWindow(-1.0, 1.0, -1.0, 1.0))
+        assert [ev.multiplicity for ev in spec.eigenvalues] == [1, 1]
+        for ev, ref in zip(spec.eigenvalues, roots):
+            assert ev.newton_converged and abs(ev.value - ref) < 1e-12
+
+    def test_escaping_newton_falls_back_to_bisection(self):
+        root = 0.4 + 0.3j
+        f = PolyExp([root], a=1.6 - 0.6j)
+        window = SearchWindow(-1.0, 1.0, -1.0, 1.0)
+        # the first Newton iterate from the window centre is 1.667j, outside
+        first = 0.0 - f(np.asarray([0j]))[0] / f.deriv(0j)
+        assert first.imag > window.im_max
+        spec = find_spectrum(f, window)
+        assert spec.total_count == 1
+        (ev,) = spec.eigenvalues
+        assert ev.multiplicity == 1 and ev.newton_converged
+        assert abs(ev.value - root) < 1e-12
+
+
 class TestZDecomposition:
     def test_pointwise_vs_kernel_form(self, grid100):
         fields = mild_family_fields(grid100)
