@@ -49,6 +49,7 @@ from .inverse import (
     RecoveryReport,
     recover_profile,
     recover_sequential,
+    spectrum_jacobian,
     spectrum_residual,
     verify_green_identity,
     verify_change_of_variables,

@@ -296,10 +296,21 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
         if not Path(path).is_file():
             raise ConfigError(f"target spectrum file not found: {path}")
         spectra.append(serialize.spectrum_from_json(path))
+    # a root whose Newton polish failed is only a cell centre: fitting it as
+    # an exact eigenvalue would pull the profile towards a wrong spectrum
+    for path, spec in zip(target_paths, spectra):
+        for ev in spec.eigenvalues:
+            if not ev.newton_converged:
+                print(
+                    f"numerical failure: target root {ev.value} in {path} has "
+                    f"newton_converged false; refusing to fit it",
+                    file=sys.stderr,
+                )
+                return EXIT_NUMERICAL
 
     ropts_cfg = cfg.get("opts", {})
     ropts = RecoverOptions(**{
-        k: ropts_cfg[k] for k in ("xtol", "ftol", "max_iter", "lm_damping0", "fd_step")
+        k: ropts_cfg[k] for k in ("xtol", "ftol", "max_iter", "lm_damping0")
         if k in ropts_cfg
     })
 
@@ -336,6 +347,8 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
             "residual_norm": rep.residual_norm,
             "underdetermined": rep.underdetermined,
             "history": [float(v) for v in rep.history],
+            "residual_evals": rep.residual_evals,
+            "jacobian_evals": rep.jacobian_evals,
         })
     serialize.write_json(out / "recovery_report.json", {
         "provenance": _provenance("invert", sha, n),

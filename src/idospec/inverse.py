@@ -4,16 +4,29 @@ The residual never re-solves the eigenvalue problem inside the optimizer
 loop: a target eigenvalue nu of multiplicity m contributes the values
 Delta(nu), Delta'(nu), ..., Delta^(m-1)(nu) of the candidate characteristic
 function, which all vanish exactly when nu is a zero of that multiplicity.
+Their derivatives in the profile parameters come from the paper's Green
+identity Delta~ - Delta = i * double integral of psi (M~ - M) e~, linearized
+at M~ = M, so a Jacobian needs the forward solutions e and psi of the
+current kernel only, not one residual per parameter.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .quadrature import Grid, Profile, TriangularField, require_same_grid, volterra_apply
+from .quadrature import (
+    Grid,
+    Profile,
+    TriangularField,
+    require_same_grid,
+    trapezoid_weights,
+    volterra_apply,
+)
 from .kernels import (
     KernelComponent,
     StructuredKernel,
@@ -23,7 +36,7 @@ from .kernels import (
     check_B_nonvanishing,
     WeightVanishesError,
 )
-from .transform import compute_g
+from .transform import TransformKernel, compute_g, reflected_kernel
 from .spectral import (
     Spectrum,
     char_delta_deriv,
@@ -70,6 +83,23 @@ class InverseProblem:
     def param_nodes(self) -> np.ndarray:
         return np.linspace(0.0, np.pi, self.d)
 
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """(N+1) x d matrix whose column k is the cubic spline through unit sample k.
+
+        The spline lift is linear in the samples, so the profile of a
+        parameter vector is this matrix times it.
+        """
+        return CubicSpline(self.param_nodes, np.eye(self.d))(self.grid.nodes)
+
+    @cached_property
+    def basis_fields(self) -> np.ndarray:
+        """d x (N+1) x (N+1) stack of R(x, t) phi_k(x - t).
+
+        Layer k is the derivative of the kernel M in parameter k.
+        """
+        return np.stack([self.r.values * _shift_matrix(phi) for phi in self.basis.T])
+
     def is_underdetermined(self) -> bool:
         return self.target.total_count < self.d
 
@@ -90,28 +120,95 @@ class RecoveryReport:
     converged: bool
     history: list = field(default_factory=list)
     underdetermined: bool = False
+    residual_evals: int = 0     # spectrum_residual calls, one G build each
+    jacobian_evals: int = 0     # spectrum_jacobian calls, one G build each
 
 
-def profile_from_params(params, grid: Grid, d: int) -> Profile:
+def profile_from_params(params, problem: InverseProblem) -> Profile:
     """Cubic-spline lift of the d parameter samples to the solver grid."""
     params = np.asarray(params, dtype=float)
-    if params.shape != (d,):
-        raise ValueError(f"expected {d} parameters, got shape {params.shape}")
-    spline = CubicSpline(np.linspace(0.0, np.pi, d), params)
-    return Profile(grid, spline(grid.nodes).astype(complex))
+    if params.shape != (problem.d,):
+        raise ValueError(f"expected {problem.d} parameters, got shape {params.shape}")
+    return Profile(problem.grid, (problem.basis @ params).astype(complex))
 
 
-def spectrum_residual(p_params, problem: InverseProblem) -> np.ndarray:
-    """Candidate Delta (and derivatives, per multiplicity) at the target points."""
-    prof = profile_from_params(p_params, problem.grid, problem.d)
-    sk = StructuredKernel(problem.m0, (KernelComponent(problem.r, prof),))
-    m = assemble_kernel(sk)
-    g = compute_g(m, tol=problem.picard_tol, max_terms=problem.picard_max_terms)
-    out = []
-    for ev in problem.target.eigenvalues:
-        for order in range(ev.multiplicity):
-            out.append(char_delta_deriv(g, complex(ev.value), order=order))
-    return np.asarray(out, dtype=complex)
+def _candidate_kernel(p_params, problem: InverseProblem) -> TriangularField:
+    prof = profile_from_params(p_params, problem)
+    return assemble_kernel(
+        StructuredKernel(problem.m0, (KernelComponent(problem.r, prof),))
+    )
+
+
+def _target_orders(problem: InverseProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Target values and derivative orders, one entry per residual row."""
+    evs = problem.target.eigenvalues
+    nus = [ev.value for ev in evs for _ in range(ev.multiplicity)]
+    orders = [j for ev in evs for j in range(ev.multiplicity)]
+    return np.array(nus, dtype=complex), np.array(orders, dtype=int)
+
+
+def spectrum_residual(p_params, problem: InverseProblem):
+    """Candidate Delta (and derivatives, per multiplicity) at the target points.
+
+    Returns the residual and the G it was computed from, which
+    spectrum_jacobian takes at the same parameters.
+    """
+    g = compute_g(
+        _candidate_kernel(p_params, problem),
+        tol=problem.picard_tol, max_terms=problem.picard_max_terms,
+    )
+    nus, orders = _target_orders(problem)
+    res = np.array(
+        [char_delta_deriv(g, nu, order=order) for nu, order in zip(nus, orders)],
+        dtype=complex,
+    )
+    return res, g
+
+
+def _solution_derivs(g: TransformKernel, nus, orders) -> np.ndarray:
+    """Columns e^(b)(x, nu) = (-ix)^b exp(-i nu x) + int G(x, t) (-it)^b exp(-i nu t) dt.
+
+    Column p is the b = orders[p]-th lambda-derivative of the forward
+    solution at nu = nus[p]; its last entry is what char_delta_deriv returns.
+    """
+    x = g.grid.nodes[:, None]
+    base = (-1j * x) ** orders * np.exp(-1j * x * nus)
+    return base + volterra_apply(g.g.values, base, g.grid.step)
+
+
+def spectrum_jacobian(p_params, problem: InverseProblem, g: TransformKernel) -> np.ndarray:
+    """Derivatives of spectrum_residual in the parameters, from the Green identity.
+
+    g is the G that spectrum_residual built at p_params. Linearizing the
+    identity at M~ = M and differentiating it j times in nu (Leibniz) gives
+    the row of Delta^(j)(nu) as
+    i * sum over a + b = j of C(j, a) * double integral over t <= x of
+    psi^(a)(x, nu) R(x, t) phi_k(x - t) e^(b)(t, nu), for each basis column
+    phi_k. e^(b) comes from g; psi^(a)(x) = w^(a)(pi - x), with w the forward
+    solution of the reflected kernel, so this builds one G, that one. The
+    rows are the continuous derivative by the trapezoid rule, O(h^2) away
+    from the derivative of the discrete residual. Rows are in the order of
+    spectrum_residual, one column per parameter.
+    """
+    grid = problem.grid
+    g_refl = compute_g(
+        reflected_kernel(_candidate_kernel(p_params, problem)),
+        tol=problem.picard_tol, max_terms=problem.picard_max_terms,
+    )
+    nus, orders = _target_orders(problem)
+    e = _solution_derivs(g, nus, orders)
+    psi = _solution_derivs(g_refl, nus, orders)[::-1]
+    psi *= trapezoid_weights(grid.n_nodes, grid.step)[:, None]
+    # pair[k, a, b]: the double integral of column a of psi against column b of e
+    pair = np.stack(
+        [psi.T @ volterra_apply(f, e, grid.step) for f in problem.basis_fields]
+    )
+    # row r holds order j of a target whose order-0 row is r - j
+    jac = np.zeros((orders.size, problem.d), dtype=complex)
+    for r, j in enumerate(orders):
+        for a in range(j + 1):
+            jac[r] += math.comb(j, a) * pair[:, r - j + a, r - a]
+    return 1j * jac
 
 
 @dataclass(frozen=True)
@@ -120,7 +217,6 @@ class RecoverOptions:
     ftol: float = 1e-8
     max_iter: int = 40
     lm_damping0: float = 1e-3
-    fd_step: float = 1e-6
     max_inner: int = 12
 
 
@@ -129,10 +225,18 @@ def _second_difference(params: np.ndarray) -> np.ndarray:
 
 
 def _stacked_residual(params: np.ndarray, problem: InverseProblem, mu: float):
-    res = spectrum_residual(params, problem)
+    res, g = spectrum_residual(params, problem)
     parts = [res.real, res.imag]
     if mu > 0:
         parts.append(np.sqrt(mu) * _second_difference(params))
+    return np.concatenate(parts), g
+
+
+def _stacked_jacobian(params, problem: InverseProblem, mu: float, g) -> np.ndarray:
+    jac = spectrum_jacobian(params, problem, g)
+    parts = [jac.real, jac.imag]
+    if mu > 0:
+        parts.append(np.sqrt(mu) * _second_difference(np.eye(problem.d)))
     return np.concatenate(parts)
 
 
@@ -144,9 +248,16 @@ def recover_profile(
     """Damped Gauss-Newton (Levenberg-Marquardt) fit of the profile parameters.
 
     Minimizes 0.5 * ||stacked residual||^2 with a second-difference
-    regularizer of weight mu; the Jacobian is forward finite differences.
-    The fit converges when the cost drops below ftol, the step below xtol,
-    or an accepted step lowers the cost by at most STALL_RTOL of it.
+    regularizer of weight mu. Each iteration takes spectrum_jacobian at the
+    G its accepted residual already built, so a Jacobian costs one G build
+    whatever d is. That Jacobian is O(h^2) away from the derivative of the
+    discrete residual, which can leave no damped step that lowers the cost
+    near the discretization floor; so each rejected trial step corrects it
+    by a secant (Broyden) update from the residual the trial computed,
+    J += (r_trial - r - J delta) delta^T / (delta^T delta), before the next
+    damped solve. The fit converges when the cost drops below ftol, the step
+    below xtol, or an accepted step lowers the cost by at most STALL_RTOL
+    of it.
     """
     problem.check_weight_condition()
     params = np.asarray(init, dtype=float).copy()
@@ -160,65 +271,57 @@ def recover_profile(
     if mu == 0 and problem.target.total_count < 2 * problem.d:
         mu = 1e-6  # truncated spectra can be practically underdetermined
 
-    res = _stacked_residual(params, problem, mu)
+    res, g = _stacked_residual(params, problem, mu)
+    residual_evals, jacobian_evals = 1, 0
     cost = float(np.linalg.norm(res))
     history = [cost]
-    if cost < opts.ftol:
-        return RecoveryReport(
-            recovered=profile_from_params(params, problem.grid, problem.d),
-            residual_norm=cost, iterations=0, converged=True,
-            history=history, underdetermined=underdet,
-        )
-
     damping = opts.lm_damping0
-    converged = False
+    converged = cost < opts.ftol
     it = 0
-    for it in range(1, opts.max_iter + 1):
-        # forward-difference Jacobian, column per parameter
-        jac = np.empty((res.size, problem.d))
-        for k in range(problem.d):
-            step = opts.fd_step * (1.0 + abs(params[k]))
-            pert = params.copy()
-            pert[k] += step
-            jac[:, k] = (_stacked_residual(pert, problem, mu) - res) / step
-
-        jtj = jac.T @ jac
-        jtr = jac.T @ res
-        scale = np.diag(np.maximum(np.diag(jtj), 1e-12))
+    while not converged and it < opts.max_iter:
+        it += 1
+        jac = _stacked_jacobian(params, problem, mu, g)
+        jacobian_evals += 1
 
         accepted = False
         for _ in range(opts.max_inner):
+            jtj = jac.T @ jac
+            scale = np.diag(np.maximum(np.diag(jtj), 1e-12))
             try:
-                delta = np.linalg.solve(jtj + damping * scale, -jtr)
+                delta = np.linalg.solve(jtj + damping * scale, -(jac.T @ res))
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
             trial = params + delta
-            trial_res = _stacked_residual(trial, problem, mu)
+            trial_res, trial_g = _stacked_residual(trial, problem, mu)
+            residual_evals += 1
             trial_cost = float(np.linalg.norm(trial_res))
             if trial_cost < cost:
                 stalled = cost - trial_cost <= STALL_RTOL * cost
-                params, res, cost = trial, trial_res, trial_cost
+                params, res, cost, g = trial, trial_res, trial_cost, trial_g
                 damping = max(damping / 3.0, 1e-12)
                 accepted = True
                 break
+            jac += np.outer(trial_res - res - jac @ delta, delta / (delta @ delta))
             damping *= 10.0
         history.append(cost)
         if not accepted:
             break
-        if stalled or cost < opts.ftol or np.linalg.norm(delta) < opts.xtol * (
-            1.0 + np.linalg.norm(params)
-        ):
-            converged = True
-            break
+        converged = bool(
+            stalled
+            or cost < opts.ftol
+            or np.linalg.norm(delta) < opts.xtol * (1.0 + np.linalg.norm(params))
+        )
 
     return RecoveryReport(
-        recovered=profile_from_params(params, problem.grid, problem.d),
+        recovered=profile_from_params(params, problem),
         residual_norm=cost,
         iterations=it,
         converged=converged,
         history=history,
         underdetermined=underdet,
+        residual_evals=residual_evals,
+        jacobian_evals=jacobian_evals,
     )
 
 

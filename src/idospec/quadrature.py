@@ -62,11 +62,13 @@ def volterra_apply(values, vec, h: float) -> np.ndarray:
     out[i] = trapezoid over j = 0..i of values[i, j] * vec[j] with step h,
     and out[0] = 0 (an empty range). values must be zero above the diagonal:
     the plain sum over j is then one matrix-vector product, and the two end
-    weights per row are corrected with column 0 and the diagonal.
+    weights per row are corrected with column 0 and the diagonal. vec may
+    also be a matrix, whose columns are then treated as separate vectors.
     """
     values = np.asarray(values)
     vec = np.asarray(vec)
-    ends = values[:, 0] * vec[0] + np.diagonal(values) * vec
+    diag = np.diagonal(values).reshape((-1,) + (1,) * (vec.ndim - 1))
+    ends = np.multiply.outer(values[:, 0], vec[0]) + diag * vec
     out = h * (values @ vec - 0.5 * ends)
     out[0] = 0.0
     return out

@@ -246,15 +246,30 @@ class DeltaEvaluator:
         )
 
 
-def _winding_number(f, rect, opts: SpectrumOptions, guard: float | None):
+def _check_guard(pts, vals, guard: float | None) -> None:
+    """Raise BoundaryNearZeroError if some |Delta| on the path is below guard."""
+    if guard is None:
+        return
+    mags = np.abs(vals)
+    k = int(np.argmin(mags))
+    if mags[k] < guard:
+        raise BoundaryNearZeroError(complex(pts[k]), float(mags[k]))
+
+
+def _winding_number(f, rect, opts: SpectrumOptions, guard: float | None, vals=None):
     """Winding number of Delta along the rectangle boundary by phase tracking.
 
     Segments with phase increments >= pi/2 are bisected until all increments
     are safe; the summed phase must land within 0.1 * 2pi of an integer.
-    Returns (winding, min |Delta| on the path).
+    Every sampling, the first and each refinement, is checked against the
+    guard, so a path through a zero raises BoundaryNearZeroError rather than
+    failing to settle. vals, if given, are f at the path's initial samples.
+    Returns the winding number.
     """
     pts = _rect_boundary(rect, opts.initial_edge_samples)
-    vals = f(pts)
+    if vals is None:
+        vals = f(pts)
+    _check_guard(pts, vals, guard)
     for _ in range(opts.max_phase_refinements):
         dphi = np.angle(vals[1:] / vals[:-1])
         bad = np.abs(dphi) >= 0.5 * np.pi
@@ -263,16 +278,13 @@ def _winding_number(f, rect, opts: SpectrumOptions, guard: float | None):
         idx = np.nonzero(bad)[0]
         mid_pts = 0.5 * (pts[idx] + pts[idx + 1])
         mid_vals = f(mid_pts)
+        _check_guard(mid_pts, mid_vals, guard)
         pts = np.insert(pts, idx + 1, mid_pts)
         vals = np.insert(vals, idx + 1, mid_vals)
     else:
         raise PhaseTrackingError(
             f"phase increments on rectangle {rect} did not settle below pi/2"
         )
-    min_mag = float(np.abs(vals).min())
-    if guard is not None and min_mag < guard:
-        k = int(np.argmin(np.abs(vals)))
-        raise BoundaryNearZeroError(complex(pts[k]), min_mag)
     total = float(np.angle(vals[1:] / vals[:-1]).sum())
     wind = total / (2.0 * np.pi)
     nearest = round(wind)
@@ -280,7 +292,7 @@ def _winding_number(f, rect, opts: SpectrumOptions, guard: float | None):
         raise PhaseTrackingError(
             f"winding estimate {wind:.3f} not near an integer on rectangle {rect}"
         )
-    return int(nearest), min_mag
+    return int(nearest)
 
 
 def _split_rect(f, rect, opts, guard):
@@ -297,8 +309,8 @@ def _split_rect(f, rect, opts, guard):
             sub_a = (re0, re1, im0, cut)
             sub_b = (re0, re1, cut, im1)
         try:
-            wa, _ = _winding_number(f, sub_a, opts, guard)
-            wb, _ = _winding_number(f, sub_b, opts, guard)
+            wa = _winding_number(f, sub_a, opts, guard)
+            wb = _winding_number(f, sub_b, opts, guard)
             return (sub_a, wa), (sub_b, wb)
         except BoundaryNearZeroError:
             continue
@@ -347,11 +359,12 @@ def find_spectrum(
     f = DeltaEvaluator(g) if isinstance(g, TransformKernel) else g
     rect0 = (window.re_min, window.re_max, window.im_min, window.im_max)
 
-    # boundary-magnitude guard, relative to the outer boundary scale
-    pts = _rect_boundary(rect0, opts.initial_edge_samples)
-    boundary_max = float(np.abs(f(pts)).max())
+    # boundary-magnitude guard, relative to the outer boundary scale; the
+    # winding number reuses these samples
+    vals0 = f(_rect_boundary(rect0, opts.initial_edge_samples))
+    boundary_max = float(np.abs(vals0).max())
     guard = opts.boundary_rel_tol * boundary_max
-    wind0, _ = _winding_number(f, rect0, opts, guard)
+    wind0 = _winding_number(f, rect0, opts, guard, vals=vals0)
     residual_tol = (
         opts.residual_tol if opts.residual_tol is not None else 1e-10 * boundary_max
     )
@@ -397,16 +410,3 @@ def find_spectrum(
             f"located multiplicities sum to {total}, window winding is {wind0}"
         )
     return Spectrum(eigenvalues=tuple(found), window=window, total_count=total)
-
-
-def find_spectrum_reflected(
-    m: TriangularField,
-    window: SearchWindow,
-    opts: SpectrumOptions = SpectrumOptions(),
-    tol: float | None = None,
-) -> Spectrum:
-    """Spectrum of the reflected kernel; equals that of m up to discretization."""
-    from .transform import compute_g
-
-    g_r = compute_g(reflected_kernel(m), tol=tol)
-    return find_spectrum(g_r, window, opts)

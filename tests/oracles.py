@@ -6,12 +6,19 @@ closed form through the roots of i mu^2 - lambda mu + c = 0. These
 routines never touch the solver's quadrature or Picard machinery.
 
 integrate_nodes is the plain composite trapezoid on a range of grid nodes,
-the reference rule for the package's vectorized Volterra products.
+the reference rule for the package's vectorized Volterra products. The
+remaining oracles do use the package: fd_jacobian differentiates the
+inversion residual by forward differences, the reference for its analytic
+Jacobian, and find_spectrum_reflected searches the spectrum of the
+reflected kernel, which must match the direct one.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from idospec.spectral import SearchWindow, Spectrum, SpectrumOptions, find_spectrum
+from idospec.transform import compute_g, reflected_kernel
 
 PI = np.pi
 
@@ -88,3 +95,28 @@ def oracle_roots_in_window(re_min, re_max, im_min, im_max, c: float = 1.0,
                 roots.append(z)
     roots.sort(key=lambda z: (z.real, z.imag))
     return roots
+
+
+def fd_jacobian(residual, params, step: float = 1e-6) -> np.ndarray:
+    """Forward-difference Jacobian of residual(params), column per parameter.
+
+    residual maps a real parameter vector to a (complex) vector; the step
+    of parameter k is step * (1 + |params[k]|).
+    """
+    params = np.asarray(params, dtype=float)
+    base = residual(params)
+    jac = np.empty((base.size, params.size), dtype=base.dtype)
+    for k in range(params.size):
+        h = step * (1.0 + abs(params[k]))
+        pert = params.copy()
+        pert[k] += h
+        jac[:, k] = (residual(pert) - base) / h
+    return jac
+
+
+def find_spectrum_reflected(
+    m, window: SearchWindow, opts: SpectrumOptions = SpectrumOptions(),
+    tol: float | None = None,
+) -> Spectrum:
+    """Spectrum of the reflected kernel; equals that of m up to discretization."""
+    return find_spectrum(compute_g(reflected_kernel(m), tol=tol), window, opts)

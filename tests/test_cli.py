@@ -5,6 +5,7 @@ import subprocess
 import numpy as np
 import pytest
 
+import idospec.inverse
 from idospec import serialize
 from idospec.quadrature import Profile, TriangularField, make_grid
 from idospec.spectral import DeltaEvaluator, char_delta
@@ -187,6 +188,35 @@ class TestInvert:
         assert report["stages"][0]["converged"]
         prof = serialize.profile_from_csv(out / "recovered_profile_1.csv")
         assert np.abs(prof.values - 1.0).max() < 1e-2
+
+    def test_report_counts_g_builds(self, workdir, target_spectrum, monkeypatch):
+        builds = []
+        build = idospec.inverse.compute_g
+        monkeypatch.setattr(
+            idospec.inverse, "compute_g", lambda *a, **k: builds.append(1) or build(*a, **k)
+        )
+        cfg = write_config(
+            workdir / "inv_count_cfg.json", self.invert_cfg(target_spectrum)
+        )
+        out = workdir / "inv_count_out"
+        assert main(["invert", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        (stage,) = json.loads((out / "recovery_report.json").read_text())["stages"]
+        assert stage["jacobian_evals"] == stage["iterations"]
+        assert stage["residual_evals"] + stage["jacobian_evals"] == len(builds)
+
+    def test_unconverged_target_root_is_refused(self, workdir, target_spectrum, capsys):
+        data = json.loads(target_spectrum.read_text())
+        bad = data["eigenvalues"][1]
+        bad["newton_converged"] = False
+        edited = workdir / "spec_unconverged.json"
+        edited.write_text(json.dumps(data))
+        cfg = write_config(workdir / "inv_unconv.json", self.invert_cfg(edited))
+        out = workdir / "inv_unconv_out"
+        assert main(["invert", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert str(edited) in err
+        assert str(complex(bad["re"], bad["im"])) in err
+        assert not (out / "recovery_report.json").exists()
 
     def test_iteration_starved_run_fails_numerically(self, workdir, target_spectrum):
         cfg = write_config(

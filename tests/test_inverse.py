@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from idospec.quadrature import PI, Profile, TriangularField, make_grid
 from idospec.kernels import (
@@ -9,7 +10,8 @@ from idospec.kernels import (
     assemble_kernel,
 )
 from idospec.transform import compute_g
-from idospec.spectral import SearchWindow, Spectrum, find_spectrum
+from idospec.spectral import Eigenvalue, SearchWindow, Spectrum, find_spectrum
+import idospec.inverse
 from idospec.inverse import (
     STALL_RTOL,
     InverseProblem,
@@ -18,14 +20,29 @@ from idospec.inverse import (
     profile_from_params,
     recover_profile,
     recover_sequential,
+    spectrum_jacobian,
     spectrum_residual,
     verify_green_identity,
     verify_change_of_variables,
 )
 
 from conftest import mild_family_fields
+from oracles import fd_jacobian
 
 WINDOW = SearchWindow(-6.0, 6.0, -6.0, 0.5)
+WIDE = SearchWindow(-20.0, 20.0, -8.0, 0.5)
+
+
+def two_sine(x):
+    """A profile whose N = 100 fit from zero stalls without the secant correction."""
+    return 0.7483 * np.sin(x + 1.1261) + 0.2921 * np.sin(2 * x + 3.3854)
+
+
+def convolution_problem(target, n, r=None):
+    """d = 8 fit of M = R(x, t) P(x - t) on n intervals; R = 1 unless given."""
+    grid = make_grid(n)
+    r = TriangularField.constant(grid, 1.0) if r is None else r(grid)
+    return InverseProblem(m0=TriangularField.zeros(grid), r=r, target=target, d=8)
 
 
 @pytest.fixture(scope="module")
@@ -45,22 +62,31 @@ def const_problem(grid80):
 
 
 class TestProfileFromParams:
-    def test_interpolates_params(self, grid80):
+    def test_interpolates_params(self, grid80, const_problem):
         params = np.array([0.0, 1.0, -0.5, 0.2])
-        prof = profile_from_params(params, grid80, 4)
+        prof = profile_from_params(params, const_problem)
         nodes = np.linspace(0.0, PI, 4)
         for xk, pk in zip(nodes, params):
             i = int(round(xk / grid80.step))
             if abs(grid80.nodes[i] - xk) < 1e-12:  # only where nodes coincide
                 assert abs(prof.values[i] - pk) < 1e-12
 
-    def test_constant_params_give_constant_profile(self, grid80):
-        prof = profile_from_params(np.full(5, 0.7), grid80, 5)
+    def test_constant_params_give_constant_profile(self, const_problem):
+        problem = InverseProblem(
+            m0=const_problem.m0, r=const_problem.r, target=const_problem.target, d=5,
+        )
+        prof = profile_from_params(np.full(5, 0.7), problem)
         assert np.abs(prof.values - 0.7).max() < 1e-12
 
-    def test_shape_checked(self, grid80):
+    def test_matches_spline_of_params(self, grid80, const_problem):
+        params = np.array([0.3, -1.0, 0.5, 2.0])
+        spline = CubicSpline(np.linspace(0.0, PI, 4), params)
+        prof = profile_from_params(params, const_problem)
+        assert np.abs(prof.values - spline(grid80.nodes)).max() < 1e-13
+
+    def test_shape_checked(self, const_problem):
         with pytest.raises(ValueError):
-            profile_from_params(np.zeros(3), grid80, 4)
+            profile_from_params(np.zeros(3), const_problem)
 
 
 class TestProblemSetup:
@@ -102,9 +128,78 @@ class TestProblemSetup:
 
 class TestSpectrumResidual:
     def test_vanishes_at_true_parameters(self, const_problem):
-        res = spectrum_residual(np.ones(4), const_problem)
+        res, g = spectrum_residual(np.ones(4), const_problem)
+        assert g.grid is const_problem.grid
         assert res.shape == (const_problem.target.total_count,)
         assert np.abs(res).max() < 1e-9
+
+
+@pytest.fixture(scope="module")
+def two_sine_target():
+    """Wide-window spectrum of M = two_sine(x - t) at N = 200."""
+    grid = make_grid(200)
+    m = assemble_kernel(StructuredKernel(
+        TriangularField.zeros(grid),
+        (KernelComponent(TriangularField.constant(grid, 1.0),
+                         Profile.from_function(grid, two_sine)),),
+    ))
+    return find_spectrum(compute_g(m), WIDE)
+
+
+class TestSpectrumJacobian:
+    PARAMS = 0.8 * two_sine(np.linspace(0.0, PI, 8)) + 0.05
+
+    @staticmethod
+    def jacobians(problem, params):
+        res, g = spectrum_residual(params, problem)
+        analytic = spectrum_jacobian(params, problem, g)
+        fd = fd_jacobian(lambda p: spectrum_residual(p, problem)[0], params)
+        return analytic, fd
+
+    def test_columns_match_fd_to_second_order(self, two_sine_target):
+        errs = []
+        for n in (50, 100, 200):
+            problem = convolution_problem(two_sine_target, n)
+            analytic, fd = self.jacobians(problem, self.PARAMS)
+            assert analytic.shape == (two_sine_target.total_count, 8)
+            errs.append(np.abs(analytic - fd).max() / np.abs(fd).max())
+        assert errs[1] < 2e-3
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+
+    def test_derivative_rows_of_a_multiple_target(self):
+        # a triple target contributes Delta, Delta' and Delta'' rows; nu need
+        # not be a zero for the rows to be the derivatives of the residual
+        target = Spectrum(
+            eigenvalues=(Eigenvalue(2.1 - 0.7j, 3, 0.0), Eigenvalue(-1.3 - 0.2j, 1, 0.0)),
+            window=WIDE, total_count=4,
+        )
+        problem = convolution_problem(
+            target, 100, r=lambda g: TriangularField.from_function(
+                g, lambda x, t: 1.0 + 0.3 * np.cos(x) + 0.2 * t),
+        )
+        analytic, fd = self.jacobians(problem, self.PARAMS)
+        rel = np.abs(analytic - fd).max(axis=1) / np.abs(fd).max(axis=1)
+        assert rel.shape == (4,)
+        assert rel.max() <= 5e-3
+
+    def test_fit_from_zero_converges_past_the_floor(self, two_sine_target):
+        problem = convolution_problem(two_sine_target, 100)
+        report = recover_profile(problem, np.zeros(8))
+        assert report.converged
+        grid = problem.grid
+        assert np.abs(report.recovered.values - two_sine(grid.nodes)).max() <= 0.05
+
+    def test_evaluation_counts_add_up_to_g_builds(self, const_problem, monkeypatch):
+        builds = []
+        build = idospec.inverse.compute_g
+        monkeypatch.setattr(
+            idospec.inverse, "compute_g", lambda *a, **k: builds.append(1) or build(*a, **k)
+        )
+        report = recover_profile(const_problem, np.full(4, 0.8))
+        assert report.jacobian_evals == report.iterations >= 1
+        assert report.residual_evals > report.iterations
+        assert report.residual_evals + report.jacobian_evals == len(builds)
 
 
 class TestRecoverProfile:

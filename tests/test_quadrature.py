@@ -135,3 +135,15 @@ class TestVolterraApply:
         for i in range(n):
             ref = integrate_nodes(vals[i, : i + 1] * vec[: i + 1], grid, 0, i)
             assert abs(out[i] - ref) < 1e-13
+
+    def test_matrix_right_hand_side_is_columnwise(self):
+        grid = make_grid(12)
+        rng = np.random.default_rng(4)
+        n = grid.n_nodes
+        vals = np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        vecs = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        out = volterra_apply(vals, vecs, grid.step)
+        assert out.shape == (n, 3)
+        for k in range(3):
+            ref = volterra_apply(vals, vecs[:, k], grid.step)
+            assert np.abs(out[:, k] - ref).max() < 1e-13

@@ -10,6 +10,7 @@ from idospec.spectral import (
     PhaseTrackingError,
     SearchWindow,
     SpectrumOptions,
+    _rect_boundary,
     char_delta,
     char_delta_deriv,
     eval_e_direct,
@@ -18,12 +19,16 @@ from idospec.spectral import (
     eval_z,
     eval_z_decomposed,
     find_spectrum,
-    find_spectrum_reflected,
 )
 from idospec.transform import assemble_z_kernel, reflected_kernel
 
 from conftest import LAMBDA_SET_10, mild_family_fields
-from oracles import constant_kernel_delta, constant_kernel_e, oracle_roots_in_window
+from oracles import (
+    constant_kernel_delta,
+    constant_kernel_e,
+    find_spectrum_reflected,
+    oracle_roots_in_window,
+)
 
 
 def constant_field(n, c=1.0):
@@ -412,6 +417,30 @@ class TestSyntheticSearch:
         (ev,) = spec.eigenvalues
         assert ev.multiplicity == 1 and ev.newton_converged
         assert abs(ev.value - root) < 1e-12
+
+    def test_cut_through_a_zero_is_nudged(self):
+        # the second root keeps the cell (-1.25, -1.0, 0.0, 0.5) at winding 2,
+        # and its bisection at im = 0.25 passes through the first root; the
+        # guard must reject that cut so _split_rect tries a nudged one
+        roots = [-1.1 + 0.25j, -1.1 + 0.1j]
+        spec = find_spectrum(PolyExp(roots), SearchWindow(-2.0, 2.0, -1.0, 1.0))
+        assert spec.total_count == 2
+        found = sorted((ev.value for ev in spec.eigenvalues), key=lambda z: z.imag)
+        for got, ref in zip(found, sorted(roots, key=lambda z: z.imag)):
+            assert abs(got - ref) < 1e-12
+
+    def test_outer_boundary_sampled_once(self):
+        rect = (-2.0, 2.0, -1.0, 1.0)
+        outer = _rect_boundary(rect, SpectrumOptions().initial_edge_samples)
+        batches = []
+
+        class Recording(PolyExp):
+            def __call__(self, lam):
+                batches.append(np.array(lam, dtype=complex))
+                return super().__call__(lam)
+
+        find_spectrum(Recording([0.3 - 0.4j, -1.1 + 0.27j]), SearchWindow(*rect))
+        assert sum(np.array_equal(b, outer) for b in batches) == 1
 
 
 class TestZDecomposition:
