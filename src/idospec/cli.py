@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config error, 3 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -194,13 +195,29 @@ def _provenance(command, sha, grid_n) -> dict:
     return {"command": command, "config_sha256": sha, "grid_n": grid_n}
 
 
-def _spectrum_opts(cfg) -> SpectrumOptions:
+def _options(cfg, cls):
+    """cls built from the config's "opts" object, whose keys must be fields of cls."""
     opts = cfg.get("opts", {})
-    known = {k: opts[k] for k in (
-        "cell_size", "residual_tol", "boundary_rel_tol", "initial_edge_samples",
-        "newton_max_iter", "newton_tol", "max_depth",
-    ) if k in opts}
-    return SpectrumOptions(**known)
+    if not isinstance(opts, dict):
+        raise ConfigError(f"opts must be an object, got {opts!r}")
+    unknown = sorted(set(opts) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} key(s) in opts: {', '.join(unknown)}")
+    return cls(**opts)
+
+
+def _check_alias_free(window: SearchWindow, n: int) -> None:
+    """Refuse a window reaching |Re lambda| >= pi/h = n.
+
+    The discrete Delta is a polynomial in exp(-i lambda h), so it repeats
+    with period 2 pi / h in Re lambda; a root found beyond pi/h is a copy.
+    """
+    reach = max(abs(window.re_min), abs(window.re_max))
+    if reach >= n:
+        raise ConfigError(
+            f"search window reaches |Re lambda| = {reach}, at or beyond pi/h = {n} "
+            f"where the discrete Delta repeats; raise grid_n or narrow the window"
+        )
 
 
 # --- commands ---------------------------------------------------------------
@@ -246,7 +263,8 @@ def cmd_spectrum(cfg, sha, out: Path, args) -> int:
     grid = make_grid(n)
     kernel = _kernel_from_config(cfg.get("kernel", cfg), grid)
     window = _window_from_config(cfg)
-    opts = _spectrum_opts(cfg)
+    _check_alias_free(window, n)
+    opts = _options(cfg, SpectrumOptions)
 
     m = assemble_kernel(kernel)
     g = compute_g(m, tol=_picard_tol(cfg), max_terms=cfg.get("max_terms", 60))
@@ -261,7 +279,12 @@ def cmd_spectrum(cfg, sha, out: Path, args) -> int:
     spec = find_spectrum(evaluator, window, opts)
 
     data = serialize.spectrum_to_dict(spec, grid.step)
-    data = {"provenance": _provenance("spectrum", sha, n), **data}
+    data = {
+        "provenance": _provenance("spectrum", sha, n),
+        **data,
+        "delta_evals": evaluator.evals,
+        "deriv_evals": evaluator.deriv_evals,
+    }
     serialize.write_json(out / "spectrum.json", data)
 
     hm = cfg.get("heatmap")
@@ -308,11 +331,7 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
                 )
                 return EXIT_NUMERICAL
 
-    ropts_cfg = cfg.get("opts", {})
-    ropts = RecoverOptions(**{
-        k: ropts_cfg[k] for k in ("xtol", "ftol", "max_iter", "lm_damping0")
-        if k in ropts_cfg
-    })
+    ropts = _options(cfg, RecoverOptions)
 
     init_policy = cfg.get("init", "zero")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)

@@ -150,6 +150,7 @@ def _target_orders(problem: InverseProblem) -> tuple[np.ndarray, np.ndarray]:
 def spectrum_residual(p_params, problem: InverseProblem):
     """Candidate Delta (and derivatives, per multiplicity) at the target points.
 
+    Each derivative order is one char_delta_deriv call over its targets.
     Returns the residual and the G it was computed from, which
     spectrum_jacobian takes at the same parameters.
     """
@@ -158,10 +159,10 @@ def spectrum_residual(p_params, problem: InverseProblem):
         tol=problem.picard_tol, max_terms=problem.picard_max_terms,
     )
     nus, orders = _target_orders(problem)
-    res = np.array(
-        [char_delta_deriv(g, nu, order=order) for nu, order in zip(nus, orders)],
-        dtype=complex,
-    )
+    res = np.empty(nus.size, dtype=complex)
+    for order in np.unique(orders):
+        rows = orders == order
+        res[rows] = char_delta_deriv(g, nus[rows], order=int(order))
     return res, g
 
 

@@ -2,9 +2,15 @@
 
 The characteristic function Delta(lambda) = e(pi, lambda) is entire in
 lambda; the eigenvalues of the boundary value problem are its zeros counted
-with multiplicities. Once the transformation kernel G is built, Delta costs
-one weighted sum per lambda, which makes argument-principle subdivision
-plus Newton polishing the natural search strategy.
+with multiplicities. Once the transformation kernel G is built, Delta is the
+trapezoid sum of the last row of G against exp(-i lambda t): on the uniform
+grid, x_j = j h and pi = N h, so with q = exp(-i lambda h) it is the
+polynomial q^N + sum_j w_j G[N, j] q^j. char_delta_deriv evaluates it, and
+its lambda-derivatives, by blocks of the powers q^j, which needs about
+2 sqrt(N) exponentials per lambda; the Richardson combination of two grids
+is folded into the coefficients, so it is one such sum as well. Cheap
+samples make argument-principle subdivision plus Newton polishing the
+natural search strategy.
 """
 
 from __future__ import annotations
@@ -163,16 +169,45 @@ def char_delta(g: TransformKernel, lam) -> complex | np.ndarray:
     return char_delta_deriv(g, lam, order=0)
 
 
-def char_delta_deriv(g: TransformKernel, lam, order: int = 0):
-    """d^m/dlambda^m Delta(lambda) via the weighted tail-row quadrature."""
+def _weighted_tail_row(g: TransformKernel) -> np.ndarray:
+    """w_j G[N, j], the last row of G times the trapezoid weights."""
     grid = g.grid
-    x = grid.nodes
+    return trapezoid_weights(grid.n_nodes, grid.step) * g.g.values[-1, :]
+
+
+def char_delta_deriv(g: TransformKernel, lam, order: int = 0,
+                     g_fine: TransformKernel | None = None):
+    """d^m/dlambda^m Delta(lambda) by the weighted tail-row quadrature.
+
+    Delta^(m) = (-i pi)^m exp(-i lambda pi) + sum_j c_j q^j with
+    q = exp(-i lambda h) and c_j = w_j G[N, j] (-i x_j)^m. Writing
+    j = k b + r with b = ceil(sqrt(n)), the sum is the (K, b) matrix of
+    exp(-i lambda x_r) times the (b, n/b) coefficient matrix, times the
+    (K, n/b) matrix of exp(-i lambda x_kb) elementwise, summed per lambda.
+    With g_fine on the grid of half the step, the result is the Richardson
+    combination (4 * fine - coarse) / 3: the coarse coefficients sit on the
+    even fine nodes, and the carrier, the same on both grids, stays one
+    term. Accepts a scalar or an array of lambda.
+    """
+    if g_fine is None:
+        coef, x = _weighted_tail_row(g), g.grid.nodes
+    else:
+        coef, x = 4.0 * _weighted_tail_row(g_fine), g_fine.grid.nodes
+        coef[::2] -= _weighted_tail_row(g)
+        coef /= 3.0
+    if order:
+        coef *= (-1j * x) ** order
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-    w = trapezoid_weights(grid.n_nodes, grid.step)
-    row = w * g.g.values[-1, :] * (-1j * x) ** order
-    ex = np.exp(-1j * np.outer(lam_arr, x))            # (K, n)
-    vals = (-1j * np.pi) ** order * np.exp(-1j * lam_arr * np.pi) + ex @ row
-    if np.isscalar(lam) or np.asarray(lam).ndim == 0:
+    n = x.size
+    b = math.isqrt(n - 1) + 1                          # ceil(sqrt(n))
+    blocks = -(-n // b)
+    padded = np.zeros(blocks * b, dtype=complex)
+    padded[:n] = coef
+    near = np.exp(-1j * np.outer(lam_arr, x[:b]))     # (K, b)
+    far = np.exp(-1j * np.outer(lam_arr, x[::b]))     # (K, blocks)
+    tail = ((near @ padded.reshape(blocks, b).T) * far).sum(axis=1)
+    vals = (-1j * np.pi) ** order * np.exp(-1j * lam_arr * np.pi) + tail
+    if np.ndim(lam) == 0:
         return complex(vals[0])
     return vals
 
@@ -215,7 +250,8 @@ class DeltaEvaluator:
     With a second kernel g_fine on the grid of half the step, both are
     Richardson-extrapolated: the discretizations are second order with
     smooth error expansions, so (4 * fine - coarse) / 3 cancels the h^2
-    term for Delta and Delta' alike.
+    term for Delta and Delta' alike. evals and deriv_evals count the lambda
+    points passed to Delta and to Delta'.
     """
 
     def __init__(self, g: TransformKernel, g_fine: TransformKernel | None = None):
@@ -224,26 +260,15 @@ class DeltaEvaluator:
         self.g = g
         self.g_fine = g_fine
         self.evals = 0
+        self.deriv_evals = 0
 
     def __call__(self, lam):
-        lam = np.asarray(lam, dtype=complex)
-        self.evals += lam.size
-        coarse = char_delta_deriv(self.g, lam, order=0)
-        if self.g_fine is None:
-            return coarse
-        return (4.0 * char_delta_deriv(self.g_fine, lam, order=0) - coarse) / 3.0
+        self.evals += np.size(lam)
+        return char_delta_deriv(self.g, lam, 0, self.g_fine)
 
     def deriv(self, lam):
-        lam = np.asarray([lam], dtype=complex)
-        coarse = char_delta_deriv(self.g, lam, order=1)
-        # numpy and Python complex scalars round division differently in
-        # _newton_polish; each branch keeps its scalar type so the roots it
-        # finds stay reproducible bit for bit
-        if self.g_fine is None:
-            return coarse[0]
-        return complex(
-            (4.0 * char_delta_deriv(self.g_fine, lam, order=1) - coarse)[0] / 3.0
-        )
+        self.deriv_evals += np.size(lam)
+        return char_delta_deriv(self.g, lam, 1, self.g_fine)
 
 
 def _check_guard(pts, vals, guard: float | None) -> None:

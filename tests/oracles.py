@@ -6,7 +6,9 @@ closed form through the roots of i mu^2 - lambda mu + c = 0. These
 routines never touch the solver's quadrature or Picard machinery.
 
 integrate_nodes is the plain composite trapezoid on a range of grid nodes,
-the reference rule for the package's vectorized Volterra products. The
+the reference rule for the package's vectorized Volterra products, and
+char_delta_direct is the tail-row sum of Delta with one exponential per node,
+the reference for the package's blocked polynomial evaluation. The
 remaining oracles do use the package: fd_jacobian differentiates the
 inversion residual by forward differences, the reference for its analytic
 Jacobian, and find_spectrum_reflected searches the spectrum of the
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from idospec.quadrature import trapezoid_weights
 from idospec.spectral import SearchWindow, Spectrum, SpectrumOptions, find_spectrum
 from idospec.transform import compute_g, reflected_kernel
 
@@ -37,6 +40,21 @@ def integrate_nodes(samples, grid, i_from: int, i_to: int):
         return samples.dtype.type(0)
     seg = samples[i_from : i_to + 1]
     return grid.step * (seg.sum() - 0.5 * (seg[0] + seg[-1]))
+
+
+def char_delta_direct(g, lam, order: int = 0):
+    """Delta^(order)(lambda) with one exponential per node and per lambda.
+
+    Returns the value and the sum of the magnitudes of its terms, the scale
+    against which rounding errors are measured.
+    """
+    grid = g.grid
+    x = grid.nodes
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    w = trapezoid_weights(grid.n_nodes, grid.step)
+    terms = (w * g.g.values[-1, :] * (-1j * x) ** order) * np.exp(-1j * np.outer(lam, x))
+    carrier = (-1j * PI) ** order * np.exp(-1j * lam * PI)
+    return carrier + terms.sum(axis=1), np.abs(carrier) + np.abs(terms).sum(axis=1)
 
 
 def constant_kernel_e(x, lam: complex, c: float = 1.0):

@@ -5,7 +5,9 @@ import subprocess
 import numpy as np
 import pytest
 
+import idospec.cli
 import idospec.inverse
+import idospec.spectral
 from idospec import serialize
 from idospec.quadrature import Profile, TriangularField, make_grid
 from idospec.spectral import DeltaEvaluator, char_delta
@@ -154,6 +156,65 @@ class TestSpectrum:
         coarse = np.abs(char_delta(g, lams))
         assert np.abs(data[:, 2] - coarse).max() > 1e-6 * expect.max()
 
+    def test_counters_equal_points_evaluated(self, workdir, monkeypatch):
+        points = {0: 0, 1: 0}
+        evaluate = idospec.spectral.char_delta_deriv
+
+        def counting(g, lam, order=0, g_fine=None):
+            points[order] += np.size(lam)
+            return evaluate(g, lam, order, g_fine)
+
+        monkeypatch.setattr(idospec.spectral, "char_delta_deriv", counting)
+        cfg = write_config(workdir / "spec_count.json", {
+            "grid_n": 40,
+            "kernel": CONST_KERNEL,
+            "window": {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5},
+            "extrapolate": True,
+        })
+        out = workdir / "spec_count_out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        data = json.loads((out / "spectrum.json").read_text())
+        assert data["delta_evals"] == points[0] > 0
+        assert data["deriv_evals"] == points[1] > 0
+
+    @pytest.mark.parametrize("reach, code", [(8.0, EXIT_CONFIG), (7.5, EXIT_OK)])
+    def test_window_beyond_alias_limit_refused(self, workdir, reach, code, monkeypatch):
+        builds = []
+        monkeypatch.setattr(
+            idospec.cli, "compute_g", lambda *a, **k: builds.append(1) or compute_g(*a, **k)
+        )
+        cfg = write_config(workdir / f"spec_alias_{reach}.json", {
+            "grid_n": 8,
+            "kernel": CONST_KERNEL,
+            "window": {"re_min": -1.0, "re_max": reach, "im_min": -2.0, "im_max": 0.5},
+        })
+        out = workdir / f"spec_alias_out_{reach}"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == code
+        # refused before any G build
+        assert bool(builds) == (code == EXIT_OK)
+
+    def test_unknown_option_is_config_error(self, workdir, capsys):
+        cfg = write_config(workdir / "spec_badopt.json", {
+            "grid_n": 40,
+            "kernel": CONST_KERNEL,
+            "window": {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5},
+            "opts": {"max_phase_refinements": 20, "cell_sise": 1e-4},
+        })
+        out = workdir / "spec_badopt_out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "cell_sise" in capsys.readouterr().err
+        assert not (out / "spectrum.json").exists()
+
+    def test_options_must_be_an_object(self, workdir):
+        cfg = write_config(workdir / "spec_listopt.json", {
+            "grid_n": 40,
+            "kernel": CONST_KERNEL,
+            "window": {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5},
+            "opts": [["cell_size", 1e-4]],
+        })
+        out = workdir / "spec_listopt_out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+
     def test_bad_window_is_config_error(self, workdir):
         cfg = write_config(workdir / "spec_badwin.json", {
             "grid_n": 40,
@@ -229,6 +290,35 @@ class TestInvert:
         )
         out = workdir / "inv_starved_out"
         assert main(["invert", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+
+    def test_unknown_option_is_config_error(self, workdir, target_spectrum, capsys):
+        cfg = write_config(
+            workdir / "inv_badopt.json",
+            self.invert_cfg(target_spectrum, opts={"fd_step": 1e-3, "max_iter": 2}),
+        )
+        out = workdir / "inv_badopt_out"
+        assert main(["invert", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "fd_step" in capsys.readouterr().err
+        assert not (out / "recovery_report.json").exists()
+
+    def test_max_inner_takes_effect(self, workdir, target_spectrum):
+        # from this start the default fit rejects some trial steps; with one
+        # trial per iteration the first rejection ends the fit unconverged
+        stages = {}
+        for max_inner, code in ((None, EXIT_OK), (1, EXIT_NUMERICAL)):
+            opts = {"lm_damping0": 1e-8}
+            if max_inner is not None:
+                opts["max_inner"] = max_inner
+            cfg = write_config(
+                workdir / f"inv_inner_{max_inner}.json",
+                self.invert_cfg(target_spectrum, init=[3.0, -3.0, 3.0, -3.0], opts=opts),
+            )
+            out = workdir / f"inv_inner_out_{max_inner}"
+            assert main(["invert", "--config", cfg, "--out", str(out)]) == code
+            (stages[max_inner],) = json.loads((out / "recovery_report.json").read_text())["stages"]
+        assert stages[None]["residual_evals"] > stages[None]["iterations"] + 1
+        assert stages[1]["residual_evals"] == stages[1]["iterations"] + 1
+        assert not stages[1]["converged"]
 
     def test_vanishing_weight_is_identifiability_error(self, workdir, target_spectrum):
         cfg = self.invert_cfg(target_spectrum)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idospec.quadrature import PI, TriangularField, make_grid
-from idospec.transform import compute_g
+from idospec.transform import TransformKernel, compute_g
 from idospec.spectral import (
     BoundaryNearZeroError,
     DeltaEvaluator,
@@ -24,6 +24,7 @@ from idospec.transform import assemble_z_kernel, reflected_kernel
 
 from conftest import LAMBDA_SET_10, mild_family_fields
 from oracles import (
+    char_delta_direct,
     constant_kernel_delta,
     constant_kernel_e,
     find_spectrum_reflected,
@@ -214,39 +215,81 @@ class TestExtrapolatedDelta:
 
 class TestDeltaEvaluator:
     """Delta and Delta', plain and extrapolated, equal in value and scalar type
-    to the formulas written out: char_delta_deriv, and (4 * fine - coarse) / 3."""
+    to one char_delta_deriv call, and within rounding of the formulas written
+    out: the direct sum, and (4 * fine - coarse) / 3 of direct sums."""
 
     LAMS = np.array([0.3 + 0j, -1.7 - 0.6j, 2.2 + 0.1j, -4.0 - 3.0j])
 
     def test_plain_matches_formula(self, g_const_200):
         ev = DeltaEvaluator(g_const_200)
-        assert np.array_equal(ev(self.LAMS), char_delta_deriv(g_const_200, self.LAMS))
+        vals = ev(self.LAMS)
+        assert np.array_equal(vals, char_delta_deriv(g_const_200, self.LAMS))
+        derivs = []
         for lam in self.LAMS:
-            got = ev(lam)
-            want = char_delta_deriv(g_const_200, lam)
+            got, want = ev(lam), char_delta_deriv(g_const_200, lam)
             assert type(got) is type(want) and got == want
-            got = ev.deriv(lam)
-            want = char_delta_deriv(g_const_200, np.asarray([lam]), order=1)[0]
+            got, want = ev.deriv(lam), char_delta_deriv(g_const_200, lam, order=1)
             assert type(got) is type(want) and got == want
+            derivs.append(got)
+        for order, got in ((0, vals), (1, np.array(derivs))):
+            want, scale = char_delta_direct(g_const_200, self.LAMS, order)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
         assert ev.evals == 2 * self.LAMS.size
+        assert ev.deriv_evals == self.LAMS.size
 
     def test_extrapolated_matches_formula(self, g_const_200, g_const_400):
         ev = DeltaEvaluator(g_const_200, g_const_400)
-
-        def delta(lam, order=0):
-            return (
-                4.0 * char_delta_deriv(g_const_400, lam, order=order)
-                - char_delta_deriv(g_const_200, lam, order=order)
-            ) / 3.0
-
-        assert np.array_equal(ev(self.LAMS), delta(self.LAMS))
+        vals = ev(self.LAMS)
+        assert np.array_equal(
+            vals, char_delta_deriv(g_const_200, self.LAMS, 0, g_const_400)
+        )
+        derivs = []
         for lam in self.LAMS:
-            got, want = ev(lam), delta(lam)
-            assert type(got) is type(want) and got == want
-            got = ev.deriv(lam)
-            want = complex(delta(np.asarray([lam]), order=1)[0])
+            got, want = ev(lam), char_delta_deriv(g_const_200, lam, 0, g_const_400)
             assert type(got) is complex and got == want
+            got, want = ev.deriv(lam), char_delta_deriv(g_const_200, lam, 1, g_const_400)
+            assert type(got) is complex and got == want
+            derivs.append(got)
+        for order, got in ((0, vals), (1, np.array(derivs))):
+            fine, s_fine = char_delta_direct(g_const_400, self.LAMS, order)
+            coarse, s_coarse = char_delta_direct(g_const_200, self.LAMS, order)
+            want = (4.0 * fine - coarse) / 3.0
+            assert np.all(np.abs(got - want) <= 1e-13 * (4.0 * s_fine + s_coarse) / 3.0)
         assert ev.evals == 2 * self.LAMS.size
+        assert ev.deriv_evals == self.LAMS.size
+
+
+def _random_tail_kernel(n, rng):
+    """A TransformKernel on n intervals whose last row is random (G[N, 0] = 0).
+
+    Delta reads only that row, so the rest stays zero.
+    """
+    values = np.zeros((n + 1, n + 1), dtype=complex)
+    values[-1, 1:] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return TransformKernel(TriangularField(make_grid(n), values), np.zeros(1), 1, 0.0)
+
+
+class TestBlockedPolynomial:
+    """char_delta_deriv sums blocks of powers of q = exp(-i lambda h); the
+    direct sum with one exponential per node is the reference. Rounding is
+    measured against the carrier plus the sum of |c_j| |q^j|."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 100, 101, 400, 800])
+    def test_blocked_matches_direct(self, n):
+        rng = np.random.default_rng(n)
+        g, g_fine = _random_tail_kernel(n, rng), _random_tail_kernel(2 * n, rng)
+        re = np.linspace(-n, n, 21)
+        im = np.linspace(-8.0, 8.0, 9)
+        lams = (re[:, None] + 1j * im[None, :]).ravel()
+        for order in range(3):
+            want, scale = char_delta_direct(g, lams, order)
+            got = char_delta_deriv(g, lams, order)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+            fine, s_fine = char_delta_direct(g_fine, lams, order)
+            got = char_delta_deriv(g, lams, order, g_fine)
+            want = (4.0 * fine - want) / 3.0
+            assert np.all(np.abs(got - want) <= 1e-13 * (4.0 * s_fine + scale) / 3.0)
 
 
 class TestZeroKernel:
@@ -261,6 +304,13 @@ class TestZeroKernel:
         lam = complex(re, im)
         want = np.exp(-1j * lam * PI)
         assert abs(char_delta(g, lam) - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("n", [2, 7, 50])
+    def test_extrapolated_delta_is_the_carrier(self, n):
+        g, g_fine = (compute_g(TriangularField.zeros(make_grid(k))) for k in (n, 2 * n))
+        lams = np.array([0.0, 1.5 - 2.0j, -3.25 + 0.5j])
+        want = np.exp(-1j * lams * PI)
+        assert np.array_equal(char_delta_deriv(g, lams, 0, g_fine), want)
 
 
 class TestFindSpectrum:
