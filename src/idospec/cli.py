@@ -11,10 +11,10 @@ Exit codes: 0 success, 2 config error, 3 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +67,19 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_WEIGHT = 4
+
+# A field holds (N+1)^2 complex samples and a G build keeps several, so a
+# command whose finest grid needs larger fields is refused before it
+# allocates anything.
+MAX_FIELD_BYTES = 256 * 2**20
+# Most lambda points a Delta heatmap may sample, one CSV row each.
+MAX_HEATMAP_POINTS = 10**6
+
+# Option dataclass of each command that reads "opts".
+_OPTIONS = {"spectrum": SpectrumOptions, "invert": RecoverOptions}
+# Numeric config keys: type and least value (grid_n's is checked by _grid_n,
+# which also sees --grid-n).
+_NUMBERS = {"grid_n": (int, None), "d": (int, 2), "mu": (float, 0.0), "max_terms": (int, 1)}
 
 
 class ConfigError(ValueError):
@@ -156,6 +169,12 @@ def _kernel_from_config(cfg, grid) -> StructuredKernel:
     return StructuredKernel(m0, tuple(comps))
 
 
+def _build_g(cfg, grid):
+    """The config's kernel M on grid and its G, with the config's Picard settings."""
+    m = assemble_kernel(_kernel_from_config(cfg.get("kernel", cfg), grid))
+    return m, compute_g(m, tol=_picard_tol(cfg), max_terms=cfg.get("max_terms", 60))
+
+
 def _window_from_config(cfg) -> SearchWindow:
     try:
         win = cfg["window"]
@@ -174,13 +193,23 @@ def _lambdas_from_config(cfg, default):
     return [complex(re, im) for re, im in pairs]
 
 
-def _grid_n(cfg, override) -> int:
+def _grid_n(cfg, override, refine: int = 1) -> int:
+    """grid_n from --grid-n or the config.
+
+    The command's finest grid has refine * grid_n intervals; grid_n is
+    refused if that grid's fields would exceed MAX_FIELD_BYTES.
+    """
     n = override if override is not None else cfg.get("grid_n")
     if n is None:
         raise ConfigError("grid_n missing from config")
-    n = int(n)
     if n < 2:
         raise ConfigError(f"grid_n must be >= 2, got {n}")
+    field_bytes = np.dtype(complex).itemsize * (refine * n + 1) ** 2
+    if field_bytes > MAX_FIELD_BYTES:
+        raise ConfigError(
+            f"grid_n {n} needs a {refine * n}-interval grid of {field_bytes >> 20} MiB "
+            f"fields, above the limit of {MAX_FIELD_BYTES >> 20} MiB"
+        )
     return n
 
 
@@ -195,15 +224,60 @@ def _provenance(command, sha, grid_n) -> dict:
     return {"command": command, "config_sha256": sha, "grid_n": grid_n}
 
 
-def _options(cfg, cls):
-    """cls built from the config's "opts" object, whose keys must be fields of cls."""
-    opts = cfg.get("opts", {})
-    if not isinstance(opts, dict):
-        raise ConfigError(f"opts must be an object, got {opts!r}")
-    unknown = sorted(set(opts) - {f.name for f in dataclasses.fields(cls)})
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} key(s) in opts: {', '.join(unknown)}")
-    return cls(**opts)
+def _is_a(value, kind) -> bool:
+    """isinstance against a type or union hint: a bool is no number, an int is a float."""
+    kinds = tuple((int, float) if k is float else k for k in typing.get_args(kind) or (kind,))
+    return not isinstance(value, bool) and isinstance(value, kinds)
+
+
+def _check_value(key, value, kind, least=None) -> None:
+    """Refuse value, naming key, unless _is_a(value, kind) and value >= least."""
+    if not _is_a(value, kind) or (least is not None and value < least):
+        name = kind.__name__ if isinstance(kind, type) else kind
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{key} must be {name}{bound}, got {value!r}")
+
+
+def _heatmap_shape(hm: dict) -> tuple:
+    """(nx, ny) of a heatmap config object, with their defaults."""
+    return hm.get("nx", 80), hm.get("ny", 60)
+
+
+def _check_config(cfg, command) -> None:
+    """Refuse config values of the wrong type or range, naming the key.
+
+    Runs before anything is built or allocated, so a bad value costs no G
+    build. Each "opts" value must have the type of its field in the
+    command's option dataclass.
+    """
+    _check_value("config", cfg, dict)
+    for key, (kind, least) in _NUMBERS.items():
+        if key in cfg:
+            _check_value(key, cfg[key], kind, least)
+    hm = cfg.get("heatmap") or {}
+    _check_value("heatmap", hm, dict)
+    nx, ny = _heatmap_shape(hm)
+    _check_value("heatmap.nx", nx, int, 1)
+    _check_value("heatmap.ny", ny, int, 1)
+    if nx * ny > MAX_HEATMAP_POINTS:
+        raise ConfigError(f"heatmap has {nx} x {ny} points, above the limit of {MAX_HEATMAP_POINTS}")
+    init = cfg.get("init", "zero")
+    if init not in ("zero", "random") and not (
+        isinstance(init, list)
+        and len(init) == cfg.get("d", 8)
+        and all(_is_a(v, float) for v in init)
+    ):
+        raise ConfigError(f'init must be "zero", "random" or a list of d numbers, got {init!r}')
+    cls = _OPTIONS.get(command)
+    if cls is not None:
+        opts = cfg.get("opts", {})
+        _check_value("opts", opts, dict)
+        fields = typing.get_type_hints(cls)
+        unknown = sorted(set(opts) - set(fields))
+        if unknown:
+            raise ConfigError(f"unknown {cls.__name__} key(s) in opts: {', '.join(unknown)}")
+        for key, value in opts.items():
+            _check_value(f"opts.{key}", value, fields[key])
 
 
 def _check_alias_free(window: SearchWindow, n: int) -> None:
@@ -226,9 +300,7 @@ def _check_alias_free(window: SearchWindow, n: int) -> None:
 def cmd_forward(cfg, sha, out: Path, args) -> int:
     n = _grid_n(cfg, args.grid_n)
     grid = make_grid(n)
-    kernel = _kernel_from_config(cfg.get("kernel", cfg), grid)
-    m = assemble_kernel(kernel)
-    g = compute_g(m, tol=_picard_tol(cfg), max_terms=cfg.get("max_terms", 60))
+    m, g = _build_g(cfg, grid)
 
     serialize.transform_kernel_to_files(g, out / "g_kernel.csv", out / "g_kernel_meta.json")
 
@@ -259,26 +331,18 @@ def cmd_forward(cfg, sha, out: Path, args) -> int:
 
 
 def cmd_spectrum(cfg, sha, out: Path, args) -> int:
-    n = _grid_n(cfg, args.grid_n)
-    grid = make_grid(n)
-    kernel = _kernel_from_config(cfg.get("kernel", cfg), grid)
+    extrapolate = cfg.get("extrapolate", False)
+    n = _grid_n(cfg, args.grid_n, refine=2 if extrapolate else 1)
     window = _window_from_config(cfg)
     _check_alias_free(window, n)
-    opts = _options(cfg, SpectrumOptions)
+    opts = SpectrumOptions(**cfg.get("opts", {}))
 
-    m = assemble_kernel(kernel)
-    g = compute_g(m, tol=_picard_tol(cfg), max_terms=cfg.get("max_terms", 60))
-    if cfg.get("extrapolate", False):
-        grid_f = make_grid(2 * n)
-        kernel_f = _kernel_from_config(cfg.get("kernel", cfg), grid_f)
-        g_f = compute_g(assemble_kernel(kernel_f), tol=_picard_tol(cfg),
-                        max_terms=cfg.get("max_terms", 60))
-        evaluator = DeltaEvaluator(g, g_f)
-    else:
-        evaluator = DeltaEvaluator(g)
+    _, g = _build_g(cfg, make_grid(n))
+    g_fine = _build_g(cfg, make_grid(2 * n))[1] if extrapolate else None
+    evaluator = DeltaEvaluator(g, g_fine)
     spec = find_spectrum(evaluator, window, opts)
 
-    data = serialize.spectrum_to_dict(spec, grid.step)
+    data = serialize.spectrum_to_dict(spec, g.grid.step)
     data = {
         "provenance": _provenance("spectrum", sha, n),
         **data,
@@ -289,7 +353,7 @@ def cmd_spectrum(cfg, sha, out: Path, args) -> int:
 
     hm = cfg.get("heatmap")
     if hm:
-        nx, ny = int(hm.get("nx", 80)), int(hm.get("ny", 60))
+        nx, ny = _heatmap_shape(hm)
         res = np.linspace(window.re_min, window.re_max, nx)
         ims = np.linspace(window.im_min, window.im_max, ny)
         with open(out / "delta_heatmap.csv", "w") as fh:
@@ -306,7 +370,7 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
     n = _grid_n(cfg, args.grid_n)
     grid = make_grid(n)
     kernel = _kernel_from_config(cfg.get("kernel", cfg), grid)
-    d = int(cfg.get("d", 8))
+    d = cfg.get("d", 8)
     mu = float(cfg.get("mu", 0.0))
 
     target_paths = cfg.get("targets")
@@ -331,7 +395,8 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
                 )
                 return EXIT_NUMERICAL
 
-    ropts = _options(cfg, RecoverOptions)
+    ropts = RecoverOptions(**cfg.get("opts", {}))
+    picard_tol, max_terms = _picard_tol(cfg), cfg.get("max_terms", 60)
 
     init_policy = cfg.get("init", "zero")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
@@ -346,14 +411,14 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
     if len(spectra) == 1 and kernel.p_count == 1:
         problem = InverseProblem(
             m0=kernel.m0, r=kernel.components[0].r, target=spectra[0],
-            d=d, mu=mu, picard_tol=_picard_tol(cfg),
+            d=d, mu=mu, picard_tol=picard_tol, picard_max_terms=max_terms,
         )
         reports = [recover_profile(problem, make_init(), ropts)]
     else:
         reports = recover_sequential(
             spectra, kernel, d, ropts, mu=mu,
             inits=[make_init() for _ in spectra],
-            picard_tol=_picard_tol(cfg),
+            picard_tol=picard_tol, picard_max_terms=max_terms,
         )
 
     stages = []
@@ -394,31 +459,25 @@ def _verify_once(grid, cfg, lambdas):
         np.diagonal(g.g.values) - 1j * cumtrapz_nodes(np.diagonal(m.values), grid)
     ).max())
 
-    duality = max(
-        abs(eval_e_direct(m, lam)[-1] - eval_psi(m, lam)[0]) for lam in lambdas
-    )
-    green = max(verify_green_identity(m, mt, lam) for lam in lambdas)
-    cov = max(verify_change_of_variables(m0, r, p, pt, lam) for lam in lambdas)
+    # the three marches every check below reads, one column per lambda
+    lam = np.array(lambdas, dtype=complex)
+    e, et, psi = eval_e_direct(m, lam), eval_e_direct(mt, lam), eval_psi(m, lam)
 
     k1 = compute_g(reflected_kernel(m))
     k2 = compute_g(mt)
     b, kk = assemble_z_kernel(k1.g, k2.g, r)
-    zres = 0.0
-    for lam in lambdas:
-        zd = eval_z(r, m, mt, lam)
-        zk = eval_z_decomposed(b, kk, lam)
-        zres = max(zres, float(np.abs(zd - zk).max()))
+    zres = np.abs(eval_z(r, psi, et) - eval_z_decomposed(b, kk, lam)).max()
     return {
         "diagonal_identity": diag_res,
-        "duality": float(duality),
-        "green_identity": float(green),
-        "change_of_variables": float(cov),
-        "z_decomposition": zres,
+        "duality": float(np.abs(e[-1] - psi[0]).max()),
+        "green_identity": float(verify_green_identity(m, mt, psi, et).max()),
+        "change_of_variables": float(verify_change_of_variables(r, p, pt, psi, et).max()),
+        "z_decomposition": float(zres),
     }
 
 
 def cmd_verify(cfg, sha, out: Path, args) -> int:
-    n = _grid_n(cfg, args.grid_n)
+    n = _grid_n(cfg, args.grid_n, refine=2)
     for key in ("m0", "r", "p", "p_tilde"):
         if key not in cfg:
             raise ConfigError(f"verify config needs '{key}'")
@@ -472,6 +531,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg, sha = _load_config(args.config)
+        _check_config(cfg, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, sha, out, args)

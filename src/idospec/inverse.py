@@ -37,13 +37,7 @@ from .kernels import (
     WeightVanishesError,
 )
 from .transform import TransformKernel, compute_g, reflected_kernel
-from .spectral import (
-    Spectrum,
-    char_delta_deriv,
-    eval_e_direct,
-    eval_psi,
-    eval_z,
-)
+from .spectral import Spectrum, char_delta_deriv, eval_e_via_g, eval_z
 
 
 class UnderdeterminedError(ValueError):
@@ -166,17 +160,6 @@ def spectrum_residual(p_params, problem: InverseProblem):
     return res, g
 
 
-def _solution_derivs(g: TransformKernel, nus, orders) -> np.ndarray:
-    """Columns e^(b)(x, nu) = (-ix)^b exp(-i nu x) + int G(x, t) (-it)^b exp(-i nu t) dt.
-
-    Column p is the b = orders[p]-th lambda-derivative of the forward
-    solution at nu = nus[p]; its last entry is what char_delta_deriv returns.
-    """
-    x = g.grid.nodes[:, None]
-    base = (-1j * x) ** orders * np.exp(-1j * x * nus)
-    return base + volterra_apply(g.g.values, base, g.grid.step)
-
-
 def spectrum_jacobian(p_params, problem: InverseProblem, g: TransformKernel) -> np.ndarray:
     """Derivatives of spectrum_residual in the parameters, from the Green identity.
 
@@ -197,8 +180,8 @@ def spectrum_jacobian(p_params, problem: InverseProblem, g: TransformKernel) -> 
         tol=problem.picard_tol, max_terms=problem.picard_max_terms,
     )
     nus, orders = _target_orders(problem)
-    e = _solution_derivs(g, nus, orders)
-    psi = _solution_derivs(g_refl, nus, orders)[::-1]
+    e = eval_e_via_g(g, nus, orders)
+    psi = eval_e_via_g(g_refl, nus, orders)[::-1]
     psi *= trapezoid_weights(grid.n_nodes, grid.step)[:, None]
     # pair[k, a, b]: the double integral of column a of psi against column b of e
     pair = np.stack(
@@ -334,6 +317,7 @@ def recover_sequential(
     mu: float = 0.0,
     inits=None,
     picard_tol: float | None = None,
+    picard_max_terms: int = 60,
 ) -> list:
     """Stage-by-stage recovery of P_1, ..., P_p from the truncation spectra.
 
@@ -349,7 +333,8 @@ def recover_sequential(
     for k, target in enumerate(spectra):
         comp = family.components[k]
         problem = InverseProblem(
-            m0=m0_eff, r=comp.r, target=target, d=d, mu=mu, picard_tol=picard_tol
+            m0=m0_eff, r=comp.r, target=target, d=d, mu=mu,
+            picard_tol=picard_tol, picard_max_terms=picard_max_terms,
         )
         init = (
             np.zeros(d)
@@ -373,57 +358,51 @@ def recover_sequential(
 # --- identity verification -----------------------------------------------------
 
 
-def _triangle_double_integral(outer, field_vals, inner, grid: Grid) -> complex:
-    """Nested trapezoid of outer(x) * integral over [0,x] of field(x,t) inner(t)."""
-    h = grid.step
-    f = outer * volterra_apply(field_vals, inner, h)
-    return complex(h * (f.sum() - 0.5 * (f[0] + f[-1])))
+def _triangle_double_integral(outer, field_vals, inner, grid: Grid):
+    """Nested trapezoid of outer(x) * integral over [0,x] of field(x,t) inner(t).
+
+    outer and inner are node samples, or matrices with one column per
+    lambda, which give one value per column.
+    """
+    f = outer * volterra_apply(field_vals, inner, grid.step)
+    return trapezoid_weights(grid.n_nodes, grid.step) @ f
 
 
 def verify_green_identity(
-    m: TriangularField, m_tilde: TriangularField, lam: complex
-) -> float:
+    m: TriangularField, m_tilde: TriangularField, psi: np.ndarray, e_tilde: np.ndarray
+):
     """|LHS - RHS| of the integrated Green-type identity.
 
+    psi = eval_psi(m, lam) and e_tilde = eval_e_direct(m_tilde, lam), for one
+    lambda or with one column per lambda, giving one residual per lambda.
     LHS is the double integral of psi * (M - M_tilde) * e_tilde over the
     triangle; RHS is i * (e_tilde(pi) - psi(0)).
     """
     require_same_grid(m.grid, m_tilde.grid)
-    psi = eval_psi(m, lam)
-    et = eval_e_direct(m_tilde, lam)
-    diff = m.values - m_tilde.values
-    lhs = _triangle_double_integral(psi, diff, et, m.grid)
-    rhs = 1j * (et[-1] - psi[0])
-    return abs(lhs - rhs)
+    lhs = _triangle_double_integral(psi, m.values - m_tilde.values, e_tilde, m.grid)
+    return np.abs(lhs - 1j * (e_tilde[-1] - psi[0]))
 
 
 def verify_change_of_variables(
-    m0: TriangularField,
     r: TriangularField,
     p: Profile,
     p_tilde: Profile,
-    lam: complex,
-) -> float:
+    psi: np.ndarray,
+    e_tilde: np.ndarray,
+):
     """Residual between the two equivalent forms of the profile-difference term.
 
-    Form A integrates psi * R * (P - P_tilde)(x - t) * e_tilde over the
-    triangle; form B integrates (P - P_tilde)(pi - x) against z(x, lambda).
-    Both equal the same quantity in exact arithmetic.
+    psi is the adjoint solution of M = M0 + R P and e_tilde the forward
+    solution of M~ = M0 + R P~, for one lambda or with one column per
+    lambda, giving one residual per lambda. Form A integrates
+    psi * R * (P - P_tilde)(x - t) * e_tilde over the triangle; form B
+    integrates (P - P_tilde)(pi - x) against z(x, lambda). Both equal the
+    same quantity in exact arithmetic.
     """
-    require_same_grid(m0.grid, r.grid, p.grid, p_tilde.grid)
-    grid = m0.grid
-    sk = StructuredKernel(m0, (KernelComponent(r, p),))
-    skt = StructuredKernel(m0, (KernelComponent(r, p_tilde),))
-    m = assemble_kernel(sk)
-    mt = assemble_kernel(skt)
-
-    psi = eval_psi(m, lam)
-    et = eval_e_direct(mt, lam)
+    require_same_grid(r.grid, p.grid, p_tilde.grid)
+    grid = r.grid
     dp = p.values - p_tilde.values
-    form_a = _triangle_double_integral(psi, r.values * _shift_matrix(dp), et, grid)
-
-    z = eval_z(r, m, mt, lam)
-    h = grid.step
-    f = dp[::-1] * z
-    form_b = complex(h * (f.sum() - 0.5 * (f[0] + f[-1])))
-    return abs(form_a - form_b)
+    form_a = _triangle_double_integral(psi, r.values * _shift_matrix(dp), e_tilde, grid)
+    weights = trapezoid_weights(grid.n_nodes, grid.step) * dp[::-1]
+    form_b = weights @ eval_z(r, psi, e_tilde)
+    return np.abs(form_a - form_b)

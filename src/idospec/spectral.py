@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (
-    TriangularField,
-    require_same_grid,
-    trapezoid_weights,
-    volterra_apply,
-)
+from .quadrature import TriangularField, trapezoid_weights, volterra_apply
 from .kernels import _shift_matrix, shifted_factor
 from .transform import TransformKernel, reflected_kernel
 
@@ -89,79 +84,90 @@ class Spectrum:
 # --- forward solutions --------------------------------------------------------
 
 
-def eval_e_direct(m: TriangularField, lam: complex) -> np.ndarray:
+def _exponent(grid, lam) -> np.ndarray:
+    """lambda x on the nodes: (N+1,) for a scalar lambda, (N+1, K) for K of them."""
+    return np.multiply.outer(grid.nodes, np.asarray(lam, dtype=complex))
+
+
+def eval_e_direct(m: TriangularField, lam) -> np.ndarray:
     """March the Volterra integral equation for e(x, lambda) node by node.
 
     The trapezoid endpoint at the current node makes the update weakly
     implicit; two fixed-point sweeps per node resolve it (the self-term
-    carries an O(h^2) coefficient).
+    carries an O(h^2) coefficient). lam is a scalar, giving shape (N+1,),
+    or a 1-D array of K values, all marched in the one node loop, giving
+    shape (N+1, K) with one column per lambda.
     """
-    grid = m.grid
-    n = grid.n_nodes
-    h = grid.step
-    x = grid.nodes
+    h = m.grid.step
     mv = m.values
+    lx = _exponent(m.grid, lam)
+    ex = np.exp(-1j * lx)            # exp(-i lam x_i)
+    phase = np.exp(1j * lx)          # exp(+i lam x_t)
 
-    ex = np.exp(-1j * lam * x)       # exp(-i lam x_i)
-    phase = np.exp(1j * lam * x)     # exp(+i lam x_t)
-
-    e = np.empty(n, dtype=complex)
-    f = np.zeros(n, dtype=complex)   # f[k] = integral of m(x_k, .) e(.) over [0, x_k]
+    e = np.empty_like(ex)
     e[0] = 1.0
-    for i in range(1, n):
-        guess = e[i - 1]
+    known = np.zeros_like(ex[0])     # sum of phase * f over the nodes before x_i
+
+    def f(i):                        # integral of m(x_i, .) e(.) over [0, x_i]
         row = mv[i, : i + 1]
-        g_known = phase[:i] * f[:i]
-        base = g_known.sum() - 0.5 * g_known[0]
+        return h * (row @ e[: i + 1] - 0.5 * (row[0] * e[0] + row[i] * e[i]))
+
+    for i in range(1, e.shape[0]):
+        guess = e[i - 1]
         for _ in range(2):
             e[i] = guess
-            fi = h * (np.dot(row, e[: i + 1]) - 0.5 * (row[0] * e[0] + row[i] * e[i]))
-            s = ex[i] * h * (base + 0.5 * phase[i] * fi)
-            guess = ex[i] + 1j * s
+            guess = ex[i] + 1j * (ex[i] * h * (known + 0.5 * phase[i] * f(i)))
         e[i] = guess
-        f[i] = h * (np.dot(row, e[: i + 1]) - 0.5 * (row[0] * e[0] + row[i] * e[i]))
+        known = known + phase[i] * f(i)
     return e
 
 
-def eval_psi(m: TriangularField, lam: complex) -> np.ndarray:
+def eval_psi(m: TriangularField, lam) -> np.ndarray:
     """Adjoint-type solution psi(x, lambda) with psi(pi, lambda) = 1.
 
     w(x) = psi(pi - x) solves the forward equation of the reflected kernel
-    m(pi - t, pi - x), so psi is that forward march read backwards.
+    m(pi - t, pi - x), so psi is that forward march read backwards. lam and
+    the result's shape are as for eval_e_direct.
     """
     return eval_e_direct(reflected_kernel(m), lam)[::-1]
 
 
-def eval_z(
-    r: TriangularField,
-    m: TriangularField,
-    m_tilde: TriangularField,
-    lam: complex,
-) -> np.ndarray:
-    """z(x, lambda) = integral of r(pi-t, x-t) w(t) e_tilde(x-t) over [0, x].
+def eval_z(r: TriangularField, psi: np.ndarray, e_tilde: np.ndarray) -> np.ndarray:
+    """z(x, lambda) = integral of r(pi-t, x-t) psi(pi-t) e_tilde(x-t) over [0, x].
 
-    w(t) = psi(pi - t, lambda) is the forward solution of the reflected
-    kernel, so z is one Volterra product of R[i, k] e_tilde(x_i - t_k)
-    against w.
+    psi = eval_psi(M, lam) and e_tilde = eval_e_direct(M~, lam), for one
+    lambda or with one column per lambda; z has their shape. Each column is
+    one Volterra product of R[i, k] e_tilde(x_i - t_k) against
+    w(t) = psi(pi - t), the forward solution of the reflected kernel.
     """
-    require_same_grid(r.grid, m.grid, m_tilde.grid)
-    w = eval_e_direct(reflected_kernel(m), lam)
-    et = eval_e_direct(m_tilde, lam)
-    return volterra_apply(shifted_factor(r) * _shift_matrix(et), w, r.grid.step)
+    rs = shifted_factor(r)
+    w, et = (np.reshape(v, (r.grid.n_nodes, -1)).T for v in (psi[::-1], e_tilde))
+    cols = [volterra_apply(rs * _shift_matrix(ek), wk, r.grid.step) for wk, ek in zip(w, et)]
+    return np.stack(cols, axis=-1).reshape(psi.shape)
 
 
-def eval_z_decomposed(b, k: TriangularField, lam: complex) -> np.ndarray:
-    """z(x, lambda) from its split form B(x) exp(-i lam x) + int K exp(-i lam t)."""
-    grid = k.grid
-    ex = np.exp(-1j * lam * grid.nodes)
-    return b.values * ex + volterra_apply(k.values, ex, grid.step)
+def eval_z_decomposed(b, k: TriangularField, lam) -> np.ndarray:
+    """z(x, lambda) from its split form B(x) exp(-i lam x) + int K exp(-i lam t).
+
+    lam and the result's shape are as for eval_e_direct.
+    """
+    ex = np.exp(-1j * _exponent(k.grid, lam))
+    # transposed so that B scales the rows of a (N+1, K) ex as well
+    return (b.values * ex.T).T + volterra_apply(k.values, ex, k.grid.step)
 
 
-def eval_e_via_g(g: TransformKernel, lam: complex) -> np.ndarray:
-    """e(x, lambda) from the transformation-operator representation."""
+def eval_e_via_g(g: TransformKernel, lam, order=0) -> np.ndarray:
+    """d^b/dlambda^b e(x, lambda) from the transformation-operator representation.
+
+    e^(b)(x) = (-ix)^b exp(-i lam x) + int G(x, t) (-it)^b exp(-i lam t) dt
+    over [0, x], with b = order; its last entry is what char_delta_deriv
+    returns. lam and the result's shape are as for eval_e_direct; order is
+    an int, or an array giving each lambda its own order.
+    """
     grid = g.grid
-    ex = np.exp(-1j * lam * grid.nodes)
-    return ex + volterra_apply(g.g.values, ex, grid.step)
+    powers = np.power.outer(-1j * grid.nodes, np.broadcast_to(order, np.shape(lam)))
+    base = powers * np.exp(-1j * _exponent(grid, lam))
+    return base + volterra_apply(g.g.values, base, grid.step)
 
 
 def char_delta(g: TransformKernel, lam) -> complex | np.ndarray:

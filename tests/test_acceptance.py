@@ -171,7 +171,9 @@ def test_criterion_06_duality_and_green_identity():
             for lam in LAMBDA_SET_10
         )
         green = max(
-            verify_green_identity(fields[a], fields[b], lam)
+            verify_green_identity(
+                fields[a], fields[b], eval_psi(fields[a], lam), eval_e_direct(fields[b], lam)
+            )
             for a, b in pairs
             for lam in LAMBDA_SET_10
         )
@@ -208,7 +210,8 @@ def test_criterion_07_z_decomposition(g_cache):
     b, kk = assemble_z_kernel(k1.g, k2.g, r)
     worst = 0.0
     for lam in LAMBDA_SET_10[:5]:
-        diff = np.abs(eval_z(r, m, mt, lam) - eval_z_decomposed(b, kk, lam)).max()
+        zd = eval_z(r, eval_psi(m, lam), eval_e_direct(mt, lam))
+        diff = np.abs(zd - eval_z_decomposed(b, kk, lam)).max()
         worst = max(worst, float(diff))
     ok = worst <= 1e-3
     record_criterion(7, "z-kernel decomposition", ok, f"sup residual {worst:.2e}")

@@ -17,6 +17,7 @@ from idospec.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_WEIGHT,
+    MAX_HEATMAP_POINTS,
     main,
 )
 
@@ -265,6 +266,25 @@ class TestInvert:
         assert stage["jacobian_evals"] == stage["iterations"]
         assert stage["residual_evals"] + stage["jacobian_evals"] == len(builds)
 
+    @pytest.mark.parametrize("sequential", [False, True])
+    def test_max_terms_reaches_every_g_build(
+        self, workdir, target_spectrum, monkeypatch, sequential
+    ):
+        budgets = []
+        build = idospec.inverse.compute_g
+        monkeypatch.setattr(
+            idospec.inverse, "compute_g",
+            lambda *a, **k: budgets.append(k.get("max_terms")) or build(*a, **k),
+        )
+        cfg = self.invert_cfg(target_spectrum, max_terms=45)
+        if sequential:
+            # one target for a two-component kernel goes through recover_sequential
+            cfg["kernel"]["components"] *= 2
+        path = write_config(workdir / f"inv_terms_{sequential}.json", cfg)
+        out = workdir / f"inv_terms_out_{sequential}"
+        assert main(["invert", "--config", path, "--out", str(out)]) == EXIT_OK
+        assert budgets and set(budgets) == {45}
+
     def test_unconverged_target_root_is_refused(self, workdir, target_spectrum, capsys):
         data = json.loads(target_spectrum.read_text())
         bad = data["eigenvalues"][1]
@@ -364,6 +384,30 @@ class TestVerify:
         order = checks["green_identity"]["observed_order"]
         assert order is not None and order > 1.5
 
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_three_marches_per_grid(self, workdir, monkeypatch, count):
+        marches = []
+        march = idospec.spectral.eval_e_direct
+
+        def counting(m, lam):
+            marches.append(m.grid.n_intervals)
+            return march(m, lam)
+
+        for module in (idospec.spectral, idospec.inverse, idospec.cli):
+            if hasattr(module, "eval_e_direct"):
+                monkeypatch.setattr(module, "eval_e_direct", counting)
+        cfg = write_config(workdir / f"ver_marches_{count}.json", {
+            "grid_n": 20,
+            "m0": {"kind": "analytic", "family": "constant", "coeffs": [0.05]},
+            "r": {"kind": "analytic", "family": "constant", "coeffs": [1.0]},
+            "p": {"kind": "analytic", "family": "trig", "coeffs": [[0.3, 1.0, 0.0]]},
+            "p_tilde": {"kind": "analytic", "family": "constant", "coeffs": [0.2]},
+            "lambdas": [[0.5 * k, -0.1] for k in range(count)],
+        })
+        out = workdir / f"ver_marches_out_{count}"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert sorted(marches) == [20] * 3 + [40] * 3
+
 
 class TestConfigErrors:
     def test_missing_config_file(self, workdir):
@@ -397,6 +441,58 @@ class TestConfigErrors:
         })
         out = workdir / "cfg_family_out"
         assert main(["forward", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+
+    WINDOW = {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5}
+
+    @pytest.mark.parametrize("command, extra, key", [
+        ("spectrum", {"heatmap": True}, "heatmap"),
+        ("spectrum", {"heatmap": {"nx": 10, "ny": 8.5}}, "heatmap.ny"),
+        ("forward", {"grid_n": "sixteen"}, "grid_n"),
+        ("forward", {"max_terms": 2.5}, "max_terms"),
+        ("invert", {"d": "eight"}, "d"),
+        ("invert", {"mu": "none"}, "mu"),
+        ("invert", {"init": "ones"}, "init"),
+        ("invert", {"d": 4, "init": [0.0, 0.0, 0.0]}, "init"),
+        ("spectrum", {"opts": {"cell_size": "small"}}, "cell_size"),
+        ("invert", {"opts": {"max_iter": True}}, "max_iter"),
+    ])
+    def test_wrong_type_refused_before_any_build(
+        self, workdir, monkeypatch, capsys, command, extra, key
+    ):
+        builds = []
+        for module in (idospec.cli, idospec.inverse):
+            monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1))
+        cfg = {"grid_n": 16, "kernel": CONST_KERNEL, "window": self.WINDOW,
+               "target": str(workdir / "no_target.json"), **extra}
+        name = f"cfg_type_{command}_{key}_{len(extra)}"
+        path = write_config(workdir / f"{name}.json", cfg)
+        assert main([command, "--config", path, "--out", str(workdir / name)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not builds
+
+    @pytest.mark.parametrize("command, extra, argv, key", [
+        ("forward", {"grid_n": 10**6}, [], "grid_n"),
+        ("forward", {"grid_n": 16}, ["--grid-n", str(10**6)], "grid_n"),
+        # grid_n itself is small enough; the 2N grid these commands also build is not
+        ("verify", {"grid_n": 2048}, [], "4096-interval grid"),
+        ("spectrum", {"grid_n": 2048, "extrapolate": True}, [], "4096-interval grid"),
+        ("spectrum", {"heatmap": {"nx": 10**4, "ny": MAX_HEATMAP_POINTS // 10**4 + 1}},
+         [], "heatmap"),
+    ])
+    def test_oversized_grid_refused_before_allocation(
+        self, workdir, monkeypatch, capsys, command, extra, argv, key
+    ):
+        def no_grid(n):
+            raise AssertionError(f"make_grid({n}) called")
+
+        monkeypatch.setattr(idospec.cli, "make_grid", no_grid)
+        cfg = {"grid_n": 16, "kernel": CONST_KERNEL, "window": self.WINDOW, **extra}
+        cfg.update({k: CONST_KERNEL["m0"] for k in ("m0", "r", "p", "p_tilde")})
+        name = f"cfg_size_{command}_{len(argv)}_{len(extra)}"
+        path = write_config(workdir / f"{name}.json", cfg)
+        code = main([command, "--config", path, "--out", str(workdir / name), *argv])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
 
 class TestNonFiniteInput:

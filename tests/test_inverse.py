@@ -10,7 +10,14 @@ from idospec.kernels import (
     assemble_kernel,
 )
 from idospec.transform import compute_g
-from idospec.spectral import Eigenvalue, SearchWindow, Spectrum, find_spectrum
+from idospec.spectral import (
+    Eigenvalue,
+    SearchWindow,
+    Spectrum,
+    eval_e_direct,
+    eval_psi,
+    find_spectrum,
+)
 import idospec.inverse
 from idospec.inverse import (
     STALL_RTOL,
@@ -280,7 +287,8 @@ class TestIdentities:
     @pytest.mark.parametrize("lam", [0.5, -1.5 - 0.5j, 2.0 + 0.25j])
     def test_green_identity_small(self, grid100, lam):
         fields = mild_family_fields(grid100)
-        res = verify_green_identity(fields["structured"], fields["polynomial"], lam)
+        m, mt = fields["structured"], fields["polynomial"]
+        res = verify_green_identity(m, mt, eval_psi(m, lam), eval_e_direct(mt, lam))
         assert res < 1e-3
 
     def test_green_identity_second_order(self):
@@ -288,7 +296,8 @@ class TestIdentities:
         errs = []
         for n in (100, 200):
             fields = mild_family_fields(make_grid(n))
-            errs.append(verify_green_identity(fields["structured"], fields["trig"], lam))
+            m, mt = fields["structured"], fields["trig"]
+            errs.append(verify_green_identity(m, mt, eval_psi(m, lam), eval_e_direct(mt, lam)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.4)
 
     @pytest.mark.parametrize("lam", [0.5, -1.0 - 0.5j])
@@ -297,4 +306,7 @@ class TestIdentities:
         r = TriangularField.from_function(grid100, lambda x, t: 1.0 + 0.2 * np.cos(t))
         p = Profile.from_function(grid100, lambda x: 0.3 * np.sin(x) + 0.15)
         pt = Profile.from_function(grid100, lambda x: 0.2 * np.cos(x))
-        assert verify_change_of_variables(m0, r, p, pt, lam) < 1e-3
+        m = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, p),)))
+        mt = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, pt),)))
+        psi, et = eval_psi(m, lam), eval_e_direct(mt, lam)
+        assert verify_change_of_variables(r, p, pt, psi, et) < 1e-3

@@ -95,22 +95,30 @@ class TestMarchesMatchLoops:
     @given(
         n=st.integers(2, 64),
         seed=st.integers(0, 2**32 - 1),
-        re=st.floats(-5.0, 5.0),
-        im=st.floats(-2.0, 1.0),
+        lams=st.lists(
+            st.tuples(st.floats(-5.0, 5.0), st.floats(-2.0, 1.0)), min_size=1, max_size=6
+        ),
     )
-    def test_random_complex_fields(self, n, seed, re, im):
+    def test_random_complex_fields(self, n, seed, lams):
         rng = np.random.default_rng(seed)
         grid = make_grid(n)
         r, m, mt = (_random_field(rng, grid) for _ in range(3))
-        lam = complex(re, im)
+        lams = np.array([complex(re, im) for re, im in lams])
 
-        psi = eval_psi(m, lam)
-        assert psi[-1] == 1.0
-        assert _rel_err(psi, _eval_psi_march(m, lam)) <= 1e-13
+        # one batched march per kernel; column k must match the scalar march
+        # and the loop oracles at lams[k]
+        e, psi, et = eval_e_direct(m, lams), eval_psi(m, lams), eval_e_direct(mt, lams)
+        z = eval_z(r, psi, et)
+        assert e.shape == psi.shape == z.shape == (n + 1, lams.size)
+        for k, lam in enumerate(lams):
+            assert _rel_err(e[:, k], eval_e_direct(m, lam)) <= 1e-13
 
-        z = eval_z(r, m, mt, lam)
-        assert z[0] == 0.0
-        assert _rel_err(z, _eval_z_loop(r, m, mt, lam)) <= 1e-13
+            assert psi[-1, k] == 1.0
+            assert _rel_err(psi[:, k], eval_psi(m, lam)) <= 1e-13
+            assert _rel_err(psi[:, k], _eval_psi_march(m, lam)) <= 1e-13
+
+            assert z[0, k] == 0.0
+            assert _rel_err(z[:, k], _eval_z_loop(r, m, mt, lam)) <= 1e-13
 
 
 @pytest.fixture(scope="module")
@@ -503,15 +511,16 @@ class TestZDecomposition:
         k2 = compute_g(mt)
         b, kk = assemble_z_kernel(k1.g, k2.g, r)
         for lam in (0.5, -1.0 - 0.5j, 1.5 + 0.25j):
-            zd = eval_z(r, m, mt, lam)
+            zd = eval_z(r, eval_psi(m, lam), eval_e_direct(mt, lam))
             zk = eval_z_decomposed(b, kk, lam)
             assert np.abs(zd - zk).max() < 2e-3
 
     def test_z_starts_at_zero(self, grid100):
         fields = mild_family_fields(grid100)
+        lam = 0.9 - 0.1j
         z = eval_z(
             TriangularField.constant(grid100, 1.0),
-            fields["constant"], fields["trig"], 0.9 - 0.1j,
+            eval_psi(fields["constant"], lam), eval_e_direct(fields["trig"], lam),
         )
         assert z[0] == 0.0
 
