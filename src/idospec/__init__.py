@@ -33,6 +33,7 @@ from .spectral import (
     DeltaEvaluator,
     Eigenvalue,
     PhaseTrackingError,
+    SearchStats,
     SearchWindow,
     Spectrum,
     SpectrumOptions,

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config error, 3 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -172,7 +173,7 @@ def _kernel_from_config(cfg, grid) -> StructuredKernel:
 def _build_g(cfg, grid):
     """The config's kernel M on grid and its G, with the config's Picard settings."""
     m = assemble_kernel(_kernel_from_config(cfg.get("kernel", cfg), grid))
-    return m, compute_g(m, tol=_picard_tol(cfg), max_terms=cfg.get("max_terms", 60))
+    return m, compute_g(m, **_picard(cfg))
 
 
 def _window_from_config(cfg) -> SearchWindow:
@@ -213,11 +214,12 @@ def _grid_n(cfg, override, refine: int = 1) -> int:
     return n
 
 
-def _picard_tol(cfg) -> float | None:
+def _picard(cfg) -> dict:
+    """The config's Picard settings, as compute_g's tol and max_terms."""
     tol = cfg.get("picard_tol")
     if tol is not None and not (isinstance(tol, (int, float)) and tol > 0):
         raise ConfigError(f"picard_tol must be a positive number, got {tol!r}")
-    return tol
+    return {"tol": tol, "max_terms": cfg.get("max_terms", 60)}
 
 
 def _provenance(command, sha, grid_n) -> dict:
@@ -268,6 +270,12 @@ def _check_config(cfg, command) -> None:
         and all(_is_a(v, float) for v in init)
     ):
         raise ConfigError(f'init must be "zero", "random" or a list of d numbers, got {init!r}')
+    lams = cfg.get("lambdas")
+    if "lambdas" in cfg and not (isinstance(lams, list) and lams and all(
+        isinstance(pair, list) and len(pair) == 2 and all(_is_a(v, float) for v in pair)
+        for pair in lams
+    )):
+        raise ConfigError(f"lambdas must be a non-empty list of [re, im] number pairs, got {lams!r}")
     cls = _OPTIONS.get(command)
     if cls is not None:
         opts = cfg.get("opts", {})
@@ -348,6 +356,7 @@ def cmd_spectrum(cfg, sha, out: Path, args) -> int:
         **data,
         "delta_evals": evaluator.evals,
         "deriv_evals": evaluator.deriv_evals,
+        "search": dataclasses.asdict(spec.stats),
     }
     serialize.write_json(out / "spectrum.json", data)
 
@@ -396,7 +405,7 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
                 return EXIT_NUMERICAL
 
     ropts = RecoverOptions(**cfg.get("opts", {}))
-    picard_tol, max_terms = _picard_tol(cfg), cfg.get("max_terms", 60)
+    picard = _picard(cfg)
 
     init_policy = cfg.get("init", "zero")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
@@ -411,14 +420,14 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
     if len(spectra) == 1 and kernel.p_count == 1:
         problem = InverseProblem(
             m0=kernel.m0, r=kernel.components[0].r, target=spectra[0],
-            d=d, mu=mu, picard_tol=picard_tol, picard_max_terms=max_terms,
+            d=d, mu=mu, picard_tol=picard["tol"], picard_max_terms=picard["max_terms"],
         )
         reports = [recover_profile(problem, make_init(), ropts)]
     else:
         reports = recover_sequential(
             spectra, kernel, d, ropts, mu=mu,
             inits=[make_init() for _ in spectra],
-            picard_tol=picard_tol, picard_max_terms=max_terms,
+            picard_tol=picard["tol"], picard_max_terms=picard["max_terms"],
         )
 
     stages = []
@@ -454,7 +463,8 @@ def _verify_once(grid, cfg, lambdas):
     m = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, p),)))
     mt = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, pt),)))
 
-    g = compute_g(m)
+    picard = _picard(cfg)
+    g = compute_g(m, **picard)
     diag_res = float(np.abs(
         np.diagonal(g.g.values) - 1j * cumtrapz_nodes(np.diagonal(m.values), grid)
     ).max())
@@ -463,8 +473,8 @@ def _verify_once(grid, cfg, lambdas):
     lam = np.array(lambdas, dtype=complex)
     e, et, psi = eval_e_direct(m, lam), eval_e_direct(mt, lam), eval_psi(m, lam)
 
-    k1 = compute_g(reflected_kernel(m))
-    k2 = compute_g(mt)
+    k1 = compute_g(reflected_kernel(m), **picard)
+    k2 = compute_g(mt, **picard)
     b, kk = assemble_z_kernel(k1.g, k2.g, r)
     zres = np.abs(eval_z(r, psi, et) - eval_z_decomposed(b, kk, lam)).max()
     return {

@@ -8,9 +8,15 @@ grid, x_j = j h and pi = N h, so with q = exp(-i lambda h) it is the
 polynomial q^N + sum_j w_j G[N, j] q^j. char_delta_deriv evaluates it, and
 its lambda-derivatives, by blocks of the powers q^j, which needs about
 2 sqrt(N) exponentials per lambda; the Richardson combination of two grids
-is folded into the coefficients, so it is one such sum as well. Cheap
-samples make argument-principle subdivision plus Newton polishing the
-natural search strategy.
+is folded into the coefficients, so it is one such sum as well.
+
+Being a polynomial, Delta also hands its zeros over directly: sampled at a
+stride s it has degree N/s in exp(-i lambda s h), and the eigenvalues of its
+companion matrix are candidate zeros for one batched Newton on the real
+evaluator. The argument principle certifies the result: the winding number
+on the window boundary must equal the number of distinct zeros found. When
+it does not, or when an evaluator carries no G, rectangle subdivision by
+the argument principle with Newton polishing finds the zeros instead.
 """
 
 from __future__ import annotations
@@ -72,10 +78,27 @@ class Eigenvalue:
 
 
 @dataclass(frozen=True)
+class SearchStats:
+    """How find_spectrum found its zeros, in deterministic counts.
+
+    path is "companion" when the companion candidates passed the winding
+    certificate and "subdivision" when the search fell back to it;
+    candidates is the number of companion candidates handed to Newton (0
+    for an evaluator without G); newton_steps counts Newton steps, each one
+    call of Delta' (a batched step moves all candidates at once).
+    """
+
+    path: str
+    candidates: int
+    newton_steps: int
+
+
+@dataclass(frozen=True)
 class Spectrum:
     eigenvalues: tuple
     window: SearchWindow
     total_count: int
+    stats: SearchStats | None = None            # set by find_spectrum
 
     def values(self) -> np.ndarray:
         return np.array([ev.value for ev in self.eigenvalues])
@@ -351,11 +374,11 @@ def _split_rect(f, rect, opts, guard):
 def _newton_polish(f, z0: complex, mult: int, opts: SpectrumOptions, cell=None):
     """Newton's method from z0, with the step scaled by the multiplicity mult.
 
-    Returns (root, |f(root)|, converged). With a cell (re0, re1, im0, im1)
-    the attempt is abandoned, unconverged, as soon as an iterate leaves it.
+    Returns (root, |f(root)|, converged, steps). With a cell (re0, re1, im0,
+    im1) the attempt is abandoned, unconverged, as soon as an iterate leaves it.
     """
-    z = z0
-    for _ in range(opts.newton_max_iter):
+    z, steps = z0, 0
+    for steps in range(1, opts.newton_max_iter + 1):
         fz = complex(f(np.asarray([z]))[0])
         dz = f.deriv(z)
         if dz == 0:
@@ -365,56 +388,42 @@ def _newton_polish(f, z0: complex, mult: int, opts: SpectrumOptions, cell=None):
         if cell is not None and not (
             cell[0] <= z.real <= cell[1] and cell[2] <= z.imag <= cell[3]
         ):
-            return z, math.inf, False
+            return z, math.inf, False, steps
         if abs(step) < opts.newton_tol * (1.0 + abs(z)):
-            return z, abs(complex(f(np.asarray([z]))[0])), True
-    return z, abs(complex(f(np.asarray([z]))[0])), False
+            return z, abs(complex(f(np.asarray([z]))[0])), True, steps
+    return z, abs(complex(f(np.asarray([z]))[0])), False, steps
 
 
-def find_spectrum(
-    g,
-    window: SearchWindow,
-    opts: SpectrumOptions = SpectrumOptions(),
-) -> Spectrum:
-    """Locate all zeros of Delta inside the window, counted with multiplicity.
+def _subdivide(f, rect0, wind0, opts, guard, residual_tol):
+    """Zeros in rect0, of total multiplicity wind0, by recursive subdivision.
 
-    Recursive rectangle subdivision by the argument principle. A cell of
-    winding number 1 holds exactly one simple zero, so Newton starts from its
-    centre at once; a result that converged, never left the cell and has a
-    residual within residual_tol is that zero. Otherwise the cell is split
-    further. Cells of higher winding w are bisected down to cell_size and
-    polished by Newton modified by w, so clusters and multiple roots of
-    order w converge quadratically. `g` is either a TransformKernel or any
-    evaluator exposing __call__(lam_array) and deriv(lam).
+    A cell of winding number 1 holds exactly one simple zero, so Newton
+    starts from its centre at once; a result that converged, never left the
+    cell and has a residual within residual_tol is that zero. Otherwise the
+    cell is split further. Cells of higher winding w are bisected down to
+    cell_size and polished by Newton modified by w, so clusters and multiple
+    roots of order w converge quadratically. Returns (eigenvalues, Newton
+    steps).
     """
-    f = DeltaEvaluator(g) if isinstance(g, TransformKernel) else g
-    rect0 = (window.re_min, window.re_max, window.im_min, window.im_max)
-
-    # boundary-magnitude guard, relative to the outer boundary scale; the
-    # winding number reuses these samples
-    vals0 = f(_rect_boundary(rect0, opts.initial_edge_samples))
-    boundary_max = float(np.abs(vals0).max())
-    guard = opts.boundary_rel_tol * boundary_max
-    wind0 = _winding_number(f, rect0, opts, guard, vals=vals0)
-    residual_tol = (
-        opts.residual_tol if opts.residual_tol is not None else 1e-10 * boundary_max
-    )
-
     found: list[Eigenvalue] = []
+    steps = 0
 
     def recurse(rect, wind, depth):
+        nonlocal steps
         if wind == 0:
             return
         re0, re1, im0, im1 = rect
         center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
         leaf = max(re1 - re0, im1 - im0) < opts.cell_size or depth >= opts.max_depth
         if wind == 1 and not leaf:
-            root, resid, ok = _newton_polish(f, center, 1, opts, cell=rect)
+            root, resid, ok, k = _newton_polish(f, center, 1, opts, cell=rect)
+            steps += k
             if ok and resid <= residual_tol:
                 found.append(Eigenvalue(value=root, multiplicity=1, residual=resid))
                 return
         if leaf:
-            root, resid, ok = _newton_polish(f, center, wind, opts)
+            root, resid, ok, k = _newton_polish(f, center, wind, opts)
+            steps += k
             margin = 2.0 * opts.cell_size
             inside = (
                 re0 - margin <= root.real <= re1 + margin
@@ -433,6 +442,139 @@ def find_spectrum(
         recurse(rb, wb, depth + 1)
 
     recurse(rect0, wind0, 0)
+    return found, steps
+
+
+# The candidate polynomial samples G(pi, t) exp(-i lambda t) at step s h with
+# s h R <= CANDIDATE_PHASE_STEP, R the largest |Re lambda| searched: the
+# carrier turns at most that many radians per step.
+CANDIDATE_PHASE_STEP = 1.3
+# Candidates are taken from the window grown by this margin on every side,
+# so that a zero just inside an edge is not lost to the coarse polynomial's
+# error.
+CANDIDATE_MARGIN = 0.5
+
+
+def _companion_candidates(g: TransformKernel, rect) -> np.ndarray:
+    """Zeros inside rect of Delta sampled at stride s, as lambda values.
+
+    On the nodes 0, s, 2s, ..., N with the trapezoid weights of step s h,
+    Delta is a polynomial of degree N/s in Q = exp(-i lambda s h), and its
+    constant term w_0 G[N, 0] is zero. np.roots takes its roots from the
+    companion matrix; lambda = i log(Q) / (s h) maps them back. s is the
+    largest divisor of N with s h R <= CANDIDATE_PHASE_STEP: the eigensolve
+    costs O((N/s)^3), and each zero of the coarser sum still lies within
+    Newton's reach of a zero of Delta.
+    """
+    grid = g.grid
+    n, h = grid.n_intervals, grid.step
+    re0, re1, im0, im1 = rect
+    reach = max(abs(re0), abs(re1))
+    s = max((d for d in range(2, n + 1)
+             if n % d == 0 and d * h * reach <= CANDIDATE_PHASE_STEP), default=1)
+    coef = trapezoid_weights(n // s + 1, s * h) * g.g.values[-1, ::s]
+    coef[-1] += 1.0                                  # the carrier Q^(N/s)
+    q = np.roots(coef[::-1])
+    lam = 1j * np.log(q[q != 0]) / (s * h)
+    inside = (re0 <= lam.real) & (lam.real <= re1) & (im0 <= lam.imag) & (lam.imag <= im1)
+    return lam[inside]
+
+
+def _batched_newton(f, z, opts: SpectrumOptions):
+    """Newton's method from every start in z at once.
+
+    Each step makes one call of f and one of f.deriv for all entries still
+    moving. An entry freezes once its step is below newton_tol (1 + |z|), as
+    in _newton_polish, or once it turns non-finite. Returns (roots,
+    converged, steps).
+    """
+    z = np.array(z, dtype=complex)
+    moving = np.ones(z.shape, dtype=bool)
+    converged = np.zeros(z.shape, dtype=bool)
+    steps = 0
+    with np.errstate(all="ignore"):
+        while moving.any() and steps < opts.newton_max_iter:
+            idx = np.flatnonzero(moving)
+            step = f(z[idx]) / f.deriv(z[idx])
+            steps += 1
+            z[idx] -= step
+            done = np.abs(step) < opts.newton_tol * (1.0 + np.abs(z[idx]))
+            converged[idx[done]] = True
+            moving[idx[done | ~np.isfinite(z[idx])]] = False
+    return z, converged, steps
+
+
+def _companion_roots(f: DeltaEvaluator, rect0, wind0, opts, residual_tol):
+    """Zeros in rect0 from companion candidates, or None if uncertified.
+
+    The candidates of the window grown by CANDIDATE_MARGIN go through one
+    batched Newton on f. Converged roots closer than cell_size are merged;
+    those inside rect0 with a residual within residual_tol are verified
+    zeros. Their number must equal the winding number wind0 of the
+    boundary: distinct zeros whose count matches the total multiplicity are
+    all simple, and none is missing. Returns (eigenvalues or None,
+    candidates, Newton steps).
+    """
+    re0, re1, im0, im1 = rect0
+    grown = (re0 - CANDIDATE_MARGIN, re1 + CANDIDATE_MARGIN,
+             im0 - CANDIDATE_MARGIN, im1 + CANDIDATE_MARGIN)
+    cand = _companion_candidates(f.g, grown)
+    z, converged, steps = _batched_newton(f, cand, opts)
+    if not converged.all():
+        return None, cand.size, steps
+    roots: list[complex] = []
+    for r in sorted(z.tolist(), key=lambda v: (v.real, v.imag)):
+        if re0 <= r.real <= re1 and im0 <= r.imag <= im1 and all(
+            abs(r - k) >= opts.cell_size for k in roots
+        ):
+            roots.append(r)
+    resid = np.abs(f(np.array(roots, dtype=complex)))
+    found = [
+        Eigenvalue(value=r, multiplicity=1, residual=float(e))
+        for r, e in zip(roots, resid)
+        if e <= residual_tol
+    ]
+    return (found if len(found) == wind0 else None), cand.size, steps
+
+
+def find_spectrum(
+    g,
+    window: SearchWindow,
+    opts: SpectrumOptions = SpectrumOptions(),
+) -> Spectrum:
+    """Locate all zeros of Delta inside the window, counted with multiplicity.
+
+    The argument principle certifies the result: the winding number of
+    Delta on the window boundary is the total multiplicity inside. With G
+    at hand (a TransformKernel or a DeltaEvaluator) the zeros of a strided
+    Delta polynomial, from its companion matrix, are polished by one
+    batched Newton on the evaluator; when the distinct converged zeros
+    inside the window match the winding number they are the spectrum, all
+    simple. Otherwise, and for any evaluator exposing only
+    __call__(lam_array) and deriv(lam), the window is subdivided by the
+    argument principle (see _subdivide). Spectrum.stats records which path
+    answered.
+    """
+    f = DeltaEvaluator(g) if isinstance(g, TransformKernel) else g
+    rect0 = (window.re_min, window.re_max, window.im_min, window.im_max)
+
+    # boundary-magnitude guard, relative to the outer boundary scale; the
+    # winding number reuses these samples
+    vals0 = f(_rect_boundary(rect0, opts.initial_edge_samples))
+    boundary_max = float(np.abs(vals0).max())
+    guard = opts.boundary_rel_tol * boundary_max
+    wind0 = _winding_number(f, rect0, opts, guard, vals=vals0)
+    residual_tol = (
+        opts.residual_tol if opts.residual_tol is not None else 1e-10 * boundary_max
+    )
+
+    found, candidates, steps = None, 0, 0
+    if isinstance(f, DeltaEvaluator):
+        found, candidates, steps = _companion_roots(f, rect0, wind0, opts, residual_tol)
+    path = "companion" if found is not None else "subdivision"
+    if found is None:
+        found, more = _subdivide(f, rect0, wind0, opts, guard, residual_tol)
+        steps += more
 
     found.sort(key=lambda ev: (ev.value.real, ev.value.imag))
     total = sum(ev.multiplicity for ev in found)
@@ -440,4 +582,5 @@ def find_spectrum(
         raise PhaseTrackingError(
             f"located multiplicities sum to {total}, window winding is {wind0}"
         )
-    return Spectrum(eigenvalues=tuple(found), window=window, total_count=total)
+    return Spectrum(eigenvalues=tuple(found), window=window, total_count=total,
+                    stats=SearchStats(path, candidates, steps))

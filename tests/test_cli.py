@@ -125,6 +125,32 @@ class TestSpectrum:
             blobs.append((out / "spectrum.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_search_stats_written(self, workdir, monkeypatch):
+        calls = []
+        delta = idospec.spectral.char_delta_deriv
+
+        def recording(g, lam, order=0, g_fine=None):
+            calls.append((order, np.size(lam)))
+            return delta(g, lam, order, g_fine)
+
+        monkeypatch.setattr(idospec.spectral, "char_delta_deriv", recording)
+        cfg = write_config(workdir / "spec_stats.json", {
+            "grid_n": 60,
+            "kernel": CONST_KERNEL,
+            "window": {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5},
+            "extrapolate": True,
+        })
+        out = workdir / "spec_stats_out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        data = json.loads((out / "spectrum.json").read_text())
+        steps = [size for order, size in calls if order == 1]
+        assert data["search"] == {
+            "path": "companion", "candidates": steps[0], "newton_steps": len(steps),
+        }
+        assert steps[0] >= data["total_count"] > 0
+        assert data["deriv_evals"] == sum(steps)
+        assert data["delta_evals"] == sum(size for order, size in calls if order == 0)
+
     def test_heatmap_written(self, workdir):
         cfg = write_config(workdir / "spec_hm.json", {
             "grid_n": 40,
@@ -363,14 +389,15 @@ class TestInvert:
 
 
 class TestVerify:
+    KERNEL = {
+        "m0": {"kind": "analytic", "family": "constant", "coeffs": [0.05]},
+        "r": {"kind": "analytic", "family": "constant", "coeffs": [1.0]},
+        "p": {"kind": "analytic", "family": "trig", "coeffs": [[0.3, 1.0, 0.0]]},
+        "p_tilde": {"kind": "analytic", "family": "constant", "coeffs": [0.2]},
+    }
+
     def test_report_residuals_and_order(self, workdir):
-        cfg = write_config(workdir / "ver_cfg.json", {
-            "grid_n": 50,
-            "m0": {"kind": "analytic", "family": "constant", "coeffs": [0.05]},
-            "r": {"kind": "analytic", "family": "constant", "coeffs": [1.0]},
-            "p": {"kind": "analytic", "family": "trig", "coeffs": [[0.3, 1.0, 0.0]]},
-            "p_tilde": {"kind": "analytic", "family": "constant", "coeffs": [0.2]},
-        })
+        cfg = write_config(workdir / "ver_cfg.json", {"grid_n": 50, **self.KERNEL})
         out = workdir / "ver_out"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "verify_report.json").read_text())
@@ -398,15 +425,31 @@ class TestVerify:
                 monkeypatch.setattr(module, "eval_e_direct", counting)
         cfg = write_config(workdir / f"ver_marches_{count}.json", {
             "grid_n": 20,
-            "m0": {"kind": "analytic", "family": "constant", "coeffs": [0.05]},
-            "r": {"kind": "analytic", "family": "constant", "coeffs": [1.0]},
-            "p": {"kind": "analytic", "family": "trig", "coeffs": [[0.3, 1.0, 0.0]]},
-            "p_tilde": {"kind": "analytic", "family": "constant", "coeffs": [0.2]},
+            **self.KERNEL,
             "lambdas": [[0.5 * k, -0.1] for k in range(count)],
         })
         out = workdir / f"ver_marches_out_{count}"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert sorted(marches) == [20] * 3 + [40] * 3
+
+    def test_picard_budget_exhausted(self, workdir):
+        cfg = write_config(workdir / "ver_terms.json", {"grid_n": 8, "max_terms": 1, **self.KERNEL})
+        out = workdir / "ver_terms_out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+
+    def test_picard_settings_reach_every_g_build(self, workdir, monkeypatch):
+        settings = []
+        build = idospec.cli.compute_g
+        monkeypatch.setattr(
+            idospec.cli, "compute_g", lambda m, **k: settings.append(k) or build(m, **k)
+        )
+        cfg = write_config(workdir / "ver_picard.json", {
+            "grid_n": 8, "max_terms": 45, "picard_tol": 1e-11, **self.KERNEL,
+        })
+        out = workdir / "ver_picard_out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        # G, the reflected kernel's G and G~ on each of the two grids
+        assert settings == [{"tol": 1e-11, "max_terms": 45}] * 6
 
 
 class TestConfigErrors:
@@ -455,6 +498,10 @@ class TestConfigErrors:
         ("invert", {"d": 4, "init": [0.0, 0.0, 0.0]}, "init"),
         ("spectrum", {"opts": {"cell_size": "small"}}, "cell_size"),
         ("invert", {"opts": {"max_iter": True}}, "max_iter"),
+        ("verify", {"lambdas": []}, "lambdas"),
+        ("forward", {"lambdas": [[1.0]]}, "lambdas"),
+        ("forward", {"lambdas": "0.5"}, "lambdas"),
+        ("verify", {"lambdas": [[0.5, True]]}, "lambdas"),
     ])
     def test_wrong_type_refused_before_any_build(
         self, workdir, monkeypatch, capsys, command, extra, key
@@ -464,7 +511,7 @@ class TestConfigErrors:
             monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1))
         cfg = {"grid_n": 16, "kernel": CONST_KERNEL, "window": self.WINDOW,
                "target": str(workdir / "no_target.json"), **extra}
-        name = f"cfg_type_{command}_{key}_{len(extra)}"
+        name = f"cfg_type_{command}_{key}_{len(extra)}_{len(str(extra))}"
         path = write_config(workdir / f"{name}.json", cfg)
         assert main([command, "--config", path, "--out", str(workdir / name)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err

@@ -501,6 +501,76 @@ class TestSyntheticSearch:
         assert sum(np.array_equal(b, outer) for b in batches) == 1
 
 
+class GOnly:
+    """Delta and Delta' of a DeltaEvaluator without access to its G, so
+    find_spectrum has no companion candidates and subdivides."""
+
+    def __init__(self, ev):
+        self.ev = ev
+
+    def __call__(self, lam):
+        return self.ev(lam)
+
+    def deriv(self, lam):
+        return self.ev.deriv(lam)
+
+
+def _smooth_kernel(n, coeffs):
+    """M(x, t) = sum_k a_k cos(k x + b_k t + c_k), a smooth complex kernel."""
+    def m(x, t):
+        return sum(a * np.cos(k * x + b * t + c) for k, (a, b, c) in enumerate(coeffs))
+    return TriangularField.from_function(make_grid(n), m)
+
+
+class TestCompanionCandidates:
+    WINDOW = SearchWindow(-7.3, 7.3, -4.1, 0.7)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        coeffs=st.lists(
+            st.tuples(st.complex_numbers(max_magnitude=1.0), st.floats(-1.0, 1.0),
+                      st.floats(0.0, 6.3)),
+            min_size=1, max_size=3,
+        ),
+        extrapolate=st.booleans(),
+    )
+    def test_matches_subdivision(self, coeffs, extrapolate):
+        n = 40
+        g = compute_g(_smooth_kernel(n, coeffs))
+        g_fine = compute_g(_smooth_kernel(2 * n, coeffs)) if extrapolate else None
+        try:
+            forced = find_spectrum(GOnly(DeltaEvaluator(g, g_fine)), self.WINDOW)
+        except (BoundaryNearZeroError, PhaseTrackingError):
+            return  # a zero on the window edge; no spectrum to compare
+        spec = find_spectrum(DeltaEvaluator(g, g_fine), self.WINDOW)
+        assert forced.stats.path == "subdivision" and forced.stats.candidates == 0
+        assert spec.total_count == forced.total_count
+        assert len(spec.eigenvalues) == len(forced.eigenvalues)
+        for a, b in zip(spec.eigenvalues, forced.eigenvalues):
+            assert a.multiplicity == b.multiplicity
+            assert a.newton_converged == b.newton_converged
+            assert abs(a.value - b.value) <= 1e-12
+
+    def test_double_root_falls_back(self):
+        # Delta(q) = q^(N-2) (q - a)^2 with q = exp(-i lambda h): one zero of
+        # multiplicity 2 at lambda = i log(a) / h, which no set of distinct
+        # simple zeros can certify. A coarse grid keeps |Delta| near the zero
+        # above the guard, which scales with h^2 there.
+        n, lam0 = 8, 0.3217 - 0.4123j
+        grid = make_grid(n)
+        a = np.exp(-1j * lam0 * grid.step)
+        values = np.zeros((n + 1, n + 1), dtype=complex)
+        values[-1, n - 1] = -2.0 * a / grid.step
+        values[-1, n - 2] = a * a / grid.step
+        g = TransformKernel(TriangularField(grid, values), np.zeros(1), 1, 0.0)
+        spec = find_spectrum(g, SearchWindow(-1.0, 1.3, -1.7, 0.6))
+        assert spec.stats.path == "subdivision"
+        (ev,) = spec.eigenvalues
+        assert ev.multiplicity == 2 and ev.newton_converged
+        # a double zero is located to about the square root of the rounding
+        assert abs(ev.value - 1j * np.log(a) / grid.step) < 1e-7
+
+
 class TestZDecomposition:
     def test_pointwise_vs_kernel_form(self, grid100):
         fields = mild_family_fields(grid100)
