@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import operator
 import sys
 import typing
 from pathlib import Path
@@ -81,6 +82,17 @@ _OPTIONS = {"spectrum": SpectrumOptions, "invert": RecoverOptions}
 # Numeric config keys: type and least value (grid_n's is checked by _grid_n,
 # which also sees --grid-n).
 _NUMBERS = {"grid_n": (int, None), "d": (int, 2), "mu": (float, 0.0), "max_terms": (int, 1)}
+# Range of each numeric "opts" field, as (comparison, bound): counts are at
+# least 1 (refinement rounds at least 0); tolerances, cell_size and the
+# initial damping are positive.
+_OPTION_RANGES = {
+    "cell_size": (">", 0.0), "residual_tol": (">", 0.0), "boundary_rel_tol": (">", 0.0),
+    "initial_edge_samples": (">=", 1), "max_phase_refinements": (">=", 0),
+    "newton_max_iter": (">=", 1), "newton_tol": (">", 0.0),
+    "xtol": (">", 0.0), "ftol": (">", 0.0), "max_iter": (">=", 1),
+    "lm_damping0": (">", 0.0), "max_inner": (">=", 1),
+}
+_COMPARE = {">=": operator.ge, ">": operator.gt}
 
 
 class ConfigError(ValueError):
@@ -232,11 +244,16 @@ def _is_a(value, kind) -> bool:
     return not isinstance(value, bool) and isinstance(value, kinds)
 
 
-def _check_value(key, value, kind, least=None) -> None:
-    """Refuse value, naming key, unless _is_a(value, kind) and value >= least."""
-    if not _is_a(value, kind) or (least is not None and value < least):
+def _check_value(key, value, kind, least=None, op=">=") -> None:
+    """Refuse value, naming key, unless _is_a(value, kind) and value op least.
+
+    None, where kind allows it, is in range.
+    """
+    if not _is_a(value, kind) or not (
+        least is None or value is None or _COMPARE[op](value, least)
+    ):
         name = kind.__name__ if isinstance(kind, type) else kind
-        bound = "" if least is None else f" >= {least}"
+        bound = "" if least is None else f" {op} {least}"
         raise ConfigError(f"{key} must be {name}{bound}, got {value!r}")
 
 
@@ -250,7 +267,7 @@ def _check_config(cfg, command) -> None:
 
     Runs before anything is built or allocated, so a bad value costs no G
     build. Each "opts" value must have the type of its field in the
-    command's option dataclass.
+    command's option dataclass and lie in its _OPTION_RANGES range.
     """
     _check_value("config", cfg, dict)
     for key, (kind, least) in _NUMBERS.items():
@@ -285,7 +302,8 @@ def _check_config(cfg, command) -> None:
         if unknown:
             raise ConfigError(f"unknown {cls.__name__} key(s) in opts: {', '.join(unknown)}")
         for key, value in opts.items():
-            _check_value(f"opts.{key}", value, fields[key])
+            op, least = _OPTION_RANGES[key]
+            _check_value(f"opts.{key}", value, fields[key], least, op)
 
 
 def _check_alias_free(window: SearchWindow, n: int) -> None:

@@ -13,10 +13,14 @@ is folded into the coefficients, so it is one such sum as well.
 Being a polynomial, Delta also hands its zeros over directly: sampled at a
 stride s it has degree N/s in exp(-i lambda s h), and the eigenvalues of its
 companion matrix are candidate zeros for one batched Newton on the real
-evaluator. The argument principle certifies the result: the winding number
-on the window boundary must equal the number of distinct zeros found. When
-it does not, or when an evaluator carries no G, rectangle subdivision by
-the argument principle with Newton polishing finds the zeros instead.
+evaluator. Newton end points closer than cell_size form a group. A
+converged singleton is a simple zero; any other group, such as the pair of
+a double zero, is counted by the argument principle on a small square
+around it, and a zero of multiplicity m is polished by Newton on the
+(m-1)-th derivative, where it is simple. The winding number on the window
+boundary certifies the result: the multiplicities found must add up to it,
+or the search is retried once at stride 1, where the polynomial is Delta
+itself.
 """
 
 from __future__ import annotations
@@ -81,16 +85,19 @@ class Eigenvalue:
 class SearchStats:
     """How find_spectrum found its zeros, in deterministic counts.
 
-    path is "companion" when the companion candidates passed the winding
-    certificate and "subdivision" when the search fell back to it;
-    candidates is the number of companion candidates handed to Newton (0
-    for an evaluator without G); newton_steps counts Newton steps, each one
-    call of Delta' (a batched step moves all candidates at once).
+    path is "companion" when the candidates at the chosen stride passed the
+    winding certificate and "stride1" when the retry at stride 1 did;
+    candidates is the number of companion candidates handed to Newton;
+    newton_steps counts Newton steps, each one call of Delta' (a batched
+    step moves all candidates at once); phase_refinements counts the
+    refinement rounds of every winding number taken, the window's and those
+    of the squares around groups.
     """
 
     path: str
     candidates: int
     newton_steps: int
+    phase_refinements: int
 
 
 @dataclass(frozen=True)
@@ -246,14 +253,13 @@ def char_delta_deriv(g: TransformKernel, lam, order: int = 0,
 
 @dataclass(frozen=True)
 class SpectrumOptions:
-    cell_size: float = 1e-3                    # bisection floor for winding >= 2
+    cell_size: float = 1e-3                    # grouping radius of Newton end points
     residual_tol: float | None = None          # absolute; default set from boundary scale
     boundary_rel_tol: float = 1e-9             # |Delta| guard relative to boundary max
     initial_edge_samples: int = 32             # per-edge minimum; see _rect_boundary
     max_phase_refinements: int = 14
     newton_max_iter: int = 60
     newton_tol: float = 1e-12
-    max_depth: int = 60
 
 
 def _rect_boundary(rect, min_per_edge):
@@ -280,7 +286,7 @@ class DeltaEvaluator:
     Richardson-extrapolated: the discretizations are second order with
     smooth error expansions, so (4 * fine - coarse) / 3 cancels the h^2
     term for Delta and Delta' alike. evals and deriv_evals count the lambda
-    points passed to Delta and to Delta'.
+    points passed to Delta and to its derivatives.
     """
 
     def __init__(self, g: TransformKernel, g_fine: TransformKernel | None = None):
@@ -295,9 +301,9 @@ class DeltaEvaluator:
         self.evals += np.size(lam)
         return char_delta_deriv(self.g, lam, 0, self.g_fine)
 
-    def deriv(self, lam):
+    def deriv(self, lam, order: int = 1):
         self.deriv_evals += np.size(lam)
-        return char_delta_deriv(self.g, lam, 1, self.g_fine)
+        return char_delta_deriv(self.g, lam, order, self.g_fine)
 
 
 def _check_guard(pts, vals, guard: float | None) -> None:
@@ -313,32 +319,34 @@ def _check_guard(pts, vals, guard: float | None) -> None:
 def _winding_number(f, rect, opts: SpectrumOptions, guard: float | None, vals=None):
     """Winding number of Delta along the rectangle boundary by phase tracking.
 
-    Segments with phase increments >= pi/2 are bisected until all increments
-    are safe; the summed phase must land within 0.1 * 2pi of an integer.
-    Every sampling, the first and each refinement, is checked against the
-    guard, so a path through a zero raises BoundaryNearZeroError rather than
-    failing to settle. vals, if given, are f at the path's initial samples.
-    Returns the winding number.
+    Segments with phase increments >= pi/2 are bisected, in at most
+    max_phase_refinements rounds, until all increments are safe; the summed
+    phase must land within 0.1 * 2pi of an integer. Every sampling, the
+    first and each refinement, is checked against the guard, so a path
+    through a zero raises BoundaryNearZeroError rather than failing to
+    settle. vals, if given, are f at the path's initial samples. Returns
+    the winding number and the number of refinement rounds taken.
     """
     pts = _rect_boundary(rect, opts.initial_edge_samples)
     if vals is None:
         vals = f(pts)
     _check_guard(pts, vals, guard)
-    for _ in range(opts.max_phase_refinements):
-        dphi = np.angle(vals[1:] / vals[:-1])
-        bad = np.abs(dphi) >= 0.5 * np.pi
+    rounds = 0
+    while True:
+        bad = np.abs(np.angle(vals[1:] / vals[:-1])) >= 0.5 * np.pi
         if not bad.any():
             break
+        if rounds == opts.max_phase_refinements:
+            raise PhaseTrackingError(
+                f"phase increments on rectangle {rect} did not settle below pi/2"
+            )
+        rounds += 1
         idx = np.nonzero(bad)[0]
         mid_pts = 0.5 * (pts[idx] + pts[idx + 1])
         mid_vals = f(mid_pts)
         _check_guard(mid_pts, mid_vals, guard)
         pts = np.insert(pts, idx + 1, mid_pts)
         vals = np.insert(vals, idx + 1, mid_vals)
-    else:
-        raise PhaseTrackingError(
-            f"phase increments on rectangle {rect} did not settle below pi/2"
-        )
     total = float(np.angle(vals[1:] / vals[:-1]).sum())
     wind = total / (2.0 * np.pi)
     nearest = round(wind)
@@ -346,103 +354,7 @@ def _winding_number(f, rect, opts: SpectrumOptions, guard: float | None, vals=No
         raise PhaseTrackingError(
             f"winding estimate {wind:.3f} not near an integer on rectangle {rect}"
         )
-    return int(nearest)
-
-
-def _split_rect(f, rect, opts, guard):
-    """Split the longer side, nudging the cut if it passes too close to a zero."""
-    re0, re1, im0, im1 = rect
-    vertical = (re1 - re0) >= (im1 - im0)
-    for frac in (0.5, 0.46875, 0.53125, 0.4375, 0.5625, 0.40625, 0.59375):
-        if vertical:
-            cut = re0 + frac * (re1 - re0)
-            sub_a = (re0, cut, im0, im1)
-            sub_b = (cut, re1, im0, im1)
-        else:
-            cut = im0 + frac * (im1 - im0)
-            sub_a = (re0, re1, im0, cut)
-            sub_b = (re0, re1, cut, im1)
-        try:
-            wa = _winding_number(f, sub_a, opts, guard)
-            wb = _winding_number(f, sub_b, opts, guard)
-            return (sub_a, wa), (sub_b, wb)
-        except BoundaryNearZeroError:
-            continue
-    raise BoundaryNearZeroError(complex(cut, 0.5 * (im0 + im1)), 0.0)
-
-
-def _newton_polish(f, z0: complex, mult: int, opts: SpectrumOptions, cell=None):
-    """Newton's method from z0, with the step scaled by the multiplicity mult.
-
-    Returns (root, |f(root)|, converged, steps). With a cell (re0, re1, im0,
-    im1) the attempt is abandoned, unconverged, as soon as an iterate leaves it.
-    """
-    z, steps = z0, 0
-    for steps in range(1, opts.newton_max_iter + 1):
-        fz = complex(f(np.asarray([z]))[0])
-        dz = f.deriv(z)
-        if dz == 0:
-            break
-        step = mult * fz / dz
-        z -= step
-        if cell is not None and not (
-            cell[0] <= z.real <= cell[1] and cell[2] <= z.imag <= cell[3]
-        ):
-            return z, math.inf, False, steps
-        if abs(step) < opts.newton_tol * (1.0 + abs(z)):
-            return z, abs(complex(f(np.asarray([z]))[0])), True, steps
-    return z, abs(complex(f(np.asarray([z]))[0])), False, steps
-
-
-def _subdivide(f, rect0, wind0, opts, guard, residual_tol):
-    """Zeros in rect0, of total multiplicity wind0, by recursive subdivision.
-
-    A cell of winding number 1 holds exactly one simple zero, so Newton
-    starts from its centre at once; a result that converged, never left the
-    cell and has a residual within residual_tol is that zero. Otherwise the
-    cell is split further. Cells of higher winding w are bisected down to
-    cell_size and polished by Newton modified by w, so clusters and multiple
-    roots of order w converge quadratically. Returns (eigenvalues, Newton
-    steps).
-    """
-    found: list[Eigenvalue] = []
-    steps = 0
-
-    def recurse(rect, wind, depth):
-        nonlocal steps
-        if wind == 0:
-            return
-        re0, re1, im0, im1 = rect
-        center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-        leaf = max(re1 - re0, im1 - im0) < opts.cell_size or depth >= opts.max_depth
-        if wind == 1 and not leaf:
-            root, resid, ok, k = _newton_polish(f, center, 1, opts, cell=rect)
-            steps += k
-            if ok and resid <= residual_tol:
-                found.append(Eigenvalue(value=root, multiplicity=1, residual=resid))
-                return
-        if leaf:
-            root, resid, ok, k = _newton_polish(f, center, wind, opts)
-            steps += k
-            margin = 2.0 * opts.cell_size
-            inside = (
-                re0 - margin <= root.real <= re1 + margin
-                and im0 - margin <= root.imag <= im1 + margin
-            )
-            if not ok or not inside or resid > residual_tol:
-                # keep the cell center as a cluster representative
-                root, resid, ok = (root if inside else center), resid, False
-            found.append(
-                Eigenvalue(value=root, multiplicity=wind, residual=resid,
-                           newton_converged=ok)
-            )
-            return
-        (ra, wa), (rb, wb) = _split_rect(f, rect, opts, guard)
-        recurse(ra, wa, depth + 1)
-        recurse(rb, wb, depth + 1)
-
-    recurse(rect0, wind0, 0)
-    return found, steps
+    return int(nearest), rounds
 
 
 # The candidate polynomial samples G(pi, t) exp(-i lambda t) at step s h with
@@ -453,40 +365,53 @@ CANDIDATE_PHASE_STEP = 1.3
 # so that a zero just inside an edge is not lost to the coarse polynomial's
 # error.
 CANDIDATE_MARGIN = 0.5
+# Half-width, in cell sizes, of the square that counts the zeros of a group
+# of Newton end points. Near an m-fold zero |Delta| grows like the m-th
+# power of the distance, so the square's edge must stay well clear of the
+# disc where Delta is lost in rounding; the square shrinks to half the
+# distance to the nearest end point of another group.
+CLUSTER_BOX = 10.0
 
 
-def _companion_candidates(g: TransformKernel, rect) -> np.ndarray:
-    """Zeros inside rect of Delta sampled at stride s, as lambda values.
+def _inside(z, rect):
+    """Whether z, a number or an array, lies in the closed rectangle rect."""
+    return (rect[0] <= z.real) & (z.real <= rect[1]) & (rect[2] <= z.imag) & (z.imag <= rect[3])
+
+
+def _companion_candidates(g: TransformKernel, rect, stride1: bool = False) -> np.ndarray:
+    """Zeros inside rect of Delta sampled at a stride s, as lambda values.
 
     On the nodes 0, s, 2s, ..., N with the trapezoid weights of step s h,
     Delta is a polynomial of degree N/s in Q = exp(-i lambda s h), and its
     constant term w_0 G[N, 0] is zero. np.roots takes its roots from the
-    companion matrix; lambda = i log(Q) / (s h) maps them back. s is the
-    largest divisor of N with s h R <= CANDIDATE_PHASE_STEP: the eigensolve
-    costs O((N/s)^3), and each zero of the coarser sum still lies within
-    Newton's reach of a zero of Delta.
+    companion matrix; lambda = i log(Q) / (s h) maps them back. s is 1 with
+    stride1, where the polynomial is Delta itself, and otherwise the largest
+    divisor of N with s h R <= CANDIDATE_PHASE_STEP, R the largest
+    |Re lambda| in rect: the eigensolve costs O((N/s)^3), and each zero of
+    the coarser sum still lies within Newton's reach of a zero of Delta.
     """
     grid = g.grid
     n, h = grid.n_intervals, grid.step
-    re0, re1, im0, im1 = rect
-    reach = max(abs(re0), abs(re1))
-    s = max((d for d in range(2, n + 1)
-             if n % d == 0 and d * h * reach <= CANDIDATE_PHASE_STEP), default=1)
+    reach = max(abs(rect[0]), abs(rect[1]))
+    s = 1 if stride1 else max((d for d in range(2, n + 1)
+                               if n % d == 0 and d * h * reach <= CANDIDATE_PHASE_STEP), default=1)
     coef = trapezoid_weights(n // s + 1, s * h) * g.g.values[-1, ::s]
     coef[-1] += 1.0                                  # the carrier Q^(N/s)
     q = np.roots(coef[::-1])
     lam = 1j * np.log(q[q != 0]) / (s * h)
-    inside = (re0 <= lam.real) & (lam.real <= re1) & (im0 <= lam.imag) & (lam.imag <= im1)
-    return lam[inside]
+    return lam[_inside(lam, rect)]
 
 
-def _batched_newton(f, z, opts: SpectrumOptions):
-    """Newton's method from every start in z at once.
+def _batched_newton(f, z, opts: SpectrumOptions, order: int = 0):
+    """Newton's method on the order-th derivative of f, from every start in z.
 
-    Each step makes one call of f and one of f.deriv for all entries still
-    moving. An entry freezes once its step is below newton_tol (1 + |z|), as
-    in _newton_polish, or once it turns non-finite. Returns (roots,
-    converged, steps).
+    A zero of f of multiplicity m is a simple zero of its (m-1)-th
+    derivative, where Newton converges quadratically and as far as the
+    rounding allows; the step m f / f' stalls at about the square root of
+    the rounding instead. Each step makes one call of f (or f.deriv at
+    order) and one of f.deriv at order + 1 for all entries still moving. An
+    entry freezes once its step is below newton_tol (1 + |z|), or once it
+    turns non-finite. Returns (roots, converged, steps).
     """
     z = np.array(z, dtype=complex)
     moving = np.ones(z.shape, dtype=bool)
@@ -495,7 +420,8 @@ def _batched_newton(f, z, opts: SpectrumOptions):
     with np.errstate(all="ignore"):
         while moving.any() and steps < opts.newton_max_iter:
             idx = np.flatnonzero(moving)
-            step = f(z[idx]) / f.deriv(z[idx])
+            top = f(z[idx]) if order == 0 else f.deriv(z[idx], order)
+            step = top / f.deriv(z[idx], order + 1)
             steps += 1
             z[idx] -= step
             done = np.abs(step) < opts.newton_tol * (1.0 + np.abs(z[idx]))
@@ -504,37 +430,75 @@ def _batched_newton(f, z, opts: SpectrumOptions):
     return z, converged, steps
 
 
-def _companion_roots(f: DeltaEvaluator, rect0, wind0, opts, residual_tol):
-    """Zeros in rect0 from companion candidates, or None if uncertified.
+def _box_distance(z, c):
+    """Distance in the max norm of Re and Im from z, a number or an array, to c."""
+    return np.maximum(np.abs(z.real - c.real), np.abs(z.imag - c.imag))
+
+
+def _groups(z: np.ndarray, radius: float) -> list:
+    """Index arrays of the chains of points of z closer than radius in turn."""
+    near = np.abs(z[:, None] - z) < radius
+    label = np.arange(z.size)
+    while True:                      # each point takes the least label of its neighbours
+        least = np.where(near, label, z.size).min(axis=1, initial=z.size)
+        if np.array_equal(least, label):
+            return [np.flatnonzero(label == k) for k in np.unique(label)]
+        label = least
+
+
+def _companion_roots(f: DeltaEvaluator, rect0, wind0, stride1, opts, residual_tol):
+    """Zeros in rect0 from the companion candidates, or None.
 
     The candidates of the window grown by CANDIDATE_MARGIN go through one
-    batched Newton on f. Converged roots closer than cell_size are merged;
-    those inside rect0 with a residual within residual_tol are verified
-    zeros. Their number must equal the winding number wind0 of the
-    boundary: distinct zeros whose count matches the total multiplicity are
-    all simple, and none is missing. Returns (eigenvalues or None,
-    candidates, Newton steps).
+    batched Newton on f, and its finite end points, converged or not, are
+    grouped within cell_size (see _groups). A converged singleton
+    is a simple zero, unless stride1 is set. Any other group inside rect0
+    (the pair of a double zero, which simple Newton steps approach only
+    linearly, or the end point of a zero Newton could not settle on) takes
+    its multiplicity from the winding number on a square around its mean
+    that holds no end point of another group (see CLUSTER_BOX). The square
+    needs no guard: the phase refinement resolves a zero near its edge or
+    fails. A group that winds 0, or whose square cannot be drawn or
+    counted, is dropped; one of multiplicity m is polished from its mean by
+    Newton on Delta^(m-1). It reports the last iterate, or the mean if the
+    polish left the square, and is flagged unconverged unless the polish
+    converged inside it. Zeros inside rect0 with a residual within
+    residual_tol stand if their multiplicities sum to the winding number
+    wind0 of the window. Returns (eigenvalues or None, (candidates, Newton
+    steps, phase refinement rounds)).
     """
     re0, re1, im0, im1 = rect0
-    grown = (re0 - CANDIDATE_MARGIN, re1 + CANDIDATE_MARGIN,
-             im0 - CANDIDATE_MARGIN, im1 + CANDIDATE_MARGIN)
-    cand = _companion_candidates(f.g, grown)
+    grow = CANDIDATE_MARGIN
+    cand = _companion_candidates(f.g, (re0 - grow, re1 + grow, im0 - grow, im1 + grow), stride1)
     z, converged, steps = _batched_newton(f, cand, opts)
-    if not converged.all():
-        return None, cand.size, steps
-    roots: list[complex] = []
-    for r in sorted(z.tolist(), key=lambda v: (v.real, v.imag)):
-        if re0 <= r.real <= re1 and im0 <= r.imag <= im1 and all(
-            abs(r - k) >= opts.cell_size for k in roots
-        ):
-            roots.append(r)
-    resid = np.abs(f(np.array(roots, dtype=complex)))
-    found = [
-        Eigenvalue(value=r, multiplicity=1, residual=float(e))
-        for r, e in zip(roots, resid)
-        if e <= residual_tol
-    ]
-    return (found if len(found) == wind0 else None), cand.size, steps
+    z, converged = z[np.isfinite(z)], converged[np.isfinite(z)]
+    found, rounds = [], 0            # found: (root, multiplicity, converged)
+    for members in _groups(z, opts.cell_size):
+        mean = z[members].mean()
+        if members.size == 1 and converged[members[0]] and not stride1:
+            found.append((mean, 1, True))
+            continue
+        half = min(CLUSTER_BOX * opts.cell_size,
+                   0.5 * _box_distance(np.delete(z, members), mean).min(initial=np.inf))
+        if not _inside(mean, rect0) or _box_distance(z[members], mean).max() >= half:
+            continue
+        box = (mean.real - half, mean.real + half, mean.imag - half, mean.imag + half)
+        try:
+            mult, more = _winding_number(f, box, opts, None)
+        except PhaseTrackingError:
+            continue
+        rounds += more
+        if mult:
+            (root,), (ok,), more = _batched_newton(f, [mean], opts, mult - 1)
+            steps += more
+            held = _box_distance(root, mean) < half
+            found.append((root if held else mean, mult, bool(held and ok)))
+    found = [v for v in found if _inside(v[0], rect0)]
+    resid = np.abs(f(np.array([v[0] for v in found], dtype=complex)))
+    eigs = [Eigenvalue(complex(r), m, float(e), ok)
+            for (r, m, ok), e in zip(found, resid) if e <= residual_tol]
+    certified = sum(ev.multiplicity for ev in eigs) == wind0
+    return (eigs if certified else None), (cand.size, steps, rounds)
 
 
 def find_spectrum(
@@ -544,18 +508,20 @@ def find_spectrum(
 ) -> Spectrum:
     """Locate all zeros of Delta inside the window, counted with multiplicity.
 
-    The argument principle certifies the result: the winding number of
-    Delta on the window boundary is the total multiplicity inside. With G
-    at hand (a TransformKernel or a DeltaEvaluator) the zeros of a strided
-    Delta polynomial, from its companion matrix, are polished by one
-    batched Newton on the evaluator; when the distinct converged zeros
-    inside the window match the winding number they are the spectrum, all
-    simple. Otherwise, and for any evaluator exposing only
-    __call__(lam_array) and deriv(lam), the window is subdivided by the
-    argument principle (see _subdivide). Spectrum.stats records which path
-    answered.
+    g is a TransformKernel or a DeltaEvaluator. The argument principle
+    certifies the result: the winding number of Delta on the window
+    boundary is the total multiplicity inside, and the zeros that the
+    companion candidates lead to (see _companion_roots) must add up to it.
+    If they do not at the chosen stride, the search is retried once at
+    stride 1, where the candidate polynomial is Delta itself, and counts
+    every group on its square, converged singletons too: Newton started on
+    a double zero can settle there as on a simple one while its partner
+    flies off. If that fails too, PhaseTrackingError names the window.
+    Spectrum.stats records which pass answered.
     """
     f = DeltaEvaluator(g) if isinstance(g, TransformKernel) else g
+    if not isinstance(f, DeltaEvaluator):
+        raise TypeError(f"find_spectrum needs a TransformKernel or a DeltaEvaluator, got {g!r}")
     rect0 = (window.re_min, window.re_max, window.im_min, window.im_max)
 
     # boundary-magnitude guard, relative to the outer boundary scale; the
@@ -563,24 +529,21 @@ def find_spectrum(
     vals0 = f(_rect_boundary(rect0, opts.initial_edge_samples))
     boundary_max = float(np.abs(vals0).max())
     guard = opts.boundary_rel_tol * boundary_max
-    wind0 = _winding_number(f, rect0, opts, guard, vals=vals0)
+    wind0, refinements = _winding_number(f, rect0, opts, guard, vals=vals0)
     residual_tol = (
         opts.residual_tol if opts.residual_tol is not None else 1e-10 * boundary_max
     )
 
-    found, candidates, steps = None, 0, 0
-    if isinstance(f, DeltaEvaluator):
-        found, candidates, steps = _companion_roots(f, rect0, wind0, opts, residual_tol)
-    path = "companion" if found is not None else "subdivision"
-    if found is None:
-        found, more = _subdivide(f, rect0, wind0, opts, guard, residual_tol)
-        steps += more
-
-    found.sort(key=lambda ev: (ev.value.real, ev.value.imag))
-    total = sum(ev.multiplicity for ev in found)
-    if total != wind0:
+    counts = np.array([0, 0, refinements])          # candidates, Newton steps, rounds
+    for path, stride1 in (("companion", False), ("stride1", True)):
+        found, more = _companion_roots(f, rect0, wind0, stride1, opts, residual_tol)
+        counts += more
+        if found is not None:
+            break
+    else:
         raise PhaseTrackingError(
-            f"located multiplicities sum to {total}, window winding is {wind0}"
+            f"the zeros found in window {rect0} do not add up to its winding number {wind0}"
         )
-    return Spectrum(eigenvalues=tuple(found), window=window, total_count=total,
-                    stats=SearchStats(path, candidates, steps))
+    found.sort(key=lambda ev: (ev.value.real, ev.value.imag))
+    return Spectrum(eigenvalues=tuple(found), window=window, total_count=wind0,
+                    stats=SearchStats(path, *(int(c) for c in counts)))

@@ -11,16 +11,30 @@ char_delta_direct is the tail-row sum of Delta with one exponential per node,
 the reference for the package's blocked polynomial evaluation. The
 remaining oracles do use the package: fd_jacobian differentiates the
 inversion residual by forward differences, the reference for its analytic
-Jacobian, and find_spectrum_reflected searches the spectrum of the
-reflected kernel, which must match the direct one.
+Jacobian, find_spectrum_reflected searches the spectrum of the reflected
+kernel, which must match the direct one, and find_spectrum_subdivision
+finds the zeros of Delta by recursive subdivision of the window, the
+reference for the package's companion-matrix search.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from idospec.quadrature import trapezoid_weights
-from idospec.spectral import SearchWindow, Spectrum, SpectrumOptions, find_spectrum
+from idospec.spectral import (
+    BoundaryNearZeroError,
+    Eigenvalue,
+    PhaseTrackingError,
+    SearchWindow,
+    Spectrum,
+    SpectrumOptions,
+    _rect_boundary,
+    _winding_number,
+    find_spectrum,
+)
 from idospec.transform import compute_g, reflected_kernel
 
 PI = np.pi
@@ -138,3 +152,107 @@ def find_spectrum_reflected(
 ) -> Spectrum:
     """Spectrum of the reflected kernel; equals that of m up to discretization."""
     return find_spectrum(compute_g(reflected_kernel(m), tol=tol), window, opts)
+
+
+def _split_rect(f, rect, opts, guard):
+    """Split the longer side, nudging the cut if it passes too close to a zero."""
+    re0, re1, im0, im1 = rect
+    vertical = (re1 - re0) >= (im1 - im0)
+    for frac in (0.5, 0.46875, 0.53125, 0.4375, 0.5625, 0.40625, 0.59375):
+        if vertical:
+            cut = re0 + frac * (re1 - re0)
+            sub_a, sub_b = (re0, cut, im0, im1), (cut, re1, im0, im1)
+        else:
+            cut = im0 + frac * (im1 - im0)
+            sub_a, sub_b = (re0, re1, im0, cut), (re0, re1, cut, im1)
+        try:
+            wa = _winding_number(f, sub_a, opts, guard)[0]
+            wb = _winding_number(f, sub_b, opts, guard)[0]
+            return (sub_a, wa), (sub_b, wb)
+        except BoundaryNearZeroError:
+            continue
+    raise BoundaryNearZeroError(complex(0.5 * (re0 + re1), 0.5 * (im0 + im1)), 0.0)
+
+
+def _newton_polish(f, z0: complex, mult: int, opts: SpectrumOptions, cell=None):
+    """Newton's method from z0, with the step scaled by the multiplicity mult.
+
+    Returns (root, |f(root)|, converged). With a cell (re0, re1, im0, im1)
+    the attempt is abandoned, unconverged, as soon as an iterate leaves it.
+    """
+    z = z0
+    for _ in range(opts.newton_max_iter):
+        fz = complex(f(np.asarray([z]))[0])
+        dz = f.deriv(z)
+        if dz == 0:
+            break
+        step = mult * fz / dz
+        z -= step
+        if cell is not None and not (
+            cell[0] <= z.real <= cell[1] and cell[2] <= z.imag <= cell[3]
+        ):
+            return z, math.inf, False
+        if abs(step) < opts.newton_tol * (1.0 + abs(z)):
+            return z, abs(complex(f(np.asarray([z]))[0])), True
+    return z, abs(complex(f(np.asarray([z]))[0])), False
+
+
+def find_spectrum_subdivision(
+    f, window: SearchWindow, opts: SpectrumOptions = SpectrumOptions(), max_depth: int = 60,
+) -> Spectrum:
+    """Zeros of f in the window by recursive subdivision with the argument principle.
+
+    f needs only __call__(lam_array) and deriv(lam). The window's winding
+    number is the total multiplicity inside. A cell of winding number 1
+    holds exactly one simple zero, so Newton starts from its centre at once;
+    a result that converged, never left the cell and has a residual within
+    residual_tol is that zero, and otherwise the cell is split further.
+    Cells of higher winding w are bisected down to cell_size (or max_depth
+    splits) and polished by Newton modified by w; a leaf whose polish fails
+    is kept at its centre, flagged unconverged. The multiplicities found
+    must add up to the window's winding number.
+    """
+    rect0 = (window.re_min, window.re_max, window.im_min, window.im_max)
+    vals0 = f(_rect_boundary(rect0, opts.initial_edge_samples))
+    boundary_max = float(np.abs(vals0).max())
+    guard = opts.boundary_rel_tol * boundary_max
+    wind0 = _winding_number(f, rect0, opts, guard, vals=vals0)[0]
+    residual_tol = (
+        opts.residual_tol if opts.residual_tol is not None else 1e-10 * boundary_max
+    )
+    found: list[Eigenvalue] = []
+
+    def recurse(rect, wind, depth):
+        if wind == 0:
+            return
+        re0, re1, im0, im1 = rect
+        center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
+        leaf = max(re1 - re0, im1 - im0) < opts.cell_size or depth >= max_depth
+        if wind == 1 and not leaf:
+            root, resid, ok = _newton_polish(f, center, 1, opts, cell=rect)
+            if ok and resid <= residual_tol:
+                found.append(Eigenvalue(value=root, multiplicity=1, residual=resid))
+                return
+        if leaf:
+            root, resid, ok = _newton_polish(f, center, wind, opts)
+            margin = 2.0 * opts.cell_size
+            inside = (
+                re0 - margin <= root.real <= re1 + margin
+                and im0 - margin <= root.imag <= im1 + margin
+            )
+            if not ok or not inside or resid > residual_tol:
+                root, ok = (root if inside else center), False
+            found.append(
+                Eigenvalue(value=root, multiplicity=wind, residual=resid, newton_converged=ok)
+            )
+            return
+        (ra, wa), (rb, wb) = _split_rect(f, rect, opts, guard)
+        recurse(ra, wa, depth + 1)
+        recurse(rb, wb, depth + 1)
+
+    recurse(rect0, wind0, 0)
+    total = sum(ev.multiplicity for ev in found)
+    if total != wind0:
+        raise PhaseTrackingError(f"located multiplicities sum to {total}, window winding is {wind0}")
+    found.sort(key=lambda ev: (ev.value.real, ev.value.imag))
+    return Spectrum(eigenvalues=tuple(found), window=window, total_count=total)

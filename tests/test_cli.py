@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -18,6 +19,8 @@ from idospec.cli import (
     EXIT_OK,
     EXIT_WEIGHT,
     MAX_HEATMAP_POINTS,
+    _OPTION_RANGES,
+    _OPTIONS,
     main,
 )
 
@@ -134,19 +137,26 @@ class TestSpectrum:
             return delta(g, lam, order, g_fine)
 
         monkeypatch.setattr(idospec.spectral, "char_delta_deriv", recording)
+        # the top edge passes 0.05 above the zero near -2.545 - 1.3225i, so
+        # the phase along it needs refining
         cfg = write_config(workdir / "spec_stats.json", {
             "grid_n": 60,
             "kernel": CONST_KERNEL,
-            "window": {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5},
+            "window": {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": -1.27},
             "extrapolate": True,
         })
         out = workdir / "spec_stats_out"
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
         data = json.loads((out / "spectrum.json").read_text())
         steps = [size for order, size in calls if order == 1]
+        # Delta is called on the window boundary, once per phase refinement
+        # round, once per Newton step and once for the residuals
+        rounds = sum(order == 0 for order, _ in calls) - len(steps) - 2
         assert data["search"] == {
             "path": "companion", "candidates": steps[0], "newton_steps": len(steps),
+            "phase_refinements": rounds,
         }
+        assert rounds > 0
         assert steps[0] >= data["total_count"] > 0
         assert data["deriv_evals"] == sum(steps)
         assert data["delta_evals"] == sum(size for order, size in calls if order == 0)
@@ -231,6 +241,17 @@ class TestSpectrum:
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert "cell_sise" in capsys.readouterr().err
         assert not (out / "spectrum.json").exists()
+
+    def test_max_depth_is_gone(self, workdir, capsys):
+        cfg = write_config(workdir / "spec_depth.json", {
+            "grid_n": 16,
+            "kernel": CONST_KERNEL,
+            "window": {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5},
+            "opts": {"max_depth": 60},
+        })
+        out = workdir / "spec_depth_out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "max_depth" in capsys.readouterr().err
 
     def test_options_must_be_an_object(self, workdir):
         cfg = write_config(workdir / "spec_listopt.json", {
@@ -516,6 +537,38 @@ class TestConfigErrors:
         assert main([command, "--config", path, "--out", str(workdir / name)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
         assert not builds
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("spectrum", "cell_size", -1.0),
+        ("spectrum", "residual_tol", 0.0),
+        ("spectrum", "boundary_rel_tol", 0),
+        ("spectrum", "initial_edge_samples", 0),
+        ("spectrum", "max_phase_refinements", -1),
+        ("spectrum", "newton_max_iter", 0),
+        ("spectrum", "newton_tol", -1e-12),
+        ("invert", "xtol", 0.0),
+        ("invert", "ftol", -1.0),
+        ("invert", "max_iter", 0),
+        ("invert", "lm_damping0", 0.0),
+        ("invert", "max_inner", 0),
+    ])
+    def test_option_out_of_range_refused_before_any_build(
+        self, workdir, monkeypatch, capsys, command, key, value
+    ):
+        builds = []
+        for module in (idospec.cli, idospec.inverse):
+            monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1))
+        cfg = {"grid_n": 16, "kernel": CONST_KERNEL, "window": self.WINDOW,
+               "target": str(workdir / "no_target.json"), "opts": {key: value}}
+        path = write_config(workdir / f"cfg_range_{key}.json", cfg)
+        out = workdir / f"cfg_range_{key}_out"
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert f"opts.{key}" in capsys.readouterr().err
+        assert not builds
+
+    def test_every_option_has_a_range(self):
+        names = {f.name for cls in _OPTIONS.values() for f in dataclasses.fields(cls)}
+        assert names == set(_OPTION_RANGES)
 
     @pytest.mark.parametrize("command, extra, argv, key", [
         ("forward", {"grid_n": 10**6}, [], "grid_n"),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from idospec.quadrature import PI, TriangularField, make_grid
 from idospec.transform import TransformKernel, compute_g
@@ -11,6 +11,7 @@ from idospec.spectral import (
     SearchWindow,
     SpectrumOptions,
     _rect_boundary,
+    _winding_number,
     char_delta,
     char_delta_deriv,
     eval_e_direct,
@@ -28,6 +29,7 @@ from oracles import (
     constant_kernel_delta,
     constant_kernel_e,
     find_spectrum_reflected,
+    find_spectrum_subdivision,
     oracle_roots_in_window,
 )
 
@@ -267,6 +269,36 @@ class TestDeltaEvaluator:
         assert ev.deriv_evals == self.LAMS.size
 
 
+def planted_kernel(n, roots):
+    """A TransformKernel on n intervals with Delta = q^(N-k) prod (q - q_r).
+
+    q = exp(-i lambda h) and q_r = exp(-i r h) for the k roots r (repeat a
+    root for a multiple zero), so the zeros of Delta with |Re lambda| < pi/h
+    are the roots. The polynomial's lower coefficients sit on the last row
+    of G over its interior weights h; the rest of G stays zero.
+    """
+    grid = make_grid(n)
+    coef = np.poly(np.exp(-1j * grid.step * np.asarray(roots, dtype=complex)))[::-1]
+    values = np.zeros((n + 1, n + 1), dtype=complex)
+    values[-1, n - len(roots):n] = coef[:-1] / grid.step
+    return TransformKernel(TriangularField(grid, values), np.zeros(1), 1, 0.0)
+
+
+def _rounding(g, root, order):
+    """Rounding of the sum for Delta^(order) at root: eps times its terms' magnitudes."""
+    return np.finfo(float).eps * char_delta_direct(g, root, order)[1][0]
+
+
+def _attainable_error(g, root, order):
+    """How far Newton on Delta^(order) may end from its simple zero root.
+
+    That is a few hundred times the rounding of Delta^(order) over
+    |Delta^(order+1)|. Planted roots all map to q near 1, so a pair 0.01
+    apart at N = 40 makes this about 1e-9.
+    """
+    return 300 * _rounding(g, root, order) / abs(char_delta_deriv(g, root, order + 1))
+
+
 def _random_tail_kernel(n, rng):
     """A TransformKernel on n intervals whose last row is random (G[N, 0] = 0).
 
@@ -423,96 +455,81 @@ class TestConstantKernelProperty:
         ev = DeltaEvaluator(g_const_200)
         spec = find_spectrum(ev, SearchWindow(*WIDE))
         assert spec.total_count == 18
-        # bisecting every root cell down to cell_size costs about 120k points
+        # the subdivision oracle, bisecting every root cell down to
+        # cell_size, costs about 120k points
         assert ev.evals < 30_000
 
 
-class PolyExp:
-    """p(lambda) exp(a lambda) with p given by its roots: an entire function
-    whose zeros and multiplicities are known exactly."""
-
-    def __init__(self, roots, a=0.3j):
-        self.roots = np.asarray(roots, dtype=complex)
-        self.a = a
-        self.evals = 0
-
-    def __call__(self, lam):
-        lam = np.asarray(lam, dtype=complex)
-        self.evals += lam.size
-        return np.prod(lam[..., None] - self.roots, axis=-1) * np.exp(self.a * lam)
-
-    def deriv(self, lam):
-        d = lam - self.roots
-        dp = sum(np.prod(np.delete(d, k)) for k in range(d.size))
-        return complex((dp + self.a * np.prod(d)) * np.exp(self.a * lam))
-
-
 class TestSyntheticSearch:
+    """Hand-built kernels whose Delta has known zeros and multiplicities."""
+
     def test_double_root(self):
         double, simple = 0.3217 - 0.4123j, -1.1 + 0.27j
-        spec = find_spectrum(PolyExp([double, double, simple]), SearchWindow(-2.0, 2.0, -1.0, 1.0))
+        g = planted_kernel(40, [double, double, simple])
+        spec = find_spectrum(g, SearchWindow(-2.0, 2.0, -1.0, 1.0))
         assert spec.total_count == 3
         (a, b) = spec.eigenvalues
         assert a.multiplicity == 1 and abs(a.value - simple) < 1e-12
         assert b.multiplicity == 2 and abs(b.value - double) < 1e-10
 
     def test_close_simple_roots(self):
+        # Delta' at either root is about h |q_1 - q_2| = 0.01 h^2, small
+        # against the rounding of Delta's sum once h is small: at N = 40 both
+        # roots are still found within 4e-12, but the Newton steps of one
+        # never drop below newton_tol. At N = 8 the pair is well conditioned.
         roots = [0.2 + 0.1j, 0.21 + 0.1j]
-        spec = find_spectrum(PolyExp(roots), SearchWindow(-1.0, 1.0, -1.0, 1.0))
+        spec = find_spectrum(planted_kernel(8, roots), SearchWindow(-1.0, 1.0, -1.0, 1.0))
         assert [ev.multiplicity for ev in spec.eigenvalues] == [1, 1]
         for ev, ref in zip(spec.eigenvalues, roots):
             assert ev.newton_converged and abs(ev.value - ref) < 1e-12
-
-    def test_escaping_newton_falls_back_to_bisection(self):
-        root = 0.4 + 0.3j
-        f = PolyExp([root], a=1.6 - 0.6j)
-        window = SearchWindow(-1.0, 1.0, -1.0, 1.0)
-        # the first Newton iterate from the window centre is 1.667j, outside
-        first = 0.0 - f(np.asarray([0j]))[0] / f.deriv(0j)
-        assert first.imag > window.im_max
-        spec = find_spectrum(f, window)
-        assert spec.total_count == 1
-        (ev,) = spec.eigenvalues
-        assert ev.multiplicity == 1 and ev.newton_converged
-        assert abs(ev.value - root) < 1e-12
-
-    def test_cut_through_a_zero_is_nudged(self):
-        # the second root keeps the cell (-1.25, -1.0, 0.0, 0.5) at winding 2,
-        # and its bisection at im = 0.25 passes through the first root; the
-        # guard must reject that cut so _split_rect tries a nudged one
-        roots = [-1.1 + 0.25j, -1.1 + 0.1j]
-        spec = find_spectrum(PolyExp(roots), SearchWindow(-2.0, 2.0, -1.0, 1.0))
-        assert spec.total_count == 2
-        found = sorted((ev.value for ev in spec.eigenvalues), key=lambda z: z.imag)
-        for got, ref in zip(found, sorted(roots, key=lambda z: z.imag)):
-            assert abs(got - ref) < 1e-12
 
     def test_outer_boundary_sampled_once(self):
         rect = (-2.0, 2.0, -1.0, 1.0)
         outer = _rect_boundary(rect, SpectrumOptions().initial_edge_samples)
         batches = []
 
-        class Recording(PolyExp):
+        class Recording(DeltaEvaluator):
             def __call__(self, lam):
                 batches.append(np.array(lam, dtype=complex))
                 return super().__call__(lam)
 
-        find_spectrum(Recording([0.3 - 0.4j, -1.1 + 0.27j]), SearchWindow(*rect))
+        g = planted_kernel(40, [0.3 - 0.4j, -1.1 + 0.27j])
+        find_spectrum(Recording(g), SearchWindow(*rect))
         assert sum(np.array_equal(b, outer) for b in batches) == 1
 
+    WINDOW = SearchWindow(-2.0, 2.0, -1.0, 1.0)
 
-class GOnly:
-    """Delta and Delta' of a DeltaEvaluator without access to its G, so
-    find_spectrum has no companion candidates and subdivides."""
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(8, 40),
+        points=st.lists(st.tuples(st.floats(-1.8, 1.8), st.floats(-0.8, 0.8)),
+                        min_size=1, max_size=5),
+    )
+    def test_planted_roots(self, n, points):
+        # points[0] is planted twice; every planted root is 0.2 inside the
+        # window and at least ten cell sizes from the others
+        roots = [complex(re, im) for re, im in points]
+        assume(all(abs(a - b) >= 10 * SpectrumOptions().cell_size
+                   for k, a in enumerate(roots) for b in roots[:k]))
+        g = planted_kernel(n, [roots[0], *roots])
+        # rounding splits a double zero by about sqrt(rounding / (|Delta''| / 2));
+        # near cell_size it cannot be told from two simple zeros
+        split = np.sqrt(2 * _rounding(g, roots[0], 0) / abs(char_delta_deriv(g, roots[0], 2)))
+        assume(split < 0.1 * SpectrumOptions().cell_size)
+        spec = find_spectrum(g, self.WINDOW)
+        assert spec.total_count == len(roots) + 1
+        assert len(spec.eigenvalues) == len(roots)
+        for ev in spec.eigenvalues:
+            dist = [abs(ev.value - r) for r in roots]
+            k = int(np.argmin(dist))
+            assert ev.multiplicity == (2 if k == 0 else 1)
+            # a zero of multiplicity m is a simple zero of Delta^(m-1)
+            bound = _attainable_error(g, roots[k], ev.multiplicity - 1)
+            assert dist[k] < max(1e-7 if k == 0 else 1e-10, bound)
 
-    def __init__(self, ev):
-        self.ev = ev
-
-    def __call__(self, lam):
-        return self.ev(lam)
-
-    def deriv(self, lam):
-        return self.ev.deriv(lam)
+    def test_anything_but_g_is_refused(self):
+        with pytest.raises(TypeError):
+            find_spectrum(lambda lam: np.exp(-1j * lam), self.WINDOW)
 
 
 def _smooth_kernel(n, coeffs):
@@ -539,11 +556,10 @@ class TestCompanionCandidates:
         g = compute_g(_smooth_kernel(n, coeffs))
         g_fine = compute_g(_smooth_kernel(2 * n, coeffs)) if extrapolate else None
         try:
-            forced = find_spectrum(GOnly(DeltaEvaluator(g, g_fine)), self.WINDOW)
+            forced = find_spectrum_subdivision(DeltaEvaluator(g, g_fine), self.WINDOW)
         except (BoundaryNearZeroError, PhaseTrackingError):
             return  # a zero on the window edge; no spectrum to compare
         spec = find_spectrum(DeltaEvaluator(g, g_fine), self.WINDOW)
-        assert forced.stats.path == "subdivision" and forced.stats.candidates == 0
         assert spec.total_count == forced.total_count
         assert len(spec.eigenvalues) == len(forced.eigenvalues)
         for a, b in zip(spec.eigenvalues, forced.eigenvalues):
@@ -551,24 +567,29 @@ class TestCompanionCandidates:
             assert a.newton_converged == b.newton_converged
             assert abs(a.value - b.value) <= 1e-12
 
+    # Delta(q) = q^(N-2) (q - a)^2 with q = exp(-i lambda h): one zero of
+    # multiplicity 2 at lambda = i log(a) / h. Its Newton pair is grouped and
+    # counted on a square around it; a double zero is then a simple zero of
+    # Delta', where Newton reaches it to the rounding.
+    LAM0 = 0.3217 - 0.4123j
+
     def test_double_root_falls_back(self):
-        # Delta(q) = q^(N-2) (q - a)^2 with q = exp(-i lambda h): one zero of
-        # multiplicity 2 at lambda = i log(a) / h, which no set of distinct
-        # simple zeros can certify. A coarse grid keeps |Delta| near the zero
-        # above the guard, which scales with h^2 there.
-        n, lam0 = 8, 0.3217 - 0.4123j
-        grid = make_grid(n)
-        a = np.exp(-1j * lam0 * grid.step)
-        values = np.zeros((n + 1, n + 1), dtype=complex)
-        values[-1, n - 1] = -2.0 * a / grid.step
-        values[-1, n - 2] = a * a / grid.step
-        g = TransformKernel(TriangularField(grid, values), np.zeros(1), 1, 0.0)
-        spec = find_spectrum(g, SearchWindow(-1.0, 1.3, -1.7, 0.6))
-        assert spec.stats.path == "subdivision"
+        # at N = 40 the stride-5 polynomial never samples the nonzero nodes
+        # 38 and 39, so only the retry at stride 1 has candidates
+        g = planted_kernel(40, [self.LAM0, self.LAM0])
+        spec = find_spectrum(g, SearchWindow(-2.0, 2.0, -1.0, 1.0))
+        assert spec.stats.path == "stride1"
         (ev,) = spec.eigenvalues
         assert ev.multiplicity == 2 and ev.newton_converged
-        # a double zero is located to about the square root of the rounding
-        assert abs(ev.value - 1j * np.log(a) / grid.step) < 1e-7
+        assert abs(ev.value - self.LAM0) < 1e-7
+
+    def test_double_root_on_a_coarse_grid(self):
+        g = planted_kernel(8, [self.LAM0, self.LAM0])
+        for window in (SearchWindow(-2.0, 2.0, -1.0, 1.0), SearchWindow(-1.0, 1.3, -1.7, 0.6)):
+            spec = find_spectrum(g, window)
+            (ev,) = spec.eigenvalues
+            assert ev.multiplicity == 2 and ev.newton_converged
+            assert abs(ev.value - self.LAM0) < 1e-7
 
 
 class TestZDecomposition:
@@ -593,6 +614,30 @@ class TestZDecomposition:
             eval_psi(fields["constant"], lam), eval_e_direct(fields["trig"], lam),
         )
         assert z[0] == 0.0
+
+
+class TestWindingNumber:
+    RECT = (-1.0, 1.0, -1.0, 1.0)
+
+    @staticmethod
+    def fast_carrier(lam):
+        return np.exp(-40j * np.asarray(lam))
+
+    def test_refinement_budget_is_spent_in_full(self):
+        # 32 samples on an edge of length 2 let exp(-40 i lambda) turn 2.5
+        # radians between neighbours: exactly one refinement settles it
+        for budget in (1, 2):
+            opts = SpectrumOptions(max_phase_refinements=budget)
+            assert _winding_number(self.fast_carrier, self.RECT, opts, None) == (0, 1)
+        with pytest.raises(PhaseTrackingError):
+            opts = SpectrumOptions(max_phase_refinements=0)
+            _winding_number(self.fast_carrier, self.RECT, opts, None)
+
+    def test_no_refinement_needs_no_budget(self):
+        opts = SpectrumOptions(max_phase_refinements=0)
+        spec = find_spectrum(compute_g(constant_field(100)), SearchWindow(*WIDE), opts)
+        assert spec.stats.phase_refinements == 0
+        assert spec.total_count > 0
 
 
 class TestSearchWindow:
