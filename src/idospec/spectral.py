@@ -324,8 +324,10 @@ def _winding_number(f, rect, opts: SpectrumOptions, guard: float | None, vals=No
     phase must land within 0.1 * 2pi of an integer. Every sampling, the
     first and each refinement, is checked against the guard, so a path
     through a zero raises BoundaryNearZeroError rather than failing to
-    settle. vals, if given, are f at the path's initial samples. Returns
-    the winding number and the number of refinement rounds taken.
+    settle; without a guard, a sample where Delta is exactly zero raises
+    PhaseTrackingError. vals, if given, are f at the path's initial
+    samples. Returns the winding number and the number of refinement rounds
+    taken.
     """
     pts = _rect_boundary(rect, opts.initial_edge_samples)
     if vals is None:
@@ -333,6 +335,8 @@ def _winding_number(f, rect, opts: SpectrumOptions, guard: float | None, vals=No
     _check_guard(pts, vals, guard)
     rounds = 0
     while True:
+        if not vals.all():       # no phase to track through an exact zero
+            raise PhaseTrackingError(f"Delta is exactly zero on rectangle {rect}")
         bad = np.abs(np.angle(vals[1:] / vals[:-1])) >= 0.5 * np.pi
         if not bad.any():
             break
@@ -463,9 +467,11 @@ def _companion_roots(f: DeltaEvaluator, rect0, wind0, stride1, opts, residual_to
     Newton on Delta^(m-1). It reports the last iterate, or the mean if the
     polish left the square, and is flagged unconverged unless the polish
     converged inside it. Zeros inside rect0 with a residual within
-    residual_tol stand if their multiplicities sum to the winding number
-    wind0 of the window. Returns (eigenvalues or None, (candidates, Newton
-    steps, phase refinement rounds)).
+    residual_tol are certified if their multiplicities sum to the winding
+    number wind0 of the window. Returns (eigenvalues, certified, the means
+    of the groups inside rect0 that could not be counted, did not converge
+    or failed residual_tol, (candidates, Newton steps, phase refinement
+    rounds)).
     """
     re0, re1, im0, im1 = rect0
     grow = CANDIDATE_MARGIN
@@ -473,19 +479,24 @@ def _companion_roots(f: DeltaEvaluator, rect0, wind0, stride1, opts, residual_to
     z, converged, steps = _batched_newton(f, cand, opts)
     z, converged = z[np.isfinite(z)], converged[np.isfinite(z)]
     found, rounds = [], 0            # found: (root, multiplicity, converged)
+    unresolved = []                  # means of groups not counted or not converged
     for members in _groups(z, opts.cell_size):
         mean = z[members].mean()
         if members.size == 1 and converged[members[0]] and not stride1:
             found.append((mean, 1, True))
             continue
+        if not _inside(mean, rect0):
+            continue
         half = min(CLUSTER_BOX * opts.cell_size,
                    0.5 * _box_distance(np.delete(z, members), mean).min(initial=np.inf))
-        if not _inside(mean, rect0) or _box_distance(z[members], mean).max() >= half:
+        if _box_distance(z[members], mean).max() >= half:
+            unresolved.append(mean)
             continue
         box = (mean.real - half, mean.real + half, mean.imag - half, mean.imag + half)
         try:
             mult, more = _winding_number(f, box, opts, None)
         except PhaseTrackingError:
+            unresolved.append(mean)
             continue
         rounds += more
         if mult:
@@ -497,8 +508,9 @@ def _companion_roots(f: DeltaEvaluator, rect0, wind0, stride1, opts, residual_to
     resid = np.abs(f(np.array([v[0] for v in found], dtype=complex)))
     eigs = [Eigenvalue(complex(r), m, float(e), ok)
             for (r, m, ok), e in zip(found, resid) if e <= residual_tol]
+    unresolved += [r for (r, _, ok), e in zip(found, resid) if not (ok and e <= residual_tol)]
     certified = sum(ev.multiplicity for ev in eigs) == wind0
-    return (eigs if certified else None), (cand.size, steps, rounds)
+    return eigs, certified, unresolved, (cand.size, steps, rounds)
 
 
 def find_spectrum(
@@ -516,7 +528,9 @@ def find_spectrum(
     stride 1, where the candidate polynomial is Delta itself, and counts
     every group on its square, converged singletons too: Newton started on
     a double zero can settle there as on a simple one while its partner
-    flies off. If that fails too, PhaseTrackingError names the window.
+    flies off. If that fails too, PhaseTrackingError names the window, the
+    multiplicity the stride-1 pass found, the groups it could not count or
+    polish, and cell_size.
     Spectrum.stats records which pass answered.
     """
     f = DeltaEvaluator(g) if isinstance(g, TransformKernel) else g
@@ -536,13 +550,19 @@ def find_spectrum(
 
     counts = np.array([0, 0, refinements])          # candidates, Newton steps, rounds
     for path, stride1 in (("companion", False), ("stride1", True)):
-        found, more = _companion_roots(f, rect0, wind0, stride1, opts, residual_tol)
+        found, certified, unresolved, more = _companion_roots(
+            f, rect0, wind0, stride1, opts, residual_tol)
         counts += more
-        if found is not None:
+        if certified:
             break
     else:
+        means = ", ".join(f"{complex(z):.6g}" for z in unresolved) or "none"
         raise PhaseTrackingError(
-            f"the zeros found in window {rect0} do not add up to its winding number {wind0}"
+            f"the zeros found in window {rect0} add up to multiplicity "
+            f"{sum(ev.multiplicity for ev in found)}, not to its winding number {wind0}; "
+            f"groups of Newton end points not counted or not converged: {means}; "
+            f"cell_size {opts.cell_size:g} (a multiple zero that rounding splits "
+            f"by more than cell_size is not grouped)"
         )
     found.sort(key=lambda ev: (ev.value.real, ev.value.imag))
     return Spectrum(eigenvalues=tuple(found), window=window, total_count=wind0,

@@ -9,12 +9,13 @@ integrate_nodes is the plain composite trapezoid on a range of grid nodes,
 the reference rule for the package's vectorized Volterra products, and
 char_delta_direct is the tail-row sum of Delta with one exponential per node,
 the reference for the package's blocked polynomial evaluation. The
-remaining oracles do use the package: fd_jacobian differentiates the
-inversion residual by forward differences, the reference for its analytic
-Jacobian, find_spectrum_reflected searches the spectrum of the reflected
-kernel, which must match the direct one, and find_spectrum_subdivision
-finds the zeros of Delta by recursive subdivision of the window, the
-reference for the package's companion-matrix search.
+remaining oracles do use the package: picard_series_g sums the Picard
+series term by term, the reference for the row march of compute_g,
+fd_jacobian differentiates the inversion residual by forward differences,
+the reference for its analytic Jacobian, find_spectrum_reflected searches
+the spectrum of the reflected kernel, which must match the direct one, and
+find_spectrum_subdivision finds the zeros of Delta by recursive subdivision
+of the window, the reference for the package's companion-matrix search.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from idospec.quadrature import trapezoid_weights
+from idospec.quadrature import TriangularField, trapezoid_weights
 from idospec.spectral import (
     BoundaryNearZeroError,
     Eigenvalue,
@@ -35,7 +36,14 @@ from idospec.spectral import (
     _winding_number,
     find_spectrum,
 )
-from idospec.transform import compute_g, reflected_kernel
+from idospec.transform import (
+    PicardConvergenceError,
+    TransformKernel,
+    compute_g,
+    picard_g1,
+    picard_step,
+    reflected_kernel,
+)
 
 PI = np.pi
 
@@ -144,6 +152,31 @@ def fd_jacobian(residual, params, step: float = 1e-6) -> np.ndarray:
         pert[k] += h
         jac[:, k] = (residual(pert) - base) / h
     return jac
+
+
+def picard_series_g(m, tol: float | None = None, max_terms: int = 60) -> TransformKernel:
+    """G as the sum of the Picard series G_1 + G_2 + ..., the reference for compute_g.
+
+    Sums terms until the latest one drops below tol in sup norm (default
+    1e-12 (1 + sup|G_1|)); raises PicardConvergenceError on a term that is
+    not finite or after max_terms terms.
+    """
+    term = picard_g1(m)
+    total = term.values.copy()
+    norms = [term.sup_norm()]
+    if tol is None:
+        tol = 1e-12 * (1.0 + norms[0])
+    while not norms[-1] < tol:
+        if not np.isfinite(norms[-1]) or len(norms) >= max_terms:
+            raise PicardConvergenceError(
+                f"term {len(norms)} has sup norm {norms[-1]:.3e}, tol {tol:.3e}"
+            )
+        term = picard_step(m, term)
+        total += term.values
+        norms.append(term.sup_norm())
+    total[:, 0] = 0.0
+    return TransformKernel(g=TriangularField(m.grid, np.tril(total)),
+                           term_norms=np.array(norms), iterations=len(norms), tol=tol)
 
 
 def find_spectrum_reflected(

@@ -103,7 +103,7 @@ class TestForward:
         cfg = write_config(workdir / "fwd_bad.json", {
             "grid_n": 30,
             "kernel": CONST_KERNEL,
-            "max_terms": 2,
+            "max_terms": 1,
         })
         out = workdir / "fwd_bad_out"
         assert main(["forward", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL

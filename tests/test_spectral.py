@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -527,6 +529,21 @@ class TestSyntheticSearch:
             bound = _attainable_error(g, roots[k], ev.multiplicity - 1)
             assert dist[k] < max(1e-7 if k == 0 else 1e-10, bound)
 
+    def test_failed_search_names_what_it_found(self):
+        # a double zero in a cluster of five zeros 0.03 across, all near q = 1
+        # at N = 35: neither pass groups and counts the cluster, and the error
+        # says what the stride-1 pass found, where its unresolved groups are
+        # and which cell_size grouped them
+        double, simple = 0.0577 + 0.0087j, [0.0667 + 0.0133j, 0.05, 0.07]
+        g = planted_kernel(35, [double, double, *simple])
+        with pytest.raises(PhaseTrackingError) as err:
+            find_spectrum(g, self.WINDOW)
+        msg = str(err.value)
+        assert re.search(r"add up to multiplicity [0-4], not to its winding number 5;", msg)
+        assert "cell_size 0.001 " in msg
+        listed = msg.split("not converged: ")[1].split("; cell_size")[0].split(", ")
+        assert listed and all(abs(complex(z) - double) < 0.03 for z in listed)
+
     def test_anything_but_g_is_refused(self):
         with pytest.raises(TypeError):
             find_spectrum(lambda lam: np.exp(-1j * lam), self.WINDOW)
@@ -638,6 +655,12 @@ class TestWindingNumber:
         spec = find_spectrum(compute_g(constant_field(100)), SearchWindow(*WIDE), opts)
         assert spec.stats.phase_refinements == 0
         assert spec.total_count > 0
+
+    def test_exact_zero_on_the_path_is_refused(self):
+        # the corner -1 - i is a sample; unguarded, a zero there has no phase
+        with pytest.raises(PhaseTrackingError, match="exactly zero"):
+            _winding_number(lambda lam: np.asarray(lam) - (-1.0 - 1.0j), self.RECT,
+                            SpectrumOptions(), None)
 
 
 class TestSearchWindow:

@@ -17,6 +17,7 @@ from idospec.transform import (
 from idospec.kernels import compute_B
 
 from conftest import family_fields, family_diag_integrals
+from oracles import picard_series_g
 
 
 # Loop forms of the two Picard helpers, kept as reference oracles for the
@@ -163,13 +164,11 @@ class TestComputeG:
         if errs[1] > 1e-12:  # constant family is exact up to roundoff
             assert errs[0] / errs[1] > 3.0  # second-order shrink
 
-    def test_term_norms_decay(self, grid100):
-        tk = compute_g(family_fields(grid100)["constant"])
-        norms = tk.term_norms
-        assert tk.iterations == len(norms)
-        assert norms[-1] < tk.tol
-        # geometric-type decay of the tail
-        assert np.all(norms[3:] < norms[2:-1])
+    @pytest.mark.parametrize("name", ["constant", "polynomial", "trig", "structured"])
+    def test_one_update_certifies_the_march(self, grid100, name):
+        tk = compute_g(family_fields(grid100)[name])
+        assert tk.iterations == len(tk.term_norms) == 2
+        assert tk.term_norms[1] < tk.tol
 
     def test_zero_kernel_gives_zero_g(self, grid50):
         tk = compute_g(TriangularField.zeros(grid50))
@@ -178,7 +177,7 @@ class TestComputeG:
 
     def test_nonconvergence_raises(self, grid50):
         with pytest.raises(PicardConvergenceError):
-            compute_g(TriangularField.constant(grid50, 1.0), max_terms=2)
+            compute_g(TriangularField.constant(grid50, 1.0), max_terms=1)
 
     @pytest.mark.parametrize("tol", [None, 1e-10])
     def test_non_finite_term_raises(self, grid50, tol):
@@ -201,6 +200,47 @@ class TestComputeG:
             stride = 400 // n
             errs.append(np.abs(tk.g.values - ref[::stride, ::stride]).max())
         assert 2.5 < errs[0] / errs[1] < 6.0
+
+
+class TestMarchAgainstPicardSeries:
+    """compute_g's march against the summed Picard series of tests/oracles.py."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 64),
+        seed=st.integers(0, 2**32 - 1),
+        amp=st.floats(0.3, 5.0),
+    )
+    def test_random_lower_triangular_fields(self, n, seed, amp):
+        m = TriangularField(make_grid(n), _random_lower(np.random.default_rng(seed), n + 1, amp))
+        tk = compute_g(m)
+        g = tk.g.values
+        assert tk.iterations == 2
+        assert np.all(g[:, 0] == 0.0)
+        assert np.array_equal(np.diagonal(g), np.diagonal(picard_g1(m).values))
+        # the series' truncation error is about its tol, so the oracle sums to
+        # a tol far below compute_g's; where it diverges there is no reference
+        try:
+            with np.errstate(all="ignore"):
+                ref = picard_series_g(m, tol=1e-15 * (1.0 + picard_g1(m).sup_norm()),
+                                      max_terms=400).g.values
+        except PicardConvergenceError:
+            return
+        assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_divergent_series_still_solved(self, n):
+        # amplitude 5 on a coarse grid: the discrete Picard series diverges,
+        # but G = G1 + T(G) still has a solution, and the march finds it
+        rng = np.random.default_rng(0)
+        m = TriangularField(make_grid(n), _random_lower(rng, n + 1, 5.0))
+        with pytest.raises(PicardConvergenceError), np.errstate(all="ignore"):
+            picard_series_g(m, max_terms=400)
+        tk = compute_g(m)
+        assert tk.iterations == 2
+        g = tk.g.values
+        residual = g - picard_g1(m).values - picard_step(m, tk.g).values
+        assert np.abs(residual).max() < tk.tol
 
 
 class TestReflectedKernel:
