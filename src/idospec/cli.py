@@ -56,9 +56,7 @@ from .spectral import (
     find_spectrum,
 )
 from .inverse import (
-    InverseProblem,
     RecoverOptions,
-    recover_profile,
     recover_sequential,
     verify_green_identity,
     verify_change_of_variables,
@@ -130,6 +128,21 @@ def _require_finite(sampled, what):
     return sampled
 
 
+def _read_input(what, read, path, *args):
+    """read(path, *args) for an input file named by the config.
+
+    A missing file, or one read refuses (wrong length, not numeric, not
+    triangular, not JSON), is a config error naming the file.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"{what} file not found: {path}")
+    try:
+        return read(path, *args)
+    except (ValueError, KeyError, IndexError, TypeError) as ex:
+        raise ConfigError(f"malformed {what} file {path}: {ex}") from ex
+
+
 def _field_from_spec(spec, grid) -> TriangularField:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"bad field spec: {spec!r}")
@@ -139,10 +152,7 @@ def _field_from_spec(spec, grid) -> TriangularField:
         except (KeyError, ValueError) as ex:
             raise ConfigError(f"bad analytic field spec: {ex}") from ex
     elif spec["kind"] == "samples":
-        path = Path(spec.get("path", ""))
-        if not path.is_file():
-            raise ConfigError(f"field samples file not found: {path}")
-        f = serialize.field_from_csv(path, grid)
+        f = _read_input("field samples", serialize.field_from_csv, spec.get("path", ""), grid)
     else:
         raise ConfigError(f"unknown field kind {spec['kind']!r}")
     return _require_finite(f, "field")
@@ -157,10 +167,7 @@ def _profile_from_spec(spec, grid) -> Profile:
         except (KeyError, ValueError) as ex:
             raise ConfigError(f"bad analytic profile spec: {ex}") from ex
     elif spec["kind"] == "samples":
-        path = Path(spec.get("path", ""))
-        if not path.is_file():
-            raise ConfigError(f"profile samples file not found: {path}")
-        p = serialize.profile_from_csv(path, grid)
+        p = _read_input("profile samples", serialize.profile_from_csv, spec.get("path", ""), grid)
     else:
         raise ConfigError(f"unknown profile kind {spec['kind']!r}")
     return _require_finite(p, "profile")
@@ -405,11 +412,14 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
         if "target" not in cfg:
             raise ConfigError("invert config needs 'target' or 'targets'")
         target_paths = [cfg["target"]]
-    spectra = []
-    for path in target_paths:
-        if not Path(path).is_file():
-            raise ConfigError(f"target spectrum file not found: {path}")
-        spectra.append(serialize.spectrum_from_json(path))
+    if len(target_paths) > kernel.p_count:
+        raise ConfigError(
+            f"{len(target_paths)} target spectra but only {kernel.p_count} kernel components"
+        )
+    spectra = [
+        _read_input("target spectrum", serialize.spectrum_from_json, path)
+        for path in target_paths
+    ]
     # a root whose Newton polish failed is only a cell centre: fitting it as
     # an exact eigenvalue would pull the profile towards a wrong spectrum
     for path, spec in zip(target_paths, spectra):
@@ -435,18 +445,11 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
             return 0.1 * rng.standard_normal(d)
         return np.asarray(init_policy, dtype=float)
 
-    if len(spectra) == 1 and kernel.p_count == 1:
-        problem = InverseProblem(
-            m0=kernel.m0, r=kernel.components[0].r, target=spectra[0],
-            d=d, mu=mu, picard_tol=picard["tol"], picard_max_terms=picard["max_terms"],
-        )
-        reports = [recover_profile(problem, make_init(), ropts)]
-    else:
-        reports = recover_sequential(
-            spectra, kernel, d, ropts, mu=mu,
-            inits=[make_init() for _ in spectra],
-            picard_tol=picard["tol"], picard_max_terms=picard["max_terms"],
-        )
+    reports = recover_sequential(
+        spectra, kernel, d, ropts, mu=mu,
+        inits=[make_init() for _ in spectra],
+        picard_tol=picard["tol"], picard_max_terms=picard["max_terms"],
+    )
 
     stages = []
     for k, rep in enumerate(reports, start=1):

@@ -345,12 +345,8 @@ def recover_sequential(
         reports.append(report)
         if not report.converged:
             break
-        stage_kernel = StructuredKernel(
-            TriangularField.zeros(family.grid),
-            (KernelComponent(comp.r, report.recovered),),
-        )
-        m0_eff = TriangularField(
-            family.grid, m0_eff.values + assemble_kernel(stage_kernel).values
+        m0_eff = assemble_kernel(
+            StructuredKernel(m0_eff, (KernelComponent(comp.r, report.recovered),))
         )
     return reports
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .quadrature import (
     Grid,
@@ -64,14 +65,15 @@ class StructuredKernel:
 
 
 def _shift_matrix(v: np.ndarray) -> np.ndarray:
-    """Lower-triangular matrix with entry (i, j) = v(x_i - t_j) from node samples v.
+    """Read-only view with entry (i, j) = v(x_i - t_j) from node samples v.
 
     On a uniform grid x_i - t_j is the node x_{i-j}, so no interpolation
-    error enters here.
+    error enters here. Row i is a window on v reversed and padded with
+    n - 1 zeros, which fill the entries above the diagonal.
     """
-    idx = np.arange(v.shape[0])
-    diff = idx[:, None] - idx[None, :]
-    return np.tril(v[np.abs(diff)])
+    n = v.shape[0]
+    padded = np.concatenate([v[::-1], np.zeros(n - 1, dtype=v.dtype)])
+    return sliding_window_view(padded, n)[::-1]
 
 
 def shifted_factor(r: TriangularField) -> np.ndarray:

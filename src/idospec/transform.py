@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy.fft import fft, ifft, next_fast_len
 
 from .quadrature import Grid, Profile, TriangularField, require_same_grid
-from .kernels import compute_B, shifted_factor
+from .kernels import _shift_matrix, compute_B, shifted_factor
 
 
 class PicardConvergenceError(RuntimeError):
@@ -81,9 +81,7 @@ def _cumtrapz_along_diagonals(vals: np.ndarray, h: float) -> np.ndarray:
     half = src[n - 1 :].reshape(n, n)   # reused as scratch from here on
     half *= 0.5
     out -= half
-    # vals[i-j, 0] / 2 where j <= i, zero above the diagonal
-    first = np.concatenate([vals[::-1, 0], np.zeros(n - 1, dtype=complex)])
-    np.multiply(sliding_window_view(first, n)[::-1], 0.5, out=half)
+    np.multiply(_shift_matrix(vals[:, 0]), 0.5, out=half)
     out -= half
     out *= h
     out[:, 0] = 0.0
@@ -255,77 +253,47 @@ def assemble_z_kernel(
     """Split z(x, lambda) into B(x) exp(-i*lambda*x) + int K(x,t) exp(-i*lambda*t) dt.
 
     k1 is the transformation kernel of the reflected solution w, k2 that of
-    the second forward solution; r is the convolution factor. With
-    R[i, k] = r(pi - t_k, x_i - t_k), R2[i, s] = R[i, i-s] and the sheared
-    kernels S1[k, d] = k1[k, k-d], S2[k, d] = k2[k, k-d], every sum below is
-    a trapezoid in the summation index, and K collects three terms:
+    the second forward solution; r is the convolution factor. Both k1 and
+    k2 must vanish at t = 0 (column 0 exactly zero), as compute_g's G does;
+    other input raises ValueError. With R[i, k] = r(pi - t_k, x_i - t_k),
+    R2[i, s] = R[i, i-s] and the sheared kernels S1[k, d] = k1[k, k-d],
+    S2[k, d] = k2[k, k-d], every sum below is a trapezoid in the summation
+    index, and K collects three terms:
 
     - k1 at shifted argument x-t+tau: K[i, i-d] += trapezoid over k in
       [d, i] of R[i, k] S1[k, d], i.e. _inner_table(R, S1, h)[i, d];
     - k2 at t+xi: K[i, i-d] += _inner_table(R2, S2, h)[i, d];
     - their bilinear convolution: K[i, j] += h * sum over 0 < k < i of
       R[i, k] C_k[j], where C_k[j] is the trapezoid over tau of
-      k1[k, tau] k2[i-k, j-tau]. The plain sums over tau are one FFT
-      convolution per row i; the trapezoid end weights in tau are two
-      sheared products (against the diagonals of k1 and k2) and two plain
-      ones (against column 0 of k1 and k2). The term is zero on the
-      diagonal j = i, where the tau range is empty.
+      k1[k, tau] k2[i-k, j-tau]. Each end of the tau range falls on the
+      diagonal of k1 or k2 or on column 0, which is zero, so halving the
+      diagonals of k1 and k2 supplies every end weight and the trapezoid
+      is a plain convolution: one FFT product per row i. The term is zero
+      on the diagonal j = i, where the tau range is empty.
 
     No Python loop runs over pairs of grid nodes: the only loop is over
     rows i, one vector-matrix product and one inverse FFT each.
     """
     require_same_grid(k1.grid, k2.grid, r.grid)
+    if np.any(k1.values[:, 0]) or np.any(k2.values[:, 0]):
+        raise ValueError("k1 and k2 must vanish at t = 0: column 0 is not exactly zero")
     grid = r.grid
     m, h = grid.n_nodes, grid.step
-    k1v, k2v = k1.values, k2.values
-    h2 = h * h
 
-    idx = np.arange(m)
-    lag = idx[:, None] - idx   # i - k; negative indices land on zeros of the factor
-
-    def lagged(x, v):
-        """x[i, k] * v[i - k] below the diagonal, zero on and above it."""
-        out = v[lag]
-        out *= x
-        np.einsum("ii->i", out)[...] = 0.0
-        return out
-
+    # terms 1 and 2, indexed [i, d]
     rmat = shifted_factor(r)
-    rmat2 = _shear(rmat)
-    s1, s2 = _shear(k1v), _shear(k2v)
-    d1, d2 = np.diagonal(k1v), np.diagonal(k2v)
-
-    # terms 1 and 2, and the sheared end weights of term 3, indexed [i, d]
-    acc = _inner_table(rmat, s1, h)
-    acc += _inner_table(rmat2, s2, h)
-    tmp = lagged(rmat, d2)               # R[i, k] k2(x_i - t_k, x_i - t_k)
-    ends = tmp @ s1
-    tmp *= k1v[:, 0]                     # k = d is the column-0 case, below
-    ends -= tmp
-    ends += lagged(rmat2, d1) @ s2
-    ends[:, 0] = 0.0
-    ends *= 0.5 * h2
-    acc -= ends
-    del tmp, ends, s1, s2
+    acc = _inner_table(rmat, _shear(k1.values), h)
+    acc += _inner_table(_shear(rmat), _shear(k2.values), h)
     kout = _unshear(acc)
     del acc
 
-    # plain end weights of term 3, indexed [i, j]
-    plain = lagged(rmat2, k1v[:, 0]) @ k2v
-    tmp = lagged(rmat, k2v[:, 0])
-    plain += tmp @ k1v
-    tmp *= d1                            # k = j is the diagonal case, above
-    plain -= tmp
-    del tmp
-    plain *= -0.5 * h2
-    kout += plain
-    del plain
-
-    # plain sums of term 3: rows of k1 and k2 vanish past the diagonal, so
-    # each convolution has degree <= i < m and a length >= m cannot wrap
+    # term 3: rows of k1 and k2 vanish past the diagonal, so each
+    # convolution has degree <= i < m and a length >= m cannot wrap
     size = next_fast_len(m)
-    fa = fft(k1v, size, axis=1)
-    fb = fft(k2v, size, axis=1)
+    fa, fb = (
+        fft(k.values - 0.5 * np.diag(np.diagonal(k.values)), size, axis=1) for k in (k1, k2)
+    )
+    h2 = h * h
     prod = np.empty((m - 2, size), dtype=complex)
     for i in range(2, m):
         p = np.multiply(fa[1:i], fb[i - 1 : 0 : -1], out=prod[: i - 1])
@@ -336,3 +304,4 @@ def assemble_z_kernel(
     kout[:, 0] = 0.0
     b = compute_B(r)
     return b, TriangularField(grid, kout)
+

@@ -486,6 +486,41 @@ class TestConfigErrors:
         out = workdir / "cfg_broken_out"
         assert main(["forward", "--config", str(bad), "--out", str(out)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command, slot, name, text, message", [
+        ("forward", "p", "short_profile.csv", "x,re,im\n0,1,0\n1.5,1,0\n3.1,1,0\n",
+         "profile file has 2 intervals, grid has 20"),
+        ("forward", "m0", "not_triangular.csv", "x,t,re,im\n0,0,1,0\n1,0,1,0\n",
+         "not a triangular node count"),
+        ("forward", "m0", "not_numeric.csv", "x,t,re,im\nabc,0,1,0\n", "could not convert"),
+        ("invert", "target", "not_json.json", "{not json", "Expecting"),
+    ])
+    def test_malformed_input_file(self, workdir, capsys, command, slot, name, text, message):
+        path = workdir / name
+        path.write_text(text)
+        kernel = json.loads(json.dumps(CONST_KERNEL))
+        cfg = {"grid_n": 20, "d": 4, "kernel": kernel}
+        samples = {"kind": "samples", "path": str(path)}
+        if slot == "p":
+            kernel["components"][0]["p"] = samples
+        elif slot == "m0":
+            kernel["m0"] = samples
+        else:
+            cfg["target"] = str(path)
+        cfg_path = write_config(workdir / f"cfg_malformed_{name}.json", cfg)
+        out = workdir / f"cfg_malformed_{name}_out"
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "malformed" in err and str(path) in err and message in err
+
+    def test_more_targets_than_components(self, workdir, target_spectrum, capsys):
+        cfg = write_config(workdir / "cfg_no_component.json", {
+            "grid_n": 20, "d": 4, "target": str(target_spectrum),
+            "kernel": {"m0": CONST_KERNEL["m0"]},
+        })
+        out = workdir / "cfg_no_component_out"
+        assert main(["invert", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "0 kernel components" in capsys.readouterr().err
+
     def test_missing_grid_n(self, workdir):
         cfg = write_config(workdir / "no_grid.json", {"kernel": CONST_KERNEL})
         out = workdir / "cfg_nogrid_out"

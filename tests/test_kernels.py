@@ -7,6 +7,7 @@ from idospec.kernels import (
     ComponentCountError,
     KernelComponent,
     StructuredKernel,
+    _shift_matrix,
     assemble_kernel,
     check_B_nonvanishing,
     compute_B,
@@ -65,6 +66,21 @@ class TestAssemble:
         )
         with pytest.raises(ComponentCountError):
             StructuredKernel(TriangularField.zeros(grid50), comps)
+
+
+class TestShiftMatrix:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    def test_entries_and_read_only(self, n, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        s = _shift_matrix(v)
+        i, j = np.indices((n, n))
+        below = i >= j
+        assert np.array_equal(s[below], v[(i - j)[below]])
+        assert np.all(s[~below] == 0.0)
+        with pytest.raises(ValueError):
+            s[n - 1, 0] = 1.0
 
 
 class TestTruncate:

@@ -271,8 +271,8 @@ class TestZKernelAssembly:
     def test_matches_loop_oracle(self, n, seed):
         rng = np.random.default_rng(seed)
         grid = make_grid(n)
-        # column 0 and the diagonal carry the trapezoid end weights, so
-        # keep them non-zero
+        # the diagonals and column 0 of r carry trapezoid end weights, so
+        # keep them non-zero; k1 and k2 vanish at t = 0, as G does
         fields = []
         for _ in range(3):
             vals = _random_lower(rng, n + 1, 1.0)
@@ -280,12 +280,22 @@ class TestZKernelAssembly:
             np.einsum("ii->i", vals)[...] += 2.0
             fields.append(TriangularField(grid, vals))
         k1, k2, r = fields
+        k1.values[:, 0] = 0.0
+        k2.values[:, 0] = 0.0
         b, k = assemble_z_kernel(k1, k2, r)
         ref = _assemble_z_kernel_loop(k1.values, k2.values, r.values, grid.step)
         assert np.abs(k.values - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(b.values, compute_B(r).values)
         assert np.all(np.triu(k.values, 1) == 0.0)
         assert np.all(k.values[:, 0] == 0.0)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_nonzero_first_column_refused(self, grid50, which):
+        r = TriangularField.constant(grid50, 1.0)
+        kernels = [picard_g1(family_fields(grid50)["trig"]) for _ in range(2)]
+        kernels[which].values[7, 0] = 1e-300
+        with pytest.raises(ValueError, match="column 0"):
+            assemble_z_kernel(*kernels, r)
 
     def test_zero_transform_kernels(self, grid50):
         r = TriangularField.constant(grid50, 1.0)
