@@ -50,7 +50,6 @@ from .spectral import (
     SpectrumOptions,
     eval_e_direct,
     eval_e_via_g,
-    eval_psi,
     eval_z,
     eval_z_decomposed,
     find_spectrum,
@@ -463,6 +462,7 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
             "history": [float(v) for v in rep.history],
             "residual_evals": rep.residual_evals,
             "jacobian_evals": rep.jacobian_evals,
+            "g_builds": rep.g_builds,
         })
     serialize.write_json(out / "recovery_report.json", {
         "provenance": _provenance("invert", sha, n),
@@ -490,11 +490,16 @@ def _verify_once(grid, cfg, lambdas):
         np.diagonal(g.g.values) - 1j * cumtrapz_nodes(np.diagonal(m.values), grid)
     ).max())
 
-    # the three marches every check below reads, one column per lambda
+    # the marches every check below reads, one column per lambda; psi is the
+    # reflected kernel's march read backwards, so for a kernel that is its
+    # own reflection it is e's, and k1, the reflected kernel's G, is g
     lam = np.array(lambdas, dtype=complex)
-    e, et, psi = eval_e_direct(m, lam), eval_e_direct(mt, lam), eval_psi(m, lam)
-
-    k1 = compute_g(reflected_kernel(m), **picard)
+    e, et = eval_e_direct(m, lam), eval_e_direct(mt, lam)
+    refl = reflected_kernel(m)
+    if refl is m:
+        psi, k1 = e[::-1], g
+    else:
+        psi, k1 = eval_e_direct(refl, lam)[::-1], compute_g(refl, **picard)
     k2 = compute_g(mt, **picard)
     b, kk = assemble_z_kernel(k1.g, k2.g, r)
     zres = np.abs(eval_z(r, psi, et) - eval_z_decomposed(b, kk, lam)).max()

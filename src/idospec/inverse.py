@@ -115,7 +115,9 @@ class RecoveryReport:
     history: list = field(default_factory=list)
     underdetermined: bool = False
     residual_evals: int = 0     # spectrum_residual calls, one G build each
-    jacobian_evals: int = 0     # spectrum_jacobian calls, one G build each
+    jacobian_evals: int = 0     # spectrum_jacobian calls, at most one G build each
+    g_builds: int = 0           # compute_g calls: a Jacobian builds none when
+                                # the kernel is its own reflection
 
 
 def profile_from_params(params, problem: InverseProblem) -> Profile:
@@ -160,7 +162,7 @@ def spectrum_residual(p_params, problem: InverseProblem):
     return res, g
 
 
-def spectrum_jacobian(p_params, problem: InverseProblem, g: TransformKernel) -> np.ndarray:
+def spectrum_jacobian(p_params, problem: InverseProblem, g: TransformKernel):
     """Derivatives of spectrum_residual in the parameters, from the Green identity.
 
     g is the G that spectrum_residual built at p_params. Linearizing the
@@ -169,19 +171,24 @@ def spectrum_jacobian(p_params, problem: InverseProblem, g: TransformKernel) -> 
     i * sum over a + b = j of C(j, a) * double integral over t <= x of
     psi^(a)(x, nu) R(x, t) phi_k(x - t) e^(b)(t, nu), for each basis column
     phi_k. e^(b) comes from g; psi^(a)(x) = w^(a)(pi - x), with w the forward
-    solution of the reflected kernel, so this builds one G, that one. The
-    rows are the continuous derivative by the trapezoid rule, O(h^2) away
-    from the derivative of the discrete residual. Rows are in the order of
-    spectrum_residual, one column per parameter.
+    solution of the reflected kernel, so this builds one G, that one, unless
+    the kernel is its own reflection (see reflected_kernel): then w = e and
+    g serves for both. The rows are the continuous derivative by the
+    trapezoid rule, O(h^2) away from the derivative of the discrete
+    residual. Returns the Jacobian, rows in the order of spectrum_residual
+    and one column per parameter, and the reflected kernel's G, which is g
+    itself when no G was built.
     """
     grid = problem.grid
-    g_refl = compute_g(
-        reflected_kernel(_candidate_kernel(p_params, problem)),
-        tol=problem.picard_tol, max_terms=problem.picard_max_terms,
+    m = _candidate_kernel(p_params, problem)
+    refl = reflected_kernel(m)
+    g_refl = g if refl is m else compute_g(
+        refl, tol=problem.picard_tol, max_terms=problem.picard_max_terms
     )
     nus, orders = _target_orders(problem)
     e = eval_e_via_g(g, nus, orders)
-    psi = eval_e_via_g(g_refl, nus, orders)[::-1]
+    # psi is scaled in place, so it gets its own copy of e
+    psi = (e.copy() if g_refl is g else eval_e_via_g(g_refl, nus, orders))[::-1]
     psi *= trapezoid_weights(grid.n_nodes, grid.step)[:, None]
     # pair[k, a, b]: the double integral of column a of psi against column b of e
     pair = np.stack(
@@ -192,7 +199,7 @@ def spectrum_jacobian(p_params, problem: InverseProblem, g: TransformKernel) -> 
     for r, j in enumerate(orders):
         for a in range(j + 1):
             jac[r] += math.comb(j, a) * pair[:, r - j + a, r - a]
-    return 1j * jac
+    return 1j * jac, g_refl
 
 
 @dataclass(frozen=True)
@@ -216,12 +223,12 @@ def _stacked_residual(params: np.ndarray, problem: InverseProblem, mu: float):
     return np.concatenate(parts), g
 
 
-def _stacked_jacobian(params, problem: InverseProblem, mu: float, g) -> np.ndarray:
-    jac = spectrum_jacobian(params, problem, g)
+def _stacked_jacobian(params, problem: InverseProblem, mu: float, g):
+    jac, g_refl = spectrum_jacobian(params, problem, g)
     parts = [jac.real, jac.imag]
     if mu > 0:
         parts.append(np.sqrt(mu) * _second_difference(np.eye(problem.d)))
-    return np.concatenate(parts)
+    return np.concatenate(parts), g_refl
 
 
 def recover_profile(
@@ -233,10 +240,11 @@ def recover_profile(
 
     Minimizes 0.5 * ||stacked residual||^2 with a second-difference
     regularizer of weight mu. Each iteration takes spectrum_jacobian at the
-    G its accepted residual already built, so a Jacobian costs one G build
-    whatever d is. That Jacobian is O(h^2) away from the derivative of the
-    discrete residual, which can leave no damped step that lowers the cost
-    near the discretization floor; so each rejected trial step corrects it
+    G its accepted residual already built, so a Jacobian costs at most one
+    G build whatever d is, and none for a reflection-symmetric kernel. That
+    Jacobian is O(h^2) away from the derivative of the discrete residual,
+    which can leave no damped step that lowers the cost near the
+    discretization floor; so each rejected trial step corrects it
     by a secant (Broyden) update from the residual the trial computed,
     J += (r_trial - r - J delta) delta^T / (delta^T delta), before the next
     damped solve. The fit converges when the cost drops below ftol, the step
@@ -256,7 +264,7 @@ def recover_profile(
         mu = 1e-6  # truncated spectra can be practically underdetermined
 
     res, g = _stacked_residual(params, problem, mu)
-    residual_evals, jacobian_evals = 1, 0
+    residual_evals, jacobian_evals, g_builds = 1, 0, 1
     cost = float(np.linalg.norm(res))
     history = [cost]
     damping = opts.lm_damping0
@@ -264,8 +272,9 @@ def recover_profile(
     it = 0
     while not converged and it < opts.max_iter:
         it += 1
-        jac = _stacked_jacobian(params, problem, mu, g)
+        jac, g_refl = _stacked_jacobian(params, problem, mu, g)
         jacobian_evals += 1
+        g_builds += g_refl is not g
 
         accepted = False
         for _ in range(opts.max_inner):
@@ -279,6 +288,7 @@ def recover_profile(
             trial = params + delta
             trial_res, trial_g = _stacked_residual(trial, problem, mu)
             residual_evals += 1
+            g_builds += 1
             trial_cost = float(np.linalg.norm(trial_res))
             if trial_cost < cost:
                 stalled = cost - trial_cost <= STALL_RTOL * cost
@@ -306,6 +316,7 @@ def recover_profile(
         underdetermined=underdet,
         residual_evals=residual_evals,
         jacobian_evals=jacobian_evals,
+        g_builds=g_builds,
     )
 
 
@@ -343,7 +354,7 @@ def recover_sequential(
         )
         report = recover_profile(problem, init, opts)
         reports.append(report)
-        if not report.converged:
+        if not report.converged or k + 1 == len(spectra):
             break
         m0_eff = assemble_kernel(
             StructuredKernel(m0_eff, (KernelComponent(comp.r, report.recovered),))

@@ -7,6 +7,7 @@ runs with the same config produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 
@@ -54,6 +55,20 @@ def _complex(re, im) -> np.ndarray:
     return out
 
 
+def _csv_rows(path) -> np.ndarray:
+    """The numeric rows of a CSV file below its header line, one array row each.
+
+    A file with no rows there is refused with ValueError, without numpy's
+    warning about it.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] == 0:
+        raise ValueError("no data rows below the header")
+    return data
+
+
 # --- profiles -------------------------------------------------------------------
 
 
@@ -65,7 +80,7 @@ def profile_to_csv(p: Profile, path) -> None:
 
 
 def profile_from_csv(path, grid: Grid | None = None) -> Profile:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _csv_rows(path)
     n = data.shape[0] - 1
     if grid is None:
         grid = make_grid(n)
@@ -91,7 +106,7 @@ def field_to_csv(f: TriangularField, path) -> None:
 
 
 def field_from_csv(path, grid: Grid | None = None) -> TriangularField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _csv_rows(path)
     rows = data.shape[0]
     # rows = (n+1)(n+2)/2 for n intervals
     n = int(round((np.sqrt(8 * rows + 1) - 3) / 2))

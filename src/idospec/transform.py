@@ -219,8 +219,17 @@ def compute_g(
 
 
 def reflected_kernel(m: TriangularField) -> TriangularField:
-    """Field (x,t) -> m(pi - t, pi - x); an involution on the triangle."""
-    vals = m.values[::-1, ::-1].T.copy()
+    """Field (x,t) -> m(pi - t, pi - x); an involution on the triangle.
+
+    A field the reflection leaves unchanged (equal values, as for
+    M0 + R P(x - t) with M0 and R invariant, e.g. R = 1 and M0 = 0) is
+    returned itself, so callers can test `reflected_kernel(m) is m` and
+    reuse what they computed for m instead of solving the adjoint problem
+    again.
+    """
+    vals = m.values[::-1, ::-1].T
+    if np.array_equal(vals, m.values):
+        return m
     return TriangularField(m.grid, np.tril(vals))
 
 

@@ -35,6 +35,11 @@ CONST_KERNEL = {
 }
 
 
+# R = 1 + 0.2 t: M0 + R P(x - t) is then not its own reflection
+# (x, t) -> (pi - t, pi - x), so invert and verify build the reflected G
+TILTED_R = {"kind": "analytic", "family": "polynomial", "coeffs": [[1.0, 0, 0], [0.2, 0, 1]]}
+
+
 def write_config(path, cfg):
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -304,14 +309,22 @@ class TestInvert:
         monkeypatch.setattr(
             idospec.inverse, "compute_g", lambda *a, **k: builds.append(1) or build(*a, **k)
         )
-        cfg = write_config(
-            workdir / "inv_count_cfg.json", self.invert_cfg(target_spectrum)
-        )
-        out = workdir / "inv_count_out"
-        assert main(["invert", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        (stage,) = json.loads((out / "recovery_report.json").read_text())["stages"]
-        assert stage["jacobian_evals"] == stage["iterations"]
-        assert stage["residual_evals"] + stage["jacobian_evals"] == len(builds)
+        # R = 1 gives a kernel that is its own reflection: a Jacobian reuses
+        # the residual's G; with the tilted R each Jacobian builds one more.
+        # (Not from zero: P = 0 makes M = 0, which is its own reflection.)
+        for tag, r, per_jacobian in (("sym", None, 0), ("tilted", TILTED_R, 1)):
+            builds.clear()
+            cfg = self.invert_cfg(target_spectrum, init=[0.8] * 4)
+            if r is not None:
+                cfg["kernel"]["components"] = [{"r": r}]
+            path = write_config(workdir / f"inv_count_{tag}.json", cfg)
+            out = workdir / f"inv_count_out_{tag}"
+            assert main(["invert", "--config", path, "--out", str(out)]) == EXIT_OK
+            (stage,) = json.loads((out / "recovery_report.json").read_text())["stages"]
+            assert stage["jacobian_evals"] == stage["iterations"] >= 1
+            assert stage["g_builds"] == len(builds) == (
+                stage["residual_evals"] + per_jacobian * stage["jacobian_evals"]
+            )
 
     @pytest.mark.parametrize("sequential", [False, True])
     def test_max_terms_reaches_every_g_build(
@@ -434,6 +447,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("count", [1, 7])
     def test_three_marches_per_grid(self, workdir, monkeypatch, count):
+        # e, e~ and, unless the kernel is its own reflection, the reflected
+        # kernel's march that psi reads backwards
         marches = []
         march = idospec.spectral.eval_e_direct
 
@@ -444,14 +459,17 @@ class TestVerify:
         for module in (idospec.spectral, idospec.inverse, idospec.cli):
             if hasattr(module, "eval_e_direct"):
                 monkeypatch.setattr(module, "eval_e_direct", counting)
-        cfg = write_config(workdir / f"ver_marches_{count}.json", {
-            "grid_n": 20,
-            **self.KERNEL,
-            "lambdas": [[0.5 * k, -0.1] for k in range(count)],
-        })
-        out = workdir / f"ver_marches_out_{count}"
-        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        assert sorted(marches) == [20] * 3 + [40] * 3
+        for tag, r, per_grid in (("sym", None, 2), ("tilted", TILTED_R, 3)):
+            marches.clear()
+            kernel = self.KERNEL if r is None else {**self.KERNEL, "r": r}
+            cfg = write_config(workdir / f"ver_marches_{count}_{tag}.json", {
+                "grid_n": 20,
+                **kernel,
+                "lambdas": [[0.5 * k, -0.1] for k in range(count)],
+            })
+            out = workdir / f"ver_marches_out_{count}_{tag}"
+            assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            assert sorted(marches) == [20] * per_grid + [40] * per_grid
 
     def test_picard_budget_exhausted(self, workdir):
         cfg = write_config(workdir / "ver_terms.json", {"grid_n": 8, "max_terms": 1, **self.KERNEL})
@@ -464,13 +482,17 @@ class TestVerify:
         monkeypatch.setattr(
             idospec.cli, "compute_g", lambda m, **k: settings.append(k) or build(m, **k)
         )
-        cfg = write_config(workdir / "ver_picard.json", {
-            "grid_n": 8, "max_terms": 45, "picard_tol": 1e-11, **self.KERNEL,
-        })
-        out = workdir / "ver_picard_out"
-        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        # G, the reflected kernel's G and G~ on each of the two grids
-        assert settings == [{"tol": 1e-11, "max_terms": 45}] * 6
+        # G, G~ and, unless the kernel is its own reflection, the reflected
+        # kernel's G, on each of the two grids
+        for tag, r, per_grid in (("sym", None, 2), ("tilted", TILTED_R, 3)):
+            settings.clear()
+            kernel = self.KERNEL if r is None else {**self.KERNEL, "r": r}
+            cfg = write_config(workdir / f"ver_picard_{tag}.json", {
+                "grid_n": 8, "max_terms": 45, "picard_tol": 1e-11, **kernel,
+            })
+            out = workdir / f"ver_picard_out_{tag}"
+            assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            assert settings == [{"tol": 1e-11, "max_terms": 45}] * (2 * per_grid)
 
 
 class TestConfigErrors:
@@ -493,8 +515,12 @@ class TestConfigErrors:
          "not a triangular node count"),
         ("forward", "m0", "not_numeric.csv", "x,t,re,im\nabc,0,1,0\n", "could not convert"),
         ("invert", "target", "not_json.json", "{not json", "Expecting"),
+        ("forward", "p", "empty_profile.csv", "", "no data rows"),
+        ("forward", "m0", "header_only.csv", "x,t,re,im\n", "no data rows"),
     ])
-    def test_malformed_input_file(self, workdir, capsys, command, slot, name, text, message):
+    def test_malformed_input_file(
+        self, workdir, capsys, recwarn, command, slot, name, text, message
+    ):
         path = workdir / name
         path.write_text(text)
         kernel = json.loads(json.dumps(CONST_KERNEL))
@@ -511,6 +537,7 @@ class TestConfigErrors:
         assert main([command, "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "malformed" in err and str(path) in err and message in err
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
     def test_more_targets_than_components(self, workdir, target_spectrum, capsys):
         cfg = write_config(workdir / "cfg_no_component.json", {

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from idospec.quadrature import PI, Profile, TriangularField, make_grid
@@ -9,7 +12,7 @@ from idospec.kernels import (
     WeightVanishesError,
     assemble_kernel,
 )
-from idospec.transform import compute_g
+from idospec.transform import compute_g, reflected_kernel
 from idospec.spectral import (
     Eigenvalue,
     SearchWindow,
@@ -43,6 +46,11 @@ WIDE = SearchWindow(-20.0, 20.0, -8.0, 0.5)
 def two_sine(x):
     """A profile whose N = 100 fit from zero stalls without the secant correction."""
     return 0.7483 * np.sin(x + 1.1261) + 0.2921 * np.sin(2 * x + 3.3854)
+
+
+def tilted_r(grid):
+    """A factor R that is not its own reflection (x, t) -> (pi - t, pi - x)."""
+    return TriangularField.from_function(grid, lambda x, t: 1.0 + 0.3 * np.cos(x) + 0.2 * t)
 
 
 def convolution_problem(target, n, r=None):
@@ -159,7 +167,7 @@ class TestSpectrumJacobian:
     @staticmethod
     def jacobians(problem, params):
         res, g = spectrum_residual(params, problem)
-        analytic = spectrum_jacobian(params, problem, g)
+        analytic, _ = spectrum_jacobian(params, problem, g)
         fd = fd_jacobian(lambda p: spectrum_residual(p, problem)[0], params)
         return analytic, fd
 
@@ -181,10 +189,7 @@ class TestSpectrumJacobian:
             eigenvalues=(Eigenvalue(2.1 - 0.7j, 3, 0.0), Eigenvalue(-1.3 - 0.2j, 1, 0.0)),
             window=WIDE, total_count=4,
         )
-        problem = convolution_problem(
-            target, 100, r=lambda g: TriangularField.from_function(
-                g, lambda x, t: 1.0 + 0.3 * np.cos(x) + 0.2 * t),
-        )
+        problem = convolution_problem(target, 100, r=tilted_r)
         analytic, fd = self.jacobians(problem, self.PARAMS)
         rel = np.abs(analytic - fd).max(axis=1) / np.abs(fd).max(axis=1)
         assert rel.shape == (4,)
@@ -198,15 +203,60 @@ class TestSpectrumJacobian:
         assert np.abs(report.recovered.values - two_sine(grid.nodes)).max() <= 0.05
 
     def test_evaluation_counts_add_up_to_g_builds(self, const_problem, monkeypatch):
+        # M = P(x - t) is its own reflection, so a Jacobian reuses the
+        # residual's G; with the tilted R each Jacobian builds the reflected G
         builds = []
         build = idospec.inverse.compute_g
         monkeypatch.setattr(
             idospec.inverse, "compute_g", lambda *a, **k: builds.append(1) or build(*a, **k)
         )
-        report = recover_profile(const_problem, np.full(4, 0.8))
-        assert report.jacobian_evals == report.iterations >= 1
-        assert report.residual_evals > report.iterations
-        assert report.residual_evals + report.jacobian_evals == len(builds)
+        tilted = InverseProblem(
+            m0=const_problem.m0, r=tilted_r(const_problem.grid),
+            target=const_problem.target, d=4,
+        )
+        for problem, per_jacobian in ((const_problem, 0), (tilted, 1)):
+            builds.clear()
+            report = recover_profile(problem, np.full(4, 0.8))
+            assert report.jacobian_evals == report.iterations >= 1
+            assert report.residual_evals > report.iterations
+            assert report.g_builds == len(builds) == (
+                report.residual_evals + per_jacobian * report.jacobian_evals
+            )
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(8, 40), seed=st.integers(0, 2**32 - 1))
+    def test_symmetric_kernel_reuses_g_bitwise(self, n, seed):
+        # random M0 and R invariant under the reflection, a random profile and
+        # targets with a double point: the Jacobian that reuses g is the one
+        # computed from an explicitly built reflected G, bit for bit
+        rng = np.random.default_rng(seed)
+        grid = make_grid(n)
+
+        def symmetric_field(scale):
+            a = np.tril(rng.standard_normal((n + 1, 2 * n + 2)).view(complex))
+            return TriangularField(grid, scale * (a + a[::-1, ::-1].T))
+
+        nus = rng.uniform(-4.0, 4.0, 3) + 1j * rng.uniform(-1.0, 0.0, 3)
+        target = Spectrum(
+            eigenvalues=(Eigenvalue(nus[0], 2, 0.0), Eigenvalue(nus[1], 1, 0.0),
+                         Eigenvalue(nus[2], 1, 0.0)),
+            window=WIDE, total_count=4,
+        )
+        r = TriangularField(grid, symmetric_field(0.05).values + np.tril(np.ones((n + 1, n + 1))))
+        problem = InverseProblem(m0=symmetric_field(0.02), r=r, target=target, d=5)
+        params = rng.uniform(-1.0, 1.0, 5)
+        _, g = spectrum_residual(params, problem)
+        jac, g_refl = spectrum_jacobian(params, problem, g)
+        assert g_refl is g
+
+        def explicit(m):
+            return TriangularField(m.grid, reflected_kernel(m).values.copy())
+
+        with mock.patch.object(idospec.inverse, "reflected_kernel", explicit):
+            jac_built, g_built = spectrum_jacobian(params, problem, g)
+        assert g_built is not g
+        assert g_built.g.values.tobytes() == g.g.values.tobytes()
+        assert jac_built.tobytes() == jac.tobytes()
 
 
 class TestRecoverProfile:
@@ -281,6 +331,34 @@ class TestRecoverSequential:
         assert len(reports) == 1
         assert reports[0].converged
         assert np.abs(reports[0].recovered.values - 1.0).max() < 1e-3
+
+    @pytest.mark.parametrize("stages", [1, 2, 3])
+    def test_known_kernel_assembled_between_stages_only(
+        self, grid80, const_problem, monkeypatch, stages
+    ):
+        # with the stage fits stubbed out, every assemble_kernel call is a
+        # stage's recovered profile frozen into the next stage's known part
+        def fit(problem, init, opts):
+            return idospec.inverse.RecoveryReport(
+                recovered=Profile.constant(grid80, 1.0), residual_norm=0.0,
+                iterations=0, converged=True,
+            )
+
+        assemblies = []
+        assemble = idospec.inverse.assemble_kernel
+        monkeypatch.setattr(idospec.inverse, "recover_profile", fit)
+        monkeypatch.setattr(
+            idospec.inverse, "assemble_kernel",
+            lambda sk: assemblies.append(1) or assemble(sk),
+        )
+        family = StructuredKernel(
+            const_problem.m0,
+            (KernelComponent(const_problem.r, Profile.constant(grid80, 1.0)),) * 3,
+        )
+        spectra = [const_problem.target] * stages
+        reports = recover_sequential(spectra, family, d=4)
+        assert len(reports) == stages
+        assert len(assemblies) == len(spectra) - 1
 
 
 class TestIdentities:

@@ -252,6 +252,24 @@ class TestReflectedKernel:
         back = reflected_kernel(reflected_kernel(m))
         assert back.values.tobytes() == m.values.tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+    def test_returns_itself_exactly_when_symmetric(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a = _random_lower(rng, n + 1, 1.0)
+        sym = TriangularField(make_grid(n), a + a[::-1, ::-1].T)
+        assert reflected_kernel(sym) is sym
+        # one entry off the anti-diagonal i + j = n, which the reflection fixes
+        cells = [(i, j) for i in range(n + 1) for j in range(i + 1) if i + j != n]
+        i, j = cells[rng.integers(len(cells))]
+        bumped = sym.values.copy()
+        bumped[i, j] += 1.0
+        m = TriangularField(sym.grid, bumped)
+        ref = reflected_kernel(m)
+        assert ref is not m
+        assert not np.array_equal(ref.values, m.values)
+        assert ref.values.tobytes() == np.tril(bumped[::-1, ::-1].T).tobytes()
+
     def test_involution(self, grid50):
         m = family_fields(grid50)["structured"]
         back = reflected_kernel(reflected_kernel(m))
