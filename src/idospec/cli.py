@@ -341,15 +341,13 @@ def cmd_forward(cfg, sha, out: Path, args) -> int:
     diag_res = float(np.abs(np.diagonal(g.g.values) - target).max())
 
     lambdas = _lambdas_from_config(cfg, [[0.0, 0.0], [1.0, 0.0], [-2.0, -0.5]])
-    with open(out / "e_samples.csv", "w") as fh:
-        fh.write("lambda_re,lambda_im,x,re,im\n")
-        for lam in lambdas:
-            e = eval_e_via_g(g, lam)
-            for x, v in zip(grid.nodes, e):
-                fh.write(
-                    f"{serialize.fmt(lam.real)},{serialize.fmt(lam.imag)},"
-                    f"{serialize.fmt(x)},{serialize.fmt(v.real)},{serialize.fmt(v.imag)}\n"
-                )
+    e = np.concatenate([eval_e_via_g(g, lam) for lam in lambdas])
+    lams = np.array(lambdas)
+    which = np.repeat(np.arange(lams.size), grid.n_nodes)
+    node = np.tile(np.arange(grid.n_nodes), lams.size)
+    serialize.write_csv(out / "e_samples.csv", "lambda_re,lambda_im,x,re,im", [
+        (lams.real, which), (lams.imag, which), (grid.nodes, node), e.real, e.imag,
+    ])
 
     serialize.write_json(out / "forward_report.json", {
         "provenance": _provenance("forward", sha, n),
@@ -389,13 +387,10 @@ def cmd_spectrum(cfg, sha, out: Path, args) -> int:
         nx, ny = _heatmap_shape(hm)
         res = np.linspace(window.re_min, window.re_max, nx)
         ims = np.linspace(window.im_min, window.im_max, ny)
-        with open(out / "delta_heatmap.csv", "w") as fh:
-            fh.write("re,im,abs_delta\n")
-            for im in ims:
-                lams = res + 1j * im
-                vals = np.abs(evaluator(lams.astype(complex)))
-                for re_, v in zip(res, vals):
-                    fh.write(f"{serialize.fmt(re_)},{serialize.fmt(im)},{serialize.fmt(v)}\n")
+        vals = np.concatenate([np.abs(evaluator((res + 1j * im).astype(complex))) for im in ims])
+        serialize.write_csv(out / "delta_heatmap.csv", "re,im,abs_delta", [
+            (res, np.tile(np.arange(nx), ny)), (ims, np.repeat(np.arange(ny), nx)), vals,
+        ])
     return EXIT_OK
 
 
@@ -460,6 +455,8 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
             "residual_norm": rep.residual_norm,
             "underdetermined": rep.underdetermined,
             "history": [float(v) for v in rep.history],
+            "damping": [float(v) for v in rep.damping],
+            "rejected_trials": rep.rejected_trials,
             "residual_evals": rep.residual_evals,
             "jacobian_evals": rep.jacobian_evals,
             "g_builds": rep.g_builds,

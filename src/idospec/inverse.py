@@ -118,6 +118,11 @@ class RecoveryReport:
     jacobian_evals: int = 0     # spectrum_jacobian calls, at most one G build each
     g_builds: int = 0           # compute_g calls: a Jacobian builds none when
                                 # the kernel is its own reflection
+    # per LM iteration: the damping of the step it accepted (the damping it
+    # ended at if it accepted none), and its trial residuals that did not
+    # lower the cost
+    damping: list = field(default_factory=list)
+    rejected_trials: list = field(default_factory=list)
 
 
 def profile_from_params(params, problem: InverseProblem) -> Profile:
@@ -147,27 +152,26 @@ def spectrum_residual(p_params, problem: InverseProblem):
     """Candidate Delta (and derivatives, per multiplicity) at the target points.
 
     Each derivative order is one char_delta_deriv call over its targets.
-    Returns the residual and the G it was computed from, which
-    spectrum_jacobian takes at the same parameters.
+    Returns the residual, the G it was computed from and the candidate
+    kernel M that G solves, the point where spectrum_jacobian linearizes.
     """
-    g = compute_g(
-        _candidate_kernel(p_params, problem),
-        tol=problem.picard_tol, max_terms=problem.picard_max_terms,
-    )
+    m = _candidate_kernel(p_params, problem)
+    g = compute_g(m, tol=problem.picard_tol, max_terms=problem.picard_max_terms)
     nus, orders = _target_orders(problem)
     res = np.empty(nus.size, dtype=complex)
     for order in np.unique(orders):
         rows = orders == order
         res[rows] = char_delta_deriv(g, nus[rows], order=int(order))
-    return res, g
+    return res, g, m
 
 
-def spectrum_jacobian(p_params, problem: InverseProblem, g: TransformKernel):
+def spectrum_jacobian(m: TriangularField, problem: InverseProblem, g: TransformKernel):
     """Derivatives of spectrum_residual in the parameters, from the Green identity.
 
-    g is the G that spectrum_residual built at p_params. Linearizing the
-    identity at M~ = M and differentiating it j times in nu (Leibniz) gives
-    the row of Delta^(j)(nu) as
+    m and g are the candidate kernel and its G that spectrum_residual
+    returned for the parameters. Linearizing the identity at M~ = M and
+    differentiating it j times in nu (Leibniz) gives the row of
+    Delta^(j)(nu) as
     i * sum over a + b = j of C(j, a) * double integral over t <= x of
     psi^(a)(x, nu) R(x, t) phi_k(x - t) e^(b)(t, nu), for each basis column
     phi_k. e^(b) comes from g; psi^(a)(x) = w^(a)(pi - x), with w the forward
@@ -180,7 +184,6 @@ def spectrum_jacobian(p_params, problem: InverseProblem, g: TransformKernel):
     itself when no G was built.
     """
     grid = problem.grid
-    m = _candidate_kernel(p_params, problem)
     refl = reflected_kernel(m)
     g_refl = g if refl is m else compute_g(
         refl, tol=problem.picard_tol, max_terms=problem.picard_max_terms
@@ -216,15 +219,15 @@ def _second_difference(params: np.ndarray) -> np.ndarray:
 
 
 def _stacked_residual(params: np.ndarray, problem: InverseProblem, mu: float):
-    res, g = spectrum_residual(params, problem)
+    res, g, m = spectrum_residual(params, problem)
     parts = [res.real, res.imag]
     if mu > 0:
         parts.append(np.sqrt(mu) * _second_difference(params))
-    return np.concatenate(parts), g
+    return np.concatenate(parts), g, m
 
 
-def _stacked_jacobian(params, problem: InverseProblem, mu: float, g):
-    jac, g_refl = spectrum_jacobian(params, problem, g)
+def _stacked_jacobian(m, problem: InverseProblem, mu: float, g):
+    jac, g_refl = spectrum_jacobian(m, problem, g)
     parts = [jac.real, jac.imag]
     if mu > 0:
         parts.append(np.sqrt(mu) * _second_difference(np.eye(problem.d)))
@@ -263,20 +266,22 @@ def recover_profile(
     if mu == 0 and problem.target.total_count < 2 * problem.d:
         mu = 1e-6  # truncated spectra can be practically underdetermined
 
-    res, g = _stacked_residual(params, problem, mu)
+    res, g, m = _stacked_residual(params, problem, mu)
     residual_evals, jacobian_evals, g_builds = 1, 0, 1
     cost = float(np.linalg.norm(res))
     history = [cost]
+    dampings, rejected = [], []
     damping = opts.lm_damping0
     converged = cost < opts.ftol
     it = 0
     while not converged and it < opts.max_iter:
         it += 1
-        jac, g_refl = _stacked_jacobian(params, problem, mu, g)
+        jac, g_refl = _stacked_jacobian(m, problem, mu, g)
         jacobian_evals += 1
         g_builds += g_refl is not g
 
         accepted = False
+        rejected.append(0)
         for _ in range(opts.max_inner):
             jtj = jac.T @ jac
             scale = np.diag(np.maximum(np.diag(jtj), 1e-12))
@@ -286,21 +291,23 @@ def recover_profile(
                 damping *= 10.0
                 continue
             trial = params + delta
-            trial_res, trial_g = _stacked_residual(trial, problem, mu)
+            trial_res, trial_g, trial_m = _stacked_residual(trial, problem, mu)
             residual_evals += 1
             g_builds += 1
             trial_cost = float(np.linalg.norm(trial_res))
             if trial_cost < cost:
                 stalled = cost - trial_cost <= STALL_RTOL * cost
-                params, res, cost, g = trial, trial_res, trial_cost, trial_g
-                damping = max(damping / 3.0, 1e-12)
+                params, res, cost, g, m = trial, trial_res, trial_cost, trial_g, trial_m
                 accepted = True
                 break
+            rejected[-1] += 1
             jac += np.outer(trial_res - res - jac @ delta, delta / (delta @ delta))
             damping *= 10.0
         history.append(cost)
+        dampings.append(damping)
         if not accepted:
             break
+        damping = max(damping / 3.0, 1e-12)
         converged = bool(
             stalled
             or cost < opts.ftol
@@ -317,6 +324,8 @@ def recover_profile(
         residual_evals=residual_evals,
         jacobian_evals=jacobian_evals,
         g_builds=g_builds,
+        damping=dampings,
+        rejected_trials=rejected,
     )
 
 

@@ -1,11 +1,18 @@
 """CSV and JSON artifact formats.
 
 Float output is fixed at 17 significant digits everywhere so that repeated
-runs with the same config produce byte-identical artifacts.
+runs with the same config produce byte-identical artifacts: every float is
+written as format(x, ".17g") spells it. JSON writes its floats one by one
+(fmt). CSV writers format whole columns at once (fmt_array), exactly: the
+17-digit integer of |x| * 10^p comes from a double-double product, and the
+elements that product cannot settle (non-finite values, |x| outside
+[1e-240, 1e240], and fractions within 1e-9 of a rounding tie) are formatted
+one by one by format() instead.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 
@@ -18,6 +25,166 @@ from .spectral import Eigenvalue, SearchWindow, Spectrum
 
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+# --- 17-digit text of float arrays ----------------------------------------------
+
+# Columns of one formatted float: at most "-0.000" and 17 digits, or a sign,
+# 17 digits, a point and "e-308".
+_WIDTH = 24
+# Elements per block the CSV writers format at once: bounds their working memory.
+CSV_BLOCK = 8192
+# |x| range of the exact product: there 10^p and every partial product of
+# the double-double multiplication stay normal doubles.
+_LOW, _HIGH = 1e-240, 1e240
+# p = 16 - k, with the decimal exponent k of |x| in that range, give or take one
+_P_MIN, _P_MAX = -225, 257
+# Fractions this close to one half may be exact ties, which the product
+# cannot tell from near ones; its error is below 1e-14.
+_TIE_GAP = 1e-9
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
+_E16, _E17 = 10**16, 10**17
+# Template columns of one element: its 17 digits, then these constants, the
+# exponent sign and three exponent digits
+_ZERO, _POINT, _MINUS, _NUL, _E, _ESIGN, _EDIGITS = range(17, 24)
+# Layout classes of the decimal exponent k: fixed notation for -4 <= k < 17
+# (class k + 4), exponent notation with two digits (class 21) or three (22)
+_KCLASSES = 23
+
+
+@functools.cache
+def _chunk_digits() -> np.ndarray:
+    """(10000, 4) uint8: the four ASCII digits of 0..9999, zero-padded."""
+    c = np.arange(10000, dtype=np.int16)[:, None]
+    return (c // np.array([1000, 100, 10, 1], dtype=np.int16) % 10 + ord("0")).astype(np.uint8)
+
+
+@functools.cache
+def _pow10() -> np.ndarray:
+    """(3, _P_MAX - _P_MIN + 1): hi split in two halves, and lo, of 10^p.
+
+    hi = fl(10^p) and lo = fl(10^p - hi), each from one correctly rounded
+    Python int / int division, so hi + lo is 10^p to about 2^-106 relative.
+    """
+    tens = [10**q for q in range(max(_P_MAX, -_P_MIN) + 1)]
+    hi, lo = [], []
+    for p in range(_P_MIN, _P_MAX + 1):
+        if p >= 0:
+            hi.append(float(tens[p]))
+            lo.append(float(tens[p] - int(hi[-1])))
+        else:
+            hi.append(1 / tens[-p])
+            h_num, h_den = hi[-1].as_integer_ratio()
+            lo.append((h_den - h_num * tens[-p]) / (h_den * tens[-p]))
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    hh = c - (c - hi)
+    return np.stack([hh, hi - hh, np.array(lo)])
+
+
+@functools.cache
+def _layouts() -> tuple[np.ndarray, np.ndarray]:
+    """Template column of each output column, and the text length, per layout key.
+
+    key = (sign * _KCLASSES + exponent class) * 18 + significant digits. The
+    text is the Python 'g' layout of the digits: fixed notation shows
+    max(k + 1, 1) digits before the point (zeros padding an integer),
+    -k - 1 zeros after it when k < 0, and the significant digits; exponent
+    notation shows one digit before the point, then "e", the sign and at
+    least two exponent digits.
+    """
+    cols = np.full((2 * _KCLASSES * 18, _WIDTH), _NUL, dtype=np.uint8)
+    lengths = np.zeros(len(cols), dtype=np.int64)
+    for kc in range(_KCLASSES):
+        if kc <= 20:
+            lead, before, suffix = max(4 - kc, 0), max(kc - 3, 1), []
+        else:
+            lead, before = 0, 1
+            suffix = [_E, _ESIGN, *range(_EDIGITS + (kc == 21), _EDIGITS + 3)]
+        stream = [_ZERO] * lead + list(range(17))  # the digits after `lead` zeros
+        for nd in range(1, 18):
+            shown = max(before, lead + nd)
+            point = [_POINT] if shown > before else []
+            text = stream[:before] + point + stream[before:shown] + suffix
+            for sign in (0, 1):
+                key = (sign * _KCLASSES + kc) * 18 + nd
+                lengths[key] = sign + len(text)
+                cols[key, : lengths[key]] = [_MINUS] * sign + text
+    return cols, lengths
+
+
+def _scaled(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer and fractional part of x * 10^(16 - k), by a Dekker product."""
+    hh, hl, lo = _pow10()[:, 16 - k - _P_MIN]
+    c = _SPLIT * x
+    xh = c - (c - x)
+    xl = x - xh
+    prod = x * (hh + hl)
+    err = ((xh * hh - prod) + xh * hl + xl * hh) + xl * hl
+    b = err + x * lo
+    fb = np.floor(b)
+    return prod.astype(np.int64) + fb.astype(np.int64), b - fb
+
+
+def fmt_array(v) -> np.ndarray:
+    """format(x, ".17g") of each element of v, as the rows of a uint8 block.
+
+    Row r spells the text of v.flat[r] in ASCII, padded with NULs to the
+    block's width, the longest text in it.
+    """
+    v = np.asarray(v, dtype=float).ravel()
+    a = np.abs(v)
+    zero = a == 0
+    fast = (a >= _LOW) & (a <= _HIGH)  # false for NaN
+    x = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(x)).astype(np.int64)
+    whole, frac = _scaled(x, k)
+    # log10 can miss the exponent by one next to a power of ten
+    off = (whole >= _E17).astype(np.int64) - (whole < _E16)
+    if off.any():
+        redo = off != 0
+        k[redo] += off[redo]
+        whole[redo], frac[redo] = _scaled(x[redo], k[redo])
+    digits17 = whole + (frac > 0.5)
+    carry = digits17 == _E17
+    digits17[carry] = _E16
+    k += carry
+    slow = ~zero & (~fast | (np.abs(frac - 0.5) < _TIE_GAP))
+    digits17[zero] = 0
+    k[zero] = 0
+
+    n = v.size
+    tpl = np.empty((n, _EDIGITS + 3), dtype=np.uint8)
+    head = digits17 // _E16
+    rest = digits17 - head * _E16
+    chunks = np.empty((n, 4), dtype=np.int32)
+    chunks[:, 0], chunks[:, 2] = np.divmod(rest, 10**8)
+    chunks[:, 0], chunks[:, 1] = np.divmod(chunks[:, 0], 10**4)
+    chunks[:, 2], chunks[:, 3] = np.divmod(chunks[:, 2], 10**4)
+    table = _chunk_digits()
+    tpl[:, 0] = head + ord("0")
+    tpl[:, 1:17] = table.view(np.uint32)[chunks, 0].view(np.uint8)  # 4 digits at a time
+    tpl[:, _ZERO:_ESIGN] = np.frombuffer(b"0.-\0e", dtype=np.uint8)
+    fixed = (k >= -4) & (k < 17)
+    if not fixed.all():
+        sci = ~fixed
+        tpl[sci, _ESIGN] = np.where(k[sci] < 0, ord("-"), ord("+"))
+        tpl[sci, _EDIGITS:] = table[np.abs(k[sci]), 1:]
+
+    nd = 17 - np.argmax(tpl[:, 16::-1] != ord("0"), axis=1)  # trailing zeros dropped
+    nd[zero] = 1
+    kclass = np.where(fixed, k + 4, 21 + (np.abs(k) >= 100))
+    key = (np.signbit(v) * _KCLASSES + kclass) * 18 + nd
+    cols, lengths = _layouts()
+    texts = [format(float(e), ".17g").encode() for e in v[slow]]
+    width = max([int(lengths[key].max(initial=0))] + [len(t) for t in texts])
+    # flat template index of each output byte
+    at = cols[:, :width][key] + (np.arange(n) * tpl.shape[1])[:, None]
+    out = tpl.ravel().take(at)
+    for r, t in zip(np.flatnonzero(slow), texts):
+        out[r] = 0
+        out[r, : len(t)] = np.frombuffer(t, dtype=np.uint8)
+    return out
 
 
 def _json_render(obj) -> str:
@@ -55,6 +222,38 @@ def _complex(re, im) -> np.ndarray:
     return out
 
 
+def _lines(fields) -> bytes:
+    """The rows of NUL-padded text blocks joined by commas into lines, NULs dropped."""
+    out = np.zeros((fields[0].shape[0], sum(f.shape[1] + 1 for f in fields)), dtype=np.uint8)
+    end = 0
+    for f in fields:
+        out[:, end : end + f.shape[1]] = f
+        end += f.shape[1] + 1
+        out[:, end - 1] = ord(",")
+    out[:, -1] = ord("\n")
+    flat = out.ravel()
+    return flat[flat != 0].tobytes()
+
+
+def write_csv(path, header: str, columns) -> None:
+    """A header line, then one line per row of the columns, floats as fmt writes them.
+
+    A column is an array with one float per line, or a pair (values, index)
+    whose line r holds values[index[r]]: values are formatted once and their
+    text gathered. Lines are formatted and written CSV_BLOCK at a time.
+    """
+    texts = [fmt_array(c[0]) if isinstance(c, tuple) else None for c in columns]
+    picks = [c[1] if isinstance(c, tuple) else c for c in columns]
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
+        for start in range(0, len(picks[0]), CSV_BLOCK):
+            block = slice(start, start + CSV_BLOCK)
+            fh.write(_lines([
+                fmt_array(p[block]) if t is None else t[p[block]]
+                for t, p in zip(texts, picks)
+            ]))
+
+
 def _csv_rows(path) -> np.ndarray:
     """The numeric rows of a CSV file below its header line, one array row each.
 
@@ -73,10 +272,7 @@ def _csv_rows(path) -> np.ndarray:
 
 
 def profile_to_csv(p: Profile, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,re,im\n")
-        for x, v in zip(p.grid.nodes, p.values):
-            fh.write(f"{fmt(x)},{fmt(v.real)},{fmt(v.imag)}\n")
+    write_csv(path, "x,re,im", [p.grid.nodes, p.values.real, p.values.imag])
 
 
 def profile_from_csv(path, grid: Grid | None = None) -> Profile:
@@ -94,15 +290,10 @@ def profile_from_csv(path, grid: Grid | None = None) -> Profile:
 
 def field_to_csv(f: TriangularField, path) -> None:
     """One line per node pair t <= x, rows of the triangle in order."""
-    nodes = [fmt(x) for x in f.grid.nodes]
-    with open(path, "w") as fh:
-        fh.write("x,t,re,im\n")
-        for i, x in enumerate(nodes):
-            row = f.values[i, : i + 1]
-            fh.write("".join(
-                f"{x},{t},{re:.17g},{im:.17g}\n"
-                for t, re, im in zip(nodes, row.real.tolist(), row.imag.tolist())
-            ))
+    rows, cols = np.tril_indices(f.grid.n_nodes)
+    vals = f.values[rows, cols]
+    nodes = f.grid.nodes
+    write_csv(path, "x,t,re,im", [(nodes, rows), (nodes, cols), vals.real, vals.imag])
 
 
 def field_from_csv(path, grid: Grid | None = None) -> TriangularField:

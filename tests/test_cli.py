@@ -11,7 +11,7 @@ import idospec.inverse
 import idospec.spectral
 from idospec import serialize
 from idospec.quadrature import Profile, TriangularField, make_grid
-from idospec.spectral import DeltaEvaluator, char_delta
+from idospec.spectral import DeltaEvaluator, char_delta, eval_e_via_g
 from idospec.transform import compute_g
 from idospec.cli import (
     EXIT_CONFIG,
@@ -104,6 +104,22 @@ class TestForward:
                      "forward_report.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_e_samples_match_per_float_writer(self, workdir):
+        lambdas = [[-0.0, 0.0], [1e-5, 2.5], [3.0, -0.5]]
+        cfg = write_config(workdir / "fwd_e.json", {
+            "grid_n": 30, "kernel": CONST_KERNEL, "lambdas": lambdas,
+        })
+        out = workdir / "fwd_e_out"
+        assert main(["forward", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        g = serialize.transform_kernel_from_files(out / "g_kernel.csv", out / "g_kernel_meta.json")
+        fmt = serialize.fmt
+        expect = ["lambda_re,lambda_im,x,re,im\n"]
+        for re_, im in lambdas:
+            lam = complex(re_, im)
+            for x, v in zip(g.grid.nodes, eval_e_via_g(g, lam)):
+                expect.append(f"{fmt(lam.real)},{fmt(lam.imag)},{fmt(x)},{fmt(v.real)},{fmt(v.imag)}\n")
+        assert (out / "e_samples.csv").read_bytes() == "".join(expect).encode()
+
     def test_picard_budget_exhausted(self, workdir):
         cfg = write_config(workdir / "fwd_bad.json", {
             "grid_n": 30,
@@ -178,6 +194,24 @@ class TestSpectrum:
         lines = (out / "delta_heatmap.csv").read_text().strip().splitlines()
         assert lines[0] == "re,im,abs_delta"
         assert len(lines) == 1 + 10 * 8
+
+    def test_heatmap_matches_per_float_writer(self, workdir):
+        window = {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5}
+        cfg = write_config(workdir / "spec_hm_bytes.json", {
+            "grid_n": 40, "kernel": CONST_KERNEL, "window": window,
+            "heatmap": {"nx": 9, "ny": 7},
+        })
+        out = workdir / "spec_hm_bytes_out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        # CONST_KERNEL assembles to M = 1 exactly, so this is the command's G
+        evaluator = DeltaEvaluator(compute_g(TriangularField.constant(make_grid(40), 1.0)))
+        fmt = serialize.fmt
+        expect = ["re,im,abs_delta\n"]
+        res = np.linspace(window["re_min"], window["re_max"], 9)
+        for im in np.linspace(window["im_min"], window["im_max"], 7):
+            vals = np.abs(evaluator((res + 1j * im).astype(complex)))
+            expect += [f"{fmt(re_)},{fmt(im)},{fmt(v)}\n" for re_, v in zip(res, vals)]
+        assert (out / "delta_heatmap.csv").read_bytes() == "".join(expect).encode()
 
     def test_extrapolated_heatmap_uses_the_search_evaluator(self, workdir):
         cfg = write_config(workdir / "spec_hm_ex.json", {
@@ -399,6 +433,40 @@ class TestInvert:
         assert stages[None]["residual_evals"] > stages[None]["iterations"] + 1
         assert stages[1]["residual_evals"] == stages[1]["iterations"] + 1
         assert not stages[1]["converged"]
+
+    def test_report_records_damping_and_rejections(self, workdir, target_spectrum):
+        # the start of test_max_inner_takes_effect: the default fit rejects
+        # some trial steps, and with one trial per iteration it stops at the
+        # first rejection
+        for max_inner in (None, 1):
+            opts = {"lm_damping0": 1e-8}
+            if max_inner is not None:
+                opts["max_inner"] = max_inner
+            cfg = write_config(
+                workdir / f"inv_lm_{max_inner}.json",
+                self.invert_cfg(target_spectrum, init=[3.0, -3.0, 3.0, -3.0], opts=opts),
+            )
+            texts = []
+            for tag in ("a", "b"):
+                out = workdir / f"inv_lm_out_{max_inner}_{tag}"
+                main(["invert", "--config", cfg, "--out", str(out)])
+                texts.append((out / "recovery_report.json").read_bytes())
+            assert texts[0] == texts[1]
+            (stage,) = json.loads(texts[0])["stages"]
+            damping, rejected = stage["damping"], stage["rejected_trials"]
+            assert len(damping) == len(rejected) == stage["iterations"] >= 1
+            accepted = stage["iterations"] - (not stage["converged"])
+            assert stage["residual_evals"] == 1 + accepted + sum(rejected)
+            # each rejection multiplies the damping by 10, each accepted step
+            # divides it by 3 for the next iteration
+            start = 1e-8
+            for d, r in zip(damping, rejected):
+                assert d == pytest.approx(start * 10.0**r, rel=1e-12)
+                start = d / 3.0
+            if max_inner is None:
+                assert stage["converged"] and sum(rejected) > 0
+            else:
+                assert not stage["converged"] and rejected[-1] == 1
 
     def test_vanishing_weight_is_identifiability_error(self, workdir, target_spectrum):
         cfg = self.invert_cfg(target_spectrum)

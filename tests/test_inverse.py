@@ -143,8 +143,8 @@ class TestProblemSetup:
 
 class TestSpectrumResidual:
     def test_vanishes_at_true_parameters(self, const_problem):
-        res, g = spectrum_residual(np.ones(4), const_problem)
-        assert g.grid is const_problem.grid
+        res, g, m = spectrum_residual(np.ones(4), const_problem)
+        assert g.grid is m.grid is const_problem.grid
         assert res.shape == (const_problem.target.total_count,)
         assert np.abs(res).max() < 1e-9
 
@@ -166,8 +166,8 @@ class TestSpectrumJacobian:
 
     @staticmethod
     def jacobians(problem, params):
-        res, g = spectrum_residual(params, problem)
-        analytic, _ = spectrum_jacobian(params, problem, g)
+        res, g, m = spectrum_residual(params, problem)
+        analytic, _ = spectrum_jacobian(m, problem, g)
         fd = fd_jacobian(lambda p: spectrum_residual(p, problem)[0], params)
         return analytic, fd
 
@@ -245,15 +245,15 @@ class TestSpectrumJacobian:
         r = TriangularField(grid, symmetric_field(0.05).values + np.tril(np.ones((n + 1, n + 1))))
         problem = InverseProblem(m0=symmetric_field(0.02), r=r, target=target, d=5)
         params = rng.uniform(-1.0, 1.0, 5)
-        _, g = spectrum_residual(params, problem)
-        jac, g_refl = spectrum_jacobian(params, problem, g)
+        _, g, m = spectrum_residual(params, problem)
+        jac, g_refl = spectrum_jacobian(m, problem, g)
         assert g_refl is g
 
         def explicit(m):
             return TriangularField(m.grid, reflected_kernel(m).values.copy())
 
         with mock.patch.object(idospec.inverse, "reflected_kernel", explicit):
-            jac_built, g_built = spectrum_jacobian(params, problem, g)
+            jac_built, g_built = spectrum_jacobian(m, problem, g)
         assert g_built is not g
         assert g_built.g.values.tobytes() == g.g.values.tobytes()
         assert jac_built.tobytes() == jac.tobytes()
@@ -277,6 +277,25 @@ class TestRecoverProfile:
         report = recover_profile(const_problem, np.full(4, 0.5), opts)
         assert report.iterations <= 1
         assert not report.converged
+
+    def test_one_kernel_assembly_per_residual(self, const_problem, monkeypatch):
+        # the Jacobian linearizes at the kernel its residual assembled, with
+        # a symmetric kernel and with one that builds the reflected G
+        calls = []
+        assemble = idospec.inverse.assemble_kernel
+        monkeypatch.setattr(
+            idospec.inverse, "assemble_kernel",
+            lambda *a, **k: calls.append(1) or assemble(*a, **k),
+        )
+        tilted = InverseProblem(
+            m0=const_problem.m0, r=tilted_r(const_problem.grid),
+            target=const_problem.target, d=4,
+        )
+        for problem in (const_problem, tilted):
+            calls.clear()
+            report = recover_profile(problem, np.full(4, 0.8))
+            assert report.jacobian_evals >= 1
+            assert len(calls) == report.residual_evals
 
     def test_stall_at_discretization_floor_converges(self, const_problem):
         # target from a finer grid, so the cost has a floor above zero; with

@@ -1,4 +1,7 @@
 import json
+import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +33,61 @@ class TestJson:
         )
 
 
+def _nudge(x: float, steps: int) -> float:
+    """x moved by |steps| doubles, up or down."""
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, np.inf if steps > 0 else -np.inf))
+    return x
+
+
+# Values where a 17-digit formatter goes wrong first: signed zeros, dyadic
+# fractions (some are exact rounding ties, e.g. 2**-25), neighbours of
+# powers of ten (where log10 misses the exponent and rounding carries into
+# an 18th digit), and the switches between fixed and exponent notation
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 9.9999999999999999e16, 2.0**-25]),
+    st.builds(lambda m, e: m * 2.0**-e, st.integers(1, 2**53 - 1), st.integers(0, 1100)),
+    st.builds(_nudge, st.integers(-300, 300).map(lambda k: 10.0**k), st.integers(-3, 3)),
+    st.builds(_nudge, st.sampled_from([1e-5, 1e-4, 1e16, 1e17]), st.integers(-3, 3)),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+def _texts(block) -> list:
+    return [bytes(row).rstrip(b"\0").decode() for row in block]
+
+
+class TestFmtArray:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats() | EDGE_FLOATS, min_size=1, max_size=40))
+    def test_equals_format_17g(self, values):
+        block = serialize.fmt_array(np.array(values))
+        assert _texts(block) == [format(x, ".17g") for x in values]
+        # NUL padding only after the text, and no column that is NUL throughout
+        assert block.shape[1] == max(len(format(x, ".17g")) for x in values)
+        for row, x in zip(block, values):
+            assert not row[len(format(x, ".17g")):].any()
+
+    def test_every_power_of_ten_neighbourhood(self):
+        values = [_nudge(10.0**k, s) for k in range(-323, 309) for s in range(-3, 4)]
+        values = np.array(values + [-v for v in values])
+        assert _texts(serialize.fmt_array(values)) == [format(x, ".17g") for x in values]
+
+    def test_random_bit_patterns(self):
+        values = np.random.default_rng(7).integers(0, 2**64, 20000, dtype=np.uint64).view(float)
+        assert _texts(serialize.fmt_array(values)) == [format(x, ".17g") for x in values]
+
+    def test_empty(self):
+        assert serialize.fmt_array(np.array([])).shape[0] == 0
+
+    def test_power_of_ten_table_is_correctly_rounded(self):
+        hh, hl, lo = serialize._pow10()
+        for i, p in enumerate(range(serialize._P_MIN, serialize._P_MAX + 1)):
+            exact = Fraction(10) ** p
+            hi = float(hh[i]) + float(hl[i])
+            assert hi == float(exact)
+            assert float(lo[i]) == float(exact - Fraction(hi))
+
+
 class TestProfileCsv:
     def test_round_trip(self, tmp_path):
         grid = make_grid(12)
@@ -38,6 +96,21 @@ class TestProfileCsv:
         serialize.profile_to_csv(p, path)
         q = serialize.profile_from_csv(path, grid)
         assert np.array_equal(p.values, q.values)
+
+    def test_bytes_match_per_float_writer(self, tmp_path):
+        grid = make_grid(30)
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(31) * 10.0 ** rng.integers(-8, 20, 31) + 1j * rng.standard_normal(31)
+        values[:4] = [0.0, complex(-0.0, 2.0**-25), complex(1e16, -1e-5), complex(np.inf, np.nan)]
+        p = Profile(grid, values)
+        path = tmp_path / "p.csv"
+        with mock.patch.object(serialize, "CSV_BLOCK", 7):
+            serialize.profile_to_csv(p, path)
+        fmt = serialize.fmt
+        expect = "x,re,im\n" + "".join(
+            f"{fmt(x)},{fmt(v.real)},{fmt(v.imag)}\n" for x, v in zip(grid.nodes, values)
+        )
+        assert path.read_bytes() == expect.encode()
 
     def test_grid_inferred(self, tmp_path):
         grid = make_grid(7)
@@ -77,21 +150,45 @@ def _field_to_csv_loop(f, path):
 
 class TestFieldCsv:
     @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
-    def test_bytes_match_cell_by_cell_writer(self, tmp_path_factory, n, seed):
+    @given(
+        n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1),
+        edges=st.lists(EDGE_FLOATS, max_size=30), block=st.integers(1, 100),
+    )
+    def test_bytes_match_cell_by_cell_writer(self, tmp_path_factory, n, seed, edges, block):
+        # the triangle of n = 30 has 496 lines, so a small block spans many
         rng = np.random.default_rng(seed)
         vals = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
         picks = rng.random(vals.shape)
         vals.real[picks < 0.2] = -0.0
         vals.imag[picks > 0.8] = np.round(10 * vals.imag[picks > 0.8])
         vals[0, 0] = complex(-0.0, 3.0)
+        parts = vals.view(float).reshape(n + 1, 2 * n + 2)
+        for x in edges:
+            i = rng.integers(n + 1)
+            parts[i, rng.integers(2 * i + 2)] = x
         f = TriangularField(make_grid(n), np.tril(vals))
         out = tmp_path_factory.mktemp("csv")
-        serialize.field_to_csv(f, out / "new.csv")
+        with mock.patch.object(serialize, "CSV_BLOCK", block):
+            serialize.field_to_csv(f, out / "new.csv")
         _field_to_csv_loop(f, out / "old.csv")
         assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
         back = serialize.field_from_csv(out / "new.csv")
         assert np.array_equal(back.values, f.values)
+
+    def test_working_memory_is_bounded(self, tmp_path):
+        # the text of all 80601 lines of an N = 400 field at once takes
+        # about 39 MB; block by block it stays near 6 MB
+        n = 400
+        rng = np.random.default_rng(5)
+        vals = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
+        f = TriangularField(make_grid(n), np.tril(vals))
+        tracemalloc.start()
+        try:
+            serialize.field_to_csv(f, tmp_path / "f.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_round_trip(self, tmp_path):
         grid = make_grid(9)
