@@ -87,12 +87,22 @@ class InverseProblem:
         return CubicSpline(self.param_nodes, np.eye(self.d))(self.grid.nodes)
 
     @cached_property
-    def basis_fields(self) -> np.ndarray:
-        """d x (N+1) x (N+1) stack of R(x, t) phi_k(x - t).
+    def weighted_basis_fields(self) -> np.ndarray:
+        """d x (N+1) x (N+1) stack of R(x, t) phi_k(x - t) times trapezoid weights.
 
-        Layer k is the derivative of the kernel M in parameter k.
+        R(x, t) phi_k(x - t) is the derivative of the kernel M in parameter
+        k. The weight of node (x_i, t_j) is that of the nested trapezoid
+        rule over t <= x: w_i h, halved at t = 0 and at t = x, and zero on
+        row 0, where the inner range is empty. A double integral of
+        psi(x) dM(x, t) e(t) is then psi @ layer @ e.
         """
-        return np.stack([self.r.values * _shift_matrix(phi) for phi in self.basis.T])
+        grid = self.grid
+        inner = np.tril(np.full((grid.n_nodes,) * 2, grid.step))
+        inner[:, 0] *= 0.5
+        np.einsum("ii->i", inner)[...] *= 0.5
+        inner[0] = 0.0
+        weights = trapezoid_weights(grid.n_nodes, grid.step)[:, None] * inner
+        return np.stack([weights * self.r.values * _shift_matrix(phi) for phi in self.basis.T])
 
     def is_underdetermined(self) -> bool:
         return self.target.total_count < self.d
@@ -177,11 +187,13 @@ def spectrum_jacobian(m: TriangularField, problem: InverseProblem, g: TransformK
     phi_k. e^(b) comes from g; psi^(a)(x) = w^(a)(pi - x), with w the forward
     solution of the reflected kernel, so this builds one G, that one, unless
     the kernel is its own reflection (see reflected_kernel): then w = e and
-    g serves for both. The rows are the continuous derivative by the
-    trapezoid rule, O(h^2) away from the derivative of the discrete
-    residual. Returns the Jacobian, rows in the order of spectrum_residual
-    and one column per parameter, and the reflected kernel's G, which is g
-    itself when no G was built.
+    g serves for both. Every double integral the rows read is one product
+    of the stacked weighted_basis_fields against the columns of e it needs,
+    contracted with the matching columns of psi. The rows are the
+    continuous derivative by the trapezoid rule, O(h^2) away from the
+    derivative of the discrete residual. Returns the Jacobian, rows in the
+    order of spectrum_residual and one column per parameter, and the
+    reflected kernel's G, which is g itself when no G was built.
     """
     grid = problem.grid
     refl = reflected_kernel(m)
@@ -190,18 +202,19 @@ def spectrum_jacobian(m: TriangularField, problem: InverseProblem, g: TransformK
     )
     nus, orders = _target_orders(problem)
     e = eval_e_via_g(g, nus, orders)
-    # psi is scaled in place, so it gets its own copy of e
-    psi = (e.copy() if g_refl is g else eval_e_via_g(g_refl, nus, orders))[::-1]
-    psi *= trapezoid_weights(grid.n_nodes, grid.step)[:, None]
-    # pair[k, a, b]: the double integral of column a of psi against column b of e
-    pair = np.stack(
-        [psi.T @ volterra_apply(f, e, grid.step) for f in problem.basis_fields]
-    )
-    # row r holds order j of a target whose order-0 row is r - j
+    psi = (e if g_refl is g else eval_e_via_g(g_refl, nus, orders))[::-1]
+    # row r holds order j of a target whose order-0 row is r - j; it sums
+    # C(j, a) times the double integral of column r - j + a of psi against
+    # column r - a of e, one (a, b) column pair each
+    rows, cols_a, cols_b, coef = np.array(
+        [(r, r - j + a, r - a, math.comb(j, a))
+         for r, j in enumerate(orders) for a in range(j + 1)], dtype=int,
+    ).reshape(-1, 4).T
+    n = grid.n_nodes
+    fields_e = problem.weighted_basis_fields.reshape(-1, n) @ e[:, cols_b]
+    pair = np.einsum("kxp,xp->kp", fields_e.reshape(problem.d, n, -1), psi[:, cols_a])
     jac = np.zeros((orders.size, problem.d), dtype=complex)
-    for r, j in enumerate(orders):
-        for a in range(j + 1):
-            jac[r] += math.comb(j, a) * pair[:, r - j + a, r - a]
+    np.add.at(jac, rows, coef[:, None] * pair.T)
     return 1j * jac, g_refl
 
 

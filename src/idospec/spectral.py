@@ -119,37 +119,54 @@ def _exponent(grid, lam) -> np.ndarray:
     return np.multiply.outer(grid.nodes, np.asarray(lam, dtype=complex))
 
 
+# Nodes solved per block of the e-march: one gemm per block reads every
+# earlier node, and only products within the block run node by node.
+_MARCH_BLOCK = 32
+
+
 def eval_e_direct(m: TriangularField, lam) -> np.ndarray:
     """March the Volterra integral equation for e(x, lambda) node by node.
 
-    The trapezoid endpoint at the current node makes the update weakly
-    implicit; two fixed-point sweeps per node resolve it (the self-term
-    carries an O(h^2) coefficient). lam is a scalar, giving shape (N+1,),
-    or a 1-D array of K values, all marched in the one node loop, giving
+    The trapezoid discretization of
+    e(x) = exp(-i lam x) (1 + i int_0^x exp(i lam s) f(s) ds), with
+    f(s) = int_0^s m(s, t) e(t) dt, is lower triangular in the nodes. Node
+    i meets itself only through the two end weights at x_i, so it is
+    explicit: e[i] = exp(-i lam x_i) (1 + i h (known + p / 2 exp(i lam x_i)))
+    / (1 - i h^2 M[i,i] / 4), where known is the sum of exp(i lam x_k) f(x_k)
+    over the nodes k < i (f(0) = 0, so the end weight at s = 0 drops out)
+    and p = h M[i, :i] @ e[:i] less the end weight at t = 0. This is the step-by-step trapezoid method (Linz 1985), solved
+    exactly at each node; as in transform._march, one gemm per block of
+    _MARCH_BLOCK nodes reads every earlier node. lam is a scalar, giving
+    shape (N+1,), or a 1-D array of K values, all marched at once, giving
     shape (N+1, K) with one column per lambda.
     """
     h = m.grid.step
-    mv = m.values
+    hm = h * m.values
     lx = _exponent(m.grid, lam)
-    ex = np.exp(-1j * lx)            # exp(-i lam x_i)
-    phase = np.exp(1j * lx)          # exp(+i lam x_t)
-
-    e = np.empty_like(ex)
+    cols = lx[:, None] if lx.ndim == 1 else lx
+    phase = np.exp(1j * cols)                      # exp(+i lam x)
+    scale = 1.0 / (1.0 - 0.25j * h * np.diagonal(hm))
+    e = np.exp(-1j * cols) * scale[:, None]        # overwritten node by node
+    drive = (1j * h) * e                           # multiplies known
+    self_coef = 0.5j * h * scale                   # multiplies p; exp(-i lam x) exp(i lam x) = 1
+    half_diag = 0.5 * np.diagonal(hm)
     e[0] = 1.0
-    known = np.zeros_like(ex[0])     # sum of phase * f over the nodes before x_i
-
-    def f(i):                        # integral of m(x_i, .) e(.) over [0, x_i]
-        row = mv[i, : i + 1]
-        return h * (row @ e[: i + 1] - 0.5 * (row[0] * e[0] + row[i] * e[i]))
-
-    for i in range(1, e.shape[0]):
-        guess = e[i - 1]
-        for _ in range(2):
-            e[i] = guess
-            guess = ex[i] + 1j * (ex[i] * h * (known + 0.5 * phase[i] * f(i)))
-        e[i] = guess
-        known = known + phase[i] * f(i)
-    return e
+    known = np.zeros_like(e[0])
+    n = e.shape[0]
+    for r0 in range(1, n, _MARCH_BLOCK):
+        r1 = min(r0 + _MARCH_BLOCK, n)
+        part = hm[r0:r1, :r0] @ e[:r0]
+        part -= np.multiply.outer(0.5 * hm[r0:r1, 0], e[0])
+        for i in range(r0, r1):
+            p = part[i - r0]
+            p += hm[i, r0:i] @ e[r0:i]
+            ei = e[i]
+            ei += drive[i] * known
+            ei += self_coef[i] * p
+            p += half_diag[i] * ei                 # h times f(x_i)
+            p *= phase[i]
+            known += p
+    return e[:, 0] if lx.ndim == 1 else e
 
 
 def eval_psi(m: TriangularField, lam) -> np.ndarray:

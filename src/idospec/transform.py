@@ -95,18 +95,40 @@ def picard_g1(m: TriangularField) -> TriangularField:
     return TriangularField(m.grid, out)
 
 
+# Rows and columns per block of _lower_product.
+_PRODUCT_BLOCK = 64
+
+
+def _lower_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for two square lower-triangular factors, skipping the zero blocks.
+
+    Over blocks of _PRODUCT_BLOCK rows and columns, out[I, J] is zero for
+    J above I and otherwise sums only over the k between the two blocks,
+    where both factors can be nonzero: about n^3 / 6 multiply-adds instead
+    of n^3, in a different order of summation than one dense product.
+    """
+    n = a.shape[0]
+    out = np.zeros((n, n), dtype=np.result_type(a, b))
+    for i0 in range(0, n, _PRODUCT_BLOCK):
+        i1 = min(i0 + _PRODUCT_BLOCK, n)
+        for j0 in range(0, i1, _PRODUCT_BLOCK):
+            j1 = min(j0 + _PRODUCT_BLOCK, n)
+            np.matmul(a[i0:i1, j0:i1], b[j0:i1, j0:j1], out=out[i0:i1, j0:j1])
+    return out
+
+
 def _inner_table(mv: np.ndarray, gv: np.ndarray, h: float) -> np.ndarray:
     """inner[k, c] = trapezoid over tau in [x_c, x_k] of m(x_k, tau) g(tau, x_c).
 
     Both factors are zero above the diagonal, so the plain sum over tau is
-    the matrix product; halving the diagonal of m supplies the end weight at
-    tau = x_k, and subtracting m(x_k, x_c) g(x_c, x_c) / 2 the one at
-    tau = x_c. The upper triangle of the result is zero by the same
+    their triangular product (_lower_product); halving the diagonal of m
+    supplies the end weight at tau = x_k, and subtracting
+    m(x_k, x_c) g(x_c, x_c) / 2 the one at tau = x_c. The upper triangle of the result is zero by the same
     structure; the diagonal (an empty range) is set to zero.
     """
     scratch = h * mv
     np.einsum("ii->i", scratch)[...] *= 0.5
-    inner = scratch @ gv
+    inner = _lower_product(scratch, gv)
     np.multiply(mv, (0.5 * h) * np.diagonal(gv), out=scratch)
     inner -= scratch
     np.einsum("ii->i", inner)[...] = 0.0

@@ -1,0 +1,80 @@
+"""Print the median time of each solver layer, in ms, as a Markdown table.
+
+Layers: compute_g, the row march (transform._march), one Picard step, its
+inner-integral product (transform._inner_table), assemble_z_kernel and the
+e-march (spectral.eval_e_direct) for the 5 lambdas `verify` samples by
+default, at N in {100, 200, 400, 800} unless --n names others. The inputs
+are fixed: M = M0 + R P(x - t) with smooth M0, R and a three-term trig
+profile P, its G, and that G as both kernels of the z-split. Each time is
+the median over repeats of a timeit loop of at least 50 ms. BLAS runs on
+one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS
+is set. Nothing is checked; run from anywhere:
+
+    python tools/layer_times.py [--n 100 200 400 800]
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import timeit
+from pathlib import Path
+
+if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from idospec import transform  # noqa: E402
+from idospec.kernels import KernelComponent, StructuredKernel, assemble_kernel  # noqa: E402
+from idospec.quadrature import Profile, TriangularField, make_grid  # noqa: E402
+from idospec.spectral import eval_e_direct  # noqa: E402
+
+LAMBDAS = np.array([0.5, -2.0, 1.5 - 0.5j, 3.0, 0.25j])
+REPEAT = 7
+
+
+def layers(n: int) -> dict:
+    """Name -> zero-argument callable running that layer once on the N = n inputs."""
+    grid = make_grid(n)
+    h = grid.step
+    m0 = TriangularField.from_function(grid, lambda x, t: 0.05 + 0.03 * x)
+    r = TriangularField.from_function(grid, lambda x, t: 1.0 + 0.2 * np.cos(t))
+    p = Profile.from_function(grid, lambda x: 0.3 * np.cos(x + 0.5) + 0.25 * np.cos(2 * x + 1.0)
+                              + 0.2 * np.cos(3 * x + 2.0))
+    m = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, p),)))
+    g = transform.compute_g(m).g
+    g1 = transform.picard_g1(m).values
+    return {
+        "compute_g": lambda: transform.compute_g(m),
+        "_march": lambda: transform._march(m.values, g1, h),
+        "picard_step": lambda: transform.picard_step(m, g),
+        "_inner_table": lambda: transform._inner_table(m.values, g.values, h),
+        "assemble_z_kernel": lambda: transform.assemble_z_kernel(g, g, r),
+        "eval_e_direct (5 lambdas)": lambda: eval_e_direct(m, LAMBDAS),
+    }
+
+
+def median_ms(fn) -> float:
+    timer = timeit.Timer(fn)
+    number = 1
+    while timer.timeit(number) < 0.05:
+        number *= 2
+    return 1e3 * float(np.median(timer.repeat(REPEAT, number))) / number
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--n", type=int, nargs="+", default=[100, 200, 400, 800])
+    args = parser.parse_args(argv)
+    times = {n: {name: median_ms(fn) for name, fn in layers(n).items()} for n in args.n}
+    print("| layer (ms) | " + " | ".join(f"N = {n}" for n in args.n) + " |")
+    print("|---|" + "---:|" * len(args.n))
+    for name in times[args.n[0]]:
+        print(f"| {name} | " + " | ".join(f"{times[n][name]:.3f}" for n in args.n) + " |")
+
+
+if __name__ == "__main__":
+    main()
