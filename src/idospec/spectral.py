@@ -32,7 +32,7 @@ import numpy as np
 
 from .quadrature import TriangularField, trapezoid_weights, volterra_apply
 from .kernels import _shift_matrix, shifted_factor
-from .transform import TransformKernel, reflected_kernel
+from .transform import _MARCH_BLOCK, TransformKernel, reflected_kernel
 
 
 class BoundaryNearZeroError(RuntimeError):
@@ -119,36 +119,36 @@ def _exponent(grid, lam) -> np.ndarray:
     return np.multiply.outer(grid.nodes, np.asarray(lam, dtype=complex))
 
 
-# Nodes solved per block of the e-march: one gemm per block reads every
-# earlier node, and only products within the block run node by node.
-_MARCH_BLOCK = 32
-
-
 def eval_e_direct(m: TriangularField, lam) -> np.ndarray:
     """March the Volterra integral equation for e(x, lambda) node by node.
 
     The trapezoid discretization of
     e(x) = exp(-i lam x) (1 + i int_0^x exp(i lam s) f(s) ds), with
-    f(s) = int_0^s m(s, t) e(t) dt, is lower triangular in the nodes. Node
-    i meets itself only through the two end weights at x_i, so it is
-    explicit: e[i] = exp(-i lam x_i) (1 + i h (known + p / 2 exp(i lam x_i)))
-    / (1 - i h^2 M[i,i] / 4), where known is the sum of exp(i lam x_k) f(x_k)
-    over the nodes k < i (f(0) = 0, so the end weight at s = 0 drops out)
-    and p = h M[i, :i] @ e[:i] less the end weight at t = 0. This is the step-by-step trapezoid method (Linz 1985), solved
-    exactly at each node; as in transform._march, one gemm per block of
-    _MARCH_BLOCK nodes reads every earlier node. lam is a scalar, giving
-    shape (N+1,), or a 1-D array of K values, all marched at once, giving
-    shape (N+1, K) with one column per lambda.
+    f(s) = int_0^s m(s, t) e(t) dt, meets node i only through the end
+    weights at x_i, with coefficient b = i h^2 M[i,i] / 4, which makes the
+    update weakly implicit. Two fixed-point sweeps from e[i-1] resolve it;
+    they are linear in e[i], so they are applied in closed form:
+    e[i] = (1 + b) a + b^2 e[i-1], where
+    a = exp(-i lam x_i) (1 + i h known) + i h p / 2, known is the sum of
+    exp(i lam x_k) f(x_k) over the nodes k < i (f(0) = 0, so the end weight
+    at s = 0 drops out) and p = h M[i, :i] @ e[:i] less the end weight at
+    t = 0. As in transform._march, one gemm per block of _MARCH_BLOCK nodes
+    reads every earlier node, and only products within the block run node
+    by node. lam is a scalar, giving shape (N+1,), or a 1-D array of K
+    values, all marched at once, giving shape (N+1, K) with one column per
+    lambda.
     """
     h = m.grid.step
     hm = h * m.values
     lx = _exponent(m.grid, lam)
     cols = lx[:, None] if lx.ndim == 1 else lx
     phase = np.exp(1j * cols)                      # exp(+i lam x)
-    scale = 1.0 / (1.0 - 0.25j * h * np.diagonal(hm))
-    e = np.exp(-1j * cols) * scale[:, None]        # overwritten node by node
+    b = 0.25j * h * np.diagonal(hm)                # i h^2 M[i,i] / 4
+    e = np.exp(-1j * cols) * (1.0 + b)[:, None]    # overwritten node by node
     drive = (1j * h) * e                           # multiplies known
-    self_coef = 0.5j * h * scale                   # multiplies p; exp(-i lam x) exp(i lam x) = 1
+    # multiplies p, as exp(-i lam x) exp(i lam x) = 1
+    self_coef = 0.5j * h * (1.0 + b)
+    b2 = b * b                                     # multiplies e[i-1]
     half_diag = 0.5 * np.diagonal(hm)
     e[0] = 1.0
     known = np.zeros_like(e[0])
@@ -163,6 +163,7 @@ def eval_e_direct(m: TriangularField, lam) -> np.ndarray:
             ei = e[i]
             ei += drive[i] * known
             ei += self_coef[i] * p
+            ei += b2[i] * e[i - 1]
             p += half_diag[i] * ei                 # h times f(x_i)
             p *= phase[i]
             known += p

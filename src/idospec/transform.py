@@ -123,8 +123,9 @@ def _inner_table(mv: np.ndarray, gv: np.ndarray, h: float) -> np.ndarray:
     Both factors are zero above the diagonal, so the plain sum over tau is
     their triangular product (_lower_product); halving the diagonal of m
     supplies the end weight at tau = x_k, and subtracting
-    m(x_k, x_c) g(x_c, x_c) / 2 the one at tau = x_c. The upper triangle of the result is zero by the same
-    structure; the diagonal (an empty range) is set to zero.
+    m(x_k, x_c) g(x_c, x_c) / 2 the one at tau = x_c. The upper triangle of
+    the result is zero by the same structure; the diagonal (an empty range)
+    is set to zero.
     """
     scratch = h * mv
     np.einsum("ii->i", scratch)[...] *= 0.5
@@ -144,8 +145,9 @@ def picard_step(m: TriangularField, g_n: TriangularField) -> TriangularField:
     return TriangularField(m.grid, out)
 
 
-# Rows of G solved per block of the march: one gemm per block reads every
-# earlier row, and only products within the block run row by row.
+# Rows of G, or nodes of spectral.eval_e_direct, solved per block of a
+# march: one gemm per block reads every earlier row, and only products
+# within the block run row by row.
 _MARCH_BLOCK = 32
 
 
