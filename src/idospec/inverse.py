@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .quadrature import (
     Grid,
@@ -48,6 +47,55 @@ class UnderdeterminedError(ValueError):
 # the fit as converged: the cost has reached the floor the discretization
 # leaves, and further steps only trade round-off.
 STALL_RTOL = 1e-6
+
+
+def _spline_basis(knots: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """(len(nodes), d) values of the not-a-knot cubic splines through unit samples.
+
+    Column k interpolates 1 at knots[k] and 0 at the other d knots, in the
+    arithmetic of scipy's CubicSpline(knots, eye(d)). The slopes s at the
+    knots solve the C2 continuity rows, closed by not-a-knot rows (third
+    derivative continuous at the second and the second-to-last knot). With
+    d = 3 both closing rows coincide and the spline is the parabola through
+    the samples; with d = 2 it is the line. For d >= 4 the system is
+    tridiagonal, and on uniform knots elimination needs no row interchange,
+    so the plain forward sweep and back substitution below are the steps
+    LAPACK's tridiagonal solver takes. On [knots[k], knots[k+1]] the spline
+    is the cubic of the samples and slopes at both ends, summed in powers
+    of x - knots[k].
+    """
+    d = len(knots)
+    dx = np.diff(knots)
+    y = np.eye(d)
+    slope = np.diff(y, axis=0) / dx[:, None]
+    if d == 2:
+        s = np.vstack((slope, slope))
+    elif d == 3:
+        a = np.array([[1.0, 1.0, 0.0], [dx[1], 2.0 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
+        b = np.vstack((2.0 * slope[0], 3.0 * (dx[0] * slope[1] + dx[1] * slope[0]), 2.0 * slope[1]))
+        s = np.linalg.solve(a, b)
+    else:
+        w0, w1 = knots[2] - knots[0], knots[-1] - knots[-3]
+        lower = np.append(dx[1:], w1)        # lower[i]: row i + 1, column i
+        diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]))
+        upper = np.insert(dx[:-1], 0, w0)    # upper[i]: row i, column i + 1
+        s = np.empty((d, d))
+        s[0] = ((dx[0] + 2.0 * w0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / w0
+        s[1:-1] = 3.0 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+        s[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * w1 + dx[-1]) * dx[-2] * slope[-1]) / w1
+        for i in range(d - 1):
+            f = lower[i] / diag[i]
+            diag[i + 1] -= f * upper[i]
+            s[i + 1] -= f * s[i]
+        s[-1] /= diag[-1]
+        for i in range(d - 2, -1, -1):
+            s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx[:, None]
+    cubic, square = t / dx[:, None], (slope - s[:-1]) / dx[:, None] - t
+    k = np.clip(np.searchsorted(knots, nodes, side="right") - 1, 0, d - 2)
+    u = (nodes - knots[k])[:, None]
+    u2 = u * u
+    return y[k] + s[k] * u + square[k] * u2 + cubic[k] * (u2 * u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +132,7 @@ class InverseProblem:
         The spline lift is linear in the samples, so the profile of a
         parameter vector is this matrix times it.
         """
-        return CubicSpline(self.param_nodes, np.eye(self.d))(self.grid.nodes)
+        return _spline_basis(self.param_nodes, self.grid.nodes)
 
     @cached_property
     def weighted_basis_fields(self) -> np.ndarray:

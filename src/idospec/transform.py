@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.fft import fft, ifft, next_fast_len
 
 from .quadrature import Grid, Profile, TriangularField, require_same_grid
 from .kernels import _shift_matrix, compute_B, shifted_factor
@@ -257,6 +256,23 @@ def reflected_kernel(m: TriangularField) -> TriangularField:
     return TriangularField(m.grid, np.tril(vals))
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest m >= n with no prime factor above 11: a fast complex FFT length.
+
+    This is the length scipy.fft.next_fast_len(n) returns for complex input
+    (101 -> 105, 201 -> 210, 401 -> 405).
+    """
+    m = max(n, 1)
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 def _shear(vals: np.ndarray) -> np.ndarray:
     """out[i, d] = vals[i, i-d] for d <= i and zero for d > i.
 
@@ -305,7 +321,8 @@ def assemble_z_kernel(
       on the diagonal j = i, where the tau range is empty.
 
     No Python loop runs over pairs of grid nodes: the only loop is over
-    rows i, one vector-matrix product and one inverse FFT each.
+    rows i, one vector-matrix product each, and the inverse FFTs of all
+    rows are one batched call.
     """
     require_same_grid(k1.grid, k2.grid, r.grid)
     if np.any(k1.values[:, 0]) or np.any(k2.values[:, 0]):
@@ -322,17 +339,20 @@ def assemble_z_kernel(
 
     # term 3: rows of k1 and k2 vanish past the diagonal, so each
     # convolution has degree <= i < m and a length >= m cannot wrap
-    size = next_fast_len(m)
+    size = _next_fast_len(m)
     fa, fb = (
-        fft(k.values - 0.5 * np.diag(np.diagonal(k.values)), size, axis=1) for k in (k1, k2)
+        np.fft.fft(k.values - 0.5 * np.diag(np.diagonal(k.values)), size, axis=1)
+        for k in (k1, k2)
     )
-    h2 = h * h
     prod = np.empty((m - 2, size), dtype=complex)
+    spec = np.empty((m - 2, size), dtype=complex)
     for i in range(2, m):
         p = np.multiply(fa[1:i], fb[i - 1 : 0 : -1], out=prod[: i - 1])
-        spec = rmat[i, 1:i] @ p
-        spec *= h2
-        kout[i, 1:i] += ifft(spec)[1:i]
+        np.matmul(rmat[i, 1:i], p, out=spec[i - 2])
+    spec *= h * h
+    # row i of K takes columns 1 .. i-1 of the inverse FFT of spec[i - 2]
+    rows, cols = np.tril_indices(m - 2)
+    kout[rows + 2, cols + 1] += np.fft.ifft(spec, axis=1)[rows, cols + 1]
 
     kout[:, 0] = 0.0
     b = compute_B(r)

@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -807,3 +810,44 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "out" / "forward_report.json").is_file()
+
+
+# Runs each command in-process through main, after making every scipy import
+# raise; prints the exit codes as JSON.
+_NO_SCIPY_RUNNER = """
+import json, sys
+sys.modules["scipy"] = None
+from idospec.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # the package needs numpy only: a scipy import that comes back, at module
+    # level or inside a command, makes this run fail
+    window = {"re_min": -6.0, "re_max": 6.0, "im_min": -6.0, "im_max": 0.5}
+    configs = {
+        "forward": {"grid_n": 16, "kernel": CONST_KERNEL},
+        "spectrum": {"grid_n": 16, "kernel": CONST_KERNEL, "window": window},
+        "invert": {
+            "grid_n": 16,
+            "d": 4,
+            "kernel": {"m0": CONST_KERNEL["m0"], "components": [{"r": TILTED_R}]},
+            "target": str(tmp_path / "spectrum_out" / "spectrum.json"),
+        },
+        "verify": {"grid_n": 8, **TestVerify.KERNEL, "r": TILTED_R},
+    }
+    argvs = [
+        [command, "--config", write_config(tmp_path / f"{command}.json", cfg),
+         "--out", str(tmp_path / f"{command}_out")]
+        for command, cfg in configs.items()
+    ]
+    src = str(Path(idospec.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUNNER, json.dumps(argvs)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK] * 4, proc.stderr

@@ -93,11 +93,38 @@ class TestProfileFromParams:
         prof = profile_from_params(np.full(5, 0.7), problem)
         assert np.abs(prof.values - 0.7).max() < 1e-12
 
-    def test_matches_spline_of_params(self, grid80, const_problem):
-        params = np.array([0.3, -1.0, 0.5, 2.0])
-        spline = CubicSpline(np.linspace(0.0, PI, 4), params)
-        prof = profile_from_params(params, const_problem)
-        assert np.abs(prof.values - spline(grid80.nodes)).max() < 1e-13
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 24), n=st.integers(2, 400))
+    def test_matches_spline_of_params(self, const_problem, d, n):
+        # the basis is scipy's not-a-knot CubicSpline of the unit samples,
+        # including its line (d = 2) and parabola (d = 3)
+        grid = make_grid(n)
+        problem = InverseProblem(
+            m0=TriangularField.zeros(grid), r=TriangularField.constant(grid, 1.0),
+            target=const_problem.target, d=d,
+        )
+        ref = CubicSpline(problem.param_nodes, np.eye(d))(grid.nodes)
+        assert problem.basis.shape == (n + 1, d)
+        assert np.abs(problem.basis - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 24),
+        n=st.integers(2, 400),
+        coeffs=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    )
+    def test_reproduces_polynomials(self, const_problem, d, n, coeffs):
+        # not-a-knot splines are exact on cubics; with d = 3 on quadratics
+        # and with d = 2 on lines
+        grid = make_grid(n)
+        problem = InverseProblem(
+            m0=TriangularField.zeros(grid), r=TriangularField.constant(grid, 1.0),
+            target=const_problem.target, d=d,
+        )
+        poly = np.polynomial.Polynomial(coeffs[: min(d, 4)])
+        prof = profile_from_params(poly(problem.param_nodes), problem)
+        scale = 1.0 + sum(abs(c) * PI**k for k, c in enumerate(coeffs))
+        assert np.abs(prof.values - poly(grid.nodes)).max() <= 1e-13 * scale
 
     def test_shape_checked(self, const_problem):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from idospec.quadrature import PI, TriangularField, make_grid
@@ -9,6 +10,7 @@ from idospec.transform import (
     _cumtrapz_along_diagonals,
     _inner_table,
     _lower_product,
+    _next_fast_len,
     assemble_z_kernel,
     compute_g,
     picard_g1,
@@ -319,6 +321,12 @@ class TestReflectedKernel:
 
 
 class TestZKernelAssembly:
+    def test_fft_length_matches_scipy(self):
+        # the FFT sizes of the bilinear term are those scipy.fft would pick
+        got = [_next_fast_len(n) for n in range(1, 2049)]
+        assert got == [scipy.fft.next_fast_len(n) for n in range(1, 2049)]
+        assert [_next_fast_len(n) for n in (101, 201, 401)] == [105, 210, 405]
+
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
     def test_matches_loop_oracle(self, n, seed):

@@ -8,7 +8,9 @@ are fixed: M = M0 + R P(x - t) with smooth M0, R and a three-term trig
 profile P, its G, and that G as both kernels of the z-split. Each time is
 the median over repeats of a timeit loop of at least 50 ms. BLAS runs on
 one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS
-is set. Nothing is checked; run from anywhere:
+is set. A last line gives the start-up time: the median wall time of five
+fresh `python -c "import idospec.cli"` processes. Nothing is checked; run
+from anywhere:
 
     python tools/layer_times.py [--n 100 200 400 800]
 """
@@ -17,13 +19,16 @@ from __future__ import annotations
 
 import argparse
 import os
+import subprocess
 import sys
+import time
 import timeit
 from pathlib import Path
 
 if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
@@ -34,6 +39,7 @@ from idospec.spectral import eval_e_direct  # noqa: E402
 
 LAMBDAS = np.array([0.5, -2.0, 1.5 - 0.5j, 3.0, 0.25j])
 REPEAT = 7
+STARTS = 5
 
 
 def layers(n: int) -> dict:
@@ -65,6 +71,18 @@ def median_ms(fn) -> float:
     return 1e3 * float(np.median(timer.repeat(REPEAT, number))) / number
 
 
+def import_ms() -> float:
+    """Median wall time of STARTS fresh interpreters that import idospec.cli."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+    times = []
+    for _ in range(STARTS):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import idospec.cli"], env=env, check=True)
+        times.append(time.perf_counter() - start)
+    return 1e3 * float(np.median(times))
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--n", type=int, nargs="+", default=[100, 200, 400, 800])
@@ -74,6 +92,7 @@ def main(argv=None) -> None:
     print("|---|" + "---:|" * len(args.n))
     for name in times[args.n[0]]:
         print(f"| {name} | " + " | ".join(f"{times[n][name]:.3f}" for n in args.n) + " |")
+    print(f"\nimport idospec.cli: {import_ms():.1f} ms (median of {STARTS} fresh processes)")
 
 
 if __name__ == "__main__":
