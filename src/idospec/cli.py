@@ -34,8 +34,6 @@ from .kernels import (
     StructuredKernel,
     WeightVanishesError,
     assemble_kernel,
-    field_from_family,
-    profile_from_family,
 )
 from .transform import (
     PicardConvergenceError,
@@ -61,7 +59,7 @@ from .inverse import (
     verify_green_identity,
     verify_change_of_variables,
 )
-from . import serialize
+from . import kernels, serialize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,6 +73,13 @@ MAX_FIELD_BYTES = 256 * 2**20
 # Most lambda points a Delta heatmap may sample, one CSV row each.
 MAX_HEATMAP_POINTS = 10**6
 
+# Profile parameters an invert config fits when it gives no "d".
+_DEFAULT_D = 8
+# Attributes of a RecoveryReport that each recovery_report.json stage records, in order.
+_STAGE_KEYS = (
+    "converged", "iterations", "residual_norm", "underdetermined", "history", "damping",
+    "rejected_trials", "residual_evals", "jacobian_evals", "g_builds",
+)
 # Option dataclass of each command that reads "opts".
 _OPTIONS = {"spectrum": SpectrumOptions, "invert": RecoverOptions}
 # Numeric config keys: type and least value (grid_n's is checked by _grid_n,
@@ -143,45 +148,47 @@ def _read_input(what, read, path, *args):
         raise ConfigError(f"malformed {what} file {path}: {ex}") from ex
 
 
-def _field_from_spec(spec, grid) -> TriangularField:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"bad field spec: {spec!r}")
-    if spec["kind"] == "analytic":
-        try:
-            f = field_from_family(grid, spec["family"], spec["coeffs"])
-        except (KeyError, ValueError) as ex:
-            raise ConfigError(f"bad analytic field spec: {ex}") from ex
-    elif spec["kind"] == "samples":
-        f = _read_input("field samples", serialize.field_from_csv, spec.get("path", ""), grid)
-    else:
-        raise ConfigError(f"unknown field kind {spec['kind']!r}")
-    return _require_finite(f, "field")
+# The family sampler in idospec.kernels and the CSV reader in idospec.serialize
+# of each kind of sampled input, by name: looked up in their modules at call
+# time, so a caller that rebinds a module's function (a tracer) sees the call.
+_READERS = {
+    "field": ("field_from_family", "field_from_csv"),
+    "profile": ("profile_from_family", "profile_from_csv"),
+}
 
 
-def _profile_from_spec(spec, grid) -> Profile:
+def _from_spec(what, spec, grid):
+    """The field or profile (what) a config spec describes, sampled on grid.
+
+    An analytic family that overflows on the grid samples inf or NaN without
+    a warning, and is refused as non-finite like a CSV carrying them.
+    """
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"bad profile spec: {spec!r}")
+        raise ConfigError(f"bad {what} spec: {spec!r}")
+    sampler, reader = _READERS[what]
     if spec["kind"] == "analytic":
         try:
-            p = profile_from_family(grid, spec["family"], spec["coeffs"])
+            with np.errstate(over="ignore", invalid="ignore"):
+                sampled = getattr(kernels, sampler)(grid, spec["family"], spec["coeffs"])
         except (KeyError, ValueError) as ex:
-            raise ConfigError(f"bad analytic profile spec: {ex}") from ex
+            raise ConfigError(f"bad analytic {what} spec: {ex}") from ex
     elif spec["kind"] == "samples":
-        p = _read_input("profile samples", serialize.profile_from_csv, spec.get("path", ""), grid)
+        read = getattr(serialize, reader)
+        sampled = _read_input(f"{what} samples", read, spec.get("path", ""), grid)
     else:
-        raise ConfigError(f"unknown profile kind {spec['kind']!r}")
-    return _require_finite(p, "profile")
+        raise ConfigError(f"unknown {what} kind {spec['kind']!r}")
+    return _require_finite(sampled, what)
 
 
 def _kernel_from_config(cfg, grid) -> StructuredKernel:
     if "m0" not in cfg:
         raise ConfigError("kernel config needs an 'm0' entry")
-    m0 = _field_from_spec(cfg["m0"], grid)
+    m0 = _from_spec("field", cfg["m0"], grid)
     comps = []
     for entry in cfg.get("components", []):
-        r = _field_from_spec(entry["r"], grid)
+        r = _from_spec("field", entry["r"], grid)
         p = (
-            _profile_from_spec(entry["p"], grid)
+            _from_spec("profile", entry["p"], grid)
             if "p" in entry
             else Profile.zeros(grid)
         )
@@ -198,12 +205,7 @@ def _build_g(cfg, grid):
 def _window_from_config(cfg) -> SearchWindow:
     try:
         win = cfg["window"]
-        return SearchWindow(
-            re_min=float(win["re_min"]),
-            re_max=float(win["re_max"]),
-            im_min=float(win["im_min"]),
-            im_max=float(win["im_max"]),
-        )
+        return SearchWindow(**{f.name: float(win[f.name]) for f in dataclasses.fields(SearchWindow)})
     except (KeyError, TypeError, ValueError) as ex:
         raise ConfigError(f"bad search window: {ex}") from ex
 
@@ -235,10 +237,13 @@ def _grid_n(cfg, override, refine: int = 1) -> int:
 
 def _picard(cfg) -> dict:
     """The config's Picard settings, as compute_g's tol and max_terms."""
-    tol = cfg.get("picard_tol")
-    if tol is not None and not (isinstance(tol, (int, float)) and tol > 0):
-        raise ConfigError(f"picard_tol must be a positive number, got {tol!r}")
-    return {"tol": tol, "max_terms": cfg.get("max_terms", 60)}
+    return {"tol": cfg.get("picard_tol"), "max_terms": cfg.get("max_terms", 60)}
+
+
+def _diagonal_residual(m: TriangularField, g) -> float:
+    """Sup over x of |G(x, x) - i * integral over [0, x] of M(s, s) ds|."""
+    target = 1j * cumtrapz_nodes(np.diagonal(m.values), m.grid)
+    return float(np.abs(np.diagonal(g.g.values) - target).max())
 
 
 def _provenance(command, sha, grid_n) -> dict:
@@ -272,14 +277,16 @@ def _heatmap_shape(hm: dict) -> tuple:
 def _check_config(cfg, command) -> None:
     """Refuse config values of the wrong type or range, naming the key.
 
-    Runs before anything is built or allocated, so a bad value costs no G
-    build. Each "opts" value must have the type of its field in the
-    command's option dataclass and lie in its _OPTION_RANGES range.
+    Runs before anything is built or allocated, so a bad value costs no
+    grid and no G build. Each "opts" value must have the type of its field
+    in the command's option dataclass and lie in its _OPTION_RANGES range.
+    Keys a command cannot run without are checked last.
     """
     _check_value("config", cfg, dict)
     for key, (kind, least) in _NUMBERS.items():
         if key in cfg:
             _check_value(key, cfg[key], kind, least)
+    _check_value("picard_tol", cfg.get("picard_tol"), float | None, 0.0, ">")
     hm = cfg.get("heatmap") or {}
     _check_value("heatmap", hm, dict)
     nx, ny = _heatmap_shape(hm)
@@ -290,7 +297,7 @@ def _check_config(cfg, command) -> None:
     init = cfg.get("init", "zero")
     if init not in ("zero", "random") and not (
         isinstance(init, list)
-        and len(init) == cfg.get("d", 8)
+        and len(init) == cfg.get("d", _DEFAULT_D)
         and all(_is_a(v, float) for v in init)
     ):
         raise ConfigError(f'init must be "zero", "random" or a list of d numbers, got {init!r}')
@@ -311,6 +318,12 @@ def _check_config(cfg, command) -> None:
         for key, value in opts.items():
             op, least = _OPTION_RANGES[key]
             _check_value(f"opts.{key}", value, fields[key], least, op)
+    if command == "verify":
+        for key in ("m0", "r", "p", "p_tilde"):
+            if key not in cfg:
+                raise ConfigError(f"verify config needs '{key}'")
+    if command == "invert" and cfg.get("targets") is None and "target" not in cfg:
+        raise ConfigError("invert config needs 'target' or 'targets'")
 
 
 def _check_alias_free(window: SearchWindow, n: int) -> None:
@@ -336,10 +349,7 @@ def cmd_forward(cfg, sha, out: Path, args) -> int:
     m, g = _build_g(cfg, grid)
 
     serialize.transform_kernel_to_files(g, out / "g_kernel.csv", out / "g_kernel_meta.json")
-
-    diag_m = np.diagonal(m.values)
-    target = 1j * cumtrapz_nodes(diag_m, grid)
-    diag_res = float(np.abs(np.diagonal(g.g.values) - target).max())
+    diag_res = _diagonal_residual(m, g)
 
     lambdas = _lambdas_from_config(cfg, [[0.0, 0.0], [1.0, 0.0], [-2.0, -0.5]])
     e = np.concatenate([eval_e_via_g(g, lam) for lam in lambdas])
@@ -399,13 +409,11 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
     n = _grid_n(cfg, args.grid_n)
     grid = make_grid(n)
     kernel = _kernel_from_config(cfg.get("kernel", cfg), grid)
-    d = cfg.get("d", 8)
+    d = cfg.get("d", _DEFAULT_D)
     mu = float(cfg.get("mu", 0.0))
 
     target_paths = cfg.get("targets")
     if target_paths is None:
-        if "target" not in cfg:
-            raise ConfigError("invert config needs 'target' or 'targets'")
         target_paths = [cfg["target"]]
     if len(target_paths) > kernel.p_count:
         raise ConfigError(
@@ -449,19 +457,7 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
     stages = []
     for k, rep in enumerate(reports, start=1):
         serialize.profile_to_csv(rep.recovered, out / f"recovered_profile_{k}.csv")
-        stages.append({
-            "stage": k,
-            "converged": rep.converged,
-            "iterations": rep.iterations,
-            "residual_norm": rep.residual_norm,
-            "underdetermined": rep.underdetermined,
-            "history": [float(v) for v in rep.history],
-            "damping": [float(v) for v in rep.damping],
-            "rejected_trials": rep.rejected_trials,
-            "residual_evals": rep.residual_evals,
-            "jacobian_evals": rep.jacobian_evals,
-            "g_builds": rep.g_builds,
-        })
+        stages.append({"stage": k, **{key: getattr(rep, key) for key in _STAGE_KEYS}})
     serialize.write_json(out / "recovery_report.json", {
         "provenance": _provenance("invert", sha, n),
         "d": d,
@@ -475,18 +471,15 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
 
 
 def _verify_once(grid, cfg, lambdas):
-    m0 = _field_from_spec(cfg["m0"], grid)
-    r = _field_from_spec(cfg["r"], grid)
-    p = _profile_from_spec(cfg["p"], grid)
-    pt = _profile_from_spec(cfg["p_tilde"], grid)
+    m0 = _from_spec("field", cfg["m0"], grid)
+    r = _from_spec("field", cfg["r"], grid)
+    p = _from_spec("profile", cfg["p"], grid)
+    pt = _from_spec("profile", cfg["p_tilde"], grid)
     m = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, p),)))
     mt = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, pt),)))
 
     picard = _picard(cfg)
     g = compute_g(m, **picard)
-    diag_res = float(np.abs(
-        np.diagonal(g.g.values) - 1j * cumtrapz_nodes(np.diagonal(m.values), grid)
-    ).max())
 
     # the marches every check below reads, one column per lambda; psi is the
     # reflected kernel's march read backwards, so for a kernel that is its
@@ -500,21 +493,18 @@ def _verify_once(grid, cfg, lambdas):
         psi, k1 = eval_e_direct(refl, lam)[::-1], compute_g(refl, **picard)
     k2 = compute_g(mt, **picard)
     b, kk = assemble_z_kernel(k1.g, k2.g, r)
-    zres = np.abs(eval_z(r, psi, et) - eval_z_decomposed(b, kk, lam)).max()
+    z = eval_z(r, psi, et)
     return {
-        "diagonal_identity": diag_res,
+        "diagonal_identity": _diagonal_residual(m, g),
         "duality": float(np.abs(e[-1] - psi[0]).max()),
         "green_identity": float(verify_green_identity(m, mt, psi, et).max()),
-        "change_of_variables": float(verify_change_of_variables(r, p, pt, psi, et).max()),
-        "z_decomposition": float(zres),
+        "change_of_variables": float(verify_change_of_variables(r, p, pt, psi, et, z).max()),
+        "z_decomposition": float(np.abs(z - eval_z_decomposed(b, kk, lam)).max()),
     }
 
 
 def cmd_verify(cfg, sha, out: Path, args) -> int:
     n = _grid_n(cfg, args.grid_n, refine=2)
-    for key in ("m0", "r", "p", "p_tilde"):
-        if key not in cfg:
-            raise ConfigError(f"verify config needs '{key}'")
     lambdas = _lambdas_from_config(
         cfg, [[0.5, 0.0], [-2.0, 0.0], [1.5, -0.5], [3.0, 0.0], [0.0, 0.25]]
     )

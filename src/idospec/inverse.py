@@ -36,7 +36,7 @@ from .kernels import (
     WeightVanishesError,
 )
 from .transform import TransformKernel, compute_g, reflected_kernel
-from .spectral import Spectrum, char_delta_deriv, eval_e_via_g, eval_z
+from .spectral import Spectrum, char_delta_deriv, eval_e_via_g
 
 
 class UnderdeterminedError(ValueError):
@@ -332,7 +332,7 @@ def recover_profile(
     cost = float(np.linalg.norm(res))
     history = [cost]
     dampings, rejected = [], []
-    damping = opts.lm_damping0
+    damping = float(opts.lm_damping0)
     converged = cost < opts.ftol
     it = 0
     while not converged and it < opts.max_iter:
@@ -466,20 +466,20 @@ def verify_change_of_variables(
     p_tilde: Profile,
     psi: np.ndarray,
     e_tilde: np.ndarray,
+    z: np.ndarray,
 ):
     """Residual between the two equivalent forms of the profile-difference term.
 
-    psi is the adjoint solution of M = M0 + R P and e_tilde the forward
-    solution of M~ = M0 + R P~, for one lambda or with one column per
-    lambda, giving one residual per lambda. Form A integrates
-    psi * R * (P - P_tilde)(x - t) * e_tilde over the triangle; form B
-    integrates (P - P_tilde)(pi - x) against z(x, lambda). Both equal the
-    same quantity in exact arithmetic.
+    psi is the adjoint solution of M = M0 + R P, e_tilde the forward
+    solution of M~ = M0 + R P~ and z = eval_z(r, psi, e_tilde), for one
+    lambda or with one column per lambda, giving one residual per lambda.
+    Form A integrates psi * R * (P - P_tilde)(x - t) * e_tilde over the
+    triangle; form B integrates (P - P_tilde)(pi - x) against z(x, lambda).
+    Both equal the same quantity in exact arithmetic.
     """
     require_same_grid(r.grid, p.grid, p_tilde.grid)
     grid = r.grid
     dp = p.values - p_tilde.values
     form_a = _triangle_double_integral(psi, r.values * _shift_matrix(dp), e_tilde, grid)
     weights = trapezoid_weights(grid.n_nodes, grid.step) * dp[::-1]
-    form_b = weights @ eval_z(r, psi, e_tilde)
-    return np.abs(form_a - form_b)
+    return np.abs(form_a - weights @ z)

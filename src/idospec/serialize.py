@@ -12,6 +12,7 @@ one by one by format() instead.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import warnings
@@ -344,12 +345,7 @@ def transform_kernel_from_files(csv_path, sidecar_path) -> TransformKernel:
 
 def spectrum_to_dict(spec: Spectrum, h: float) -> dict:
     return {
-        "window": {
-            "re_min": spec.window.re_min,
-            "re_max": spec.window.re_max,
-            "im_min": spec.window.im_min,
-            "im_max": spec.window.im_max,
-        },
+        "window": dataclasses.asdict(spec.window),
         "h": h,
         "total_count": spec.total_count,
         "eigenvalues": [

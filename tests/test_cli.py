@@ -27,6 +27,10 @@ from idospec.cli import (
     main,
 )
 
+# A numpy warning that reaches a command is a leak: each command refuses bad
+# input with one config-error line, not a warning first.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 CONST_KERNEL = {
     "m0": {"kind": "analytic", "family": "constant", "coeffs": [0.0]},
     "components": [
@@ -542,6 +546,40 @@ class TestVerify:
             assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
             assert sorted(marches) == [20] * per_grid + [40] * per_grid
 
+    def test_tilted_kernel_converges(self, workdir):
+        # an R that is not its own reflection takes the branch that marches
+        # and builds the reflected kernel; every bench kernel is symmetric
+        cfg = write_config(workdir / "ver_tilted.json", {"grid_n": 20, **self.KERNEL, "r": TILTED_R})
+        out = workdir / "ver_tilted_out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        checks = json.loads((out / "verify_report.json").read_text())["checks"]
+        for key in ("green_identity", "change_of_variables", "z_decomposition"):
+            assert 1.8 <= checks[key]["observed_order"] <= 2.2, (key, checks[key])
+        assert checks["diagonal_identity"]["residual_h"] <= 1e-13
+        # duality falls faster than h^2 here: observed orders 4.8-5.0 from
+        # grid_n 10 to 100
+        assert checks["duality"]["observed_order"] >= 1.8, checks["duality"]
+
+    def test_one_z_per_grid(self, workdir, monkeypatch):
+        # z_decomposition and change_of_variables read the same z
+        calls = []
+        z_of = idospec.spectral.eval_z
+
+        def counting(r, psi, e_tilde):
+            calls.append(r.grid.n_intervals)
+            return z_of(r, psi, e_tilde)
+
+        for module in (idospec.cli, idospec.inverse):
+            if hasattr(module, "eval_z"):
+                monkeypatch.setattr(module, "eval_z", counting)
+        for tag, r in (("sym", None), ("tilted", TILTED_R)):
+            calls.clear()
+            kernel = self.KERNEL if r is None else {**self.KERNEL, "r": r}
+            cfg = write_config(workdir / f"ver_z_{tag}.json", {"grid_n": 10, **kernel})
+            out = workdir / f"ver_z_out_{tag}"
+            assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            assert sorted(calls) == [10, 20]
+
     def test_picard_budget_exhausted(self, workdir):
         cfg = write_config(workdir / "ver_terms.json", {"grid_n": 8, "max_terms": 1, **self.KERNEL})
         out = workdir / "ver_terms_out"
@@ -728,6 +766,45 @@ class TestConfigErrors:
         assert key in capsys.readouterr().err
 
 
+class TestRefusedBeforeAnyGrid:
+    """Config faults that need no grid to see are refused before make_grid runs."""
+
+    WINDOW = {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5}
+
+    def run(self, workdir, monkeypatch, name, command, cfg):
+        def no_grid(n):
+            raise AssertionError(f"make_grid({n}) called")
+
+        monkeypatch.setattr(idospec.cli, "make_grid", no_grid)
+        path = write_config(workdir / f"{name}.json", cfg)
+        return main([command, "--config", path, "--out", str(workdir / f"{name}_out")])
+
+    @pytest.mark.parametrize("command", ["forward", "spectrum", "verify"])
+    @pytest.mark.parametrize("tol, message", [
+        (-1, "picard_tol"), ("tiny", "picard_tol"), (True, "picard_tol"),
+        (float("nan"), "NaN"),
+    ])
+    def test_bad_picard_tol(self, workdir, monkeypatch, capsys, command, tol, message):
+        cfg = {"grid_n": 16, "kernel": CONST_KERNEL, "window": self.WINDOW,
+               **{k: CONST_KERNEL["m0"] for k in ("m0", "r", "p", "p_tilde")},
+               "picard_tol": tol}
+        name = f"early_tol_{command}_{tol}"
+        assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_invert_without_target(self, workdir, monkeypatch, capsys):
+        cfg = {"grid_n": 16, "d": 4, "kernel": CONST_KERNEL}
+        assert self.run(workdir, monkeypatch, "early_no_target", "invert", cfg) == EXIT_CONFIG
+        assert "'target' or 'targets'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["m0", "r", "p", "p_tilde"])
+    def test_verify_without_key(self, workdir, monkeypatch, capsys, key):
+        cfg = {"grid_n": 16, **{k: CONST_KERNEL["m0"] for k in ("m0", "r", "p", "p_tilde")}}
+        del cfg[key]
+        assert self.run(workdir, monkeypatch, f"early_verify_{key}", "verify", cfg) == EXIT_CONFIG
+        assert f"verify config needs '{key}'" in capsys.readouterr().err
+
+
 class TestNonFiniteInput:
     """NaN and infinity in a config or a samples file are config errors (exit 2)."""
 
@@ -772,13 +849,17 @@ class TestNonFiniteInput:
         out = str(workdir / "overflow_out")
         assert main(["spectrum", "--config", str(path), "--out", out]) == EXIT_CONFIG
 
-    def test_overflowing_analytic_profile(self, workdir):
-        kernel = json.loads(json.dumps(CONST_KERNEL))
-        kernel["components"][0]["p"] = {
-            "kind": "analytic", "family": "polynomial", "coeffs": [0.0, 0.0, 0.0, 1e308],
-        }
-        cfg = {"grid_n": 20, "kernel": kernel}
-        assert self.run(workdir, "overflow_profile", "forward", cfg) == EXIT_CONFIG
+    def test_overflowing_analytic_profile(self, workdir, capsys):
+        # overflow in a power, and in the sum of two infinite terms
+        for coeffs in ([0.0, 0.0, 0.0, 1e308], [0.0, 1e308, 1e308]):
+            kernel = json.loads(json.dumps(CONST_KERNEL))
+            kernel["components"][0]["p"] = {
+                "kind": "analytic", "family": "polynomial", "coeffs": coeffs,
+            }
+            cfg = {"grid_n": 20, "kernel": kernel}
+            name = f"overflow_profile_{len(coeffs)}"
+            assert self.run(workdir, name, "forward", cfg) == EXIT_CONFIG
+            assert capsys.readouterr().err == "config error: profile has non-finite samples\n"
 
     def test_nan_field_samples(self, workdir):
         grid = make_grid(10)

@@ -19,6 +19,7 @@ from idospec.spectral import (
     Spectrum,
     eval_e_direct,
     eval_psi,
+    eval_z,
     find_spectrum,
 )
 import idospec.inverse
@@ -433,4 +434,4 @@ class TestIdentities:
         m = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, p),)))
         mt = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, pt),)))
         psi, et = eval_psi(m, lam), eval_e_direct(mt, lam)
-        assert verify_change_of_variables(r, p, pt, psi, et) < 1e-3
+        assert verify_change_of_variables(r, p, pt, psi, et, eval_z(r, psi, et)) < 1e-3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idospec.quadrature import PI, TriangularField, make_grid
 from idospec.transform import (
@@ -10,6 +10,7 @@ from idospec.transform import (
     _cumtrapz_along_diagonals,
     _inner_table,
     _lower_product,
+    _march,
     _next_fast_len,
     assemble_z_kernel,
     compute_g,
@@ -250,6 +251,29 @@ class TestMarchAgainstPicardSeries:
         except PicardConvergenceError:
             return
         assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 120),
+        seed=st.integers(0, 2**32 - 1),
+        amp=st.floats(0.3, 5.0),
+    )
+    @example(n=31, seed=1, amp=1.0)
+    @example(n=32, seed=2, amp=1.0)
+    @example(n=63, seed=3, amp=1.0)
+    @example(n=64, seed=4, amp=5.0)
+    @example(n=96, seed=5, amp=1.0)
+    def test_iterates_keep_upper_triangle_zero(self, n, seed, amp):
+        # the march (blocks of _MARCH_BLOCK rows) and the certifying Picard
+        # update leave every entry above the diagonal at +0.0, bit for bit,
+        # so compute_g's final np.tril changes no value
+        m = TriangularField(make_grid(n), _random_lower(np.random.default_rng(seed), n + 1, amp))
+        g1 = picard_g1(m)
+        march = _march(m.values, g1.values, m.grid.step)
+        update = picard_step(m, TriangularField(m.grid, march)).values + g1.values
+        zeros = np.zeros_like(march).tobytes()
+        for g in (g1.values, march, update):
+            assert np.triu(g, 1).tobytes() == zeros
 
     @pytest.mark.parametrize("n", [100, 400])
     @pytest.mark.parametrize("name", ["constant", "polynomial", "trig", "structured"])
