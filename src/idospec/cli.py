@@ -66,8 +66,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_WEIGHT = 4
 
-# A field holds (N+1)^2 complex samples and a G build keeps several, so a
-# command whose finest grid needs larger fields is refused before it
+# A field holds (N+1)^2 complex samples. On large grids a G build holds the
+# kernel and at most 3.5 more fields at once and assemble_z_kernel at most
+# 5 (transform.py), and verify keeps a few kernels of each of its grids, so
+# a command whose finest grid needs larger fields is refused before it
 # allocates anything.
 MAX_FIELD_BYTES = 256 * 2**20
 # Most lambda points a Delta heatmap may sample, one CSV row each.
@@ -322,8 +324,14 @@ def _check_config(cfg, command) -> None:
         for key in ("m0", "r", "p", "p_tilde"):
             if key not in cfg:
                 raise ConfigError(f"verify config needs '{key}'")
-    if command == "invert" and cfg.get("targets") is None and "target" not in cfg:
-        raise ConfigError("invert config needs 'target' or 'targets'")
+    if command == "invert":
+        targets = cfg.get("targets")
+        if targets is None and "target" not in cfg:
+            raise ConfigError("invert config needs 'target' or 'targets'")
+        if targets is not None and not (
+            isinstance(targets, list) and targets and all(isinstance(t, str) for t in targets)
+        ):
+            raise ConfigError(f"targets must be a non-empty list of paths, got {targets!r}")
 
 
 def _check_alias_free(window: SearchWindow, n: int) -> None:

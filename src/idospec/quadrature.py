@@ -175,4 +175,7 @@ class TriangularField:
         return cls(grid, np.tril(np.full((n, n), c, dtype=complex)))
 
     def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
+        """max |values|, NaN if any value is NaN. It reads 32 rows at a time,
+        so it forms no full-size array of magnitudes."""
+        v = self.values
+        return float(np.max([np.abs(v[r : r + 32]).max() for r in range(0, len(v), 32)]))

@@ -245,14 +245,19 @@ def write_csv(path, header: str, columns) -> None:
     """
     texts = [fmt_array(c[0]) if isinstance(c, tuple) else None for c in columns]
     picks = [c[1] if isinstance(c, tuple) else c for c in columns]
+    _write_blocks(path, header, len(picks[0]), lambda block: [
+        fmt_array(p[block]) if t is None else t[p[block]] for t, p in zip(texts, picks)
+    ])
+
+
+def _write_blocks(path, header: str, n_lines: int, texts) -> None:
+    """A header line, then n_lines lines, CSV_BLOCK at a time: texts(block)
+    gives the text blocks (see fmt_array) of the columns of the lines in
+    the slice block."""
     with open(path, "wb") as fh:
         fh.write(f"{header}\n".encode())
-        for start in range(0, len(picks[0]), CSV_BLOCK):
-            block = slice(start, start + CSV_BLOCK)
-            fh.write(_lines([
-                fmt_array(p[block]) if t is None else t[p[block]]
-                for t, p in zip(texts, picks)
-            ]))
+        for start in range(0, n_lines, CSV_BLOCK):
+            fh.write(_lines(texts(slice(start, min(start + CSV_BLOCK, n_lines)))))
 
 
 def _csv_rows(path) -> np.ndarray:
@@ -290,11 +295,24 @@ def profile_from_csv(path, grid: Grid | None = None) -> Profile:
 
 
 def field_to_csv(f: TriangularField, path) -> None:
-    """One line per node pair t <= x, rows of the triangle in order."""
-    rows, cols = np.tril_indices(f.grid.n_nodes)
-    vals = f.values[rows, cols]
-    nodes = f.grid.nodes
-    write_csv(path, "x,t,re,im", [(nodes, rows), (nodes, cols), vals.real, vals.imag])
+    """One line per node pair t <= x, rows of the triangle in order.
+
+    Lines are gathered and formatted CSV_BLOCK at a time, so the writer's
+    working memory does not grow with the grid beyond the node texts.
+    """
+    nodes = fmt_array(f.grid.nodes)
+    n = f.grid.n_nodes
+
+    def texts(block):
+        line = np.arange(block.start, block.stop)
+        # line k is in the row x_i with i (i + 1) / 2 <= k < (i + 1) (i + 2) / 2;
+        # the rounded square root is exact enough while 8 k + 1 < 2^51
+        rows = (np.sqrt(8 * line + 1).astype(np.int64) - 1) // 2
+        cols = line - rows * (rows + 1) // 2
+        vals = f.values[rows, cols]
+        return [nodes[rows], nodes[cols], fmt_array(vals.real), fmt_array(vals.imag)]
+
+    _write_blocks(path, "x,t,re,im", n * (n + 1) // 2, texts)
 
 
 def field_from_csv(path, grid: Grid | None = None) -> TriangularField:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .quadrature import Grid, Profile, TriangularField, require_same_grid
-from .kernels import _shift_matrix, compute_B, shifted_factor
+from .quadrature import Grid, Profile, TriangularField, require_same_grid, volterra_apply
+from .kernels import shifted_factor
 
 
 class PicardConvergenceError(RuntimeError):
@@ -58,90 +58,117 @@ def _diagonal_columns(buf: np.ndarray, n: int) -> np.ndarray:
     return as_strided(buf, shape=(n, n), strides=((n + 1) * s, s), writeable=True)
 
 
-def _cumtrapz_along_diagonals(vals: np.ndarray, h: float) -> np.ndarray:
-    """out[i, j] = trapezoid over k of vals[k, k-(i-j)] for k = i-j .. i.
+# Rows per chunk of the elementwise passes over a whole field: bounds their
+# temporaries to a few rows.
+_ROW_CHUNK = 32
 
-    This is the discrete form of integrating a field along the line
-    t - x = const, which is how both G_1 and the outer integral of the
-    Picard step read their integrand. out[i, i-d] depends only on the
-    diagonal at offset d, so one cumulative sum down the columns of a
-    sheared copy integrates every diagonal at once:
-    out[i, j] = h * (C[i, j] - vals[i, j] / 2 - vals[i-j, 0] / 2), where C is
-    the running sum along the diagonal up to (i, j). The zeros above the
-    diagonal of vals lead each running sum, so they must be exact zeros;
-    the result is zero there too, and its column 0 is exactly zero.
+
+def _padded(n: int) -> np.ndarray:
+    """Zeroed flat buffer for an n x n complex field stored from offset n - 1,
+    the layout _diagonal_columns reads; the field is buf[n - 1:].reshape(n, n)."""
+    return np.zeros(n * n + n - 1, dtype=complex)
+
+
+def _cumtrapz_along_diagonals(buf: np.ndarray, n: int, scale: complex) -> np.ndarray:
+    """In place: field[i, j] becomes scale times the trapezoid over k of
+    field[k, k-(i-j)] for k = i-j .. i; returns the field.
+
+    buf holds the field as _padded lays it out. This is the discrete form of
+    integrating a field along the line t - x = const, which is how both G_1
+    and the outer integral of the Picard step read their integrand. Each
+    entry first becomes scale / 2 times its sum with its predecessor on the
+    diagonal, column 0 (the start of each diagonal) zero, in chunks of rows
+    from the bottom up, so a predecessor is read before it changes. One
+    cumulative sum down the columns of _diagonal_columns then integrates
+    every diagonal at once. The entries above the diagonal lead each
+    running sum, so they must be zeros, of either sign; the result is +0.0
+    there and in column 0.
     """
-    n = vals.shape[0]
-    src = np.zeros(n * n + n - 1, dtype=complex)
-    src[n - 1 :] = vals.ravel()
-    buf = np.zeros_like(src)
-    np.cumsum(_diagonal_columns(src, n), axis=0, out=_diagonal_columns(buf, n))
-    out = buf[n - 1 :].reshape(n, n)
-    half = src[n - 1 :].reshape(n, n)   # reused as scratch from here on
-    half *= 0.5
-    out -= half
-    np.multiply(_shift_matrix(vals[:, 0]), 0.5, out=half)
-    out -= half
-    out *= h
-    out[:, 0] = 0.0
-    return out
+    field = buf[n - 1 :].reshape(n, n)
+    half = 0.5 * scale
+    for r1 in range(n, 1, -_ROW_CHUNK):
+        r0 = max(r1 - _ROW_CHUNK, 1)
+        rows = buf[n - 1 + r0 * n : n - 1 + r1 * n]   # field rows r0 .. r1 - 1
+        rows += buf[r0 * n - 2 : r1 * n - 2]          # their predecessors, n + 1 entries back
+        rows *= half
+        field[r0:r1, 0] = 0.0
+    field[0, 0] = 0.0
+    np.cumsum(_diagonal_columns(buf, n), axis=0, out=_diagonal_columns(buf, n))
+    np.einsum("ii->i", field[:-1, 1:])[...] = 0.0  # the one diagonal the view skips
+    return field
 
 
 def picard_g1(m: TriangularField) -> TriangularField:
     """First term: G_1(x,t) = i * integral over s in [x-t, x] of m(s, t+s-x)."""
-    out = _cumtrapz_along_diagonals(m.values, m.grid.step)
-    out *= 1j
-    return TriangularField(m.grid, out)
+    n = m.grid.n_nodes
+    buf = _padded(n)
+    buf[n - 1 :] = m.values.ravel()
+    return TriangularField(m.grid, _cumtrapz_along_diagonals(buf, n, 1j * m.grid.step))
 
 
 # Rows and columns per block of _lower_product.
 _PRODUCT_BLOCK = 64
 
 
-def _lower_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for two square lower-triangular factors, skipping the zero blocks.
+def _lower_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+                   i0: int = 0) -> np.ndarray:
+    """Rows i0 .. i0 + len(a) - 1 of A @ b, for square lower-triangular A and b,
+    skipping the zero blocks.
 
-    Over blocks of _PRODUCT_BLOCK rows and columns, out[I, J] is zero for
-    J above I and otherwise sums only over the k between the two blocks,
-    where both factors can be nonzero: about n^3 / 6 multiply-adds instead
-    of n^3, in a different order of summation than one dense product.
+    a holds those rows of A. Over blocks of _PRODUCT_BLOCK rows and columns,
+    an output block right of the rows' last diagonal entry is zero and is
+    not written (out, if given, must hold zeros there); the others sum only
+    over the k between the two blocks, where both factors can be nonzero:
+    about n^3 / 6 multiply-adds for the whole product instead of n^3, in a
+    different order of summation than one dense product.
     """
-    n = a.shape[0]
-    out = np.zeros((n, n), dtype=np.result_type(a, b))
-    for i0 in range(0, n, _PRODUCT_BLOCK):
-        i1 = min(i0 + _PRODUCT_BLOCK, n)
-        for j0 in range(0, i1, _PRODUCT_BLOCK):
-            j1 = min(j0 + _PRODUCT_BLOCK, n)
-            np.matmul(a[i0:i1, j0:i1], b[j0:i1, j0:j1], out=out[i0:i1, j0:j1])
+    rows = a.shape[0]
+    if out is None:
+        out = np.zeros((rows, b.shape[1]), dtype=np.result_type(a, b))
+    for r0 in range(0, rows, _PRODUCT_BLOCK):
+        r1 = min(r0 + _PRODUCT_BLOCK, rows)
+        k1 = i0 + r1  # these rows of A vanish from column k1 on
+        for j0 in range(0, k1, _PRODUCT_BLOCK):
+            j1 = min(j0 + _PRODUCT_BLOCK, k1)
+            np.matmul(a[r0:r1, j0:k1], b[j0:k1, j0:j1], out=out[r0:r1, j0:j1])
     return out
 
 
-def _inner_table(mv: np.ndarray, gv: np.ndarray, h: float) -> np.ndarray:
+def _inner_table(mv: np.ndarray, gv: np.ndarray, h: float,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """inner[k, c] = trapezoid over tau in [x_c, x_k] of m(x_k, tau) g(tau, x_c).
 
     Both factors are zero above the diagonal, so the plain sum over tau is
     their triangular product (_lower_product); halving the diagonal of m
     supplies the end weight at tau = x_k, and subtracting
-    m(x_k, x_c) g(x_c, x_c) / 2 the one at tau = x_c. The upper triangle of
-    the result is zero by the same structure; the diagonal (an empty range)
-    is set to zero.
+    m(x_k, x_c) g(x_c, x_c) / 2 the one at tau = x_c. Both weights are
+    applied per block of _PRODUCT_BLOCK rows. The upper triangle of the
+    result is zero by the same structure; the diagonal (an empty range) is
+    set to zero. out, if given, must be zero above the diagonal.
     """
-    scratch = h * mv
-    np.einsum("ii->i", scratch)[...] *= 0.5
-    inner = _lower_product(scratch, gv)
-    np.multiply(mv, (0.5 * h) * np.diagonal(gv), out=scratch)
-    inner -= scratch
-    np.einsum("ii->i", inner)[...] = 0.0
-    return inner
+    n = mv.shape[0]
+    if out is None:
+        out = np.zeros((n, n), dtype=complex)
+    ends = (0.5 * h) * np.diagonal(gv)
+    scratch = np.empty((min(_PRODUCT_BLOCK, n), n), dtype=complex)
+    for i0 in range(0, n, _PRODUCT_BLOCK):
+        i1 = min(i0 + _PRODUCT_BLOCK, n)
+        a = np.multiply(mv[i0:i1], h, out=scratch[: i1 - i0])
+        np.einsum("ii->i", a[:, i0:i1])[...] *= 0.5
+        rows = _lower_product(a, gv, out[i0:i1], i0)
+        np.einsum("ij,j->ij", mv[i0:i1], ends, out=a)  # np.multiply allocates buffers here
+        rows -= a
+        np.einsum("ii->i", rows[:, i0:i1])[...] = 0.0
+    return out
 
 
 def picard_step(m: TriangularField, g_n: TriangularField) -> TriangularField:
     """Next term: G_{n+1}(x,t) = i * iterated integral of m against G_n."""
     require_same_grid(m.grid, g_n.grid)
-    h = m.grid.step
-    out = _cumtrapz_along_diagonals(_inner_table(m.values, g_n.values, h), h)
-    out *= 1j
-    return TriangularField(m.grid, out)
+    n, h = m.grid.n_nodes, m.grid.step
+    buf = _padded(n)
+    _inner_table(m.values, g_n.values, h, out=buf[n - 1 :].reshape(n, n))
+    return TriangularField(m.grid, _cumtrapz_along_diagonals(buf, n, 1j * h))
 
 
 # Rows of G, or nodes of spectral.eval_e_direct, solved per block of a
@@ -165,29 +192,32 @@ def _march(mv: np.ndarray, g1: np.ndarray, h: float) -> np.ndarray:
     G is that of G1, where the step vanishes. This is the step-by-step
     trapezoid method for Volterra equations; it costs about N^3 / 3
     multiply-adds, most of them in one gemm per block of _MARCH_BLOCK rows.
+    h M and the scaled G1 are formed per block, so the march holds no
+    full-size array besides G.
     """
     n = mv.shape[0]
-    hm = h * mv
-    scale = 1.0 / (1.0 - 0.25j * h * np.diagonal(hm))
-    g1s = g1 * scale[:, None]
+    hm_diag = h * np.diagonal(mv)
+    scale = 1.0 / (1.0 - 0.25j * h * hm_diag)
     coef = 1j * h * scale
-    half_diag = 0.5 * np.diagonal(hm)
+    half_diag = 0.5 * hm_diag
     ends = 0.5 * np.diagonal(g1)           # G[j, j] / 2, the tau = x_j end weight
     g = np.zeros_like(g1)
     np.einsum("ii->i", g)[...] = np.diagonal(g1)
     acc = np.zeros(n, dtype=complex)
     for r0 in range(1, n, _MARCH_BLOCK):
         r1 = min(r0 + _MARCH_BLOCK, n)
-        part = hm[r0:r1, :r0] @ g[:r0, :r1]
-        part -= hm[r0:r1, :r1] * ends[:r1]
+        hm = h * mv[r0:r1, :r1]            # rows r0 .. r1 - 1 of h M
+        g1s = g1[r0:r1, :r1] * scale[r0:r1, None]
+        part = hm[:, :r0] @ g[:r0, :r1]
+        part -= hm * ends[:r1]
         for i in range(r0, r1):
             p = part[i - r0, :i]
-            p += hm[i, r0:i] @ g[r0:i, :i]
+            p += hm[i - r0, r0:i] @ g[r0:i, :i]
             row = g[i, :i]
             np.multiply(p, 0.5, out=row)
             row += acc[i:0:-1]
             row *= coef[i]
-            row += g1s[i, :i]
+            row += g1s[i - r0, :i]
             row[0] = 0.0
             p += half_diag[i] * row        # inner-table row i
             acc[i:0:-1] += p
@@ -216,29 +246,31 @@ def compute_g(
         raise ValueError("max_terms must be >= 1")
     if tol is not None and not tol > 0:
         raise ValueError("tol must be positive")
-    g1 = picard_g1(m)
-    if tol is None:
-        tol = 1e-12 * (1.0 + g1.sup_norm())
-    total = _march(m.values, g1.values, m.grid.step)
-    norms = [float(np.abs(total).max())]
-    n_terms = 1
-    while not norms[-1] < tol:
-        if not np.isfinite(norms[-1]):
-            raise PicardConvergenceError(f"term {n_terms} has sup norm {norms[-1]}")
-        if n_terms >= max_terms:
-            raise PicardConvergenceError(
-                f"term sup norm {norms[-1]:.3e} still >= tol {tol:.3e} "
-                f"after {max_terms} terms"
-            )
-        nxt = picard_step(m, TriangularField(m.grid, total)).values
-        nxt += g1.values
-        norms.append(float(np.abs(nxt - total).max()))
-        total = nxt
-        n_terms += 1
+    # a kernel that overflows shows as a non-finite norm, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        g1 = picard_g1(m)
+        if tol is None:
+            tol = 1e-12 * (1.0 + g1.sup_norm())
+        g = TriangularField(m.grid, _march(m.values, g1.values, m.grid.step))
+        norms = [g.sup_norm()]
+        while not norms[-1] < tol:
+            if not np.isfinite(norms[-1]):
+                raise PicardConvergenceError(f"term {len(norms)} has sup norm {norms[-1]}")
+            if len(norms) >= max_terms:
+                raise PicardConvergenceError(
+                    f"term sup norm {norms[-1]:.3e} still >= tol {tol:.3e} "
+                    f"after {max_terms} terms"
+                )
+            nxt = picard_step(m, g)
+            nxt.values[...] += g1.values
+            g.values[...] -= nxt.values  # the update, negated, in place of the old iterate
+            norms.append(g.sup_norm())
+            g = nxt
 
-    total[:, 0] = 0.0  # boundary identity G(x, 0) = 0, kept exact
-    g = TriangularField(m.grid, np.tril(total))
-    return TransformKernel(g=g, term_norms=np.array(norms), iterations=n_terms, tol=tol)
+    # the march and picard_step leave +0.0 above the diagonal, so G is
+    # already lower-triangular
+    g.values[:, 0] = 0.0  # boundary identity G(x, 0) = 0, kept exact
+    return TransformKernel(g=g, term_norms=np.array(norms), iterations=len(norms), tol=tol)
 
 
 def reflected_kernel(m: TriangularField) -> TriangularField:
@@ -278,19 +310,12 @@ def _shear(vals: np.ndarray) -> np.ndarray:
 
     Diagonal offset d of a lower-triangular field becomes column d, so a
     product against the sheared field integrates along the lines
-    x - t = const. vals must be zero above the diagonal.
+    x - t = const. vals must be zero above the diagonal; so is the result,
+    and shearing it again gives vals back.
     """
     m = vals.shape[0]
-    buf = np.zeros(m * m + m - 1, dtype=complex)
-    buf[m - 1 :] = vals.ravel()
-    return np.ascontiguousarray(_diagonal_columns(buf, m)[:, ::-1])
-
-
-def _unshear(sheared: np.ndarray) -> np.ndarray:
-    """Inverse of _shear: out[i, i-d] = sheared[i, d]; sheared must vanish for d > i."""
-    m = sheared.shape[0]
-    buf = np.zeros(m * m + m - 1, dtype=complex)
-    _diagonal_columns(buf, m)[:, ::-1] = sheared
+    buf = _padded(m)
+    _diagonal_columns(buf, m)[:, ::-1] = vals
     return buf[m - 1 :].reshape(m, m)
 
 
@@ -320,41 +345,56 @@ def assemble_z_kernel(
       is a plain convolution: one FFT product per row i. The term is zero
       on the diagonal j = i, where the tau range is empty.
 
-    No Python loop runs over pairs of grid nodes: the only loop is over
-    rows i, one vector-matrix product each, and the inverse FFTs of all
-    rows are one batched call.
+    No Python loop runs over pairs of grid nodes: the loop runs over rows
+    i and, within a row, over chunks of _ROW_CHUNK values of k, one
+    vector-matrix product each; the inverse FFTs run on _ROW_CHUNK rows at
+    a time. Besides its result and R it holds at most two more full-size
+    arrays at once (plus a few rows), where a batch over all rows would
+    hold several.
     """
     require_same_grid(k1.grid, k2.grid, r.grid)
     if np.any(k1.values[:, 0]) or np.any(k2.values[:, 0]):
         raise ValueError("k1 and k2 must vanish at t = 0: column 0 is not exactly zero")
     grid = r.grid
     m, h = grid.n_nodes, grid.step
+    rmat = shifted_factor(r)
+    b = Profile(grid, volterra_apply(rmat, np.ones(m, dtype=complex), h))  # compute_B(r)
 
     # terms 1 and 2, indexed [i, d]
-    rmat = shifted_factor(r)
-    acc = _inner_table(rmat, _shear(k1.values), h)
-    acc += _inner_table(_shear(rmat), _shear(k2.values), h)
-    kout = _unshear(acc)
+    acc = _inner_table(_shear(rmat), _shear(k2.values), h)
+    acc += _inner_table(rmat, _shear(k1.values), h)
+    kout = _shear(acc)
     del acc
 
     # term 3: rows of k1 and k2 vanish past the diagonal, so each
-    # convolution has degree <= i < m and a length >= m cannot wrap
+    # convolution has degree <= i < m and a length >= m cannot wrap. fb
+    # holds the rows of k2 in reverse order, so the rows i-1 .. 1 that row
+    # i of K pairs with k1's rows 1 .. i-1 are contiguous.
     size = _next_fast_len(m)
-    fa, fb = (
-        np.fft.fft(k.values - 0.5 * np.diag(np.diagonal(k.values)), size, axis=1)
-        for k in (k1, k2)
-    )
-    prod = np.empty((m - 2, size), dtype=complex)
-    spec = np.empty((m - 2, size), dtype=complex)
-    for i in range(2, m):
-        p = np.multiply(fa[1:i], fb[i - 1 : 0 : -1], out=prod[: i - 1])
-        np.matmul(rmat[i, 1:i], p, out=spec[i - 2])
-    spec *= h * h
-    # row i of K takes columns 1 .. i-1 of the inverse FFT of spec[i - 2]
-    rows, cols = np.tril_indices(m - 2)
-    kout[rows + 2, cols + 1] += np.fft.ifft(spec, axis=1)[rows, cols + 1]
+    fa, fb = spectra = np.zeros((2, m, size), dtype=complex)
+    fa[:, :m] = k1.values
+    fb[:, :m] = k2.values[::-1]
+    np.einsum("ii->i", fa[:, :m])[...] *= 0.5
+    np.einsum("ii->i", fb[::-1, :m])[...] *= 0.5
+    for r0 in range(0, m, _ROW_CHUNK):
+        for rows in spectra[:, r0 : r0 + _ROW_CHUNK]:
+            rows[...] = np.fft.fft(rows, axis=1)
+    prod = np.empty((_ROW_CHUNK, size), dtype=complex)
+    spec = np.empty((_ROW_CHUNK, size), dtype=complex)
+    for c0 in range(2, m, _ROW_CHUNK):
+        block = spec[: min(_ROW_CHUNK, m - c0)]  # rows c0, c0 + 1, ... of K
+        block[...] = 0.0
+        for i, row in enumerate(block, c0):
+            back = m - 1 - i  # fb holds k2's row i - k as its row back + k
+            for k0 in range(1, i, _ROW_CHUNK):
+                k_end = min(k0 + _ROW_CHUNK, i)
+                p = np.multiply(fa[k0:k_end], fb[back + k0 : back + k_end],
+                                out=prod[: k_end - k0])
+                row += rmat[i, k0:k_end] @ p
+        block *= h * h
+        # row i of K takes columns 1 .. i-1 of its row's inverse FFT
+        for i, row in enumerate(np.fft.ifft(block, axis=1), c0):
+            kout[i, 1:i] += row[1:i]
 
     kout[:, 0] = 0.0
-    b = compute_B(r)
     return b, TriangularField(grid, kout)
-

@@ -797,6 +797,13 @@ class TestRefusedBeforeAnyGrid:
         assert self.run(workdir, monkeypatch, "early_no_target", "invert", cfg) == EXIT_CONFIG
         assert "'target' or 'targets'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("targets", [[], "spec.json", ["a.json", 3], [["a.json"]], {}])
+    def test_invert_targets_not_a_list_of_paths(self, workdir, monkeypatch, capsys, targets):
+        cfg = {"grid_n": 16, "d": 4, "kernel": CONST_KERNEL, "targets": targets}
+        name = f"early_targets_{len(targets)}_{type(targets).__name__}"
+        assert self.run(workdir, monkeypatch, name, "invert", cfg) == EXIT_CONFIG
+        assert "targets must be a non-empty list of paths" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["m0", "r", "p", "p_tilde"])
     def test_verify_without_key(self, workdir, monkeypatch, capsys, key):
         cfg = {"grid_n": 16, **{k: CONST_KERNEL["m0"] for k in ("m0", "r", "p", "p_tilde")}}
@@ -860,6 +867,17 @@ class TestNonFiniteInput:
             name = f"overflow_profile_{len(coeffs)}"
             assert self.run(workdir, name, "forward", cfg) == EXIT_CONFIG
             assert capsys.readouterr().err == "config error: profile has non-finite samples\n"
+
+    def test_overflowing_g_build(self, workdir, capsys):
+        # finite samples whose G build overflows: one failure line, no numpy warning
+        kernel = json.loads(json.dumps(CONST_KERNEL))
+        kernel["components"][0]["p"] = {
+            "kind": "analytic", "family": "trig", "coeffs": [[1e308, 1, 0], [1e308, 2, 0]],
+        }
+        cfg = {"grid_n": 20, "kernel": kernel}
+        assert self.run(workdir, "overflow_g", "forward", cfg) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
 
     def test_nan_field_samples(self, workdir):
         grid = make_grid(10)

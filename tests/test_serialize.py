@@ -148,6 +148,14 @@ def _field_to_csv_loop(f, path):
                 fh.write(f"{fmt(nodes[i])},{fmt(nodes[j])},{fmt(v.real)},{fmt(v.imag)}\n")
 
 
+def _field_to_csv_whole(f, path):
+    """field_to_csv through write_csv with every line's indices at once."""
+    rows, cols = np.tril_indices(f.grid.n_nodes)
+    vals = f.values[rows, cols]
+    nodes = f.grid.nodes
+    serialize.write_csv(path, "x,t,re,im", [(nodes, rows), (nodes, cols), vals.real, vals.imag])
+
+
 class TestFieldCsv:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -189,6 +197,36 @@ class TestFieldCsv:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    @pytest.mark.parametrize("n, block", [(150, 8192), (150, 1000), (150, 97), (40, 8192)])
+    def test_bytes_match_whole_field_writer(self, tmp_path, n, block):
+        # 151 rows hold 11476 lines: blocks of 8192, 1000 or 97 lines end
+        # inside rows, at a different column each time
+        rng = np.random.default_rng(n + block)
+        vals = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
+        vals *= 10.0 ** rng.integers(-300, 300, vals.shape)
+        f = TriangularField(make_grid(n), np.tril(vals))
+        with mock.patch.object(serialize, "CSV_BLOCK", block):
+            serialize.field_to_csv(f, tmp_path / "new.csv")
+            _field_to_csv_whole(f, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_working_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # the writer holds one block of lines and the node labels: only the
+        # labels (24 bytes a node) and the text widths of a block move its
+        # peak, by a few percent; a full-size array would add 2.6 MB (65%)
+        peaks = {}
+        for n in (200, 400):
+            rng = np.random.default_rng(5)
+            vals = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
+            f = TriangularField(make_grid(n), np.tril(vals))
+            tracemalloc.start()
+            try:
+                serialize.field_to_csv(f, tmp_path / "f.csv")
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[400] <= 1.05 * peaks[200]
 
     def test_round_trip(self, tmp_path):
         grid = make_grid(9)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -7,11 +9,13 @@ from idospec.quadrature import PI, TriangularField, make_grid
 from idospec.transform import (
     PicardConvergenceError,
     _PRODUCT_BLOCK,
+    _ROW_CHUNK,
     _cumtrapz_along_diagonals,
     _inner_table,
     _lower_product,
     _march,
     _next_fast_len,
+    _padded,
     assemble_z_kernel,
     compute_g,
     picard_g1,
@@ -27,18 +31,25 @@ from oracles import picard_series_g
 
 # Loop forms of the two Picard helpers, kept as reference oracles for the
 # vectorized versions in idospec.transform.
-def _cumtrapz_along_diagonals_loop(vals, h):
+def _cumtrapz_along_diagonals_loop(vals, scale):
+    """Each diagonal's running sum of scale / 2 times consecutive pair sums."""
     n = vals.shape[0]
     out = np.zeros_like(vals)
     for d in range(n):
-        diag = np.ascontiguousarray(np.diagonal(vals, offset=-d))
-        ct = np.empty_like(diag)
-        ct[0] = 0.0
-        csum = np.cumsum(diag)
-        ct[1:] = h * (csum[1:] - 0.5 * diag[1:] - 0.5 * diag[0])
+        diag = np.diagonal(vals, offset=-d)
+        steps = np.zeros_like(diag)
+        steps[1:] = (diag[1:] + diag[:-1]) * (0.5 * scale)
         rows = np.arange(d, n)
-        out[rows, rows - d] = ct
+        out[rows, rows - d] = np.cumsum(steps)
     return out
+
+
+def _cumtrapz(vals, scale):
+    """_cumtrapz_along_diagonals on a padded copy of vals."""
+    n = vals.shape[0]
+    buf = _padded(n)
+    buf[n - 1 :] = vals.ravel()
+    return _cumtrapz_along_diagonals(buf, n, scale)
 
 
 def _inner_table_loop(mv, gv, h):
@@ -97,18 +108,37 @@ def _assemble_z_kernel_loop(k1v, k2v, rv, h):
     return kout
 
 
+def _peak_fields(fn, n):
+    """tracemalloc peak of fn() above what was allocated before it, result
+    included, in complex fields of an n-interval grid."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (16 * (n + 1) ** 2)
+    finally:
+        tracemalloc.stop()
+
+
 def _random_lower(rng, n, scale):
     vals = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return np.tril(scale * vals)
 
 
+# Sizes at the edges of the row chunks of _cumtrapz_along_diagonals and of
+# the row blocks of _inner_table
+CHUNK_EDGES = sorted({k * b + e for b in (_ROW_CHUNK, _PRODUCT_BLOCK) for k in (1, 2)
+                      for e in (-1, 0, 1)})
+
+
 class TestPicardHelpersMatchLoops:
     @settings(max_examples=60, deadline=None)
     @given(
-        n=st.integers(2, 64),
+        n=st.one_of(st.integers(2, 64), st.sampled_from(CHUNK_EDGES)),
         seed=st.integers(0, 2**32 - 1),
         scale=st.sampled_from([1e-6, 1.0, 1e3]),
     )
+    @example(n=_ROW_CHUNK + 1, seed=0, scale=1.0)
+    @example(n=2 * _PRODUCT_BLOCK + 1, seed=1, scale=1.0)
     def test_random_lower_triangular_fields(self, n, seed, scale):
         rng = np.random.default_rng(seed)
         mv = _random_lower(rng, n, scale)
@@ -120,10 +150,15 @@ class TestPicardHelpersMatchLoops:
         assert np.abs(inner - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.all(np.triu(inner) == 0.0)
 
-        ct = _cumtrapz_along_diagonals(mv, h)
-        assert np.array_equal(ct, _cumtrapz_along_diagonals_loop(mv, h))
-        assert np.all(ct[:, 0] == 0.0)
-        assert np.all(np.triu(ct, 1) == 0.0)
+        for s in (h, 1j * h):
+            ct = _cumtrapz(mv, s)
+            assert np.array_equal(ct, _cumtrapz_along_diagonals_loop(mv, s))
+            assert np.all(ct[:, 0] == 0.0)
+            # +0.0 above the diagonal, whatever the sign of the zeros there
+            assert np.triu(ct, 1).tobytes() == np.zeros_like(ct).tobytes()
+            neg = mv.copy()
+            neg[np.triu_indices(n, 1)] = complex(-0.0, -0.0)
+            assert _cumtrapz(neg, s).tobytes() == ct.tobytes()
 
 
 class TestLowerProduct:
@@ -224,6 +259,27 @@ class TestComputeG:
             stride = 400 // n
             errs.append(np.abs(tk.g.values - ref[::stride, ::stride]).max())
         assert 2.5 < errs[0] / errs[1] < 6.0
+
+
+class TestWorkingMemory:
+    """Full-size arrays a G build and the z-split hold at once, result included.
+
+    A G build holds G1, the iterate and the Picard update's buffer, plus
+    blocks of rows; the z-split its result, R and two row-spectrum arrays.
+    """
+
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_compute_g(self, n):
+        m = family_fields(make_grid(n))["structured"]
+        assert _peak_fields(lambda: compute_g(m), n) <= 3.5
+
+    def test_assemble_z_kernel(self):
+        n = 200
+        grid = make_grid(n)
+        g = compute_g(family_fields(grid)["structured"]).g
+        r = TriangularField.from_function(grid, lambda x, t: 1.0 + 0.2 * np.cos(t))
+        assemble_z_kernel(g, g, r)  # fills numpy's FFT plan cache, which is no working memory
+        assert _peak_fields(lambda: assemble_z_kernel(g, g, r), n) <= 5.0
 
 
 class TestMarchAgainstPicardSeries:
@@ -353,6 +409,11 @@ class TestZKernelAssembly:
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+    # the bilinear term runs rows 2 .. n and products over k = 1 .. i-1 in
+    # chunks of _ROW_CHUNK: n = 33, 34 end at and just past the first chunk
+    @example(n=_ROW_CHUNK + 1, seed=0)
+    @example(n=_ROW_CHUNK + 2, seed=1)
+    @example(n=2 * _ROW_CHUNK + 2, seed=2)
     def test_matches_loop_oracle(self, n, seed):
         rng = np.random.default_rng(seed)
         grid = make_grid(n)

@@ -1,4 +1,4 @@
-"""Print the median time of each solver layer, in ms, as a Markdown table.
+"""Print the median time and the memory peak of each solver layer as a Markdown table.
 
 Layers: compute_g, the row march (transform._march), one Picard step, its
 inner-integral product (transform._inner_table), assemble_z_kernel and the
@@ -6,7 +6,10 @@ e-march (spectral.eval_e_direct) for the 5 lambdas `verify` samples by
 default, at N in {100, 200, 400, 800} unless --n names others. The inputs
 are fixed: M = M0 + R P(x - t) with smooth M0, R and a three-term trig
 profile P, its G, and that G as both kernels of the z-split. Each time is
-the median over repeats of a timeit loop of at least 50 ms. BLAS runs on
+the median over repeats of a timeit loop of at least 50 ms. Beside it
+stands the layer's tracemalloc peak above its inputs (what one call
+allocates at most at once, its result included), in (N+1)^2 complex
+fields of 16 (N+1)^2 bytes. BLAS runs on
 one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS
 is set. A last line gives the start-up time: the median wall time of five
 fresh `python -c "import idospec.cli"` processes. Nothing is checked; run
@@ -23,6 +26,7 @@ import subprocess
 import sys
 import time
 import timeit
+import tracemalloc
 from pathlib import Path
 
 if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
@@ -71,6 +75,17 @@ def median_ms(fn) -> float:
     return 1e3 * float(np.median(timer.repeat(REPEAT, number))) / number
 
 
+def peak_fields(fn, n: int) -> float:
+    """tracemalloc peak of one call of fn, in (n+1)^2 complex fields."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * (n + 1) ** 2)
+
+
 def import_ms() -> float:
     """Median wall time of STARTS fresh interpreters that import idospec.cli."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -87,11 +102,12 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--n", type=int, nargs="+", default=[100, 200, 400, 800])
     args = parser.parse_args(argv)
-    times = {n: {name: median_ms(fn) for name, fn in layers(n).items()} for n in args.n}
-    print("| layer (ms) | " + " | ".join(f"N = {n}" for n in args.n) + " |")
-    print("|---|" + "---:|" * len(args.n))
-    for name in times[args.n[0]]:
-        print(f"| {name} | " + " | ".join(f"{times[n][name]:.3f}" for n in args.n) + " |")
+    cells = {n: {name: f"{median_ms(fn):.3f} | {peak_fields(fn, n):.2f}"
+                 for name, fn in layers(n).items()} for n in args.n}
+    print("| layer | " + " | ".join(f"N = {n}: ms | fields" for n in args.n) + " |")
+    print("|---|" + "---:|---:|" * len(args.n))
+    for name in cells[args.n[0]]:
+        print(f"| {name} | " + " | ".join(cells[n][name] for n in args.n) + " |")
     print(f"\nimport idospec.cli: {import_ms():.1f} ms (median of {STARTS} fresh processes)")
 
 
