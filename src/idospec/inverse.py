@@ -7,7 +7,11 @@ function, which all vanish exactly when nu is a zero of that multiplicity.
 Their derivatives in the profile parameters come from the paper's Green
 identity Delta~ - Delta = i * double integral of psi (M~ - M) e~, linearized
 at M~ = M, so a Jacobian needs the forward solutions e and psi of the
-current kernel only, not one residual per parameter.
+current kernel only, not one residual per parameter. The paper's change of
+variables turns each double integral of psi R (P~ - P)(x - t) e into the
+single integral of (P~ - P)(pi - x) z(x, nu), with z from eval_z; the
+Jacobian takes that form, and verify_change_of_variables checks that both
+forms agree.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .kernels import (
     WeightVanishesError,
 )
 from .transform import TransformKernel, compute_g, reflected_kernel
-from .spectral import Spectrum, char_delta_deriv, eval_e_via_g
+from .spectral import Spectrum, char_delta_deriv, eval_e_via_g, eval_z
 
 
 class UnderdeterminedError(ValueError):
@@ -134,24 +138,6 @@ class InverseProblem:
         """
         return _spline_basis(self.param_nodes, self.grid.nodes)
 
-    @cached_property
-    def weighted_basis_fields(self) -> np.ndarray:
-        """d x (N+1) x (N+1) stack of R(x, t) phi_k(x - t) times trapezoid weights.
-
-        R(x, t) phi_k(x - t) is the derivative of the kernel M in parameter
-        k. The weight of node (x_i, t_j) is that of the nested trapezoid
-        rule over t <= x: w_i h, halved at t = 0 and at t = x, and zero on
-        row 0, where the inner range is empty. A double integral of
-        psi(x) dM(x, t) e(t) is then psi @ layer @ e.
-        """
-        grid = self.grid
-        inner = np.tril(np.full((grid.n_nodes,) * 2, grid.step))
-        inner[:, 0] *= 0.5
-        np.einsum("ii->i", inner)[...] *= 0.5
-        inner[0] = 0.0
-        weights = trapezoid_weights(grid.n_nodes, grid.step)[:, None] * inner
-        return np.stack([weights * self.r.values * _shift_matrix(phi) for phi in self.basis.T])
-
     def is_underdetermined(self) -> bool:
         return self.target.total_count < self.d
 
@@ -235,13 +221,15 @@ def spectrum_jacobian(m: TriangularField, problem: InverseProblem, g: TransformK
     phi_k. e^(b) comes from g; psi^(a)(x) = w^(a)(pi - x), with w the forward
     solution of the reflected kernel, so this builds one G, that one, unless
     the kernel is its own reflection (see reflected_kernel): then w = e and
-    g serves for both. Every double integral the rows read is one product
-    of the stacked weighted_basis_fields against the columns of e it needs,
-    contracted with the matching columns of psi. The rows are the
-    continuous derivative by the trapezoid rule, O(h^2) away from the
-    derivative of the discrete residual. Returns the Jacobian, rows in the
-    order of spectrum_residual and one column per parameter, and the
-    reflected kernel's G, which is g itself when no G was built.
+    g serves for both. By the change of variables each double integral is
+    the integral of phi_k(pi - x) z(x) over [0, pi], z = eval_z(R, psi^(a),
+    e^(b)); one eval_z call takes every (a, b) column pair the rows read,
+    and one trapezoid product against the reversed basis gives all d
+    integrals of each pair. The rows are the continuous derivative by the
+    trapezoid rule, O(h^2) away from the derivative of the discrete
+    residual. Returns the Jacobian, rows in the order of spectrum_residual
+    and one column per parameter, and the reflected kernel's G, which is g
+    itself when no G was built.
     """
     grid = problem.grid
     refl = reflected_kernel(m)
@@ -258,9 +246,8 @@ def spectrum_jacobian(m: TriangularField, problem: InverseProblem, g: TransformK
         [(r, r - j + a, r - a, math.comb(j, a))
          for r, j in enumerate(orders) for a in range(j + 1)], dtype=int,
     ).reshape(-1, 4).T
-    n = grid.n_nodes
-    fields_e = problem.weighted_basis_fields.reshape(-1, n) @ e[:, cols_b]
-    pair = np.einsum("kxp,xp->kp", fields_e.reshape(problem.d, n, -1), psi[:, cols_a])
+    z = eval_z(problem.r, psi[:, cols_a], e[:, cols_b])
+    pair = (trapezoid_weights(grid.n_nodes, grid.step)[:, None] * problem.basis[::-1]).T @ z
     jac = np.zeros((orders.size, problem.d), dtype=complex)
     np.add.at(jac, rows, coef[:, None] * pair.T)
     return 1j * jac, g_refl

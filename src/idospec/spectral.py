@@ -184,7 +184,9 @@ def eval_z(r: TriangularField, psi: np.ndarray, e_tilde: np.ndarray) -> np.ndarr
     """z(x, lambda) = integral of r(pi-t, x-t) psi(pi-t) e_tilde(x-t) over [0, x].
 
     psi = eval_psi(M, lam) and e_tilde = eval_e_direct(M~, lam), for one
-    lambda or with one column per lambda; z has their shape. Each column is
+    lambda or with one column per lambda; z has their shape. A column pair
+    may also hold lambda-derivatives of psi and e_tilde (the Jacobian of
+    inverse.spectrum_jacobian pairs psi^(a) with e^(b)). Each column is
     one Volterra product of R[i, k] e_tilde(x_i - t_k) against
     w(t) = psi(pi - t), the forward solution of the reflected kernel.
     """

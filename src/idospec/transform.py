@@ -238,7 +238,9 @@ def compute_g(
     series. term_norms[0] is the sup norm of the march and each later entry
     that of one update, so on a solved march iterations is 2 and
     term_norms[1] is the residual of the discrete equation. The default tol
-    is 1e-12 (1 + sup|G1|). An update whose sup norm is not finite (a
+    is 1e-12 (1 + sup|G|), G the march: the rounding of the march's
+    residual scales with G itself, which for a large M grows far beyond
+    G1. An update whose sup norm is not finite (a
     kernel carrying NaN or overflowing), or a budget of max_terms spent
     before an update drops below tol, raises PicardConvergenceError.
     """
@@ -249,10 +251,10 @@ def compute_g(
     # a kernel that overflows shows as a non-finite norm, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         g1 = picard_g1(m)
-        if tol is None:
-            tol = 1e-12 * (1.0 + g1.sup_norm())
         g = TriangularField(m.grid, _march(m.values, g1.values, m.grid.step))
         norms = [g.sup_norm()]
+        if tol is None:
+            tol = 1e-12 * (1.0 + norms[0])
         while not norms[-1] < tol:
             if not np.isfinite(norms[-1]):
                 raise PicardConvergenceError(f"term {len(norms)} has sup norm {norms[-1]}")

@@ -17,6 +17,7 @@ from idospec.spectral import (
     Eigenvalue,
     SearchWindow,
     Spectrum,
+    SpectrumOptions,
     eval_e_direct,
     eval_psi,
     eval_z,
@@ -229,6 +230,28 @@ class TestSpectrumJacobian:
         assert report.converged
         grid = problem.grid
         assert np.abs(report.recovered.values - two_sine(grid.nodes)).max() <= 0.05
+
+    def test_fit_near_the_floor_does_not_crawl(self):
+        # truth 0 of benchmark seed 1: its fit from zero ends at the
+        # discretization floor, where a Jacobian further from the residual's
+        # derivative makes LM crawl (13 iterations and 25 residuals with
+        # nested-trapezoid pair integrals)
+        def truth(x):
+            return (0.338718445717945 * np.sin(x + 3.6731843319365467)
+                    + 0.08059479868228293 * np.sin(2 * x + 4.352465272235334))
+
+        grid = make_grid(200)
+        m = assemble_kernel(StructuredKernel(
+            TriangularField.zeros(grid),
+            (KernelComponent(TriangularField.constant(grid, 1.0),
+                             Profile.from_function(grid, truth)),),
+        ))
+        target = find_spectrum(compute_g(m), WIDE, SpectrumOptions(initial_edge_samples=64))
+        problem = convolution_problem(target, 100)
+        report = recover_profile(problem, np.zeros(8))
+        assert report.converged
+        assert np.abs(report.recovered.values - truth(problem.grid.nodes)).max() <= 0.05
+        assert report.iterations <= 8
 
     def test_evaluation_counts_add_up_to_g_builds(self, const_problem, monkeypatch):
         # M = P(x - t) is its own reflection, so a Jacobian reuses the

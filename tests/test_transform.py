@@ -229,6 +229,16 @@ class TestComputeG:
         assert tk.iterations == len(tk.term_norms) == 2
         assert tk.term_norms[1] < tk.tol
 
+    @pytest.mark.parametrize("c, n", [(60.0, 100), (60.0, 400), (100.0, 100)])
+    def test_large_kernel_certified_in_one_update(self, c, n):
+        # sup|G| grows 10^7 to 10^9 times beyond sup|G1| here; the march's
+        # update stays at rounding relative to G, so the default tol,
+        # which follows G, takes it
+        tk = compute_g(TriangularField.constant(make_grid(n), c))
+        assert tk.iterations == 2
+        assert tk.tol == 1e-12 * (1.0 + tk.term_norms[0])
+        assert tk.term_norms[1] < 1e-14 * tk.term_norms[0]
+
     def test_zero_kernel_gives_zero_g(self, grid50):
         tk = compute_g(TriangularField.zeros(grid50))
         assert np.all(tk.g.values == 0.0)

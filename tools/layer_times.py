@@ -1,11 +1,14 @@
 """Print the median time and the memory peak of each solver layer as a Markdown table.
 
 Layers: compute_g, the row march (transform._march), one Picard step, its
-inner-integral product (transform._inner_table), assemble_z_kernel and the
+inner-integral product (transform._inner_table), assemble_z_kernel, the
 e-march (spectral.eval_e_direct) for the 5 lambdas `verify` samples by
-default, at N in {100, 200, 400, 800} unless --n names others. The inputs
-are fixed: M = M0 + R P(x - t) with smooth M0, R and a three-term trig
-profile P, its G, and that G as both kernels of the z-split. Each time is
+default and the LM Jacobian (inverse.spectrum_jacobian, d = 8) at 18
+simple targets and one triple target, at N in {100, 200, 400, 800} unless
+--n names others. The inputs are fixed: M = M0 + R P(x - t) with smooth
+M0, R and a three-term trig profile P, its G, and that G as both kernels
+of the z-split. R is not its own reflection, so each Jacobian also builds
+the reflected kernel's G. Each time is
 the median over repeats of a timeit loop of at least 50 ms. Beside it
 stands the layer's tracemalloc peak above its inputs (what one call
 allocates at most at once, its result included), in (N+1)^2 complex
@@ -37,11 +40,19 @@ sys.path.insert(0, SRC)
 import numpy as np  # noqa: E402
 
 from idospec import transform  # noqa: E402
+from idospec.inverse import InverseProblem, spectrum_jacobian  # noqa: E402
 from idospec.kernels import KernelComponent, StructuredKernel, assemble_kernel  # noqa: E402
 from idospec.quadrature import Profile, TriangularField, make_grid  # noqa: E402
-from idospec.spectral import eval_e_direct  # noqa: E402
+from idospec.spectral import Eigenvalue, SearchWindow, Spectrum, eval_e_direct  # noqa: E402
 
 LAMBDAS = np.array([0.5, -2.0, 1.5 - 0.5j, 3.0, 0.25j])
+# the Jacobian's targets: 18 simple ones across the benchmark's window and a
+# triple one, which adds its Delta' and Delta'' rows; they need not be zeros
+TARGETS = Spectrum(
+    eigenvalues=tuple(Eigenvalue(complex(nu, -0.4), 1, 0.0) for nu in np.linspace(-17.0, 17.0, 18))
+    + (Eigenvalue(2.1 - 0.7j, 3, 0.0),),
+    window=SearchWindow(-20.0, 20.0, -8.0, 0.5), total_count=21,
+)
 REPEAT = 7
 STARTS = 5
 
@@ -55,8 +66,10 @@ def layers(n: int) -> dict:
     p = Profile.from_function(grid, lambda x: 0.3 * np.cos(x + 0.5) + 0.25 * np.cos(2 * x + 1.0)
                               + 0.2 * np.cos(3 * x + 2.0))
     m = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, p),)))
-    g = transform.compute_g(m).g
+    tk = transform.compute_g(m)
+    g = tk.g
     g1 = transform.picard_g1(m).values
+    problem = InverseProblem(m0=m0, r=r, target=TARGETS, d=8)
     return {
         "compute_g": lambda: transform.compute_g(m),
         "_march": lambda: transform._march(m.values, g1, h),
@@ -64,6 +77,7 @@ def layers(n: int) -> dict:
         "_inner_table": lambda: transform._inner_table(m.values, g.values, h),
         "assemble_z_kernel": lambda: transform.assemble_z_kernel(g, g, r),
         "eval_e_direct (5 lambdas)": lambda: eval_e_direct(m, LAMBDAS),
+        "spectrum_jacobian (19 targets)": lambda: spectrum_jacobian(m, problem, tk),
     }
 
 
