@@ -80,12 +80,15 @@ def shifted_factor(r: TriangularField) -> np.ndarray:
     """Lower-triangular matrix R[i, k] = r(pi - t_k, x_i - t_k), zero for k > i.
 
     The factor r enters the weight B and the function z(x, lambda) at this
-    shifted argument; with it both are Volterra products. For k > i the
-    gather reads r's upper triangle, which is zero.
+    shifted argument; with it both are Volterra products. Column k of R is
+    row N - k of r, entries 0..N-k, moved down by k rows, so one slice copy
+    per column fills it and the result is the only full-size array.
     """
     n = r.grid.n_intervals
-    idx = np.arange(n + 1)
-    return r.values[n - idx, idx[:, None] - idx]
+    out = np.zeros((n + 1, n + 1), dtype=r.values.dtype)
+    for k in range(n + 1):
+        out[k:, k] = r.values[n - k, : n + 1 - k]
+    return out
 
 
 def assemble_kernel(sk: StructuredKernel) -> TriangularField:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import TriangularField, trapezoid_weights, volterra_apply
-from .kernels import _shift_matrix, shifted_factor
+from .kernels import shifted_factor
 from .transform import _MARCH_BLOCK, TransformKernel, reflected_kernel
 
 
@@ -186,14 +186,42 @@ def eval_z(r: TriangularField, psi: np.ndarray, e_tilde: np.ndarray) -> np.ndarr
     psi = eval_psi(M, lam) and e_tilde = eval_e_direct(M~, lam), for one
     lambda or with one column per lambda; z has their shape. A column pair
     may also hold lambda-derivatives of psi and e_tilde (the Jacobian of
-    inverse.spectrum_jacobian pairs psi^(a) with e^(b)). Each column is
-    one Volterra product of R[i, k] e_tilde(x_i - t_k) against
-    w(t) = psi(pi - t), the forward solution of the reflected kernel.
+    inverse.spectrum_jacobian pairs psi^(a) with e^(b)). With
+    w(t) = psi(pi - t), the forward solution of the reflected kernel, the
+    trapezoid rule gives all columns in one contraction,
+    z[i, c] = h sum over k <= i of Rw[i, k] e_tilde[i-k, c] w[k, c],
+    where Rw is shifted_factor(r) with its end weights, column 0 and the
+    diagonal, halved. e_tilde[i-k, c] is read through a strided lag view of
+    e_tilde, transposed and led by _MARCH_BLOCK - 1 zeros per column, and
+    the sum runs per block of _MARCH_BLOCK rows over the k < i1 the block
+    reads, so no field is built per column and the lag tensor is never
+    formed. Raises ValueError, before any work, unless psi and e_tilde have
+    one shape with r.grid.n_nodes rows.
     """
-    rs = shifted_factor(r)
-    w, et = (np.reshape(v, (r.grid.n_nodes, -1)).T for v in (psi[::-1], e_tilde))
-    cols = [volterra_apply(rs * _shift_matrix(ek), wk, r.grid.step) for wk, ek in zip(w, et)]
-    return np.stack(cols, axis=-1).reshape(psi.shape)
+    n = r.grid.n_nodes
+    if psi.shape != e_tilde.shape or psi.shape[:1] != (n,):
+        raise ValueError(
+            f"psi {psi.shape} and e_tilde {e_tilde.shape} must share one shape with {n} rows"
+        )
+    w, e = (np.reshape(v, (n, -1)) for v in (psi[::-1], e_tilde))
+    rw = shifted_factor(r)
+    rw[:, 0] *= 0.5
+    rw.flat[:: n + 1] *= 0.5
+    lead = _MARCH_BLOCK - 1
+    padded = np.zeros((e.shape[1], lead + n), dtype=e.dtype)
+    padded[:, lead:] = e.T                      # padded[c, lead + j] = e_tilde[j, c]
+    stride_c, stride_j = padded.strides
+    z = np.empty(e.shape, dtype=complex)
+    for i0 in range(0, n, _MARCH_BLOCK):
+        i1 = min(i0 + _MARCH_BLOCK, n)
+        # lag[c, i - i0, k] = padded[c, lead + i - k] for i0 <= i < i1 and k < i1,
+        # so k runs contiguously; numpy refuses a view reaching outside padded
+        lag = np.ndarray((e.shape[1], i1 - i0, i1), padded.dtype, padded,
+                         (lead + i0) * stride_j, (stride_c, stride_j, -stride_j))
+        np.einsum("ik,cik,kc->ci", rw[i0:i1, :i1], lag, w[:i1], out=z[i0:i1].T)
+    z *= r.grid.step
+    z[0] = 0.0
+    return z.reshape(psi.shape)
 
 
 def eval_z_decomposed(b, k: TriangularField, lam) -> np.ndarray:

@@ -12,10 +12,13 @@ the reference for the package's blocked polynomial evaluation. The
 remaining oracles do use the package: picard_series_g sums the Picard
 series term by term, the reference for the row march of compute_g,
 fd_jacobian differentiates the inversion residual by forward differences,
-the reference for its analytic Jacobian, find_spectrum_reflected searches
-the spectrum of the reflected kernel, which must match the direct one, and
-find_spectrum_subdivision finds the zeros of Delta by recursive subdivision
-of the window, the reference for the package's companion-matrix search.
+the reference for its analytic Jacobian, eval_z_columns builds z one
+column at a time, each column one Volterra product of its own full-size
+field, the reference for the blocked contraction of spectral.eval_z,
+find_spectrum_reflected searches the spectrum of the reflected kernel,
+which must match the direct one, and find_spectrum_subdivision finds the
+zeros of Delta by recursive subdivision of the window, the reference for
+the package's companion-matrix search.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import math
 
 import numpy as np
 
-from idospec.quadrature import TriangularField, trapezoid_weights
+from idospec.kernels import _shift_matrix, shifted_factor
+from idospec.quadrature import TriangularField, trapezoid_weights, volterra_apply
 from idospec.spectral import (
     BoundaryNearZeroError,
     Eigenvalue,
@@ -152,6 +156,18 @@ def fd_jacobian(residual, params, step: float = 1e-6) -> np.ndarray:
         pert[k] += h
         jac[:, k] = (residual(pert) - base) / h
     return jac
+
+
+def eval_z_columns(r: TriangularField, psi: np.ndarray, e_tilde: np.ndarray) -> np.ndarray:
+    """spectral.eval_z one column pair at a time.
+
+    Column c is the Volterra product of the field R[i, k] e_tilde[i-k, c]
+    against w = psi[::-1, c], with R = shifted_factor(r); z has psi's shape.
+    """
+    rs = shifted_factor(r)
+    w, et = (np.reshape(v, (r.grid.n_nodes, -1)).T for v in (psi[::-1], e_tilde))
+    cols = [volterra_apply(rs * _shift_matrix(ek), wk, r.grid.step) for wk, ek in zip(w, et)]
+    return np.stack(cols, axis=-1).reshape(psi.shape)
 
 
 def picard_series_g(m, tol: float | None = None, max_terms: int = 60) -> TransformKernel:

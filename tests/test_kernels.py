@@ -13,6 +13,7 @@ from idospec.kernels import (
     compute_B,
     field_from_family,
     profile_from_family,
+    shifted_factor,
     truncate_kernel,
 )
 from idospec.transform import assemble_z_kernel
@@ -81,6 +82,19 @@ class TestShiftMatrix:
         assert np.all(s[~below] == 0.0)
         with pytest.raises(ValueError):
             s[n - 1, 0] = 1.0
+
+
+class TestShiftedFactor:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 97), seed=st.integers(0, 2**32 - 1))
+    def test_equals_one_shot_gather(self, n, seed):
+        # R[i, k] = r[N - k, i - k] by one fancy index over the whole square;
+        # for k > i it reads r's upper triangle, which is zero
+        rng = np.random.default_rng(seed)
+        vals = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
+        r = TriangularField(make_grid(n), np.tril(vals))
+        idx = np.arange(n + 1)
+        assert np.array_equal(shifted_factor(r), r.values[n - idx, idx[:, None] - idx])
 
 
 class TestTruncate:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import idospec.spectral
 from idospec.quadrature import PI, TriangularField, make_grid
 from idospec.transform import TransformKernel, compute_g
 from idospec.spectral import (
@@ -30,6 +31,7 @@ from oracles import (
     char_delta_direct,
     constant_kernel_delta,
     constant_kernel_e,
+    eval_z_columns,
     find_spectrum_reflected,
     find_spectrum_subdivision,
     oracle_roots_in_window,
@@ -165,6 +167,67 @@ class TestMarchesMatchLoops:
 
             assert z[0, k] == 0.0
             assert _rel_err(z[:, k], _eval_z_loop(r, m, mt, lam)) <= 1e-13
+
+
+def _random_columns(rng, n_nodes, n_cols):
+    shape = (n_nodes, n_cols)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestEvalZContraction:
+    """eval_z's blocked contraction against the column loop of tests/oracles.py."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # sizes at the edges of the 32-row blocks, and small ones
+        n=st.sampled_from([31, 32, 33, 63, 64, 65, 97]) | st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+        n_cols=st.integers(1, 6),
+    )
+    def test_matches_column_loop(self, n, seed, n_cols):
+        rng = np.random.default_rng(seed)
+        r = _random_field(rng, make_grid(n))
+        psi, et = (_random_columns(rng, n + 1, n_cols) for _ in range(2))
+        z = eval_z(r, psi, et)
+        assert z.shape == psi.shape and np.all(z[0] == 0.0)
+        assert _rel_err(z, eval_z_columns(r, psi, et)) <= 1e-15
+        # one lambda: 1-D columns in, 1-D z out
+        z1 = eval_z(r, psi[:, 0], et[:, 0])
+        assert z1.shape == (n + 1,) and z1[0] == 0.0
+        assert _rel_err(z1, eval_z_columns(r, psi[:, 0], et[:, 0])) <= 1e-15
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([31, 32, 33, 64, 97]),
+        seed=st.integers(0, 2**32 - 1),
+        mults=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    )
+    def test_order_j_column_pairs(self, n, seed, mults):
+        # the pairs of inverse.spectrum_jacobian: one column per (a, b) with
+        # a + b = j, read from psi and e by repeated, non-contiguous indices
+        rng = np.random.default_rng(seed)
+        r = _random_field(rng, make_grid(n))
+        orders = [j for m in mults for j in range(m)]
+        cols_a, cols_b = (list(c) for c in zip(
+            *[(row - j + a, row - a) for row, j in enumerate(orders) for a in range(j + 1)]
+        ))
+        psi, e = (_random_columns(rng, n + 1, len(orders)) for _ in range(2))
+        pa, eb = psi[::-1][:, cols_a], e[:, cols_b]
+        assert _rel_err(eval_z(r, pa, eb), eval_z_columns(r, pa, eb)) <= 1e-15
+
+    @pytest.mark.parametrize("psi_cols, e_cols, rows", [(2, 3, 11), (3, 2, 11), (2, 2, 10)])
+    def test_mismatched_shapes_raise_before_any_work(self, monkeypatch, psi_cols, e_cols, rows):
+        rng = np.random.default_rng(0)
+        r = _random_field(rng, make_grid(10))
+        psi = _random_columns(rng, rows, psi_cols)
+        et = _random_columns(rng, 11, e_cols)
+
+        def no_work(*args):
+            raise AssertionError("eval_z started work on inputs it must refuse")
+
+        monkeypatch.setattr(idospec.spectral, "shifted_factor", no_work)
+        with pytest.raises(ValueError, match=re.escape(f"psi {psi.shape} and e_tilde {et.shape}")):
+            eval_z(r, psi, et)
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,8 @@ from idospec.transform import (
     reflected_kernel,
 )
 
-from idospec.kernels import compute_B
+from idospec.kernels import compute_B, shifted_factor
+from idospec.spectral import eval_e_direct, eval_z
 
 from conftest import family_fields, family_diag_integrals
 from oracles import picard_series_g
@@ -276,7 +277,24 @@ class TestWorkingMemory:
 
     A G build holds G1, the iterate and the Picard update's buffer, plus
     blocks of rows; the z-split its result, R and two row-spectrum arrays.
+    shifted_factor holds only its result, and eval_z that R plus arrays of
+    about N + 32 entries per column: its lag view of e_tilde builds no field
+    per column.
     """
+
+    def test_shifted_factor(self):
+        n = 200
+        r = TriangularField.from_function(make_grid(n), lambda x, t: 1.0 + 0.2 * np.cos(t))
+        assert _peak_fields(lambda: shifted_factor(r), n) <= 1.1
+
+    def test_eval_z(self):
+        n, cols = 200, 24
+        grid = make_grid(n)
+        r = TriangularField.constant(grid, 1.0)
+        lams = np.linspace(-17.0, 17.0, cols) - 0.4j
+        e = eval_e_direct(family_fields(grid)["structured"], lams)
+        psi = e[::-1].copy()
+        assert _peak_fields(lambda: eval_z(r, psi, e), n) <= 1.3
 
     @pytest.mark.parametrize("n", [200, 400])
     def test_compute_g(self, n):
