@@ -7,7 +7,6 @@ from .quadrature import (
     GridMismatchError,
     Profile,
     TriangularField,
-    interp_profile,
     make_grid,
 )
 from .kernels import (
@@ -17,7 +16,6 @@ from .kernels import (
     assemble_kernel,
     check_B_nonvanishing,
     compute_B,
-    truncate_kernel,
 )
 from .transform import (
     PicardConvergenceError,
@@ -40,7 +38,6 @@ from .spectral import (
     char_delta,
     eval_e_direct,
     eval_e_via_g,
-    eval_psi,
     eval_z,
     find_spectrum,
 )

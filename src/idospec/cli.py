@@ -334,16 +334,17 @@ def _check_config(cfg, command) -> None:
             raise ConfigError(f"targets must be a non-empty list of paths, got {targets!r}")
 
 
-def _check_alias_free(window: SearchWindow, n: int) -> None:
-    """Refuse a window reaching |Re lambda| >= pi/h = n.
+def _check_alias_free(window: SearchWindow, n: int, what: str) -> None:
+    """Refuse a window, named by what, reaching |Re lambda| >= pi/h = n.
 
     The discrete Delta is a polynomial in exp(-i lambda h), so it repeats
-    with period 2 pi / h in Re lambda; a root found beyond pi/h is a copy.
+    with period 2 pi / h in Re lambda; a root found beyond pi/h is a copy,
+    and one fitted there matches a copy of a smaller root.
     """
     reach = max(abs(window.re_min), abs(window.re_max))
     if reach >= n:
         raise ConfigError(
-            f"search window reaches |Re lambda| = {reach}, at or beyond pi/h = {n} "
+            f"{what} reaches |Re lambda| = {reach}, at or beyond pi/h = {n} "
             f"where the discrete Delta repeats; raise grid_n or narrow the window"
         )
 
@@ -383,7 +384,7 @@ def cmd_spectrum(cfg, sha, out: Path, args) -> int:
     extrapolate = cfg.get("extrapolate", False)
     n = _grid_n(cfg, args.grid_n, refine=2 if extrapolate else 1)
     window = _window_from_config(cfg)
-    _check_alias_free(window, n)
+    _check_alias_free(window, n, "search window")
     opts = SpectrumOptions(**cfg.get("opts", {}))
 
     _, g = _build_g(cfg, make_grid(n))
@@ -434,6 +435,7 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
     # a root whose Newton polish failed is only a cell centre: fitting it as
     # an exact eigenvalue would pull the profile towards a wrong spectrum
     for path, spec in zip(target_paths, spectra):
+        _check_alias_free(spec.window, n, f"window of target spectrum {path}")
         for ev in spec.eigenvalues:
             if not ev.newton_converged:
                 print(

@@ -437,8 +437,9 @@ def verify_green_identity(
 ):
     """|LHS - RHS| of the integrated Green-type identity.
 
-    psi = eval_psi(m, lam) and e_tilde = eval_e_direct(m_tilde, lam), for one
-    lambda or with one column per lambda, giving one residual per lambda.
+    psi = eval_e_direct(reflected_kernel(m), lam)[::-1] and
+    e_tilde = eval_e_direct(m_tilde, lam), for one lambda or with one column
+    per lambda, giving one residual per lambda.
     LHS is the double integral of psi * (M - M_tilde) * e_tilde over the
     triangle; RHS is i * (e_tilde(pi) - psi(0)).
     """

@@ -99,13 +99,6 @@ def assemble_kernel(sk: StructuredKernel) -> TriangularField:
     return TriangularField(sk.grid, np.tril(vals))
 
 
-def truncate_kernel(sk: StructuredKernel, k: int) -> StructuredKernel:
-    """Keep M0 and the first k components."""
-    if k < 0 or k > sk.p_count:
-        raise ValueError(f"truncation index {k} outside [0, {sk.p_count}]")
-    return StructuredKernel(sk.m0, sk.components[:k])
-
-
 def compute_B(r: TriangularField) -> Profile:
     """Weight B(x) = integral over [0, x] of r(pi - t, x - t) dt."""
     grid = r.grid

@@ -18,10 +18,6 @@ class GridMismatchError(ValueError):
     """Two sampled objects do not share the same grid."""
 
 
-class TriangleIndexError(IndexError):
-    """Access to a triangular field above the diagonal (t > x)."""
-
-
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform partition of [0, pi] into n_intervals cells."""
@@ -118,21 +114,6 @@ class Profile:
         return cls(grid, np.full(grid.n_nodes, c, dtype=complex))
 
 
-def interp_profile(p: Profile, x: float) -> complex:
-    """Piecewise-linear interpolation of a profile; exact at nodes."""
-    if x < -1e-12 or x > PI + 1e-12:
-        raise ValueError(f"x={x} outside [0, pi]")
-    x = min(max(x, 0.0), PI)
-    h = p.grid.step
-    k = min(int(x / h), p.grid.n_intervals - 1)
-    frac = (x - p.grid.nodes[k]) / h
-    if frac <= 0.0:
-        return complex(p.values[k])
-    if frac >= 1.0:
-        return complex(p.values[k + 1])
-    return complex((1.0 - frac) * p.values[k] + frac * p.values[k + 1])
-
-
 @dataclass(frozen=True, eq=False)
 class TriangularField:
     """Complex function sampled on the triangle 0 <= t <= x <= pi.
@@ -151,11 +132,6 @@ class TriangularField:
             raise ValueError(
                 f"field shape {self.values.shape} does not match grid ({n} nodes)"
             )
-
-    def at(self, i: int, j: int) -> complex:
-        if j > i:
-            raise TriangleIndexError(f"t-index {j} exceeds x-index {i}")
-        return complex(self.values[i, j])
 
     @classmethod
     def from_function(cls, grid: Grid, f) -> "TriangularField":

@@ -346,18 +346,6 @@ def transform_kernel_to_files(tk: TransformKernel, csv_path, sidecar_path) -> No
     )
 
 
-def transform_kernel_from_files(csv_path, sidecar_path) -> TransformKernel:
-    g = field_from_csv(csv_path)
-    with open(sidecar_path) as fh:
-        meta = json.load(fh)
-    return TransformKernel(
-        g=g,
-        term_norms=np.asarray(meta["term_norms"], dtype=float),
-        iterations=int(meta["iterations"]),
-        tol=float(meta["tol"]),
-    )
-
-
 # --- spectra --------------------------------------------------------------------
 
 
@@ -379,8 +367,15 @@ def spectrum_to_dict(spec: Spectrum, h: float) -> dict:
     }
 
 
-def spectrum_to_json(spec: Spectrum, h: float, path) -> None:
-    write_json(path, spectrum_to_dict(spec, h))
+def _count(value, key: str, least: int) -> int:
+    """A count read by spectrum_from_json, which reads every number as a float.
+
+    Raises ValueError unless it is integral and at least least: int() would
+    truncate 1.5 to 1 without a word.
+    """
+    if not (isinstance(value, float) and value.is_integer() and value >= least):
+        raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def spectrum_from_json(path) -> Spectrum:
@@ -392,10 +387,11 @@ def spectrum_from_json(path) -> Spectrum:
     evs = tuple(
         Eigenvalue(
             value=complex(e["re"], e["im"]),
-            multiplicity=int(e["multiplicity"]),
+            multiplicity=_count(e["multiplicity"], "multiplicity", 1),
             residual=float(e["residual"]),
             newton_converged=bool(e.get("newton_converged", True)),  # absent in older files
         )
         for e in data["eigenvalues"]
     )
-    return Spectrum(eigenvalues=evs, window=win, total_count=int(data["total_count"]))
+    total = _count(data["total_count"], "total_count", 0)
+    return Spectrum(eigenvalues=evs, window=win, total_count=total)

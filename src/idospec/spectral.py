@@ -32,7 +32,7 @@ import numpy as np
 
 from .quadrature import TriangularField, trapezoid_weights, volterra_apply
 from .kernels import shifted_factor
-from .transform import _MARCH_BLOCK, TransformKernel, reflected_kernel
+from .transform import _MARCH_BLOCK, TransformKernel
 
 
 class BoundaryNearZeroError(RuntimeError):
@@ -63,14 +63,6 @@ class SearchWindow:
             raise ValueError(f"search window bounds must be finite, got {bounds}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("degenerate search window")
-
-    @property
-    def width(self) -> float:
-        return self.re_max - self.re_min
-
-    @property
-    def height(self) -> float:
-        return self.im_max - self.im_min
 
 
 @dataclass(frozen=True)
@@ -170,20 +162,11 @@ def eval_e_direct(m: TriangularField, lam) -> np.ndarray:
     return e[:, 0] if lx.ndim == 1 else e
 
 
-def eval_psi(m: TriangularField, lam) -> np.ndarray:
-    """Adjoint-type solution psi(x, lambda) with psi(pi, lambda) = 1.
-
-    w(x) = psi(pi - x) solves the forward equation of the reflected kernel
-    m(pi - t, pi - x), so psi is that forward march read backwards. lam and
-    the result's shape are as for eval_e_direct.
-    """
-    return eval_e_direct(reflected_kernel(m), lam)[::-1]
-
-
 def eval_z(r: TriangularField, psi: np.ndarray, e_tilde: np.ndarray) -> np.ndarray:
     """z(x, lambda) = integral of r(pi-t, x-t) psi(pi-t) e_tilde(x-t) over [0, x].
 
-    psi = eval_psi(M, lam) and e_tilde = eval_e_direct(M~, lam), for one
+    psi = eval_e_direct(reflected_kernel(M), lam)[::-1], the adjoint-type
+    solution with psi(pi) = 1, and e_tilde = eval_e_direct(M~, lam), for one
     lambda or with one column per lambda; z has their shape. A column pair
     may also hold lambda-derivatives of psi and e_tilde (the Jacobian of
     inverse.spectrum_jacobian pairs psi^(a) with e^(b)). With

@@ -19,16 +19,24 @@ find_spectrum_reflected searches the spectrum of the reflected kernel,
 which must match the direct one, and find_spectrum_subdivision finds the
 zeros of Delta by recursive subdivision of the window, the reference for
 the package's companion-matrix search.
+
+Two helpers are here because only the tests need them.
+eval_psi is the adjoint-type solution psi, the reflected kernel's forward
+march read backwards, which verify and the inversion spell out inline.
+transform_kernel_from_files reads back the G files that
+serialize.transform_kernel_to_files writes.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
 from idospec.kernels import _shift_matrix, shifted_factor
 from idospec.quadrature import TriangularField, trapezoid_weights, volterra_apply
+from idospec.serialize import field_from_csv
 from idospec.spectral import (
     BoundaryNearZeroError,
     Eigenvalue,
@@ -38,6 +46,7 @@ from idospec.spectral import (
     SpectrumOptions,
     _rect_boundary,
     _winding_number,
+    eval_e_direct,
     find_spectrum,
 )
 from idospec.transform import (
@@ -168,6 +177,28 @@ def eval_z_columns(r: TriangularField, psi: np.ndarray, e_tilde: np.ndarray) -> 
     w, et = (np.reshape(v, (r.grid.n_nodes, -1)).T for v in (psi[::-1], e_tilde))
     cols = [volterra_apply(rs * _shift_matrix(ek), wk, r.grid.step) for wk, ek in zip(w, et)]
     return np.stack(cols, axis=-1).reshape(psi.shape)
+
+
+def eval_psi(m: TriangularField, lam) -> np.ndarray:
+    """Adjoint-type solution psi(x, lambda) with psi(pi, lambda) = 1.
+
+    w(x) = psi(pi - x) solves the forward equation of the reflected kernel
+    m(pi - t, pi - x), so psi is that forward march read backwards. lam and
+    the result's shape are as for eval_e_direct.
+    """
+    return eval_e_direct(reflected_kernel(m), lam)[::-1]
+
+
+def transform_kernel_from_files(csv_path, sidecar_path) -> TransformKernel:
+    """The TransformKernel that serialize.transform_kernel_to_files wrote."""
+    with open(sidecar_path) as fh:
+        meta = json.load(fh)
+    return TransformKernel(
+        g=field_from_csv(csv_path),
+        term_norms=np.asarray(meta["term_norms"], dtype=float),
+        iterations=int(meta["iterations"]),
+        tol=float(meta["tol"]),
+    )
 
 
 def picard_series_g(m, tol: float | None = None, max_terms: int = 60) -> TransformKernel:

@@ -27,6 +27,8 @@ from idospec.cli import (
     main,
 )
 
+from oracles import transform_kernel_from_files
+
 # A numpy warning that reaches a command is a leak: each command refuses bad
 # input with one config-error line, not a warning first.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -118,7 +120,7 @@ class TestForward:
         })
         out = workdir / "fwd_e_out"
         assert main(["forward", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        g = serialize.transform_kernel_from_files(out / "g_kernel.csv", out / "g_kernel_meta.json")
+        g = transform_kernel_from_files(out / "g_kernel.csv", out / "g_kernel_meta.json")
         fmt = serialize.fmt
         expect = ["lambda_re,lambda_im,x,re,im\n"]
         for re_, im in lambdas:
@@ -275,6 +277,33 @@ class TestSpectrum:
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == code
         # refused before any G build
         assert bool(builds) == (code == EXIT_OK)
+
+    @pytest.mark.parametrize("reach", [8.0, 7.5])
+    def test_target_window_beyond_alias_limit_refused(
+        self, workdir, target_spectrum, reach, monkeypatch, capsys
+    ):
+        builds = []
+        for module in (idospec.cli, idospec.inverse):
+            monkeypatch.setattr(
+                module, "compute_g",
+                lambda *a, build=module.compute_g, **k: builds.append(1) or build(*a, **k),
+            )
+        data = json.loads(target_spectrum.read_text())
+        data["window"]["re_min"] = -reach
+        target = workdir / f"spec_alias_target_{reach}.json"
+        target.write_text(json.dumps(data))
+        cfg = write_config(workdir / f"inv_alias_{reach}.json", {
+            "grid_n": 8, "d": 4, "target": str(target), "opts": {"max_iter": 1},
+            "kernel": {"m0": CONST_KERNEL["m0"],
+                       "components": [{"r": CONST_KERNEL["components"][0]["r"]}]},
+        })
+        out = workdir / f"inv_alias_out_{reach}"
+        code = main(["invert", "--config", cfg, "--out", str(out)])
+        # a window at pi/h = 8 is refused, naming the file, before any G build
+        refused = reach >= 8
+        assert (code == EXIT_CONFIG) == refused
+        assert bool(builds) != refused
+        assert (str(target) in capsys.readouterr().err) == refused
 
     def test_unknown_option_is_config_error(self, workdir, capsys):
         cfg = write_config(workdir / "spec_badopt.json", {
@@ -604,6 +633,14 @@ class TestVerify:
             assert settings == [{"tol": 1e-11, "max_terms": 45}] * (2 * per_grid)
 
 
+# spectrum.json of one root, with its total_count and multiplicity left to fill in
+SPECTRUM_TEXT = (
+    '{"window": {"re_min": -5, "re_max": 5, "im_min": -5, "im_max": 0.5}, "h": 0.15, '
+    '"total_count": %s, "eigenvalues": [{"re": 1, "im": -0.5, "multiplicity": %s, '
+    '"residual": 1e-12, "newton_converged": true}]}'
+)
+
+
 class TestConfigErrors:
     def test_missing_config_file(self, workdir):
         out = workdir / "cfg_missing_out"
@@ -624,6 +661,9 @@ class TestConfigErrors:
          "not a triangular node count"),
         ("forward", "m0", "not_numeric.csv", "x,t,re,im\nabc,0,1,0\n", "could not convert"),
         ("invert", "target", "not_json.json", "{not json", "Expecting"),
+        ("invert", "target", "half_root.json", SPECTRUM_TEXT % (1, 1.5), "multiplicity"),
+        ("invert", "target", "no_root.json", SPECTRUM_TEXT % (0, 0), "multiplicity"),
+        ("invert", "target", "part_count.json", SPECTRUM_TEXT % (1.5, 1), "total_count"),
         ("forward", "p", "empty_profile.csv", "", "no data rows"),
         ("forward", "m0", "header_only.csv", "x,t,re,im\n", "no data rows"),
     ])

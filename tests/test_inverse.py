@@ -19,7 +19,6 @@ from idospec.spectral import (
     Spectrum,
     SpectrumOptions,
     eval_e_direct,
-    eval_psi,
     eval_z,
     find_spectrum,
 )
@@ -39,7 +38,7 @@ from idospec.inverse import (
 )
 
 from conftest import mild_family_fields
-from oracles import fd_jacobian
+from oracles import eval_psi, fd_jacobian
 
 WINDOW = SearchWindow(-6.0, 6.0, -6.0, 0.5)
 WIDE = SearchWindow(-20.0, 20.0, -8.0, 0.5)

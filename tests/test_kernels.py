@@ -14,7 +14,6 @@ from idospec.kernels import (
     field_from_family,
     profile_from_family,
     shifted_factor,
-    truncate_kernel,
 )
 from idospec.transform import assemble_z_kernel
 
@@ -97,53 +96,6 @@ class TestShiftedFactor:
         assert np.array_equal(shifted_factor(r), r.values[n - idx, idx[:, None] - idx])
 
 
-class TestTruncate:
-    def setup_method(self):
-        grid = make_grid(10)
-        self.sk = StructuredKernel(
-            TriangularField.constant(grid, 1.0),
-            tuple(
-                one_component(grid, lambda x, t: float(j) + 0 * x, np.cos)
-                for j in range(1, 4)
-            ),
-        )
-
-    def test_zero_keeps_m0(self):
-        tk = truncate_kernel(self.sk, 0)
-        assert tk.p_count == 0
-        assert tk.m0 is self.sk.m0
-
-    def test_full_is_identity(self):
-        tk = truncate_kernel(self.sk, 3)
-        assert tk.components == self.sk.components
-        assert np.array_equal(
-            assemble_kernel(tk).values, assemble_kernel(self.sk).values
-        )
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_truncation_composes(self, data):
-        grid = make_grid(4)
-        p = data.draw(st.integers(0, 8))
-        k = data.draw(st.integers(0, p))
-        j = data.draw(st.integers(0, k))
-        sk = StructuredKernel(
-            TriangularField.constant(grid, 1.0),
-            tuple(one_component(grid, lambda x, t: 0 * x + c, np.cos) for c in range(p)),
-        )
-        twice = truncate_kernel(truncate_kernel(sk, k), j)
-        once = truncate_kernel(sk, j)
-        assert twice.m0 is once.m0 is sk.m0
-        assert len(twice.components) == len(once.components) == j
-        assert all(a is b for a, b in zip(twice.components, once.components))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            truncate_kernel(self.sk, 4)
-        with pytest.raises(ValueError):
-            truncate_kernel(self.sk, -1)
-
-
 def _compute_B_loop(r):
     """Row-by-row trapezoid of r(pi - t, x - t), the reference oracle for compute_B."""
     grid = r.grid
@@ -203,12 +155,12 @@ class TestCheckB:
 class TestFamilies:
     def test_constant_field(self, grid50):
         f = field_from_family(grid50, "constant", [0.7])
-        assert f.at(5, 3) == 0.7
+        assert f.values[5, 3] == 0.7
 
     def test_polynomial_field(self, grid50):
         f = field_from_family(grid50, "polynomial", [[1.0, 1, 0], [-1.0, 0, 1]])
         x, t = grid50.nodes[4], grid50.nodes[2]
-        assert abs(f.at(4, 2) - (x - t)) < 1e-13
+        assert abs(f.values[4, 2] - (x - t)) < 1e-13
 
     def test_trig_profile(self, grid50):
         p = profile_from_family(grid50, "trig", [[1.0, 1.0, 0.0]])

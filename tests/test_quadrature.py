@@ -5,8 +5,6 @@ from idospec.quadrature import (
     PI,
     Profile,
     TriangularField,
-    TriangleIndexError,
-    interp_profile,
     make_grid,
     volterra_apply,
 )
@@ -77,41 +75,7 @@ class TestIntegrateNodes:
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
 
-class TestInterpProfile:
-    def test_linear_reproduced(self):
-        g = make_grid(20)
-        p = Profile(g, g.nodes.astype(complex))
-        assert abs(interp_profile(p, 0.3) - 0.3) < 1e-14
-
-    def test_node_exact(self):
-        g = make_grid(9)
-        p = Profile.from_function(g, np.cos)
-        for k in (0, 3, 9):
-            assert interp_profile(p, g.nodes[k]) == p.values[k]
-
-    def test_out_of_range(self):
-        g = make_grid(4)
-        p = Profile.zeros(g)
-        with pytest.raises(ValueError):
-            interp_profile(p, -0.1)
-        with pytest.raises(ValueError):
-            interp_profile(p, PI + 0.1)
-
-    def test_affine_exact_everywhere(self):
-        g = make_grid(13)
-        p = Profile.from_function(g, lambda x: 2.0 * x - 0.7)
-        for x in np.linspace(0, PI, 37):
-            assert abs(interp_profile(p, x) - (2.0 * x - 0.7)) < 1e-12
-
-
 class TestTriangularField:
-    def test_upper_access_rejected(self):
-        g = make_grid(5)
-        f = TriangularField.constant(g, 1.0)
-        assert f.at(3, 2) == 1.0
-        with pytest.raises(TriangleIndexError):
-            f.at(2, 3)
-
     def test_shape_checked(self):
         g = make_grid(5)
         with pytest.raises(ValueError):

@@ -12,6 +12,8 @@ from idospec.transform import compute_g
 from idospec.spectral import Eigenvalue, SearchWindow, Spectrum
 from idospec import serialize
 
+from oracles import transform_kernel_from_files
+
 
 class TestJson:
     def test_insertion_order_preserved(self):
@@ -256,11 +258,16 @@ class TestTransformKernelFiles:
         grid = make_grid(10)
         tk = compute_g(TriangularField.constant(grid, 0.5))
         serialize.transform_kernel_to_files(tk, tmp_path / "g.csv", tmp_path / "g.json")
-        back = serialize.transform_kernel_from_files(tmp_path / "g.csv", tmp_path / "g.json")
+        back = transform_kernel_from_files(tmp_path / "g.csv", tmp_path / "g.json")
         assert np.array_equal(tk.g.values, back.g.values)
         assert back.iterations == tk.iterations
         assert np.array_equal(back.term_norms, tk.term_norms)
         assert back.tol == tk.tol
+
+
+def write_spectrum(spec, path):
+    """spectrum.json as idospec spectrum writes its spectrum fields."""
+    serialize.write_json(path, serialize.spectrum_to_dict(spec, np.pi / 100))
 
 
 class TestSpectrumJson:
@@ -275,7 +282,7 @@ class TestSpectrumJson:
     def test_round_trip(self, tmp_path):
         spec = self.make_spectrum()
         path = tmp_path / "spec.json"
-        serialize.spectrum_to_json(spec, np.pi / 100, path)
+        write_spectrum(spec, path)
         back = serialize.spectrum_from_json(path)
         assert back.total_count == spec.total_count
         assert back.window == spec.window
@@ -292,13 +299,37 @@ class TestSpectrumJson:
                        newton_converged=False),
         )
         path = tmp_path / "spec.json"
-        serialize.spectrum_to_json(Spectrum(evs, win, 3), np.pi / 100, path)
+        write_spectrum(Spectrum(evs, win, 3), path)
         back = serialize.spectrum_from_json(path)
         assert [ev.newton_converged for ev in back.eigenvalues] == [True, False]
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["eigenvalues"][0].update(multiplicity=1.5),
+        lambda d: d["eigenvalues"][0].update(multiplicity=0),
+        lambda d: d.update(total_count=7.9),
+        lambda d: d.update(total_count=-1),
+    ], ids=["fractional_multiplicity", "zero_multiplicity", "fractional_total", "negative_total"])
+    def test_bad_count_refused(self, tmp_path, edit):
+        path = tmp_path / "spec.json"
+        data = serialize.spectrum_to_dict(self.make_spectrum(), np.pi / 100)
+        edit(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="multiplicity|total_count"):
+            serialize.spectrum_from_json(path)
+
+    def test_integral_float_counts_load(self, tmp_path):
+        path = tmp_path / "spec.json"
+        data = serialize.spectrum_to_dict(self.make_spectrum(), np.pi / 100)
+        data["eigenvalues"][1]["multiplicity"] = 2.0
+        data["total_count"] = 3.0
+        path.write_text(json.dumps(data))
+        back = serialize.spectrum_from_json(path)
+        assert back.eigenvalues[1].multiplicity == 2
+        assert back.total_count == 3
+
     def test_file_without_newton_flag_loads_as_converged(self, tmp_path):
         path = tmp_path / "spec.json"
-        serialize.spectrum_to_json(self.make_spectrum(), np.pi / 100, path)
+        write_spectrum(self.make_spectrum(), path)
         data = json.loads(path.read_text())
         for ev in data["eigenvalues"]:
             del ev["newton_converged"]
@@ -323,9 +354,9 @@ class TestSpectrumJson:
         )
         spec = Spectrum(evs, win, sum(ev.multiplicity for ev in evs))
         out = tmp_path_factory.mktemp("spec")
-        serialize.spectrum_to_json(spec, np.pi / 100, out / "a.json")
+        write_spectrum(spec, out / "a.json")
         back = serialize.spectrum_from_json(out / "a.json")
-        serialize.spectrum_to_json(back, np.pi / 100, out / "b.json")
+        write_spectrum(back, out / "b.json")
         assert (out / "a.json").read_bytes() == (out / "b.json").read_bytes()
         assert [ev.newton_converged for ev in back.eigenvalues] == [
             ev.newton_converged for ev in evs
@@ -335,6 +366,6 @@ class TestSpectrumJson:
         spec = self.make_spectrum()
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
-        serialize.spectrum_to_json(spec, np.pi / 100, p1)
-        serialize.spectrum_to_json(spec, np.pi / 100, p2)
+        write_spectrum(spec, p1)
+        write_spectrum(spec, p2)
         assert p1.read_bytes() == p2.read_bytes()

@@ -19,7 +19,6 @@ from idospec.spectral import (
     char_delta_deriv,
     eval_e_direct,
     eval_e_via_g,
-    eval_psi,
     eval_z,
     eval_z_decomposed,
     find_spectrum,
@@ -31,6 +30,7 @@ from oracles import (
     char_delta_direct,
     constant_kernel_delta,
     constant_kernel_e,
+    eval_psi,
     eval_z_columns,
     find_spectrum_reflected,
     find_spectrum_subdivision,
@@ -782,8 +782,3 @@ class TestSearchWindow:
             bounds[k] = bad
             with pytest.raises(ValueError):
                 SearchWindow(*bounds)
-
-    def test_dimensions(self):
-        w = SearchWindow(-2.0, 4.0, -1.0, 0.5)
-        assert w.width == 6.0
-        assert w.height == 1.5

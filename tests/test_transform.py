@@ -425,7 +425,7 @@ class TestReflectedKernel:
         ref = reflected_kernel(m)
         n = grid50.n_intervals
         for i, j in [(5, 2), (30, 30), (50, 0), (17, 11)]:
-            assert ref.at(i, j) == m.at(n - j, n - i)
+            assert ref.values[i, j] == m.values[n - j, n - i]
 
 
 class TestZKernelAssembly:
