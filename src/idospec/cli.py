@@ -200,7 +200,7 @@ def _kernel_from_config(cfg, grid) -> StructuredKernel:
 
 def _build_g(cfg, grid):
     """The config's kernel M on grid and its G, with the config's Picard settings."""
-    m = assemble_kernel(_kernel_from_config(cfg.get("kernel", cfg), grid))
+    m = assemble_kernel(_kernel_from_config(cfg["kernel"], grid))
     return m, compute_g(m, **_picard(cfg))
 
 
@@ -289,6 +289,8 @@ def _check_config(cfg, command) -> None:
         if key in cfg:
             _check_value(key, cfg[key], kind, least)
     _check_value("picard_tol", cfg.get("picard_tol"), float | None, 0.0, ">")
+    if not isinstance(cfg.get("extrapolate", False), bool):  # _is_a refuses every bool
+        raise ConfigError(f"extrapolate must be true or false, got {cfg['extrapolate']!r}")
     hm = cfg.get("heatmap") or {}
     _check_value("heatmap", hm, dict)
     nx, ny = _heatmap_shape(hm)
@@ -320,6 +322,8 @@ def _check_config(cfg, command) -> None:
         for key, value in opts.items():
             op, least = _OPTION_RANGES[key]
             _check_value(f"opts.{key}", value, fields[key], least, op)
+    if command in ("forward", "spectrum", "invert") and not isinstance(cfg.get("kernel"), dict):
+        raise ConfigError(f"{command} config needs a 'kernel' object, got {cfg.get('kernel')!r}")
     if command == "verify":
         for key in ("m0", "r", "p", "p_tilde"):
             if key not in cfg:
@@ -417,7 +421,7 @@ def cmd_spectrum(cfg, sha, out: Path, args) -> int:
 def cmd_invert(cfg, sha, out: Path, args) -> int:
     n = _grid_n(cfg, args.grid_n)
     grid = make_grid(n)
-    kernel = _kernel_from_config(cfg.get("kernel", cfg), grid)
+    kernel = _kernel_from_config(cfg["kernel"], grid)
     d = cfg.get("d", _DEFAULT_D)
     mu = float(cfg.get("mu", 0.0))
 

@@ -99,9 +99,6 @@ class Spectrum:
     total_count: int
     stats: SearchStats | None = None            # set by find_spectrum
 
-    def values(self) -> np.ndarray:
-        return np.array([ev.value for ev in self.eigenvalues])
-
 
 # --- forward solutions --------------------------------------------------------
 
@@ -236,10 +233,18 @@ def char_delta(g: TransformKernel, lam) -> complex | np.ndarray:
     return char_delta_deriv(g, lam, order=0)
 
 
-def _weighted_tail_row(g: TransformKernel) -> np.ndarray:
-    """w_j G[N, j], the last row of G times the trapezoid weights."""
-    grid = g.grid
-    return trapezoid_weights(grid.n_nodes, grid.step) * g.g.values[-1, :]
+def _weighted_tail_row(g: TransformKernel, stride: int = 1) -> np.ndarray:
+    """w_j G[N, j] on the nodes 0, s, 2s, ..., N, s = stride (a divisor of N),
+    w the trapezoid weights of step s h."""
+    row = g.g.values[-1, ::stride]
+    return trapezoid_weights(row.size, stride * g.grid.step) * row
+
+
+def _require_halved(g: TransformKernel, g_fine: TransformKernel | None) -> None:
+    """Raise ValueError unless g_fine is None or lies on the grid of half g's step."""
+    if g_fine is not None and g_fine.grid.n_intervals != 2 * g.grid.n_intervals:
+        raise ValueError(f"fine grid must halve the coarse step: {g_fine.grid.n_intervals} "
+                         f"intervals, not {2 * g.grid.n_intervals}")
 
 
 def char_delta_deriv(g: TransformKernel, lam, order: int = 0,
@@ -254,11 +259,13 @@ def char_delta_deriv(g: TransformKernel, lam, order: int = 0,
     With g_fine on the grid of half the step, the result is the Richardson
     combination (4 * fine - coarse) / 3: the coarse coefficients sit on the
     even fine nodes, and the carrier, the same on both grids, stays one
-    term. Accepts a scalar or an array of lambda.
+    term; any other g_fine raises ValueError. Accepts a scalar or an array
+    of lambda.
     """
     if g_fine is None:
         coef, x = _weighted_tail_row(g), g.grid.nodes
     else:
+        _require_halved(g, g_fine)
         coef, x = 4.0 * _weighted_tail_row(g_fine), g_fine.grid.nodes
         coef[::2] -= _weighted_tail_row(g)
         coef /= 3.0
@@ -274,9 +281,7 @@ def char_delta_deriv(g: TransformKernel, lam, order: int = 0,
     far = np.exp(-1j * np.outer(lam_arr, x[::b]))     # (K, blocks)
     tail = ((near @ padded.reshape(blocks, b).T) * far).sum(axis=1)
     vals = (-1j * np.pi) ** order * np.exp(-1j * lam_arr * np.pi) + tail
-    if np.ndim(lam) == 0:
-        return complex(vals[0])
-    return vals
+    return complex(vals[0]) if np.ndim(lam) == 0 else vals
 
 
 # --- spectrum search ----------------------------------------------------------
@@ -321,8 +326,7 @@ class DeltaEvaluator:
     """
 
     def __init__(self, g: TransformKernel, g_fine: TransformKernel | None = None):
-        if g_fine is not None and g_fine.grid.n_intervals != 2 * g.grid.n_intervals:
-            raise ValueError("fine grid must halve the coarse step")
+        _require_halved(g, g_fine)
         self.g = g
         self.g_fine = g_fine
         self.evals = 0
@@ -425,12 +429,11 @@ def _companion_candidates(g: TransformKernel, rect, stride1: bool = False) -> np
     |Re lambda| in rect: the eigensolve costs O((N/s)^3), and each zero of
     the coarser sum still lies within Newton's reach of a zero of Delta.
     """
-    grid = g.grid
-    n, h = grid.n_intervals, grid.step
+    n, h = g.grid.n_intervals, g.grid.step
     reach = max(abs(rect[0]), abs(rect[1]))
     s = 1 if stride1 else max((d for d in range(2, n + 1)
                                if n % d == 0 and d * h * reach <= CANDIDATE_PHASE_STEP), default=1)
-    coef = trapezoid_weights(n // s + 1, s * h) * g.g.values[-1, ::s]
+    coef = _weighted_tail_row(g, s)
     coef[-1] += 1.0                                  # the carrier Q^(N/s)
     q = np.roots(coef[::-1])
     lam = 1j * np.log(q[q != 0]) / (s * h)

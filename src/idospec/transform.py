@@ -7,8 +7,8 @@ against G; the successive approximations are the partial sums of the series
 G1 + T(G1) + T(T(G1)) + ... On a uniform grid every integration limit and
 every shifted argument is a node, so both reduce to trapezoid sums without
 interpolation. T is causal in the rows of the grid, so compute_g solves the
-discrete equation in one march down the rows and certifies the result with
-one more Picard step.
+discrete equation directly, in one march down the rows, instead of summing
+the series, and certifies the result with a single Picard update.
 """
 
 from __future__ import annotations
@@ -23,26 +23,30 @@ from .kernels import shifted_factor
 
 
 class PicardConvergenceError(RuntimeError):
-    """G did not settle below tolerance within max_terms terms, or was not finite."""
+    """A G build's last sup norm, of its march or of its one update, was not below tol."""
 
 
 @dataclass(frozen=True, eq=False)
 class TransformKernel:
     """G with the record of its build (see compute_g).
 
-    term_norms[0] is the sup norm of the march and each later entry that of
-    one Picard update; iterations is their number and tol the threshold the
-    last one fell below.
+    term_norms holds the sup norm of the march and, unless that was already
+    below tol, that of the one Picard update which certified it; tol is the
+    threshold the last norm fell below.
     """
 
     g: TriangularField
     term_norms: np.ndarray = field(repr=False)
-    iterations: int
     tol: float
 
     @property
     def grid(self) -> Grid:
         return self.g.grid
+
+    @property
+    def iterations(self) -> int:
+        """Number of recorded norms: 1 (a march already below tol) or 2."""
+        return len(self.term_norms)
 
 
 def _diagonal_columns(buf: np.ndarray, n: int) -> np.ndarray:
@@ -110,21 +114,18 @@ def picard_g1(m: TriangularField) -> TriangularField:
 _PRODUCT_BLOCK = 64
 
 
-def _lower_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
-                   i0: int = 0) -> np.ndarray:
+def _lower_product(a: np.ndarray, b: np.ndarray, out: np.ndarray, i0: int = 0) -> np.ndarray:
     """Rows i0 .. i0 + len(a) - 1 of A @ b, for square lower-triangular A and b,
     skipping the zero blocks.
 
     a holds those rows of A. Over blocks of _PRODUCT_BLOCK rows and columns,
     an output block right of the rows' last diagonal entry is zero and is
-    not written (out, if given, must hold zeros there); the others sum only
+    not written (out must hold zeros there); the others sum only
     over the k between the two blocks, where both factors can be nonzero:
     about n^3 / 6 multiply-adds for the whole product instead of n^3, in a
     different order of summation than one dense product.
     """
     rows = a.shape[0]
-    if out is None:
-        out = np.zeros((rows, b.shape[1]), dtype=np.result_type(a, b))
     for r0 in range(0, rows, _PRODUCT_BLOCK):
         r1 = min(r0 + _PRODUCT_BLOCK, rows)
         k1 = i0 + r1  # these rows of A vanish from column k1 on
@@ -229,20 +230,21 @@ def compute_g(
     tol: float | None = None,
     max_terms: int = 60,
 ) -> TransformKernel:
-    """Solve for G by the row march and certify it with Picard steps.
+    """Solve for G by the row march and certify it with one Picard update.
 
     The march (see _march) solves the discrete fixed point G = G1 + T(G),
-    T the Picard step, to rounding. The iterates G_{k+1} = G1 + T(G_k)
-    start from G_0 = the march and stop once an update drops below tol in
-    sup norm; from G_0 = 0 they would be the partial sums of the Picard
-    series. term_norms[0] is the sup norm of the march and each later entry
-    that of one update, so on a solved march iterations is 2 and
-    term_norms[1] is the residual of the discrete equation. The default tol
-    is 1e-12 (1 + sup|G|), G the march: the rounding of the march's
-    residual scales with G itself, which for a large M grows far beyond
-    G1. An update whose sup norm is not finite (a
-    kernel carrying NaN or overflowing), or a budget of max_terms spent
-    before an update drops below tol, raises PicardConvergenceError.
+    T the Picard step, to rounding; the Picard series G1 + T(G1) + ...
+    sums to the same G where it converges. term_norms[0] is the sup norm of
+    the march. Unless that is already below tol (a zero kernel: 1 term),
+    the update G1 + T(G) replaces the march, and the sup norm of the change,
+    the residual of the discrete equation, is term_norms[1]: 2 terms. The
+    default tol is 1e-12 (1 + sup|G|), G the march: the rounding of the
+    march's residual scales with G itself, which for a large M grows far
+    beyond G1. max_terms 1 allows no update and any larger value exactly
+    one. PicardConvergenceError, naming the last norm and tol, is raised
+    unless that norm is below tol: a march that is not finite (a kernel
+    carrying NaN or overflowing) gets no update, and a tol below the
+    update's rounding is refused rather than iterated on rounding noise.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
@@ -255,24 +257,22 @@ def compute_g(
         norms = [g.sup_norm()]
         if tol is None:
             tol = 1e-12 * (1.0 + norms[0])
-        while not norms[-1] < tol:
-            if not np.isfinite(norms[-1]):
-                raise PicardConvergenceError(f"term {len(norms)} has sup norm {norms[-1]}")
-            if len(norms) >= max_terms:
-                raise PicardConvergenceError(
-                    f"term sup norm {norms[-1]:.3e} still >= tol {tol:.3e} "
-                    f"after {max_terms} terms"
-                )
-            nxt = picard_step(m, g)
-            nxt.values[...] += g1.values
-            g.values[...] -= nxt.values  # the update, negated, in place of the old iterate
+        if not norms[0] < tol and np.isfinite(norms[0]) and max_terms > 1:
+            update = picard_step(m, g)
+            update.values[...] += g1.values
+            g.values[...] -= update.values  # the change, negated, in place of the march
             norms.append(g.sup_norm())
-            g = nxt
+            g = update
+    if not norms[-1] < tol:
+        raise PicardConvergenceError(
+            f"{'Picard update' if len(norms) > 1 else 'march'} sup norm {norms[-1]:.3e} "
+            f"not below tol {tol:.3e} (max_terms {max_terms})"
+        )
 
     # the march and picard_step leave +0.0 above the diagonal, so G is
     # already lower-triangular
     g.values[:, 0] = 0.0  # boundary identity G(x, 0) = 0, kept exact
-    return TransformKernel(g=g, term_norms=np.array(norms), iterations=len(norms), tol=tol)
+    return TransformKernel(g=g, term_norms=np.array(norms), tol=tol)
 
 
 def reflected_kernel(m: TriangularField) -> TriangularField:

@@ -196,7 +196,6 @@ def transform_kernel_from_files(csv_path, sidecar_path) -> TransformKernel:
     return TransformKernel(
         g=field_from_csv(csv_path),
         term_norms=np.asarray(meta["term_norms"], dtype=float),
-        iterations=int(meta["iterations"]),
         tol=float(meta["tol"]),
     )
 
@@ -223,7 +222,7 @@ def picard_series_g(m, tol: float | None = None, max_terms: int = 60) -> Transfo
         norms.append(term.sup_norm())
     total[:, 0] = 0.0
     return TransformKernel(g=TriangularField(m.grid, np.tril(total)),
-                           term_norms=np.array(norms), iterations=len(norms), tol=tol)
+                           term_norms=np.array(norms), tol=tol)
 
 
 def find_spectrum_reflected(

@@ -844,6 +844,24 @@ class TestRefusedBeforeAnyGrid:
         assert self.run(workdir, monkeypatch, name, "invert", cfg) == EXIT_CONFIG
         assert "targets must be a non-empty list of paths" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k, value", enumerate(["false", 1, 0, None, [True]]))
+    def test_non_bool_extrapolate(self, workdir, monkeypatch, capsys, k, value):
+        # "false" is a non-empty string, so it used to build the 2N grid
+        cfg = {"grid_n": 20, "kernel": CONST_KERNEL, "window": self.WINDOW, "extrapolate": value}
+        assert self.run(workdir, monkeypatch, f"early_extrapolate_{k}", "spectrum", cfg) == EXIT_CONFIG
+        assert "extrapolate must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["forward", "spectrum", "invert"])
+    @pytest.mark.parametrize("k, kernel", enumerate([None, "const", [CONST_KERNEL]]))
+    def test_kernel_object_required(self, workdir, monkeypatch, capsys, command, k, kernel):
+        # the kernel keys at the top level of the config are not read as the kernel
+        cfg = {"grid_n": 16, "d": 4, "window": self.WINDOW, "target": "spec.json", **CONST_KERNEL}
+        if kernel is not None:
+            cfg["kernel"] = kernel
+        name = f"early_kernel_{command}_{k}"
+        assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
+        assert f"{command} config needs a 'kernel' object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["m0", "r", "p", "p_tilde"])
     def test_verify_without_key(self, workdir, monkeypatch, capsys, key):
         cfg = {"grid_n": 16, **{k: CONST_KERNEL["m0"] for k in ("m0", "r", "p", "p_tilde")}}

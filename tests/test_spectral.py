@@ -315,6 +315,19 @@ class TestExtrapolatedDelta:
         with pytest.raises(ValueError):
             DeltaEvaluator(g_const_200, g_const_200)
 
+    @pytest.mark.parametrize("n_fine", [8, 15, 17])
+    def test_fold_refuses_a_fine_grid_that_does_not_halve_the_step(self, n_fine):
+        # a fine grid of 17 intervals against 8 used to fold silently, giving
+        # 0.9736+3.4232i at lambda = 0.5 where the 16-interval grid gives
+        # 0.8927+3.4528i
+        g, g_fine = compute_g(constant_field(8)), compute_g(constant_field(n_fine))
+        for call in (lambda: char_delta_deriv(g, 0.5, 0, g_fine),
+                     lambda: DeltaEvaluator(g, g_fine)):
+            with pytest.raises(ValueError, match="fine grid must halve the coarse step"):
+                call()
+        good = compute_g(constant_field(16))
+        assert char_delta_deriv(g, 0.5, 0, good) == DeltaEvaluator(g, good)(0.5)
+
     def test_fourth_order_accuracy(self, g_const_200, g_const_400):
         ev = DeltaEvaluator(g_const_200, g_const_400)
         lams = np.array([0.5 + 0j, -1.5 - 0.5j, 2.0 + 0.25j])
@@ -388,7 +401,7 @@ def planted_kernel(n, roots):
     coef = np.poly(np.exp(-1j * grid.step * np.asarray(roots, dtype=complex)))[::-1]
     values = np.zeros((n + 1, n + 1), dtype=complex)
     values[-1, n - len(roots):n] = coef[:-1] / grid.step
-    return TransformKernel(TriangularField(grid, values), np.zeros(1), 1, 0.0)
+    return TransformKernel(TriangularField(grid, values), np.zeros(1), 0.0)
 
 
 def _rounding(g, root, order):
@@ -413,7 +426,7 @@ def _random_tail_kernel(n, rng):
     """
     values = np.zeros((n + 1, n + 1), dtype=complex)
     values[-1, 1:] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return TransformKernel(TriangularField(make_grid(n), values), np.zeros(1), 1, 0.0)
+    return TransformKernel(TriangularField(make_grid(n), values), np.zeros(1), 0.0)
 
 
 class TestBlockedPolynomial:

@@ -5,6 +5,7 @@ import pytest
 import scipy.fft
 from hypothesis import example, given, settings, strategies as st
 
+import idospec.transform
 from idospec.quadrature import PI, TriangularField, make_grid
 from idospec.transform import (
     PicardConvergenceError,
@@ -175,7 +176,7 @@ class TestLowerProduct:
     def test_matches_dense_product(self, n, seed):
         rng = np.random.default_rng(seed)
         a, b = _random_lower(rng, n, 1.0), _random_lower(rng, n, 1.0)
-        out = _lower_product(a, b)
+        out = _lower_product(a, b, np.zeros((n, n), dtype=complex))
         ref = a @ b
         assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
         assert np.all(np.triu(out, 1) == 0.0)
@@ -248,6 +249,30 @@ class TestComputeG:
     def test_nonconvergence_raises(self, grid50):
         with pytest.raises(PicardConvergenceError):
             compute_g(TriangularField.constant(grid50, 1.0), max_terms=1)
+
+    def _count_steps(self, monkeypatch):
+        calls = []
+        step = idospec.transform.picard_step
+        monkeypatch.setattr(idospec.transform, "picard_step",
+                            lambda *a: calls.append(1) or step(*a))
+        return calls
+
+    def test_tol_below_rounding_refused_after_one_update(self, grid50, monkeypatch):
+        # the update of the march sits at rounding, about 1e-16 here; a tol
+        # below it is refused rather than iterated on rounding noise, which
+        # can dip under such a tol by luck
+        calls = self._count_steps(monkeypatch)
+        with pytest.raises(PicardConvergenceError, match=r"not below tol 1\.000e-300"):
+            compute_g(family_fields(grid50)["trig"], tol=1e-300)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("max_terms", [2, 3, 60])
+    def test_any_budget_above_one_allows_one_update(self, grid50, monkeypatch, max_terms):
+        calls = self._count_steps(monkeypatch)
+        m = family_fields(grid50)["trig"]
+        tk = compute_g(m, max_terms=max_terms)
+        assert len(calls) == 1 and tk.iterations == 2
+        assert tk.g.values.tobytes() == compute_g(m).g.values.tobytes()
 
     @pytest.mark.parametrize("tol", [None, 1e-10])
     def test_non_finite_term_raises(self, grid50, tol):
@@ -470,6 +495,30 @@ class TestZKernelAssembly:
         kernels[which].values[7, 0] = 1e-300
         with pytest.raises(ValueError, match="column 0"):
             assemble_z_kernel(*kernels, r)
+
+    @pytest.mark.parametrize("n", [33, 64, 100])
+    @pytest.mark.parametrize("tilt", [0.0, 1.0])
+    def test_bilinear_term_is_eval_z_on_row_spectra(self, n, tilt):
+        # the bilinear term is eval_z's contraction with the row spectra of
+        # k1 and k2 (diagonals halved) as its columns, one per frequency:
+        # at k = 0 and k = i the halved end weights of eval_z meet column 0
+        # of k1 or row 0 of k2, both zero
+        grid = make_grid(n)
+        rng = np.random.default_rng(n)
+        r = TriangularField.from_function(
+            grid, lambda x, t: 1.0 + tilt * (0.2 * np.cos(t) + 0.1 * x))
+        k1, k2 = (TriangularField(grid, _random_lower(rng, n + 1, 1.0)) for _ in range(2))
+        k1.values[:, 0] = k2.values[:, 0] = 0.0
+        zero = TriangularField.zeros(grid)
+        full = assemble_z_kernel(k1, k2, r)[1].values
+        term3 = (full - assemble_z_kernel(k1, zero, r)[1].values
+                 - assemble_z_kernel(zero, k2, r)[1].values)
+        f1, f2 = (np.fft.fft(np.tril(k.values, -1) + 0.5 * np.diag(np.diagonal(k.values)),
+                             2 * (n + 1), axis=1) for k in (k1, k2))
+        ref = np.fft.ifft(grid.step * eval_z(r, f1[::-1], f2), axis=1)[:, : n + 1]
+        below = np.tril(np.ones((n + 1, n + 1), dtype=bool), -1)
+        below[:, 0] = False
+        assert np.abs(term3 - ref)[below].max() <= 1e-14 * np.abs(full).max()
 
     def test_zero_transform_kernels(self, grid50):
         r = TriangularField.constant(grid50, 1.0)
