@@ -86,7 +86,11 @@ _STAGE_KEYS = (
 _OPTIONS = {"spectrum": SpectrumOptions, "invert": RecoverOptions}
 # Numeric config keys: type and least value (grid_n's is checked by _grid_n,
 # which also sees --grid-n).
-_NUMBERS = {"grid_n": (int, None), "d": (int, 2), "mu": (float, 0.0), "max_terms": (int, 1)}
+_NUMBERS = {"grid_n": (int, None), "d": (int, 2), "mu": (float, 0.0)}
+# Keys of the Picard series that G is no longer summed by: every command builds
+# G with compute_g's own certificate, so a config that still sets one is
+# refused rather than run with a setting it does not get.
+_RETIRED = ("max_terms", "picard_tol")
 # Range of each numeric "opts" field, as (comparison, bound): counts are at
 # least 1 (refinement rounds at least 0); tolerances, cell_size and the
 # initial damping are positive.
@@ -183,25 +187,21 @@ def _from_spec(what, spec, grid):
 
 
 def _kernel_from_config(cfg, grid) -> StructuredKernel:
-    if "m0" not in cfg:
-        raise ConfigError("kernel config needs an 'm0' entry")
+    """The kernel object cfg, which _check_config has seen, sampled on grid."""
     m0 = _from_spec("field", cfg["m0"], grid)
-    comps = []
-    for entry in cfg.get("components", []):
-        r = _from_spec("field", entry["r"], grid)
-        p = (
-            _from_spec("profile", entry["p"], grid)
-            if "p" in entry
-            else Profile.zeros(grid)
+    return StructuredKernel(m0, tuple(
+        KernelComponent(
+            _from_spec("field", entry["r"], grid),
+            _from_spec("profile", entry["p"], grid) if "p" in entry else Profile.zeros(grid),
         )
-        comps.append(KernelComponent(r, p))
-    return StructuredKernel(m0, tuple(comps))
+        for entry in cfg.get("components", [])
+    ))
 
 
 def _build_g(cfg, grid):
-    """The config's kernel M on grid and its G, with the config's Picard settings."""
+    """The config's kernel M on grid and its G."""
     m = assemble_kernel(_kernel_from_config(cfg["kernel"], grid))
-    return m, compute_g(m, **_picard(cfg))
+    return m, compute_g(m)
 
 
 def _window_from_config(cfg) -> SearchWindow:
@@ -235,11 +235,6 @@ def _grid_n(cfg, override, refine: int = 1) -> int:
             f"fields, above the limit of {MAX_FIELD_BYTES >> 20} MiB"
         )
     return n
-
-
-def _picard(cfg) -> dict:
-    """The config's Picard settings, as compute_g's tol and max_terms."""
-    return {"tol": cfg.get("picard_tol"), "max_terms": cfg.get("max_terms", 60)}
 
 
 def _diagonal_residual(m: TriangularField, g) -> float:
@@ -280,15 +275,19 @@ def _check_config(cfg, command) -> None:
     """Refuse config values of the wrong type or range, naming the key.
 
     Runs before anything is built or allocated, so a bad value costs no
-    grid and no G build. Each "opts" value must have the type of its field
-    in the command's option dataclass and lie in its _OPTION_RANGES range.
-    Keys a command cannot run without are checked last.
+    grid and no G build. A key of _RETIRED is refused whatever its value.
+    Each "opts" value must have the type of its field in the command's
+    option dataclass and lie in its _OPTION_RANGES range. Keys a command
+    cannot run without are checked last, the kernel object's m0 and its
+    components' r and p down to being objects.
     """
     _check_value("config", cfg, dict)
+    for key in _RETIRED:
+        if key in cfg:
+            raise ConfigError(f"{key} is no longer a config key: compute_g certifies every G")
     for key, (kind, least) in _NUMBERS.items():
         if key in cfg:
             _check_value(key, cfg[key], kind, least)
-    _check_value("picard_tol", cfg.get("picard_tol"), float | None, 0.0, ">")
     if not isinstance(cfg.get("extrapolate", False), bool):  # _is_a refuses every bool
         raise ConfigError(f"extrapolate must be true or false, got {cfg['extrapolate']!r}")
     hm = cfg.get("heatmap") or {}
@@ -322,8 +321,18 @@ def _check_config(cfg, command) -> None:
         for key, value in opts.items():
             op, least = _OPTION_RANGES[key]
             _check_value(f"opts.{key}", value, fields[key], least, op)
-    if command in ("forward", "spectrum", "invert") and not isinstance(cfg.get("kernel"), dict):
-        raise ConfigError(f"{command} config needs a 'kernel' object, got {cfg.get('kernel')!r}")
+    if command in ("forward", "spectrum", "invert"):
+        kernel = cfg.get("kernel")
+        if not isinstance(kernel, dict):
+            raise ConfigError(f"{command} config needs a 'kernel' object, got {kernel!r}")
+        comps, most = kernel.get("components", []), kernels.MAX_COMPONENTS
+        if not (isinstance(comps, list) and len(comps) <= most
+                and all(isinstance(c, dict) for c in comps)):
+            raise ConfigError(f"kernel.components must be a list of <= {most} objects, got {comps!r}")
+        _check_value("kernel.m0", kernel.get("m0"), dict)
+        for k, comp in enumerate(comps):
+            _check_value(f"kernel.components[{k}].r", comp.get("r"), dict)
+            _check_value(f"kernel.components[{k}].p", comp.get("p", {}), dict)
     if command == "verify":
         for key in ("m0", "r", "p", "p_tilde"):
             if key not in cfg:
@@ -396,15 +405,13 @@ def cmd_spectrum(cfg, sha, out: Path, args) -> int:
     evaluator = DeltaEvaluator(g, g_fine)
     spec = find_spectrum(evaluator, window, opts)
 
-    data = serialize.spectrum_to_dict(spec, g.grid.step)
-    data = {
+    serialize.write_json(out / "spectrum.json", {
         "provenance": _provenance("spectrum", sha, n),
-        **data,
+        **serialize.spectrum_to_dict(spec, g.grid.step),
         "delta_evals": evaluator.evals,
         "deriv_evals": evaluator.deriv_evals,
         "search": dataclasses.asdict(spec.stats),
-    }
-    serialize.write_json(out / "spectrum.json", data)
+    })
 
     hm = cfg.get("heatmap")
     if hm:
@@ -425,9 +432,7 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
     d = cfg.get("d", _DEFAULT_D)
     mu = float(cfg.get("mu", 0.0))
 
-    target_paths = cfg.get("targets")
-    if target_paths is None:
-        target_paths = [cfg["target"]]
+    target_paths = cfg.get("targets") or [cfg["target"]]  # a targets list is non-empty
     if len(target_paths) > kernel.p_count:
         raise ConfigError(
             f"{len(target_paths)} target spectra but only {kernel.p_count} kernel components"
@@ -450,7 +455,6 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
                 return EXIT_NUMERICAL
 
     ropts = RecoverOptions(**cfg.get("opts", {}))
-    picard = _picard(cfg)
 
     init_policy = cfg.get("init", "zero")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
@@ -463,9 +467,7 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
         return np.asarray(init_policy, dtype=float)
 
     reports = recover_sequential(
-        spectra, kernel, d, ropts, mu=mu,
-        inits=[make_init() for _ in spectra],
-        picard_tol=picard["tol"], picard_max_terms=picard["max_terms"],
+        spectra, kernel, d, ropts, mu=mu, inits=[make_init() for _ in spectra],
     )
 
     stages = []
@@ -492,8 +494,7 @@ def _verify_once(grid, cfg, lambdas):
     m = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, p),)))
     mt = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, pt),)))
 
-    picard = _picard(cfg)
-    g = compute_g(m, **picard)
+    g = compute_g(m)
 
     # the marches every check below reads, one column per lambda; psi is the
     # reflected kernel's march read backwards, so for a kernel that is its
@@ -504,8 +505,8 @@ def _verify_once(grid, cfg, lambdas):
     if refl is m:
         psi, k1 = e[::-1], g
     else:
-        psi, k1 = eval_e_direct(refl, lam)[::-1], compute_g(refl, **picard)
-    k2 = compute_g(mt, **picard)
+        psi, k1 = eval_e_direct(refl, lam)[::-1], compute_g(refl)
+    k2 = compute_g(mt)
     b, kk = assemble_z_kernel(k1.g, k2.g, r)
     z = eval_z(r, psi, et)
     return {

@@ -104,15 +104,18 @@ def _spline_basis(knots: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class InverseProblem:
-    """Single-profile recovery setup: M0 and R known, P unknown."""
+    """Single-profile recovery setup: M0 and R known, P unknown.
+
+    Each G that spectrum_residual and spectrum_jacobian build for it is
+    compute_g(m): the row march, certified by one Picard update at the
+    tolerance the march sets.
+    """
 
     m0: TriangularField
     r: TriangularField
     target: Spectrum
     d: int
     mu: float = 0.0
-    picard_tol: float | None = None
-    picard_max_terms: int = 60
 
     def __post_init__(self):
         require_same_grid(self.m0.grid, self.r.grid)
@@ -200,7 +203,7 @@ def spectrum_residual(p_params, problem: InverseProblem):
     kernel M that G solves, the point where spectrum_jacobian linearizes.
     """
     m = _candidate_kernel(p_params, problem)
-    g = compute_g(m, tol=problem.picard_tol, max_terms=problem.picard_max_terms)
+    g = compute_g(m)
     nus, orders = _target_orders(problem)
     res = np.empty(nus.size, dtype=complex)
     for order in np.unique(orders):
@@ -233,9 +236,7 @@ def spectrum_jacobian(m: TriangularField, problem: InverseProblem, g: TransformK
     """
     grid = problem.grid
     refl = reflected_kernel(m)
-    g_refl = g if refl is m else compute_g(
-        refl, tol=problem.picard_tol, max_terms=problem.picard_max_terms
-    )
+    g_refl = g if refl is m else compute_g(refl)
     nus, orders = _target_orders(problem)
     e = eval_e_via_g(g, nus, orders)
     psi = (e if g_refl is g else eval_e_via_g(g_refl, nus, orders))[::-1]
@@ -384,8 +385,6 @@ def recover_sequential(
     opts: RecoverOptions = RecoverOptions(),
     mu: float = 0.0,
     inits=None,
-    picard_tol: float | None = None,
-    picard_max_terms: int = 60,
 ) -> list:
     """Stage-by-stage recovery of P_1, ..., P_p from the truncation spectra.
 
@@ -400,10 +399,7 @@ def recover_sequential(
     m0_eff = family.m0
     for k, target in enumerate(spectra):
         comp = family.components[k]
-        problem = InverseProblem(
-            m0=m0_eff, r=comp.r, target=target, d=d, mu=mu,
-            picard_tol=picard_tol, picard_max_terms=picard_max_terms,
-        )
+        problem = InverseProblem(m0=m0_eff, r=comp.r, target=target, d=d, mu=mu)
         init = (
             np.zeros(d)
             if inits is None

@@ -18,6 +18,7 @@ from .quadrature import (
     TriangularField,
     require_same_grid,
     volterra_apply,
+    zero_upper,
 )
 
 MAX_COMPONENTS = 8
@@ -96,7 +97,7 @@ def assemble_kernel(sk: StructuredKernel) -> TriangularField:
     vals = sk.m0.values.copy()
     for comp in sk.components:
         vals += comp.r.values * _shift_matrix(comp.p.values)
-    return TriangularField(sk.grid, np.tril(vals))
+    return TriangularField(sk.grid, zero_upper(vals))
 
 
 def compute_B(r: TriangularField) -> Profile:

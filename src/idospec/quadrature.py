@@ -87,6 +87,17 @@ def cumtrapz_nodes(samples, grid: Grid) -> np.ndarray:
     return out
 
 
+def zero_upper(values: np.ndarray) -> np.ndarray:
+    """Set the entries of a square array above its diagonal to +0.0, in place.
+
+    Returns values, now bitwise equal to np.tril(values) but with no masked
+    copy. The entries are overwritten, not multiplied by a mask, so an inf
+    or NaN above the diagonal becomes +0.0 as it does in np.tril.
+    """
+    np.copyto(values, 0.0, where=~np.tri(len(values), dtype=bool))
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class Profile:
     """Complex function of one variable sampled on the grid nodes."""
@@ -138,7 +149,7 @@ class TriangularField:
         x = grid.nodes[:, None]
         t = grid.nodes[None, :]
         vals = np.asarray(f(x, t), dtype=complex) + np.zeros((grid.n_nodes, grid.n_nodes))
-        return cls(grid, np.tril(vals))
+        return cls(grid, zero_upper(vals))
 
     @classmethod
     def zeros(cls, grid: Grid) -> "TriangularField":
@@ -148,7 +159,7 @@ class TriangularField:
     @classmethod
     def constant(cls, grid: Grid, c) -> "TriangularField":
         n = grid.n_nodes
-        return cls(grid, np.tril(np.full((n, n), c, dtype=complex)))
+        return cls(grid, zero_upper(np.full((n, n), c, dtype=complex)))
 
     def sup_norm(self) -> float:
         """max |values|, NaN if any value is NaN. It reads 32 rows at a time,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .quadrature import Grid, Profile, TriangularField, require_same_grid, volterra_apply
+from .quadrature import Grid, Profile, TriangularField, require_same_grid, volterra_apply, zero_upper
 from .kernels import shifted_factor
 
 
@@ -245,6 +245,10 @@ def compute_g(
     unless that norm is below tol: a march that is not finite (a kernel
     carrying NaN or overflowing) gets no update, and a tol below the
     update's rounding is refused rather than iterated on rounding noise.
+    No command sets tol or max_terms: every G the CLI and the inverse
+    solver build is compute_g(m), since below the update's rounding (about
+    1e-16 sup|G|) a tol only fails the build and above the default it only
+    weakens the certificate.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
@@ -287,7 +291,7 @@ def reflected_kernel(m: TriangularField) -> TriangularField:
     vals = m.values[::-1, ::-1].T
     if np.array_equal(vals, m.values):
         return m
-    return TriangularField(m.grid, np.tril(vals))
+    return TriangularField(m.grid, zero_upper(vals.copy()))  # vals is a view of m
 
 
 def _next_fast_len(n: int) -> int:

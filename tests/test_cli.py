@@ -129,14 +129,16 @@ class TestForward:
                 expect.append(f"{fmt(lam.real)},{fmt(lam.imag)},{fmt(x)},{fmt(v.real)},{fmt(v.imag)}\n")
         assert (out / "e_samples.csv").read_bytes() == "".join(expect).encode()
 
-    def test_picard_budget_exhausted(self, workdir):
+    def test_picard_budget_exhausted(self, workdir, capsys):
+        # max_terms is retired: the budget that allowed no update is refused
         cfg = write_config(workdir / "fwd_bad.json", {
             "grid_n": 30,
             "kernel": CONST_KERNEL,
             "max_terms": 1,
         })
         out = workdir / "fwd_bad_out"
-        assert main(["forward", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        assert main(["forward", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "max_terms" in capsys.readouterr().err
 
 
 class TestSpectrum:
@@ -396,25 +398,6 @@ class TestInvert:
                 stage["residual_evals"] + per_jacobian * stage["jacobian_evals"]
             )
 
-    @pytest.mark.parametrize("sequential", [False, True])
-    def test_max_terms_reaches_every_g_build(
-        self, workdir, target_spectrum, monkeypatch, sequential
-    ):
-        budgets = []
-        build = idospec.inverse.compute_g
-        monkeypatch.setattr(
-            idospec.inverse, "compute_g",
-            lambda *a, **k: budgets.append(k.get("max_terms")) or build(*a, **k),
-        )
-        cfg = self.invert_cfg(target_spectrum, max_terms=45)
-        if sequential:
-            # one target for a two-component kernel goes through recover_sequential
-            cfg["kernel"]["components"] *= 2
-        path = write_config(workdir / f"inv_terms_{sequential}.json", cfg)
-        out = workdir / f"inv_terms_out_{sequential}"
-        assert main(["invert", "--config", path, "--out", str(out)]) == EXIT_OK
-        assert budgets and set(budgets) == {45}
-
     def test_unconverged_target_root_is_refused(self, workdir, target_spectrum, capsys):
         data = json.loads(target_spectrum.read_text())
         bad = data["eigenvalues"][1]
@@ -609,28 +592,12 @@ class TestVerify:
             assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
             assert sorted(calls) == [10, 20]
 
-    def test_picard_budget_exhausted(self, workdir):
+    def test_picard_budget_exhausted(self, workdir, capsys):
+        # max_terms is retired: the budget that allowed no update is refused
         cfg = write_config(workdir / "ver_terms.json", {"grid_n": 8, "max_terms": 1, **self.KERNEL})
         out = workdir / "ver_terms_out"
-        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
-
-    def test_picard_settings_reach_every_g_build(self, workdir, monkeypatch):
-        settings = []
-        build = idospec.cli.compute_g
-        monkeypatch.setattr(
-            idospec.cli, "compute_g", lambda m, **k: settings.append(k) or build(m, **k)
-        )
-        # G, G~ and, unless the kernel is its own reflection, the reflected
-        # kernel's G, on each of the two grids
-        for tag, r, per_grid in (("sym", None, 2), ("tilted", TILTED_R, 3)):
-            settings.clear()
-            kernel = self.KERNEL if r is None else {**self.KERNEL, "r": r}
-            cfg = write_config(workdir / f"ver_picard_{tag}.json", {
-                "grid_n": 8, "max_terms": 45, "picard_tol": 1e-11, **kernel,
-            })
-            out = workdir / f"ver_picard_out_{tag}"
-            assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
-            assert settings == [{"tol": 1e-11, "max_terms": 45}] * (2 * per_grid)
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "max_terms" in capsys.readouterr().err
 
 
 # spectrum.json of one root, with its total_count and multiplicity left to fill in
@@ -832,6 +799,19 @@ class TestRefusedBeforeAnyGrid:
         assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["forward", "spectrum", "invert", "verify"])
+    @pytest.mark.parametrize("key, value", [
+        ("max_terms", 1), ("max_terms", 60), ("picard_tol", 1e-12), ("picard_tol", None),
+    ])
+    def test_retired_picard_key(self, workdir, monkeypatch, capsys, command, key, value):
+        # any value, the former defaults included: every G build is compute_g(m)
+        cfg = {"grid_n": 16, "d": 4, "kernel": CONST_KERNEL, "window": self.WINDOW,
+               "target": "spec.json", **{k: CONST_KERNEL["m0"] for k in ("m0", "r", "p", "p_tilde")},
+               key: value}
+        name = f"early_retired_{command}_{key}_{value}"
+        assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
+        assert f"{key} is no longer a config key" in capsys.readouterr().err
+
     def test_invert_without_target(self, workdir, monkeypatch, capsys):
         cfg = {"grid_n": 16, "d": 4, "kernel": CONST_KERNEL}
         assert self.run(workdir, monkeypatch, "early_no_target", "invert", cfg) == EXIT_CONFIG
@@ -861,6 +841,31 @@ class TestRefusedBeforeAnyGrid:
         name = f"early_kernel_{command}_{k}"
         assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
         assert f"{command} config needs a 'kernel' object" in capsys.readouterr().err
+
+    CONST = CONST_KERNEL["m0"]
+
+    # a kernel object whose contents cannot be sampled, and what the refusal names
+    KERNEL_FAULTS = [
+        ({"m0": CONST, "components": "x"}, "kernel.components must be a list"),
+        ({"m0": CONST, "components": {"r": CONST}}, "kernel.components must be a list"),
+        ({"m0": CONST, "components": ["x"]}, "kernel.components must be a list"),
+        ({"m0": CONST, "components": [{"r": CONST}] * 9}, "kernel.components must be a list of <= 8"),
+        ({"components": [{"r": CONST}]}, "kernel.m0 must be dict, got None"),
+        ({"m0": [0.0]}, "kernel.m0 must be dict"),
+        ({"m0": CONST, "components": [{"r": CONST}, {"p": CONST}]},
+         "kernel.components[1].r must be dict, got None"),
+        ({"m0": CONST, "components": [{"r": 1.0}]}, "kernel.components[0].r must be dict"),
+        ({"m0": CONST, "components": [{"r": CONST, "p": "const"}]},
+         "kernel.components[0].p must be dict"),
+    ]
+
+    @pytest.mark.parametrize("command", ["forward", "spectrum", "invert"])
+    @pytest.mark.parametrize("k, kernel, message", [(k, *f) for k, f in enumerate(KERNEL_FAULTS)])
+    def test_kernel_contents(self, workdir, monkeypatch, capsys, command, k, kernel, message):
+        cfg = {"grid_n": 20, "d": 4, "window": self.WINDOW, "target": "spec.json", "kernel": kernel}
+        name = f"early_kernel_contents_{command}_{k}"
+        assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["m0", "r", "p", "p_tilde"])
     def test_verify_without_key(self, workdir, monkeypatch, capsys, key):

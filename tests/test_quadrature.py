@@ -7,6 +7,7 @@ from idospec.quadrature import (
     TriangularField,
     make_grid,
     volterra_apply,
+    zero_upper,
 )
 
 from oracles import integrate_nodes
@@ -85,6 +86,25 @@ class TestTriangularField:
         g = make_grid(6)
         f = TriangularField.from_function(g, lambda x, t: x + t)
         assert np.all(f.values[np.triu_indices(7, k=1)] == 0)
+
+
+class TestZeroUpper:
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_bitwise_equal_to_tril(self, n, dtype):
+        # inf, NaN and signed zeros anywhere, above the diagonal included: a
+        # product with a 0/1 mask would turn inf there into NaN and keep -0.0
+        rng = np.random.default_rng(n)
+        specials = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0])
+        vals = np.zeros((n, n), dtype=dtype)
+        parts = (vals.real, vals.imag) if dtype is complex else (vals,)
+        for part in parts:
+            part[...] = rng.standard_normal((n, n))
+            pick = rng.random((n, n)) < 0.4
+            part[pick] = rng.choice(specials, pick.sum())
+        expect = np.tril(vals)
+        assert zero_upper(vals) is vals
+        assert vals.tobytes() == expect.tobytes()
 
 
 class TestVolterraApply:

@@ -3,12 +3,14 @@
 Layers: compute_g, the row march (transform._march), one Picard step, its
 inner-integral product (transform._inner_table), assemble_z_kernel, the
 e-march (spectral.eval_e_direct) for the 5 lambdas `verify` samples by
-default and the LM Jacobian (inverse.spectrum_jacobian, d = 8) at 18
-simple targets and one triple target, at N in {100, 200, 400, 800} unless
---n names others. The inputs are fixed: M = M0 + R P(x - t) with smooth
-M0, R and a three-term trig profile P, its G, and that G as both kernels
-of the z-split. R is not its own reflection, so each Jacobian also builds
-the reflected kernel's G. Each time is
+default, the LM Jacobian (inverse.spectrum_jacobian, d = 8) at 18
+simple targets and one triple target, and building M from a config
+(cli._kernel_from_config, then kernels.assemble_kernel), at N in
+{100, 200, 400, 800} unless --n names others. The inputs are fixed: M =
+M0 + R P(x - t) with smooth M0, R and a three-term trig profile P, given
+as the kernel object of a config (KERNEL), its G, and that G as both
+kernels of the z-split. R is not its own reflection, so each Jacobian also
+builds the reflected kernel's G. Each time is
 the median over repeats of a timeit loop of at least 50 ms. Beside it
 stands the layer's tracemalloc peak above its inputs (what one call
 allocates at most at once, its result included), in (N+1)^2 complex
@@ -39,10 +41,10 @@ sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
-from idospec import transform  # noqa: E402
+from idospec import cli, transform  # noqa: E402
 from idospec.inverse import InverseProblem, spectrum_jacobian  # noqa: E402
-from idospec.kernels import KernelComponent, StructuredKernel, assemble_kernel  # noqa: E402
-from idospec.quadrature import Profile, TriangularField, make_grid  # noqa: E402
+from idospec.kernels import assemble_kernel  # noqa: E402
+from idospec.quadrature import make_grid  # noqa: E402
 from idospec.spectral import Eigenvalue, SearchWindow, Spectrum, eval_e_direct  # noqa: E402
 
 LAMBDAS = np.array([0.5, -2.0, 1.5 - 0.5j, 3.0, 0.25j])
@@ -53,6 +55,15 @@ TARGETS = Spectrum(
     + (Eigenvalue(2.1 - 0.7j, 3, 0.0),),
     window=SearchWindow(-20.0, 20.0, -8.0, 0.5), total_count=21,
 )
+# M0 = 0.05 + 0.03 x, R = 1 + 0.2 cos t, P = 0.3 sin(x + 0.5) + 0.25 sin(2x + 1) + 0.2 sin(3x + 2)
+KERNEL = {
+    "m0": {"kind": "analytic", "family": "polynomial", "coeffs": [[0.05, 0, 0], [0.03, 1, 0]]},
+    "components": [{
+        "r": {"kind": "analytic", "family": "trig", "coeffs": [[1.0, 0, 0], [0.2, 0, 1]]},
+        "p": {"kind": "analytic", "family": "trig",
+              "coeffs": [[0.3, 1, 0.5], [0.25, 2, 1.0], [0.2, 3, 2.0]]},
+    }],
+}
 REPEAT = 7
 STARTS = 5
 
@@ -61,11 +72,9 @@ def layers(n: int) -> dict:
     """Name -> zero-argument callable running that layer once on the N = n inputs."""
     grid = make_grid(n)
     h = grid.step
-    m0 = TriangularField.from_function(grid, lambda x, t: 0.05 + 0.03 * x)
-    r = TriangularField.from_function(grid, lambda x, t: 1.0 + 0.2 * np.cos(t))
-    p = Profile.from_function(grid, lambda x: 0.3 * np.cos(x + 0.5) + 0.25 * np.cos(2 * x + 1.0)
-                              + 0.2 * np.cos(3 * x + 2.0))
-    m = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, p),)))
+    sk = cli._kernel_from_config(KERNEL, grid)
+    m0, r = sk.m0, sk.components[0].r
+    m = assemble_kernel(sk)
     tk = transform.compute_g(m)
     g = tk.g
     g1 = transform.picard_g1(m).values
@@ -78,6 +87,7 @@ def layers(n: int) -> dict:
         "assemble_z_kernel": lambda: transform.assemble_z_kernel(g, g, r),
         "eval_e_direct (5 lambdas)": lambda: eval_e_direct(m, LAMBDAS),
         "spectrum_jacobian (19 targets)": lambda: spectrum_jacobian(m, problem, tk),
+        "M from config": lambda: assemble_kernel(cli._kernel_from_config(KERNEL, grid)),
     }
 
 
