@@ -34,6 +34,8 @@ from .kernels import (
     StructuredKernel,
     WeightVanishesError,
     assemble_kernel,
+    field_from_family,
+    profile_from_family,
 )
 from .transform import (
     PicardConvergenceError,
@@ -59,6 +61,7 @@ from .inverse import (
     verify_green_identity,
     verify_change_of_variables,
 )
+from .serialize import field_from_csv, profile_from_csv
 from . import kernels, serialize
 
 EXIT_OK = 0
@@ -95,9 +98,8 @@ _RETIRED = ("max_terms", "picard_tol")
 # least 1 (refinement rounds at least 0); tolerances, cell_size and the
 # initial damping are positive.
 _OPTION_RANGES = {
-    "cell_size": (">", 0.0), "residual_tol": (">", 0.0), "boundary_rel_tol": (">", 0.0),
-    "initial_edge_samples": (">=", 1), "max_phase_refinements": (">=", 0),
-    "newton_max_iter": (">=", 1), "newton_tol": (">", 0.0),
+    "cell_size": (">", 0.0), "initial_edge_samples": (">=", 1),
+    "max_phase_refinements": (">=", 0), "newton_max_iter": (">=", 1), "newton_tol": (">", 0.0),
     "xtol": (">", 0.0), "ftol": (">", 0.0), "max_iter": (">=", 1),
     "lm_damping0": (">", 0.0), "max_inner": (">=", 1),
 }
@@ -154,15 +156,6 @@ def _read_input(what, read, path, *args):
         raise ConfigError(f"malformed {what} file {path}: {ex}") from ex
 
 
-# The family sampler in idospec.kernels and the CSV reader in idospec.serialize
-# of each kind of sampled input, by name: looked up in their modules at call
-# time, so a caller that rebinds a module's function (a tracer) sees the call.
-_READERS = {
-    "field": ("field_from_family", "field_from_csv"),
-    "profile": ("profile_from_family", "profile_from_csv"),
-}
-
-
 def _from_spec(what, spec, grid):
     """The field or profile (what) a config spec describes, sampled on grid.
 
@@ -171,15 +164,16 @@ def _from_spec(what, spec, grid):
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"bad {what} spec: {spec!r}")
-    sampler, reader = _READERS[what]
+    field = what == "field"
     if spec["kind"] == "analytic":
+        sample = field_from_family if field else profile_from_family
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                sampled = getattr(kernels, sampler)(grid, spec["family"], spec["coeffs"])
+                sampled = sample(grid, spec["family"], spec["coeffs"])
         except (KeyError, ValueError) as ex:
             raise ConfigError(f"bad analytic {what} spec: {ex}") from ex
     elif spec["kind"] == "samples":
-        read = getattr(serialize, reader)
+        read = field_from_csv if field else profile_from_csv
         sampled = _read_input(f"{what} samples", read, spec.get("path", ""), grid)
     else:
         raise ConfigError(f"unknown {what} kind {spec['kind']!r}")
@@ -248,22 +242,16 @@ def _provenance(command, sha, grid_n) -> dict:
 
 
 def _is_a(value, kind) -> bool:
-    """isinstance against a type or union hint: a bool is no number, an int is a float."""
-    kinds = tuple((int, float) if k is float else k for k in typing.get_args(kind) or (kind,))
+    """isinstance against a type: a bool is no number, an int is a float."""
+    kinds = (int, float) if kind is float else kind
     return not isinstance(value, bool) and isinstance(value, kinds)
 
 
 def _check_value(key, value, kind, least=None, op=">=") -> None:
-    """Refuse value, naming key, unless _is_a(value, kind) and value op least.
-
-    None, where kind allows it, is in range.
-    """
-    if not _is_a(value, kind) or not (
-        least is None or value is None or _COMPARE[op](value, least)
-    ):
-        name = kind.__name__ if isinstance(kind, type) else kind
+    """Refuse value, naming key, unless _is_a(value, kind) and value op least."""
+    if not _is_a(value, kind) or not (least is None or _COMPARE[op](value, least)):
         bound = "" if least is None else f" {op} {least}"
-        raise ConfigError(f"{key} must be {name}{bound}, got {value!r}")
+        raise ConfigError(f"{key} must be {kind.__name__}{bound}, got {value!r}")
 
 
 def _heatmap_shape(hm: dict) -> tuple:
@@ -278,8 +266,9 @@ def _check_config(cfg, command) -> None:
     grid and no G build. A key of _RETIRED is refused whatever its value.
     Each "opts" value must have the type of its field in the command's
     option dataclass and lie in its _OPTION_RANGES range. Keys a command
-    cannot run without are checked last, the kernel object's m0 and its
-    components' r and p down to being objects.
+    cannot run without are checked last: the kernel object's m0 and its
+    components' r and p, and verify's m0, r, p and p_tilde, down to being
+    objects, and invert's targets, no more of them than kernel components.
     """
     _check_value("config", cfg, dict)
     for key in _RETIRED:
@@ -337,6 +326,7 @@ def _check_config(cfg, command) -> None:
         for key in ("m0", "r", "p", "p_tilde"):
             if key not in cfg:
                 raise ConfigError(f"verify config needs '{key}'")
+            _check_value(key, cfg[key], dict)
     if command == "invert":
         targets = cfg.get("targets")
         if targets is None and "target" not in cfg:
@@ -345,6 +335,9 @@ def _check_config(cfg, command) -> None:
             isinstance(targets, list) and targets and all(isinstance(t, str) for t in targets)
         ):
             raise ConfigError(f"targets must be a non-empty list of paths, got {targets!r}")
+        count, comps = len(targets or [cfg["target"]]), len(cfg["kernel"].get("components", []))
+        if count > comps:
+            raise ConfigError(f"{count} target spectra but only {comps} kernel components")
 
 
 def _check_alias_free(window: SearchWindow, n: int, what: str) -> None:
@@ -427,16 +420,10 @@ def cmd_spectrum(cfg, sha, out: Path, args) -> int:
 
 def cmd_invert(cfg, sha, out: Path, args) -> int:
     n = _grid_n(cfg, args.grid_n)
-    grid = make_grid(n)
-    kernel = _kernel_from_config(cfg["kernel"], grid)
     d = cfg.get("d", _DEFAULT_D)
     mu = float(cfg.get("mu", 0.0))
 
     target_paths = cfg.get("targets") or [cfg["target"]]  # a targets list is non-empty
-    if len(target_paths) > kernel.p_count:
-        raise ConfigError(
-            f"{len(target_paths)} target spectra but only {kernel.p_count} kernel components"
-        )
     spectra = [
         _read_input("target spectrum", serialize.spectrum_from_json, path)
         for path in target_paths
@@ -445,6 +432,8 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
     # an exact eigenvalue would pull the profile towards a wrong spectrum
     for path, spec in zip(target_paths, spectra):
         _check_alias_free(spec.window, n, f"window of target spectrum {path}")
+        if spec.total_count == 0 and mu == 0:
+            raise ConfigError(f"target spectrum {path} is empty and mu is 0; give mu > 0")
         for ev in spec.eigenvalues:
             if not ev.newton_converged:
                 print(
@@ -454,6 +443,7 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
                 )
                 return EXIT_NUMERICAL
 
+    kernel = _kernel_from_config(cfg["kernel"], make_grid(n))
     ropts = RecoverOptions(**cfg.get("opts", {}))
 
     init_policy = cfg.get("init", "zero")

@@ -144,9 +144,9 @@ class InverseProblem:
     def is_underdetermined(self) -> bool:
         return self.target.total_count < self.d
 
-    def check_weight_condition(self, tol: float | None = None) -> Profile:
+    def check_weight_condition(self) -> Profile:
         b = compute_B(self.r)
-        if not check_B_nonvanishing(b, tol):
+        if not check_B_nonvanishing(b):
             raise WeightVanishesError(
                 "weight B(x) vanishes inside (0, pi]; profile is not identifiable"
             )

@@ -94,9 +94,12 @@ def shifted_factor(r: TriangularField) -> np.ndarray:
 
 def assemble_kernel(sk: StructuredKernel) -> TriangularField:
     """Sample M = M0 + sum_j R_j * P_j(x - t) on the triangle."""
-    vals = sk.m0.values.copy()
-    for comp in sk.components:
-        vals += comp.r.values * _shift_matrix(comp.p.values)
+    # each product is a fresh array: the first takes M0 in, so M0 is not copied
+    products = (c.r.values * _shift_matrix(c.p.values) for c in sk.components)
+    vals = next(products, None)
+    vals = sk.m0.values.copy() if vals is None else np.add(vals, sk.m0.values, out=vals)
+    for prod in products:
+        vals += prod
     return TriangularField(sk.grid, zero_upper(vals))
 
 
@@ -107,18 +110,18 @@ def compute_B(r: TriangularField) -> Profile:
     return Profile(grid, volterra_apply(shifted_factor(r), ones, grid.step))
 
 
-def check_B_nonvanishing(b: Profile, tol: float | None = None) -> bool:
-    """True iff |B(x_i)| > tol at every node except x = 0 (where B(0) = 0)."""
+def check_B_nonvanishing(b: Profile) -> bool:
+    """True iff |B(x_i)| > 1e-8 max|B| at every node except x = 0 (where B(0) = 0).
+
+    A weight that is zero everywhere, r = 0, fails at every node.
+    """
     vals = b.values[1:]
     mags = np.abs(vals)
-    if tol is None:
-        tol = 1e-8 * (mags.max() if mags.size else 1.0)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = 1e-8 * mags.max()
     if not (mags > tol).all():
         return False
     # a sign change of an essentially real weight forces a zero between nodes
-    if mags.size and np.abs(vals.imag).max() <= tol:
+    if np.abs(vals.imag).max() <= tol:
         re = vals.real
         if np.any(re[:-1] * re[1:] < 0.0):
             return False

@@ -289,9 +289,13 @@ def char_delta_deriv(g: TransformKernel, lam, order: int = 0,
 
 @dataclass(frozen=True)
 class SpectrumOptions:
+    """Settings of the zero search.
+
+    Its two thresholds on |Delta| are not settings: both scale with the
+    largest |Delta| on the window boundary (RESIDUAL_RTOL, BOUNDARY_RTOL).
+    """
+
     cell_size: float = 1e-3                    # grouping radius of Newton end points
-    residual_tol: float | None = None          # absolute; default set from boundary scale
-    boundary_rel_tol: float = 1e-9             # |Delta| guard relative to boundary max
     initial_edge_samples: int = 32             # per-edge minimum; see _rect_boundary
     max_phase_refinements: int = 14
     newton_max_iter: int = 60
@@ -404,6 +408,11 @@ CANDIDATE_PHASE_STEP = 1.3
 # so that a zero just inside an edge is not lost to the coarse polynomial's
 # error.
 CANDIDATE_MARGIN = 0.5
+# A zero is kept if |Delta| there is at most RESIDUAL_RTOL times the largest
+# |Delta| on the window boundary, and the boundary is refused as passing too
+# close to a zero where |Delta| falls to BOUNDARY_RTOL times that maximum.
+RESIDUAL_RTOL = 1e-10
+BOUNDARY_RTOL = 1e-9
 # Half-width, in cell sizes, of the square that counts the zeros of a group
 # of Newton end points. Near an m-fold zero |Delta| grows like the m-th
 # power of the distance, so the square's edge must stay well clear of the
@@ -576,11 +585,9 @@ def find_spectrum(
     # winding number reuses these samples
     vals0 = f(_rect_boundary(rect0, opts.initial_edge_samples))
     boundary_max = float(np.abs(vals0).max())
-    guard = opts.boundary_rel_tol * boundary_max
+    guard = BOUNDARY_RTOL * boundary_max
     wind0, refinements = _winding_number(f, rect0, opts, guard, vals=vals0)
-    residual_tol = (
-        opts.residual_tol if opts.residual_tol is not None else 1e-10 * boundary_max
-    )
+    residual_tol = RESIDUAL_RTOL * boundary_max
 
     counts = np.array([0, 0, refinements])          # candidates, Newton steps, rounds
     for path, stride1 in (("companion", False), ("stride1", True)):

@@ -225,11 +225,7 @@ def _march(mv: np.ndarray, g1: np.ndarray, h: float) -> np.ndarray:
     return g
 
 
-def compute_g(
-    m: TriangularField,
-    tol: float | None = None,
-    max_terms: int = 60,
-) -> TransformKernel:
+def compute_g(m: TriangularField, max_terms: int = 60) -> TransformKernel:
     """Solve for G by the row march and certify it with one Picard update.
 
     The march (see _march) solves the discrete fixed point G = G1 + T(G),
@@ -237,30 +233,22 @@ def compute_g(
     sums to the same G where it converges. term_norms[0] is the sup norm of
     the march. Unless that is already below tol (a zero kernel: 1 term),
     the update G1 + T(G) replaces the march, and the sup norm of the change,
-    the residual of the discrete equation, is term_norms[1]: 2 terms. The
-    default tol is 1e-12 (1 + sup|G|), G the march: the rounding of the
-    march's residual scales with G itself, which for a large M grows far
-    beyond G1. max_terms 1 allows no update and any larger value exactly
-    one. PicardConvergenceError, naming the last norm and tol, is raised
-    unless that norm is below tol: a march that is not finite (a kernel
-    carrying NaN or overflowing) gets no update, and a tol below the
-    update's rounding is refused rather than iterated on rounding noise.
-    No command sets tol or max_terms: every G the CLI and the inverse
-    solver build is compute_g(m), since below the update's rounding (about
-    1e-16 sup|G|) a tol only fails the build and above the default it only
-    weakens the certificate.
+    the residual of the discrete equation, is term_norms[1]: 2 terms. tol is
+    1e-12 (1 + sup|G|), G the march: the rounding of the march's residual
+    scales with G itself, which for a large M grows far beyond G1. max_terms
+    1 allows no update and any larger value exactly one; no command sets it.
+    PicardConvergenceError, naming the last norm and tol, is raised unless
+    that norm is below tol: a march that is not finite (a kernel carrying
+    NaN or overflowing) gets no update.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
-    if tol is not None and not tol > 0:
-        raise ValueError("tol must be positive")
     # a kernel that overflows shows as a non-finite norm, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         g1 = picard_g1(m)
         g = TriangularField(m.grid, _march(m.values, g1.values, m.grid.step))
         norms = [g.sup_norm()]
-        if tol is None:
-            tol = 1e-12 * (1.0 + norms[0])
+        tol = 1e-12 * (1.0 + norms[0])
         if not norms[0] < tol and np.isfinite(norms[0]) and max_terms > 1:
             update = picard_step(m, g)
             update.values[...] += g1.values

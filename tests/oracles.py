@@ -38,6 +38,8 @@ from idospec.kernels import _shift_matrix, shifted_factor
 from idospec.quadrature import TriangularField, trapezoid_weights, volterra_apply
 from idospec.serialize import field_from_csv
 from idospec.spectral import (
+    BOUNDARY_RTOL,
+    RESIDUAL_RTOL,
     BoundaryNearZeroError,
     Eigenvalue,
     PhaseTrackingError,
@@ -227,10 +229,9 @@ def picard_series_g(m, tol: float | None = None, max_terms: int = 60) -> Transfo
 
 def find_spectrum_reflected(
     m, window: SearchWindow, opts: SpectrumOptions = SpectrumOptions(),
-    tol: float | None = None,
 ) -> Spectrum:
     """Spectrum of the reflected kernel; equals that of m up to discretization."""
-    return find_spectrum(compute_g(reflected_kernel(m), tol=tol), window, opts)
+    return find_spectrum(compute_g(reflected_kernel(m)), window, opts)
 
 
 def _split_rect(f, rect, opts, guard):
@@ -285,7 +286,8 @@ def find_spectrum_subdivision(
     number is the total multiplicity inside. A cell of winding number 1
     holds exactly one simple zero, so Newton starts from its centre at once;
     a result that converged, never left the cell and has a residual within
-    residual_tol is that zero, and otherwise the cell is split further.
+    RESIDUAL_RTOL of the largest |f| on the window boundary is that zero,
+    and otherwise the cell is split further.
     Cells of higher winding w are bisected down to cell_size (or max_depth
     splits) and polished by Newton modified by w; a leaf whose polish fails
     is kept at its centre, flagged unconverged. The multiplicities found
@@ -294,11 +296,9 @@ def find_spectrum_subdivision(
     rect0 = (window.re_min, window.re_max, window.im_min, window.im_max)
     vals0 = f(_rect_boundary(rect0, opts.initial_edge_samples))
     boundary_max = float(np.abs(vals0).max())
-    guard = opts.boundary_rel_tol * boundary_max
+    guard = BOUNDARY_RTOL * boundary_max
     wind0 = _winding_number(f, rect0, opts, guard, vals=vals0)[0]
-    residual_tol = (
-        opts.residual_tol if opts.residual_tol is not None else 1e-10 * boundary_max
-    )
+    residual_tol = RESIDUAL_RTOL * boundary_max
     found: list[Eigenvalue] = []
 
     def recurse(rect, wind, depth):

@@ -500,6 +500,15 @@ class TestInvert:
         out = workdir / "inv_weight_out"
         assert main(["invert", "--config", path, "--out", str(out)]) == EXIT_WEIGHT
 
+    def test_zero_weight_is_identifiability_error(self, workdir, target_spectrum, capsys):
+        # r = 0: B = 0 everywhere, so the threshold 1e-8 max|B| is 0 as well
+        cfg = self.invert_cfg(target_spectrum)
+        cfg["kernel"]["components"] = [{"r": {"kind": "analytic", "family": "constant", "coeffs": [0.0]}}]
+        path = write_config(workdir / "inv_zero_weight.json", cfg)
+        out = workdir / "inv_zero_weight_out"
+        assert main(["invert", "--config", path, "--out", str(out)]) == EXIT_WEIGHT
+        assert capsys.readouterr().err.startswith("weight condition failure: ")
+
     def test_missing_target_is_config_error(self, workdir):
         cfg = write_config(
             workdir / "inv_notarget.json",
@@ -718,8 +727,6 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command, key, value", [
         ("spectrum", "cell_size", -1.0),
-        ("spectrum", "residual_tol", 0.0),
-        ("spectrum", "boundary_rel_tol", 0),
         ("spectrum", "initial_edge_samples", 0),
         ("spectrum", "max_phase_refinements", -1),
         ("spectrum", "newton_max_iter", 0),
@@ -812,6 +819,16 @@ class TestRefusedBeforeAnyGrid:
         assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
         assert f"{key} is no longer a config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["residual_tol", "boundary_rel_tol"])
+    @pytest.mark.parametrize("value", [0.0, 1e-9, None])
+    def test_derived_spectrum_threshold(self, workdir, monkeypatch, capsys, key, value):
+        # both thresholds scale with the window boundary's largest |Delta|:
+        # they are no options, so a config that sets one is refused
+        cfg = {"grid_n": 16, "kernel": CONST_KERNEL, "window": self.WINDOW, "opts": {key: value}}
+        name = f"early_threshold_{key}_{value}"
+        assert self.run(workdir, monkeypatch, name, "spectrum", cfg) == EXIT_CONFIG
+        assert f"unknown SpectrumOptions key(s) in opts: {key}" in capsys.readouterr().err
+
     def test_invert_without_target(self, workdir, monkeypatch, capsys):
         cfg = {"grid_n": 16, "d": 4, "kernel": CONST_KERNEL}
         assert self.run(workdir, monkeypatch, "early_no_target", "invert", cfg) == EXIT_CONFIG
@@ -873,6 +890,42 @@ class TestRefusedBeforeAnyGrid:
         del cfg[key]
         assert self.run(workdir, monkeypatch, f"early_verify_{key}", "verify", cfg) == EXIT_CONFIG
         assert f"verify config needs '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["m0", "r", "p", "p_tilde"])
+    @pytest.mark.parametrize("k, value", enumerate([1, "const", [CONST], None]))
+    def test_verify_spec_not_an_object(self, workdir, monkeypatch, capsys, key, k, value):
+        cfg = {"grid_n": 16, **{s: self.CONST for s in ("m0", "r", "p", "p_tilde")}, key: value}
+        name = f"early_verify_spec_{key}_{k}"
+        assert self.run(workdir, monkeypatch, name, "verify", cfg) == EXIT_CONFIG
+        assert f"{key} must be dict, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count, extra", [
+        (0, {"target": "spec.json"}), (1, {"targets": ["a.json", "b.json"]}),
+    ])
+    def test_invert_more_targets_than_components(self, workdir, monkeypatch, capsys, count, extra):
+        # refused before any target file is read: none of these exists
+        kernel = {"m0": self.CONST, "components": [{"r": self.CONST}] * count}
+        cfg = {"grid_n": 16, "d": 4, "kernel": kernel, **extra}
+        assert self.run(workdir, monkeypatch, f"early_targets_count_{count}", "invert", cfg) == EXIT_CONFIG
+        assert f"{count + 1} target spectra but only {count} kernel components" in capsys.readouterr().err
+
+    # spectrum.json of an empty window, as spectrum writes it for M = 0 at grid_n 40
+    EMPTY_SPECTRUM = ('{"window": {"re_min": -6, "re_max": 6, "im_min": -6, "im_max": 0.5}, '
+                      '"h": 0.078539816339744828, "total_count": 0, "eigenvalues": []}')
+
+    @pytest.mark.parametrize("stage", [0, 1])
+    def test_invert_empty_target_without_mu(self, workdir, monkeypatch, capsys, target_spectrum, stage):
+        # no eigenvalue and no regularization leave the profile undetermined
+        empty = workdir / "empty_spectrum.json"
+        empty.write_text(self.EMPTY_SPECTRUM)
+        targets = [str(target_spectrum), str(empty)][-1 - stage:]
+        cfg = {"grid_n": 16, "d": 4, "targets": targets,
+               "kernel": {"m0": self.CONST, "components": [{"r": self.CONST}] * 2}}
+        assert self.run(workdir, monkeypatch, f"early_empty_{stage}", "invert", cfg) == EXIT_CONFIG
+        assert f"target spectrum {empty} is empty and mu is 0" in capsys.readouterr().err
+        cfg["mu"] = 0.1                # regularized, the fit goes on to build its grid
+        with pytest.raises(AssertionError, match="make_grid"):
+            self.run(workdir, monkeypatch, f"early_empty_mu_{stage}", "invert", cfg)
 
 
 class TestNonFiniteInput:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idospec.quadrature import PI, Profile, TriangularField, make_grid
+from idospec.quadrature import PI, Profile, TriangularField, make_grid, zero_upper
 from idospec.kernels import (
     ComponentCountError,
     KernelComponent,
@@ -59,6 +59,30 @@ class TestAssemble:
         m1 = assemble_kernel(StructuredKernel(m0, (comp,)))
         m2 = assemble_kernel(StructuredKernel(m0, (doubled,)))
         assert np.abs((m2.values - m0.values) - 2.0 * (m1.values - m0.values)).max() < 1e-13
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    @pytest.mark.parametrize("n", [8, 33, 100])
+    def test_bitwise_equal_to_copy_then_add(self, n, count):
+        # M0 copied, each product added to it: the form the product-first
+        # assembly replaced, on random samples with signed zeros in M0
+        grid, rng = make_grid(n), np.random.default_rng(n + count)
+
+        def sample(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        m0 = sample((n + 1, n + 1))
+        m0.real[::3, ::2], m0.imag[1::4, ::3] = -0.0, -0.0
+        comps = tuple(
+            KernelComponent(TriangularField(grid, sample((n + 1, n + 1))), Profile(grid, sample(n + 1)))
+            for _ in range(count)
+        )
+        m0_bytes = m0.tobytes()
+        ref = m0.copy()
+        for comp in comps:
+            ref += comp.r.values * _shift_matrix(comp.p.values)
+        m = assemble_kernel(StructuredKernel(TriangularField(grid, m0), comps))
+        assert m.values.tobytes() == zero_upper(ref).tobytes()
+        assert m0.tobytes() == m0_bytes
 
     def test_component_bound(self, grid50):
         comps = tuple(
@@ -141,7 +165,7 @@ class TestComputeB:
 class TestCheckB:
     def test_positive(self, grid50):
         b = Profile(grid50, grid50.nodes.astype(complex))
-        assert check_B_nonvanishing(b, 1e-8)
+        assert check_B_nonvanishing(b)
 
     def test_sign_change(self, grid100):
         # r(x,t) = t - 1 -> B(x) = x^2/2 - x, zero at x = 2
@@ -149,7 +173,8 @@ class TestCheckB:
         assert not check_B_nonvanishing(compute_B(r))
 
     def test_zero_profile(self, grid50):
-        assert not check_B_nonvanishing(Profile.zeros(grid50), 1e-8)
+        # the threshold 1e-8 max|B| is 0 here, and no |B| exceeds it
+        assert not check_B_nonvanishing(Profile.zeros(grid50))
 
 
 class TestFamilies:
