@@ -15,16 +15,12 @@ import dataclasses
 import functools
 import hashlib
 import json
-import operator
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
 
 from .quadrature import (
-    GridMismatchError,
-    Profile,
     TriangularField,
     cumtrapz_nodes,
     make_grid,
@@ -77,9 +73,18 @@ EXIT_WEIGHT = 4
 MAX_FIELD_BYTES = 256 * 2**20
 # Most lambda points a Delta heatmap may sample, one CSV row each.
 MAX_HEATMAP_POINTS = 10**6
+# Beyond these |Re lambda| and |Im lambda|, exp(-i lambda x) is no float for
+# some x in [0, pi] (its phase overflows, or its modulus over- or underflows),
+# and neither are e(x, lambda) and Delta.
+RE_REACH, IM_REACH = sys.float_info.max / np.pi, np.log(sys.float_info.max) / np.pi
 
 # Profile parameters an invert config fits when it gives no "d".
 _DEFAULT_D = 8
+# Lambda points of the commands that read "lambdas", when a config gives none.
+_DEFAULT_LAMBDAS = {
+    "forward": [[0.0, 0.0], [1.0, 0.0], [-2.0, -0.5]],
+    "verify": [[0.5, 0.0], [-2.0, 0.0], [1.5, -0.5], [3.0, 0.0], [0.0, 0.25]],
+}
 # Attributes of a RecoveryReport that each recovery_report.json stage records, in order.
 _STAGE_KEYS = (
     "converged", "iterations", "residual_norm", "underdetermined", "history", "damping",
@@ -87,8 +92,8 @@ _STAGE_KEYS = (
 )
 # Option dataclass of each command that reads "opts".
 _OPTIONS = {"spectrum": SpectrumOptions, "invert": RecoverOptions}
-# Numeric config keys: type and least value (grid_n's is checked by _grid_n,
-# which also sees --grid-n).
+# Numeric config keys: type and least value (grid_n's is checked with the
+# --grid-n that overrides it).
 _NUMBERS = {"grid_n": (int, None), "d": (int, 2), "mu": (float, 0.0)}
 # Keys of the Picard series that G is no longer summed by: every command builds
 # G with compute_g's own certificate, so a config that still sets one is
@@ -103,7 +108,8 @@ _OPTION_RANGES = {
     "xtol": (">", 0.0), "ftol": (">", 0.0), "max_iter": (">=", 1),
     "lm_damping0": (">", 0.0), "max_inner": (">=", 1),
 }
-_COMPARE = {">=": operator.ge, ">": operator.gt}
+# The profile of a kernel component that gives no "p".
+_ZERO = {"kind": "analytic", "family": "constant", "coeffs": [0.0]}
 
 
 class ConfigError(ValueError):
@@ -156,79 +162,35 @@ def _read_input(what, read, path, *args):
         raise ConfigError(f"malformed {what} file {path}: {ex}") from ex
 
 
-def _from_spec(what, spec, grid):
-    """The field or profile (what) a config spec describes, sampled on grid.
+def _from_spec(spec, grid):
+    """The field or profile a spec from _parse_spec describes, sampled on grid.
 
     An analytic family that overflows on the grid samples inf or NaN without
     a warning, and is refused as non-finite like a CSV carrying them.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"bad {what} spec: {spec!r}")
-    field = what == "field"
-    if spec["kind"] == "analytic":
-        sample = field_from_family if field else profile_from_family
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                sampled = sample(grid, spec["family"], spec["coeffs"])
-        except (KeyError, ValueError) as ex:
-            raise ConfigError(f"bad analytic {what} spec: {ex}") from ex
-    elif spec["kind"] == "samples":
-        read = field_from_csv if field else profile_from_csv
-        sampled = _read_input(f"{what} samples", read, spec.get("path", ""), grid)
+    what, kind, *args = spec
+    if kind == "analytic":
+        sample = field_from_family if what == "field" else profile_from_family
+        with np.errstate(over="ignore", invalid="ignore"):
+            sampled = sample(grid, *args)
     else:
-        raise ConfigError(f"unknown {what} kind {spec['kind']!r}")
+        read = field_from_csv if what == "field" else profile_from_csv
+        sampled = _read_input(f"{what} samples", read, *args, grid)
     return _require_finite(sampled, what)
 
 
-def _kernel_from_config(cfg, grid) -> StructuredKernel:
-    """The kernel object cfg, which _check_config has seen, sampled on grid."""
-    m0 = _from_spec("field", cfg["m0"], grid)
-    return StructuredKernel(m0, tuple(
-        KernelComponent(
-            _from_spec("field", entry["r"], grid),
-            _from_spec("profile", entry["p"], grid) if "p" in entry else Profile.zeros(grid),
-        )
-        for entry in cfg.get("components", [])
+def _sample_kernel(kernel, grid) -> StructuredKernel:
+    """The kernel (m0, ((r, p), ...)) from _parse_kernel, sampled on grid."""
+    m0, comps = kernel
+    return StructuredKernel(_from_spec(m0, grid), tuple(
+        KernelComponent(_from_spec(r, grid), _from_spec(p, grid)) for r, p in comps
     ))
 
 
-def _build_g(cfg, grid):
-    """The config's kernel M on grid and its G."""
-    m = assemble_kernel(_kernel_from_config(cfg["kernel"], grid))
+def _build_g(kernel, grid):
+    """The parsed kernel M on grid and its G."""
+    m = assemble_kernel(_sample_kernel(kernel, grid))
     return m, compute_g(m)
-
-
-def _window_from_config(cfg) -> SearchWindow:
-    try:
-        win = cfg["window"]
-        return SearchWindow(**{f.name: float(win[f.name]) for f in dataclasses.fields(SearchWindow)})
-    except (KeyError, TypeError, ValueError) as ex:
-        raise ConfigError(f"bad search window: {ex}") from ex
-
-
-def _lambdas_from_config(cfg, default):
-    pairs = cfg.get("lambdas", default)
-    return [complex(re, im) for re, im in pairs]
-
-
-def _grid_n(cfg, override, refine: int = 1) -> int:
-    """grid_n from --grid-n or the config.
-
-    The command's finest grid has refine * grid_n intervals; grid_n is
-    refused if that grid's fields would exceed MAX_FIELD_BYTES.
-    """
-    n = override if override is not None else cfg.get("grid_n")
-    if n is None:
-        raise ConfigError("grid_n missing from config")
-    if n < 2:
-        raise ConfigError(f"grid_n must be >= 2, got {n}")
-    field_bytes = np.dtype(complex).itemsize * (refine * n + 1) ** 2
-    if field_bytes > MAX_FIELD_BYTES:
-        raise ConfigError(
-            f"grid_n {n} needs a {refine * n}-interval grid of {field_bytes >> 20} MiB "
-            f"fields, above the limit of {MAX_FIELD_BYTES >> 20} MiB"
-        )
-    return n
 
 
 def _diagonal_residual(m: TriangularField, g) -> float:
@@ -242,33 +204,82 @@ def _provenance(command, sha, grid_n) -> dict:
 
 
 def _is_a(value, kind) -> bool:
-    """isinstance against a type: a bool is no number, an int is a float."""
+    """isinstance against a type: a bool is no number, an int is a float if one holds it."""
     kinds = (int, float) if kind is float else kind
-    return not isinstance(value, bool) and isinstance(value, kinds)
+    return not isinstance(value, bool) and isinstance(value, kinds) and (
+        kind is not float or abs(value) <= sys.float_info.max)
 
 
 def _check_value(key, value, kind, least=None, op=">=") -> None:
     """Refuse value, naming key, unless _is_a(value, kind) and value op least."""
-    if not _is_a(value, kind) or not (least is None or _COMPARE[op](value, least)):
+    ok = _is_a(value, kind) and (least is None or value > least or op == ">=" and value == least)
+    if not ok:
         bound = "" if least is None else f" {op} {least}"
         raise ConfigError(f"{key} must be {kind.__name__}{bound}, got {value!r}")
 
 
-def _heatmap_shape(hm: dict) -> tuple:
-    """(nx, ny) of a heatmap config object, with their defaults."""
-    return hm.get("nx", 80), hm.get("ny", 60)
+def _parse_spec(key, spec, what) -> tuple:
+    """The field or profile (what) spec at key, as (what, "analytic", family,
+    coeffs) or (what, "samples", path).
+
+    coeffs must have its family's format in kernels.COEFF_FORMATS.
+    """
+    _check_value(key, spec, dict)
+    kind = spec.get("kind")
+    if kind == "samples":
+        _check_value(f"{key}.path", spec.get("path"), str)
+        return what, kind, spec["path"]
+    if kind != "analytic":
+        raise ConfigError(f'{key}.kind must be "analytic" or "samples", got {kind!r}')
+    formats = kernels.COEFF_FORMATS[what]
+    family, coeffs = spec.get("family"), spec.get("coeffs")
+    if not (isinstance(family, str) and family in formats):
+        raise ConfigError(f"{key}.family must be one of {', '.join(formats)}, got {family!r}")
+    count, row = formats[family]
+    if not (isinstance(coeffs, list) and count in (None, len(coeffs))):
+        size = "" if count is None else f" of {count}"
+        raise ConfigError(f"{key}.coeffs of a {family} {what} must be a list{size}, got {coeffs!r}")
+    for k, entry in enumerate(coeffs):
+        if row is None:
+            _check_value(f"{key}.coeffs[{k}]", entry, float)
+        elif not (isinstance(entry, list) and len(entry) == len(row)):
+            raise ConfigError(
+                f"{key}.coeffs[{k}] must be a list of {len(row)} numbers, got {entry!r}")
+        else:
+            for j, least in enumerate(row):
+                _check_value(f"{key}.coeffs[{k}][{j}]", entry[j], float, least)
+    return what, kind, family, coeffs
 
 
-def _check_config(cfg, command) -> None:
-    """Refuse config values of the wrong type or range, naming the key.
+def _parse_kernel(kernel, command) -> tuple:
+    """The kernel object of command's config as (m0, ((r, p), ...)) of parsed specs.
 
-    Runs before anything is built or allocated, so a bad value costs no
-    grid and no G build. A key of _RETIRED is refused whatever its value.
-    Each "opts" value must have the type of its field in the command's
-    option dataclass and lie in its _OPTION_RANGES range. Keys a command
-    cannot run without are checked last: the kernel object's m0 and its
-    components' r and p, and verify's m0, r, p and p_tilde, down to being
-    objects, and invert's targets, no more of them than kernel components.
+    A component without "p" has the zero profile.
+    """
+    if not isinstance(kernel, dict):
+        raise ConfigError(f"{command} config needs a 'kernel' object, got {kernel!r}")
+    comps, most = kernel.get("components", []), kernels.MAX_COMPONENTS
+    if not (isinstance(comps, list) and len(comps) <= most
+            and all(isinstance(c, dict) for c in comps)):
+        raise ConfigError(f"kernel.components must be a list of <= {most} objects, got {comps!r}")
+    return _parse_spec("kernel.m0", kernel.get("m0"), "field"), tuple(
+        (_parse_spec(f"kernel.components[{k}].r", comp.get("r"), "field"),
+         _parse_spec(f"kernel.components[{k}].p", comp.get("p", _ZERO), "profile"))
+        for k, comp in enumerate(comps)
+    )
+
+
+def _parse(cfg, command, grid_n) -> dict:
+    """The keyword arguments of command's cmd_ function, read from cfg.
+
+    grid_n is --grid-n, which overrides the config's. Every value is
+    checked for type and range, naming its key, and given its default
+    before anything is built or allocated, so a bad value costs no grid.
+    A key of _RETIRED is refused whatever its value. The keys every
+    command checks come first, whether it reads them or not; then "opts",
+    the kernel specs (each against kernels.COEFF_FORMATS) and invert's
+    targets, then grid_n and spectrum's window, which need to know the
+    grid. Lambda points beyond RE_REACH or IM_REACH are refused.
     """
     _check_value("config", cfg, dict)
     for key in _RETIRED:
@@ -277,67 +288,96 @@ def _check_config(cfg, command) -> None:
     for key, (kind, least) in _NUMBERS.items():
         if key in cfg:
             _check_value(key, cfg[key], kind, least)
-    if not isinstance(cfg.get("extrapolate", False), bool):  # _is_a refuses every bool
-        raise ConfigError(f"extrapolate must be true or false, got {cfg['extrapolate']!r}")
-    hm = cfg.get("heatmap") or {}
+    extrapolate = cfg.get("extrapolate", False)
+    if not isinstance(extrapolate, bool):  # _is_a refuses every bool
+        raise ConfigError(f"extrapolate must be true or false, got {extrapolate!r}")
+    hm = {} if cfg.get("heatmap") is None else cfg["heatmap"]
     _check_value("heatmap", hm, dict)
-    nx, ny = _heatmap_shape(hm)
+    nx, ny = hm.get("nx", 80), hm.get("ny", 60)
     _check_value("heatmap.nx", nx, int, 1)
     _check_value("heatmap.ny", ny, int, 1)
     if nx * ny > MAX_HEATMAP_POINTS:
         raise ConfigError(f"heatmap has {nx} x {ny} points, above the limit of {MAX_HEATMAP_POINTS}")
-    init = cfg.get("init", "zero")
+    heatmap = (nx, ny) if hm else None  # an empty object asks for no heatmap
+    d, init = cfg.get("d", _DEFAULT_D), cfg.get("init", "zero")
     if init not in ("zero", "random") and not (
-        isinstance(init, list)
-        and len(init) == cfg.get("d", _DEFAULT_D)
-        and all(_is_a(v, float) for v in init)
+        isinstance(init, list) and len(init) == d and all(_is_a(v, float) for v in init)
     ):
         raise ConfigError(f'init must be "zero", "random" or a list of d numbers, got {init!r}')
-    lams = cfg.get("lambdas")
+    lams = cfg.get("lambdas", _DEFAULT_LAMBDAS.get(command))
     if "lambdas" in cfg and not (isinstance(lams, list) and lams and all(
         isinstance(pair, list) and len(pair) == 2 and all(_is_a(v, float) for v in pair)
         for pair in lams
     )):
         raise ConfigError(f"lambdas must be a non-empty list of [re, im] number pairs, got {lams!r}")
+    if lams and not all(abs(re) < RE_REACH and abs(im) < IM_REACH for re, im in lams):
+        raise ConfigError(
+            f"lambdas must have |re| < {RE_REACH:.6g} and |im| < {IM_REACH:.6g}, got {lams!r}")
+
+    run = {}
     cls = _OPTIONS.get(command)
     if cls is not None:
         opts = cfg.get("opts", {})
         _check_value("opts", opts, dict)
-        fields = typing.get_type_hints(cls)
-        unknown = sorted(set(opts) - set(fields))
+        types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+        unknown = sorted(set(opts) - set(types))
         if unknown:
             raise ConfigError(f"unknown {cls.__name__} key(s) in opts: {', '.join(unknown)}")
         for key, value in opts.items():
             op, least = _OPTION_RANGES[key]
-            _check_value(f"opts.{key}", value, fields[key], least, op)
-    if command in ("forward", "spectrum", "invert"):
-        kernel = cfg.get("kernel")
-        if not isinstance(kernel, dict):
-            raise ConfigError(f"{command} config needs a 'kernel' object, got {kernel!r}")
-        comps, most = kernel.get("components", []), kernels.MAX_COMPONENTS
-        if not (isinstance(comps, list) and len(comps) <= most
-                and all(isinstance(c, dict) for c in comps)):
-            raise ConfigError(f"kernel.components must be a list of <= {most} objects, got {comps!r}")
-        _check_value("kernel.m0", kernel.get("m0"), dict)
-        for k, comp in enumerate(comps):
-            _check_value(f"kernel.components[{k}].r", comp.get("r"), dict)
-            _check_value(f"kernel.components[{k}].p", comp.get("p", {}), dict)
+            _check_value(f"opts.{key}", value, types[key], least, op)
+        run["opts"] = cls(**opts)
     if command == "verify":
-        for key in ("m0", "r", "p", "p_tilde"):
+        specs = run["specs"] = []
+        for key, what in (("m0", "field"), ("r", "field"), ("p", "profile"), ("p_tilde", "profile")):
             if key not in cfg:
                 raise ConfigError(f"verify config needs '{key}'")
-            _check_value(key, cfg[key], dict)
+            specs.append(_parse_spec(key, cfg[key], what))
+    else:
+        run["kernel"] = _parse_kernel(cfg.get("kernel"), command)
+    if command in _DEFAULT_LAMBDAS:
+        run["lambdas"] = [complex(re, im) for re, im in lams]
     if command == "invert":
         targets = cfg.get("targets")
-        if targets is None and "target" not in cfg:
-            raise ConfigError("invert config needs 'target' or 'targets'")
-        if targets is not None and not (
-            isinstance(targets, list) and targets and all(isinstance(t, str) for t in targets)
-        ):
+        if targets is None:
+            if "target" not in cfg:
+                raise ConfigError("invert config needs 'target' or 'targets'")
+            _check_value("target", cfg["target"], str)
+            targets = [cfg["target"]]
+        elif not (isinstance(targets, list) and targets and all(isinstance(t, str) for t in targets)):
             raise ConfigError(f"targets must be a non-empty list of paths, got {targets!r}")
-        count, comps = len(targets or [cfg["target"]]), len(cfg["kernel"].get("components", []))
+        count, comps = len(targets), len(run["kernel"][1])
         if count > comps:
             raise ConfigError(f"{count} target spectra but only {comps} kernel components")
+        run.update(targets=targets, d=d, mu=float(cfg.get("mu", 0.0)),
+                   init=[0.0] * d if init == "zero" else init)
+    n = run["n"] = cfg.get("grid_n") if grid_n is None else grid_n
+    if n is None:
+        raise ConfigError("grid_n missing from config")
+    if n < 2:
+        raise ConfigError(f"grid_n must be >= 2, got {n}")
+    # the command's finest grid has refine * n intervals
+    refine = 2 if command == "verify" or command == "spectrum" and extrapolate else 1
+    field_bytes = np.dtype(complex).itemsize * (refine * n + 1) ** 2
+    if field_bytes > MAX_FIELD_BYTES:
+        raise ConfigError(
+            f"grid_n {n} needs a {refine * n}-interval grid of {field_bytes >> 20} MiB "
+            f"fields, above the limit of {MAX_FIELD_BYTES >> 20} MiB"
+        )
+    if command == "spectrum":
+        win = cfg.get("window")
+        _check_value("window", win, dict)
+        for f in dataclasses.fields(SearchWindow):
+            _check_value(f"window.{f.name}", win.get(f.name), float)
+        try:
+            window = SearchWindow(*(float(win[f.name]) for f in dataclasses.fields(SearchWindow)))
+        except ValueError as ex:
+            raise ConfigError(f"bad search window: {ex}") from ex
+        _check_alias_free(window, n, "search window")
+        if max(-window.im_min, window.im_max) >= IM_REACH:
+            raise ConfigError(f"search window reaches |Im lambda| >= {IM_REACH:.6g}: Delta overflows")
+        run.update(window=window, extrapolate=extrapolate, heatmap=heatmap)
+    return run
 
 
 def _check_alias_free(window: SearchWindow, n: int, what: str) -> None:
@@ -358,15 +398,13 @@ def _check_alias_free(window: SearchWindow, n: int, what: str) -> None:
 # --- commands ---------------------------------------------------------------
 
 
-def cmd_forward(cfg, sha, out: Path, args) -> int:
-    n = _grid_n(cfg, args.grid_n)
+def cmd_forward(sha, out: Path, seed, *, n, kernel, lambdas) -> int:
     grid = make_grid(n)
-    m, g = _build_g(cfg, grid)
+    m, g = _build_g(kernel, grid)
 
     serialize.transform_kernel_to_files(g, out / "g_kernel.csv", out / "g_kernel_meta.json")
     diag_res = _diagonal_residual(m, g)
 
-    lambdas = _lambdas_from_config(cfg, [[0.0, 0.0], [1.0, 0.0], [-2.0, -0.5]])
     e = np.concatenate([eval_e_via_g(g, lam) for lam in lambdas])
     lams = np.array(lambdas)
     which = np.repeat(np.arange(lams.size), grid.n_nodes)
@@ -386,15 +424,9 @@ def cmd_forward(cfg, sha, out: Path, args) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(cfg, sha, out: Path, args) -> int:
-    extrapolate = cfg.get("extrapolate", False)
-    n = _grid_n(cfg, args.grid_n, refine=2 if extrapolate else 1)
-    window = _window_from_config(cfg)
-    _check_alias_free(window, n, "search window")
-    opts = SpectrumOptions(**cfg.get("opts", {}))
-
-    _, g = _build_g(cfg, make_grid(n))
-    g_fine = _build_g(cfg, make_grid(2 * n))[1] if extrapolate else None
+def cmd_spectrum(sha, out: Path, seed, *, n, kernel, window, opts, extrapolate, heatmap) -> int:
+    _, g = _build_g(kernel, make_grid(n))
+    g_fine = _build_g(kernel, make_grid(2 * n))[1] if extrapolate else None
     evaluator = DeltaEvaluator(g, g_fine)
     spec = find_spectrum(evaluator, window, opts)
 
@@ -406,9 +438,8 @@ def cmd_spectrum(cfg, sha, out: Path, args) -> int:
         "search": dataclasses.asdict(spec.stats),
     })
 
-    hm = cfg.get("heatmap")
-    if hm:
-        nx, ny = _heatmap_shape(hm)
+    if heatmap:
+        nx, ny = heatmap
         res = np.linspace(window.re_min, window.re_max, nx)
         ims = np.linspace(window.im_min, window.im_max, ny)
         vals = np.concatenate([np.abs(evaluator((res + 1j * im).astype(complex))) for im in ims])
@@ -418,19 +449,11 @@ def cmd_spectrum(cfg, sha, out: Path, args) -> int:
     return EXIT_OK
 
 
-def cmd_invert(cfg, sha, out: Path, args) -> int:
-    n = _grid_n(cfg, args.grid_n)
-    d = cfg.get("d", _DEFAULT_D)
-    mu = float(cfg.get("mu", 0.0))
-
-    target_paths = cfg.get("targets") or [cfg["target"]]  # a targets list is non-empty
-    spectra = [
-        _read_input("target spectrum", serialize.spectrum_from_json, path)
-        for path in target_paths
-    ]
+def cmd_invert(sha, out: Path, seed, *, n, kernel, targets, d, mu, init, opts) -> int:
+    spectra = [_read_input("target spectrum", serialize.spectrum_from_json, t) for t in targets]
     # a root whose Newton polish failed is only a cell centre: fitting it as
     # an exact eigenvalue would pull the profile towards a wrong spectrum
-    for path, spec in zip(target_paths, spectra):
+    for path, spec in zip(targets, spectra):
         _check_alias_free(spec.window, n, f"window of target spectrum {path}")
         if spec.total_count == 0 and mu == 0:
             raise ConfigError(f"target spectrum {path} is empty and mu is 0; give mu > 0")
@@ -443,22 +466,12 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
                 )
                 return EXIT_NUMERICAL
 
-    kernel = _kernel_from_config(cfg["kernel"], make_grid(n))
-    ropts = RecoverOptions(**cfg.get("opts", {}))
-
-    init_policy = cfg.get("init", "zero")
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-
-    def make_init():
-        if init_policy == "zero":
-            return np.zeros(d)
-        if init_policy == "random":
-            return 0.1 * rng.standard_normal(d)
-        return np.asarray(init_policy, dtype=float)
-
-    reports = recover_sequential(
-        spectra, kernel, d, ropts, mu=mu, inits=[make_init() for _ in spectra],
-    )
+    rng = np.random.default_rng(seed if seed is not None else 0)
+    inits = [0.1 * rng.standard_normal(d) if init == "random" else init for _ in spectra]
+    family = _sample_kernel(kernel, make_grid(n))
+    # a fit whose numbers overflow ends unconverged or fails its weight test, with no warning
+    with np.errstate(all="ignore"):
+        reports = recover_sequential(spectra, family, d, opts, mu=mu, inits=inits)
 
     stages = []
     for k, rep in enumerate(reports, start=1):
@@ -468,7 +481,7 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
         "provenance": _provenance("invert", sha, n),
         "d": d,
         "mu": mu,
-        "seed": args.seed,
+        "seed": seed,
         "stages": stages,
     })
     if not all(rep.converged for rep in reports) or len(reports) < len(spectra):
@@ -476,15 +489,12 @@ def cmd_invert(cfg, sha, out: Path, args) -> int:
     return EXIT_OK
 
 
-def _verify_once(grid, cfg, lambdas):
-    m0 = _from_spec("field", cfg["m0"], grid)
-    r = _from_spec("field", cfg["r"], grid)
-    p = _from_spec("profile", cfg["p"], grid)
-    pt = _from_spec("profile", cfg["p_tilde"], grid)
+def _verify_once(grid, specs, lambdas):
+    m0, r, p, pt = (_from_spec(spec, grid) for spec in specs)
     m = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, p),)))
     mt = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, pt),)))
 
-    g = compute_g(m)
+    g, k2 = compute_g(m), compute_g(mt)  # before the marches, which overflow where G does
 
     # the marches every check below reads, one column per lambda; psi is the
     # reflected kernel's march read backwards, so for a kernel that is its
@@ -496,7 +506,6 @@ def _verify_once(grid, cfg, lambdas):
         psi, k1 = e[::-1], g
     else:
         psi, k1 = eval_e_direct(refl, lam)[::-1], compute_g(refl)
-    k2 = compute_g(mt)
     b, kk = assemble_z_kernel(k1.g, k2.g, r)
     z = eval_z(r, psi, et)
     return {
@@ -508,13 +517,9 @@ def _verify_once(grid, cfg, lambdas):
     }
 
 
-def cmd_verify(cfg, sha, out: Path, args) -> int:
-    n = _grid_n(cfg, args.grid_n, refine=2)
-    lambdas = _lambdas_from_config(
-        cfg, [[0.5, 0.0], [-2.0, 0.0], [1.5, -0.5], [3.0, 0.0], [0.0, 0.25]]
-    )
-    coarse = _verify_once(make_grid(n), cfg, lambdas)
-    fine = _verify_once(make_grid(2 * n), cfg, lambdas)
+def cmd_verify(sha, out: Path, seed, *, n, specs, lambdas) -> int:
+    coarse = _verify_once(make_grid(n), specs, lambdas)
+    fine = _verify_once(make_grid(2 * n), specs, lambdas)
     checks = {}
     for key in coarse:
         rc, rf = coarse[key], fine[key]
@@ -566,24 +571,17 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg, sha = _load_config(args.config)
-        _check_config(cfg, args.command)
+        run = _parse(cfg, args.command, args.grid_n)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, sha, out, args)
-    except (ConfigError, GridMismatchError, KeyError, TypeError) as ex:
+        return COMMANDS[args.command](sha, out, args.seed, **run)
+    except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return EXIT_CONFIG
     except WeightVanishesError as ex:
         print(f"weight condition failure: {ex}", file=sys.stderr)
         return EXIT_WEIGHT
-    except BoundaryNearZeroError as ex:
-        print(
-            f"numerical failure: contour too close to a zero at "
-            f"lambda = {ex.point}: |Delta| = {ex.magnitude:.3e}",
-            file=sys.stderr,
-        )
-        return EXIT_NUMERICAL
-    except (PicardConvergenceError, PhaseTrackingError) as ex:
+    except (PicardConvergenceError, PhaseTrackingError, BoundaryNearZeroError) as ex:
         print(f"numerical failure: {ex}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -93,13 +93,18 @@ def shifted_factor(r: TriangularField) -> np.ndarray:
 
 
 def assemble_kernel(sk: StructuredKernel) -> TriangularField:
-    """Sample M = M0 + sum_j R_j * P_j(x - t) on the triangle."""
+    """Sample M = M0 + sum_j R_j * P_j(x - t) on the triangle.
+
+    Finite factors whose products overflow give inf or NaN samples without a
+    warning; compute_g refuses such an M.
+    """
     # each product is a fresh array: the first takes M0 in, so M0 is not copied
     products = (c.r.values * _shift_matrix(c.p.values) for c in sk.components)
-    vals = next(products, None)
-    vals = sk.m0.values.copy() if vals is None else np.add(vals, sk.m0.values, out=vals)
-    for prod in products:
-        vals += prod
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = next(products, None)
+        vals = sk.m0.values.copy() if vals is None else np.add(vals, sk.m0.values, out=vals)
+        for prod in products:
+            vals += prod
     return TriangularField(sk.grid, zero_upper(vals))
 
 
@@ -130,11 +135,22 @@ def check_B_nonvanishing(b: Profile) -> bool:
 
 # --- analytic families for tests and configs ---------------------------------
 
+# The coeffs of each analytic family, keyed by what it samples, as the
+# docstrings below spell them out: (count, row) makes coeffs a list of count
+# entries (of any number when count is None). An entry is a number when row
+# is None, and else a list of len(row) numbers, each at least its bound in row
+# where that is not None: a polynomial's exponents, as x = t = 0 is a node.
+COEFF_FORMATS = {
+    "field": {"constant": (1, None), "polynomial": (None, (None, 0, 0)), "trig": (None, (None,) * 3)},
+    "profile": {"constant": (1, None), "polynomial": (None, None), "trig": (None, (None,) * 3)},
+}
+
+
 def field_from_family(grid: Grid, family: str, coeffs) -> TriangularField:
     """Sample a two-variable analytic family on the triangle.
 
     constant:   coeffs [c]
-    polynomial: coeffs [[a, i, j], ...] meaning sum a * x^i * t^j
+    polynomial: coeffs [[a, i, j], ...] meaning sum a * x^i * t^j, i and j >= 0
     trig:       coeffs [[a, b, c], ...] meaning sum a * cos(b*x + c*t)
     """
     if family == "constant":

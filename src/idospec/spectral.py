@@ -42,7 +42,7 @@ class BoundaryNearZeroError(RuntimeError):
         self.point = point
         self.magnitude = magnitude
         super().__init__(
-            f"|Delta({point})| = {magnitude:.3e} too close to zero on the contour"
+            f"contour too close to a zero at lambda = {point}: |Delta| = {magnitude:.3e}"
         )
 
 
@@ -503,7 +503,8 @@ def _companion_roots(f: DeltaEvaluator, rect0, wind0, stride1, opts, residual_to
     (the pair of a double zero, which simple Newton steps approach only
     linearly, or the end point of a zero Newton could not settle on) takes
     its multiplicity from the winding number on a square around its mean
-    that holds no end point of another group (see CLUSTER_BOX). The square
+    that holds no end point of another group (see CLUSTER_BOX) and whose
+    half-width is at most the half-perimeter of the window. The square
     needs no guard: the phase refinement resolves a zero near its edge or
     fails. A group that winds 0, or whose square cannot be drawn or
     counted, is dropped; one of multiplicity m is polished from its mean by
@@ -530,7 +531,7 @@ def _companion_roots(f: DeltaEvaluator, rect0, wind0, stride1, opts, residual_to
             continue
         if not _inside(mean, rect0):
             continue
-        half = min(CLUSTER_BOX * opts.cell_size,
+        half = min(CLUSTER_BOX * opts.cell_size, re1 - re0 + im1 - im0,
                    0.5 * _box_distance(np.delete(z, members), mean).min(initial=np.inf))
         if _box_distance(z[members], mean).max() >= half:
             unresolved.append(mean)

@@ -1,13 +1,18 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import idospec.cli
 import idospec.inverse
@@ -306,6 +311,20 @@ class TestSpectrum:
         assert (code == EXIT_CONFIG) == refused
         assert bool(builds) != refused
         assert (str(target) in capsys.readouterr().err) == refused
+
+    def test_contour_through_a_zero_is_a_numerical_failure(self, workdir, monkeypatch, capsys):
+        def through_a_zero(*args):
+            raise idospec.spectral.BoundaryNearZeroError(complex(1.5, -2.25), 3.14159e-20)
+
+        monkeypatch.setattr(idospec.cli, "find_spectrum", through_a_zero)
+        cfg = write_config(workdir / "spec_bnz.json", {
+            "grid_n": 16, "kernel": CONST_KERNEL,
+            "window": {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5},
+        })
+        assert main(["spectrum", "--config", cfg, "--out", str(workdir / "spec_bnz_out")]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: contour too close to a zero at lambda = (1.5-2.25j): |Delta| = 3.142e-20\n"
+        )
 
     def test_unknown_option_is_config_error(self, workdir, capsys):
         cfg = write_config(workdir / "spec_badopt.json", {
@@ -926,6 +945,172 @@ class TestRefusedBeforeAnyGrid:
         cfg["mu"] = 0.1                # regularized, the fit goes on to build its grid
         with pytest.raises(AssertionError, match="make_grid"):
             self.run(workdir, monkeypatch, f"early_empty_mu_{stage}", "invert", cfg)
+
+    P = "kernel.components[0].p"
+
+    # values that used to run, or to be refused only after the grid was built
+    # with a message naming no key, and the key each refusal names now
+    MALFORMED = [
+        ("forward", ("components", 0, "p", "coeffs"), [True], P + ".coeffs[0]"),
+        ("spectrum", ("window", "re_min"), True, "window.re_min"),
+        ("spectrum", ("heatmap",), 0, "heatmap"),
+        ("forward", ("components", 0, "p"),
+         {"kind": "analytic", "family": "polynomial", "coeffs": [[1.0]]}, P + ".coeffs[0]"),
+        ("forward", ("components", 0, "p", "coeffs"), 1.5, P + ".coeffs"),
+        ("forward", ("m0",), {"kind": "samples", "path": 3}, "kernel.m0.path"),
+        ("invert", ("target",), 3, "target"),
+        ("forward", ("m0",),
+         {"kind": "analytic", "family": "polynomial", "coeffs": [[1.0, -1, 0]]}, "kernel.m0.coeffs[0][1]"),
+    ]
+
+    @pytest.mark.parametrize("k, command, path, value, key", [(k, *m) for k, m in enumerate(MALFORMED)])
+    def test_malformed_value_names_its_key(
+        self, workdir, monkeypatch, capsys, k, command, path, value, key
+    ):
+        cfg = {"grid_n": 16, "d": 4, "window": dict(self.WINDOW), "target": "spec.json",
+               "kernel": json.loads(json.dumps(CONST_KERNEL))}
+        node = cfg["kernel"] if path[0] in CONST_KERNEL else cfg
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        assert self.run(workdir, monkeypatch, f"early_malformed_{k}", command, cfg) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command, extra, message", [
+        ("forward", {"lambdas": [[0.5, 1e308]]}, "lambdas must have"),
+        ("verify", {"lambdas": [[1e308, 0.0]]}, "lambdas must have"),
+        ("spectrum", {"window": {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 1e308}},
+         "search window reaches |Im lambda|"),
+        ("spectrum", {"window": {"re_min": -(10**400), "re_max": 4.0, "im_min": -4.0, "im_max": 0.5}},
+         "window.re_min must be float"),
+    ])
+    def test_lambda_beyond_float_range(self, workdir, monkeypatch, capsys, command, extra, message):
+        # exp(-i lambda x) overflows there, and so would e and Delta
+        cfg = {"grid_n": 16, "kernel": CONST_KERNEL, "window": self.WINDOW,
+               **{k: CONST_KERNEL["m0"] for k in ("m0", "r", "p", "p_tilde")}, **extra}
+        name = f"early_reach_{command}_{len(str(extra))}"
+        assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+
+class TestOverflowingValues:
+    """Finite config numbers that overflow a computation end in one exit line, with no numpy warning."""
+
+    WINDOW = {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5}
+    BIG = {"kind": "analytic", "family": "constant", "coeffs": [1e308]}
+
+    def run(self, workdir, name, command, cfg):
+        path = write_config(workdir / f"{name}.json", cfg)
+        return main([command, "--config", path, "--out", str(workdir / f"{name}_out")])
+
+    @pytest.mark.parametrize("key, value, code", [
+        ("mu", 1e308, EXIT_NUMERICAL), ("opts", {"lm_damping0": 1e308}, EXIT_NUMERICAL),
+        ("opts", {"xtol": 1e308}, EXIT_OK), ("r", BIG, EXIT_WEIGHT),
+    ])
+    def test_invert(self, workdir, capsys, target_spectrum, key, value, code):
+        kernel = {"m0": CONST_KERNEL["m0"], "components": [{"r": CONST_KERNEL["components"][0]["r"]}]}
+        cfg = {"grid_n": 20, "d": 4, "init": [0.8] * 4, "kernel": kernel, "target": str(target_spectrum)}
+        if key == "r":
+            kernel["components"][0]["r"] = value
+        else:
+            cfg[key] = value
+        assert self.run(workdir, f"overflow_invert_{key}_{code}", "invert", cfg) == code
+        assert capsys.readouterr().err.count("\n") == (code != EXIT_OK)
+
+    def test_verify_p_tilde(self, workdir, capsys):
+        cfg = {"grid_n": 8, **TestVerify.KERNEL, "p_tilde": self.BIG}
+        assert self.run(workdir, "overflow_verify", "verify", cfg) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
+    def test_kernel_product(self, workdir, capsys):
+        # R and P are finite, R P is not
+        kernel = {"m0": CONST_KERNEL["m0"], "components": [{"r": self.BIG, "p": self.BIG}]}
+        assert self.run(workdir, "overflow_product", "forward", {"grid_n": 8, "kernel": kernel}) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
+    def test_spectrum_cell_size(self, workdir, capsys):
+        # one group holds every Newton end point; its square is no wider than the window
+        cfg = {"grid_n": 8, "kernel": CONST_KERNEL, "window": self.WINDOW, "opts": {"cell_size": 1e308}}
+        assert self.run(workdir, "overflow_cell", "spectrum", cfg) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "cell_size 1e+308" in err, err
+
+
+class TestMutatedConfigs:
+    """Valid configs of every command, with one or two values replaced or keys deleted."""
+
+    # JSON values a mutation puts in place of a config value
+    VALUES = [True, False, None, "x", "", [], [[]], [[1.0]], {}, 0, -1, 1.5, 1e308]
+    DELETE = object()
+    TILTED_P = {"kind": "analytic", "family": "polynomial", "coeffs": [0.5, 0.1]}
+
+    @pytest.fixture(scope="class")
+    def bases(self, workdir):
+        grid = make_grid(8)
+        serialize.field_to_csv(TriangularField.constant(grid, 0.1), workdir / "mut_m0.csv")
+        const = CONST_KERNEL["m0"]
+        spec_cfg = write_config(workdir / "mut_target.json", {
+            "grid_n": 12, "kernel": CONST_KERNEL,
+            "window": {"re_min": -6.0, "re_max": 6.0, "im_min": -6.0, "im_max": 0.5},
+        })
+        assert main(["spectrum", "--config", spec_cfg, "--out", str(workdir / "mut_target")]) == EXIT_OK
+        trig = {"kind": "analytic", "family": "trig", "coeffs": [[1.0, 1.0, 0.0]]}
+        return {
+            "forward": {"grid_n": 8, "lambdas": [[0.5, -0.1], [1.0, 0.0]], "kernel": {
+                "m0": {"kind": "samples", "path": str(workdir / "mut_m0.csv")},
+                "components": [{"r": TILTED_R, "p": self.TILTED_P}]}},
+            "spectrum": {"grid_n": 8, "extrapolate": True, "heatmap": {"nx": 3, "ny": 2},
+                         "kernel": {"m0": const, "components": [{"r": const, "p": trig}]},
+                         "window": {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5},
+                         "opts": {"cell_size": 1e-3, "initial_edge_samples": 32,
+                                  "max_phase_refinements": 10, "newton_max_iter": 60,
+                                  "newton_tol": 1e-12}},
+            "invert": {"grid_n": 12, "d": 4, "mu": 0.0, "init": [0.8] * 4,
+                       "kernel": {"m0": const, "components": [{"r": TILTED_R}]},
+                       "target": str(workdir / "mut_target" / "spectrum.json"),
+                       "opts": {"xtol": 1e-9, "ftol": 1e-8, "max_iter": 20, "lm_damping0": 1e-3,
+                                "max_inner": 12}},
+            "verify": {"grid_n": 8, "lambdas": [[0.5, 0.0]], **TestVerify.KERNEL, "r": TILTED_R},
+        }
+
+    @staticmethod
+    def paths(node, prefix=()):
+        """The path of every value inside node, a config or a part of one."""
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, value in items:
+            yield prefix + (key,)
+            yield from TestMutatedConfigs.paths(value, prefix + (key,))
+
+    def test_bases_run(self, workdir, bases):
+        for command, cfg in bases.items():
+            path = write_config(workdir / f"mut_base_{command}.json", cfg)
+            assert main([command, "--config", path, "--out", str(workdir / "mut_base_out")]) == EXIT_OK
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_mutations_exit_cleanly(self, workdir, bases, data):
+        command = data.draw(st.sampled_from(sorted(bases)))
+        cfg = json.loads(json.dumps(bases[command]))
+        for _ in range(data.draw(st.integers(1, 2))):
+            *parents, last = data.draw(st.sampled_from(list(self.paths(cfg))))
+            node = cfg
+            for key in parents:
+                node = node[key]
+            value = data.draw(st.sampled_from(self.VALUES + [self.DELETE]))
+            if value is self.DELETE:
+                del node[last]
+            else:
+                node[last] = json.loads(json.dumps(value))  # a fresh copy: a second mutation may go inside it
+        path = write_config(workdir / "mutated.json", cfg)
+        with mock.patch.object(idospec.cli, "make_grid", wraps=make_grid) as grid, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, "--config", path, "--out", str(workdir / "mutated_out")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_WEIGHT)
+        # after a grid, only a samples file read against it or analytic
+        # samples that overflow on it may be refused
+        if code == EXIT_CONFIG and grid.called:
+            assert re.search(r"samples file|has non-finite samples", err.getvalue()), err.getvalue()
 
 
 class TestNonFiniteInput:

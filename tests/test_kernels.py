@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from idospec.quadrature import PI, Profile, TriangularField, make_grid, zero_upper
 from idospec.kernels import (
+    COEFF_FORMATS,
     ComponentCountError,
     KernelComponent,
     StructuredKernel,
@@ -194,3 +195,14 @@ class TestFamilies:
     def test_unknown_family(self, grid50):
         with pytest.raises(ValueError):
             field_from_family(grid50, "wavelet", [1.0])
+
+    @pytest.mark.parametrize("what, sample", [("field", field_from_family), ("profile", profile_from_family)])
+    def test_coeff_formats_are_what_the_samplers_read(self, grid50, what, sample):
+        # the sampler takes coeffs of each format at the format's bounds, and
+        # refuses the families the table does not list
+        for family, (count, row) in COEFF_FORMATS[what].items():
+            entry = 0.5 if row is None else [0.5 if least is None else least for least in row]
+            values = sample(grid50, family, [entry] * (count or 3)).values
+            assert np.isfinite(values).all() and np.abs(values).max() > 0, family
+        with pytest.raises(ValueError):
+            sample(grid50, "wavelet", [0.5])

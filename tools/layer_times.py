@@ -5,7 +5,8 @@ inner-integral product (transform._inner_table), assemble_z_kernel, the
 e-march (spectral.eval_e_direct) for the 5 lambdas `verify` samples by
 default, the LM Jacobian (inverse.spectrum_jacobian, d = 8) at 18
 simple targets and one triple target, and building M from a config
-(cli._kernel_from_config, then kernels.assemble_kernel), at N in
+(cli._sample_kernel on the kernel cli._parse_kernel read, then
+kernels.assemble_kernel), at N in
 {100, 200, 400, 800} unless --n names others. The inputs are fixed: M =
 M0 + R P(x - t) with smooth M0, R and a three-term trig profile P, given
 as the kernel object of a config (KERNEL), its G, and that G as both
@@ -72,7 +73,8 @@ def layers(n: int) -> dict:
     """Name -> zero-argument callable running that layer once on the N = n inputs."""
     grid = make_grid(n)
     h = grid.step
-    sk = cli._kernel_from_config(KERNEL, grid)
+    kernel = cli._parse_kernel(KERNEL, "forward")
+    sk = cli._sample_kernel(kernel, grid)
     m0, r = sk.m0, sk.components[0].r
     m = assemble_kernel(sk)
     tk = transform.compute_g(m)
@@ -87,7 +89,7 @@ def layers(n: int) -> dict:
         "assemble_z_kernel": lambda: transform.assemble_z_kernel(g, g, r),
         "eval_e_direct (5 lambdas)": lambda: eval_e_direct(m, LAMBDAS),
         "spectrum_jacobian (19 targets)": lambda: spectrum_jacobian(m, problem, tk),
-        "M from config": lambda: assemble_kernel(cli._kernel_from_config(KERNEL, grid)),
+        "M from config": lambda: assemble_kernel(cli._sample_kernel(kernel, grid)),
     }
 
 
