@@ -73,6 +73,8 @@ EXIT_WEIGHT = 4
 MAX_FIELD_BYTES = 256 * 2**20
 # Most lambda points a Delta heatmap may sample, one CSV row each.
 MAX_HEATMAP_POINTS = 10**6
+# Most samples opts.initial_edge_samples may ask for on each window edge.
+MAX_EDGE_SAMPLES = 4096
 # Beyond these |Re lambda| and |Im lambda|, exp(-i lambda x) is no float for
 # some x in [0, pi] (its phase overflows, or its modulus over- or underflows),
 # and neither are e(x, lambda) and Delta.
@@ -99,14 +101,12 @@ _NUMBERS = {"grid_n": (int, None), "d": (int, 2), "mu": (float, 0.0)}
 # G with compute_g's own certificate, so a config that still sets one is
 # refused rather than run with a setting it does not get.
 _RETIRED = ("max_terms", "picard_tol")
-# Range of each numeric "opts" field, as (comparison, bound): counts are at
-# least 1 (refinement rounds at least 0); tolerances, cell_size and the
-# initial damping are positive.
+# Range of each "opts" field, as (comparison, least, most): cell_size is
+# positive, the counts are at least 1, and the edge samples at most
+# MAX_EDGE_SAMPLES.
 _OPTION_RANGES = {
-    "cell_size": (">", 0.0), "initial_edge_samples": (">=", 1),
-    "max_phase_refinements": (">=", 0), "newton_max_iter": (">=", 1), "newton_tol": (">", 0.0),
-    "xtol": (">", 0.0), "ftol": (">", 0.0), "max_iter": (">=", 1),
-    "lm_damping0": (">", 0.0), "max_inner": (">=", 1),
+    "cell_size": (">", 0.0, None), "initial_edge_samples": (">=", 1, MAX_EDGE_SAMPLES),
+    "max_iter": (">=", 1, None),
 }
 # The profile of a kernel component that gives no "p".
 _ZERO = {"kind": "analytic", "family": "constant", "coeffs": [0.0]}
@@ -210,11 +210,11 @@ def _is_a(value, kind) -> bool:
         kind is not float or abs(value) <= sys.float_info.max)
 
 
-def _check_value(key, value, kind, least=None, op=">=") -> None:
-    """Refuse value, naming key, unless _is_a(value, kind) and value op least."""
+def _check_value(key, value, kind, least=None, op=">=", most=None) -> None:
+    """Refuse value, naming key, unless _is_a(value, kind), value op least and value <= most."""
     ok = _is_a(value, kind) and (least is None or value > least or op == ">=" and value == least)
-    if not ok:
-        bound = "" if least is None else f" {op} {least}"
+    if not (ok and (most is None or value <= most)):
+        bound = ("" if least is None else f" {op} {least}") + ("" if most is None else f" and <= {most}")
         raise ConfigError(f"{key} must be {kind.__name__}{bound}, got {value!r}")
 
 
@@ -277,9 +277,9 @@ def _parse(cfg, command, grid_n) -> dict:
     before anything is built or allocated, so a bad value costs no grid.
     A key of _RETIRED is refused whatever its value. The keys every
     command checks come first, whether it reads them or not; then "opts",
-    the kernel specs (each against kernels.COEFF_FORMATS) and invert's
-    targets, then grid_n and spectrum's window, which need to know the
-    grid. Lambda points beyond RE_REACH or IM_REACH are refused.
+    the kernel specs (each against kernels.COEFF_FORMATS) and grid_n; then
+    invert's targets and d, and spectrum's window, the last two bounded by
+    the grid. Lambda points beyond RE_REACH or IM_REACH are refused.
     """
     _check_value("config", cfg, dict)
     for key in _RETIRED:
@@ -324,8 +324,8 @@ def _parse(cfg, command, grid_n) -> dict:
         if unknown:
             raise ConfigError(f"unknown {cls.__name__} key(s) in opts: {', '.join(unknown)}")
         for key, value in opts.items():
-            op, least = _OPTION_RANGES[key]
-            _check_value(f"opts.{key}", value, types[key], least, op)
+            op, least, most = _OPTION_RANGES[key]
+            _check_value(f"opts.{key}", value, types[key], least, op, most)
         run["opts"] = cls(**opts)
     if command == "verify":
         specs = run["specs"] = []
@@ -337,20 +337,6 @@ def _parse(cfg, command, grid_n) -> dict:
         run["kernel"] = _parse_kernel(cfg.get("kernel"), command)
     if command in _DEFAULT_LAMBDAS:
         run["lambdas"] = [complex(re, im) for re, im in lams]
-    if command == "invert":
-        targets = cfg.get("targets")
-        if targets is None:
-            if "target" not in cfg:
-                raise ConfigError("invert config needs 'target' or 'targets'")
-            _check_value("target", cfg["target"], str)
-            targets = [cfg["target"]]
-        elif not (isinstance(targets, list) and targets and all(isinstance(t, str) for t in targets)):
-            raise ConfigError(f"targets must be a non-empty list of paths, got {targets!r}")
-        count, comps = len(targets), len(run["kernel"][1])
-        if count > comps:
-            raise ConfigError(f"{count} target spectra but only {comps} kernel components")
-        run.update(targets=targets, d=d, mu=float(cfg.get("mu", 0.0)),
-                   init=[0.0] * d if init == "zero" else init)
     n = run["n"] = cfg.get("grid_n") if grid_n is None else grid_n
     if n is None:
         raise ConfigError("grid_n missing from config")
@@ -364,6 +350,22 @@ def _parse(cfg, command, grid_n) -> dict:
             f"grid_n {n} needs a {refine * n}-interval grid of {field_bytes >> 20} MiB "
             f"fields, above the limit of {MAX_FIELD_BYTES >> 20} MiB"
         )
+    if command == "invert":
+        targets = cfg.get("targets")
+        if targets is None:
+            if "target" not in cfg:
+                raise ConfigError("invert config needs 'target' or 'targets'")
+            _check_value("target", cfg["target"], str)
+            targets = [cfg["target"]]
+        elif not (isinstance(targets, list) and targets and all(isinstance(t, str) for t in targets)):
+            raise ConfigError(f"targets must be a non-empty list of paths, got {targets!r}")
+        count, comps = len(targets), len(run["kernel"][1])
+        if count > comps:
+            raise ConfigError(f"{count} target spectra but only {comps} kernel components")
+        # with more spline knots than grid nodes the basis columns are dependent
+        _check_value("d", d, int, 2, most=n + 1)
+        run.update(targets=targets, d=d, mu=float(cfg.get("mu", 0.0)),
+                   init=[0.0] * d if init == "zero" else init)
     if command == "spectrum":
         win = cfg.get("window")
         _check_value("window", win, dict)

@@ -51,6 +51,14 @@ class UnderdeterminedError(ValueError):
 # the fit as converged: the cost has reached the floor the discretization
 # leaves, and further steps only trade round-off.
 STALL_RTOL = 1e-6
+# The fit also converges once the cost falls below FTOL, or once a step is
+# below XTOL (1 + |params|).
+XTOL = 1e-9
+FTOL = 1e-8
+# The LM damping starts at LM_DAMPING0; an iteration tries at most MAX_INNER
+# damped steps, each rejection raising the damping tenfold.
+LM_DAMPING0 = 1e-3
+MAX_INNER = 12
 
 
 def _spline_basis(knots: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -147,9 +155,8 @@ class InverseProblem:
     def check_weight_condition(self) -> Profile:
         b = compute_B(self.r)
         if not check_B_nonvanishing(b):
-            raise WeightVanishesError(
-                "weight B(x) vanishes inside (0, pi]; profile is not identifiable"
-            )
+            fault = "vanishes inside (0, pi]" if np.isfinite(b.values).all() else "is not finite"
+            raise WeightVanishesError(f"weight B(x) {fault}; profile is not identifiable")
         return b
 
 
@@ -256,11 +263,13 @@ def spectrum_jacobian(m: TriangularField, problem: InverseProblem, g: TransformK
 
 @dataclass(frozen=True)
 class RecoverOptions:
-    xtol: float = 1e-9
-    ftol: float = 1e-8
+    """Settings of the LM fit.
+
+    Its tolerances and damping schedule are not settings (STALL_RTOL, XTOL,
+    FTOL, LM_DAMPING0, MAX_INNER): no caller needs to vary them.
+    """
+
     max_iter: int = 40
-    lm_damping0: float = 1e-3
-    max_inner: int = 12
 
 
 def _second_difference(params: np.ndarray) -> np.ndarray:
@@ -299,9 +308,10 @@ def recover_profile(
     discretization floor; so each rejected trial step corrects it
     by a secant (Broyden) update from the residual the trial computed,
     J += (r_trial - r - J delta) delta^T / (delta^T delta), before the next
-    damped solve. The fit converges when the cost drops below ftol, the step
-    below xtol, or an accepted step lowers the cost by at most STALL_RTOL
-    of it.
+    damped solve. The fit converges when the cost drops below FTOL, the step
+    below XTOL, or an accepted step lowers the cost by at most STALL_RTOL
+    of it; it ends unconverged after opts.max_iter iterations, or when
+    MAX_INNER damped steps of one iteration all fail to lower the cost.
     """
     problem.check_weight_condition()
     params = np.asarray(init, dtype=float).copy()
@@ -320,8 +330,8 @@ def recover_profile(
     cost = float(np.linalg.norm(res))
     history = [cost]
     dampings, rejected = [], []
-    damping = float(opts.lm_damping0)
-    converged = cost < opts.ftol
+    damping = LM_DAMPING0
+    converged = cost < FTOL
     it = 0
     while not converged and it < opts.max_iter:
         it += 1
@@ -331,7 +341,7 @@ def recover_profile(
 
         accepted = False
         rejected.append(0)
-        for _ in range(opts.max_inner):
+        for _ in range(MAX_INNER):
             jtj = jac.T @ jac
             scale = np.diag(np.maximum(np.diag(jtj), 1e-12))
             try:
@@ -359,8 +369,8 @@ def recover_profile(
         damping = max(damping / 3.0, 1e-12)
         converged = bool(
             stalled
-            or cost < opts.ftol
-            or np.linalg.norm(delta) < opts.xtol * (1.0 + np.linalg.norm(params))
+            or cost < FTOL
+            or np.linalg.norm(delta) < XTOL * (1.0 + np.linalg.norm(params))
         )
 
     return RecoveryReport(

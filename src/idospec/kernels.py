@@ -29,7 +29,7 @@ class ComponentCountError(ValueError):
 
 
 class WeightVanishesError(ValueError):
-    """The weight B(x) vanishes somewhere on (0, pi]."""
+    """The weight B(x) vanishes somewhere on (0, pi], or is not finite there."""
 
 
 @dataclass(frozen=True, eq=False)

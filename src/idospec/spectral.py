@@ -293,13 +293,13 @@ class SpectrumOptions:
 
     Its two thresholds on |Delta| are not settings: both scale with the
     largest |Delta| on the window boundary (RESIDUAL_RTOL, BOUNDARY_RTOL).
+    Nor are the budgets of the phase refinement and of Newton's method,
+    which no caller needs to vary (MAX_PHASE_REFINEMENTS, NEWTON_MAX_ITER,
+    NEWTON_TOL).
     """
 
     cell_size: float = 1e-3                    # grouping radius of Newton end points
     initial_edge_samples: int = 32             # per-edge minimum; see _rect_boundary
-    max_phase_refinements: int = 14
-    newton_max_iter: int = 60
-    newton_tol: float = 1e-12
 
 
 def _rect_boundary(rect, min_per_edge):
@@ -359,7 +359,7 @@ def _winding_number(f, rect, opts: SpectrumOptions, guard: float | None, vals=No
     """Winding number of Delta along the rectangle boundary by phase tracking.
 
     Segments with phase increments >= pi/2 are bisected, in at most
-    max_phase_refinements rounds, until all increments are safe; the summed
+    MAX_PHASE_REFINEMENTS rounds, until all increments are safe; the summed
     phase must land within 0.1 * 2pi of an integer. Every sampling, the
     first and each refinement, is checked against the guard, so a path
     through a zero raises BoundaryNearZeroError rather than failing to
@@ -379,7 +379,7 @@ def _winding_number(f, rect, opts: SpectrumOptions, guard: float | None, vals=No
         bad = np.abs(np.angle(vals[1:] / vals[:-1])) >= 0.5 * np.pi
         if not bad.any():
             break
-        if rounds == opts.max_phase_refinements:
+        if rounds == MAX_PHASE_REFINEMENTS:
             raise PhaseTrackingError(
                 f"phase increments on rectangle {rect} did not settle below pi/2"
             )
@@ -413,6 +413,14 @@ CANDIDATE_MARGIN = 0.5
 # close to a zero where |Delta| falls to BOUNDARY_RTOL times that maximum.
 RESIDUAL_RTOL = 1e-10
 BOUNDARY_RTOL = 1e-9
+# Bisection rounds a winding number may take to bring every phase increment
+# on its path below pi/2; each round at most doubles the samples it bisects.
+MAX_PHASE_REFINEMENTS = 14
+# Newton's method stops once a step is below NEWTON_TOL (1 + |z|), or after
+# NEWTON_MAX_ITER steps. An end point that has not converged by then (simple
+# steps approach a double zero only linearly) is counted on its square.
+NEWTON_MAX_ITER = 60
+NEWTON_TOL = 1e-12
 # Half-width, in cell sizes, of the square that counts the zeros of a group
 # of Newton end points. Near an m-fold zero |Delta| grows like the m-th
 # power of the distance, so the square's edge must stay well clear of the
@@ -449,7 +457,7 @@ def _companion_candidates(g: TransformKernel, rect, stride1: bool = False) -> np
     return lam[_inside(lam, rect)]
 
 
-def _batched_newton(f, z, opts: SpectrumOptions, order: int = 0):
+def _batched_newton(f, z, order: int = 0):
     """Newton's method on the order-th derivative of f, from every start in z.
 
     A zero of f of multiplicity m is a simple zero of its (m-1)-th
@@ -457,21 +465,22 @@ def _batched_newton(f, z, opts: SpectrumOptions, order: int = 0):
     rounding allows; the step m f / f' stalls at about the square root of
     the rounding instead. Each step makes one call of f (or f.deriv at
     order) and one of f.deriv at order + 1 for all entries still moving. An
-    entry freezes once its step is below newton_tol (1 + |z|), or once it
-    turns non-finite. Returns (roots, converged, steps).
+    entry freezes once its step is below NEWTON_TOL (1 + |z|), once it
+    turns non-finite, or after NEWTON_MAX_ITER steps. Returns (roots,
+    converged, steps).
     """
     z = np.array(z, dtype=complex)
     moving = np.ones(z.shape, dtype=bool)
     converged = np.zeros(z.shape, dtype=bool)
     steps = 0
     with np.errstate(all="ignore"):
-        while moving.any() and steps < opts.newton_max_iter:
+        while moving.any() and steps < NEWTON_MAX_ITER:
             idx = np.flatnonzero(moving)
             top = f(z[idx]) if order == 0 else f.deriv(z[idx], order)
             step = top / f.deriv(z[idx], order + 1)
             steps += 1
             z[idx] -= step
-            done = np.abs(step) < opts.newton_tol * (1.0 + np.abs(z[idx]))
+            done = np.abs(step) < NEWTON_TOL * (1.0 + np.abs(z[idx]))
             converged[idx[done]] = True
             moving[idx[done | ~np.isfinite(z[idx])]] = False
     return z, converged, steps
@@ -520,7 +529,7 @@ def _companion_roots(f: DeltaEvaluator, rect0, wind0, stride1, opts, residual_to
     re0, re1, im0, im1 = rect0
     grow = CANDIDATE_MARGIN
     cand = _companion_candidates(f.g, (re0 - grow, re1 + grow, im0 - grow, im1 + grow), stride1)
-    z, converged, steps = _batched_newton(f, cand, opts)
+    z, converged, steps = _batched_newton(f, cand)
     z, converged = z[np.isfinite(z)], converged[np.isfinite(z)]
     found, rounds = [], 0            # found: (root, multiplicity, converged)
     unresolved = []                  # means of groups not counted or not converged
@@ -544,7 +553,7 @@ def _companion_roots(f: DeltaEvaluator, rect0, wind0, stride1, opts, residual_to
             continue
         rounds += more
         if mult:
-            (root,), (ok,), more = _batched_newton(f, [mean], opts, mult - 1)
+            (root,), (ok,), more = _batched_newton(f, [mean], mult - 1)
             steps += more
             held = _box_distance(root, mean) < half
             found.append((root if held else mean, mult, bool(held and ok)))

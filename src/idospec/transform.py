@@ -258,7 +258,7 @@ def compute_g(m: TriangularField, max_terms: int = 60) -> TransformKernel:
     if not norms[-1] < tol:
         raise PicardConvergenceError(
             f"{'Picard update' if len(norms) > 1 else 'march'} sup norm {norms[-1]:.3e} "
-            f"not below tol {tol:.3e} (max_terms {max_terms})"
+            f"not below tol {tol:.3e}"
         )
 
     # the march and picard_step leave +0.0 above the diagonal, so G is

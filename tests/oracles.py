@@ -39,6 +39,8 @@ from idospec.quadrature import TriangularField, trapezoid_weights, volterra_appl
 from idospec.serialize import field_from_csv
 from idospec.spectral import (
     BOUNDARY_RTOL,
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     RESIDUAL_RTOL,
     BoundaryNearZeroError,
     Eigenvalue,
@@ -254,14 +256,17 @@ def _split_rect(f, rect, opts, guard):
     raise BoundaryNearZeroError(complex(0.5 * (re0 + re1), 0.5 * (im0 + im1)), 0.0)
 
 
-def _newton_polish(f, z0: complex, mult: int, opts: SpectrumOptions, cell=None):
+def _newton_polish(f, z0: complex, mult: int, cell=None):
     """Newton's method from z0, with the step scaled by the multiplicity mult.
+
+    It stops as the package's Newton does: after NEWTON_MAX_ITER steps, or
+    once a step is below NEWTON_TOL (1 + |z|).
 
     Returns (root, |f(root)|, converged). With a cell (re0, re1, im0, im1)
     the attempt is abandoned, unconverged, as soon as an iterate leaves it.
     """
     z = z0
-    for _ in range(opts.newton_max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         fz = complex(f(np.asarray([z]))[0])
         dz = f.deriv(z)
         if dz == 0:
@@ -272,7 +277,7 @@ def _newton_polish(f, z0: complex, mult: int, opts: SpectrumOptions, cell=None):
             cell[0] <= z.real <= cell[1] and cell[2] <= z.imag <= cell[3]
         ):
             return z, math.inf, False
-        if abs(step) < opts.newton_tol * (1.0 + abs(z)):
+        if abs(step) < NEWTON_TOL * (1.0 + abs(z)):
             return z, abs(complex(f(np.asarray([z]))[0])), True
     return z, abs(complex(f(np.asarray([z]))[0])), False
 
@@ -308,12 +313,12 @@ def find_spectrum_subdivision(
         center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
         leaf = max(re1 - re0, im1 - im0) < opts.cell_size or depth >= max_depth
         if wind == 1 and not leaf:
-            root, resid, ok = _newton_polish(f, center, 1, opts, cell=rect)
+            root, resid, ok = _newton_polish(f, center, 1, cell=rect)
             if ok and resid <= residual_tol:
                 found.append(Eigenvalue(value=root, multiplicity=1, residual=resid))
                 return
         if leaf:
-            root, resid, ok = _newton_polish(f, center, wind, opts)
+            root, resid, ok = _newton_polish(f, center, wind)
             margin = 2.0 * opts.cell_size
             inside = (
                 re0 - margin <= root.real <= re1 + margin

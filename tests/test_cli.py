@@ -26,6 +26,7 @@ from idospec.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_WEIGHT,
+    MAX_EDGE_SAMPLES,
     MAX_HEATMAP_POINTS,
     _OPTION_RANGES,
     _OPTIONS,
@@ -331,7 +332,7 @@ class TestSpectrum:
             "grid_n": 40,
             "kernel": CONST_KERNEL,
             "window": {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5},
-            "opts": {"max_phase_refinements": 20, "cell_sise": 1e-4},
+            "opts": {"initial_edge_samples": 20, "cell_sise": 1e-4},
         })
         out = workdir / "spec_badopt_out"
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
@@ -431,14 +432,12 @@ class TestInvert:
         assert str(complex(bad["re"], bad["im"])) in err
         assert not (out / "recovery_report.json").exists()
 
-    def test_iteration_starved_run_fails_numerically(self, workdir, target_spectrum):
+    def test_iteration_starved_run_fails_numerically(self, workdir, target_spectrum, monkeypatch):
+        monkeypatch.setattr(idospec.inverse, "FTOL", 1e-14)
+        monkeypatch.setattr(idospec.inverse, "XTOL", 1e-14)
         cfg = write_config(
             workdir / "inv_starved.json",
-            self.invert_cfg(
-                target_spectrum,
-                init=[0.5, 0.5, 0.5, 0.5],
-                opts={"max_iter": 1, "ftol": 1e-14, "xtol": 1e-14},
-            ),
+            self.invert_cfg(target_spectrum, init=[0.5, 0.5, 0.5, 0.5], opts={"max_iter": 1}),
         )
         out = workdir / "inv_starved_out"
         assert main(["invert", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
@@ -453,17 +452,17 @@ class TestInvert:
         assert "fd_step" in capsys.readouterr().err
         assert not (out / "recovery_report.json").exists()
 
-    def test_max_inner_takes_effect(self, workdir, target_spectrum):
+    def test_max_inner_takes_effect(self, workdir, target_spectrum, monkeypatch):
         # from this start the default fit rejects some trial steps; with one
         # trial per iteration the first rejection ends the fit unconverged
+        monkeypatch.setattr(idospec.inverse, "LM_DAMPING0", 1e-8)
         stages = {}
         for max_inner, code in ((None, EXIT_OK), (1, EXIT_NUMERICAL)):
-            opts = {"lm_damping0": 1e-8}
             if max_inner is not None:
-                opts["max_inner"] = max_inner
+                monkeypatch.setattr(idospec.inverse, "MAX_INNER", max_inner)
             cfg = write_config(
                 workdir / f"inv_inner_{max_inner}.json",
-                self.invert_cfg(target_spectrum, init=[3.0, -3.0, 3.0, -3.0], opts=opts),
+                self.invert_cfg(target_spectrum, init=[3.0, -3.0, 3.0, -3.0]),
             )
             out = workdir / f"inv_inner_out_{max_inner}"
             assert main(["invert", "--config", cfg, "--out", str(out)]) == code
@@ -472,17 +471,17 @@ class TestInvert:
         assert stages[1]["residual_evals"] == stages[1]["iterations"] + 1
         assert not stages[1]["converged"]
 
-    def test_report_records_damping_and_rejections(self, workdir, target_spectrum):
+    def test_report_records_damping_and_rejections(self, workdir, target_spectrum, monkeypatch):
         # the start of test_max_inner_takes_effect: the default fit rejects
         # some trial steps, and with one trial per iteration it stops at the
         # first rejection
+        monkeypatch.setattr(idospec.inverse, "LM_DAMPING0", 1e-8)
         for max_inner in (None, 1):
-            opts = {"lm_damping0": 1e-8}
             if max_inner is not None:
-                opts["max_inner"] = max_inner
+                monkeypatch.setattr(idospec.inverse, "MAX_INNER", max_inner)
             cfg = write_config(
                 workdir / f"inv_lm_{max_inner}.json",
-                self.invert_cfg(target_spectrum, init=[3.0, -3.0, 3.0, -3.0], opts=opts),
+                self.invert_cfg(target_spectrum, init=[3.0, -3.0, 3.0, -3.0]),
             )
             texts = []
             for tag in ("a", "b"):
@@ -747,14 +746,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize("command, key, value", [
         ("spectrum", "cell_size", -1.0),
         ("spectrum", "initial_edge_samples", 0),
-        ("spectrum", "max_phase_refinements", -1),
-        ("spectrum", "newton_max_iter", 0),
-        ("spectrum", "newton_tol", -1e-12),
-        ("invert", "xtol", 0.0),
-        ("invert", "ftol", -1.0),
+        ("spectrum", "initial_edge_samples", MAX_EDGE_SAMPLES + 1),
         ("invert", "max_iter", 0),
-        ("invert", "lm_damping0", 0.0),
-        ("invert", "max_inner", 0),
     ])
     def test_option_out_of_range_refused_before_any_build(
         self, workdir, monkeypatch, capsys, command, key, value
@@ -764,8 +757,8 @@ class TestConfigErrors:
             monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1))
         cfg = {"grid_n": 16, "kernel": CONST_KERNEL, "window": self.WINDOW,
                "target": str(workdir / "no_target.json"), "opts": {key: value}}
-        path = write_config(workdir / f"cfg_range_{key}.json", cfg)
-        out = workdir / f"cfg_range_{key}_out"
+        path = write_config(workdir / f"cfg_range_{key}_{value}.json", cfg)
+        out = workdir / f"cfg_range_{key}_{value}_out"
         assert main([command, "--config", path, "--out", str(out)]) == EXIT_CONFIG
         assert f"opts.{key}" in capsys.readouterr().err
         assert not builds
@@ -838,15 +831,55 @@ class TestRefusedBeforeAnyGrid:
         assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
         assert f"{key} is no longer a config key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["residual_tol", "boundary_rel_tol"])
+    @pytest.mark.parametrize("command, key", [
+        ("spectrum", "residual_tol"), ("spectrum", "boundary_rel_tol"),
+        ("spectrum", "max_phase_refinements"), ("spectrum", "newton_max_iter"),
+        ("spectrum", "newton_tol"), ("invert", "xtol"), ("invert", "ftol"),
+        ("invert", "lm_damping0"), ("invert", "max_inner"),
+    ])
     @pytest.mark.parametrize("value", [0.0, 1e-9, None])
-    def test_derived_spectrum_threshold(self, workdir, monkeypatch, capsys, key, value):
-        # both thresholds scale with the window boundary's largest |Delta|:
-        # they are no options, so a config that sets one is refused
-        cfg = {"grid_n": 16, "kernel": CONST_KERNEL, "window": self.WINDOW, "opts": {key: value}}
-        name = f"early_threshold_{key}_{value}"
-        assert self.run(workdir, monkeypatch, name, "spectrum", cfg) == EXIT_CONFIG
-        assert f"unknown SpectrumOptions key(s) in opts: {key}" in capsys.readouterr().err
+    def test_retired_option(self, workdir, monkeypatch, capsys, command, key, value):
+        # the two spectrum thresholds scale with the window boundary's largest
+        # |Delta|, and the other keys are module constants of spectral and
+        # inverse: they are no options, so a config that sets one is refused
+        cfg = {"grid_n": 16, "kernel": CONST_KERNEL, "window": self.WINDOW,
+               "target": "spec.json", "opts": {key: value}}
+        name = f"early_retired_opt_{key}_{value}"
+        assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
+        cls = _OPTIONS[command].__name__
+        assert f"unknown {cls} key(s) in opts: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, bound, argv", [
+        ("spectrum", "opts.initial_edge_samples", MAX_EDGE_SAMPLES, []),
+        ("invert", "d", 17, []),
+        ("invert", "d", 17, ["--grid-n", "16"]),
+    ])
+    def test_integer_above_its_bound(
+        self, workdir, monkeypatch, capsys, target_spectrum, command, key, bound, argv
+    ):
+        # one above the bound is refused, naming the key, before any grid; the
+        # bound itself goes on to build one. d is at most grid_n + 1, with
+        # grid_n from --grid-n where given (16, against the config's 40)
+        def no_grid(n):
+            raise AssertionError(f"make_grid({n}) called")
+
+        monkeypatch.setattr(idospec.cli, "make_grid", no_grid)
+        for value in (bound + 1, bound):
+            cfg = {"grid_n": 40 if argv else 16, "kernel": CONST_KERNEL, "window": self.WINDOW,
+                   "target": str(target_spectrum)}
+            if key == "d":
+                cfg["d"] = value
+            else:
+                cfg["opts"] = {"initial_edge_samples": value}
+            path = write_config(workdir / f"early_bound_{command}_{value}_{len(argv)}.json", cfg)
+            args = [command, "--config", path, "--out", str(workdir / "early_bound_out"), *argv]
+            if value > bound:
+                assert main(args) == EXIT_CONFIG
+                err = capsys.readouterr().err
+                assert f"{key} must be int" in err and f"<= {bound}, got {value}" in err, err
+            else:
+                with pytest.raises(AssertionError, match="make_grid"):
+                    main(args)
 
     def test_invert_without_target(self, workdir, monkeypatch, capsys):
         cfg = {"grid_n": 16, "d": 4, "kernel": CONST_KERNEL}
@@ -1005,18 +1038,33 @@ class TestOverflowingValues:
         return main([command, "--config", path, "--out", str(workdir / f"{name}_out")])
 
     @pytest.mark.parametrize("key, value, code", [
-        ("mu", 1e308, EXIT_NUMERICAL), ("opts", {"lm_damping0": 1e308}, EXIT_NUMERICAL),
-        ("opts", {"xtol": 1e308}, EXIT_OK), ("r", BIG, EXIT_WEIGHT),
+        ("mu", 1e308, EXIT_NUMERICAL), ("LM_DAMPING0", 1e308, EXIT_NUMERICAL),
+        ("XTOL", 1e308, EXIT_OK), ("r", BIG, EXIT_WEIGHT),
     ])
-    def test_invert(self, workdir, capsys, target_spectrum, key, value, code):
+    def test_invert(self, workdir, capsys, monkeypatch, target_spectrum, key, value, code):
+        # an upper-case key is a module constant of inverse, patched in place
         kernel = {"m0": CONST_KERNEL["m0"], "components": [{"r": CONST_KERNEL["components"][0]["r"]}]}
         cfg = {"grid_n": 20, "d": 4, "init": [0.8] * 4, "kernel": kernel, "target": str(target_spectrum)}
         if key == "r":
             kernel["components"][0]["r"] = value
+        elif key.isupper():
+            monkeypatch.setattr(idospec.inverse, key, value)
         else:
             cfg[key] = value
         assert self.run(workdir, f"overflow_invert_{key}_{code}", "invert", cfg) == code
-        assert capsys.readouterr().err.count("\n") == (code != EXIT_OK)
+        err = capsys.readouterr().err
+        assert err.count("\n") == (code != EXIT_OK)
+        if key == "r":
+            # B is inf and NaN, which is no vanishing weight
+            assert err == ("weight condition failure: weight B(x) is not finite; "
+                           "profile is not identifiable\n")
+
+    def test_forward_m0(self, workdir, capsys):
+        # compute_g's max_terms is no config key, so the failure does not name it
+        cfg = {"grid_n": 8, "kernel": {"m0": self.BIG}}
+        assert self.run(workdir, "overflow_m0", "forward", cfg) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "max_terms" not in err, err
 
     def test_verify_p_tilde(self, workdir, capsys):
         cfg = {"grid_n": 8, **TestVerify.KERNEL, "p_tilde": self.BIG}
@@ -1063,14 +1111,11 @@ class TestMutatedConfigs:
             "spectrum": {"grid_n": 8, "extrapolate": True, "heatmap": {"nx": 3, "ny": 2},
                          "kernel": {"m0": const, "components": [{"r": const, "p": trig}]},
                          "window": {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5},
-                         "opts": {"cell_size": 1e-3, "initial_edge_samples": 32,
-                                  "max_phase_refinements": 10, "newton_max_iter": 60,
-                                  "newton_tol": 1e-12}},
+                         "opts": {"cell_size": 1e-3, "initial_edge_samples": 32}},
             "invert": {"grid_n": 12, "d": 4, "mu": 0.0, "init": [0.8] * 4,
                        "kernel": {"m0": const, "components": [{"r": TILTED_R}]},
                        "target": str(workdir / "mut_target" / "spectrum.json"),
-                       "opts": {"xtol": 1e-9, "ftol": 1e-8, "max_iter": 20, "lm_damping0": 1e-3,
-                                "max_inner": 12}},
+                       "opts": {"max_iter": 20}},
             "verify": {"grid_n": 8, "lambdas": [[0.5, 0.0]], **TestVerify.KERNEL, "r": TILTED_R},
         }
 

@@ -322,9 +322,10 @@ class TestRecoverProfile:
         assert np.abs(report.recovered.values - 1.0).max() < 1e-3
         assert report.history[-1] < report.history[0]
 
-    def test_iteration_budget_respected(self, const_problem):
-        opts = RecoverOptions(max_iter=1, ftol=1e-14, xtol=1e-14)
-        report = recover_profile(const_problem, np.full(4, 0.5), opts)
+    def test_iteration_budget_respected(self, const_problem, monkeypatch):
+        monkeypatch.setattr(idospec.inverse, "FTOL", 1e-14)
+        monkeypatch.setattr(idospec.inverse, "XTOL", 1e-14)
+        report = recover_profile(const_problem, np.full(4, 0.5), RecoverOptions(max_iter=1))
         assert report.iterations <= 1
         assert not report.converged
 
@@ -347,7 +348,7 @@ class TestRecoverProfile:
             assert report.jacobian_evals >= 1
             assert len(calls) == report.residual_evals
 
-    def test_stall_at_discretization_floor_converges(self, const_problem):
+    def test_stall_at_discretization_floor_converges(self, const_problem, monkeypatch):
         # target from a finer grid, so the cost has a floor above zero; with
         # ftol and xtol off, only the stall rule can end the fit as converged
         fine = make_grid(160)
@@ -360,8 +361,9 @@ class TestRecoverProfile:
             m0=const_problem.m0, r=const_problem.r,
             target=find_spectrum(compute_g(m), WINDOW), d=4,
         )
-        opts = RecoverOptions(ftol=0.0, xtol=0.0)
-        report = recover_profile(problem, np.full(4, 0.8), opts)
+        monkeypatch.setattr(idospec.inverse, "FTOL", 0.0)
+        monkeypatch.setattr(idospec.inverse, "XTOL", 0.0)
+        report = recover_profile(problem, np.full(4, 0.8))
         assert report.converged
         before, after = report.history[-2:]
         assert 0.0 < before - after <= STALL_RTOL * before

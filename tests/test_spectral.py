@@ -758,19 +758,19 @@ class TestWindingNumber:
     def fast_carrier(lam):
         return np.exp(-40j * np.asarray(lam))
 
-    def test_refinement_budget_is_spent_in_full(self):
+    def test_refinement_budget_is_spent_in_full(self, monkeypatch):
         # 32 samples on an edge of length 2 let exp(-40 i lambda) turn 2.5
         # radians between neighbours: exactly one refinement settles it
         for budget in (1, 2):
-            opts = SpectrumOptions(max_phase_refinements=budget)
-            assert _winding_number(self.fast_carrier, self.RECT, opts, None) == (0, 1)
+            monkeypatch.setattr(idospec.spectral, "MAX_PHASE_REFINEMENTS", budget)
+            assert _winding_number(self.fast_carrier, self.RECT, SpectrumOptions(), None) == (0, 1)
+        monkeypatch.setattr(idospec.spectral, "MAX_PHASE_REFINEMENTS", 0)
         with pytest.raises(PhaseTrackingError):
-            opts = SpectrumOptions(max_phase_refinements=0)
-            _winding_number(self.fast_carrier, self.RECT, opts, None)
+            _winding_number(self.fast_carrier, self.RECT, SpectrumOptions(), None)
 
-    def test_no_refinement_needs_no_budget(self):
-        opts = SpectrumOptions(max_phase_refinements=0)
-        spec = find_spectrum(compute_g(constant_field(100)), SearchWindow(*WIDE), opts)
+    def test_no_refinement_needs_no_budget(self, monkeypatch):
+        monkeypatch.setattr(idospec.spectral, "MAX_PHASE_REFINEMENTS", 0)
+        spec = find_spectrum(compute_g(constant_field(100)), SearchWindow(*WIDE))
         assert spec.stats.phase_refinements == 0
         assert spec.total_count > 0
 
