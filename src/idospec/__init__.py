@@ -34,7 +34,6 @@ from .spectral import (
     SearchStats,
     SearchWindow,
     Spectrum,
-    SpectrumOptions,
     char_delta,
     eval_e_direct,
     eval_e_via_g,
@@ -43,7 +42,6 @@ from .spectral import (
 )
 from .inverse import (
     InverseProblem,
-    RecoverOptions,
     RecoveryReport,
     recover_profile,
     recover_sequential,

@@ -44,7 +44,6 @@ from .spectral import (
     DeltaEvaluator,
     PhaseTrackingError,
     SearchWindow,
-    SpectrumOptions,
     eval_e_direct,
     eval_e_via_g,
     eval_z,
@@ -52,7 +51,6 @@ from .spectral import (
     find_spectrum,
 )
 from .inverse import (
-    RecoverOptions,
     recover_sequential,
     verify_green_identity,
     verify_change_of_variables,
@@ -92,8 +90,6 @@ _STAGE_KEYS = (
     "converged", "iterations", "residual_norm", "underdetermined", "history", "damping",
     "rejected_trials", "residual_evals", "jacobian_evals", "g_builds",
 )
-# Option dataclass of each command that reads "opts".
-_OPTIONS = {"spectrum": SpectrumOptions, "invert": RecoverOptions}
 # Numeric config keys: type and least value (grid_n's is checked with the
 # --grid-n that overrides it).
 _NUMBERS = {"grid_n": (int, None), "d": (int, 2), "mu": (float, 0.0)}
@@ -101,12 +97,15 @@ _NUMBERS = {"grid_n": (int, None), "d": (int, 2), "mu": (float, 0.0)}
 # G with compute_g's own certificate, so a config that still sets one is
 # refused rather than run with a setting it does not get.
 _RETIRED = ("max_terms", "picard_tol")
-# Range of each "opts" field, as (comparison, least, most): cell_size is
+# The "opts" keys of each command that reads them, each a keyword argument of
+# the function the command calls (find_spectrum, recover_sequential), with
+# its type and range as _check_value's (kind, least, op, most): cell_size is
 # positive, the counts are at least 1, and the edge samples at most
 # MAX_EDGE_SAMPLES.
 _OPTION_RANGES = {
-    "cell_size": (">", 0.0, None), "initial_edge_samples": (">=", 1, MAX_EDGE_SAMPLES),
-    "max_iter": (">=", 1, None),
+    "spectrum": {"cell_size": (float, 0.0, ">", None),
+                 "initial_edge_samples": (int, 1, ">=", MAX_EDGE_SAMPLES)},
+    "invert": {"max_iter": (int, 1, ">=", None)},
 }
 # The profile of a kernel component that gives no "p".
 _ZERO = {"kind": "analytic", "family": "constant", "coeffs": [0.0]}
@@ -315,18 +314,15 @@ def _parse(cfg, command, grid_n) -> dict:
             f"lambdas must have |re| < {RE_REACH:.6g} and |im| < {IM_REACH:.6g}, got {lams!r}")
 
     run = {}
-    cls = _OPTIONS.get(command)
-    if cls is not None:
-        opts = cfg.get("opts", {})
+    ranges = _OPTION_RANGES.get(command)
+    if ranges is not None:
+        opts = run["opts"] = cfg.get("opts", {})
         _check_value("opts", opts, dict)
-        types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
-        unknown = sorted(set(opts) - set(types))
+        unknown = sorted(set(opts) - set(ranges))
         if unknown:
-            raise ConfigError(f"unknown {cls.__name__} key(s) in opts: {', '.join(unknown)}")
+            raise ConfigError(f"unknown {command} key(s) in opts: {', '.join(unknown)}")
         for key, value in opts.items():
-            op, least, most = _OPTION_RANGES[key]
-            _check_value(f"opts.{key}", value, types[key], least, op, most)
-        run["opts"] = cls(**opts)
+            _check_value(f"opts.{key}", value, *ranges[key])
     if command == "verify":
         specs = run["specs"] = []
         for key, what in (("m0", "field"), ("r", "field"), ("p", "profile"), ("p_tilde", "profile")):
@@ -430,7 +426,7 @@ def cmd_spectrum(sha, out: Path, seed, *, n, kernel, window, opts, extrapolate, 
     _, g = _build_g(kernel, make_grid(n))
     g_fine = _build_g(kernel, make_grid(2 * n))[1] if extrapolate else None
     evaluator = DeltaEvaluator(g, g_fine)
-    spec = find_spectrum(evaluator, window, opts)
+    spec = find_spectrum(evaluator, window, **opts)
 
     serialize.write_json(out / "spectrum.json", {
         "provenance": _provenance("spectrum", sha, n),
@@ -453,12 +449,18 @@ def cmd_spectrum(sha, out: Path, seed, *, n, kernel, window, opts, extrapolate, 
 
 def cmd_invert(sha, out: Path, seed, *, n, kernel, targets, d, mu, init, opts) -> int:
     spectra = [_read_input("target spectrum", serialize.spectrum_from_json, t) for t in targets]
-    # a root whose Newton polish failed is only a cell centre: fitting it as
-    # an exact eigenvalue would pull the profile towards a wrong spectrum
     for path, spec in zip(targets, spectra):
-        _check_alias_free(spec.window, n, f"window of target spectrum {path}")
+        w = spec.window
+        _check_alias_free(w, n, f"window of target spectrum {path}")
+        # the alias check reads the window, so a root outside it could lie
+        # beyond pi/h, and find_spectrum writes no such root
+        for ev in spec.eigenvalues:
+            if not (w.re_min <= ev.value.real <= w.re_max and w.im_min <= ev.value.imag <= w.im_max):
+                raise ConfigError(f"target spectrum {path} has root {ev.value} outside its window")
         if spec.total_count == 0 and mu == 0:
             raise ConfigError(f"target spectrum {path} is empty and mu is 0; give mu > 0")
+        # a root whose Newton polish failed is only a cell centre: fitting it as
+        # an exact eigenvalue would pull the profile towards a wrong spectrum
         for ev in spec.eigenvalues:
             if not ev.newton_converged:
                 print(
@@ -473,7 +475,7 @@ def cmd_invert(sha, out: Path, seed, *, n, kernel, targets, d, mu, init, opts) -
     family = _sample_kernel(kernel, make_grid(n))
     # a fit whose numbers overflow ends unconverged or fails its weight test, with no warning
     with np.errstate(all="ignore"):
-        reports = recover_sequential(spectra, family, d, opts, mu=mu, inits=inits)
+        reports = recover_sequential(spectra, family, d, mu=mu, inits=inits, **opts)
 
     stages = []
     for k, rep in enumerate(reports, start=1):
@@ -520,8 +522,17 @@ def _verify_once(grid, specs, lambdas):
 
 
 def cmd_verify(sha, out: Path, seed, *, n, specs, lambdas) -> int:
-    coarse = _verify_once(make_grid(n), specs, lambdas)
-    fine = _verify_once(make_grid(2 * n), specs, lambdas)
+    # near IM_REACH the solutions can overflow without G doing so: such a
+    # run ends with the first residual that is not finite, with no warning
+    with np.errstate(all="ignore"):
+        coarse = _verify_once(make_grid(n), specs, lambdas)
+        fine = _verify_once(make_grid(2 * n), specs, lambdas)
+    for grid_n, residuals in ((n, coarse), (2 * n, fine)):
+        for key, value in residuals.items():
+            if not np.isfinite(value):
+                print(f"numerical failure: {key} residual is {value} on the "
+                      f"{grid_n}-interval grid", file=sys.stderr)
+                return EXIT_NUMERICAL
     checks = {}
     for key in coarse:
         rc, rf = coarse[key], fine[key]

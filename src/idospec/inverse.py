@@ -26,6 +26,7 @@ from .quadrature import (
     Grid,
     Profile,
     TriangularField,
+    lag_view,
     require_same_grid,
     trapezoid_weights,
     volterra_apply,
@@ -33,7 +34,6 @@ from .quadrature import (
 from .kernels import (
     KernelComponent,
     StructuredKernel,
-    _shift_matrix,
     assemble_kernel,
     compute_B,
     check_B_nonvanishing,
@@ -47,6 +47,9 @@ class UnderdeterminedError(ValueError):
     """Fewer target data than parameters with no regularization."""
 
 
+# The fit's one setting, and its default: it ends unconverged after MAX_ITER
+# iterations.
+MAX_ITER = 40
 # An accepted LM step that lowers the cost by at most this fraction of it ends
 # the fit as converged: the cost has reached the floor the discretization
 # leaves, and further steps only trade round-off.
@@ -261,17 +264,6 @@ def spectrum_jacobian(m: TriangularField, problem: InverseProblem, g: TransformK
     return 1j * jac, g_refl
 
 
-@dataclass(frozen=True)
-class RecoverOptions:
-    """Settings of the LM fit.
-
-    Its tolerances and damping schedule are not settings (STALL_RTOL, XTOL,
-    FTOL, LM_DAMPING0, MAX_INNER): no caller needs to vary them.
-    """
-
-    max_iter: int = 40
-
-
 def _second_difference(params: np.ndarray) -> np.ndarray:
     return params[:-2] - 2.0 * params[1:-1] + params[2:]
 
@@ -295,7 +287,8 @@ def _stacked_jacobian(m, problem: InverseProblem, mu: float, g):
 def recover_profile(
     problem: InverseProblem,
     init,
-    opts: RecoverOptions = RecoverOptions(),
+    *,
+    max_iter: int = MAX_ITER,
 ) -> RecoveryReport:
     """Damped Gauss-Newton (Levenberg-Marquardt) fit of the profile parameters.
 
@@ -310,7 +303,7 @@ def recover_profile(
     J += (r_trial - r - J delta) delta^T / (delta^T delta), before the next
     damped solve. The fit converges when the cost drops below FTOL, the step
     below XTOL, or an accepted step lowers the cost by at most STALL_RTOL
-    of it; it ends unconverged after opts.max_iter iterations, or when
+    of it; it ends unconverged after max_iter iterations, or when
     MAX_INNER damped steps of one iteration all fail to lower the cost.
     """
     problem.check_weight_condition()
@@ -333,7 +326,7 @@ def recover_profile(
     damping = LM_DAMPING0
     converged = cost < FTOL
     it = 0
-    while not converged and it < opts.max_iter:
+    while not converged and it < max_iter:
         it += 1
         jac, g_refl = _stacked_jacobian(m, problem, mu, g)
         jacobian_evals += 1
@@ -392,7 +385,8 @@ def recover_sequential(
     spectra,
     family: StructuredKernel,
     d: int,
-    opts: RecoverOptions = RecoverOptions(),
+    *,
+    max_iter: int = MAX_ITER,
     mu: float = 0.0,
     inits=None,
 ) -> list:
@@ -415,7 +409,7 @@ def recover_sequential(
             if inits is None
             else np.asarray(inits[k], dtype=float)
         )
-        report = recover_profile(problem, init, opts)
+        report = recover_profile(problem, init, max_iter=max_iter)
         reports.append(report)
         if not report.converged or k + 1 == len(spectra):
             break
@@ -474,6 +468,6 @@ def verify_change_of_variables(
     require_same_grid(r.grid, p.grid, p_tilde.grid)
     grid = r.grid
     dp = p.values - p_tilde.values
-    form_a = _triangle_double_integral(psi, r.values * _shift_matrix(dp), e_tilde, grid)
+    form_a = _triangle_double_integral(psi, r.values * lag_view(dp), e_tilde, grid)
     weights = trapezoid_weights(grid.n_nodes, grid.step) * dp[::-1]
     return np.abs(form_a - weights @ z)

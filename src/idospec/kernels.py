@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .quadrature import (
     Grid,
     Profile,
     TriangularField,
+    lag_view,
     require_same_grid,
     volterra_apply,
     zero_upper,
@@ -65,18 +65,6 @@ class StructuredKernel:
         return len(self.components)
 
 
-def _shift_matrix(v: np.ndarray) -> np.ndarray:
-    """Read-only view with entry (i, j) = v(x_i - t_j) from node samples v.
-
-    On a uniform grid x_i - t_j is the node x_{i-j}, so no interpolation
-    error enters here. Row i is a window on v reversed and padded with
-    n - 1 zeros, which fill the entries above the diagonal.
-    """
-    n = v.shape[0]
-    padded = np.concatenate([v[::-1], np.zeros(n - 1, dtype=v.dtype)])
-    return sliding_window_view(padded, n)[::-1]
-
-
 def shifted_factor(r: TriangularField) -> np.ndarray:
     """Lower-triangular matrix R[i, k] = r(pi - t_k, x_i - t_k), zero for k > i.
 
@@ -99,7 +87,7 @@ def assemble_kernel(sk: StructuredKernel) -> TriangularField:
     warning; compute_g refuses such an M.
     """
     # each product is a fresh array: the first takes M0 in, so M0 is not copied
-    products = (c.r.values * _shift_matrix(c.p.values) for c in sk.components)
+    products = (c.r.values * lag_view(c.p.values) for c in sk.components)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = next(products, None)
         vals = sk.m0.values.copy() if vals is None else np.add(vals, sk.m0.values, out=vals)

@@ -10,8 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 PI = np.pi
+# Rows per block of the loops that run over the rows of a field: the marches
+# (transform._march, spectral.eval_e_direct) solve a block per gemm, eval_z
+# contracts a block per einsum, and the elementwise passes and sup_norm read
+# a block at a time, which bounds their temporaries to a few rows.
+ROW_BLOCK = 32
 
 
 class GridMismatchError(ValueError):
@@ -85,6 +91,18 @@ def cumtrapz_nodes(samples, grid: Grid) -> np.ndarray:
     csum = np.cumsum(samples)
     out[1:] = grid.step * (csum[1:] - 0.5 * samples[1:] - 0.5 * samples[0])
     return out
+
+
+def lag_view(v: np.ndarray) -> np.ndarray:
+    """Read-only view with entry (i, j) = v(x_i - t_j) from node samples v.
+
+    On a uniform grid x_i - t_j is the node x_{i-j}, so no interpolation
+    error enters here. Row i is a window on v reversed and padded with
+    n - 1 zeros, which fill the entries above the diagonal.
+    """
+    n = v.shape[0]
+    padded = np.concatenate([v[::-1], np.zeros(n - 1, dtype=v.dtype)])
+    return sliding_window_view(padded, n)[::-1]
 
 
 def zero_upper(values: np.ndarray) -> np.ndarray:
@@ -162,7 +180,7 @@ class TriangularField:
         return cls(grid, zero_upper(np.full((n, n), c, dtype=complex)))
 
     def sup_norm(self) -> float:
-        """max |values|, NaN if any value is NaN. It reads 32 rows at a time,
-        so it forms no full-size array of magnitudes."""
+        """max |values|, NaN if any value is NaN. It reads ROW_BLOCK rows at a
+        time, so it forms no full-size array of magnitudes."""
         v = self.values
-        return float(np.max([np.abs(v[r : r + 32]).max() for r in range(0, len(v), 32)]))
+        return float(np.max([np.abs(v[r : r + ROW_BLOCK]).max() for r in range(0, len(v), ROW_BLOCK)]))

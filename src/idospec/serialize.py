@@ -394,4 +394,7 @@ def spectrum_from_json(path) -> Spectrum:
         for e in data["eigenvalues"]
     )
     total = _count(data["total_count"], "total_count", 0)
+    mults = sum(ev.multiplicity for ev in evs)
+    if total != mults:
+        raise ValueError(f"total_count {total} is not the sum of the multiplicities, {mults}")
     return Spectrum(eigenvalues=evs, window=win, total_count=total)

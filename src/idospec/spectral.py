@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import TriangularField, trapezoid_weights, volterra_apply
+from .quadrature import ROW_BLOCK, TriangularField, trapezoid_weights, volterra_apply
 from .kernels import shifted_factor
-from .transform import _MARCH_BLOCK, TransformKernel
+from .transform import TransformKernel
 
 
 class BoundaryNearZeroError(RuntimeError):
@@ -121,7 +121,7 @@ def eval_e_direct(m: TriangularField, lam) -> np.ndarray:
     a = exp(-i lam x_i) (1 + i h known) + i h p / 2, known is the sum of
     exp(i lam x_k) f(x_k) over the nodes k < i (f(0) = 0, so the end weight
     at s = 0 drops out) and p = h M[i, :i] @ e[:i] less the end weight at
-    t = 0. As in transform._march, one gemm per block of _MARCH_BLOCK nodes
+    t = 0. As in transform._march, one gemm per block of ROW_BLOCK nodes
     reads every earlier node, and only products within the block run node
     by node. lam is a scalar, giving shape (N+1,), or a 1-D array of K
     values, all marched at once, giving shape (N+1, K) with one column per
@@ -142,8 +142,8 @@ def eval_e_direct(m: TriangularField, lam) -> np.ndarray:
     e[0] = 1.0
     known = np.zeros_like(e[0])
     n = e.shape[0]
-    for r0 in range(1, n, _MARCH_BLOCK):
-        r1 = min(r0 + _MARCH_BLOCK, n)
+    for r0 in range(1, n, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, n)
         part = hm[r0:r1, :r0] @ e[:r0]
         part -= np.multiply.outer(0.5 * hm[r0:r1, 0], e[0])
         for i in range(r0, r1):
@@ -172,8 +172,8 @@ def eval_z(r: TriangularField, psi: np.ndarray, e_tilde: np.ndarray) -> np.ndarr
     z[i, c] = h sum over k <= i of Rw[i, k] e_tilde[i-k, c] w[k, c],
     where Rw is shifted_factor(r) with its end weights, column 0 and the
     diagonal, halved. e_tilde[i-k, c] is read through a strided lag view of
-    e_tilde, transposed and led by _MARCH_BLOCK - 1 zeros per column, and
-    the sum runs per block of _MARCH_BLOCK rows over the k < i1 the block
+    e_tilde, transposed and led by ROW_BLOCK - 1 zeros per column, and
+    the sum runs per block of ROW_BLOCK rows over the k < i1 the block
     reads, so no field is built per column and the lag tensor is never
     formed. Raises ValueError, before any work, unless psi and e_tilde have
     one shape with r.grid.n_nodes rows.
@@ -187,13 +187,13 @@ def eval_z(r: TriangularField, psi: np.ndarray, e_tilde: np.ndarray) -> np.ndarr
     rw = shifted_factor(r)
     rw[:, 0] *= 0.5
     rw.flat[:: n + 1] *= 0.5
-    lead = _MARCH_BLOCK - 1
+    lead = ROW_BLOCK - 1
     padded = np.zeros((e.shape[1], lead + n), dtype=e.dtype)
     padded[:, lead:] = e.T                      # padded[c, lead + j] = e_tilde[j, c]
     stride_c, stride_j = padded.strides
     z = np.empty(e.shape, dtype=complex)
-    for i0 in range(0, n, _MARCH_BLOCK):
-        i1 = min(i0 + _MARCH_BLOCK, n)
+    for i0 in range(0, n, ROW_BLOCK):
+        i1 = min(i0 + ROW_BLOCK, n)
         # lag[c, i - i0, k] = padded[c, lead + i - k] for i0 <= i < i1 and k < i1,
         # so k runs contiguously; numpy refuses a view reaching outside padded
         lag = np.ndarray((e.shape[1], i1 - i0, i1), padded.dtype, padded,
@@ -287,19 +287,11 @@ def char_delta_deriv(g: TransformKernel, lam, order: int = 0,
 # --- spectrum search ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectrumOptions:
-    """Settings of the zero search.
-
-    Its two thresholds on |Delta| are not settings: both scale with the
-    largest |Delta| on the window boundary (RESIDUAL_RTOL, BOUNDARY_RTOL).
-    Nor are the budgets of the phase refinement and of Newton's method,
-    which no caller needs to vary (MAX_PHASE_REFINEMENTS, NEWTON_MAX_ITER,
-    NEWTON_TOL).
-    """
-
-    cell_size: float = 1e-3                    # grouping radius of Newton end points
-    initial_edge_samples: int = 32             # per-edge minimum; see _rect_boundary
+# The two settings of the zero search, and their defaults: Newton end points
+# closer than CELL_SIZE form a group, and each edge of a winding number's
+# path gets at least INITIAL_EDGE_SAMPLES points (see _rect_boundary).
+CELL_SIZE = 1e-3
+INITIAL_EDGE_SAMPLES = 32
 
 
 def _rect_boundary(rect, min_per_edge):
@@ -355,7 +347,7 @@ def _check_guard(pts, vals, guard: float | None) -> None:
         raise BoundaryNearZeroError(complex(pts[k]), float(mags[k]))
 
 
-def _winding_number(f, rect, opts: SpectrumOptions, guard: float | None, vals=None):
+def _winding_number(f, rect, edge_samples: int, guard: float | None, vals=None):
     """Winding number of Delta along the rectangle boundary by phase tracking.
 
     Segments with phase increments >= pi/2 are bisected, in at most
@@ -364,11 +356,11 @@ def _winding_number(f, rect, opts: SpectrumOptions, guard: float | None, vals=No
     first and each refinement, is checked against the guard, so a path
     through a zero raises BoundaryNearZeroError rather than failing to
     settle; without a guard, a sample where Delta is exactly zero raises
-    PhaseTrackingError. vals, if given, are f at the path's initial
-    samples. Returns the winding number and the number of refinement rounds
-    taken.
+    PhaseTrackingError. The path starts with edge_samples points per edge
+    at least, and vals, if given, are f at those samples. Returns the
+    winding number and the number of refinement rounds taken.
     """
-    pts = _rect_boundary(rect, opts.initial_edge_samples)
+    pts = _rect_boundary(rect, edge_samples)
     if vals is None:
         vals = f(pts)
     _check_guard(pts, vals, guard)
@@ -502,7 +494,7 @@ def _groups(z: np.ndarray, radius: float) -> list:
         label = least
 
 
-def _companion_roots(f: DeltaEvaluator, rect0, wind0, stride1, opts, residual_tol):
+def _companion_roots(f: DeltaEvaluator, rect0, wind0, stride1, cell_size, edge_samples, residual_tol):
     """Zeros in rect0 from the companion candidates, or None.
 
     The candidates of the window grown by CANDIDATE_MARGIN go through one
@@ -513,7 +505,8 @@ def _companion_roots(f: DeltaEvaluator, rect0, wind0, stride1, opts, residual_to
     linearly, or the end point of a zero Newton could not settle on) takes
     its multiplicity from the winding number on a square around its mean
     that holds no end point of another group (see CLUSTER_BOX) and whose
-    half-width is at most the half-perimeter of the window. The square
+    half-width is at most the half-perimeter of the window, taken with
+    edge_samples points per edge at least. The square
     needs no guard: the phase refinement resolves a zero near its edge or
     fails. A group that winds 0, or whose square cannot be drawn or
     counted, is dropped; one of multiplicity m is polished from its mean by
@@ -533,21 +526,21 @@ def _companion_roots(f: DeltaEvaluator, rect0, wind0, stride1, opts, residual_to
     z, converged = z[np.isfinite(z)], converged[np.isfinite(z)]
     found, rounds = [], 0            # found: (root, multiplicity, converged)
     unresolved = []                  # means of groups not counted or not converged
-    for members in _groups(z, opts.cell_size):
+    for members in _groups(z, cell_size):
         mean = z[members].mean()
         if members.size == 1 and converged[members[0]] and not stride1:
             found.append((mean, 1, True))
             continue
         if not _inside(mean, rect0):
             continue
-        half = min(CLUSTER_BOX * opts.cell_size, re1 - re0 + im1 - im0,
+        half = min(CLUSTER_BOX * cell_size, re1 - re0 + im1 - im0,
                    0.5 * _box_distance(np.delete(z, members), mean).min(initial=np.inf))
         if _box_distance(z[members], mean).max() >= half:
             unresolved.append(mean)
             continue
         box = (mean.real - half, mean.real + half, mean.imag - half, mean.imag + half)
         try:
-            mult, more = _winding_number(f, box, opts, None)
+            mult, more = _winding_number(f, box, edge_samples, None)
         except PhaseTrackingError:
             unresolved.append(mean)
             continue
@@ -569,7 +562,9 @@ def _companion_roots(f: DeltaEvaluator, rect0, wind0, stride1, opts, residual_to
 def find_spectrum(
     g,
     window: SearchWindow,
-    opts: SpectrumOptions = SpectrumOptions(),
+    *,
+    cell_size: float = CELL_SIZE,
+    initial_edge_samples: int = INITIAL_EDGE_SAMPLES,
 ) -> Spectrum:
     """Locate all zeros of Delta inside the window, counted with multiplicity.
 
@@ -583,7 +578,8 @@ def find_spectrum(
     a double zero can settle there as on a simple one while its partner
     flies off. If that fails too, PhaseTrackingError names the window, the
     multiplicity the stride-1 pass found, the groups it could not count or
-    polish, and cell_size.
+    polish, and cell_size. Every winding number's path starts with
+    initial_edge_samples points per edge at least.
     Spectrum.stats records which pass answered.
     """
     f = DeltaEvaluator(g) if isinstance(g, TransformKernel) else g
@@ -593,16 +589,16 @@ def find_spectrum(
 
     # boundary-magnitude guard, relative to the outer boundary scale; the
     # winding number reuses these samples
-    vals0 = f(_rect_boundary(rect0, opts.initial_edge_samples))
+    vals0 = f(_rect_boundary(rect0, initial_edge_samples))
     boundary_max = float(np.abs(vals0).max())
     guard = BOUNDARY_RTOL * boundary_max
-    wind0, refinements = _winding_number(f, rect0, opts, guard, vals=vals0)
+    wind0, refinements = _winding_number(f, rect0, initial_edge_samples, guard, vals=vals0)
     residual_tol = RESIDUAL_RTOL * boundary_max
 
     counts = np.array([0, 0, refinements])          # candidates, Newton steps, rounds
     for path, stride1 in (("companion", False), ("stride1", True)):
         found, certified, unresolved, more = _companion_roots(
-            f, rect0, wind0, stride1, opts, residual_tol)
+            f, rect0, wind0, stride1, cell_size, initial_edge_samples, residual_tol)
         counts += more
         if certified:
             break
@@ -612,7 +608,7 @@ def find_spectrum(
             f"the zeros found in window {rect0} add up to multiplicity "
             f"{sum(ev.multiplicity for ev in found)}, not to its winding number {wind0}; "
             f"groups of Newton end points not counted or not converged: {means}; "
-            f"cell_size {opts.cell_size:g} (a multiple zero that rounding splits "
+            f"cell_size {cell_size:g} (a multiple zero that rounding splits "
             f"by more than cell_size is not grouped)"
         )
     found.sort(key=lambda ev: (ev.value.real, ev.value.imag))

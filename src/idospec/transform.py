@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .quadrature import Grid, Profile, TriangularField, require_same_grid, volterra_apply, zero_upper
+from .quadrature import ROW_BLOCK, Grid, Profile, TriangularField, require_same_grid, volterra_apply, zero_upper
 from .kernels import shifted_factor
 
 
@@ -62,11 +62,6 @@ def _diagonal_columns(buf: np.ndarray, n: int) -> np.ndarray:
     return as_strided(buf, shape=(n, n), strides=((n + 1) * s, s), writeable=True)
 
 
-# Rows per chunk of the elementwise passes over a whole field: bounds their
-# temporaries to a few rows.
-_ROW_CHUNK = 32
-
-
 def _padded(n: int) -> np.ndarray:
     """Zeroed flat buffer for an n x n complex field stored from offset n - 1,
     the layout _diagonal_columns reads; the field is buf[n - 1:].reshape(n, n)."""
@@ -90,8 +85,8 @@ def _cumtrapz_along_diagonals(buf: np.ndarray, n: int, scale: complex) -> np.nda
     """
     field = buf[n - 1 :].reshape(n, n)
     half = 0.5 * scale
-    for r1 in range(n, 1, -_ROW_CHUNK):
-        r0 = max(r1 - _ROW_CHUNK, 1)
+    for r1 in range(n, 1, -ROW_BLOCK):
+        r0 = max(r1 - ROW_BLOCK, 1)
         rows = buf[n - 1 + r0 * n : n - 1 + r1 * n]   # field rows r0 .. r1 - 1
         rows += buf[r0 * n - 2 : r1 * n - 2]          # their predecessors, n + 1 entries back
         rows *= half
@@ -172,12 +167,6 @@ def picard_step(m: TriangularField, g_n: TriangularField) -> TriangularField:
     return TriangularField(m.grid, _cumtrapz_along_diagonals(buf, n, 1j * h))
 
 
-# Rows of G, or nodes of spectral.eval_e_direct, solved per block of a
-# march: one gemm per block reads every earlier row, and only products
-# within the block run row by row.
-_MARCH_BLOCK = 32
-
-
 def _march(mv: np.ndarray, g1: np.ndarray, h: float) -> np.ndarray:
     """Solve the discrete fixed point G = G1 + picard_step(M, G) row by row.
 
@@ -192,7 +181,7 @@ def _march(mv: np.ndarray, g1: np.ndarray, h: float) -> np.ndarray:
     because column 0 of G is, so it needs no half weight. The diagonal of
     G is that of G1, where the step vanishes. This is the step-by-step
     trapezoid method for Volterra equations; it costs about N^3 / 3
-    multiply-adds, most of them in one gemm per block of _MARCH_BLOCK rows.
+    multiply-adds, most of them in one gemm per block of ROW_BLOCK rows.
     h M and the scaled G1 are formed per block, so the march holds no
     full-size array besides G.
     """
@@ -205,8 +194,8 @@ def _march(mv: np.ndarray, g1: np.ndarray, h: float) -> np.ndarray:
     g = np.zeros_like(g1)
     np.einsum("ii->i", g)[...] = np.diagonal(g1)
     acc = np.zeros(n, dtype=complex)
-    for r0 in range(1, n, _MARCH_BLOCK):
-        r1 = min(r0 + _MARCH_BLOCK, n)
+    for r0 in range(1, n, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, n)
         hm = h * mv[r0:r1, :r1]            # rows r0 .. r1 - 1 of h M
         g1s = g1[r0:r1, :r1] * scale[r0:r1, None]
         part = hm[:, :r0] @ g[:r0, :r1]
@@ -340,8 +329,8 @@ def assemble_z_kernel(
       on the diagonal j = i, where the tau range is empty.
 
     No Python loop runs over pairs of grid nodes: the loop runs over rows
-    i and, within a row, over chunks of _ROW_CHUNK values of k, one
-    vector-matrix product each; the inverse FFTs run on _ROW_CHUNK rows at
+    i and, within a row, over chunks of ROW_BLOCK values of k, one
+    vector-matrix product each; the inverse FFTs run on ROW_BLOCK rows at
     a time. Besides its result and R it holds at most two more full-size
     arrays at once (plus a few rows), where a batch over all rows would
     hold several.
@@ -370,18 +359,18 @@ def assemble_z_kernel(
     fb[:, :m] = k2.values[::-1]
     np.einsum("ii->i", fa[:, :m])[...] *= 0.5
     np.einsum("ii->i", fb[::-1, :m])[...] *= 0.5
-    for r0 in range(0, m, _ROW_CHUNK):
-        for rows in spectra[:, r0 : r0 + _ROW_CHUNK]:
+    for r0 in range(0, m, ROW_BLOCK):
+        for rows in spectra[:, r0 : r0 + ROW_BLOCK]:
             rows[...] = np.fft.fft(rows, axis=1)
-    prod = np.empty((_ROW_CHUNK, size), dtype=complex)
-    spec = np.empty((_ROW_CHUNK, size), dtype=complex)
-    for c0 in range(2, m, _ROW_CHUNK):
-        block = spec[: min(_ROW_CHUNK, m - c0)]  # rows c0, c0 + 1, ... of K
+    prod = np.empty((ROW_BLOCK, size), dtype=complex)
+    spec = np.empty((ROW_BLOCK, size), dtype=complex)
+    for c0 in range(2, m, ROW_BLOCK):
+        block = spec[: min(ROW_BLOCK, m - c0)]  # rows c0, c0 + 1, ... of K
         block[...] = 0.0
         for i, row in enumerate(block, c0):
             back = m - 1 - i  # fb holds k2's row i - k as its row back + k
-            for k0 in range(1, i, _ROW_CHUNK):
-                k_end = min(k0 + _ROW_CHUNK, i)
+            for k0 in range(1, i, ROW_BLOCK):
+                k_end = min(k0 + ROW_BLOCK, i)
                 p = np.multiply(fa[k0:k_end], fb[back + k0 : back + k_end],
                                 out=prod[: k_end - k0])
                 row += rmat[i, k0:k_end] @ p

@@ -34,11 +34,13 @@ import math
 
 import numpy as np
 
-from idospec.kernels import _shift_matrix, shifted_factor
-from idospec.quadrature import TriangularField, trapezoid_weights, volterra_apply
+from idospec.kernels import shifted_factor
+from idospec.quadrature import TriangularField, lag_view, trapezoid_weights, volterra_apply
 from idospec.serialize import field_from_csv
 from idospec.spectral import (
     BOUNDARY_RTOL,
+    CELL_SIZE,
+    INITIAL_EDGE_SAMPLES,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
     RESIDUAL_RTOL,
@@ -47,7 +49,6 @@ from idospec.spectral import (
     PhaseTrackingError,
     SearchWindow,
     Spectrum,
-    SpectrumOptions,
     _rect_boundary,
     _winding_number,
     eval_e_direct,
@@ -179,7 +180,7 @@ def eval_z_columns(r: TriangularField, psi: np.ndarray, e_tilde: np.ndarray) -> 
     """
     rs = shifted_factor(r)
     w, et = (np.reshape(v, (r.grid.n_nodes, -1)).T for v in (psi[::-1], e_tilde))
-    cols = [volterra_apply(rs * _shift_matrix(ek), wk, r.grid.step) for wk, ek in zip(w, et)]
+    cols = [volterra_apply(rs * lag_view(ek), wk, r.grid.step) for wk, ek in zip(w, et)]
     return np.stack(cols, axis=-1).reshape(psi.shape)
 
 
@@ -230,13 +231,16 @@ def picard_series_g(m, tol: float | None = None, max_terms: int = 60) -> Transfo
 
 
 def find_spectrum_reflected(
-    m, window: SearchWindow, opts: SpectrumOptions = SpectrumOptions(),
+    m, window: SearchWindow, **settings,
 ) -> Spectrum:
-    """Spectrum of the reflected kernel; equals that of m up to discretization."""
-    return find_spectrum(compute_g(reflected_kernel(m)), window, opts)
+    """Spectrum of the reflected kernel; equals that of m up to discretization.
+
+    settings are find_spectrum's keyword arguments.
+    """
+    return find_spectrum(compute_g(reflected_kernel(m)), window, **settings)
 
 
-def _split_rect(f, rect, opts, guard):
+def _split_rect(f, rect, edge_samples, guard):
     """Split the longer side, nudging the cut if it passes too close to a zero."""
     re0, re1, im0, im1 = rect
     vertical = (re1 - re0) >= (im1 - im0)
@@ -248,8 +252,8 @@ def _split_rect(f, rect, opts, guard):
             cut = im0 + frac * (im1 - im0)
             sub_a, sub_b = (re0, re1, im0, cut), (re0, re1, cut, im1)
         try:
-            wa = _winding_number(f, sub_a, opts, guard)[0]
-            wb = _winding_number(f, sub_b, opts, guard)[0]
+            wa = _winding_number(f, sub_a, edge_samples, guard)[0]
+            wb = _winding_number(f, sub_b, edge_samples, guard)[0]
             return (sub_a, wa), (sub_b, wb)
         except BoundaryNearZeroError:
             continue
@@ -283,7 +287,8 @@ def _newton_polish(f, z0: complex, mult: int, cell=None):
 
 
 def find_spectrum_subdivision(
-    f, window: SearchWindow, opts: SpectrumOptions = SpectrumOptions(), max_depth: int = 60,
+    f, window: SearchWindow, *, cell_size: float = CELL_SIZE,
+    initial_edge_samples: int = INITIAL_EDGE_SAMPLES, max_depth: int = 60,
 ) -> Spectrum:
     """Zeros of f in the window by recursive subdivision with the argument principle.
 
@@ -299,10 +304,10 @@ def find_spectrum_subdivision(
     must add up to the window's winding number.
     """
     rect0 = (window.re_min, window.re_max, window.im_min, window.im_max)
-    vals0 = f(_rect_boundary(rect0, opts.initial_edge_samples))
+    vals0 = f(_rect_boundary(rect0, initial_edge_samples))
     boundary_max = float(np.abs(vals0).max())
     guard = BOUNDARY_RTOL * boundary_max
-    wind0 = _winding_number(f, rect0, opts, guard, vals=vals0)[0]
+    wind0 = _winding_number(f, rect0, initial_edge_samples, guard, vals=vals0)[0]
     residual_tol = RESIDUAL_RTOL * boundary_max
     found: list[Eigenvalue] = []
 
@@ -311,7 +316,7 @@ def find_spectrum_subdivision(
             return
         re0, re1, im0, im1 = rect
         center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-        leaf = max(re1 - re0, im1 - im0) < opts.cell_size or depth >= max_depth
+        leaf = max(re1 - re0, im1 - im0) < cell_size or depth >= max_depth
         if wind == 1 and not leaf:
             root, resid, ok = _newton_polish(f, center, 1, cell=rect)
             if ok and resid <= residual_tol:
@@ -319,7 +324,7 @@ def find_spectrum_subdivision(
                 return
         if leaf:
             root, resid, ok = _newton_polish(f, center, wind)
-            margin = 2.0 * opts.cell_size
+            margin = 2.0 * cell_size
             inside = (
                 re0 - margin <= root.real <= re1 + margin
                 and im0 - margin <= root.imag <= im1 + margin
@@ -330,7 +335,7 @@ def find_spectrum_subdivision(
                 Eigenvalue(value=root, multiplicity=wind, residual=resid, newton_converged=ok)
             )
             return
-        (ra, wa), (rb, wb) = _split_rect(f, rect, opts, guard)
+        (ra, wa), (rb, wb) = _split_rect(f, rect, initial_edge_samples, guard)
         recurse(ra, wa, depth + 1)
         recurse(rb, wb, depth + 1)
 

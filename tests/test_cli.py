@@ -1,5 +1,5 @@
 import contextlib
-import dataclasses
+import inspect
 import io
 import json
 import os
@@ -29,7 +29,6 @@ from idospec.cli import (
     MAX_EDGE_SAMPLES,
     MAX_HEATMAP_POINTS,
     _OPTION_RANGES,
-    _OPTIONS,
     main,
 )
 
@@ -312,6 +311,28 @@ class TestSpectrum:
         assert (code == EXIT_CONFIG) == refused
         assert bool(builds) != refused
         assert (str(target) in capsys.readouterr().err) == refused
+
+    def test_target_root_outside_its_window_refused(self, workdir, target_spectrum, monkeypatch, capsys):
+        # at grid_n 8 the window (-6, 6) is alias-free, but a root at Re 45
+        # lies beyond pi/h = 8 as well as outside the window: it is refused,
+        # naming the file and the root, before any G build
+        builds = []
+        for module in (idospec.cli, idospec.inverse):
+            monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1))
+        data = json.loads(target_spectrum.read_text())
+        data["eigenvalues"][0]["re"] = 45.0
+        root = complex(45.0, data["eigenvalues"][0]["im"])
+        target = workdir / "spec_outside.json"
+        target.write_text(json.dumps(data))
+        cfg = write_config(workdir / "inv_outside.json", {
+            "grid_n": 8, "d": 4, "target": str(target),
+            "kernel": {"m0": CONST_KERNEL["m0"],
+                       "components": [{"r": CONST_KERNEL["components"][0]["r"]}]},
+        })
+        assert main(["invert", "--config", cfg, "--out", str(workdir / "inv_outside_out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(target) in err and f"root {root} outside its window" in err, err
+        assert not builds
 
     def test_contour_through_a_zero_is_a_numerical_failure(self, workdir, monkeypatch, capsys):
         def through_a_zero(*args):
@@ -658,6 +679,7 @@ class TestConfigErrors:
         ("invert", "target", "half_root.json", SPECTRUM_TEXT % (1, 1.5), "multiplicity"),
         ("invert", "target", "no_root.json", SPECTRUM_TEXT % (0, 0), "multiplicity"),
         ("invert", "target", "part_count.json", SPECTRUM_TEXT % (1.5, 1), "total_count"),
+        ("invert", "target", "miscount.json", SPECTRUM_TEXT % (5, 1), "total_count 5"),
         ("forward", "p", "empty_profile.csv", "", "no data rows"),
         ("forward", "m0", "header_only.csv", "x,t,re,im\n", "no data rows"),
     ])
@@ -764,8 +786,16 @@ class TestConfigErrors:
         assert not builds
 
     def test_every_option_has_a_range(self):
-        names = {f.name for cls in _OPTIONS.values() for f in dataclasses.fields(cls)}
-        assert names == set(_OPTION_RANGES)
+        # each opts key is a keyword argument of the function its command
+        # calls, whose default has the type the table checks
+        calls = {"spectrum": idospec.spectral.find_spectrum,
+                 "invert": idospec.inverse.recover_sequential}
+        assert set(_OPTION_RANGES) == set(calls)
+        for command, ranges in _OPTION_RANGES.items():
+            params = inspect.signature(calls[command]).parameters
+            for key, (kind, *_) in ranges.items():
+                assert params[key].kind is inspect.Parameter.KEYWORD_ONLY
+                assert type(params[key].default) is kind
 
     @pytest.mark.parametrize("command, extra, argv, key", [
         ("forward", {"grid_n": 10**6}, [], "grid_n"),
@@ -846,8 +876,7 @@ class TestRefusedBeforeAnyGrid:
                "target": "spec.json", "opts": {key: value}}
         name = f"early_retired_opt_{key}_{value}"
         assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
-        cls = _OPTIONS[command].__name__
-        assert f"unknown {cls} key(s) in opts: {key}" in capsys.readouterr().err
+        assert f"unknown {command} key(s) in opts: {key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, key, bound, argv", [
         ("spectrum", "opts.initial_edge_samples", MAX_EDGE_SAMPLES, []),
@@ -1076,6 +1105,19 @@ class TestOverflowingValues:
         kernel = {"m0": CONST_KERNEL["m0"], "components": [{"r": self.BIG, "p": self.BIG}]}
         assert self.run(workdir, "overflow_product", "forward", {"grid_n": 8, "kernel": kernel}) == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("numerical failure: ")
+
+    def test_verify_lambda_near_im_reach(self, workdir, capsys):
+        # |Im lambda| = 225 is below IM_REACH, but the solutions overflow on
+        # the grid of half the step: the first residual that is not finite
+        # names its check and grid, and no report is written
+        const = {"kind": "analytic", "family": "constant", "coeffs": [1.0]}
+        cfg = {"grid_n": 20, "lambdas": [[0.0, 225.0]], "m0": const, "r": const, "p": const,
+               "p_tilde": {**const, "coeffs": [0.5]}}
+        assert self.run(workdir, "overflow_verify_lambda", "verify", cfg) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: change_of_variables residual is nan "
+                              "on the 40-interval grid") and err.count("\n") == 1, err
+        assert not (workdir / "overflow_verify_lambda_out" / "verify_report.json").exists()
 
     def test_spectrum_cell_size(self, workdir, capsys):
         # one group holds every Newton end point; its square is no wider than the window

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -34,3 +35,16 @@ def test_counts_code_lines_only():
 
 def test_reads_the_package():
     assert (code_lines.SRC / "transform.py").is_file()
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    # a name with a leading underscore belongs to its module: another module
+    # of the package that needs it needs a public name for it
+    crossing = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(code_lines.SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert not crossing, crossing

@@ -17,7 +17,6 @@ from idospec.spectral import (
     Eigenvalue,
     SearchWindow,
     Spectrum,
-    SpectrumOptions,
     eval_e_direct,
     eval_z,
     find_spectrum,
@@ -26,7 +25,6 @@ import idospec.inverse
 from idospec.inverse import (
     STALL_RTOL,
     InverseProblem,
-    RecoverOptions,
     UnderdeterminedError,
     profile_from_params,
     recover_profile,
@@ -245,7 +243,7 @@ class TestSpectrumJacobian:
             (KernelComponent(TriangularField.constant(grid, 1.0),
                              Profile.from_function(grid, truth)),),
         ))
-        target = find_spectrum(compute_g(m), WIDE, SpectrumOptions(initial_edge_samples=64))
+        target = find_spectrum(compute_g(m), WIDE, initial_edge_samples=64)
         problem = convolution_problem(target, 100)
         report = recover_profile(problem, np.zeros(8))
         assert report.converged
@@ -325,7 +323,7 @@ class TestRecoverProfile:
     def test_iteration_budget_respected(self, const_problem, monkeypatch):
         monkeypatch.setattr(idospec.inverse, "FTOL", 1e-14)
         monkeypatch.setattr(idospec.inverse, "XTOL", 1e-14)
-        report = recover_profile(const_problem, np.full(4, 0.5), RecoverOptions(max_iter=1))
+        report = recover_profile(const_problem, np.full(4, 0.5), max_iter=1)
         assert report.iterations <= 1
         assert not report.converged
 
@@ -409,7 +407,7 @@ class TestRecoverSequential:
     ):
         # with the stage fits stubbed out, every assemble_kernel call is a
         # stage's recovered profile frozen into the next stage's known part
-        def fit(problem, init, opts):
+        def fit(problem, init, *, max_iter):
             return idospec.inverse.RecoveryReport(
                 recovered=Profile.constant(grid80, 1.0), residual_norm=0.0,
                 iterations=0, converged=True,

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idospec.quadrature import PI, Profile, TriangularField, make_grid, zero_upper
+from idospec.quadrature import PI, Profile, TriangularField, lag_view, make_grid, zero_upper
 from idospec.kernels import (
     COEFF_FORMATS,
     ComponentCountError,
     KernelComponent,
     StructuredKernel,
-    _shift_matrix,
     assemble_kernel,
     check_B_nonvanishing,
     compute_B,
@@ -80,7 +79,7 @@ class TestAssemble:
         m0_bytes = m0.tobytes()
         ref = m0.copy()
         for comp in comps:
-            ref += comp.r.values * _shift_matrix(comp.p.values)
+            ref += comp.r.values * lag_view(comp.p.values)
         m = assemble_kernel(StructuredKernel(TriangularField(grid, m0), comps))
         assert m.values.tobytes() == zero_upper(ref).tobytes()
         assert m0.tobytes() == m0_bytes
@@ -99,7 +98,7 @@ class TestShiftMatrix:
     def test_entries_and_read_only(self, n, seed):
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        s = _shift_matrix(v)
+        s = lag_view(v)
         i, j = np.indices((n, n))
         below = i >= j
         assert np.array_equal(s[below], v[(i - j)[below]])

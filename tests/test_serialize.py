@@ -308,7 +308,9 @@ class TestSpectrumJson:
         lambda d: d["eigenvalues"][0].update(multiplicity=0),
         lambda d: d.update(total_count=7.9),
         lambda d: d.update(total_count=-1),
-    ], ids=["fractional_multiplicity", "zero_multiplicity", "fractional_total", "negative_total"])
+        lambda d: d.update(total_count=2),
+    ], ids=["fractional_multiplicity", "zero_multiplicity", "fractional_total", "negative_total",
+            "total_not_the_sum"])
     def test_bad_count_refused(self, tmp_path, edit):
         path = tmp_path / "spec.json"
         data = serialize.spectrum_to_dict(self.make_spectrum(), np.pi / 100)

@@ -11,8 +11,9 @@ from idospec.spectral import (
     BoundaryNearZeroError,
     DeltaEvaluator,
     PhaseTrackingError,
+    CELL_SIZE,
+    INITIAL_EDGE_SAMPLES,
     SearchWindow,
-    SpectrumOptions,
     _rect_boundary,
     _winding_number,
     char_delta,
@@ -605,7 +606,7 @@ class TestSyntheticSearch:
 
     def test_outer_boundary_sampled_once(self):
         rect = (-2.0, 2.0, -1.0, 1.0)
-        outer = _rect_boundary(rect, SpectrumOptions().initial_edge_samples)
+        outer = _rect_boundary(rect, INITIAL_EDGE_SAMPLES)
         batches = []
 
         class Recording(DeltaEvaluator):
@@ -629,13 +630,13 @@ class TestSyntheticSearch:
         # points[0] is planted twice; every planted root is 0.2 inside the
         # window and at least ten cell sizes from the others
         roots = [complex(re, im) for re, im in points]
-        assume(all(abs(a - b) >= 10 * SpectrumOptions().cell_size
+        assume(all(abs(a - b) >= 10 * CELL_SIZE
                    for k, a in enumerate(roots) for b in roots[:k]))
         g = planted_kernel(n, [roots[0], *roots])
         # rounding splits a double zero by about sqrt(rounding / (|Delta''| / 2));
         # near cell_size it cannot be told from two simple zeros
         split = np.sqrt(2 * _rounding(g, roots[0], 0) / abs(char_delta_deriv(g, roots[0], 2)))
-        assume(split < 0.1 * SpectrumOptions().cell_size)
+        assume(split < 0.1 * CELL_SIZE)
         spec = find_spectrum(g, self.WINDOW)
         assert spec.total_count == len(roots) + 1
         assert len(spec.eigenvalues) == len(roots)
@@ -763,10 +764,10 @@ class TestWindingNumber:
         # radians between neighbours: exactly one refinement settles it
         for budget in (1, 2):
             monkeypatch.setattr(idospec.spectral, "MAX_PHASE_REFINEMENTS", budget)
-            assert _winding_number(self.fast_carrier, self.RECT, SpectrumOptions(), None) == (0, 1)
+            assert _winding_number(self.fast_carrier, self.RECT, INITIAL_EDGE_SAMPLES, None) == (0, 1)
         monkeypatch.setattr(idospec.spectral, "MAX_PHASE_REFINEMENTS", 0)
         with pytest.raises(PhaseTrackingError):
-            _winding_number(self.fast_carrier, self.RECT, SpectrumOptions(), None)
+            _winding_number(self.fast_carrier, self.RECT, INITIAL_EDGE_SAMPLES, None)
 
     def test_no_refinement_needs_no_budget(self, monkeypatch):
         monkeypatch.setattr(idospec.spectral, "MAX_PHASE_REFINEMENTS", 0)
@@ -778,7 +779,7 @@ class TestWindingNumber:
         # the corner -1 - i is a sample; unguarded, a zero there has no phase
         with pytest.raises(PhaseTrackingError, match="exactly zero"):
             _winding_number(lambda lam: np.asarray(lam) - (-1.0 - 1.0j), self.RECT,
-                            SpectrumOptions(), None)
+                            INITIAL_EDGE_SAMPLES, None)
 
 
 class TestSearchWindow:

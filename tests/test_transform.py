@@ -6,11 +6,10 @@ import scipy.fft
 from hypothesis import example, given, settings, strategies as st
 
 import idospec.transform
-from idospec.quadrature import PI, TriangularField, make_grid
+from idospec.quadrature import PI, ROW_BLOCK, TriangularField, make_grid
 from idospec.transform import (
     PicardConvergenceError,
     _PRODUCT_BLOCK,
-    _ROW_CHUNK,
     _cumtrapz_along_diagonals,
     _inner_table,
     _lower_product,
@@ -128,7 +127,7 @@ def _random_lower(rng, n, scale):
 
 # Sizes at the edges of the row chunks of _cumtrapz_along_diagonals and of
 # the row blocks of _inner_table
-CHUNK_EDGES = sorted({k * b + e for b in (_ROW_CHUNK, _PRODUCT_BLOCK) for k in (1, 2)
+CHUNK_EDGES = sorted({k * b + e for b in (ROW_BLOCK, _PRODUCT_BLOCK) for k in (1, 2)
                       for e in (-1, 0, 1)})
 
 
@@ -139,7 +138,7 @@ class TestPicardHelpersMatchLoops:
         seed=st.integers(0, 2**32 - 1),
         scale=st.sampled_from([1e-6, 1.0, 1e3]),
     )
-    @example(n=_ROW_CHUNK + 1, seed=0, scale=1.0)
+    @example(n=ROW_BLOCK + 1, seed=0, scale=1.0)
     @example(n=2 * _PRODUCT_BLOCK + 1, seed=1, scale=1.0)
     def test_random_lower_triangular_fields(self, n, seed, scale):
         rng = np.random.default_rng(seed)
@@ -374,7 +373,7 @@ class TestMarchAgainstPicardSeries:
     @example(n=64, seed=4, amp=5.0)
     @example(n=96, seed=5, amp=1.0)
     def test_iterates_keep_upper_triangle_zero(self, n, seed, amp):
-        # the march (blocks of _MARCH_BLOCK rows) and the certifying Picard
+        # the march (blocks of ROW_BLOCK rows) and the certifying Picard
         # update leave every entry above the diagonal at +0.0, bit for bit,
         # so compute_g's final np.tril changes no value
         m = TriangularField(make_grid(n), _random_lower(np.random.default_rng(seed), n + 1, amp))
@@ -464,10 +463,10 @@ class TestZKernelAssembly:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
     # the bilinear term runs rows 2 .. n and products over k = 1 .. i-1 in
-    # chunks of _ROW_CHUNK: n = 33, 34 end at and just past the first chunk
-    @example(n=_ROW_CHUNK + 1, seed=0)
-    @example(n=_ROW_CHUNK + 2, seed=1)
-    @example(n=2 * _ROW_CHUNK + 2, seed=2)
+    # chunks of ROW_BLOCK: n = 33, 34 end at and just past the first chunk
+    @example(n=ROW_BLOCK + 1, seed=0)
+    @example(n=ROW_BLOCK + 2, seed=1)
+    @example(n=2 * ROW_BLOCK + 2, seed=2)
     def test_matches_loop_oracle(self, n, seed):
         rng = np.random.default_rng(seed)
         grid = make_grid(n)
