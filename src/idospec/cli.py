@@ -64,10 +64,10 @@ EXIT_NUMERICAL = 3
 EXIT_WEIGHT = 4
 
 # A field holds (N+1)^2 complex samples. On large grids a G build holds the
-# kernel and at most 3.5 more fields at once and assemble_z_kernel at most
-# 5 (transform.py), and verify keeps a few kernels of each of its grids, so
-# a command whose finest grid needs larger fields is refused before it
-# allocates anything.
+# kernel and at most 2.8 more fields at once (2.5 from N = 400 on) and
+# assemble_z_kernel at most 5 (transform.py), and verify keeps a few
+# kernels of each of its grids, so a command whose finest grid needs larger
+# fields is refused before it allocates anything.
 MAX_FIELD_BYTES = 256 * 2**20
 # Most lambda points a Delta heatmap may sample, one CSV row each.
 MAX_HEATMAP_POINTS = 10**6
@@ -399,9 +399,10 @@ def _check_alias_free(window: SearchWindow, n: int, what: str) -> None:
 def cmd_forward(sha, out: Path, seed, *, n, kernel, lambdas) -> int:
     grid = make_grid(n)
     m, g = _build_g(kernel, grid)
+    diag_res = _diagonal_residual(m, g)
+    del m  # so the G writer's blocks sit on G alone
 
     serialize.transform_kernel_to_files(g, out / "g_kernel.csv", out / "g_kernel_meta.json")
-    diag_res = _diagonal_residual(m, g)
 
     e = np.concatenate([eval_e_via_g(g, lam) for lam in lambdas])
     lams = np.array(lambdas)
@@ -585,9 +586,7 @@ def main(argv=None) -> int:
     try:
         cfg, sha = _load_config(args.config)
         run = _parse(cfg, args.command, args.grid_n)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](sha, out, args.seed, **run)
+        return COMMANDS[args.command](sha, Path(args.out), args.seed, **run)
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return EXIT_CONFIG

@@ -65,19 +65,34 @@ class StructuredKernel:
         return len(self.components)
 
 
+def shifted_rows(r: TriangularField, i0: int, i1: int, out: np.ndarray) -> np.ndarray:
+    """Rows i0 .. i1 - 1 of shifted_factor(r), columns 0 .. i1 - 1, into out.
+
+    out has i1 - i0 rows and at least i1 columns; entry k of row i is
+    r.values[N - k, i - k], at flat index N (N + 1) + i - k (N + 2) of the
+    C-ordered samples, so one strided copy reads every column but the last.
+    For k > i that index falls on r's upper triangle, which is zero. Column
+    N would read before the first sample; it is zero but for R[N, N].
+    """
+    n = r.grid.n_intervals
+    vals = np.ascontiguousarray(r.values)
+    s, k1 = vals.itemsize, min(i1, n)
+    out[:, :k1] = np.ndarray((i1 - i0, k1), vals.dtype, vals, (n * (n + 1) + i0) * s, (s, -(n + 2) * s))
+    if i1 > n:
+        out[:, n] = 0.0
+        out[-1, n] = vals[0, 0]
+    return out
+
+
 def shifted_factor(r: TriangularField) -> np.ndarray:
     """Lower-triangular matrix R[i, k] = r(pi - t_k, x_i - t_k), zero for k > i.
 
     The factor r enters the weight B and the function z(x, lambda) at this
-    shifted argument; with it both are Volterra products. Column k of R is
-    row N - k of r, entries 0..N-k, moved down by k rows, so one slice copy
-    per column fills it and the result is the only full-size array.
+    shifted argument; with it both are Volterra products. It is filled by
+    shifted_rows, so the result is the only full-size array.
     """
-    n = r.grid.n_intervals
-    out = np.zeros((n + 1, n + 1), dtype=r.values.dtype)
-    for k in range(n + 1):
-        out[k:, k] = r.values[n - k, : n + 1 - k]
-    return out
+    n = r.grid.n_nodes
+    return shifted_rows(r, 0, n, np.empty((n, n), dtype=r.values.dtype))
 
 
 def assemble_kernel(sk: StructuredKernel) -> TriangularField:

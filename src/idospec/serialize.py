@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -209,8 +210,16 @@ def dumps_json(obj) -> str:
     return _json_render(obj) + "\n"
 
 
+def _create(path, mode: str):
+    """open(path, mode) for writing, making its directory first: a command's
+    --out directory comes into being with its first artifact, so a run that
+    writes none leaves none."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return open(path, mode)
+
+
 def write_json(path, obj) -> None:
-    with open(path, "w") as fh:
+    with _create(path, "w") as fh:
         fh.write(dumps_json(obj))
 
 
@@ -254,7 +263,7 @@ def _write_blocks(path, header: str, n_lines: int, texts) -> None:
     """A header line, then n_lines lines, CSV_BLOCK at a time: texts(block)
     gives the text blocks (see fmt_array) of the columns of the lines in
     the slice block."""
-    with open(path, "wb") as fh:
+    with _create(path, "wb") as fh:
         fh.write(f"{header}\n".encode())
         for start in range(0, n_lines, CSV_BLOCK):
             fh.write(_lines(texts(slice(start, min(start + CSV_BLOCK, n_lines)))))

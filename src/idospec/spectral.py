@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import ROW_BLOCK, TriangularField, trapezoid_weights, volterra_apply
-from .kernels import shifted_factor
+from .kernels import shifted_rows
 from .transform import TransformKernel
 
 
@@ -170,12 +170,13 @@ def eval_z(r: TriangularField, psi: np.ndarray, e_tilde: np.ndarray) -> np.ndarr
     w(t) = psi(pi - t), the forward solution of the reflected kernel, the
     trapezoid rule gives all columns in one contraction,
     z[i, c] = h sum over k <= i of Rw[i, k] e_tilde[i-k, c] w[k, c],
-    where Rw is shifted_factor(r) with its end weights, column 0 and the
-    diagonal, halved. e_tilde[i-k, c] is read through a strided lag view of
-    e_tilde, transposed and led by ROW_BLOCK - 1 zeros per column, and
-    the sum runs per block of ROW_BLOCK rows over the k < i1 the block
-    reads, so no field is built per column and the lag tensor is never
-    formed. Raises ValueError, before any work, unless psi and e_tilde have
+    where Rw is R = kernels.shifted_factor(r) with its end weights, column 0
+    and the diagonal, halved. The sum runs per block of ROW_BLOCK rows over
+    the k < i1 the block reads: shifted_rows gathers those rows of R, so R
+    is never held whole, and e_tilde[i-k, c] is read through a strided lag
+    view of e_tilde, transposed and led by ROW_BLOCK - 1 zeros per column,
+    so no field is built per column and the lag tensor is never formed.
+    Raises ValueError, before any work, unless psi and e_tilde have
     one shape with r.grid.n_nodes rows.
     """
     n = r.grid.n_nodes
@@ -184,9 +185,7 @@ def eval_z(r: TriangularField, psi: np.ndarray, e_tilde: np.ndarray) -> np.ndarr
             f"psi {psi.shape} and e_tilde {e_tilde.shape} must share one shape with {n} rows"
         )
     w, e = (np.reshape(v, (n, -1)) for v in (psi[::-1], e_tilde))
-    rw = shifted_factor(r)
-    rw[:, 0] *= 0.5
-    rw.flat[:: n + 1] *= 0.5
+    rows = np.empty((min(ROW_BLOCK, n), n), dtype=complex)
     lead = ROW_BLOCK - 1
     padded = np.zeros((e.shape[1], lead + n), dtype=e.dtype)
     padded[:, lead:] = e.T                      # padded[c, lead + j] = e_tilde[j, c]
@@ -198,7 +197,10 @@ def eval_z(r: TriangularField, psi: np.ndarray, e_tilde: np.ndarray) -> np.ndarr
         # so k runs contiguously; numpy refuses a view reaching outside padded
         lag = np.ndarray((e.shape[1], i1 - i0, i1), padded.dtype, padded,
                          (lead + i0) * stride_j, (stride_c, stride_j, -stride_j))
-        np.einsum("ik,cik,kc->ci", rw[i0:i1, :i1], lag, w[:i1], out=z[i0:i1].T)
+        rw = shifted_rows(r, i0, i1, rows[: i1 - i0])[:, :i1]
+        rw[:, 0] *= 0.5
+        np.einsum("ii->i", rw[:, i0:])[...] *= 0.5
+        np.einsum("ik,cik,kc->ci", rw, lag, w[:i1], out=z[i0:i1].T)
     z *= r.grid.step
     z[0] = 0.0
     return z.reshape(psi.shape)

@@ -49,64 +49,83 @@ class TransformKernel:
         return len(self.term_norms)
 
 
-def _diagonal_columns(buf: np.ndarray, n: int) -> np.ndarray:
-    """(n, n) writable view of a flat buffer with row stride n + 1.
+def _diagonal_columns(buf: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """(rows, n) writable view of a flat buffer with row stride n + 1.
 
-    With an n x n C-ordered field stored from offset n - 1 of buf,
-    view[i, n-1-d] is field[i, i-d]: diagonal offset d becomes view column
+    With a rows x n C-ordered block stored from offset n - 1 of buf,
+    view[i, n-1-d] is block[i, i-d]: diagonal offset d becomes view column
     n-1-d, whose rows i < d fall on the buffer's first n - 1 elements or on
-    the field's upper triangle. Distinct view entries address distinct
-    elements, so results can be written through the view.
+    the block's upper triangle. Distinct view entries address distinct
+    elements, so results can be written through the view. A view of
+    buf[i0:] reads block row i as row i0 + i of a field: view[i, n-1-d] is
+    then its entry on diagonal d.
     """
     s = buf.itemsize
-    return as_strided(buf, shape=(n, n), strides=((n + 1) * s, s), writeable=True)
+    return as_strided(buf, shape=(rows, n), strides=((n + 1) * s, s), writeable=True)
 
 
-def _padded(n: int) -> np.ndarray:
-    """Zeroed flat buffer for an n x n complex field stored from offset n - 1,
-    the layout _diagonal_columns reads; the field is buf[n - 1:].reshape(n, n)."""
-    return np.zeros(n * n + n - 1, dtype=complex)
+# Rows and columns per block of _lower_product, and rows per block of
+# _inner_table and _diagonal_trapezoid.
+_PRODUCT_BLOCK = 64
 
 
-def _cumtrapz_along_diagonals(buf: np.ndarray, n: int, scale: complex) -> np.ndarray:
-    """In place: field[i, j] becomes scale times the trapezoid over k of
-    field[k, k-(i-j)] for k = i-j .. i; returns the field.
+def _diagonal_trapezoid(rows, n: int, scale: complex, into: np.ndarray) -> np.ndarray:
+    """Add to into[i, j] scale times the trapezoid over k of f[k, k-(i-j)]
+    for k = i-j .. i; return into.
 
-    buf holds the field as _padded lays it out. This is the discrete form of
-    integrating a field along the line t - x = const, which is how both G_1
-    and the outer integral of the Picard step read their integrand. Each
-    entry first becomes scale / 2 times its sum with its predecessor on the
-    diagonal, column 0 (the start of each diagonal) zero, in chunks of rows
-    from the bottom up, so a predecessor is read before it changes. One
+    This is the discrete form of integrating a field along the line
+    t - x = const, which is how both G_1 and the outer integral of the
+    Picard step read their integrand. f is lower-triangular, n x n, and
+    comes a block of _PRODUCT_BLOCK rows at a time, top down:
+    rows(i0, i1, work) returns its rows i0 .. i1 - 1 as a C-ordered array,
+    and may use work, an array of that shape, as scratch. Each entry of a
+    block becomes scale / 2 times its sum with its predecessor on the
+    diagonal (for the block's first row, one in the last row of the block
+    above, kept in pred), column 0 (the start of each diagonal) zero. One
     cumulative sum down the columns of _diagonal_columns then integrates
-    every diagonal at once. The entries above the diagonal lead each
-    running sum, so they must be zeros, of either sign; the result is +0.0
-    there and in column 0.
+    every diagonal of the block at once, its first row added to carry, the
+    running sums the block above ended with: each diagonal is summed in the
+    order of one cumulative sum down the whole field. The block, +0.0
+    above the diagonal and in column 0, is then added to its rows of into;
+    only one block of rows exists at a time.
     """
-    field = buf[n - 1 :].reshape(n, n)
+    block = min(_PRODUCT_BLOCK, n)
+    buf = np.zeros(n - 1 + block * n, dtype=complex)  # a block from offset n - 1, as sums reads it
+    carry = np.zeros(n, dtype=complex)  # diagonal d's running sum in column n-1-d
+    pred = np.zeros(n, dtype=complex)
     half = 0.5 * scale
-    for r1 in range(n, 1, -ROW_BLOCK):
-        r0 = max(r1 - ROW_BLOCK, 1)
-        rows = buf[n - 1 + r0 * n : n - 1 + r1 * n]   # field rows r0 .. r1 - 1
-        rows += buf[r0 * n - 2 : r1 * n - 2]          # their predecessors, n + 1 entries back
-        rows *= half
-        field[r0:r1, 0] = 0.0
-    field[0, 0] = 0.0
-    np.cumsum(_diagonal_columns(buf, n), axis=0, out=_diagonal_columns(buf, n))
-    np.einsum("ii->i", field[:-1, 1:])[...] = 0.0  # the one diagonal the view skips
-    return field
+    for i0 in range(0, n, block):
+        i1 = min(i0 + block, n)
+        flat = buf[n - 1 : n - 1 + (i1 - i0) * n]
+        x = flat.reshape(i1 - i0, n)
+        f = rows(i0, i1, x)
+        fl = f.reshape(-1)
+        np.add(fl[n + 1 :], fl[: -n - 1], out=flat[n + 1 :])  # predecessors, n + 1 entries back
+        np.add(f[0, 1:], pred[:-1], out=x[0, 1:])
+        pred[...] = f[-1]
+        x[:, 0] = 0.0
+        flat *= half
+        # sums reads the diagonals that start below this block from the
+        # padding and the block's upper triangle: zeros, as are their carries
+        sums = _diagonal_columns(buf[i0:], i1 - i0, n)
+        sums[0] += carry
+        np.cumsum(sums, axis=0, out=sums)
+        carry[...] = sums[-1]
+        # the entries above the diagonal that sums skips: the superdiagonal,
+        # and the last row, whose upper triangle is the next block's to read
+        flat[i0 + 1 :: n + 1] = 0.0
+        x[-1, i1:] = 0.0
+        into[i0:i1] += x
+    return into
 
 
 def picard_g1(m: TriangularField) -> TriangularField:
     """First term: G_1(x,t) = i * integral over s in [x-t, x] of m(s, t+s-x)."""
     n = m.grid.n_nodes
-    buf = _padded(n)
-    buf[n - 1 :] = m.values.ravel()
-    return TriangularField(m.grid, _cumtrapz_along_diagonals(buf, n, 1j * m.grid.step))
-
-
-# Rows and columns per block of _lower_product.
-_PRODUCT_BLOCK = 64
+    mv = m.values
+    g1 = np.zeros((n, n), dtype=complex)
+    return TriangularField(m.grid, _diagonal_trapezoid(
+        lambda i0, i1, work: mv[i0:i1], n, 1j * m.grid.step, g1))
 
 
 def _lower_product(a: np.ndarray, b: np.ndarray, out: np.ndarray, i0: int = 0) -> np.ndarray:
@@ -130,6 +149,23 @@ def _lower_product(a: np.ndarray, b: np.ndarray, out: np.ndarray, i0: int = 0) -
     return out
 
 
+def _inner_rows(mv: np.ndarray, gv: np.ndarray, h: float, i0: int, i1: int,
+                out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Rows i0 .. i1 - 1 (at most _PRODUCT_BLOCK) of _inner_table, into out.
+
+    out and work have that many rows of n entries; out must be zero right
+    of column i1 - 1, and stays so.
+    """
+    a = np.multiply(mv[i0:i1], h, out=work)
+    np.einsum("ii->i", a[:, i0:i1])[...] *= 0.5
+    rows = _lower_product(a, gv, out, i0)
+    ends = (0.5 * h) * np.diagonal(gv)
+    np.einsum("ij,j->ij", mv[i0:i1], ends, out=a)  # np.multiply allocates buffers here
+    rows -= a
+    np.einsum("ii->i", rows[:, i0:i1])[...] = 0.0
+    return rows
+
+
 def _inner_table(mv: np.ndarray, gv: np.ndarray, h: float,
                  out: np.ndarray | None = None) -> np.ndarray:
     """inner[k, c] = trapezoid over tau in [x_c, x_k] of m(x_k, tau) g(tau, x_c).
@@ -138,33 +174,40 @@ def _inner_table(mv: np.ndarray, gv: np.ndarray, h: float,
     their triangular product (_lower_product); halving the diagonal of m
     supplies the end weight at tau = x_k, and subtracting
     m(x_k, x_c) g(x_c, x_c) / 2 the one at tau = x_c. Both weights are
-    applied per block of _PRODUCT_BLOCK rows. The upper triangle of the
-    result is zero by the same structure; the diagonal (an empty range) is
-    set to zero. out, if given, must be zero above the diagonal.
+    applied per block of _PRODUCT_BLOCK rows (_inner_rows). The upper
+    triangle of the result is zero by the same structure; the diagonal (an
+    empty range) is set to zero. out, if given, must be zero above the
+    diagonal.
     """
     n = mv.shape[0]
     if out is None:
         out = np.zeros((n, n), dtype=complex)
-    ends = (0.5 * h) * np.diagonal(gv)
-    scratch = np.empty((min(_PRODUCT_BLOCK, n), n), dtype=complex)
+    work = np.empty((min(_PRODUCT_BLOCK, n), n), dtype=complex)
     for i0 in range(0, n, _PRODUCT_BLOCK):
         i1 = min(i0 + _PRODUCT_BLOCK, n)
-        a = np.multiply(mv[i0:i1], h, out=scratch[: i1 - i0])
-        np.einsum("ii->i", a[:, i0:i1])[...] *= 0.5
-        rows = _lower_product(a, gv, out[i0:i1], i0)
-        np.einsum("ij,j->ij", mv[i0:i1], ends, out=a)  # np.multiply allocates buffers here
-        rows -= a
-        np.einsum("ii->i", rows[:, i0:i1])[...] = 0.0
+        _inner_rows(mv, gv, h, i0, i1, out[i0:i1], work[: i1 - i0])
     return out
 
 
-def picard_step(m: TriangularField, g_n: TriangularField) -> TriangularField:
-    """Next term: G_{n+1}(x,t) = i * iterated integral of m against G_n."""
-    require_same_grid(m.grid, g_n.grid)
+def picard_step(m: TriangularField, g_n: TriangularField,
+                into: TriangularField | None = None) -> TriangularField:
+    """Next term: G_{n+1}(x,t) = i * iterated integral of m against G_n.
+
+    The term is added to into, which is returned (a zero field when into is
+    None): one block of _PRODUCT_BLOCK rows of the inner table at a time is
+    integrated along the diagonals (_diagonal_trapezoid) and added to its
+    rows of into, so besides into the step holds two such blocks and no
+    full-size array. into must not share memory with m or g_n.
+    """
+    if into is None:
+        into = TriangularField.zeros(m.grid)
+    require_same_grid(m.grid, g_n.grid, into.grid)
     n, h = m.grid.n_nodes, m.grid.step
-    buf = _padded(n)
-    _inner_table(m.values, g_n.values, h, out=buf[n - 1 :].reshape(n, n))
-    return TriangularField(m.grid, _cumtrapz_along_diagonals(buf, n, 1j * h))
+    mv, gv = m.values, g_n.values
+    inner = np.zeros((min(_PRODUCT_BLOCK, n), n), dtype=complex)
+    _diagonal_trapezoid(lambda i0, i1, work: _inner_rows(mv, gv, h, i0, i1, inner[: i1 - i0], work),
+                        n, 1j * h, into.values)
+    return into
 
 
 def _march(mv: np.ndarray, g1: np.ndarray, h: float) -> np.ndarray:
@@ -182,7 +225,10 @@ def _march(mv: np.ndarray, g1: np.ndarray, h: float) -> np.ndarray:
     G is that of G1, where the step vanishes. This is the step-by-step
     trapezoid method for Volterra equations; it costs about N^3 / 3
     multiply-adds, most of them in one gemm per block of ROW_BLOCK rows.
-    h M and the scaled G1 are formed per block, so the march holds no
+    h M, the scaled G1 and partial are formed per block, each in a reused
+    contiguous buffer of ROW_BLOCK rows, as is the product with the end
+    weights: numpy then needs no iterator buffers for them (it allocates
+    those for strided or broadcast operands), and the march holds no
     full-size array besides G.
     """
     n = mv.shape[0]
@@ -194,12 +240,18 @@ def _march(mv: np.ndarray, g1: np.ndarray, h: float) -> np.ndarray:
     g = np.zeros_like(g1)
     np.einsum("ii->i", g)[...] = np.diagonal(g1)
     acc = np.zeros(n, dtype=complex)
+    bufs = np.empty((4, min(ROW_BLOCK, n) * n), dtype=complex)
     for r0 in range(1, n, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, n)
-        hm = h * mv[r0:r1, :r1]            # rows r0 .. r1 - 1 of h M
-        g1s = g1[r0:r1, :r1] * scale[r0:r1, None]
-        part = hm[:, :r0] @ g[:r0, :r1]
-        part -= hm * ends[:r1]
+        hm, g1s, part, tmp = (b[: (r1 - r0) * r1].reshape(r1 - r0, r1) for b in bufs)
+        hm[...] = mv[r0:r1, :r1]
+        hm *= h                            # rows r0 .. r1 - 1 of h M
+        np.matmul(hm[:, :r0], g[:r0, :r1], out=part)
+        tmp[...] = ends[:r1]
+        part -= np.multiply(hm, tmp, out=tmp)
+        g1s[...] = g1[r0:r1, :r1]
+        tmp[...] = scale[r0:r1, None]
+        g1s *= tmp
         for i in range(r0, r1):
             p = part[i - r0, :i]
             p += hm[i - r0, r0:i] @ g[r0:i, :i]
@@ -228,7 +280,10 @@ def compute_g(m: TriangularField, max_terms: int = 60) -> TransformKernel:
     1 allows no update and any larger value exactly one; no command sets it.
     PicardConvergenceError, naming the last norm and tol, is raised unless
     that norm is below tol: a march that is not finite (a kernel carrying
-    NaN or overflowing) gets no update.
+    NaN or overflowing) gets no update. The update is added into G1's own
+    buffer, so besides M a build holds two fields, G1 and the march, and
+    blocks of rows (see _march and picard_step): 2.7 fields at N = 200, 2.4
+    at N = 400.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
@@ -239,8 +294,7 @@ def compute_g(m: TriangularField, max_terms: int = 60) -> TransformKernel:
         norms = [g.sup_norm()]
         tol = 1e-12 * (1.0 + norms[0])
         if not norms[0] < tol and np.isfinite(norms[0]) and max_terms > 1:
-            update = picard_step(m, g)
-            update.values[...] += g1.values
+            update = picard_step(m, g, g1)  # G1 + T(G), in G1's buffer
             g.values[...] -= update.values  # the change, negated, in place of the march
             norms.append(g.sup_norm())
             g = update
@@ -297,8 +351,8 @@ def _shear(vals: np.ndarray) -> np.ndarray:
     and shearing it again gives vals back.
     """
     m = vals.shape[0]
-    buf = _padded(m)
-    _diagonal_columns(buf, m)[:, ::-1] = vals
+    buf = np.zeros(m * m + m - 1, dtype=complex)  # the result from offset m - 1
+    _diagonal_columns(buf, m, m)[:, ::-1] = vals
     return buf[m - 1 :].reshape(m, m)
 
 

@@ -462,6 +462,10 @@ class TestInvert:
         )
         out = workdir / "inv_starved_out"
         assert main(["invert", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        # an unconverged fit still writes its profile and its report
+        (stage,) = json.loads((out / "recovery_report.json").read_text())["stages"]
+        assert not stage["converged"]
+        assert (out / "recovered_profile_1.csv").is_file()
 
     def test_unknown_option_is_config_error(self, workdir, target_spectrum, capsys):
         cfg = write_config(
@@ -1125,6 +1129,36 @@ class TestOverflowingValues:
         assert self.run(workdir, "overflow_cell", "spectrum", cfg) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and "cell_size 1e+308" in err, err
+
+
+class TestRefusedRunsLeaveNoOutDir:
+    """The --out directory, and any parent it lacks, comes with the first
+    artifact: a run refused after its config was read writes none."""
+
+    @pytest.mark.parametrize("command, code", [
+        ("forward", EXIT_NUMERICAL), ("spectrum", EXIT_CONFIG),
+        ("invert", EXIT_CONFIG), ("verify", EXIT_NUMERICAL),
+    ])
+    def test_refused_run(self, workdir, capsys, command, code):
+        big = TestOverflowingValues.BIG
+        miscount = workdir / "refused_miscount.json"
+        miscount.write_text(SPECTRUM_TEXT % (5, 1))
+        cfg = {
+            # a kernel whose G overflows
+            "forward": {"grid_n": 8, "kernel": {"m0": big}},
+            # a samples file that is not there, read once the grid is built
+            "spectrum": {"grid_n": 8, "window": TestOverflowingValues.WINDOW, "kernel": {
+                **CONST_KERNEL, "m0": {"kind": "samples", "path": str(workdir / "no_such.csv")}}},
+            # a target whose total_count is not the sum of its multiplicities
+            "invert": {"grid_n": 20, "d": 4, "kernel": CONST_KERNEL, "target": str(miscount)},
+            # an overflowing p_tilde
+            "verify": {"grid_n": 8, **TestVerify.KERNEL, "p_tilde": big},
+        }[command]
+        path = write_config(workdir / f"refused_{command}.json", cfg)
+        parent = workdir / f"refused_{command}_out"
+        assert main([command, "--config", path, "--out", str(parent / "out")]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not parent.exists()
 
 
 class TestMutatedConfigs:

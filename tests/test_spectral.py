@@ -226,7 +226,7 @@ class TestEvalZContraction:
         def no_work(*args):
             raise AssertionError("eval_z started work on inputs it must refuse")
 
-        monkeypatch.setattr(idospec.spectral, "shifted_factor", no_work)
+        monkeypatch.setattr(idospec.spectral, "shifted_rows", no_work)
         with pytest.raises(ValueError, match=re.escape(f"psi {psi.shape} and e_tilde {et.shape}")):
             eval_z(r, psi, et)
 

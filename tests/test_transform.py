@@ -6,16 +6,16 @@ import scipy.fft
 from hypothesis import example, given, settings, strategies as st
 
 import idospec.transform
+from idospec import cli
 from idospec.quadrature import PI, ROW_BLOCK, TriangularField, make_grid
 from idospec.transform import (
     PicardConvergenceError,
     _PRODUCT_BLOCK,
-    _cumtrapz_along_diagonals,
+    _diagonal_trapezoid,
     _inner_table,
     _lower_product,
     _march,
     _next_fast_len,
-    _padded,
     assemble_z_kernel,
     compute_g,
     picard_g1,
@@ -46,11 +46,9 @@ def _cumtrapz_along_diagonals_loop(vals, scale):
 
 
 def _cumtrapz(vals, scale):
-    """_cumtrapz_along_diagonals on a padded copy of vals."""
-    n = vals.shape[0]
-    buf = _padded(n)
-    buf[n - 1 :] = vals.ravel()
-    return _cumtrapz_along_diagonals(buf, n, scale)
+    """_diagonal_trapezoid of vals, added to zeros."""
+    return _diagonal_trapezoid(lambda i0, i1, work: vals[i0:i1], len(vals), scale,
+                               np.zeros_like(vals))
 
 
 def _inner_table_loop(mv, gv, h):
@@ -125,8 +123,8 @@ def _random_lower(rng, n, scale):
     return np.tril(scale * vals)
 
 
-# Sizes at the edges of the row chunks of _cumtrapz_along_diagonals and of
-# the row blocks of _inner_table
+# Sizes at the edges of the row blocks of _march and of _inner_table and
+# _diagonal_trapezoid
 CHUNK_EDGES = sorted({k * b + e for b in (ROW_BLOCK, _PRODUCT_BLOCK) for k in (1, 2)
                       for e in (-1, 0, 1)})
 
@@ -153,13 +151,58 @@ class TestPicardHelpersMatchLoops:
 
         for s in (h, 1j * h):
             ct = _cumtrapz(mv, s)
-            assert np.array_equal(ct, _cumtrapz_along_diagonals_loop(mv, s))
+            assert ct.tobytes() == _cumtrapz_along_diagonals_loop(mv, s).tobytes()
             assert np.all(ct[:, 0] == 0.0)
             # +0.0 above the diagonal, whatever the sign of the zeros there
             assert np.triu(ct, 1).tobytes() == np.zeros_like(ct).tobytes()
             neg = mv.copy()
             neg[np.triu_indices(n, 1)] = complex(-0.0, -0.0)
             assert _cumtrapz(neg, s).tobytes() == ct.tobytes()
+
+
+class TestDiagonalTrapezoid:
+    @pytest.mark.parametrize("n", [2, _PRODUCT_BLOCK - 1, _PRODUCT_BLOCK, _PRODUCT_BLOCK + 1,
+                                   2 * _PRODUCT_BLOCK - 1, 2 * _PRODUCT_BLOCK, 2 * _PRODUCT_BLOCK + 1])
+    def test_blocks_sum_as_one_pass_down_each_diagonal(self, n):
+        # each diagonal's running sum crosses the block edges in the loop's
+        # order, bit for bit; -0.0 on a whole row, on a diagonal, at scattered
+        # entries and above the diagonal changes no sign in the result
+        rng = np.random.default_rng(n)
+        vals = _random_lower(rng, n, 1.0)
+        neg = complex(-0.0, -0.0)
+        vals[n // 2, : n // 2 + 1] = neg
+        np.einsum("ii->i", vals[1:, :-1])[...] = neg
+        rows, cols = np.tril_indices(n)
+        hit = rng.random(rows.size) < 0.1
+        vals[rows[hit], cols[hit]] = neg
+        vals[np.triu_indices(n, 1)] = neg
+        h = PI / (n - 1)
+        for s in (h, 1j * h):
+            ref = _cumtrapz_along_diagonals_loop(vals, s)
+            assert _cumtrapz(vals, s).view(np.uint64).tobytes() == ref.view(np.uint64).tobytes()
+        zeros = np.full((n, n), neg)
+        assert _cumtrapz(zeros, 1j * h).tobytes() == np.zeros((n, n), dtype=complex).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.one_of(st.integers(3, 70), st.sampled_from(CHUNK_EDGES)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=_PRODUCT_BLOCK + 1, seed=0)
+    def test_picard_step_adds_into(self, n, seed):
+        # the step streamed into a field equals the field plus the step, bit
+        # for bit, and writes nothing to m or g
+        rng = np.random.default_rng(seed)
+        grid = make_grid(n - 1)
+        m, g = (TriangularField(grid, _random_lower(rng, n, 1.0)) for _ in range(2))
+        b = _random_lower(rng, n, 1.0)
+        b[np.triu_indices(n, 1)] = complex(-0.0, -0.0)
+        b[rng.integers(n), 0] = complex(-0.0, 0.0)
+        m_bytes, g_bytes = m.values.tobytes(), g.values.tobytes()
+        into = TriangularField(grid, b.copy())
+        assert picard_step(m, g, into) is into
+        assert into.values.tobytes() == (b + picard_step(m, g).values).tobytes()
+        assert m.values.tobytes() == m_bytes and g.values.tobytes() == g_bytes
 
 
 class TestLowerProduct:
@@ -300,11 +343,14 @@ class TestComputeG:
 class TestWorkingMemory:
     """Full-size arrays a G build and the z-split hold at once, result included.
 
-    A G build holds G1, the iterate and the Picard update's buffer, plus
-    blocks of rows; the z-split its result, R and two row-spectrum arrays.
-    shifted_factor holds only its result, and eval_z that R plus arrays of
-    about N + 32 entries per column: its lag view of e_tilde builds no field
-    per column.
+    A G build holds two fields, G1 (which the Picard update is added into)
+    and the march, plus blocks of rows: four of ROW_BLOCK rows in the
+    march, two of _PRODUCT_BLOCK rows in the update. That is 2.7 fields at
+    N = 200 and 2.4 at N = 400. The z-split holds its result, R and two
+    row-spectrum arrays. shifted_factor holds only its result, and eval_z a
+    block of ROW_BLOCK rows of R plus arrays of about N + 32 entries per
+    column: its lag view of e_tilde builds no field per column. forward
+    holds M beside a G build, and only G beside its CSV writer.
     """
 
     def test_shifted_factor(self):
@@ -319,12 +365,27 @@ class TestWorkingMemory:
         lams = np.linspace(-17.0, 17.0, cols) - 0.4j
         e = eval_e_direct(family_fields(grid)["structured"], lams)
         psi = e[::-1].copy()
-        assert _peak_fields(lambda: eval_z(r, psi, e), n) <= 1.3
+        assert _peak_fields(lambda: eval_z(r, psi, e), n) <= 0.5
+
+    COMPUTE_G_FIELDS = {200: 2.8, 400: 2.5}
 
     @pytest.mark.parametrize("n", [200, 400])
     def test_compute_g(self, n):
         m = family_fields(make_grid(n))["structured"]
-        assert _peak_fields(lambda: compute_g(m), n) <= 3.5
+        assert _peak_fields(lambda: compute_g(m), n) <= self.COMPUTE_G_FIELDS[n]
+
+    def test_forward(self, tmp_path):
+        # at N = 400: at N = 200 the G CSV writer's blocks of
+        # serialize.CSV_BLOCK lines, whose working memory does not shrink
+        # with the grid, come to about 6 fields
+        n = 400
+        p = {"kind": "analytic", "family": "trig", "coeffs": [[0.3, 1, 0.5], [0.25, 2, 1.0]]}
+        r = {"kind": "analytic", "family": "trig", "coeffs": [[1.0, 0, 0], [0.2, 0, 1]]}
+        m0 = {"kind": "analytic", "family": "polynomial", "coeffs": [[0.05, 0, 0], [0.03, 1, 0]]}
+        run = cli._parse({"grid_n": n, "kernel": {"m0": m0, "components": [{"r": r, "p": p}]}},
+                         "forward", None)
+        peak = _peak_fields(lambda: cli.cmd_forward("0" * 64, tmp_path, None, **run), n)
+        assert peak <= 1.0 + self.COMPUTE_G_FIELDS[n]
 
     def test_assemble_z_kernel(self):
         n = 200
@@ -383,6 +444,25 @@ class TestMarchAgainstPicardSeries:
         zeros = np.zeros_like(march).tobytes()
         for g in (g1.values, march, update):
             assert np.triu(g, 1).tobytes() == zeros
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 120),
+        seed=st.integers(0, 2**32 - 1),
+        amp=st.floats(0.3, 5.0),
+    )
+    @example(n=31, seed=1, amp=1.0)
+    @example(n=32, seed=2, amp=1.0)
+    @example(n=63, seed=3, amp=1.0)
+    @example(n=64, seed=4, amp=5.0)
+    @example(n=96, seed=5, amp=1.0)
+    def test_g_is_g1_plus_one_picard_step(self, n, seed, amp):
+        # compute_g streams the update into G1's buffer; the sums are those
+        # of adding a whole Picard step to G1
+        m = TriangularField(make_grid(n), _random_lower(np.random.default_rng(seed), n + 1, amp))
+        g = compute_g(m).g.values
+        march = TriangularField(m.grid, _march(m.values, picard_g1(m).values, m.grid.step))
+        assert g.tobytes() == (picard_g1(m).values + picard_step(m, march).values).tobytes()
 
     @pytest.mark.parametrize("n", [100, 400])
     @pytest.mark.parametrize("name", ["constant", "polynomial", "trig", "structured"])

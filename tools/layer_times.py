@@ -6,8 +6,9 @@ e-march (spectral.eval_e_direct) for the 5 lambdas `verify` samples by
 default, the LM Jacobian (inverse.spectrum_jacobian, d = 8) at 18
 simple targets and one triple target, and building M from a config
 (cli._sample_kernel on the kernel cli._parse_kernel read, then
-kernels.assemble_kernel), at N in
-{100, 200, 400, 800} unless --n names others. The inputs are fixed: M =
+kernels.assemble_kernel) and the whole forward command (cli.cmd_forward,
+writing its G CSV and the other artifacts into a temporary directory), at
+N in {100, 200, 400, 800} unless --n names others. The inputs are fixed: M =
 M0 + R P(x - t) with smooth M0, R and a three-term trig profile P, given
 as the kernel object of a config (KERNEL), its G, and that G as both
 kernels of the z-split. R is not its own reflection, so each Jacobian also
@@ -30,6 +31,7 @@ import argparse
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import timeit
 import tracemalloc
@@ -69,8 +71,9 @@ REPEAT = 7
 STARTS = 5
 
 
-def layers(n: int) -> dict:
-    """Name -> zero-argument callable running that layer once on the N = n inputs."""
+def layers(n: int, out: Path) -> dict:
+    """Name -> zero-argument callable running that layer once on the N = n
+    inputs; forward writes into the directory out."""
     grid = make_grid(n)
     h = grid.step
     kernel = cli._parse_kernel(KERNEL, "forward")
@@ -81,6 +84,7 @@ def layers(n: int) -> dict:
     g = tk.g
     g1 = transform.picard_g1(m).values
     problem = InverseProblem(m0=m0, r=r, target=TARGETS, d=8)
+    forward = cli._parse({"grid_n": n, "kernel": KERNEL}, "forward", None)
     return {
         "compute_g": lambda: transform.compute_g(m),
         "_march": lambda: transform._march(m.values, g1, h),
@@ -90,6 +94,7 @@ def layers(n: int) -> dict:
         "eval_e_direct (5 lambdas)": lambda: eval_e_direct(m, LAMBDAS),
         "spectrum_jacobian (19 targets)": lambda: spectrum_jacobian(m, problem, tk),
         "M from config": lambda: assemble_kernel(cli._sample_kernel(kernel, grid)),
+        "forward": lambda: cli.cmd_forward("0" * 64, out, None, **forward),
     }
 
 
@@ -128,8 +133,9 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--n", type=int, nargs="+", default=[100, 200, 400, 800])
     args = parser.parse_args(argv)
-    cells = {n: {name: f"{median_ms(fn):.3f} | {peak_fields(fn, n):.2f}"
-                 for name, fn in layers(n).items()} for n in args.n}
+    with tempfile.TemporaryDirectory() as out:
+        cells = {n: {name: f"{median_ms(fn):.3f} | {peak_fields(fn, n):.2f}"
+                     for name, fn in layers(n, Path(out)).items()} for n in args.n}
     print("| layer | " + " | ".join(f"N = {n}: ms | fields" for n in args.n) + " |")
     print("|---|" + "---:|---:|" * len(args.n))
     for name in cells[args.n[0]]:
