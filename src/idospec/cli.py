@@ -51,6 +51,7 @@ from .spectral import (
     find_spectrum,
 )
 from .inverse import (
+    NonFiniteResidualError,
     recover_sequential,
     verify_green_identity,
     verify_change_of_variables,
@@ -88,7 +89,7 @@ _DEFAULT_LAMBDAS = {
 # Attributes of a RecoveryReport that each recovery_report.json stage records, in order.
 _STAGE_KEYS = (
     "converged", "iterations", "residual_norm", "underdetermined", "history", "damping",
-    "rejected_trials", "residual_evals", "jacobian_evals", "g_builds",
+    "rejected_trials", "residual_evals", "jacobian_evals", "g_builds", "mu",
 )
 # Numeric config keys: type and least value (grid_n's is checked with the
 # --grid-n that overrides it).
@@ -593,7 +594,8 @@ def main(argv=None) -> int:
     except WeightVanishesError as ex:
         print(f"weight condition failure: {ex}", file=sys.stderr)
         return EXIT_WEIGHT
-    except (PicardConvergenceError, PhaseTrackingError, BoundaryNearZeroError) as ex:
+    except (PicardConvergenceError, NonFiniteResidualError, PhaseTrackingError,
+            BoundaryNearZeroError) as ex:
         print(f"numerical failure: {ex}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -4,14 +4,24 @@ The residual never re-solves the eigenvalue problem inside the optimizer
 loop: a target eigenvalue nu of multiplicity m contributes the values
 Delta(nu), Delta'(nu), ..., Delta^(m-1)(nu) of the candidate characteristic
 function, which all vanish exactly when nu is a zero of that multiplicity.
-Their derivatives in the profile parameters come from the paper's Green
-identity Delta~ - Delta = i * double integral of psi (M~ - M) e~, linearized
-at M~ = M, so a Jacobian needs the forward solutions e and psi of the
-current kernel only, not one residual per parameter. The paper's change of
-variables turns each double integral of psi R (P~ - P)(x - t) e into the
-single integral of (P~ - P)(pi - x) z(x, nu), with z from eval_z; the
-Jacobian takes that form, and verify_change_of_variables checks that both
-forms agree.
+A fit takes one of two paths, which InverseProblem.toeplitz decides once.
+
+When M = M0 + R P(x - t) is a difference kernel and the targets are simple
+(the Toeplitz path), Delta is that of the trapezoid e-system, a lower
+triangular Toeplitz system that spectral.toeplitz_delta solves with its
+exact gradient in the samples of M, so no G is built and each residual
+comes with its exact Jacobian; the residual is the Richardson combination
+of the grid and its every other node.
+
+Otherwise (the G path) Delta is the G-based one that find_spectrum finds
+zeros of, and the derivatives in the profile parameters come from the
+paper's Green identity Delta~ - Delta = i * double integral of
+psi (M~ - M) e~, linearized at M~ = M, so a Jacobian needs the forward
+solutions e and psi of the current kernel only, not one residual per
+parameter. The paper's change of variables turns each double integral of
+psi R (P~ - P)(x - t) e into the single integral of (P~ - P)(pi - x) z(x, nu),
+with z from eval_z; the Jacobian takes that form, and
+verify_change_of_variables checks that both forms agree.
 """
 
 from __future__ import annotations
@@ -40,11 +50,15 @@ from .kernels import (
     WeightVanishesError,
 )
 from .transform import TransformKernel, compute_g, reflected_kernel
-from .spectral import Spectrum, char_delta_deriv, eval_e_via_g, eval_z
+from .spectral import Spectrum, char_delta_deriv, eval_e_via_g, eval_z, toeplitz_delta
 
 
 class UnderdeterminedError(ValueError):
     """Fewer target data than parameters with no regularization."""
+
+
+class NonFiniteResidualError(RuntimeError):
+    """A residual of the Toeplitz path is not finite."""
 
 
 # The fit's one setting, and its default: it ends unconverged after MAX_ITER
@@ -117,9 +131,10 @@ def _spline_basis(knots: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 class InverseProblem:
     """Single-profile recovery setup: M0 and R known, P unknown.
 
-    Each G that spectrum_residual and spectrum_jacobian build for it is
-    compute_g(m): the row march, certified by one Picard update at the
-    tolerance the march sets.
+    A problem whose toeplitz property is set is fitted with no G (see
+    spectrum_residual). Each G that spectrum_residual and spectrum_jacobian
+    build for any other is compute_g(m): the row march, certified by one
+    Picard update at the tolerance the march sets.
     """
 
     m0: TriangularField
@@ -152,6 +167,24 @@ class InverseProblem:
         """
         return _spline_basis(self.param_nodes, self.grid.nodes)
 
+    @cached_property
+    def toeplitz(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(m0, lift) when the fit takes the Toeplitz path, else None.
+
+        The path needs M = M0 + R P(x - t) to be a difference kernel: M0 and
+        R each equal lag_view of their own column 0, compared by value. It
+        also needs N even, every target simple, and every |Re nu| < N/2,
+        where the grid of N/2 intervals does not alias. Then M's difference
+        samples are m0 + lift @ params, with m0 the column 0 of M0 and lift
+        the basis scaled by the column 0 of R.
+        """
+        n = self.grid.n_intervals
+        evs = self.target.eigenvalues
+        if (n % 2 or any(ev.multiplicity != 1 or abs(ev.value.real) >= n / 2 for ev in evs)
+                or not all(np.array_equal(f.values, lag_view(f.values[:, 0])) for f in (self.m0, self.r))):
+            return None
+        return self.m0.values[:, 0], self.r.values[:, :1] * self.basis
+
     def is_underdetermined(self) -> bool:
         return self.target.total_count < self.d
 
@@ -171,10 +204,11 @@ class RecoveryReport:
     converged: bool
     history: list = field(default_factory=list)
     underdetermined: bool = False
-    residual_evals: int = 0     # spectrum_residual calls, one G build each
-    jacobian_evals: int = 0     # spectrum_jacobian calls, at most one G build each
-    g_builds: int = 0           # compute_g calls: a Jacobian builds none when
-                                # the kernel is its own reflection
+    residual_evals: int = 0     # spectrum_residual calls, one G build each on the G path
+    jacobian_evals: int = 0     # Jacobians taken, at most one G build each on the G path
+    g_builds: int = 0           # compute_g calls: none on the Toeplitz path, and a
+                                # Jacobian builds none when the kernel is its own reflection
+    mu: float = 0.0             # the regularization weight the fit used
     # per LM iteration: the damping of the step it accepted (the damping it
     # ended at if it accepted none), and its trial residuals that did not
     # lower the cost
@@ -208,10 +242,27 @@ def _target_orders(problem: InverseProblem) -> tuple[np.ndarray, np.ndarray]:
 def spectrum_residual(p_params, problem: InverseProblem):
     """Candidate Delta (and derivatives, per multiplicity) at the target points.
 
-    Each derivative order is one char_delta_deriv call over its targets.
-    Returns the residual, the G it was computed from and the candidate
-    kernel M that G solves, the point where spectrum_jacobian linearizes.
+    Returns the residual and what its Jacobian needs. On the Toeplitz path
+    (problem.toeplitz set) the residual is the Richardson combination
+    (4 Delta_N - Delta_{N/2}) / 3 of toeplitz_delta on the grid and on its
+    every other node, fourth order in h, and the second value is its exact
+    Jacobian, one row per target and one column per parameter; no kernel
+    field and no G is formed, and a residual that is not finite raises
+    NonFiniteResidualError, as compute_g refuses a kernel that is not
+    finite. On the G path each derivative order is one char_delta_deriv
+    call over its targets, and the second value is the pair (g, m): the G
+    the residual was computed from and the candidate kernel M that G
+    solves, the point where spectrum_jacobian linearizes.
     """
+    if problem.toeplitz is not None:
+        m0, lift = problem.toeplitz
+        p = m0 + lift @ p_params
+        nus = _target_orders(problem)[0]
+        (fine, d_fine), (coarse, d_coarse) = (toeplitz_delta(p[::s], nus, grad=True) for s in (1, 2))
+        res = (4.0 * fine - coarse) / 3.0
+        if not np.isfinite(res).all():
+            raise NonFiniteResidualError("the Toeplitz residual of the fit is not finite")
+        return res, (4.0 * d_fine @ lift - d_coarse @ lift[::2]) / 3.0
     m = _candidate_kernel(p_params, problem)
     g = compute_g(m)
     nus, orders = _target_orders(problem)
@@ -219,7 +270,7 @@ def spectrum_residual(p_params, problem: InverseProblem):
     for order in np.unique(orders):
         rows = orders == order
         res[rows] = char_delta_deriv(g, nus[rows], order=int(order))
-    return res, g, m
+    return res, (g, m)
 
 
 def spectrum_jacobian(m: TriangularField, problem: InverseProblem, g: TransformKernel):
@@ -269,19 +320,25 @@ def _second_difference(params: np.ndarray) -> np.ndarray:
 
 
 def _stacked_residual(params: np.ndarray, problem: InverseProblem, mu: float):
-    res, g, m = spectrum_residual(params, problem)
+    res, lin = spectrum_residual(params, problem)
     parts = [res.real, res.imag]
     if mu > 0:
         parts.append(np.sqrt(mu) * _second_difference(params))
-    return np.concatenate(parts), g, m
+    return np.concatenate(parts), lin
 
 
-def _stacked_jacobian(m, problem: InverseProblem, mu: float, g):
-    jac, g_refl = spectrum_jacobian(m, problem, g)
+def _stacked_jacobian(lin, problem: InverseProblem, mu: float):
+    """The stacked Jacobian at the residual that returned lin, and whether it built a G."""
+    if problem.toeplitz is not None:
+        jac, built = lin, False
+    else:
+        g, m = lin
+        jac, g_refl = spectrum_jacobian(m, problem, g)
+        built = g_refl is not g
     parts = [jac.real, jac.imag]
     if mu > 0:
         parts.append(np.sqrt(mu) * _second_difference(np.eye(problem.d)))
-    return np.concatenate(parts), g_refl
+    return np.concatenate(parts), built
 
 
 def recover_profile(
@@ -293,12 +350,15 @@ def recover_profile(
     """Damped Gauss-Newton (Levenberg-Marquardt) fit of the profile parameters.
 
     Minimizes 0.5 * ||stacked residual||^2 with a second-difference
-    regularizer of weight mu. Each iteration takes spectrum_jacobian at the
-    G its accepted residual already built, so a Jacobian costs at most one
+    regularizer of weight mu; with fewer than 2d target data, mu = 0 is
+    raised to 1e-6, and the report records the weight used. On the
+    Toeplitz path each residual comes with its exact Jacobian and no G is
+    built. On the G path each iteration takes spectrum_jacobian at the G
+    its accepted residual already built, so a Jacobian costs at most one
     G build whatever d is, and none for a reflection-symmetric kernel. That
     Jacobian is O(h^2) away from the derivative of the discrete residual,
     which can leave no damped step that lowers the cost near the
-    discretization floor; so each rejected trial step corrects it
+    discretization floor; so there each rejected trial step corrects it
     by a secant (Broyden) update from the residual the trial computed,
     J += (r_trial - r - J delta) delta^T / (delta^T delta), before the next
     damped solve. The fit converges when the cost drops below FTOL, the step
@@ -318,8 +378,9 @@ def recover_profile(
     if mu == 0 and problem.target.total_count < 2 * problem.d:
         mu = 1e-6  # truncated spectra can be practically underdetermined
 
-    res, g, m = _stacked_residual(params, problem, mu)
-    residual_evals, jacobian_evals, g_builds = 1, 0, 1
+    green = problem.toeplitz is None     # builds G, and its Jacobian is inexact
+    res, lin = _stacked_residual(params, problem, mu)
+    residual_evals, jacobian_evals, g_builds = 1, 0, int(green)
     cost = float(np.linalg.norm(res))
     history = [cost]
     dampings, rejected = [], []
@@ -328,9 +389,9 @@ def recover_profile(
     it = 0
     while not converged and it < max_iter:
         it += 1
-        jac, g_refl = _stacked_jacobian(m, problem, mu, g)
+        jac, built = _stacked_jacobian(lin, problem, mu)
         jacobian_evals += 1
-        g_builds += g_refl is not g
+        g_builds += built
 
         accepted = False
         rejected.append(0)
@@ -343,17 +404,18 @@ def recover_profile(
                 damping *= 10.0
                 continue
             trial = params + delta
-            trial_res, trial_g, trial_m = _stacked_residual(trial, problem, mu)
+            trial_res, trial_lin = _stacked_residual(trial, problem, mu)
             residual_evals += 1
-            g_builds += 1
+            g_builds += green
             trial_cost = float(np.linalg.norm(trial_res))
             if trial_cost < cost:
                 stalled = cost - trial_cost <= STALL_RTOL * cost
-                params, res, cost, g, m = trial, trial_res, trial_cost, trial_g, trial_m
+                params, res, cost, lin = trial, trial_res, trial_cost, trial_lin
                 accepted = True
                 break
             rejected[-1] += 1
-            jac += np.outer(trial_res - res - jac @ delta, delta / (delta @ delta))
+            if green:
+                jac += np.outer(trial_res - res - jac @ delta, delta / (delta @ delta))
             damping *= 10.0
         history.append(cost)
         dampings.append(damping)
@@ -376,6 +438,7 @@ def recover_profile(
         residual_evals=residual_evals,
         jacobian_evals=jacobian_evals,
         g_builds=g_builds,
+        mu=mu,
         damping=dampings,
         rejected_trials=rejected,
     )

@@ -11,8 +11,12 @@ char_delta_direct is the tail-row sum of Delta with one exponential per node,
 the reference for the package's blocked polynomial evaluation. The
 remaining oracles do use the package: picard_series_g sums the Picard
 series term by term, the reference for the row march of compute_g,
-fd_jacobian differentiates the inversion residual by forward differences,
-the reference for its analytic Jacobian, eval_z_columns builds z one
+fd_jacobian differentiates the inversion residual by forward (or central)
+differences, the reference for its analytic Jacobian, toeplitz_dense_delta
+and trapezoid_e_system_delta solve the e-system of spectral.toeplitz_delta
+densely, balanced from its coefficients' definitions and entry by entry
+from the trapezoid rule, newton_polished moves target roots onto the zeros
+of a given Delta, eval_z_columns builds z one
 column at a time, each column one Volterra product of its own full-size
 field, the reference for the blocked contraction of spectral.eval_z,
 find_spectrum_reflected searches the spectrum of the reflected kernel,
@@ -155,11 +159,12 @@ def oracle_roots_in_window(re_min, re_max, im_min, im_max, c: float = 1.0,
     return roots
 
 
-def fd_jacobian(residual, params, step: float = 1e-6) -> np.ndarray:
+def fd_jacobian(residual, params, step: float = 1e-6, central: bool = False) -> np.ndarray:
     """Forward-difference Jacobian of residual(params), column per parameter.
 
     residual maps a real parameter vector to a (complex) vector; the step
-    of parameter k is step * (1 + |params[k]|).
+    of parameter k is step * (1 + |params[k]|). With central, the
+    differences are central instead.
     """
     params = np.asarray(params, dtype=float)
     base = residual(params)
@@ -168,8 +173,93 @@ def fd_jacobian(residual, params, step: float = 1e-6) -> np.ndarray:
         h = step * (1.0 + abs(params[k]))
         pert = params.copy()
         pert[k] += h
-        jac[:, k] = (residual(pert) - base) / h
+        if central:
+            back = params.copy()
+            back[k] -= h
+            jac[:, k] = (residual(pert) - residual(back)) / (2.0 * h)
+        else:
+            jac[:, k] = (residual(pert) - base) / h
     return jac
+
+
+def toeplitz_dense_delta(p, lam) -> tuple[complex, float]:
+    """Delta of the Toeplitz e-system of spectral.toeplitz_delta by a balanced dense solve.
+
+    For M(x, t) = p(x - t) on the grid of N = len(p) - 1 intervals, the
+    unknowns v_i = |z|^i exp(i lam x_i) e_i, i = 1 .. N, z = exp(-i lam h),
+    solve the N x N system with entries delta_ij - i h^2 |z|^(i-j) c[i-j]
+    and right side |z|^i (1 + i h^2 w[i]). Each balanced coefficient is
+    summed term by term from its definition,
+    |z|^m c[m] = sum over l of weight(m, l) |z|^(m-l) p[l] exp(i Re(lam) x_l),
+    so no factor exceeds the range of |z|^k, k <= N; np.linalg.solve solves
+    it, and Delta = exp(-i Re(lam) pi) v_N. Returns Delta and max |v_i|,
+    the scale of the solution (|v_i| = |e_i|).
+    """
+    p = np.asarray(p, dtype=complex)
+    lam = complex(lam)
+    n = p.size - 1
+    h = PI / n
+    m = np.arange(n + 1)
+    lag = m[:, None] - m[None, :]
+    weight = np.where(lag > 0, 1.0, 0.0)                 # rows m, columns l <= m
+    weight[:, 0] = 0.5
+    weight[m, m] = 0.5
+    weight[0, 0] = 0.25
+    weight_w = 0.5 * np.where(lag > 0, 1.0, 0.0)         # w[i]: 1/2 for 0 < l < i
+    weight_w[:, 0] = 0.0
+    weight_w[m, m] = 0.25
+    weight_w[0, 0] = 0.0
+    power = np.exp(lam.imag * h * np.maximum(lag, 0))     # |z|^(m - l)
+    q_hat = p * np.exp(1j * lam.real * h * m)
+    c = (weight * power) @ q_hat
+    w = (weight_w * power) @ q_hat
+    i = m[1:]
+    toeplitz = np.where(lag[1:, 1:] >= 0, c[np.maximum(lag[1:, 1:], 0)], 0.0)
+    system = np.eye(n) - 1j * h * h * toeplitz
+    rhs = np.exp(lam.imag * h * i) + 1j * h * h * w[1:]
+    v = np.linalg.solve(system, rhs)
+    return complex(np.exp(-1j * lam.real * PI) * v[-1]), float(np.abs(v).max())
+
+
+def trapezoid_e_system_delta(m: TriangularField, lam) -> complex:
+    """e(pi, lam) of the trapezoid e-system that eval_e_direct marches, by a dense solve.
+
+    e_i = exp(-i lam x_i) (1 + i h sum over k of a_k exp(i lam x_k) f_k),
+    f_k = h sum over j of b_j M[k, j] e_j, with the trapezoid weights a of
+    [0, x_i] and b of [0, x_k], built entry by entry for any kernel M and
+    solved whole, with no fixed-point sweep and no Toeplitz structure.
+    """
+    lam = complex(lam)
+    n = m.grid.n_intervals
+    h, x = m.grid.step, m.grid.nodes
+    system = np.eye(n + 1, dtype=complex)
+    for i in range(1, n + 1):
+        for k in range(1, i + 1):
+            a = 0.5 if k == i else 1.0
+            b = np.ones(k + 1)
+            b[0] = b[-1] = 0.5
+            system[i, : k + 1] -= (1j * h * h * a * np.exp(1j * lam * (x[k] - x[i]))) * b * m.values[k, : k + 1]
+    e = np.linalg.solve(system, np.exp(-1j * lam * x))
+    return complex(e[-1])
+
+
+def newton_polished(spectrum: Spectrum, delta, step: float = 1e-6) -> Spectrum:
+    """spectrum with each simple root moved to the zero of delta that Newton finds from it.
+
+    delta maps an array of lambda to Delta values; its derivative is the
+    central difference of the given step, which Delta, analytic in lambda,
+    allows to about step^2. Newton stops once its step is below
+    1e-14 (1 + |lambda|), or after 20 steps.
+    """
+    z = np.array([ev.value for ev in spectrum.eigenvalues], dtype=complex)
+    for _ in range(20):
+        shift = delta(z) / ((delta(z + step) - delta(z - step)) / (2.0 * step))
+        z -= shift
+        if (np.abs(shift) < 1e-14 * (1.0 + np.abs(z))).all():
+            break
+    eigs = tuple(Eigenvalue(complex(v), 1, float(abs(r)))
+                 for v, r in zip(z, np.atleast_1d(delta(z))))
+    return Spectrum(eigenvalues=eigs, window=spectrum.window, total_count=spectrum.total_count)
 
 
 def eval_z_columns(r: TriangularField, psi: np.ndarray, e_tilde: np.ndarray) -> np.ndarray:

@@ -289,12 +289,13 @@ class TestSpectrum:
     def test_target_window_beyond_alias_limit_refused(
         self, workdir, target_spectrum, reach, monkeypatch, capsys
     ):
-        builds = []
-        for module in (idospec.cli, idospec.inverse):
-            monkeypatch.setattr(
-                module, "compute_g",
-                lambda *a, build=module.compute_g, **k: builds.append(1) or build(*a, **k),
-            )
+        # every residual of a fit, on either path, is a spectrum_residual call
+        residuals = []
+        residual = idospec.inverse.spectrum_residual
+        monkeypatch.setattr(
+            idospec.inverse, "spectrum_residual",
+            lambda *a, **k: residuals.append(1) or residual(*a, **k),
+        )
         data = json.loads(target_spectrum.read_text())
         data["window"]["re_min"] = -reach
         target = workdir / f"spec_alias_target_{reach}.json"
@@ -306,10 +307,10 @@ class TestSpectrum:
         })
         out = workdir / f"inv_alias_out_{reach}"
         code = main(["invert", "--config", cfg, "--out", str(out)])
-        # a window at pi/h = 8 is refused, naming the file, before any G build
+        # a window at pi/h = 8 is refused, naming the file, before any residual
         refused = reach >= 8
         assert (code == EXIT_CONFIG) == refused
-        assert bool(builds) != refused
+        assert bool(residuals) != refused
         assert (str(target) in capsys.readouterr().err) == refused
 
     def test_target_root_outside_its_window_refused(self, workdir, target_spectrum, monkeypatch, capsys):
@@ -416,18 +417,36 @@ class TestInvert:
         prof = serialize.profile_from_csv(out / "recovered_profile_1.csv")
         assert np.abs(prof.values - 1.0).max() < 1e-2
 
+    def test_report_records_the_weight_each_stage_used(self, workdir, target_spectrum):
+        # 4 targets are fewer than 2d = 8 data: mu = 0 fits with 1e-6
+        data = json.loads(target_spectrum.read_text())
+        assert data["total_count"] == 4
+        for mu, used in ((None, 1e-6), (1e-3, 1e-3)):
+            extra = {} if mu is None else {"mu": mu}
+            cfg = write_config(workdir / f"inv_mu_{mu}.json", self.invert_cfg(target_spectrum, **extra))
+            out = workdir / f"inv_mu_out_{mu}"
+            assert main(["invert", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            report = json.loads((out / "recovery_report.json").read_text())
+            assert report["mu"] == (mu or 0.0)
+            assert report["stages"][0]["mu"] == used
+
     def test_report_counts_g_builds(self, workdir, target_spectrum, monkeypatch):
         builds = []
         build = idospec.inverse.compute_g
         monkeypatch.setattr(
             idospec.inverse, "compute_g", lambda *a, **k: builds.append(1) or build(*a, **k)
         )
-        # R = 1 gives a kernel that is its own reflection: a Jacobian reuses
-        # the residual's G; with the tilted R each Jacobian builds one more.
-        # (Not from zero: P = 0 makes M = 0, which is its own reflection.)
-        for tag, r, per_jacobian in (("sym", None, 0), ("tilted", TILTED_R, 1)):
+        # On the G path, which the odd grid_n 81 and the tilted R take, each
+        # residual builds G. R = 1 gives a kernel that is its own reflection:
+        # a Jacobian reuses the residual's G; with the tilted R each Jacobian
+        # builds one more. At grid_n 80 the R = 1 fit takes the Toeplitz path
+        # and builds none. (Not from zero: P = 0 makes M = 0, which is its
+        # own reflection.)
+        for tag, r, n, per_residual, per_jacobian in (
+            ("sym", None, 81, 1, 0), ("tilted", TILTED_R, 80, 1, 1), ("toeplitz", None, 80, 0, 0),
+        ):
             builds.clear()
-            cfg = self.invert_cfg(target_spectrum, init=[0.8] * 4)
+            cfg = self.invert_cfg(target_spectrum, init=[0.8] * 4, grid_n=n)
             if r is not None:
                 cfg["kernel"]["components"] = [{"r": r}]
             path = write_config(workdir / f"inv_count_{tag}.json", cfg)
@@ -436,7 +455,7 @@ class TestInvert:
             (stage,) = json.loads((out / "recovery_report.json").read_text())["stages"]
             assert stage["jacobian_evals"] == stage["iterations"] >= 1
             assert stage["g_builds"] == len(builds) == (
-                stage["residual_evals"] + per_jacobian * stage["jacobian_evals"]
+                per_residual * stage["residual_evals"] + per_jacobian * stage["jacobian_evals"]
             )
 
     def test_unconverged_target_root_is_refused(self, workdir, target_spectrum, capsys):
@@ -477,7 +496,12 @@ class TestInvert:
         assert "fd_step" in capsys.readouterr().err
         assert not (out / "recovery_report.json").exists()
 
-    def test_max_inner_takes_effect(self, workdir, target_spectrum, monkeypatch):
+    # R and a start from which the default fit rejects some trial steps, on
+    # the Toeplitz path of R = 1 and on the G path of the tilted R
+    LM_STARTS = [("toeplitz", None, [-3.0, 3.0, -3.0, 3.0]), ("tilted", TILTED_R, [3.0, -3.0, 3.0, -3.0])]
+
+    @pytest.mark.parametrize("tag, r, init", LM_STARTS)
+    def test_max_inner_takes_effect(self, workdir, target_spectrum, monkeypatch, tag, r, init):
         # from this start the default fit rejects some trial steps; with one
         # trial per iteration the first rejection ends the fit unconverged
         monkeypatch.setattr(idospec.inverse, "LM_DAMPING0", 1e-8)
@@ -485,18 +509,20 @@ class TestInvert:
         for max_inner, code in ((None, EXIT_OK), (1, EXIT_NUMERICAL)):
             if max_inner is not None:
                 monkeypatch.setattr(idospec.inverse, "MAX_INNER", max_inner)
-            cfg = write_config(
-                workdir / f"inv_inner_{max_inner}.json",
-                self.invert_cfg(target_spectrum, init=[3.0, -3.0, 3.0, -3.0]),
-            )
-            out = workdir / f"inv_inner_out_{max_inner}"
+            cfg = self.invert_cfg(target_spectrum, init=init)
+            if r is not None:
+                cfg["kernel"]["components"] = [{"r": r}]
+            cfg = write_config(workdir / f"inv_inner_{tag}_{max_inner}.json", cfg)
+            out = workdir / f"inv_inner_out_{tag}_{max_inner}"
             assert main(["invert", "--config", cfg, "--out", str(out)]) == code
             (stages[max_inner],) = json.loads((out / "recovery_report.json").read_text())["stages"]
+        assert (stages[None]["g_builds"] == 0) == (r is None)
         assert stages[None]["residual_evals"] > stages[None]["iterations"] + 1
         assert stages[1]["residual_evals"] == stages[1]["iterations"] + 1
         assert not stages[1]["converged"]
 
-    def test_report_records_damping_and_rejections(self, workdir, target_spectrum, monkeypatch):
+    @pytest.mark.parametrize("path, factor, init", LM_STARTS)
+    def test_report_records_damping_and_rejections(self, workdir, target_spectrum, monkeypatch, path, factor, init):
         # the start of test_max_inner_takes_effect: the default fit rejects
         # some trial steps, and with one trial per iteration it stops at the
         # first rejection
@@ -504,13 +530,13 @@ class TestInvert:
         for max_inner in (None, 1):
             if max_inner is not None:
                 monkeypatch.setattr(idospec.inverse, "MAX_INNER", max_inner)
-            cfg = write_config(
-                workdir / f"inv_lm_{max_inner}.json",
-                self.invert_cfg(target_spectrum, init=[3.0, -3.0, 3.0, -3.0]),
-            )
+            cfg = self.invert_cfg(target_spectrum, init=init)
+            if factor is not None:
+                cfg["kernel"]["components"] = [{"r": factor}]
+            cfg = write_config(workdir / f"inv_lm_{path}_{max_inner}.json", cfg)
             texts = []
             for tag in ("a", "b"):
-                out = workdir / f"inv_lm_out_{max_inner}_{tag}"
+                out = workdir / f"inv_lm_out_{path}_{max_inner}_{tag}"
                 main(["invert", "--config", cfg, "--out", str(out)])
                 texts.append((out / "recovery_report.json").read_bytes())
             assert texts[0] == texts[1]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from idospec.quadrature import PI, Profile, TriangularField, make_grid
+from idospec.quadrature import PI, Profile, TriangularField, lag_view, make_grid
 from idospec.kernels import (
     KernelComponent,
     StructuredKernel,
@@ -20,11 +20,13 @@ from idospec.spectral import (
     eval_e_direct,
     eval_z,
     find_spectrum,
+    toeplitz_delta,
 )
 import idospec.inverse
 from idospec.inverse import (
     STALL_RTOL,
     InverseProblem,
+    NonFiniteResidualError,
     UnderdeterminedError,
     profile_from_params,
     recover_profile,
@@ -36,7 +38,7 @@ from idospec.inverse import (
 )
 
 from conftest import mild_family_fields
-from oracles import eval_psi, fd_jacobian
+from oracles import eval_psi, fd_jacobian, newton_polished, oracle_roots_in_window
 
 WINDOW = SearchWindow(-6.0, 6.0, -6.0, 0.5)
 WIDE = SearchWindow(-20.0, 20.0, -8.0, 0.5)
@@ -52,11 +54,34 @@ def tilted_r(grid):
     return TriangularField.from_function(grid, lambda x, t: 1.0 + 0.3 * np.cos(x) + 0.2 * t)
 
 
-def convolution_problem(target, n, r=None):
-    """d = 8 fit of M = R(x, t) P(x - t) on n intervals; R = 1 unless given."""
+# 19 simple targets across the benchmark's window, down to Im lambda = -8;
+# they need not be zeros
+DEEP = Spectrum(
+    eigenvalues=tuple(Eigenvalue(complex(re, im), 1, 0.0) for re, im in zip(
+        np.linspace(-19.0, 19.0, 19), np.resize([-8.0, -0.4, -4.0, 0.4], 19))),
+    window=WIDE, total_count=19,
+)
+
+
+def convolution_problem(target, n, r=None, d=8):
+    """d-parameter fit of M = R(x, t) P(x - t) on n intervals; R = 1 unless given."""
     grid = make_grid(n)
     r = TriangularField.constant(grid, 1.0) if r is None else r(grid)
-    return InverseProblem(m0=TriangularField.zeros(grid), r=r, target=target, d=8)
+    return InverseProblem(m0=TriangularField.zeros(grid), r=r, target=target, d=d)
+
+
+def extrapolated_toeplitz(p):
+    """lambda -> (4 Delta_N - Delta_{N/2}) / 3 of M = p(x - t), the Toeplitz path's residual."""
+    return lambda lam: (4.0 * toeplitz_delta(p, lam) - toeplitz_delta(p[::2], lam)) / 3.0
+
+
+def constant_target(n, polish):
+    """Spectrum of M = 1 on the window WINDOW at n intervals: the G roots, and
+    with polish those roots moved to the zeros of the extrapolated Toeplitz
+    Delta, the zero set of the Toeplitz path's own residual."""
+    grid = make_grid(n)
+    target = find_spectrum(compute_g(TriangularField.constant(grid, 1.0)), WINDOW)
+    return newton_polished(target, extrapolated_toeplitz(np.ones(n + 1))) if polish else target
 
 
 @pytest.fixture(scope="module")
@@ -66,13 +91,28 @@ def grid80():
 
 @pytest.fixture(scope="module")
 def const_problem(grid80):
-    """Inverse crime setup: target spectrum generated on the same grid."""
-    m0 = TriangularField.zeros(grid80)
-    r = TriangularField.constant(grid80, 1.0)
-    true_p = Profile.constant(grid80, 1.0)
-    m = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, true_p),)))
-    target = find_spectrum(compute_g(m), WINDOW)
-    return InverseProblem(m0=m0, r=r, target=target, d=4)
+    """Inverse crime setup on the Toeplitz path: P = 1, R = 1, M0 = 0 at N = 80,
+    and a target that is the zero set of the fit's own residual."""
+    problem = InverseProblem(
+        m0=TriangularField.zeros(grid80), r=TriangularField.constant(grid80, 1.0),
+        target=constant_target(80, polish=True), d=4,
+    )
+    assert problem.toeplitz is not None
+    return problem
+
+
+@pytest.fixture(scope="module")
+def odd_problem():
+    """Inverse crime setup on the G path: P = 1, R = 1 and M0 = 0 at the odd
+    N = 81, whose target is the G roots on the same grid. The kernel is its
+    own reflection, so a Jacobian builds no G."""
+    grid = make_grid(81)
+    problem = InverseProblem(
+        m0=TriangularField.zeros(grid), r=TriangularField.constant(grid, 1.0),
+        target=constant_target(81, polish=False), d=4,
+    )
+    assert problem.toeplitz is None
+    return problem
 
 
 class TestProfileFromParams:
@@ -158,6 +198,45 @@ class TestProblemSetup:
         with pytest.raises(WeightVanishesError):
             problem.check_weight_condition()
 
+    def test_toeplitz_path_needs_all_four_conditions(self, const_problem):
+        # a difference kernel, N even, simple targets and |Re nu| < N/2
+        target = const_problem.target
+        samples = lambda grid: 0.3 + 0.2 * np.cos(grid.nodes)
+
+        def one(grid):
+            return TriangularField.constant(grid, 1.0)
+
+        def diff(grid):
+            return TriangularField(grid, np.array(lag_view(samples(grid) + 0j)))
+
+        def bumped(grid):               # R = 1 but one entry one ulp above it
+            r = one(grid)
+            r.values[5, 2] += 2.0**-52
+            return r
+
+        def ramp(grid):
+            return TriangularField.from_function(grid, lambda x, t: 0.05 + 0.03 * x)
+
+        def single(nu, mult=1):
+            return Spectrum(eigenvalues=(Eigenvalue(nu, mult, 0.0),), window=WIDE, total_count=mult)
+
+        cases = [
+            (80, one, one, target, True), (80, diff, diff, target, True),
+            (8, one, one, single(-3.9 - 0.5j), True), (8, one, one, single(4.0 - 0.5j), False),
+            (81, one, one, target, False), (80, one, one, single(1.0 - 0.5j, 2), False),
+            (80, one, tilted_r, target, False), (80, ramp, one, target, False),
+            (80, one, bumped, target, False),
+        ]
+        for n, m0, r, tgt, taken in cases:
+            grid = make_grid(n)
+            problem = InverseProblem(m0=m0(grid), r=r(grid), target=tgt, d=4)
+            assert (problem.toeplitz is not None) == taken, (n, m0, r, tgt)
+        grid = make_grid(80)
+        problem = InverseProblem(m0=diff(grid), r=diff(grid), target=target, d=4)
+        m0_samples, lift = problem.toeplitz
+        assert np.array_equal(m0_samples, samples(grid))
+        assert np.array_equal(lift, samples(grid)[:, None] * problem.basis)
+
     def test_underdetermined_flag(self, const_problem, grid80):
         assert not const_problem.is_underdetermined()  # 4 targets, d = 4
         wide = InverseProblem(
@@ -169,10 +248,28 @@ class TestProblemSetup:
 
 class TestSpectrumResidual:
     def test_vanishes_at_true_parameters(self, const_problem):
-        res, g, m = spectrum_residual(np.ones(4), const_problem)
-        assert g.grid is m.grid is const_problem.grid
+        res, jac = spectrum_residual(np.ones(4), const_problem)
         assert res.shape == (const_problem.target.total_count,)
+        assert jac.shape == (res.size, 4)
         assert np.abs(res).max() < 1e-9
+
+    def test_vanishes_at_true_parameters_on_the_g_path(self, odd_problem):
+        res, (g, m) = spectrum_residual(np.ones(4), odd_problem)
+        assert g.grid is m.grid is odd_problem.grid
+        assert res.shape == (odd_problem.target.total_count,)
+        assert np.abs(res).max() < 1e-9
+
+    def test_toeplitz_residual_is_the_extrapolated_delta(self, two_sine_target):
+        problem = convolution_problem(two_sine_target, 100)
+        params = TestSpectrumJacobian.PARAMS
+        res, _ = spectrum_residual(params, problem)
+        nus = np.array([ev.value for ev in two_sine_target.eigenvalues])
+        expected = extrapolated_toeplitz(problem.basis @ params)(nus)
+        assert np.abs(res - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_non_finite_toeplitz_residual_raises(self, const_problem):
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteResidualError):
+            spectrum_residual(np.full(4, np.nan), const_problem)
 
 
 @pytest.fixture(scope="module")
@@ -192,15 +289,30 @@ class TestSpectrumJacobian:
 
     @staticmethod
     def jacobians(problem, params):
-        res, g, m = spectrum_residual(params, problem)
+        res, (g, m) = spectrum_residual(params, problem)
         analytic, _ = spectrum_jacobian(m, problem, g)
         fd = fd_jacobian(lambda p: spectrum_residual(p, problem)[0], params)
         return analytic, fd
 
+    @pytest.mark.parametrize("n", [50, 100, 200])
+    def test_toeplitz_jacobian_matches_central_differences(self, n):
+        # the exact derivative of the discrete residual, targets down to
+        # Im lambda = -8
+        problem = convolution_problem(DEEP, n)
+        assert problem.toeplitz is not None
+        _, jac = spectrum_residual(self.PARAMS, problem)
+        fd = fd_jacobian(lambda p: spectrum_residual(p, problem)[0], self.PARAMS,
+                         step=1e-5, central=True)
+        rel = np.abs(jac - fd).max(axis=1) / np.abs(fd).max(axis=1)
+        assert rel.shape == (19,)
+        assert rel.max() <= 1e-7
+
     def test_columns_match_fd_to_second_order(self, two_sine_target):
+        # the Green Jacobian, on the G path that odd N takes
         errs = []
-        for n in (50, 100, 200):
+        for n in (51, 101, 201):
             problem = convolution_problem(two_sine_target, n)
+            assert problem.toeplitz is None
             analytic, fd = self.jacobians(problem, self.PARAMS)
             assert analytic.shape == (two_sine_target.total_count, 8)
             errs.append(np.abs(analytic - fd).max() / np.abs(fd).max())
@@ -221,18 +333,24 @@ class TestSpectrumJacobian:
         assert rel.shape == (4,)
         assert rel.max() <= 5e-3
 
-    def test_fit_from_zero_converges_past_the_floor(self, two_sine_target):
-        problem = convolution_problem(two_sine_target, 100)
+    @pytest.mark.parametrize("n", [100, 101])
+    def test_fit_from_zero_converges_past_the_floor(self, two_sine_target, n):
+        # N = 100 takes the Toeplitz path; the G path of N = 101 needs the
+        # secant correction (see two_sine)
+        problem = convolution_problem(two_sine_target, n)
+        assert (problem.toeplitz is None) == (n % 2 == 1)
         report = recover_profile(problem, np.zeros(8))
         assert report.converged
         grid = problem.grid
         assert np.abs(report.recovered.values - two_sine(grid.nodes)).max() <= 0.05
 
-    def test_fit_near_the_floor_does_not_crawl(self):
+    @pytest.mark.parametrize("n", [100, 101])
+    def test_fit_near_the_floor_does_not_crawl(self, n):
         # truth 0 of benchmark seed 1: its fit from zero ends at the
         # discretization floor, where a Jacobian further from the residual's
         # derivative makes LM crawl (13 iterations and 25 residuals with
-        # nested-trapezoid pair integrals)
+        # nested-trapezoid pair integrals); N = 100 fits with the exact
+        # Jacobian of the Toeplitz path, N = 101 with the Green one
         def truth(x):
             return (0.338718445717945 * np.sin(x + 3.6731843319365467)
                     + 0.08059479868228293 * np.sin(2 * x + 4.352465272235334))
@@ -244,15 +362,16 @@ class TestSpectrumJacobian:
                              Profile.from_function(grid, truth)),),
         ))
         target = find_spectrum(compute_g(m), WIDE, initial_edge_samples=64)
-        problem = convolution_problem(target, 100)
+        problem = convolution_problem(target, n)
         report = recover_profile(problem, np.zeros(8))
         assert report.converged
         assert np.abs(report.recovered.values - truth(problem.grid.nodes)).max() <= 0.05
         assert report.iterations <= 8
 
-    def test_evaluation_counts_add_up_to_g_builds(self, const_problem, monkeypatch):
-        # M = P(x - t) is its own reflection, so a Jacobian reuses the
-        # residual's G; with the tilted R each Jacobian builds the reflected G
+    def test_evaluation_counts_add_up_to_g_builds(self, const_problem, odd_problem, monkeypatch):
+        # on the G path M = P(x - t) is its own reflection, so a Jacobian
+        # reuses the residual's G; with the tilted R each Jacobian builds the
+        # reflected G; the Toeplitz path builds none
         builds = []
         build = idospec.inverse.compute_g
         monkeypatch.setattr(
@@ -262,13 +381,15 @@ class TestSpectrumJacobian:
             m0=const_problem.m0, r=tilted_r(const_problem.grid),
             target=const_problem.target, d=4,
         )
-        for problem, per_jacobian in ((const_problem, 0), (tilted, 1)):
+        for problem, per_residual, per_jacobian in (
+            (odd_problem, 1, 0), (tilted, 1, 1), (const_problem, 0, 0),
+        ):
             builds.clear()
             report = recover_profile(problem, np.full(4, 0.8))
             assert report.jacobian_evals == report.iterations >= 1
             assert report.residual_evals > report.iterations
             assert report.g_builds == len(builds) == (
-                report.residual_evals + per_jacobian * report.jacobian_evals
+                per_residual * report.residual_evals + per_jacobian * report.jacobian_evals
             )
 
     @settings(max_examples=25, deadline=None)
@@ -293,7 +414,7 @@ class TestSpectrumJacobian:
         r = TriangularField(grid, symmetric_field(0.05).values + np.tril(np.ones((n + 1, n + 1))))
         problem = InverseProblem(m0=symmetric_field(0.02), r=r, target=target, d=5)
         params = rng.uniform(-1.0, 1.0, 5)
-        _, g, m = spectrum_residual(params, problem)
+        _, (g, m) = spectrum_residual(params, problem)
         jac, g_refl = spectrum_jacobian(m, problem, g)
         assert g_refl is g
 
@@ -327,9 +448,10 @@ class TestRecoverProfile:
         assert report.iterations <= 1
         assert not report.converged
 
-    def test_one_kernel_assembly_per_residual(self, const_problem, monkeypatch):
-        # the Jacobian linearizes at the kernel its residual assembled, with
-        # a symmetric kernel and with one that builds the reflected G
+    def test_one_kernel_assembly_per_residual(self, const_problem, odd_problem, monkeypatch):
+        # on the G path the Jacobian linearizes at the kernel its residual
+        # assembled, with a symmetric kernel and with one that builds the
+        # reflected G
         calls = []
         assemble = idospec.inverse.assemble_kernel
         monkeypatch.setattr(
@@ -340,11 +462,21 @@ class TestRecoverProfile:
             m0=const_problem.m0, r=tilted_r(const_problem.grid),
             target=const_problem.target, d=4,
         )
-        for problem in (const_problem, tilted):
+        for problem in (odd_problem, tilted):
             calls.clear()
             report = recover_profile(problem, np.full(4, 0.8))
             assert report.jacobian_evals >= 1
             assert len(calls) == report.residual_evals
+
+    def test_toeplitz_path_builds_no_field(self, const_problem, monkeypatch):
+        # no kernel assembly, G build, z contraction or reflection: each
+        # residual brings its exact Jacobian
+        calls = []
+        for name in ("assemble_kernel", "compute_g", "eval_z", "reflected_kernel", "spectrum_jacobian"):
+            monkeypatch.setattr(idospec.inverse, name, lambda *a, name=name, **k: calls.append(name))
+        report = recover_profile(const_problem, np.full(4, 0.8))
+        assert report.converged and report.jacobian_evals >= 1
+        assert report.g_builds == 0 and calls == []
 
     def test_stall_at_discretization_floor_converges(self, const_problem, monkeypatch):
         # target from a finer grid, so the cost has a floor above zero; with
@@ -367,6 +499,15 @@ class TestRecoverProfile:
         assert 0.0 < before - after <= STALL_RTOL * before
         assert np.abs(report.recovered.values - 1.0).max() < 5e-3  # O(h^2) grid mismatch
 
+    def test_records_the_regularization_weight_it_used(self, const_problem):
+        # 4 targets are fewer than 2d = 8 data, so mu = 0 is raised to 1e-6;
+        # with d = 2 they suffice, and a weight that is set is kept
+        for d, mu, used in ((4, 0.0, 1e-6), (4, 1e-3, 1e-3), (2, 0.0, 0.0)):
+            problem = InverseProblem(
+                m0=const_problem.m0, r=const_problem.r, target=const_problem.target, d=d, mu=mu,
+            )
+            assert recover_profile(problem, np.ones(d)).mu == used
+
     def test_empty_target_without_regularization(self, const_problem):
         empty = Spectrum(eigenvalues=(), window=WINDOW, total_count=0)
         problem = InverseProblem(
@@ -378,6 +519,26 @@ class TestRecoverProfile:
     def test_wrong_init_length(self, const_problem):
         with pytest.raises(ValueError):
             recover_profile(const_problem, np.zeros(5))
+
+
+class TestClosedFormRoots:
+    def test_constant_profile_is_recovered_to_fourth_order(self):
+        # P = 1 from the 18 zeros of its continuous Delta on the benchmark's
+        # window: the extrapolated residual recovers it to O(h^4) (the G
+        # path's plain Delta reaches 1.37e-3 and 3.41e-4 at N = 100 and 200)
+        roots = oracle_roots_in_window(WIDE.re_min, WIDE.re_max, WIDE.im_min, WIDE.im_max)
+        assert len(roots) == 18
+        target = Spectrum(eigenvalues=tuple(Eigenvalue(z, 1, 0.0) for z in roots),
+                          window=WIDE, total_count=18)
+        errs = []
+        for n in (100, 200):
+            problem = convolution_problem(target, n)
+            assert problem.toeplitz is not None
+            report = recover_profile(problem, np.zeros(8))
+            assert report.converged
+            errs.append(np.abs(report.recovered.values - 1.0).max())
+        assert errs[1] <= 2e-5
+        assert errs[0] >= 10.0 * errs[1]
 
 
 class TestRecoverSequential:

@@ -4,15 +4,19 @@ Layers: compute_g, the row march (transform._march), one Picard step, its
 inner-integral product (transform._inner_table), assemble_z_kernel, the
 e-march (spectral.eval_e_direct) for the 5 lambdas `verify` samples by
 default, the LM Jacobian (inverse.spectrum_jacobian, d = 8) at 18
-simple targets and one triple target, and building M from a config
-(cli._sample_kernel on the kernel cli._parse_kernel read, then
+simple targets and one triple target, the Toeplitz path's residual with
+its exact Jacobian (inverse.spectrum_residual, d = 8: toeplitz_delta on
+the grids of N and of N/2 intervals) at 19 simple targets, and building M
+from a config (cli._sample_kernel on the kernel cli._parse_kernel read, then
 kernels.assemble_kernel) and the whole forward command (cli.cmd_forward,
 writing its G CSV and the other artifacts into a temporary directory), at
 N in {100, 200, 400, 800} unless --n names others. The inputs are fixed: M =
 M0 + R P(x - t) with smooth M0, R and a three-term trig profile P, given
 as the kernel object of a config (KERNEL), its G, and that G as both
 kernels of the z-split. R is not its own reflection, so each Jacobian also
-builds the reflected kernel's G. Each time is
+builds the reflected kernel's G. The Toeplitz row needs a difference kernel,
+so it fits M = P(x - t) with M0 = 0 and R = 1 instead: the two rows do not
+measure the same kernel. Each time is
 the median over repeats of a timeit loop of at least 50 ms. Beside it
 stands the layer's tracemalloc peak above its inputs (what one call
 allocates at most at once, its result included), in (N+1)^2 complex
@@ -45,9 +49,9 @@ sys.path.insert(0, SRC)
 import numpy as np  # noqa: E402
 
 from idospec import cli, transform  # noqa: E402
-from idospec.inverse import InverseProblem, spectrum_jacobian  # noqa: E402
+from idospec.inverse import InverseProblem, spectrum_jacobian, spectrum_residual  # noqa: E402
 from idospec.kernels import assemble_kernel  # noqa: E402
-from idospec.quadrature import make_grid  # noqa: E402
+from idospec.quadrature import TriangularField, make_grid  # noqa: E402
 from idospec.spectral import Eigenvalue, SearchWindow, Spectrum, eval_e_direct  # noqa: E402
 
 LAMBDAS = np.array([0.5, -2.0, 1.5 - 0.5j, 3.0, 0.25j])
@@ -57,6 +61,11 @@ TARGETS = Spectrum(
     eigenvalues=tuple(Eigenvalue(complex(nu, -0.4), 1, 0.0) for nu in np.linspace(-17.0, 17.0, 18))
     + (Eigenvalue(2.1 - 0.7j, 3, 0.0),),
     window=SearchWindow(-20.0, 20.0, -8.0, 0.5), total_count=21,
+)
+# the Toeplitz residual's targets: the same 18 and the triple one taken simple
+SIMPLE_TARGETS = Spectrum(
+    eigenvalues=TARGETS.eigenvalues[:-1] + (Eigenvalue(2.1 - 0.7j, 1, 0.0),),
+    window=TARGETS.window, total_count=19,
 )
 # M0 = 0.05 + 0.03 x, R = 1 + 0.2 cos t, P = 0.3 sin(x + 0.5) + 0.25 sin(2x + 1) + 0.2 sin(3x + 2)
 KERNEL = {
@@ -84,6 +93,9 @@ def layers(n: int, out: Path) -> dict:
     g = tk.g
     g1 = transform.picard_g1(m).values
     problem = InverseProblem(m0=m0, r=r, target=TARGETS, d=8)
+    toeplitz = InverseProblem(m0=TriangularField.zeros(grid), r=TriangularField.constant(grid, 1.0),
+                              target=SIMPLE_TARGETS, d=8)
+    params = np.interp(toeplitz.param_nodes, grid.nodes, sk.components[0].p.values.real)  # P at the knots
     forward = cli._parse({"grid_n": n, "kernel": KERNEL}, "forward", None)
     return {
         "compute_g": lambda: transform.compute_g(m),
@@ -93,6 +105,7 @@ def layers(n: int, out: Path) -> dict:
         "assemble_z_kernel": lambda: transform.assemble_z_kernel(g, g, r),
         "eval_e_direct (5 lambdas)": lambda: eval_e_direct(m, LAMBDAS),
         "spectrum_jacobian (19 targets)": lambda: spectrum_jacobian(m, problem, tk),
+        "Toeplitz spectrum_residual (19 targets)": lambda: spectrum_residual(params, toeplitz),
         "M from config": lambda: assemble_kernel(cli._sample_kernel(kernel, grid)),
         "forward": lambda: cli.cmd_forward("0" * 64, out, None, **forward),
     }
