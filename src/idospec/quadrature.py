@@ -13,10 +13,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 PI = np.pi
-# Rows per block of the loops that run over the rows of a field: the marches
-# (transform._march, spectral.eval_e_direct) solve a block per gemm, eval_z
-# contracts a block per einsum, and the elementwise passes and sup_norm read
-# a block at a time, which bounds their temporaries to a few rows.
+# Rows per block of the loops that run over the rows of a field: march_rows,
+# the one driver of both marches (transform._march, spectral.eval_e_direct),
+# reads every earlier row in one gemm per block, eval_z contracts a block per
+# einsum, and the elementwise passes and sup_norm read a block at a time,
+# which bounds their temporaries to a few rows.
 ROW_BLOCK = 32
 
 
@@ -74,6 +75,44 @@ def volterra_apply(values, vec, h: float) -> np.ndarray:
     out = h * (values @ vec - 0.5 * ends)
     out[0] = 0.0
     return out
+
+
+def march_rows(mv: np.ndarray, h: float, v: np.ndarray, lower: bool):
+    """Drive the step-by-step trapezoid method for a Volterra equation of the
+    second kind in v, row by row: yield (i, p) for i = 1 .. n - 1.
+
+    p[c] is the trapezoid rule, step h, for the integral over tau in [x_lo,
+    x_i] of M(x_i, tau) v(tau, c), less its end term at tau = x_i, where v
+    is not known yet: h M[i, :i] @ v[:i, c] - h M[i, lo] v[lo, c] / 2. If
+    lower, v is lower-triangular (as G), p has the columns c < i and lo = c,
+    the diagonal of v; otherwise (as e) p has every column of v and lo = 0.
+    Row 0, and if lower the diagonal, must be set before the iteration
+    starts. The caller writes row i (its columns < i if lower) before the
+    next yield, and may change p in place; rows below i are not read before
+    then, so they may hold the caller's own data. One gemm per block of
+    ROW_BLOCK rows reads every row above the block, so only the products
+    within the block run row by row. h M, p's rows and their end weights are
+    formed a block at a time in reused buffers: the driver holds no
+    full-size array.
+    """
+    n, cols = mv.shape[0], v.shape[1]
+    ends = 0.5 * (np.diagonal(v) if lower else v[0])   # v at tau = x_lo, halved
+    hm_buf = np.empty(min(ROW_BLOCK, n) * n, dtype=complex)
+    part_buf, tmp_buf = np.empty((2, min(ROW_BLOCK, n) * cols), dtype=complex)
+    for r0 in range(1, n, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, n)
+        w = r1 if lower else cols
+        hm = hm_buf[: (r1 - r0) * r1].reshape(r1 - r0, r1)
+        part, tmp = (b[: (r1 - r0) * w].reshape(r1 - r0, w) for b in (part_buf, tmp_buf))
+        hm[...] = mv[r0:r1, :r1]
+        hm *= h                            # rows r0 .. r1 - 1 of h M
+        np.matmul(hm[:, :r0], v[:r0, :w], out=part)
+        tmp[...] = ends[:w]                # numpy buffers a broadcast operand
+        part -= np.multiply(hm if lower else hm[:, :1], tmp, out=tmp)
+        for i in range(r0, r1):
+            p = part[i - r0, :i] if lower else part[i - r0]
+            p += hm[i - r0, r0:i] @ (v[r0:i, :i] if lower else v[r0:i])
+            yield i, p
 
 
 def trapezoid_weights(n_nodes: int, step: float) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import ROW_BLOCK, TriangularField, trapezoid_weights, volterra_apply
+from .quadrature import ROW_BLOCK, TriangularField, march_rows, trapezoid_weights, volterra_apply
 from .kernels import shifted_rows
 from .transform import TransformKernel
 
@@ -125,41 +125,34 @@ def eval_e_direct(m: TriangularField, lam) -> np.ndarray:
     a = exp(-i lam x_i) (1 + i h known) + i h p / 2, known is the sum of
     exp(i lam x_k) f(x_k) over the nodes k < i (f(0) = 0, so the end weight
     at s = 0 drops out) and p = h M[i, :i] @ e[:i] less the end weight at
-    t = 0. As in transform._march, one gemm per block of ROW_BLOCK nodes
-    reads every earlier node, and only products within the block run node
-    by node. lam is a scalar, giving shape (N+1,), or a 1-D array of K
-    values, all marched at once, giving shape (N+1, K) with one column per
-    lambda.
+    t = 0, which march_rows yields, one column per lambda. Node i's row of
+    e holds exp(-i lam x_i) (1 + b) until the update overwrites it; no
+    (N+1) x (N+1) array is formed. lam is a scalar, giving shape (N+1,), or
+    a 1-D array of K values, all marched at once, giving shape (N+1, K)
+    with one column per lambda.
     """
     h = m.grid.step
-    hm = h * m.values
+    hm_diag = h * np.diagonal(m.values)
     lx = _exponent(m.grid, lam)
     cols = lx[:, None] if lx.ndim == 1 else lx
     phase = np.exp(1j * cols)                      # exp(+i lam x)
-    b = 0.25j * h * np.diagonal(hm)                # i h^2 M[i,i] / 4
+    b = 0.25j * h * hm_diag                        # i h^2 M[i,i] / 4
     e = np.exp(-1j * cols) * (1.0 + b)[:, None]    # overwritten node by node
     drive = (1j * h) * e                           # multiplies known
     # multiplies p, as exp(-i lam x) exp(i lam x) = 1
     self_coef = 0.5j * h * (1.0 + b)
     b2 = b * b                                     # multiplies e[i-1]
-    half_diag = 0.5 * np.diagonal(hm)
+    half_diag = 0.5 * hm_diag
     e[0] = 1.0
     known = np.zeros_like(e[0])
-    n = e.shape[0]
-    for r0 in range(1, n, ROW_BLOCK):
-        r1 = min(r0 + ROW_BLOCK, n)
-        part = hm[r0:r1, :r0] @ e[:r0]
-        part -= np.multiply.outer(0.5 * hm[r0:r1, 0], e[0])
-        for i in range(r0, r1):
-            p = part[i - r0]
-            p += hm[i, r0:i] @ e[r0:i]
-            ei = e[i]
-            ei += drive[i] * known
-            ei += self_coef[i] * p
-            ei += b2[i] * e[i - 1]
-            p += half_diag[i] * ei                 # h times f(x_i)
-            p *= phase[i]
-            known += p
+    for i, p in march_rows(m.values, h, e, lower=False):
+        ei = e[i]
+        ei += drive[i] * known
+        ei += self_coef[i] * p
+        ei += b2[i] * e[i - 1]
+        p += half_diag[i] * ei                     # h times f(x_i)
+        p *= phase[i]
+        known += p
     return e[:, 0] if lx.ndim == 1 else e
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .quadrature import ROW_BLOCK, Grid, Profile, TriangularField, require_same_grid, volterra_apply, zero_upper
+from .quadrature import (ROW_BLOCK, Grid, Profile, TriangularField, march_rows, require_same_grid,
+                         volterra_apply, zero_upper)
 from .kernels import shifted_factor
 
 
@@ -166,8 +167,7 @@ def _inner_rows(mv: np.ndarray, gv: np.ndarray, h: float, i0: int, i1: int,
     return rows
 
 
-def _inner_table(mv: np.ndarray, gv: np.ndarray, h: float,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def _inner_table(mv: np.ndarray, gv: np.ndarray, h: float) -> np.ndarray:
     """inner[k, c] = trapezoid over tau in [x_c, x_k] of m(x_k, tau) g(tau, x_c).
 
     Both factors are zero above the diagonal, so the plain sum over tau is
@@ -176,12 +176,10 @@ def _inner_table(mv: np.ndarray, gv: np.ndarray, h: float,
     m(x_k, x_c) g(x_c, x_c) / 2 the one at tau = x_c. Both weights are
     applied per block of _PRODUCT_BLOCK rows (_inner_rows). The upper
     triangle of the result is zero by the same structure; the diagonal (an
-    empty range) is set to zero. out, if given, must be zero above the
-    diagonal.
+    empty range) is set to zero.
     """
     n = mv.shape[0]
-    if out is None:
-        out = np.zeros((n, n), dtype=complex)
+    out = np.zeros((n, n), dtype=complex)
     work = np.empty((min(_PRODUCT_BLOCK, n), n), dtype=complex)
     for i0 in range(0, n, _PRODUCT_BLOCK):
         i1 = min(i0 + _PRODUCT_BLOCK, n)
@@ -189,18 +187,16 @@ def _inner_table(mv: np.ndarray, gv: np.ndarray, h: float,
     return out
 
 
-def picard_step(m: TriangularField, g_n: TriangularField,
-                into: TriangularField | None = None) -> TriangularField:
-    """Next term: G_{n+1}(x,t) = i * iterated integral of m against G_n.
+def picard_step(m: TriangularField, g_n: TriangularField, into: TriangularField) -> TriangularField:
+    """Add the next term, G_{n+1}(x,t) = i * iterated integral of m against
+    G_n, to into, and return into.
 
-    The term is added to into, which is returned (a zero field when into is
-    None): one block of _PRODUCT_BLOCK rows of the inner table at a time is
+    One block of _PRODUCT_BLOCK rows of the inner table at a time is
     integrated along the diagonals (_diagonal_trapezoid) and added to its
     rows of into, so besides into the step holds two such blocks and no
-    full-size array. into must not share memory with m or g_n.
+    full-size array. The term alone is its sum into a zero field. into
+    must not share memory with m or g_n.
     """
-    if into is None:
-        into = TriangularField.zeros(m.grid)
     require_same_grid(m.grid, g_n.grid, into.grid)
     n, h = m.grid.n_nodes, m.grid.step
     mv, gv = m.values, g_n.values
@@ -219,50 +215,33 @@ def _march(mv: np.ndarray, g1: np.ndarray, h: float) -> np.ndarray:
     at tau = x_i and k = i, so it is explicit:
     G[i, j] = (G1[i, j] + i h (acc[i-j] + partial[j] / 2)) / (1 - i h^2 M[i,i] / 4),
     where partial[j] = h M[i, :i] @ G[:i, j] less the end weight
-    h M[i, j] G[j, j] / 2 at tau = x_j, and acc[d] is the sum so far of the
-    inner table along diagonal d. Its first entry, in column 0, is zero
-    because column 0 of G is, so it needs no half weight. The diagonal of
-    G is that of G1, where the step vanishes. This is the step-by-step
-    trapezoid method for Volterra equations; it costs about N^3 / 3
-    multiply-adds, most of them in one gemm per block of ROW_BLOCK rows.
-    h M, the scaled G1 and partial are formed per block, each in a reused
-    contiguous buffer of ROW_BLOCK rows, as is the product with the end
-    weights: numpy then needs no iterator buffers for them (it allocates
-    those for strided or broadcast operands), and the march holds no
-    full-size array besides G.
+    h M[i, j] G[j, j] / 2 at tau = x_j, the p that march_rows yields for a
+    lower-triangular field, and acc[d] is the sum so far of the inner table
+    along diagonal d. Its first entry, in column 0, is zero because column
+    0 of G is, so it needs no half weight. The diagonal of G is that of G1,
+    where the step vanishes. This is the step-by-step trapezoid method for
+    Volterra equations; it costs about N^3 / 3 multiply-adds, most of them
+    in march_rows' gemms, and holds no full-size array besides G.
     """
     n = mv.shape[0]
     hm_diag = h * np.diagonal(mv)
     scale = 1.0 / (1.0 - 0.25j * h * hm_diag)
     coef = 1j * h * scale
     half_diag = 0.5 * hm_diag
-    ends = 0.5 * np.diagonal(g1)           # G[j, j] / 2, the tau = x_j end weight
     g = np.zeros_like(g1)
+    # row i holds the scaled G1 until the march adds the step to it
+    np.multiply(g1, scale[:, None], out=g, where=np.tri(n, k=-1, dtype=bool))
     np.einsum("ii->i", g)[...] = np.diagonal(g1)
-    acc = np.zeros(n, dtype=complex)
-    bufs = np.empty((4, min(ROW_BLOCK, n) * n), dtype=complex)
-    for r0 in range(1, n, ROW_BLOCK):
-        r1 = min(r0 + ROW_BLOCK, n)
-        hm, g1s, part, tmp = (b[: (r1 - r0) * r1].reshape(r1 - r0, r1) for b in bufs)
-        hm[...] = mv[r0:r1, :r1]
-        hm *= h                            # rows r0 .. r1 - 1 of h M
-        np.matmul(hm[:, :r0], g[:r0, :r1], out=part)
-        tmp[...] = ends[:r1]
-        part -= np.multiply(hm, tmp, out=tmp)
-        g1s[...] = g1[r0:r1, :r1]
-        tmp[...] = scale[r0:r1, None]
-        g1s *= tmp
-        for i in range(r0, r1):
-            p = part[i - r0, :i]
-            p += hm[i - r0, r0:i] @ g[r0:i, :i]
-            row = g[i, :i]
-            np.multiply(p, 0.5, out=row)
-            row += acc[i:0:-1]
-            row *= coef[i]
-            row += g1s[i - r0, :i]
-            row[0] = 0.0
-            p += half_diag[i] * row        # inner-table row i
-            acc[i:0:-1] += p
+    acc, step = np.zeros((2, n), dtype=complex)
+    for i, p in march_rows(mv, h, g, lower=True):
+        row, s = g[i, :i], step[:i]
+        np.multiply(p, 0.5, out=s)
+        s += acc[i:0:-1]
+        s *= coef[i]
+        row += s
+        row[0] = 0.0
+        p += half_diag[i] * row            # inner-table row i
+        acc[i:0:-1] += p
     return g
 
 

@@ -11,6 +11,9 @@ char_delta_direct is the tail-row sum of Delta with one exponential per node,
 the reference for the package's blocked polynomial evaluation. The
 remaining oracles do use the package: picard_series_g sums the Picard
 series term by term, the reference for the row march of compute_g,
+hand_blocked_march and hand_blocked_e_march are the two marches with the
+blocked loop each wrote out before both iterated quadrature.march_rows,
+the bitwise references for that driver,
 fd_jacobian differentiates the inversion residual by forward (or central)
 differences, the reference for its analytic Jacobian, toeplitz_dense_delta
 and trapezoid_e_system_delta solve the e-system of spectral.toeplitz_delta
@@ -39,7 +42,7 @@ import math
 import numpy as np
 
 from idospec.kernels import shifted_factor
-from idospec.quadrature import TriangularField, lag_view, trapezoid_weights, volterra_apply
+from idospec.quadrature import ROW_BLOCK, TriangularField, lag_view, trapezoid_weights, volterra_apply
 from idospec.serialize import field_from_csv
 from idospec.spectral import (
     BOUNDARY_RTOL,
@@ -54,6 +57,7 @@ from idospec.spectral import (
     SearchWindow,
     Spectrum,
     _rect_boundary,
+    _exponent,
     _winding_number,
     eval_e_direct,
     find_spectrum,
@@ -312,12 +316,123 @@ def picard_series_g(m, tol: float | None = None, max_terms: int = 60) -> Transfo
             raise PicardConvergenceError(
                 f"term {len(norms)} has sup norm {norms[-1]:.3e}, tol {tol:.3e}"
             )
-        term = picard_step(m, term)
+        term = picard_step(m, term, TriangularField.zeros(m.grid))
         total += term.values
         norms.append(term.sup_norm())
     total[:, 0] = 0.0
     return TransformKernel(g=TriangularField(m.grid, np.tril(total)),
                            term_norms=np.array(norms), tol=tol)
+
+
+# The two marches as each wrote out its own blocked loop, before both came
+# to iterate quadrature.march_rows: the references that the driver changes no
+# bit of G or e. Code and docstrings are kept as they were.
+def hand_blocked_march(mv: np.ndarray, g1: np.ndarray, h: float) -> np.ndarray:
+    """Solve the discrete fixed point G = G1 + picard_step(M, G) row by row.
+
+    Both trapezoid sums of the Picard step are causal in rows: inner-table
+    row i reads rows <= i of G, and the sum along a diagonal reads
+    inner-table rows <= i. Row i meets itself only through the end weights
+    at tau = x_i and k = i, so it is explicit:
+    G[i, j] = (G1[i, j] + i h (acc[i-j] + partial[j] / 2)) / (1 - i h^2 M[i,i] / 4),
+    where partial[j] = h M[i, :i] @ G[:i, j] less the end weight
+    h M[i, j] G[j, j] / 2 at tau = x_j, and acc[d] is the sum so far of the
+    inner table along diagonal d. Its first entry, in column 0, is zero
+    because column 0 of G is, so it needs no half weight. The diagonal of
+    G is that of G1, where the step vanishes. This is the step-by-step
+    trapezoid method for Volterra equations; it costs about N^3 / 3
+    multiply-adds, most of them in one gemm per block of ROW_BLOCK rows.
+    h M, the scaled G1 and partial are formed per block, each in a reused
+    contiguous buffer of ROW_BLOCK rows, as is the product with the end
+    weights: numpy then needs no iterator buffers for them (it allocates
+    those for strided or broadcast operands), and the march holds no
+    full-size array besides G.
+    """
+    n = mv.shape[0]
+    hm_diag = h * np.diagonal(mv)
+    scale = 1.0 / (1.0 - 0.25j * h * hm_diag)
+    coef = 1j * h * scale
+    half_diag = 0.5 * hm_diag
+    ends = 0.5 * np.diagonal(g1)           # G[j, j] / 2, the tau = x_j end weight
+    g = np.zeros_like(g1)
+    np.einsum("ii->i", g)[...] = np.diagonal(g1)
+    acc = np.zeros(n, dtype=complex)
+    bufs = np.empty((4, min(ROW_BLOCK, n) * n), dtype=complex)
+    for r0 in range(1, n, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, n)
+        hm, g1s, part, tmp = (b[: (r1 - r0) * r1].reshape(r1 - r0, r1) for b in bufs)
+        hm[...] = mv[r0:r1, :r1]
+        hm *= h                            # rows r0 .. r1 - 1 of h M
+        np.matmul(hm[:, :r0], g[:r0, :r1], out=part)
+        tmp[...] = ends[:r1]
+        part -= np.multiply(hm, tmp, out=tmp)
+        g1s[...] = g1[r0:r1, :r1]
+        tmp[...] = scale[r0:r1, None]
+        g1s *= tmp
+        for i in range(r0, r1):
+            p = part[i - r0, :i]
+            p += hm[i - r0, r0:i] @ g[r0:i, :i]
+            row = g[i, :i]
+            np.multiply(p, 0.5, out=row)
+            row += acc[i:0:-1]
+            row *= coef[i]
+            row += g1s[i - r0, :i]
+            row[0] = 0.0
+            p += half_diag[i] * row        # inner-table row i
+            acc[i:0:-1] += p
+    return g
+
+
+def hand_blocked_e_march(m: TriangularField, lam) -> np.ndarray:
+    """March the Volterra integral equation for e(x, lambda) node by node.
+
+    The trapezoid discretization of
+    e(x) = exp(-i lam x) (1 + i int_0^x exp(i lam s) f(s) ds), with
+    f(s) = int_0^s m(s, t) e(t) dt, meets node i only through the end
+    weights at x_i, with coefficient b = i h^2 M[i,i] / 4, which makes the
+    update weakly implicit. Two fixed-point sweeps from e[i-1] resolve it;
+    they are linear in e[i], so they are applied in closed form:
+    e[i] = (1 + b) a + b^2 e[i-1], where
+    a = exp(-i lam x_i) (1 + i h known) + i h p / 2, known is the sum of
+    exp(i lam x_k) f(x_k) over the nodes k < i (f(0) = 0, so the end weight
+    at s = 0 drops out) and p = h M[i, :i] @ e[:i] less the end weight at
+    t = 0. As in transform._march, one gemm per block of ROW_BLOCK nodes
+    reads every earlier node, and only products within the block run node
+    by node. lam is a scalar, giving shape (N+1,), or a 1-D array of K
+    values, all marched at once, giving shape (N+1, K) with one column per
+    lambda.
+    """
+    h = m.grid.step
+    hm = h * m.values
+    lx = _exponent(m.grid, lam)
+    cols = lx[:, None] if lx.ndim == 1 else lx
+    phase = np.exp(1j * cols)                      # exp(+i lam x)
+    b = 0.25j * h * np.diagonal(hm)                # i h^2 M[i,i] / 4
+    e = np.exp(-1j * cols) * (1.0 + b)[:, None]    # overwritten node by node
+    drive = (1j * h) * e                           # multiplies known
+    # multiplies p, as exp(-i lam x) exp(i lam x) = 1
+    self_coef = 0.5j * h * (1.0 + b)
+    b2 = b * b                                     # multiplies e[i-1]
+    half_diag = 0.5 * np.diagonal(hm)
+    e[0] = 1.0
+    known = np.zeros_like(e[0])
+    n = e.shape[0]
+    for r0 in range(1, n, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, n)
+        part = hm[r0:r1, :r0] @ e[:r0]
+        part -= np.multiply.outer(0.5 * hm[r0:r1, 0], e[0])
+        for i in range(r0, r1):
+            p = part[i - r0]
+            p += hm[i, r0:i] @ e[r0:i]
+            ei = e[i]
+            ei += drive[i] * known
+            ei += self_coef[i] * p
+            ei += b2[i] * e[i - 1]
+            p += half_diag[i] * ei                 # h times f(x_i)
+            p *= phase[i]
+            known += p
+    return e[:, 0] if lx.ndim == 1 else e
+
 
 
 def find_spectrum_reflected(

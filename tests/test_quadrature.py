@@ -3,9 +3,11 @@ import pytest
 
 from idospec.quadrature import (
     PI,
+    ROW_BLOCK,
     Profile,
     TriangularField,
     make_grid,
+    march_rows,
     volterra_apply,
     zero_upper,
 )
@@ -131,3 +133,29 @@ class TestVolterraApply:
         for k in range(3):
             ref = volterra_apply(vals, vecs[:, k], grid.step)
             assert np.abs(out[:, k] - ref).max() < 1e-13
+
+
+class TestMarchRows:
+    @pytest.mark.parametrize("n", [2, 3, ROW_BLOCK, ROW_BLOCK + 1, ROW_BLOCK + 2, 2 * ROW_BLOCK + 3])
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_yields_each_rows_partial_sum(self, n, lower):
+        # p[c] = h M[i, :i] @ v[:i, c] - h M[i, lo] v[lo, c] / 2, with lo = c
+        # (v lower-triangular) or lo = 0, from the rows the caller wrote
+        rng = np.random.default_rng(n)
+        h, k = 0.1, n if lower else 3
+        mv = np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        full = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        v = np.zeros_like(full)
+        if lower:
+            full = np.tril(full)
+            np.einsum("ii->i", v)[...] = np.diagonal(full)
+        v[0] = full[0]
+        rows = []
+        for i, p in march_rows(mv, h, v, lower):
+            cols = np.arange(i if lower else k)
+            lo = cols if lower else np.zeros_like(cols)
+            expect = h * (mv[i, :i] @ full[:i, cols]) - 0.5 * h * mv[i, lo] * full[lo, cols]
+            assert np.abs(p - expect).max() <= 1e-13 * max(1.0, np.abs(expect).max())
+            v[i, cols] = full[i, cols]
+            rows.append(i)
+        assert rows == list(range(1, n))

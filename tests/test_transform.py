@@ -27,7 +27,7 @@ from idospec.kernels import compute_B, shifted_factor
 from idospec.spectral import eval_e_direct, eval_z
 
 from conftest import family_fields, family_diag_integrals
-from oracles import picard_series_g
+from oracles import hand_blocked_e_march, hand_blocked_march, picard_series_g
 
 
 # Loop forms of the two Picard helpers, kept as reference oracles for the
@@ -123,6 +123,11 @@ def _random_lower(rng, n, scale):
     return np.tril(scale * vals)
 
 
+def _step(m, g):
+    """The Picard step alone: picard_step added into a zero field."""
+    return picard_step(m, g, TriangularField.zeros(m.grid))
+
+
 # Sizes at the edges of the row blocks of _march and of _inner_table and
 # _diagonal_trapezoid
 CHUNK_EDGES = sorted({k * b + e for b in (ROW_BLOCK, _PRODUCT_BLOCK) for k in (1, 2)
@@ -201,7 +206,7 @@ class TestDiagonalTrapezoid:
         m_bytes, g_bytes = m.values.tobytes(), g.values.tobytes()
         into = TriangularField(grid, b.copy())
         assert picard_step(m, g, into) is into
-        assert into.values.tobytes() == (b + picard_step(m, g).values).tobytes()
+        assert into.values.tobytes() == (b + _step(m, g).values).tobytes()
         assert m.values.tobytes() == m_bytes and g.values.tobytes() == g_bytes
 
 
@@ -235,7 +240,7 @@ class TestPicardTerms:
         # m = 1: G_2(x,t) = -(x - t) t^2 / 2; integrands stay polynomial of
         # low degree so the nested trapezoid is exact up to roundoff
         m = TriangularField.constant(grid100, 1.0)
-        g2 = picard_step(m, picard_g1(m))
+        g2 = _step(m, picard_g1(m))
         x = grid100.nodes[:, None]
         t = grid100.nodes[None, :]
         expect = np.tril(-(x - t) * t**2 / 2)
@@ -344,19 +349,29 @@ class TestWorkingMemory:
     """Full-size arrays a G build and the z-split hold at once, result included.
 
     A G build holds two fields, G1 (which the Picard update is added into)
-    and the march, plus blocks of rows: four of ROW_BLOCK rows in the
-    march, two of _PRODUCT_BLOCK rows in the update. That is 2.7 fields at
-    N = 200 and 2.4 at N = 400. The z-split holds its result, R and two
-    row-spectrum arrays. shifted_factor holds only its result, and eval_z a
-    block of ROW_BLOCK rows of R plus arrays of about N + 32 entries per
-    column: its lag view of e_tilde builds no field per column. forward
-    holds M beside a G build, and only G beside its CSV writer.
+    and the march, plus blocks of rows: three of ROW_BLOCK rows in the march
+    (quadrature.march_rows), two of _PRODUCT_BLOCK rows in the update. That
+    is 2.7 fields at N = 200 and 2.4 at N = 400. The e-march holds arrays of
+    N + 1 entries per lambda and the driver's ROW_BLOCK rows of h M, no
+    field: 0.65 fields at N = 100 and 0.30 at N = 200 for 5 lambdas. The
+    z-split holds its result, R and two row-spectrum arrays. shifted_factor
+    holds only its result, and eval_z a block of ROW_BLOCK rows of R plus
+    arrays of about N + 32 entries per column: its lag view of e_tilde
+    builds no field per column. forward holds M beside a G build, and only
+    G beside its CSV writer.
     """
 
     def test_shifted_factor(self):
         n = 200
         r = TriangularField.from_function(make_grid(n), lambda x, t: 1.0 + 0.2 * np.cos(t))
         assert _peak_fields(lambda: shifted_factor(r), n) <= 1.1
+
+    @pytest.mark.parametrize("n, bound", [(100, 1.25), (200, 0.7)])
+    def test_eval_e_direct(self, n, bound):
+        # the 5 lambdas verify samples
+        m = family_fields(make_grid(n))["structured"]
+        lams = np.array([0.5, -2.0, 1.5 - 0.5j, 3.0, 0.25j])
+        assert _peak_fields(lambda: eval_e_direct(m, lams), n) <= bound
 
     def test_eval_z(self):
         n, cols = 200, 24
@@ -440,7 +455,8 @@ class TestMarchAgainstPicardSeries:
         m = TriangularField(make_grid(n), _random_lower(np.random.default_rng(seed), n + 1, amp))
         g1 = picard_g1(m)
         march = _march(m.values, g1.values, m.grid.step)
-        update = picard_step(m, TriangularField(m.grid, march)).values + g1.values
+        update = picard_step(m, TriangularField(m.grid, march),
+                             TriangularField(m.grid, g1.values.copy())).values
         zeros = np.zeros_like(march).tobytes()
         for g in (g1.values, march, update):
             assert np.triu(g, 1).tobytes() == zeros
@@ -462,7 +478,7 @@ class TestMarchAgainstPicardSeries:
         m = TriangularField(make_grid(n), _random_lower(np.random.default_rng(seed), n + 1, amp))
         g = compute_g(m).g.values
         march = TriangularField(m.grid, _march(m.values, picard_g1(m).values, m.grid.step))
-        assert g.tobytes() == (picard_g1(m).values + picard_step(m, march).values).tobytes()
+        assert g.tobytes() == (picard_g1(m).values + _step(m, march).values).tobytes()
 
     @pytest.mark.parametrize("n", [100, 400])
     @pytest.mark.parametrize("name", ["constant", "polynomial", "trig", "structured"])
@@ -489,8 +505,43 @@ class TestMarchAgainstPicardSeries:
         tk = compute_g(m)
         assert tk.iterations == 2
         g = tk.g.values
-        residual = g - picard_g1(m).values - picard_step(m, tk.g).values
+        residual = g - picard_g1(m).values - _step(m, tk.g).values
         assert np.abs(residual).max() < tk.tol
+
+
+class TestMarchRows:
+    """Both marches, iterating quadrature.march_rows, against the blocked
+    loops each wrote out before (tests/oracles.py): G and e bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(st.integers(2, 130), st.sampled_from(CHUNK_EDGES)),
+        seed=st.integers(0, 2**32 - 1),
+        amp=st.sampled_from([1e-3, 1.0, 5.0]),
+    )
+    @example(n=ROW_BLOCK + 1, seed=0, amp=5.0)
+    def test_g_march(self, n, seed, amp):
+        m = TriangularField(make_grid(n), _random_lower(np.random.default_rng(seed), n + 1, amp))
+        g1 = picard_g1(m).values
+        got, ref = (f(m.values, g1, m.grid.step) for f in (_march, hand_blocked_march))
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(st.integers(2, 130), st.sampled_from(CHUNK_EDGES)),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([None, 1, 5, 40]),  # None: a scalar lambda
+    )
+    @example(n=ROW_BLOCK + 1, seed=0, k=40)
+    def test_e_march(self, n, seed, k):
+        # K = 40 exceeds ROW_BLOCK, and N + 1 where N <= 38
+        rng = np.random.default_rng(seed)
+        m = TriangularField(make_grid(n), _random_lower(rng, n + 1, 2.0))
+        lam = rng.uniform(-20.0, 20.0, k) + 1j * rng.uniform(-3.0, 1.0, k)
+        lam = complex(lam) if k is None else lam
+        got, ref = (np.ascontiguousarray(f(m, lam)) for f in (eval_e_direct, hand_blocked_e_march))
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 class TestReflectedKernel:

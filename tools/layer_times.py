@@ -1,9 +1,11 @@
 """Print the median time and the memory peak of each solver layer as a Markdown table.
 
-Layers: compute_g, the row march (transform._march), one Picard step, its
-inner-integral product (transform._inner_table), assemble_z_kernel, the
-e-march (spectral.eval_e_direct) for the 5 lambdas `verify` samples by
-default, the LM Jacobian (inverse.spectrum_jacobian, d = 8) at 18
+Layers: compute_g, the row march (transform._march), one Picard step added
+into a field (transform.picard_step, as compute_g adds its one update into
+G1), its inner-integral product (transform._inner_table),
+assemble_z_kernel, the e-march (spectral.eval_e_direct) for the 5 lambdas
+`verify` samples by default (both marches iterate quadrature.march_rows),
+the LM Jacobian (inverse.spectrum_jacobian, d = 8) at 18
 simple targets and one triple target, the Toeplitz path's residual with
 its exact Jacobian (inverse.spectrum_residual, d = 8: toeplitz_delta on
 the grids of N and of N/2 intervals) at 19 simple targets, and building M
@@ -92,6 +94,7 @@ def layers(n: int, out: Path) -> dict:
     tk = transform.compute_g(m)
     g = tk.g
     g1 = transform.picard_g1(m).values
+    into = TriangularField(grid, g1.copy())  # each call adds one more step to it
     problem = InverseProblem(m0=m0, r=r, target=TARGETS, d=8)
     toeplitz = InverseProblem(m0=TriangularField.zeros(grid), r=TriangularField.constant(grid, 1.0),
                               target=SIMPLE_TARGETS, d=8)
@@ -100,7 +103,7 @@ def layers(n: int, out: Path) -> dict:
     return {
         "compute_g": lambda: transform.compute_g(m),
         "_march": lambda: transform._march(m.values, g1, h),
-        "picard_step": lambda: transform.picard_step(m, g),
+        "picard_step": lambda: transform.picard_step(m, g, into),
         "_inner_table": lambda: transform._inner_table(m.values, g.values, h),
         "assemble_z_kernel": lambda: transform.assemble_z_kernel(g, g, r),
         "eval_e_direct (5 lambdas)": lambda: eval_e_direct(m, LAMBDAS),
