@@ -91,13 +91,6 @@ _STAGE_KEYS = (
     "converged", "iterations", "residual_norm", "underdetermined", "history", "damping",
     "rejected_trials", "residual_evals", "jacobian_evals", "g_builds", "mu",
 )
-# Numeric config keys: type and least value (grid_n's is checked with the
-# --grid-n that overrides it).
-_NUMBERS = {"grid_n": (int, None), "d": (int, 2), "mu": (float, 0.0)}
-# Keys of the Picard series that G is no longer summed by: every command builds
-# G with compute_g's own certificate, so a config that still sets one is
-# refused rather than run with a setting it does not get.
-_RETIRED = ("max_terms", "picard_tol")
 # The "opts" keys of each command that reads them, each a keyword argument of
 # the function the command calls (find_spectrum, recover_sequential), with
 # its type and range as _check_value's (kind, least, op, most): cell_size is
@@ -107,6 +100,18 @@ _OPTION_RANGES = {
     "spectrum": {"cell_size": (float, 0.0, ">", None),
                  "initial_edge_samples": (int, 1, ">=", MAX_EDGE_SAMPLES)},
     "invert": {"max_iter": (int, 1, ">=", None)},
+}
+# The keys read at each level of a config, by command (its top level) or by
+# object; the "opts" object of a command holds the keys of its
+# _OPTION_RANGES. Every other key is refused.
+_KEYS = {
+    "forward": ("grid_n", "kernel", "lambdas"),
+    "spectrum": ("grid_n", "kernel", "window", "extrapolate", "heatmap", "opts"),
+    "invert": ("grid_n", "kernel", "targets", "target", "d", "mu", "init", "opts"),
+    "verify": ("grid_n", "m0", "r", "p", "p_tilde", "lambdas"),
+    "kernel": ("m0", "components"), "component": ("r", "p"),
+    "samples": ("kind", "path"), "analytic": ("kind", "family", "coeffs"),
+    "window": tuple(f.name for f in dataclasses.fields(SearchWindow)), "heatmap": ("nx", "ny"),
 }
 # The profile of a kernel component that gives no "p".
 _ZERO = {"kind": "analytic", "family": "constant", "coeffs": [0.0]}
@@ -124,27 +129,28 @@ def _finite_number(text: str) -> float:
     return value
 
 
+def _unique_keys(pairs) -> dict:
+    """A config object from its (key, value) pairs, refusing a key given twice:
+    json.loads would keep the last without a word."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key}: a config object gives it twice")
+        obj[key] = value
+    return obj
+
+
 def _load_config(path) -> tuple[dict, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     raw = p.read_bytes()
     try:
-        cfg = json.loads(raw, parse_float=_finite_number, parse_constant=_finite_number)
+        cfg = json.loads(raw, parse_float=_finite_number, parse_constant=_finite_number,
+                         object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as ex:
         raise ConfigError(f"config is not valid JSON: {ex}") from ex
     return cfg, hashlib.sha256(raw).hexdigest()
-
-
-def _require_finite(sampled, what):
-    """Pass a sampled field or profile through, or refuse one carrying NaN or inf.
-
-    Config numbers are finite, but CSV samples need not be, and a finite
-    analytic coefficient can still overflow on the grid.
-    """
-    if not np.isfinite(sampled.values).all():
-        raise ConfigError(f"{what} has non-finite samples")
-    return sampled
 
 
 def _read_input(what, read, path, *args):
@@ -165,8 +171,9 @@ def _read_input(what, read, path, *args):
 def _from_spec(spec, grid):
     """The field or profile a spec from _parse_spec describes, sampled on grid.
 
-    An analytic family that overflows on the grid samples inf or NaN without
-    a warning, and is refused as non-finite like a CSV carrying them.
+    Samples carrying NaN or inf are refused. Config numbers are finite, but
+    CSV samples need not be, and an analytic family can still overflow on
+    the grid: it samples inf or NaN without a warning.
     """
     what, kind, *args = spec
     if kind == "analytic":
@@ -176,7 +183,9 @@ def _from_spec(spec, grid):
     else:
         read = field_from_csv if what == "field" else profile_from_csv
         sampled = _read_input(f"{what} samples", read, *args, grid)
-    return _require_finite(sampled, what)
+    if not np.isfinite(sampled.values).all():
+        raise ConfigError(f"{what} has non-finite samples")
+    return sampled
 
 
 def _sample_kernel(kernel, grid) -> StructuredKernel:
@@ -204,9 +213,9 @@ def _provenance(command, sha, grid_n) -> dict:
 
 
 def _is_a(value, kind) -> bool:
-    """isinstance against a type: a bool is no number, an int is a float if one holds it."""
+    """isinstance against a type: a bool is only a bool, an int is a float if one holds it."""
     kinds = (int, float) if kind is float else kind
-    return not isinstance(value, bool) and isinstance(value, kinds) and (
+    return (kind is bool) == isinstance(value, bool) and isinstance(value, kinds) and (
         kind is not float or abs(value) <= sys.float_info.max)
 
 
@@ -218,19 +227,35 @@ def _check_value(key, value, kind, least=None, op=">=", most=None) -> None:
         raise ConfigError(f"{key} must be {kind.__name__}{bound}, got {value!r}")
 
 
+def _check_keys(key, obj, allowed) -> dict:
+    """obj, refused unless it is an object whose keys are all in allowed.
+
+    key is the path of obj in the config, "" for the config itself; a
+    refusal names it, or the full path of the first key not allowed.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{key or 'config'} must be dict, got {obj!r}")
+    name = next((name for name in obj if name not in allowed), None)
+    if name is not None:
+        path = f"{key}.{name}" if key else name
+        raise ConfigError(f"unknown key {path}: the keys read there are {', '.join(allowed)}")
+    return obj
+
+
 def _parse_spec(key, spec, what) -> tuple:
     """The field or profile (what) spec at key, as (what, "analytic", family,
     coeffs) or (what, "samples", path).
 
     coeffs must have its family's format in kernels.COEFF_FORMATS.
     """
-    _check_value(key, spec, dict)
-    kind = spec.get("kind")
+    # a spec that is no object passes to _check_keys, which refuses it
+    kind = spec.get("kind") if isinstance(spec, dict) else "analytic"
+    if kind not in ("samples", "analytic"):
+        raise ConfigError(f'{key}.kind must be "analytic" or "samples", got {kind!r}')
+    _check_keys(key, spec, _KEYS[kind])
     if kind == "samples":
         _check_value(f"{key}.path", spec.get("path"), str)
         return what, kind, spec["path"]
-    if kind != "analytic":
-        raise ConfigError(f'{key}.kind must be "analytic" or "samples", got {kind!r}')
     formats = kernels.COEFF_FORMATS[what]
     family, coeffs = spec.get("family"), spec.get("coeffs")
     if not (isinstance(family, str) and family in formats):
@@ -251,96 +276,65 @@ def _parse_spec(key, spec, what) -> tuple:
     return what, kind, family, coeffs
 
 
-def _parse_kernel(kernel, command) -> tuple:
-    """The kernel object of command's config as (m0, ((r, p), ...)) of parsed specs.
+def _parse_kernel(kernel) -> tuple:
+    """A config's kernel object as (m0, ((r, p), ...)) of parsed specs.
 
     A component without "p" has the zero profile.
     """
-    if not isinstance(kernel, dict):
-        raise ConfigError(f"{command} config needs a 'kernel' object, got {kernel!r}")
+    _check_keys("kernel", kernel, _KEYS["kernel"])
     comps, most = kernel.get("components", []), kernels.MAX_COMPONENTS
-    if not (isinstance(comps, list) and len(comps) <= most
-            and all(isinstance(c, dict) for c in comps)):
+    if not (isinstance(comps, list) and len(comps) <= most):
         raise ConfigError(f"kernel.components must be a list of <= {most} objects, got {comps!r}")
+    keys = [f"kernel.components[{k}]" for k in range(len(comps))]
     return _parse_spec("kernel.m0", kernel.get("m0"), "field"), tuple(
-        (_parse_spec(f"kernel.components[{k}].r", comp.get("r"), "field"),
-         _parse_spec(f"kernel.components[{k}].p", comp.get("p", _ZERO), "profile"))
-        for k, comp in enumerate(comps)
+        (_parse_spec(f"{key}.r", _check_keys(key, comp, _KEYS["component"]).get("r"), "field"),
+         _parse_spec(f"{key}.p", comp.get("p", _ZERO), "profile"))
+        for key, comp in zip(keys, comps)
     )
 
 
 def _parse(cfg, command, grid_n) -> dict:
     """The keyword arguments of command's cmd_ function, read from cfg.
 
-    grid_n is --grid-n, which overrides the config's. Every value is
-    checked for type and range, naming its key, and given its default
-    before anything is built or allocated, so a bad value costs no grid.
-    A key of _RETIRED is refused whatever its value. The keys every
-    command checks come first, whether it reads them or not; then "opts",
-    the kernel specs (each against kernels.COEFF_FORMATS) and grid_n; then
-    invert's targets and d, and spectrum's window, the last two bounded by
-    the grid. Lambda points beyond RE_REACH or IM_REACH are refused.
+    grid_n is --grid-n, which overrides the config's. Each object in cfg
+    may hold only the keys its level reads (_KEYS, and _OPTION_RANGES for
+    "opts"); any other key is refused with its path. Each value is checked
+    for type and range, naming its key, and given its default before
+    anything is built or allocated, so a bad value costs no grid: "opts",
+    the kernel specs (each against kernels.COEFF_FORMATS) and the lambdas
+    first, then grid_n, then what the grid bounds, invert's d and
+    spectrum's window. Lambda points beyond RE_REACH or IM_REACH are refused.
     """
-    _check_value("config", cfg, dict)
-    for key in _RETIRED:
-        if key in cfg:
-            raise ConfigError(f"{key} is no longer a config key: compute_g certifies every G")
-    for key, (kind, least) in _NUMBERS.items():
-        if key in cfg:
-            _check_value(key, cfg[key], kind, least)
-    extrapolate = cfg.get("extrapolate", False)
-    if not isinstance(extrapolate, bool):  # _is_a refuses every bool
-        raise ConfigError(f"extrapolate must be true or false, got {extrapolate!r}")
-    hm = {} if cfg.get("heatmap") is None else cfg["heatmap"]
-    _check_value("heatmap", hm, dict)
-    nx, ny = hm.get("nx", 80), hm.get("ny", 60)
-    _check_value("heatmap.nx", nx, int, 1)
-    _check_value("heatmap.ny", ny, int, 1)
-    if nx * ny > MAX_HEATMAP_POINTS:
-        raise ConfigError(f"heatmap has {nx} x {ny} points, above the limit of {MAX_HEATMAP_POINTS}")
-    heatmap = (nx, ny) if hm else None  # an empty object asks for no heatmap
-    d, init = cfg.get("d", _DEFAULT_D), cfg.get("init", "zero")
-    if init not in ("zero", "random") and not (
-        isinstance(init, list) and len(init) == d and all(_is_a(v, float) for v in init)
-    ):
-        raise ConfigError(f'init must be "zero", "random" or a list of d numbers, got {init!r}')
-    lams = cfg.get("lambdas", _DEFAULT_LAMBDAS.get(command))
-    if "lambdas" in cfg and not (isinstance(lams, list) and lams and all(
-        isinstance(pair, list) and len(pair) == 2 and all(_is_a(v, float) for v in pair)
-        for pair in lams
-    )):
-        raise ConfigError(f"lambdas must be a non-empty list of [re, im] number pairs, got {lams!r}")
-    if lams and not all(abs(re) < RE_REACH and abs(im) < IM_REACH for re, im in lams):
-        raise ConfigError(
-            f"lambdas must have |re| < {RE_REACH:.6g} and |im| < {IM_REACH:.6g}, got {lams!r}")
-
+    _check_keys("", cfg, _KEYS[command])
     run = {}
     ranges = _OPTION_RANGES.get(command)
     if ranges is not None:
-        opts = run["opts"] = cfg.get("opts", {})
-        _check_value("opts", opts, dict)
-        unknown = sorted(set(opts) - set(ranges))
-        if unknown:
-            raise ConfigError(f"unknown {command} key(s) in opts: {', '.join(unknown)}")
+        opts = run["opts"] = _check_keys("opts", cfg.get("opts", {}), ranges)
         for key, value in opts.items():
             _check_value(f"opts.{key}", value, *ranges[key])
     if command == "verify":
-        specs = run["specs"] = []
-        for key, what in (("m0", "field"), ("r", "field"), ("p", "profile"), ("p_tilde", "profile")):
-            if key not in cfg:
-                raise ConfigError(f"verify config needs '{key}'")
-            specs.append(_parse_spec(key, cfg[key], what))
+        run["specs"] = [_parse_spec(key, cfg.get(key), what) for key, what in (
+            ("m0", "field"), ("r", "field"), ("p", "profile"), ("p_tilde", "profile"))]
     else:
-        run["kernel"] = _parse_kernel(cfg.get("kernel"), command)
+        run["kernel"] = _parse_kernel(cfg.get("kernel"))
     if command in _DEFAULT_LAMBDAS:
+        lams = cfg.get("lambdas", _DEFAULT_LAMBDAS[command])
+        if not (isinstance(lams, list) and lams and all(
+            isinstance(pair, list) and len(pair) == 2 and all(_is_a(v, float) for v in pair)
+            for pair in lams
+        )):
+            raise ConfigError(f"lambdas must be a non-empty list of [re, im] number pairs, got {lams!r}")
+        if not all(abs(re) < RE_REACH and abs(im) < IM_REACH for re, im in lams):
+            raise ConfigError(
+                f"lambdas must have |re| < {RE_REACH:.6g} and |im| < {IM_REACH:.6g}, got {lams!r}")
         run["lambdas"] = [complex(re, im) for re, im in lams]
+    extrapolate = cfg.get("extrapolate", False)  # only a spectrum config may hold it
+    _check_value("extrapolate", extrapolate, bool)
     n = run["n"] = cfg.get("grid_n") if grid_n is None else grid_n
-    if n is None:
-        raise ConfigError("grid_n missing from config")
-    if n < 2:
-        raise ConfigError(f"grid_n must be >= 2, got {n}")
+    for value in (cfg.get("grid_n", n), n):  # the config's too where --grid-n overrides it
+        _check_value("grid_n", value, int, 2)
     # the command's finest grid has refine * n intervals
-    refine = 2 if command == "verify" or command == "spectrum" and extrapolate else 1
+    refine = 2 if command == "verify" or extrapolate else 1
     field_bytes = np.dtype(complex).itemsize * (refine * n + 1) ** 2
     if field_bytes > MAX_FIELD_BYTES:
         raise ConfigError(
@@ -348,34 +342,44 @@ def _parse(cfg, command, grid_n) -> dict:
             f"fields, above the limit of {MAX_FIELD_BYTES >> 20} MiB"
         )
     if command == "invert":
-        targets = cfg.get("targets")
-        if targets is None:
-            if "target" not in cfg:
-                raise ConfigError("invert config needs 'target' or 'targets'")
+        if ("target" in cfg) == ("targets" in cfg):
+            raise ConfigError("invert config needs 'target' or 'targets', and not both")
+        if "target" in cfg:
             _check_value("target", cfg["target"], str)
-            targets = [cfg["target"]]
-        elif not (isinstance(targets, list) and targets and all(isinstance(t, str) for t in targets)):
+        targets = cfg.get("targets", [cfg.get("target")])
+        if not (isinstance(targets, list) and targets and all(isinstance(t, str) for t in targets)):
             raise ConfigError(f"targets must be a non-empty list of paths, got {targets!r}")
         count, comps = len(targets), len(run["kernel"][1])
         if count > comps:
             raise ConfigError(f"{count} target spectra but only {comps} kernel components")
+        d, mu, init = cfg.get("d", _DEFAULT_D), cfg.get("mu", 0.0), cfg.get("init", "zero")
         # with more spline knots than grid nodes the basis columns are dependent
         _check_value("d", d, int, 2, most=n + 1)
-        run.update(targets=targets, d=d, mu=float(cfg.get("mu", 0.0)),
-                   init=[0.0] * d if init == "zero" else init)
+        _check_value("mu", mu, float, 0.0)
+        if init not in ("zero", "random") and not (
+            isinstance(init, list) and len(init) == d and all(_is_a(v, float) for v in init)
+        ):
+            raise ConfigError(f'init must be "zero", "random" or a list of d numbers, got {init!r}')
+        run.update(targets=targets, d=d, mu=float(mu), init=[0.0] * d if init == "zero" else init)
     if command == "spectrum":
-        win = cfg.get("window")
-        _check_value("window", win, dict)
-        for f in dataclasses.fields(SearchWindow):
-            _check_value(f"window.{f.name}", win.get(f.name), float)
+        hm = {} if cfg.get("heatmap") is None else cfg["heatmap"]
+        nx, ny = _check_keys("heatmap", hm, _KEYS["heatmap"]).get("nx", 80), hm.get("ny", 60)
+        _check_value("heatmap.nx", nx, int, 1)
+        _check_value("heatmap.ny", ny, int, 1)
+        if nx * ny > MAX_HEATMAP_POINTS:
+            raise ConfigError(f"heatmap has {nx} x {ny} points, above the limit of {MAX_HEATMAP_POINTS}")
+        win = _check_keys("window", cfg.get("window"), _KEYS["window"])
+        for name in _KEYS["window"]:
+            _check_value(f"window.{name}", win.get(name), float)
         try:
-            window = SearchWindow(*(float(win[f.name]) for f in dataclasses.fields(SearchWindow)))
+            window = SearchWindow(*(float(win[name]) for name in _KEYS["window"]))
         except ValueError as ex:
             raise ConfigError(f"bad search window: {ex}") from ex
         _check_alias_free(window, n, "search window")
         if max(-window.im_min, window.im_max) >= IM_REACH:
             raise ConfigError(f"search window reaches |Im lambda| >= {IM_REACH:.6g}: Delta overflows")
-        run.update(window=window, extrapolate=extrapolate, heatmap=heatmap)
+        # an empty heatmap object asks for no heatmap
+        run.update(window=window, extrapolate=extrapolate, heatmap=(nx, ny) if hm else None)
     return run
 
 

@@ -36,6 +36,10 @@ def fmt(x: float) -> str:
 _WIDTH = 24
 # Elements per block the CSV writers format at once: bounds their working memory.
 CSV_BLOCK = 8192
+# About the working memory of one line of a field CSV while its block is
+# formatted. field_to_csv writes blocks of as many lines as two fields' bytes
+# pay for, capped at CSV_BLOCK, which they reach from N = 362 on.
+_FIELD_LINE_BYTES = 512
 # |x| range of the exact product: there 10^p and every partial product of
 # the double-double multiplication stay normal doubles.
 _LOW, _HIGH = 1e-240, 1e240
@@ -254,19 +258,19 @@ def write_csv(path, header: str, columns) -> None:
     """
     texts = [fmt_array(c[0]) if isinstance(c, tuple) else None for c in columns]
     picks = [c[1] if isinstance(c, tuple) else c for c in columns]
-    _write_blocks(path, header, len(picks[0]), lambda block: [
+    _write_blocks(path, header, len(picks[0]), CSV_BLOCK, lambda block: [
         fmt_array(p[block]) if t is None else t[p[block]] for t, p in zip(texts, picks)
     ])
 
 
-def _write_blocks(path, header: str, n_lines: int, texts) -> None:
-    """A header line, then n_lines lines, CSV_BLOCK at a time: texts(block)
+def _write_blocks(path, header: str, n_lines: int, size: int, texts) -> None:
+    """A header line, then n_lines lines, size at a time: texts(block)
     gives the text blocks (see fmt_array) of the columns of the lines in
     the slice block."""
     with _create(path, "wb") as fh:
         fh.write(f"{header}\n".encode())
-        for start in range(0, n_lines, CSV_BLOCK):
-            fh.write(_lines(texts(slice(start, min(start + CSV_BLOCK, n_lines)))))
+        for start in range(0, n_lines, size):
+            fh.write(_lines(texts(slice(start, min(start + size, n_lines)))))
 
 
 def _csv_rows(path) -> np.ndarray:
@@ -306,8 +310,9 @@ def profile_from_csv(path, grid: Grid | None = None) -> Profile:
 def field_to_csv(f: TriangularField, path) -> None:
     """One line per node pair t <= x, rows of the triangle in order.
 
-    Lines are gathered and formatted CSV_BLOCK at a time, so the writer's
-    working memory does not grow with the grid beyond the node texts.
+    Lines are gathered and formatted a block at a time, sized by the grid
+    so that the writer holds about two fields beside the node texts at
+    most, and never more than CSV_BLOCK lines.
     """
     nodes = fmt_array(f.grid.nodes)
     n = f.grid.n_nodes
@@ -321,7 +326,8 @@ def field_to_csv(f: TriangularField, path) -> None:
         vals = f.values[rows, cols]
         return [nodes[rows], nodes[cols], fmt_array(vals.real), fmt_array(vals.imag)]
 
-    _write_blocks(path, "x,t,re,im", n * (n + 1) // 2, texts)
+    size = max(1, min(CSV_BLOCK, 2 * f.values.nbytes // _FIELD_LINE_BYTES))
+    _write_blocks(path, "x,t,re,im", n * (n + 1) // 2, size, texts)
 
 
 def field_from_csv(path, grid: Grid | None = None) -> TriangularField:
@@ -387,6 +393,14 @@ def _count(value, key: str, least: int) -> int:
     return int(value)
 
 
+def _flag(value, key: str) -> bool:
+    """A true/false flag read by spectrum_from_json, refused with ValueError
+    unless it is one: bool() would read "false" as True."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def spectrum_from_json(path) -> Spectrum:
     with open(path) as fh:
         # fmt writes integral floats without a point ("-0", "2"); reading
@@ -398,7 +412,8 @@ def spectrum_from_json(path) -> Spectrum:
             value=complex(e["re"], e["im"]),
             multiplicity=_count(e["multiplicity"], "multiplicity", 1),
             residual=float(e["residual"]),
-            newton_converged=bool(e.get("newton_converged", True)),  # absent in older files
+            # absent in older files, which flagged no root
+            newton_converged=_flag(e.get("newton_converged", True), "newton_converged"),
         )
         for e in data["eigenvalues"]
     )

@@ -54,6 +54,26 @@ CONST_KERNEL = {
 TILTED_R = {"kind": "analytic", "family": "polynomial", "coeffs": [[1.0, 0, 0], [0.2, 0, 1]]}
 
 
+WINDOW = {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5}
+
+
+def base_config(command, **extra):
+    """A fresh config of command at grid_n 16 holding only keys it reads, updated by extra.
+
+    invert's target, "spec.json", is not read before the grid.
+    """
+    cfg = {"grid_n": 16}
+    if command == "verify":
+        cfg.update({k: CONST_KERNEL["m0"] for k in ("m0", "r", "p", "p_tilde")})
+    else:
+        cfg["kernel"] = CONST_KERNEL
+    if command == "spectrum":
+        cfg["window"] = WINDOW
+    if command == "invert":
+        cfg.update(d=4, target="spec.json")
+    return json.loads(json.dumps({**cfg, **extra}))
+
+
 def write_config(path, cfg):
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -472,6 +492,20 @@ class TestInvert:
         assert str(complex(bad["re"], bad["im"])) in err
         assert not (out / "recovery_report.json").exists()
 
+    def test_newton_flag_that_is_no_bool_is_refused(self, workdir, target_spectrum, capsys):
+        # bool("false") is True, which would fit the root as converged
+        data = json.loads(target_spectrum.read_text())
+        data["eigenvalues"][1]["newton_converged"] = "false"
+        edited = workdir / "spec_flag_text.json"
+        edited.write_text(json.dumps(data))
+        cfg = write_config(workdir / "inv_flag_text.json", self.invert_cfg(edited))
+        out = workdir / "inv_flag_text_out"
+        assert main(["invert", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"config error: malformed target spectrum file {edited}: "
+                       "newton_converged must be true or false, got 'false'\n")
+        assert not out.exists()
+
     def test_iteration_starved_run_fails_numerically(self, workdir, target_spectrum, monkeypatch):
         monkeypatch.setattr(idospec.inverse, "FTOL", 1e-14)
         monkeypatch.setattr(idospec.inverse, "XTOL", 1e-14)
@@ -719,20 +753,35 @@ class TestConfigErrors:
         path = workdir / name
         path.write_text(text)
         kernel = json.loads(json.dumps(CONST_KERNEL))
-        cfg = {"grid_n": 20, "d": 4, "kernel": kernel}
+        cfg = {"grid_n": 20, "kernel": kernel}
         samples = {"kind": "samples", "path": str(path)}
         if slot == "p":
             kernel["components"][0]["p"] = samples
         elif slot == "m0":
             kernel["m0"] = samples
         else:
-            cfg["target"] = str(path)
+            cfg.update(d=4, target=str(path))
         cfg_path = write_config(workdir / f"cfg_malformed_{name}.json", cfg)
         out = workdir / f"cfg_malformed_{name}_out"
         assert main([command, "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "malformed" in err and str(path) in err and message in err
         assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+    @pytest.mark.parametrize("k, text, key", [
+        # json.loads keeps the last of two equal keys: this would run without extrapolating
+        (0, '"extrapolate": true, "extrapolate": false', "extrapolate"),
+        (1, '"window": {"re_min": -4.0, "re_min": -3.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5}',
+         "re_min"),
+    ])
+    def test_duplicate_key(self, workdir, monkeypatch, capsys, k, text, key):
+        monkeypatch.setattr(idospec.cli, "make_grid", mock.Mock(side_effect=AssertionError))
+        cfg = base_config("spectrum")
+        del cfg["window"]
+        path = workdir / f"cfg_duplicate_{k}.json"
+        path.write_text(json.dumps(cfg)[:-1] + ", " + text + "}")
+        assert main(["spectrum", "--config", str(path), "--out", str(workdir / "cfg_duplicate_out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: duplicate key {key}: a config object gives it twice\n"
 
     def test_more_targets_than_components(self, workdir, target_spectrum, capsys):
         cfg = write_config(workdir / "cfg_no_component.json", {
@@ -763,8 +812,6 @@ class TestConfigErrors:
         out = workdir / "cfg_family_out"
         assert main(["forward", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
 
-    WINDOW = {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5}
-
     @pytest.mark.parametrize("command, extra, key", [
         ("spectrum", {"heatmap": True}, "heatmap"),
         ("spectrum", {"heatmap": {"nx": 10, "ny": 8.5}}, "heatmap.ny"),
@@ -787,8 +834,7 @@ class TestConfigErrors:
         builds = []
         for module in (idospec.cli, idospec.inverse):
             monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1))
-        cfg = {"grid_n": 16, "kernel": CONST_KERNEL, "window": self.WINDOW,
-               "target": str(workdir / "no_target.json"), **extra}
+        cfg = base_config(command, **extra)
         name = f"cfg_type_{command}_{key}_{len(extra)}_{len(str(extra))}"
         path = write_config(workdir / f"{name}.json", cfg)
         assert main([command, "--config", path, "--out", str(workdir / name)]) == EXIT_CONFIG
@@ -807,8 +853,7 @@ class TestConfigErrors:
         builds = []
         for module in (idospec.cli, idospec.inverse):
             monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1))
-        cfg = {"grid_n": 16, "kernel": CONST_KERNEL, "window": self.WINDOW,
-               "target": str(workdir / "no_target.json"), "opts": {key: value}}
+        cfg = base_config(command, opts={key: value})
         path = write_config(workdir / f"cfg_range_{key}_{value}.json", cfg)
         out = workdir / f"cfg_range_{key}_{value}_out"
         assert main([command, "--config", path, "--out", str(out)]) == EXIT_CONFIG
@@ -843,8 +888,7 @@ class TestConfigErrors:
             raise AssertionError(f"make_grid({n}) called")
 
         monkeypatch.setattr(idospec.cli, "make_grid", no_grid)
-        cfg = {"grid_n": 16, "kernel": CONST_KERNEL, "window": self.WINDOW, **extra}
-        cfg.update({k: CONST_KERNEL["m0"] for k in ("m0", "r", "p", "p_tilde")})
+        cfg = base_config(command, **extra)
         name = f"cfg_size_{command}_{len(argv)}_{len(extra)}"
         path = write_config(workdir / f"{name}.json", cfg)
         code = main([command, "--config", path, "--out", str(workdir / name), *argv])
@@ -854,8 +898,6 @@ class TestConfigErrors:
 
 class TestRefusedBeforeAnyGrid:
     """Config faults that need no grid to see are refused before make_grid runs."""
-
-    WINDOW = {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5}
 
     def run(self, workdir, monkeypatch, name, command, cfg):
         def no_grid(n):
@@ -871,9 +913,7 @@ class TestRefusedBeforeAnyGrid:
         (float("nan"), "NaN"),
     ])
     def test_bad_picard_tol(self, workdir, monkeypatch, capsys, command, tol, message):
-        cfg = {"grid_n": 16, "kernel": CONST_KERNEL, "window": self.WINDOW,
-               **{k: CONST_KERNEL["m0"] for k in ("m0", "r", "p", "p_tilde")},
-               "picard_tol": tol}
+        cfg = base_config(command, picard_tol=tol)
         name = f"early_tol_{command}_{tol}"
         assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
         assert message in capsys.readouterr().err
@@ -883,13 +923,12 @@ class TestRefusedBeforeAnyGrid:
         ("max_terms", 1), ("max_terms", 60), ("picard_tol", 1e-12), ("picard_tol", None),
     ])
     def test_retired_picard_key(self, workdir, monkeypatch, capsys, command, key, value):
-        # any value, the former defaults included: every G build is compute_g(m)
-        cfg = {"grid_n": 16, "d": 4, "kernel": CONST_KERNEL, "window": self.WINDOW,
-               "target": "spec.json", **{k: CONST_KERNEL["m0"] for k in ("m0", "r", "p", "p_tilde")},
-               key: value}
+        # any value, the former defaults included: every G build is
+        # compute_g(m), and the two keys are unknown like any other
+        cfg = base_config(command, **{key: value})
         name = f"early_retired_{command}_{key}_{value}"
         assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
-        assert f"{key} is no longer a config key" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: unknown key {key}: ")
 
     @pytest.mark.parametrize("command, key", [
         ("spectrum", "residual_tol"), ("spectrum", "boundary_rel_tol"),
@@ -902,11 +941,10 @@ class TestRefusedBeforeAnyGrid:
         # the two spectrum thresholds scale with the window boundary's largest
         # |Delta|, and the other keys are module constants of spectral and
         # inverse: they are no options, so a config that sets one is refused
-        cfg = {"grid_n": 16, "kernel": CONST_KERNEL, "window": self.WINDOW,
-               "target": "spec.json", "opts": {key: value}}
+        cfg = base_config(command, opts={key: value})
         name = f"early_retired_opt_{key}_{value}"
         assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
-        assert f"unknown {command} key(s) in opts: {key}" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: unknown key opts.{key}: ")
 
     @pytest.mark.parametrize("command, key, bound, argv", [
         ("spectrum", "opts.initial_edge_samples", MAX_EDGE_SAMPLES, []),
@@ -924,10 +962,9 @@ class TestRefusedBeforeAnyGrid:
 
         monkeypatch.setattr(idospec.cli, "make_grid", no_grid)
         for value in (bound + 1, bound):
-            cfg = {"grid_n": 40 if argv else 16, "kernel": CONST_KERNEL, "window": self.WINDOW,
-                   "target": str(target_spectrum)}
+            cfg = base_config(command, grid_n=40 if argv else 16)
             if key == "d":
-                cfg["d"] = value
+                cfg.update(d=value, target=str(target_spectrum))
             else:
                 cfg["opts"] = {"initial_edge_samples": value}
             path = write_config(workdir / f"early_bound_{command}_{value}_{len(argv)}.json", cfg)
@@ -945,6 +982,12 @@ class TestRefusedBeforeAnyGrid:
         assert self.run(workdir, monkeypatch, "early_no_target", "invert", cfg) == EXIT_CONFIG
         assert "'target' or 'targets'" in capsys.readouterr().err
 
+    def test_invert_target_and_targets(self, workdir, monkeypatch, capsys):
+        # only one of them could be read
+        cfg = base_config("invert", targets=["spec.json"])
+        assert self.run(workdir, monkeypatch, "early_both_targets", "invert", cfg) == EXIT_CONFIG
+        assert "'target' or 'targets', and not both" in capsys.readouterr().err
+
     @pytest.mark.parametrize("targets", [[], "spec.json", ["a.json", 3], [["a.json"]], {}])
     def test_invert_targets_not_a_list_of_paths(self, workdir, monkeypatch, capsys, targets):
         cfg = {"grid_n": 16, "d": 4, "kernel": CONST_KERNEL, "targets": targets}
@@ -955,20 +998,27 @@ class TestRefusedBeforeAnyGrid:
     @pytest.mark.parametrize("k, value", enumerate(["false", 1, 0, None, [True]]))
     def test_non_bool_extrapolate(self, workdir, monkeypatch, capsys, k, value):
         # "false" is a non-empty string, so it used to build the 2N grid
-        cfg = {"grid_n": 20, "kernel": CONST_KERNEL, "window": self.WINDOW, "extrapolate": value}
+        cfg = base_config("spectrum", grid_n=20, extrapolate=value)
         assert self.run(workdir, monkeypatch, f"early_extrapolate_{k}", "spectrum", cfg) == EXIT_CONFIG
-        assert "extrapolate must be true or false" in capsys.readouterr().err
+        assert f"extrapolate must be bool, got {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["forward", "spectrum", "invert"])
     @pytest.mark.parametrize("k, kernel", enumerate([None, "const", [CONST_KERNEL]]))
     def test_kernel_object_required(self, workdir, monkeypatch, capsys, command, k, kernel):
-        # the kernel keys at the top level of the config are not read as the kernel
-        cfg = {"grid_n": 16, "d": 4, "window": self.WINDOW, "target": "spec.json", **CONST_KERNEL}
-        if kernel is not None:
-            cfg["kernel"] = kernel
+        cfg = base_config(command, kernel=kernel)
+        if kernel is None:
+            del cfg["kernel"]
         name = f"early_kernel_{command}_{k}"
         assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
-        assert f"{command} config needs a 'kernel' object" in capsys.readouterr().err
+        assert f"kernel must be dict, got {kernel!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["forward", "spectrum", "invert"])
+    def test_kernel_keys_at_the_top_level(self, workdir, monkeypatch, capsys, command):
+        # the kernel keys at the top level of the config are not read as the kernel
+        cfg = base_config(command, **CONST_KERNEL)
+        name = f"early_kernel_top_{command}"
+        assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: unknown key m0: ")
 
     CONST = CONST_KERNEL["m0"]
 
@@ -976,7 +1026,7 @@ class TestRefusedBeforeAnyGrid:
     KERNEL_FAULTS = [
         ({"m0": CONST, "components": "x"}, "kernel.components must be a list"),
         ({"m0": CONST, "components": {"r": CONST}}, "kernel.components must be a list"),
-        ({"m0": CONST, "components": ["x"]}, "kernel.components must be a list"),
+        ({"m0": CONST, "components": ["x"]}, "kernel.components[0] must be dict, got 'x'"),
         ({"m0": CONST, "components": [{"r": CONST}] * 9}, "kernel.components must be a list of <= 8"),
         ({"components": [{"r": CONST}]}, "kernel.m0 must be dict, got None"),
         ({"m0": [0.0]}, "kernel.m0 must be dict"),
@@ -990,7 +1040,7 @@ class TestRefusedBeforeAnyGrid:
     @pytest.mark.parametrize("command", ["forward", "spectrum", "invert"])
     @pytest.mark.parametrize("k, kernel, message", [(k, *f) for k, f in enumerate(KERNEL_FAULTS)])
     def test_kernel_contents(self, workdir, monkeypatch, capsys, command, k, kernel, message):
-        cfg = {"grid_n": 20, "d": 4, "window": self.WINDOW, "target": "spec.json", "kernel": kernel}
+        cfg = base_config(command, grid_n=20, kernel=kernel)
         name = f"early_kernel_contents_{command}_{k}"
         assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
         assert message in capsys.readouterr().err
@@ -1000,7 +1050,7 @@ class TestRefusedBeforeAnyGrid:
         cfg = {"grid_n": 16, **{k: CONST_KERNEL["m0"] for k in ("m0", "r", "p", "p_tilde")}}
         del cfg[key]
         assert self.run(workdir, monkeypatch, f"early_verify_{key}", "verify", cfg) == EXIT_CONFIG
-        assert f"verify config needs '{key}'" in capsys.readouterr().err
+        assert f"{key} must be dict, got None" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["m0", "r", "p", "p_tilde"])
     @pytest.mark.parametrize("k, value", enumerate([1, "const", [CONST], None]))
@@ -1059,8 +1109,7 @@ class TestRefusedBeforeAnyGrid:
     def test_malformed_value_names_its_key(
         self, workdir, monkeypatch, capsys, k, command, path, value, key
     ):
-        cfg = {"grid_n": 16, "d": 4, "window": dict(self.WINDOW), "target": "spec.json",
-               "kernel": json.loads(json.dumps(CONST_KERNEL))}
+        cfg = base_config(command)
         node = cfg["kernel"] if path[0] in CONST_KERNEL else cfg
         for step in path[:-1]:
             node = node[step]
@@ -1079,8 +1128,7 @@ class TestRefusedBeforeAnyGrid:
     ])
     def test_lambda_beyond_float_range(self, workdir, monkeypatch, capsys, command, extra, message):
         # exp(-i lambda x) overflows there, and so would e and Delta
-        cfg = {"grid_n": 16, "kernel": CONST_KERNEL, "window": self.WINDOW,
-               **{k: CONST_KERNEL["m0"] for k in ("m0", "r", "p", "p_tilde")}, **extra}
+        cfg = base_config(command, **extra)
         name = f"early_reach_{command}_{len(str(extra))}"
         assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
         assert message in capsys.readouterr().err
@@ -1229,6 +1277,38 @@ class TestMutatedConfigs:
             yield prefix + (key,)
             yield from TestMutatedConfigs.paths(value, prefix + (key,))
 
+    @staticmethod
+    def key_path(path):
+        """A path of keys as a refusal spells it, such as kernel.components[0].p."""
+        text = ""
+        for key in path:
+            text += f"[{key}]" if isinstance(key, int) else f".{key}" if text else key
+        return text
+
+    def test_inserted_key_refused_before_any_grid(self, workdir, bases):
+        # a key no command reads, put into the config and into each object in it
+        levels = set()
+        for command, base in bases.items():
+            for path in [()] + list(self.paths(base)):
+                cfg = json.loads(json.dumps(base))
+                node = cfg
+                for key in path:
+                    node = node[key]
+                if not isinstance(node, dict):
+                    continue
+                node["extra"] = 1.0
+                config = write_config(workdir / "inserted.json", cfg)
+                with mock.patch.object(idospec.cli, "make_grid", wraps=make_grid) as grid, \
+                        contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = main([command, "--config", config, "--out", str(workdir / "inserted_out")])
+                inserted = self.key_path(path + ("extra",))
+                assert code == EXIT_CONFIG and not grid.called, (command, inserted)
+                assert err.getvalue().startswith(f"config error: unknown key {inserted}: "), err.getvalue()
+                levels.add(err.getvalue().split(": ")[-1])
+        # the top level of each command, kernel, component, both spec kinds,
+        # window, heatmap and both commands' opts
+        assert len(levels) == 12, levels
+
     def test_bases_run(self, workdir, bases):
         for command, cfg in bases.items():
             path = write_config(workdir / f"mut_base_{command}.json", cfg)
@@ -1345,6 +1425,35 @@ class TestNonFiniteInput:
         kernel["components"][0]["p"] = {"kind": "samples", "path": str(workdir / "inf_profile.csv")}
         cfg = {"grid_n": 10, "kernel": kernel}
         assert self.run(workdir, "inf_profile", "forward", cfg) == EXIT_CONFIG
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_key_table_matches_the_code():
+    # the "key" and "read by" columns of the README's config table, against
+    # the key tables _parse refuses every other key by
+    text = README.read_text()
+    table = text[text.index("| key | read by |"):].split("\n\n")[0].splitlines()[2:]
+    documented = {}
+    for row in table:
+        keys, readers = re.split(r"(?<!\\)\|", row)[1:3]
+        for reader in readers.split(", "):
+            reader = " ".join(re.findall(r"`([^`]+)`", reader)) or reader.strip()
+            for level in idospec.cli.COMMANDS if reader == "all" else [reader]:
+                documented.setdefault(level, set()).update(re.findall(r"`([^`]+)`", keys))
+    read = {level: set(keys) for level, keys in idospec.cli._KEYS.items()}
+    read.update({f"{command} opts": set(ranges) for command, ranges in _OPTION_RANGES.items()})
+    assert documented == read
+
+
+def test_readme_example_configs_parse():
+    text = README.read_text()
+    examples = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", text, re.S)]
+    assert len(examples) == 2
+    for cfg in examples:
+        command = "invert" if "target" in cfg else "spectrum"
+        idospec.cli._parse(cfg, command, None)
 
 
 @pytest.mark.skipif(shutil.which("idospec") is None, reason="entry point not installed")

@@ -202,8 +202,8 @@ class TestFieldCsv:
 
     @pytest.mark.parametrize("n, block", [(150, 8192), (150, 1000), (150, 97), (40, 8192)])
     def test_bytes_match_whole_field_writer(self, tmp_path, n, block):
-        # 151 rows hold 11476 lines: blocks of 8192, 1000 or 97 lines end
-        # inside rows, at a different column each time
+        # 151 rows hold 11476 lines: blocks of 1425 lines (sized by the
+        # grid), 1000 or 97 end inside rows, at a different column each time
         rng = np.random.default_rng(n + block)
         vals = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
         vals *= 10.0 ** rng.integers(-300, 300, vals.shape)
@@ -213,22 +213,31 @@ class TestFieldCsv:
             _field_to_csv_whole(f, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    def test_working_memory_does_not_grow_with_the_grid(self, tmp_path):
-        # the writer holds one block of lines and the node labels: only the
-        # labels (24 bytes a node) and the text widths of a block move its
-        # peak, by a few percent; a full-size array would add 2.6 MB (65%)
-        peaks = {}
-        for n in (200, 400):
-            rng = np.random.default_rng(5)
-            vals = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
-            f = TriangularField(make_grid(n), np.tril(vals))
-            tracemalloc.start()
-            try:
-                serialize.field_to_csv(f, tmp_path / "f.csv")
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[400] <= 1.05 * peaks[200]
+    @pytest.mark.parametrize("n, fields", [(200, 2.2), (400, 1.7)])
+    def test_working_memory_follows_the_grid(self, tmp_path, n, fields):
+        # the writer holds one block of lines and the node labels: a block
+        # is sized to about two fields, and holds CSV_BLOCK lines (1.6
+        # fields) at N = 400
+        rng = np.random.default_rng(5)
+        vals = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
+        f = TriangularField(make_grid(n), np.tril(vals))
+        tracemalloc.start()
+        try:
+            serialize.field_to_csv(f, tmp_path / "f.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= fields * f.values.nbytes
+
+    @pytest.mark.parametrize("n, size", [(8, 5), (200, 2525), (361, 8190), (362, 8192), (400, 8192)])
+    def test_block_lines_from_the_grid(self, tmp_path, n, size):
+        # CSV_BLOCK lines from N = 362 on, so an N = 400 G CSV is written
+        # in the same blocks as with a fixed CSV_BLOCK
+        sizes = []
+        write = serialize._write_blocks
+        with mock.patch.object(serialize, "_write_blocks", lambda *a: sizes.append(a[3]) or write(*a)):
+            serialize.field_to_csv(TriangularField.zeros(make_grid(n)), tmp_path / "f.csv")
+        assert sizes == [size]
 
     def test_round_trip(self, tmp_path):
         grid = make_grid(9)
@@ -338,6 +347,18 @@ class TestSpectrumJson:
         path.write_text(json.dumps(data))
         back = serialize.spectrum_from_json(path)
         assert all(ev.newton_converged for ev in back.eigenvalues)
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_newton_flag_that_is_no_bool_is_refused(self, tmp_path, flag):
+        # bool("false") is True: the root of an unconverged Newton polish
+        # would load as converged
+        path = tmp_path / "spec.json"
+        write_spectrum(self.make_spectrum(), path)
+        data = json.loads(path.read_text())
+        data["eigenvalues"][0]["newton_converged"] = flag
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="newton_converged must be true or false"):
+            serialize.spectrum_from_json(path)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

@@ -389,11 +389,9 @@ class TestWorkingMemory:
         m = family_fields(make_grid(n))["structured"]
         assert _peak_fields(lambda: compute_g(m), n) <= self.COMPUTE_G_FIELDS[n]
 
-    def test_forward(self, tmp_path):
-        # at N = 400: at N = 200 the G CSV writer's blocks of
-        # serialize.CSV_BLOCK lines, whose working memory does not shrink
-        # with the grid, come to about 6 fields
-        n = 400
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_forward(self, tmp_path, n):
+        # the G CSV writer sizes its blocks by the grid, to about two fields
         p = {"kind": "analytic", "family": "trig", "coeffs": [[0.3, 1, 0.5], [0.25, 2, 1.0]]}
         r = {"kind": "analytic", "family": "trig", "coeffs": [[1.0, 0, 0], [0.2, 0, 1]]}
         m0 = {"kind": "analytic", "family": "polynomial", "coeffs": [[0.05, 0, 0], [0.03, 1, 0]]}

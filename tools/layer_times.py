@@ -87,7 +87,7 @@ def layers(n: int, out: Path) -> dict:
     inputs; forward writes into the directory out."""
     grid = make_grid(n)
     h = grid.step
-    kernel = cli._parse_kernel(KERNEL, "forward")
+    kernel = cli._parse_kernel(KERNEL)
     sk = cli._sample_kernel(kernel, grid)
     m0, r = sk.m0, sk.components[0].r
     m = assemble_kernel(sk)
