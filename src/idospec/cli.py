@@ -4,8 +4,10 @@ One JSON config per run, no prompts; artifacts are deterministic (fixed
 field order, 17-significant-digit floats) and embed the config hash and
 grid parameters.
 
-Exit codes: 0 success, 2 config error, 3 numerical non-convergence,
-4 weight-condition (identifiability) failure.
+Exit codes: 0 success, 2 config error (ConfigError), 3 numerical failure
+(kernels.NumericalFailure), 4 weight-condition (identifiability) failure
+(kernels.WeightVanishesError). The commands raise; main alone turns a
+failure into its exit code and one stderr line.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .quadrature import (
 )
 from .kernels import (
     KernelComponent,
+    NumericalFailure,
     StructuredKernel,
     WeightVanishesError,
     assemble_kernel,
@@ -34,15 +37,12 @@ from .kernels import (
     profile_from_family,
 )
 from .transform import (
-    PicardConvergenceError,
     assemble_z_kernel,
     compute_g,
     reflected_kernel,
 )
 from .spectral import (
-    BoundaryNearZeroError,
     DeltaEvaluator,
-    PhaseTrackingError,
     SearchWindow,
     eval_e_direct,
     eval_e_via_g,
@@ -51,7 +51,6 @@ from .spectral import (
     find_spectrum,
 )
 from .inverse import (
-    NonFiniteResidualError,
     recover_sequential,
     verify_green_identity,
     verify_change_of_variables,
@@ -129,15 +128,22 @@ def _finite_number(text: str) -> float:
     return value
 
 
-def _unique_keys(pairs) -> dict:
-    """A config object from its (key, value) pairs, refusing a key given twice:
-    json.loads would keep the last without a word."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ConfigError(f"duplicate key {key}: a config object gives it twice")
-        obj[key] = value
-    return obj
+class _Repeats(dict):
+    """A config object that gives its key repeated more than once."""
+
+    def __init__(self, pairs, repeated):
+        super().__init__(pairs)
+        self.repeated = repeated
+
+
+def _mark_repeats(pairs) -> dict:
+    """A config object from its (key, value) pairs. json.loads would keep the
+    last of two equal keys without a word, so an object that repeats a key
+    is a _Repeats naming the first such key, which _check_keys refuses with
+    its path."""
+    seen = set()
+    repeated = [key for key, _ in pairs if key in seen or seen.add(key)]
+    return _Repeats(pairs, repeated[0]) if repeated else dict(pairs)
 
 
 def _load_config(path) -> tuple[dict, str]:
@@ -147,7 +153,7 @@ def _load_config(path) -> tuple[dict, str]:
     raw = p.read_bytes()
     try:
         cfg = json.loads(raw, parse_float=_finite_number, parse_constant=_finite_number,
-                         object_pairs_hook=_unique_keys)
+                         object_pairs_hook=_mark_repeats)
     except json.JSONDecodeError as ex:
         raise ConfigError(f"config is not valid JSON: {ex}") from ex
     return cfg, hashlib.sha256(raw).hexdigest()
@@ -231,14 +237,17 @@ def _check_keys(key, obj, allowed) -> dict:
     """obj, refused unless it is an object whose keys are all in allowed.
 
     key is the path of obj in the config, "" for the config itself; a
-    refusal names it, or the full path of the first key not allowed.
+    refusal names it, or the full path of a key the object repeats or of
+    the first key not allowed.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{key or 'config'} must be dict, got {obj!r}")
+    prefix = f"{key}." if key else ""
+    if isinstance(obj, _Repeats):
+        raise ConfigError(f"duplicate key {prefix}{obj.repeated}: a config object gives it twice")
     name = next((name for name in obj if name not in allowed), None)
     if name is not None:
-        path = f"{key}.{name}" if key else name
-        raise ConfigError(f"unknown key {path}: the keys read there are {', '.join(allowed)}")
+        raise ConfigError(f"unknown key {prefix}{name}: the keys read there are {', '.join(allowed)}")
     return obj
 
 
@@ -401,7 +410,7 @@ def _check_alias_free(window: SearchWindow, n: int, what: str) -> None:
 # --- commands ---------------------------------------------------------------
 
 
-def cmd_forward(sha, out: Path, seed, *, n, kernel, lambdas) -> int:
+def cmd_forward(sha, out: Path, seed, *, n, kernel, lambdas) -> None:
     grid = make_grid(n)
     m, g = _build_g(kernel, grid)
     diag_res = _diagonal_residual(m, g)
@@ -425,10 +434,9 @@ def cmd_forward(sha, out: Path, seed, *, n, kernel, lambdas) -> int:
         "boundary_column_max": float(np.abs(g.g.values[:, 0]).max()),
         "lambda_samples": [[l.real, l.imag] for l in lambdas],
     })
-    return EXIT_OK
 
 
-def cmd_spectrum(sha, out: Path, seed, *, n, kernel, window, opts, extrapolate, heatmap) -> int:
+def cmd_spectrum(sha, out: Path, seed, *, n, kernel, window, opts, extrapolate, heatmap) -> None:
     _, g = _build_g(kernel, make_grid(n))
     g_fine = _build_g(kernel, make_grid(2 * n))[1] if extrapolate else None
     evaluator = DeltaEvaluator(g, g_fine)
@@ -450,10 +458,9 @@ def cmd_spectrum(sha, out: Path, seed, *, n, kernel, window, opts, extrapolate, 
         serialize.write_csv(out / "delta_heatmap.csv", "re,im,abs_delta", [
             (res, np.tile(np.arange(nx), ny)), (ims, np.repeat(np.arange(ny), nx)), vals,
         ])
-    return EXIT_OK
 
 
-def cmd_invert(sha, out: Path, seed, *, n, kernel, targets, d, mu, init, opts) -> int:
+def cmd_invert(sha, out: Path, seed, *, n, kernel, targets, d, mu, init, opts) -> None:
     spectra = [_read_input("target spectrum", serialize.spectrum_from_json, t) for t in targets]
     for path, spec in zip(targets, spectra):
         w = spec.window
@@ -469,12 +476,8 @@ def cmd_invert(sha, out: Path, seed, *, n, kernel, targets, d, mu, init, opts) -
         # an exact eigenvalue would pull the profile towards a wrong spectrum
         for ev in spec.eigenvalues:
             if not ev.newton_converged:
-                print(
-                    f"numerical failure: target root {ev.value} in {path} has "
-                    f"newton_converged false; refusing to fit it",
-                    file=sys.stderr,
-                )
-                return EXIT_NUMERICAL
+                raise NumericalFailure(f"target root {ev.value} in {path} has "
+                                       f"newton_converged false; refusing to fit it")
 
     rng = np.random.default_rng(seed if seed is not None else 0)
     inits = [0.1 * rng.standard_normal(d) if init == "random" else init for _ in spectra]
@@ -494,9 +497,11 @@ def cmd_invert(sha, out: Path, seed, *, n, kernel, targets, d, mu, init, opts) -
         "seed": seed,
         "stages": stages,
     })
-    if not all(rep.converged for rep in reports) or len(reports) < len(spectra):
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    # recover_sequential stops at the first stage that does not converge
+    last = reports[-1]
+    if not last.converged:
+        raise NumericalFailure(f"stage {len(reports)} of {len(spectra)} did not converge "
+                               f"(LM iterations {last.iterations}, cost {last.residual_norm:.6g})")
 
 
 def _verify_once(grid, specs, lambdas):
@@ -527,7 +532,7 @@ def _verify_once(grid, specs, lambdas):
     }
 
 
-def cmd_verify(sha, out: Path, seed, *, n, specs, lambdas) -> int:
+def cmd_verify(sha, out: Path, seed, *, n, specs, lambdas) -> None:
     # near IM_REACH the solutions can overflow without G doing so: such a
     # run ends with the first residual that is not finite, with no warning
     with np.errstate(all="ignore"):
@@ -536,9 +541,7 @@ def cmd_verify(sha, out: Path, seed, *, n, specs, lambdas) -> int:
     for grid_n, residuals in ((n, coarse), (2 * n, fine)):
         for key, value in residuals.items():
             if not np.isfinite(value):
-                print(f"numerical failure: {key} residual is {value} on the "
-                      f"{grid_n}-interval grid", file=sys.stderr)
-                return EXIT_NUMERICAL
+                raise NumericalFailure(f"{key} residual is {value} on the {grid_n}-interval grid")
     checks = {}
     for key in coarse:
         rc, rf = coarse[key], fine[key]
@@ -553,7 +556,6 @@ def cmd_verify(sha, out: Path, seed, *, n, specs, lambdas) -> int:
         "lambda_samples": [[l.real, l.imag] for l in lambdas],
         "checks": checks,
     })
-    return EXIT_OK
 
 
 COMMANDS = {
@@ -587,21 +589,22 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the exit code, and for a failure its one stderr line."""
     args = _parser().parse_args(argv)
     try:
         cfg, sha = _load_config(args.config)
         run = _parse(cfg, args.command, args.grid_n)
-        return COMMANDS[args.command](sha, Path(args.out), args.seed, **run)
+        COMMANDS[args.command](sha, Path(args.out), args.seed, **run)
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return EXIT_CONFIG
     except WeightVanishesError as ex:
         print(f"weight condition failure: {ex}", file=sys.stderr)
         return EXIT_WEIGHT
-    except (PicardConvergenceError, NonFiniteResidualError, PhaseTrackingError,
-            BoundaryNearZeroError) as ex:
+    except NumericalFailure as ex:
         print(f"numerical failure: {ex}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

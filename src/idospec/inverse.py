@@ -47,6 +47,7 @@ from .kernels import (
     assemble_kernel,
     compute_B,
     check_B_nonvanishing,
+    NumericalFailure,
     WeightVanishesError,
 )
 from .transform import TransformKernel, compute_g, reflected_kernel
@@ -57,7 +58,7 @@ class UnderdeterminedError(ValueError):
     """Fewer target data than parameters with no regularization."""
 
 
-class NonFiniteResidualError(RuntimeError):
+class NonFiniteResidualError(NumericalFailure):
     """A residual of the Toeplitz path is not finite."""
 
 

@@ -28,6 +28,14 @@ class ComponentCountError(ValueError):
     """More convolution components than the supported bound."""
 
 
+class NumericalFailure(RuntimeError):
+    """A computation that did not converge, or whose numbers are not finite.
+
+    The base of every such error the package raises; the CLI reports each
+    as exit 3.
+    """
+
+
 class WeightVanishesError(ValueError):
     """The weight B(x) vanishes somewhere on (0, pi], or is not finite there."""
 

@@ -40,6 +40,9 @@ CSV_BLOCK = 8192
 # formatted. field_to_csv writes blocks of as many lines as two fields' bytes
 # pay for, capped at CSV_BLOCK, which they reach from N = 362 on.
 _FIELD_LINE_BYTES = 512
+# Most a coordinate of a sample file may differ from its grid node: idospec
+# writes nodes exactly, and a file off by more was sampled elsewhere.
+NODE_TOL = 1e-9
 # |x| range of the exact product: there 10^p and every partial product of
 # the double-double multiplication stay normal doubles.
 _LOW, _HIGH = 1e-240, 1e240
@@ -287,6 +290,18 @@ def _csv_rows(path) -> np.ndarray:
     return data
 
 
+def _check_nodes(data, names: str, *nodes) -> None:
+    """Refuse with ValueError, naming the first bad data row, a sample file
+    whose leading columns (names) are not the given grid nodes, row by row."""
+    want = np.column_stack(nodes)
+    got = data[:, : want.shape[1]]
+    bad = np.flatnonzero(~(np.abs(got - want) <= NODE_TOL).all(axis=1))
+    if bad.size:
+        r = bad[0]
+        raise ValueError(f"data row {r + 1} has {names} = {', '.join(map(fmt, got[r]))}, "
+                         f"not the grid's {', '.join(map(fmt, want[r]))}")
+
+
 # --- profiles -------------------------------------------------------------------
 
 
@@ -301,6 +316,7 @@ def profile_from_csv(path, grid: Grid | None = None) -> Profile:
         grid = make_grid(n)
     elif grid.n_intervals != n:
         raise ValueError(f"profile file has {n} intervals, grid has {grid.n_intervals}")
+    _check_nodes(data, "x", grid.nodes)
     return Profile(grid, _complex(data[:, 1], data[:, 2]))
 
 
@@ -341,8 +357,10 @@ def field_from_csv(path, grid: Grid | None = None) -> TriangularField:
         grid = make_grid(n)
     elif grid.n_intervals != n:
         raise ValueError(f"field file has {n} intervals, grid has {grid.n_intervals}")
+    rows, cols = np.tril_indices(n + 1)  # row-major, as field_to_csv writes
+    _check_nodes(data, "x, t", grid.nodes[rows], grid.nodes[cols])
     vals = np.zeros((n + 1, n + 1), dtype=complex)
-    vals[np.tril_indices(n + 1)] = _complex(data[:, 2], data[:, 3])  # row-major, as written
+    vals[rows, cols] = _complex(data[:, 2], data[:, 3])
     return TriangularField(grid, vals)
 
 

@@ -35,11 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import ROW_BLOCK, TriangularField, march_rows, trapezoid_weights, volterra_apply
-from .kernels import shifted_rows
+from .kernels import NumericalFailure, shifted_rows
 from .transform import TransformKernel
 
 
-class BoundaryNearZeroError(RuntimeError):
+class BoundaryNearZeroError(NumericalFailure):
     """|Delta| on a contour dipped below the safety threshold."""
 
     def __init__(self, point: complex, magnitude: float):
@@ -50,7 +50,7 @@ class BoundaryNearZeroError(RuntimeError):
         )
 
 
-class PhaseTrackingError(RuntimeError):
+class PhaseTrackingError(NumericalFailure):
     """Contour phase increments could not be refined below pi/2."""
 
 

@@ -20,10 +20,10 @@ from numpy.lib.stride_tricks import as_strided
 
 from .quadrature import (ROW_BLOCK, Grid, Profile, TriangularField, march_rows, require_same_grid,
                          volterra_apply, zero_upper)
-from .kernels import shifted_factor
+from .kernels import NumericalFailure, shifted_factor
 
 
-class PicardConvergenceError(RuntimeError):
+class PicardConvergenceError(NumericalFailure):
     """A G build's last sup norm, of its march or of its one update, was not below tol."""
 
 

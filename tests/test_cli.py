@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import inspect
 import io
@@ -17,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 import idospec.cli
 import idospec.inverse
 import idospec.spectral
+import idospec.transform
 from idospec import serialize
+from idospec.kernels import NumericalFailure
 from idospec.quadrature import Profile, TriangularField, make_grid
 from idospec.spectral import DeltaEvaluator, char_delta, eval_e_via_g
 from idospec.transform import compute_g
@@ -55,6 +58,24 @@ TILTED_R = {"kind": "analytic", "family": "polynomial", "coeffs": [[1.0, 0, 0], 
 
 
 WINDOW = {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5}
+
+
+@pytest.mark.parametrize("error", [
+    idospec.transform.PicardConvergenceError, idospec.inverse.NonFiniteResidualError,
+    idospec.spectral.PhaseTrackingError, idospec.spectral.BoundaryNearZeroError,
+])
+def test_numerical_errors_share_one_class(error):
+    # main reports each as exit 3 through this one class
+    assert issubclass(error, NumericalFailure)
+
+
+def test_only_main_reports_a_failure():
+    # the commands and helpers raise; main alone prints and returns exit codes
+    tree = ast.parse(Path(idospec.cli.__file__).read_text())
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name != "main":
+            names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+            assert not {name for name in names if name == "print" or name.startswith("EXIT_")}, fn.name
 
 
 def base_config(command, **extra):
@@ -520,6 +541,21 @@ class TestInvert:
         assert not stage["converged"]
         assert (out / "recovered_profile_1.csv").is_file()
 
+    def test_unconverged_fit_says_so(self, workdir, target_spectrum, capsys):
+        # an unconverged fit writes its artifacts, then exits 3 with one line
+        cfg = write_config(
+            workdir / "inv_one_iter.json",
+            self.invert_cfg(target_spectrum, init=[-3.0, 3.0, -3.0, 3.0], opts={"max_iter": 1}),
+        )
+        out = workdir / "inv_one_iter_out"
+        assert main(["invert", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: stage 1 of 1 did not converge (LM iterations 1, cost ")
+        assert err.count("\n") == 1 and err.endswith(")\n"), err
+        (stage,) = json.loads((out / "recovery_report.json").read_text())["stages"]
+        assert not stage["converged"] and stage["iterations"] == 1
+        assert (out / "recovered_profile_1.csv").is_file()
+
     def test_unknown_option_is_config_error(self, workdir, target_spectrum, capsys):
         cfg = write_config(
             workdir / "inv_badopt.json",
@@ -746,6 +782,16 @@ class TestConfigErrors:
         ("invert", "target", "miscount.json", SPECTRUM_TEXT % (5, 1), "total_count 5"),
         ("forward", "p", "empty_profile.csv", "", "no data rows"),
         ("forward", "m0", "header_only.csv", "x,t,re,im\n", "no data rows"),
+        # the grid's row count, read at the wrong nodes: a profile on [0, 1],
+        # and a field written column by column where field_to_csv goes row by row
+        pytest.param("forward", "p", "profile_on_unit.csv",
+                     "x,re,im\n" + "".join(f"{k / 20},1,0\n" for k in range(21)),
+                     "data row 2 has x = 0.05", id="profile_on_unit"),
+        pytest.param("forward", "m0", "field_by_column.csv", "x,t,re,im\n" + "".join(
+            f"{serialize.fmt(x)},{serialize.fmt(node)},1,0\n"
+            for k, node in enumerate(make_grid(20).nodes) for x in make_grid(20).nodes[k:]
+        ), "data row 3 has x, t = 0.31415926535897931, 0, not the grid's 0.15707963267948966, ",
+            id="field_by_column"),
     ])
     def test_malformed_input_file(
         self, workdir, capsys, recwarn, command, slot, name, text, message
@@ -768,16 +814,21 @@ class TestConfigErrors:
         assert "malformed" in err and str(path) in err and message in err
         assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
-    @pytest.mark.parametrize("k, text, key", [
+    @pytest.mark.parametrize("k, drop, text, key", [
         # json.loads keeps the last of two equal keys: this would run without extrapolating
-        (0, '"extrapolate": true, "extrapolate": false', "extrapolate"),
-        (1, '"window": {"re_min": -4.0, "re_min": -3.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5}',
-         "re_min"),
+        (0, "window", '"extrapolate": true, "extrapolate": false', "extrapolate"),
+        (1, "window",
+         '"window": {"re_min": -4.0, "re_min": -3.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5}',
+         "window.re_min"),
+        (2, "kernel",
+         '"kernel": {"m0": {"kind": "analytic", "family": "constant", "coeffs": [1.0]}, "components": '
+         '[{"r": {"kind": "analytic", "family": "constant", "coeffs": [1.0], "coeffs": [2.0]}}]}',
+         "kernel.components[0].r.coeffs"),
     ])
-    def test_duplicate_key(self, workdir, monkeypatch, capsys, k, text, key):
+    def test_duplicate_key(self, workdir, monkeypatch, capsys, k, drop, text, key):
         monkeypatch.setattr(idospec.cli, "make_grid", mock.Mock(side_effect=AssertionError))
         cfg = base_config("spectrum")
-        del cfg["window"]
+        del cfg[drop]
         path = workdir / f"cfg_duplicate_{k}.json"
         path.write_text(json.dumps(cfg)[:-1] + ", " + text + "}")
         assert main(["spectrum", "--config", str(path), "--out", str(workdir / "cfg_duplicate_out")]) == EXIT_CONFIG
@@ -812,24 +863,24 @@ class TestConfigErrors:
         out = workdir / "cfg_family_out"
         assert main(["forward", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("command, extra, key", [
-        ("spectrum", {"heatmap": True}, "heatmap"),
-        ("spectrum", {"heatmap": {"nx": 10, "ny": 8.5}}, "heatmap.ny"),
-        ("forward", {"grid_n": "sixteen"}, "grid_n"),
-        ("forward", {"max_terms": 2.5}, "max_terms"),
-        ("invert", {"d": "eight"}, "d"),
-        ("invert", {"mu": "none"}, "mu"),
-        ("invert", {"init": "ones"}, "init"),
-        ("invert", {"d": 4, "init": [0.0, 0.0, 0.0]}, "init"),
-        ("spectrum", {"opts": {"cell_size": "small"}}, "cell_size"),
-        ("invert", {"opts": {"max_iter": True}}, "max_iter"),
-        ("verify", {"lambdas": []}, "lambdas"),
-        ("forward", {"lambdas": [[1.0]]}, "lambdas"),
-        ("forward", {"lambdas": "0.5"}, "lambdas"),
-        ("verify", {"lambdas": [[0.5, True]]}, "lambdas"),
+    @pytest.mark.parametrize("command, extra, key, start", [
+        ("spectrum", {"heatmap": True}, "heatmap", "heatmap must be dict"),
+        ("spectrum", {"heatmap": {"nx": 10, "ny": 8.5}}, "heatmap.ny", "heatmap.ny must be int"),
+        ("forward", {"grid_n": "sixteen"}, "grid_n", "grid_n must be int"),
+        ("forward", {"max_terms": 2.5}, "max_terms", "unknown key max_terms:"),
+        ("invert", {"d": "eight"}, "d", "d must be int"),
+        ("invert", {"mu": "none"}, "mu", "mu must be float"),
+        ("invert", {"init": "ones"}, "init", "init must be"),
+        ("invert", {"d": 4, "init": [0.0, 0.0, 0.0]}, "init", "init must be"),
+        ("spectrum", {"opts": {"cell_size": "small"}}, "cell_size", "opts.cell_size must be float"),
+        ("invert", {"opts": {"max_iter": True}}, "max_iter", "opts.max_iter must be int"),
+        ("verify", {"lambdas": []}, "lambdas", "lambdas must be"),
+        ("forward", {"lambdas": [[1.0]]}, "lambdas", "lambdas must be"),
+        ("forward", {"lambdas": "0.5"}, "lambdas", "lambdas must be"),
+        ("verify", {"lambdas": [[0.5, True]]}, "lambdas", "lambdas must be"),
     ])
     def test_wrong_type_refused_before_any_build(
-        self, workdir, monkeypatch, capsys, command, extra, key
+        self, workdir, monkeypatch, capsys, command, extra, key, start
     ):
         builds = []
         for module in (idospec.cli, idospec.inverse):
@@ -838,7 +889,7 @@ class TestConfigErrors:
         name = f"cfg_type_{command}_{key}_{len(extra)}_{len(str(extra))}"
         path = write_config(workdir / f"{name}.json", cfg)
         assert main([command, "--config", path, "--out", str(workdir / name)]) == EXIT_CONFIG
-        assert key in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: {start}")
         assert not builds
 
     @pytest.mark.parametrize("command, key, value", [
@@ -872,17 +923,17 @@ class TestConfigErrors:
                 assert params[key].kind is inspect.Parameter.KEYWORD_ONLY
                 assert type(params[key].default) is kind
 
-    @pytest.mark.parametrize("command, extra, argv, key", [
-        ("forward", {"grid_n": 10**6}, [], "grid_n"),
-        ("forward", {"grid_n": 16}, ["--grid-n", str(10**6)], "grid_n"),
+    @pytest.mark.parametrize("command, extra, argv, start", [
+        ("forward", {"grid_n": 10**6}, [], "grid_n 1000000 needs a 1000000-interval grid"),
+        ("forward", {"grid_n": 16}, ["--grid-n", str(10**6)], "grid_n 1000000 needs a 1000000-interval grid"),
         # grid_n itself is small enough; the 2N grid these commands also build is not
-        ("verify", {"grid_n": 2048}, [], "4096-interval grid"),
-        ("spectrum", {"grid_n": 2048, "extrapolate": True}, [], "4096-interval grid"),
+        ("verify", {"grid_n": 2048}, [], "grid_n 2048 needs a 4096-interval grid"),
+        ("spectrum", {"grid_n": 2048, "extrapolate": True}, [], "grid_n 2048 needs a 4096-interval grid"),
         ("spectrum", {"heatmap": {"nx": 10**4, "ny": MAX_HEATMAP_POINTS // 10**4 + 1}},
-         [], "heatmap"),
+         [], "heatmap has 10000 x 101 points"),
     ])
     def test_oversized_grid_refused_before_allocation(
-        self, workdir, monkeypatch, capsys, command, extra, argv, key
+        self, workdir, monkeypatch, capsys, command, extra, argv, start
     ):
         def no_grid(n):
             raise AssertionError(f"make_grid({n}) called")
@@ -893,7 +944,7 @@ class TestConfigErrors:
         path = write_config(workdir / f"{name}.json", cfg)
         code = main([command, "--config", path, "--out", str(workdir / name), *argv])
         assert code == EXIT_CONFIG
-        assert key in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: {start}")
 
 
 class TestRefusedBeforeAnyGrid:
@@ -1131,7 +1182,7 @@ class TestRefusedBeforeAnyGrid:
         cfg = base_config(command, **extra)
         name = f"early_reach_{command}_{len(str(extra))}"
         assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 class TestOverflowingValues:

@@ -129,10 +129,24 @@ class TestProfileCsv:
         with pytest.raises(ValueError):
             serialize.profile_from_csv(path, make_grid(8))
 
+    @pytest.mark.parametrize("shift, refused", [(5e-10, False), (2e-9, True), (np.nan, True)])
+    def test_x_column_within_node_tol(self, tmp_path, shift, refused):
+        grid = make_grid(4)
+        path = tmp_path / "p.csv"
+        x = grid.nodes.copy()
+        x[3] += shift
+        serialize.write_csv(path, "x,re,im", [x, np.ones(5), np.zeros(5)])
+        if refused:
+            with pytest.raises(ValueError, match=r"^data row 4 has x = "):
+                serialize.profile_from_csv(path, grid)
+        else:
+            assert np.array_equal(serialize.profile_from_csv(path, grid).values, np.ones(5))
+
     @pytest.mark.filterwarnings("error")
     def test_infinite_imaginary_part_keeps_real_part(self, tmp_path):
         path = tmp_path / "p.csv"
-        path.write_text("x,re,im\n0,1.5,inf\n1,2.5,-inf\n3,0.5,0\n")
+        x = [serialize.fmt(v) for v in make_grid(2).nodes]
+        path.write_text(f"x,re,im\n{x[0]},1.5,inf\n{x[1]},2.5,-inf\n{x[2]},0.5,0\n")
         q = serialize.profile_from_csv(path)
         assert np.array_equal(q.values.real, [1.5, 2.5, 0.5])
         assert np.array_equal(q.values.imag, [np.inf, -np.inf, 0.0])
@@ -250,7 +264,9 @@ class TestFieldCsv:
     @pytest.mark.filterwarnings("error")
     def test_infinite_imaginary_part_keeps_real_part(self, tmp_path):
         path = tmp_path / "f.csv"
-        path.write_text("x,t,re,im\n0,0,0,0\n1,0,0,0\n1,1,1,0\n2,0,0,0\n2,1,2,inf\n2,2,3,-inf\n")
+        x = [serialize.fmt(v) for v in make_grid(2).nodes]
+        path.write_text(f"x,t,re,im\n{x[0]},{x[0]},0,0\n{x[1]},{x[0]},0,0\n{x[1]},{x[1]},1,0\n"
+                        f"{x[2]},{x[0]},0,0\n{x[2]},{x[1]},2,inf\n{x[2]},{x[2]},3,-inf\n")
         f = serialize.field_from_csv(path)
         assert f.values[2, 1] == complex(2.0, np.inf)
         assert f.values[2, 2] == complex(3.0, -np.inf)
