@@ -437,14 +437,17 @@ def cmd_forward(sha, out: Path, seed, *, n, kernel, lambdas) -> None:
 
 
 def cmd_spectrum(sha, out: Path, seed, *, n, kernel, window, opts, extrapolate, heatmap) -> None:
-    _, g = _build_g(kernel, make_grid(n))
-    g_fine = _build_g(kernel, make_grid(2 * n))[1] if extrapolate else None
-    evaluator = DeltaEvaluator(g, g_fine)
+    # the zero search reads G's last rows only; they are views, so each G
+    # lives as long as its row
+    grid = make_grid(n)
+    row = _build_g(kernel, grid)[1].g.values[-1]
+    row_fine = _build_g(kernel, make_grid(2 * n))[1].g.values[-1] if extrapolate else None
+    evaluator = DeltaEvaluator(row, row_fine)
     spec = find_spectrum(evaluator, window, **opts)
 
     serialize.write_json(out / "spectrum.json", {
         "provenance": _provenance("spectrum", sha, n),
-        **serialize.spectrum_to_dict(spec, g.grid.step),
+        **serialize.spectrum_to_dict(spec, grid.step),
         "delta_evals": evaluator.evals,
         "deriv_evals": evaluator.deriv_evals,
         "search": dataclasses.asdict(spec.stats),
@@ -594,7 +597,13 @@ def main(argv=None) -> int:
     try:
         cfg, sha = _load_config(args.config)
         run = _parse(cfg, args.command, args.grid_n)
-        COMMANDS[args.command](sha, Path(args.out), args.seed, **run)
+        # the first of --out and its parents that exists must be a directory:
+        # the writers would fail on their first file, after all the work
+        out = Path(args.out)
+        first = next((p for p in (out, *out.parents) if p.exists()), out)
+        if not first.is_dir():
+            raise ConfigError(f"--out {out}: {first} is not a directory")
+        COMMANDS[args.command](sha, out, args.seed, **run)
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return EXIT_CONFIG

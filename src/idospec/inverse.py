@@ -13,8 +13,9 @@ exact gradient in the samples of M, so no G is built and each residual
 comes with its exact Jacobian; the residual is the Richardson combination
 of the grid and its every other node.
 
-Otherwise (the G path) Delta is the G-based one that find_spectrum finds
-zeros of, and the derivatives in the profile parameters come from the
+Otherwise (the G path) Delta is spectral.DeltaEvaluator of the candidate
+G's last row, the Delta whose zeros find_spectrum finds when it does not
+extrapolate, and the derivatives in the profile parameters come from the
 paper's Green identity Delta~ - Delta = i * double integral of
 psi (M~ - M) e~, linearized at M~ = M, so a Jacobian needs the forward
 solutions e and psi of the current kernel only, not one residual per
@@ -51,7 +52,7 @@ from .kernels import (
     WeightVanishesError,
 )
 from .transform import TransformKernel, compute_g, reflected_kernel
-from .spectral import Spectrum, char_delta_deriv, eval_e_via_g, eval_z, toeplitz_delta
+from .spectral import DeltaEvaluator, Spectrum, eval_e_via_g, eval_z, toeplitz_delta
 
 
 class UnderdeterminedError(ValueError):
@@ -250,10 +251,11 @@ def spectrum_residual(p_params, problem: InverseProblem):
     Jacobian, one row per target and one column per parameter; no kernel
     field and no G is formed, and a residual that is not finite raises
     NonFiniteResidualError, as compute_g refuses a kernel that is not
-    finite. On the G path each derivative order is one char_delta_deriv
-    call over its targets, and the second value is the pair (g, m): the G
-    the residual was computed from and the candidate kernel M that G
-    solves, the point where spectrum_jacobian linearizes.
+    finite. On the G path each derivative order is one call of the
+    DeltaEvaluator of G's last row over its targets, and the second value
+    is the pair (g, m): the G the residual was computed from and the
+    candidate kernel M that G solves, the point where spectrum_jacobian
+    linearizes.
     """
     if problem.toeplitz is not None:
         m0, lift = problem.toeplitz
@@ -267,10 +269,11 @@ def spectrum_residual(p_params, problem: InverseProblem):
     m = _candidate_kernel(p_params, problem)
     g = compute_g(m)
     nus, orders = _target_orders(problem)
+    delta = DeltaEvaluator(g.g.values[-1])
     res = np.empty(nus.size, dtype=complex)
     for order in np.unique(orders):
         rows = orders == order
-        res[rows] = char_delta_deriv(g, nus[rows], order=int(order))
+        res[rows] = delta.deriv(nus[rows], int(order))
     return res, (g, m)
 
 

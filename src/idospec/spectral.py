@@ -5,10 +5,13 @@ lambda; the eigenvalues of the boundary value problem are its zeros counted
 with multiplicities. Once the transformation kernel G is built, Delta is the
 trapezoid sum of the last row of G against exp(-i lambda t): on the uniform
 grid, x_j = j h and pi = N h, so with q = exp(-i lambda h) it is the
-polynomial q^N + sum_j w_j G[N, j] q^j. char_delta_deriv evaluates it, and
-its lambda-derivatives, by blocks of the powers q^j, which needs about
-2 sqrt(N) exponentials per lambda; the Richardson combination of two grids
-is folded into the coefficients, so it is one such sum as well.
+polynomial q^N + sum_j w_j G[N, j] q^j, and G's last row is all the zero
+search reads. DeltaEvaluator takes that row, and optionally the last row on
+the grid of half the step, and forms the coefficients w_j G[N, j] once,
+with the Richardson combination of the two grids folded in;
+char_delta_deriv evaluates Delta and its lambda-derivatives from them by
+blocks of the powers q^j, which needs about 2 sqrt(N) exponentials per
+lambda.
 
 Being a polynomial, Delta also hands its zeros over directly: sampled at a
 stride s it has degree N/s in exp(-i lambda s h), and the eigenvalues of its
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import ROW_BLOCK, TriangularField, march_rows, trapezoid_weights, volterra_apply
+from .quadrature import PI, ROW_BLOCK, TriangularField, march_rows, trapezoid_weights, volterra_apply
 from .kernels import NumericalFailure, shifted_rows
 from .transform import TransformKernel
 
@@ -301,9 +304,10 @@ def eval_e_via_g(g: TransformKernel, lam, order=0) -> np.ndarray:
     """d^b/dlambda^b e(x, lambda) from the transformation-operator representation.
 
     e^(b)(x) = (-ix)^b exp(-i lam x) + int G(x, t) (-it)^b exp(-i lam t) dt
-    over [0, x], with b = order; its last entry is what char_delta_deriv
-    returns. lam and the result's shape are as for eval_e_direct; order is
-    an int, or an array giving each lambda its own order.
+    over [0, x], with b = order; its last entry is what
+    DeltaEvaluator(g.g.values[-1]).deriv(lam, order) returns. lam and the
+    result's shape are as for eval_e_direct; order is an int, or an array
+    giving each lambda its own order.
     """
     grid = g.grid
     powers = np.power.outer(-1j * grid.nodes, np.broadcast_to(order, np.shape(lam)))
@@ -313,47 +317,30 @@ def eval_e_via_g(g: TransformKernel, lam, order=0) -> np.ndarray:
 
 def char_delta(g: TransformKernel, lam) -> complex | np.ndarray:
     """Delta(lambda) = e(pi, lambda); accepts a scalar or an array of lambda."""
-    return char_delta_deriv(g, lam, order=0)
+    return DeltaEvaluator(g.g.values[-1])(lam)
 
 
-def _weighted_tail_row(g: TransformKernel, stride: int = 1) -> np.ndarray:
-    """w_j G[N, j] on the nodes 0, s, 2s, ..., N, s = stride (a divisor of N),
-    w the trapezoid weights of step s h."""
-    row = g.g.values[-1, ::stride]
-    return trapezoid_weights(row.size, stride * g.grid.step) * row
+def _weighted_row(row: np.ndarray, stride: int = 1) -> np.ndarray:
+    """w_j row[j] on the nodes 0, s, 2s, ..., N of the grid of N = row.size - 1
+    intervals on [0, pi], s = stride (a divisor of N), w the trapezoid weights
+    of step s h."""
+    return trapezoid_weights(row[::stride].size, stride * (PI / (row.size - 1))) * row[::stride]
 
 
-def _require_halved(g: TransformKernel, g_fine: TransformKernel | None) -> None:
-    """Raise ValueError unless g_fine is None or lies on the grid of half g's step."""
-    if g_fine is not None and g_fine.grid.n_intervals != 2 * g.grid.n_intervals:
-        raise ValueError(f"fine grid must halve the coarse step: {g_fine.grid.n_intervals} "
-                         f"intervals, not {2 * g.grid.n_intervals}")
+def char_delta_deriv(coef: np.ndarray, lam, order: int = 0):
+    """d^m/dlambda^m of the carrier exp(-i lambda pi) plus sum_j coef_j exp(-i lambda x_j).
 
-
-def char_delta_deriv(g: TransformKernel, lam, order: int = 0,
-                     g_fine: TransformKernel | None = None):
-    """d^m/dlambda^m Delta(lambda) by the weighted tail-row quadrature.
-
-    Delta^(m) = (-i pi)^m exp(-i lambda pi) + sum_j c_j q^j with
-    q = exp(-i lambda h) and c_j = w_j G[N, j] (-i x_j)^m. Writing
-    j = k b + r with b = ceil(sqrt(n)), the sum is the (K, b) matrix of
-    exp(-i lambda x_r) times the (b, n/b) coefficient matrix, times the
-    (K, n/b) matrix of exp(-i lambda x_kb) elementwise, summed per lambda.
-    With g_fine on the grid of half the step, the result is the Richardson
-    combination (4 * fine - coarse) / 3: the coarse coefficients sit on the
-    even fine nodes, and the carrier, the same on both grids, stays one
-    term; any other g_fine raises ValueError. Accepts a scalar or an array
-    of lambda.
+    x_j are the nodes of the grid of coef.size - 1 intervals on [0, pi];
+    DeltaEvaluator forms coef from G's last row, so the sum is Delta^(m).
+    It is (-i pi)^m exp(-i lambda pi) + sum_j c_j q^j with q = exp(-i lambda h)
+    and c_j = coef_j (-i x_j)^m. Writing j = k b + r with b = ceil(sqrt(n)),
+    the sum is the (K, b) matrix of exp(-i lambda x_r) times the (b, n/b)
+    coefficient matrix, times the (K, n/b) matrix of exp(-i lambda x_kb)
+    elementwise, summed per lambda. Accepts a scalar or an array of lambda.
     """
-    if g_fine is None:
-        coef, x = _weighted_tail_row(g), g.grid.nodes
-    else:
-        _require_halved(g, g_fine)
-        coef, x = 4.0 * _weighted_tail_row(g_fine), g_fine.grid.nodes
-        coef[::2] -= _weighted_tail_row(g)
-        coef /= 3.0
+    x = np.linspace(0.0, PI, coef.size)
     if order:
-        coef *= (-1j * x) ** order
+        coef = coef * (-1j * x) ** order
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
     n = x.size
     b = math.isqrt(n - 1) + 1                          # ceil(sqrt(n))
@@ -395,29 +382,39 @@ def _rect_boundary(rect, min_per_edge):
 
 
 class DeltaEvaluator:
-    """Vectorized Delta and Delta' from a transformation kernel.
+    """Vectorized Delta and its lambda-derivatives from G's last row.
 
-    With a second kernel g_fine on the grid of half the step, both are
+    row is G[N, :] on a grid of N intervals, N + 1 values; Delta is the
+    trapezoid sum of it against exp(-i lambda t) plus the carrier. With
+    row_fine, the last row on the grid of half the step, both are
     Richardson-extrapolated: the discretizations are second order with
     smooth error expansions, so (4 * fine - coarse) / 3 cancels the h^2
-    term for Delta and Delta' alike. evals and deriv_evals count the lambda
-    points passed to Delta and to its derivatives.
+    term for Delta and its derivatives alike. The coefficients are formed
+    once, here: the coarse ones sit on the even fine nodes, and the carrier,
+    the same on both grids, stays one term. A row_fine of any other length
+    raises ValueError. evals and deriv_evals count the lambda points passed
+    to Delta and to its derivatives.
     """
 
-    def __init__(self, g: TransformKernel, g_fine: TransformKernel | None = None):
-        _require_halved(g, g_fine)
-        self.g = g
-        self.g_fine = g_fine
+    def __init__(self, row: np.ndarray, row_fine: np.ndarray | None = None):
+        self.row, self.coef = row, _weighted_row(row)
+        if row_fine is not None:
+            if row_fine.size != 2 * row.size - 1:
+                raise ValueError(f"fine grid must halve the coarse step: {row_fine.size - 1} "
+                                 f"intervals, not {2 * row.size - 2}")
+            coef = 4.0 * _weighted_row(row_fine)
+            coef[::2] -= self.coef
+            self.coef = coef / 3.0
         self.evals = 0
         self.deriv_evals = 0
 
     def __call__(self, lam):
         self.evals += np.size(lam)
-        return char_delta_deriv(self.g, lam, 0, self.g_fine)
+        return char_delta_deriv(self.coef, lam, 0)
 
     def deriv(self, lam, order: int = 1):
         self.deriv_evals += np.size(lam)
-        return char_delta_deriv(self.g, lam, order, self.g_fine)
+        return char_delta_deriv(self.coef, lam, order)
 
 
 def _check_guard(pts, vals, guard: float | None) -> None:
@@ -509,23 +506,24 @@ def _inside(z, rect):
     return (rect[0] <= z.real) & (z.real <= rect[1]) & (rect[2] <= z.imag) & (z.imag <= rect[3])
 
 
-def _companion_candidates(g: TransformKernel, rect, stride1: bool = False) -> np.ndarray:
+def _companion_candidates(row: np.ndarray, rect, stride1: bool = False) -> np.ndarray:
     """Zeros inside rect of Delta sampled at a stride s, as lambda values.
 
-    On the nodes 0, s, 2s, ..., N with the trapezoid weights of step s h,
-    Delta is a polynomial of degree N/s in Q = exp(-i lambda s h), and its
-    constant term w_0 G[N, 0] is zero. np.roots takes its roots from the
+    row is G's last row on a grid of N intervals. On the nodes 0, s, 2s,
+    ..., N with the trapezoid weights of step s h, Delta is a polynomial of
+    degree N/s in Q = exp(-i lambda s h), and its constant term w_0 G[N, 0]
+    is zero. np.roots takes its roots from the
     companion matrix; lambda = i log(Q) / (s h) maps them back. s is 1 with
     stride1, where the polynomial is Delta itself, and otherwise the largest
     divisor of N with s h R <= CANDIDATE_PHASE_STEP, R the largest
     |Re lambda| in rect: the eigensolve costs O((N/s)^3), and each zero of
     the coarser sum still lies within Newton's reach of a zero of Delta.
     """
-    n, h = g.grid.n_intervals, g.grid.step
+    n, h = row.size - 1, PI / (row.size - 1)
     reach = max(abs(rect[0]), abs(rect[1]))
     s = 1 if stride1 else max((d for d in range(2, n + 1)
                                if n % d == 0 and d * h * reach <= CANDIDATE_PHASE_STEP), default=1)
-    coef = _weighted_tail_row(g, s)
+    coef = _weighted_row(row, s)
     coef[-1] += 1.0                                  # the carrier Q^(N/s)
     q = np.roots(coef[::-1])
     lam = 1j * np.log(q[q != 0]) / (s * h)
@@ -604,7 +602,7 @@ def _companion_roots(f: DeltaEvaluator, rect0, wind0, stride1, cell_size, edge_s
     """
     re0, re1, im0, im1 = rect0
     grow = CANDIDATE_MARGIN
-    cand = _companion_candidates(f.g, (re0 - grow, re1 + grow, im0 - grow, im1 + grow), stride1)
+    cand = _companion_candidates(f.row, (re0 - grow, re1 + grow, im0 - grow, im1 + grow), stride1)
     z, converged, steps = _batched_newton(f, cand)
     z, converged = z[np.isfinite(z)], converged[np.isfinite(z)]
     found, rounds = [], 0            # found: (root, multiplicity, converged)
@@ -643,7 +641,7 @@ def _companion_roots(f: DeltaEvaluator, rect0, wind0, stride1, cell_size, edge_s
 
 
 def find_spectrum(
-    g,
+    f: DeltaEvaluator,
     window: SearchWindow,
     *,
     cell_size: float = CELL_SIZE,
@@ -651,7 +649,7 @@ def find_spectrum(
 ) -> Spectrum:
     """Locate all zeros of Delta inside the window, counted with multiplicity.
 
-    g is a TransformKernel or a DeltaEvaluator. The argument principle
+    f is the DeltaEvaluator of G's last row. The argument principle
     certifies the result: the winding number of Delta on the window
     boundary is the total multiplicity inside, and the zeros that the
     companion candidates lead to (see _companion_roots) must add up to it.
@@ -665,9 +663,8 @@ def find_spectrum(
     initial_edge_samples points per edge at least.
     Spectrum.stats records which pass answered.
     """
-    f = DeltaEvaluator(g) if isinstance(g, TransformKernel) else g
     if not isinstance(f, DeltaEvaluator):
-        raise TypeError(f"find_spectrum needs a TransformKernel or a DeltaEvaluator, got {g!r}")
+        raise TypeError(f"find_spectrum needs a DeltaEvaluator, got {type(f).__name__}")
     rect0 = (window.re_min, window.re_max, window.im_min, window.im_max)
 
     # boundary-magnitude guard, relative to the outer boundary scale; the

@@ -27,11 +27,13 @@ which must match the direct one, and find_spectrum_subdivision finds the
 zeros of Delta by recursive subdivision of the window, the reference for
 the package's companion-matrix search.
 
-Two helpers are here because only the tests need them.
+Four helpers are here because only the tests need them.
 eval_psi is the adjoint-type solution psi, the reflected kernel's forward
 march read backwards, which verify and the inversion spell out inline.
 transform_kernel_from_files reads back the G files that
-serialize.transform_kernel_to_files writes.
+serialize.transform_kernel_to_files writes. delta_of hands G's last row
+(and a fine G's) to DeltaEvaluator, as the spectrum command does, and
+spectrum_of searches the zeros of that plain Delta.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from idospec.spectral import (
     NEWTON_TOL,
     RESIDUAL_RTOL,
     BoundaryNearZeroError,
+    DeltaEvaluator,
     Eigenvalue,
     PhaseTrackingError,
     SearchWindow,
@@ -266,14 +269,20 @@ def newton_polished(spectrum: Spectrum, delta, step: float = 1e-6) -> Spectrum:
     return Spectrum(eigenvalues=eigs, window=spectrum.window, total_count=spectrum.total_count)
 
 
-def eval_z_columns(r: TriangularField, psi: np.ndarray, e_tilde: np.ndarray) -> np.ndarray:
+def eval_z_columns(r: TriangularField, psi: np.ndarray, e_tilde: np.ndarray,
+                   magnitudes: bool = False) -> np.ndarray:
     """spectral.eval_z one column pair at a time.
 
     Column c is the Volterra product of the field R[i, k] e_tilde[i-k, c]
     against w = psi[::-1, c], with R = shifted_factor(r); z has psi's shape.
+    With magnitudes, every factor is replaced by its modulus, which gives
+    h sum over k <= i of |Rw[i, k] e_tilde[i-k, c] w[k, c]| (Rw is R with
+    its end weights): the scale the rounding of each entry is bounded by.
     """
     rs = shifted_factor(r)
     w, et = (np.reshape(v, (r.grid.n_nodes, -1)).T for v in (psi[::-1], e_tilde))
+    if magnitudes:
+        rs, w, et = np.abs(rs), np.abs(w), np.abs(et)
     cols = [volterra_apply(rs * lag_view(ek), wk, r.grid.step) for wk, ek in zip(w, et)]
     return np.stack(cols, axis=-1).reshape(psi.shape)
 
@@ -435,6 +444,16 @@ def hand_blocked_e_march(m: TriangularField, lam) -> np.ndarray:
 
 
 
+def delta_of(g: TransformKernel, g_fine: TransformKernel | None = None) -> DeltaEvaluator:
+    """The DeltaEvaluator of G's last row, extrapolated with g_fine's if given."""
+    return DeltaEvaluator(g.g.values[-1], None if g_fine is None else g_fine.g.values[-1])
+
+
+def spectrum_of(g: TransformKernel, window: SearchWindow, **settings) -> Spectrum:
+    """find_spectrum on the plain Delta of g; settings are its keyword arguments."""
+    return find_spectrum(delta_of(g), window, **settings)
+
+
 def find_spectrum_reflected(
     m, window: SearchWindow, **settings,
 ) -> Spectrum:
@@ -442,7 +461,7 @@ def find_spectrum_reflected(
 
     settings are find_spectrum's keyword arguments.
     """
-    return find_spectrum(compute_g(reflected_kernel(m)), window, **settings)
+    return spectrum_of(compute_g(reflected_kernel(m)), window, **settings)
 
 
 def _split_rect(f, rect, edge_samples, guard):

@@ -15,7 +15,6 @@ from idospec.quadrature import PI, Profile, TriangularField, cumtrapz_nodes, mak
 from idospec.kernels import KernelComponent, StructuredKernel, assemble_kernel
 from idospec.transform import compute_g, reflected_kernel, assemble_z_kernel
 from idospec.spectral import (
-    DeltaEvaluator,
     SearchWindow,
     char_delta,
     eval_e_direct,
@@ -40,7 +39,7 @@ from conftest import (
     mild_family_fields,
     record_criterion,
 )
-from oracles import constant_kernel_delta, eval_psi, oracle_roots_in_window
+from oracles import constant_kernel_delta, delta_of, eval_psi, oracle_roots_in_window, spectrum_of
 
 FAMILY_NAMES = ("zero", "constant", "polynomial", "trig", "structured")
 ORACLE_WINDOW = SearchWindow(-6.0, 6.0, -6.0, 0.5)
@@ -117,7 +116,7 @@ def test_criterion_03_representation_consistency(g_cache):
 
 def test_criterion_04_constant_kernel_oracle(g_cache):
     """Delta and eigenvalues for M = 1 against the closed-form ODE reduction."""
-    ev = DeltaEvaluator(
+    ev = delta_of(
         g_cache("const1", 400, lambda g: TriangularField.constant(g, 1.0)),
         g_cache("const1", 800, lambda g: TriangularField.constant(g, 1.0)),
     )
@@ -151,7 +150,7 @@ def test_criterion_05_empty_spectrum():
         SearchWindow(-2.0, 2.0, -1.0, 1.0),
         SearchWindow(0.5, 3.0, -3.0, -0.5),
     ]
-    counts = [find_spectrum(tk, w).total_count for w in windows]
+    counts = [spectrum_of(tk, w).total_count for w in windows]
     ok = counts == [0, 0, 0]
     record_criterion(5, "empty spectrum for M = 0 on 3 windows", ok,
                      f"counts {counts}")
@@ -226,10 +225,10 @@ def test_criterion_08_reflection_spectral_identity(g_cache):
         ("structured", fam("structured")),
     ):
         key = "const1" if name == "constant" else f"fam-{name}"
-        ev = DeltaEvaluator(
+        ev = delta_of(
             g_cache(key, 400, builder), g_cache(key, 800, builder)
         )
-        ev_r = DeltaEvaluator(
+        ev_r = delta_of(
             g_cache(f"refl-{name}", 400, lambda g: reflected_kernel(builder(g))),
             g_cache(f"refl-{name}", 800, lambda g: reflected_kernel(builder(g))),
         )
@@ -252,7 +251,7 @@ def test_criterion_09_single_profile_round_trip(g_cache):
     t0 = time.monotonic()
     grid_t = make_grid(400)
     true_m = TriangularField.from_function(grid_t, lambda x, t: np.sin(x - t))
-    target = find_spectrum(g_cache("sinconv", 400, lambda g: (
+    target = spectrum_of(g_cache("sinconv", 400, lambda g: (
         TriangularField.from_function(g, lambda x, t: np.sin(x - t))
     )), WIDE_WINDOW)
     assert target.total_count >= 12
@@ -294,7 +293,7 @@ def test_criterion_10_sequential_round_trip():
     grid_t = make_grid(400)
     family_t = build_family(grid_t)
     spectra = [
-        find_spectrum(
+        spectrum_of(
             compute_g(assemble_kernel(StructuredKernel(family_t.m0, family_t.components[:k]))),
             WIDE_WINDOW,
         )

@@ -210,9 +210,9 @@ class TestSpectrum:
         calls = []
         delta = idospec.spectral.char_delta_deriv
 
-        def recording(g, lam, order=0, g_fine=None):
+        def recording(coef, lam, order=0):
             calls.append((order, np.size(lam)))
-            return delta(g, lam, order, g_fine)
+            return delta(coef, lam, order)
 
         monkeypatch.setattr(idospec.spectral, "char_delta_deriv", recording)
         # the top edge passes 0.05 above the zero near -2.545 - 1.3225i, so
@@ -261,7 +261,8 @@ class TestSpectrum:
         out = workdir / "spec_hm_bytes_out"
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
         # CONST_KERNEL assembles to M = 1 exactly, so this is the command's G
-        evaluator = DeltaEvaluator(compute_g(TriangularField.constant(make_grid(40), 1.0)))
+        g = compute_g(TriangularField.constant(make_grid(40), 1.0))
+        evaluator = DeltaEvaluator(g.g.values[-1])
         fmt = serialize.fmt
         expect = ["re,im,abs_delta\n"]
         res = np.linspace(window["re_min"], window["re_max"], 9)
@@ -284,7 +285,7 @@ class TestSpectrum:
         lams = data[:, 0] + 1j * data[:, 1]
         # CONST_KERNEL assembles to M = 1 exactly
         g, g_f = (compute_g(TriangularField.constant(make_grid(n), 1.0)) for n in (40, 80))
-        expect = np.abs(DeltaEvaluator(g, g_f)(lams))
+        expect = np.abs(DeltaEvaluator(g.g.values[-1], g_f.g.values[-1])(lams))
         assert np.abs(data[:, 2] - expect).max() <= 1e-12 * expect.max()
         coarse = np.abs(char_delta(g, lams))
         assert np.abs(data[:, 2] - coarse).max() > 1e-6 * expect.max()
@@ -293,9 +294,9 @@ class TestSpectrum:
         points = {0: 0, 1: 0}
         evaluate = idospec.spectral.char_delta_deriv
 
-        def counting(g, lam, order=0, g_fine=None):
+        def counting(coef, lam, order=0):
             points[order] += np.size(lam)
-            return evaluate(g, lam, order, g_fine)
+            return evaluate(coef, lam, order)
 
         monkeypatch.setattr(idospec.spectral, "char_delta_deriv", counting)
         cfg = write_config(workdir / "spec_count.json", {
@@ -945,6 +946,29 @@ class TestConfigErrors:
         code = main([command, "--config", path, "--out", str(workdir / name), *argv])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {start}")
+
+
+class TestOutPath:
+    """An --out that is a file, or lies below one, is refused before any grid:
+    the writers used to fail on it after the whole run, with a traceback."""
+
+    @pytest.mark.parametrize("command", ["forward", "spectrum", "invert", "verify"])
+    @pytest.mark.parametrize("below", ["", "x", "x/y"])
+    def test_file_in_the_way_is_config_error(self, workdir, monkeypatch, capsys, command, below):
+        def no_grid(n):
+            raise AssertionError(f"make_grid({n}) called")
+
+        builds = []
+        monkeypatch.setattr(idospec.cli, "make_grid", no_grid)
+        for module in (idospec.cli, idospec.inverse):
+            monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1))
+        afile = workdir / f"out_file_{command}_{len(below)}"
+        afile.write_text("kept\n")
+        out = afile / below if below else afile
+        path = write_config(workdir / f"{afile.name}.json", base_config(command))
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: --out {out}: {afile} is not a directory\n"
+        assert afile.read_text() == "kept\n" and not builds
 
 
 class TestRefusedBeforeAnyGrid:

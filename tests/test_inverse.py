@@ -19,7 +19,6 @@ from idospec.spectral import (
     Spectrum,
     eval_e_direct,
     eval_z,
-    find_spectrum,
     toeplitz_delta,
 )
 import idospec.inverse
@@ -38,7 +37,7 @@ from idospec.inverse import (
 )
 
 from conftest import mild_family_fields
-from oracles import eval_psi, fd_jacobian, newton_polished, oracle_roots_in_window
+from oracles import eval_psi, fd_jacobian, newton_polished, oracle_roots_in_window, spectrum_of
 
 WINDOW = SearchWindow(-6.0, 6.0, -6.0, 0.5)
 WIDE = SearchWindow(-20.0, 20.0, -8.0, 0.5)
@@ -80,7 +79,7 @@ def constant_target(n, polish):
     with polish those roots moved to the zeros of the extrapolated Toeplitz
     Delta, the zero set of the Toeplitz path's own residual."""
     grid = make_grid(n)
-    target = find_spectrum(compute_g(TriangularField.constant(grid, 1.0)), WINDOW)
+    target = spectrum_of(compute_g(TriangularField.constant(grid, 1.0)), WINDOW)
     return newton_polished(target, extrapolated_toeplitz(np.ones(n + 1))) if polish else target
 
 
@@ -281,7 +280,7 @@ def two_sine_target():
         (KernelComponent(TriangularField.constant(grid, 1.0),
                          Profile.from_function(grid, two_sine)),),
     ))
-    return find_spectrum(compute_g(m), WIDE)
+    return spectrum_of(compute_g(m), WIDE)
 
 
 class TestSpectrumJacobian:
@@ -361,7 +360,7 @@ class TestSpectrumJacobian:
             (KernelComponent(TriangularField.constant(grid, 1.0),
                              Profile.from_function(grid, truth)),),
         ))
-        target = find_spectrum(compute_g(m), WIDE, initial_edge_samples=64)
+        target = spectrum_of(compute_g(m), WIDE, initial_edge_samples=64)
         problem = convolution_problem(target, n)
         report = recover_profile(problem, np.zeros(8))
         assert report.converged
@@ -489,7 +488,7 @@ class TestRecoverProfile:
         ))
         problem = InverseProblem(
             m0=const_problem.m0, r=const_problem.r,
-            target=find_spectrum(compute_g(m), WINDOW), d=4,
+            target=spectrum_of(compute_g(m), WINDOW), d=4,
         )
         monkeypatch.setattr(idospec.inverse, "FTOL", 0.0)
         monkeypatch.setattr(idospec.inverse, "XTOL", 0.0)

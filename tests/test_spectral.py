@@ -32,11 +32,13 @@ from oracles import (
     char_delta_direct,
     constant_kernel_delta,
     constant_kernel_e,
+    delta_of,
     eval_psi,
     eval_z_columns,
     find_spectrum_reflected,
     find_spectrum_subdivision,
     oracle_roots_in_window,
+    spectrum_of,
     toeplitz_dense_delta,
     trapezoid_e_system_delta,
 )
@@ -178,6 +180,30 @@ def _random_columns(rng, n_nodes, n_cols):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+EPS = np.finfo(float).eps
+
+
+def _assert_z_matches(z, r, psi, e_tilde):
+    """z within the rounding of two summation orders of the column loop's z.
+
+    Each entry is h times a sum over k <= i of at most n + 1 terms
+    t_k = Rw[i, k] e_tilde[i-k] w[k], T = sum of |t_k|. Complex sums and
+    products round as in Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sections 3.1 and 3.6, with u = eps / 2: a sum of
+    m terms is off by at most gamma_(m-1) = (m - 1) u times the sum of their
+    moduli, and a complex product by sqrt(2) gamma_2 times the product of
+    the moduli. eval_z forms t_k with two complex products (its halvings
+    are exact), sums them and multiplies by h: at most (n + 8) u T. The
+    column loop sums the terms with full end weights (at most 2 T), then
+    subtracts the halved end terms and multiplies by h: at most
+    (2 n + 20) u T. Their difference is within (1.5 n + 14) eps T, which is
+    at most 6 (n + 1) eps T for n >= 2: c = 6.
+    """
+    n = r.grid.n_intervals
+    scale = eval_z_columns(r, psi, e_tilde, magnitudes=True)
+    assert np.all(np.abs(z - eval_z_columns(r, psi, e_tilde)) <= 6 * (n + 1) * EPS * scale)
+
+
 class TestEvalZContraction:
     """eval_z's blocked contraction against the column loop of tests/oracles.py."""
 
@@ -194,11 +220,11 @@ class TestEvalZContraction:
         psi, et = (_random_columns(rng, n + 1, n_cols) for _ in range(2))
         z = eval_z(r, psi, et)
         assert z.shape == psi.shape and np.all(z[0] == 0.0)
-        assert _rel_err(z, eval_z_columns(r, psi, et)) <= 1e-15
+        _assert_z_matches(z, r, psi, et)
         # one lambda: 1-D columns in, 1-D z out
         z1 = eval_z(r, psi[:, 0], et[:, 0])
         assert z1.shape == (n + 1,) and z1[0] == 0.0
-        assert _rel_err(z1, eval_z_columns(r, psi[:, 0], et[:, 0])) <= 1e-15
+        _assert_z_matches(z1, r, psi[:, 0], et[:, 0])
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -217,7 +243,7 @@ class TestEvalZContraction:
         ))
         psi, e = (_random_columns(rng, n + 1, len(orders)) for _ in range(2))
         pa, eb = psi[::-1][:, cols_a], e[:, cols_b]
-        assert _rel_err(eval_z(r, pa, eb), eval_z_columns(r, pa, eb)) <= 1e-15
+        _assert_z_matches(eval_z(r, pa, eb), r, pa, eb)
 
     @pytest.mark.parametrize("psi_cols, e_cols, rows", [(2, 3, 11), (3, 2, 11), (2, 2, 10)])
     def test_mismatched_shapes_raise_before_any_work(self, monkeypatch, psi_cols, e_cols, rows):
@@ -280,6 +306,14 @@ class TestCharDelta:
         for lam in (0.3, -1.0 - 0.5j):
             assert abs(char_delta(g_const_200, lam) - eval_e_via_g(g_const_200, lam)[-1]) < 1e-12
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_derivatives_match_endpoint_of_e(self, g_const_200, order):
+        # the same trapezoid sum over G's last row, summed in another order
+        ev = DeltaEvaluator(g_const_200.g.values[-1])
+        for lam in (0.3, -1.0 - 0.5j, 4.5 - 3.0j):
+            want = eval_e_via_g(g_const_200, lam, order)[-1]
+            assert abs(ev.deriv(lam, order) - want) <= 1e-12 * max(1.0, abs(want))
+
     def test_vectorized_matches_scalar(self, g_const_200):
         lams = np.array([0.1 + 0j, -2.0 - 1j, 3.0 + 0.2j])
         vec = char_delta(g_const_200, lams)
@@ -301,7 +335,7 @@ class TestCharDelta:
         h = 1e-5
         for lam in (0.7 + 0j, -1.2 - 0.4j):
             fd = (char_delta(g_const_200, lam + h) - char_delta(g_const_200, lam - h)) / (2 * h)
-            assert abs(char_delta_deriv(g_const_200, lam, order=1) - fd) < 1e-7
+            assert abs(delta_of(g_const_200).deriv(lam, 1) - fd) < 1e-7
 
     def test_second_derivative_finite_difference(self, g_const_200):
         lam = 0.4 - 0.3j
@@ -311,7 +345,7 @@ class TestCharDelta:
             - 2 * char_delta(g_const_200, lam)
             + char_delta(g_const_200, lam - h)
         ) / h**2
-        assert abs(char_delta_deriv(g_const_200, lam, order=2) - fd) < 1e-5
+        assert abs(delta_of(g_const_200).deriv(lam, 2) - fd) < 1e-5
 
 
 class TestToeplitzDelta:
@@ -370,31 +404,31 @@ class TestToeplitzDelta:
 
 class TestExtrapolatedDelta:
     def test_grid_ratio_enforced(self, g_const_200):
+        row = g_const_200.g.values[-1]
         with pytest.raises(ValueError):
-            DeltaEvaluator(g_const_200, g_const_200)
+            DeltaEvaluator(row, row)
 
     @pytest.mark.parametrize("n_fine", [8, 15, 17])
     def test_fold_refuses_a_fine_grid_that_does_not_halve_the_step(self, n_fine):
         # a fine grid of 17 intervals against 8 used to fold silently, giving
         # 0.9736+3.4232i at lambda = 0.5 where the 16-interval grid gives
         # 0.8927+3.4528i
-        g, g_fine = compute_g(constant_field(8)), compute_g(constant_field(n_fine))
-        for call in (lambda: char_delta_deriv(g, 0.5, 0, g_fine),
-                     lambda: DeltaEvaluator(g, g_fine)):
-            with pytest.raises(ValueError, match="fine grid must halve the coarse step"):
-                call()
-        good = compute_g(constant_field(16))
-        assert char_delta_deriv(g, 0.5, 0, good) == DeltaEvaluator(g, good)(0.5)
+        row = compute_g(constant_field(8)).g.values[-1]
+        with pytest.raises(ValueError, match="fine grid must halve the coarse step: "
+                                             f"{n_fine} intervals, not 16"):
+            DeltaEvaluator(row, compute_g(constant_field(n_fine)).g.values[-1])
+        good = compute_g(constant_field(16)).g.values[-1]
+        assert abs(DeltaEvaluator(row, good)(0.5) - (0.8927 + 3.4528j)) < 1e-4
 
     def test_fourth_order_accuracy(self, g_const_200, g_const_400):
-        ev = DeltaEvaluator(g_const_200, g_const_400)
+        ev = delta_of(g_const_200, g_const_400)
         lams = np.array([0.5 + 0j, -1.5 - 0.5j, 2.0 + 0.25j])
         vals = ev(lams)
         for lam, v in zip(lams, vals):
             assert abs(v - constant_kernel_delta(complex(lam))) < 5e-7
 
     def test_deriv_extrapolates_too(self, g_const_200, g_const_400):
-        ev = DeltaEvaluator(g_const_200, g_const_400)
+        ev = delta_of(g_const_200, g_const_400)
         lam = 0.8 - 0.2j
         h = 1e-5
         fd = (ev(np.array([lam + h]))[0] - ev(np.array([lam - h]))[0]) / (2 * h)
@@ -403,48 +437,42 @@ class TestExtrapolatedDelta:
 
 class TestDeltaEvaluator:
     """Delta and Delta', plain and extrapolated, equal in value and scalar type
-    to one char_delta_deriv call, and within rounding of the formulas written
-    out: the direct sum, and (4 * fine - coarse) / 3 of direct sums."""
+    to one char_delta_deriv call on the evaluator's coefficients, and within
+    rounding of the formulas written out: the direct sum, and
+    (4 * fine - coarse) / 3 of direct sums. The coefficients are formed
+    once, and no evaluation changes them."""
 
     LAMS = np.array([0.3 + 0j, -1.7 - 0.6j, 2.2 + 0.1j, -4.0 - 3.0j])
 
-    def test_plain_matches_formula(self, g_const_200):
-        ev = DeltaEvaluator(g_const_200)
+    def check_calls(self, ev):
+        coef, before = ev.coef, ev.coef.copy()
         vals = ev(self.LAMS)
-        assert np.array_equal(vals, char_delta_deriv(g_const_200, self.LAMS))
+        assert np.array_equal(vals, char_delta_deriv(coef, self.LAMS))
         derivs = []
         for lam in self.LAMS:
-            got, want = ev(lam), char_delta_deriv(g_const_200, lam)
-            assert type(got) is type(want) and got == want
-            got, want = ev.deriv(lam), char_delta_deriv(g_const_200, lam, order=1)
-            assert type(got) is type(want) and got == want
+            got, want = ev(lam), char_delta_deriv(coef, lam)
+            assert type(got) is complex and got == want
+            got, want = ev.deriv(lam), char_delta_deriv(coef, lam, 1)
+            assert type(got) is complex and got == want
             derivs.append(got)
-        for order, got in ((0, vals), (1, np.array(derivs))):
-            want, scale = char_delta_direct(g_const_200, self.LAMS, order)
-            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        assert ev.coef is coef and np.array_equal(coef, before)
         assert ev.evals == 2 * self.LAMS.size
         assert ev.deriv_evals == self.LAMS.size
+        return vals, np.array(derivs)
+
+    def test_plain_matches_formula(self, g_const_200):
+        vals, derivs = self.check_calls(delta_of(g_const_200))
+        for order, got in ((0, vals), (1, derivs)):
+            want, scale = char_delta_direct(g_const_200, self.LAMS, order)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
     def test_extrapolated_matches_formula(self, g_const_200, g_const_400):
-        ev = DeltaEvaluator(g_const_200, g_const_400)
-        vals = ev(self.LAMS)
-        assert np.array_equal(
-            vals, char_delta_deriv(g_const_200, self.LAMS, 0, g_const_400)
-        )
-        derivs = []
-        for lam in self.LAMS:
-            got, want = ev(lam), char_delta_deriv(g_const_200, lam, 0, g_const_400)
-            assert type(got) is complex and got == want
-            got, want = ev.deriv(lam), char_delta_deriv(g_const_200, lam, 1, g_const_400)
-            assert type(got) is complex and got == want
-            derivs.append(got)
-        for order, got in ((0, vals), (1, np.array(derivs))):
+        vals, derivs = self.check_calls(delta_of(g_const_200, g_const_400))
+        for order, got in ((0, vals), (1, derivs)):
             fine, s_fine = char_delta_direct(g_const_400, self.LAMS, order)
             coarse, s_coarse = char_delta_direct(g_const_200, self.LAMS, order)
             want = (4.0 * fine - coarse) / 3.0
             assert np.all(np.abs(got - want) <= 1e-13 * (4.0 * s_fine + s_coarse) / 3.0)
-        assert ev.evals == 2 * self.LAMS.size
-        assert ev.deriv_evals == self.LAMS.size
 
 
 def planted_kernel(n, roots):
@@ -474,7 +502,7 @@ def _attainable_error(g, root, order):
     |Delta^(order+1)|. Planted roots all map to q near 1, so a pair 0.01
     apart at N = 40 makes this about 1e-9.
     """
-    return 300 * _rounding(g, root, order) / abs(char_delta_deriv(g, root, order + 1))
+    return 300 * _rounding(g, root, order) / abs(delta_of(g).deriv(root, order + 1))
 
 
 def _random_tail_kernel(n, rng):
@@ -501,11 +529,11 @@ class TestBlockedPolynomial:
         lams = (re[:, None] + 1j * im[None, :]).ravel()
         for order in range(3):
             want, scale = char_delta_direct(g, lams, order)
-            got = char_delta_deriv(g, lams, order)
+            got = delta_of(g).deriv(lams, order)
             assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
             fine, s_fine = char_delta_direct(g_fine, lams, order)
-            got = char_delta_deriv(g, lams, order, g_fine)
+            got = delta_of(g, g_fine).deriv(lams, order)
             want = (4.0 * fine - want) / 3.0
             assert np.all(np.abs(got - want) <= 1e-13 * (4.0 * s_fine + scale) / 3.0)
 
@@ -528,19 +556,19 @@ class TestZeroKernel:
         g, g_fine = (compute_g(TriangularField.zeros(make_grid(k))) for k in (n, 2 * n))
         lams = np.array([0.0, 1.5 - 2.0j, -3.25 + 0.5j])
         want = np.exp(-1j * lams * PI)
-        assert np.array_equal(char_delta_deriv(g, lams, 0, g_fine), want)
+        assert np.array_equal(delta_of(g, g_fine)(lams), want)
 
 
 class TestFindSpectrum:
     def test_zero_kernel_empty_spectrum(self, grid100):
         tk = compute_g(TriangularField.zeros(grid100))
-        spec = find_spectrum(tk, SearchWindow(-3.0, 3.0, -2.0, 2.0))
+        spec = spectrum_of(tk, SearchWindow(-3.0, 3.0, -2.0, 2.0))
         assert spec.total_count == 0
         assert spec.eigenvalues == ()
 
     def test_constant_kernel_matches_oracle(self, g_const_200):
         window = SearchWindow(-6.0, 6.0, -6.0, 0.5)
-        spec = find_spectrum(g_const_200, window)
+        spec = spectrum_of(g_const_200, window)
         oracle = oracle_roots_in_window(-6.0, 6.0, -6.0, 0.5)
         assert spec.total_count == len(oracle)
         for ev, ref in zip(spec.eigenvalues, oracle):
@@ -549,25 +577,25 @@ class TestFindSpectrum:
             assert abs(ev.value - ref) < 2e-3
 
     def test_sorted_by_real_part(self, g_const_200):
-        spec = find_spectrum(g_const_200, SearchWindow(-6.0, 6.0, -6.0, 0.5))
+        spec = spectrum_of(g_const_200, SearchWindow(-6.0, 6.0, -6.0, 0.5))
         reals = [ev.value.real for ev in spec.eigenvalues]
         assert reals == sorted(reals)
 
     def test_residuals_small(self, g_const_200):
-        spec = find_spectrum(g_const_200, SearchWindow(-6.0, 6.0, -6.0, 0.5))
+        spec = spectrum_of(g_const_200, SearchWindow(-6.0, 6.0, -6.0, 0.5))
         for ev in spec.eigenvalues:
             assert ev.residual < 1e-9
 
     def test_boundary_through_root_rejected(self, g_const_200):
-        spec = find_spectrum(g_const_200, SearchWindow(-6.0, 6.0, -6.0, 0.5))
+        spec = spectrum_of(g_const_200, SearchWindow(-6.0, 6.0, -6.0, 0.5))
         root = spec.eigenvalues[0].value
         # a window corner sitting exactly on a zero must be refused loudly
         bad = SearchWindow(root.real, root.real + 2.0, root.imag, root.imag + 2.0)
         with pytest.raises((BoundaryNearZeroError, PhaseTrackingError)):
-            find_spectrum(g_const_200, bad)
+            spectrum_of(g_const_200, bad)
 
     def test_evaluator_interface(self, g_const_200, g_const_400):
-        ev = DeltaEvaluator(g_const_200, g_const_400)
+        ev = delta_of(g_const_200, g_const_400)
         window = SearchWindow(-6.0, 6.0, -6.0, 0.5)
         spec = find_spectrum(ev, window)
         oracle = oracle_roots_in_window(-6.0, 6.0, -6.0, 0.5)
@@ -578,7 +606,7 @@ class TestFindSpectrum:
     def test_reflected_spectrum_close(self, grid100):
         m = TriangularField.constant(grid100, 1.0)
         window = SearchWindow(-6.0, 6.0, -6.0, 0.5)
-        direct = find_spectrum(compute_g(m), window)
+        direct = spectrum_of(compute_g(m), window)
         refl = find_spectrum_reflected(m, window)
         assert refl.total_count == direct.total_count
         for a, b in zip(direct.eigenvalues, refl.eigenvalues):
@@ -616,7 +644,7 @@ class TestConstantKernelProperty:
     @settings(max_examples=6, deadline=None)
     @given(c=st.floats(0.5, 2.0))
     def test_wide_window_matches_closed_form(self, c):
-        spec = find_spectrum(compute_g(constant_field(100, c)), SearchWindow(*WIDE))
+        spec = spectrum_of(compute_g(constant_field(100, c)), SearchWindow(*WIDE))
         _assert_matches_oracle(spec, WIDE, c, self.TOL)
 
     # These put a root 0.13 and 0.09 below the top edge. With 32 samples on
@@ -625,12 +653,12 @@ class TestConstantKernelProperty:
     # phase tracking cannot see.
     @pytest.mark.parametrize("c, count", [(0.583873, 19), (1.772611, 18)])
     def test_root_just_below_the_top_edge(self, c, count):
-        spec = find_spectrum(compute_g(constant_field(100, c)), SearchWindow(*WIDE))
+        spec = spectrum_of(compute_g(constant_field(100, c)), SearchWindow(*WIDE))
         assert spec.total_count == count
         _assert_matches_oracle(spec, WIDE, c, self.TOL)
 
     def test_wide_window_eval_budget(self, g_const_200):
-        ev = DeltaEvaluator(g_const_200)
+        ev = delta_of(g_const_200)
         spec = find_spectrum(ev, SearchWindow(*WIDE))
         assert spec.total_count == 18
         # the subdivision oracle, bisecting every root cell down to
@@ -644,7 +672,7 @@ class TestSyntheticSearch:
     def test_double_root(self):
         double, simple = 0.3217 - 0.4123j, -1.1 + 0.27j
         g = planted_kernel(40, [double, double, simple])
-        spec = find_spectrum(g, SearchWindow(-2.0, 2.0, -1.0, 1.0))
+        spec = spectrum_of(g, SearchWindow(-2.0, 2.0, -1.0, 1.0))
         assert spec.total_count == 3
         (a, b) = spec.eigenvalues
         assert a.multiplicity == 1 and abs(a.value - simple) < 1e-12
@@ -656,7 +684,7 @@ class TestSyntheticSearch:
         # roots are still found within 4e-12, but the Newton steps of one
         # never drop below newton_tol. At N = 8 the pair is well conditioned.
         roots = [0.2 + 0.1j, 0.21 + 0.1j]
-        spec = find_spectrum(planted_kernel(8, roots), SearchWindow(-1.0, 1.0, -1.0, 1.0))
+        spec = spectrum_of(planted_kernel(8, roots), SearchWindow(-1.0, 1.0, -1.0, 1.0))
         assert [ev.multiplicity for ev in spec.eigenvalues] == [1, 1]
         for ev, ref in zip(spec.eigenvalues, roots):
             assert ev.newton_converged and abs(ev.value - ref) < 1e-12
@@ -672,7 +700,7 @@ class TestSyntheticSearch:
                 return super().__call__(lam)
 
         g = planted_kernel(40, [0.3 - 0.4j, -1.1 + 0.27j])
-        find_spectrum(Recording(g), SearchWindow(*rect))
+        find_spectrum(Recording(g.g.values[-1]), SearchWindow(*rect))
         assert sum(np.array_equal(b, outer) for b in batches) == 1
 
     WINDOW = SearchWindow(-2.0, 2.0, -1.0, 1.0)
@@ -692,9 +720,9 @@ class TestSyntheticSearch:
         g = planted_kernel(n, [roots[0], *roots])
         # rounding splits a double zero by about sqrt(rounding / (|Delta''| / 2));
         # near cell_size it cannot be told from two simple zeros
-        split = np.sqrt(2 * _rounding(g, roots[0], 0) / abs(char_delta_deriv(g, roots[0], 2)))
+        split = np.sqrt(2 * _rounding(g, roots[0], 0) / abs(delta_of(g).deriv(roots[0], 2)))
         assume(split < 0.1 * CELL_SIZE)
-        spec = find_spectrum(g, self.WINDOW)
+        spec = spectrum_of(g, self.WINDOW)
         assert spec.total_count == len(roots) + 1
         assert len(spec.eigenvalues) == len(roots)
         for ev in spec.eigenvalues:
@@ -713,16 +741,18 @@ class TestSyntheticSearch:
         double, simple = 0.0577 + 0.0087j, [0.0667 + 0.0133j, 0.05, 0.07]
         g = planted_kernel(35, [double, double, *simple])
         with pytest.raises(PhaseTrackingError) as err:
-            find_spectrum(g, self.WINDOW)
+            spectrum_of(g, self.WINDOW)
         msg = str(err.value)
         assert re.search(r"add up to multiplicity [0-4], not to its winding number 5;", msg)
         assert "cell_size 0.001 " in msg
         listed = msg.split("not converged: ")[1].split("; cell_size")[0].split(", ")
         assert listed and all(abs(complex(z) - double) < 0.03 for z in listed)
 
-    def test_anything_but_g_is_refused(self):
-        with pytest.raises(TypeError):
-            find_spectrum(lambda lam: np.exp(-1j * lam), self.WINDOW)
+    def test_anything_but_an_evaluator_is_refused(self):
+        g = planted_kernel(8, [0.2 + 0.1j])
+        for f in (g, g.g.values[-1], lambda lam: np.exp(-1j * lam)):
+            with pytest.raises(TypeError, match="find_spectrum needs a DeltaEvaluator"):
+                find_spectrum(f, self.WINDOW)
 
 
 def _smooth_kernel(n, coeffs):
@@ -749,10 +779,10 @@ class TestCompanionCandidates:
         g = compute_g(_smooth_kernel(n, coeffs))
         g_fine = compute_g(_smooth_kernel(2 * n, coeffs)) if extrapolate else None
         try:
-            forced = find_spectrum_subdivision(DeltaEvaluator(g, g_fine), self.WINDOW)
+            forced = find_spectrum_subdivision(delta_of(g, g_fine), self.WINDOW)
         except (BoundaryNearZeroError, PhaseTrackingError):
             return  # a zero on the window edge; no spectrum to compare
-        spec = find_spectrum(DeltaEvaluator(g, g_fine), self.WINDOW)
+        spec = find_spectrum(delta_of(g, g_fine), self.WINDOW)
         assert spec.total_count == forced.total_count
         assert len(spec.eigenvalues) == len(forced.eigenvalues)
         for a, b in zip(spec.eigenvalues, forced.eigenvalues):
@@ -770,7 +800,7 @@ class TestCompanionCandidates:
         # at N = 40 the stride-5 polynomial never samples the nonzero nodes
         # 38 and 39, so only the retry at stride 1 has candidates
         g = planted_kernel(40, [self.LAM0, self.LAM0])
-        spec = find_spectrum(g, SearchWindow(-2.0, 2.0, -1.0, 1.0))
+        spec = spectrum_of(g, SearchWindow(-2.0, 2.0, -1.0, 1.0))
         assert spec.stats.path == "stride1"
         (ev,) = spec.eigenvalues
         assert ev.multiplicity == 2 and ev.newton_converged
@@ -779,7 +809,7 @@ class TestCompanionCandidates:
     def test_double_root_on_a_coarse_grid(self):
         g = planted_kernel(8, [self.LAM0, self.LAM0])
         for window in (SearchWindow(-2.0, 2.0, -1.0, 1.0), SearchWindow(-1.0, 1.3, -1.7, 0.6)):
-            spec = find_spectrum(g, window)
+            spec = spectrum_of(g, window)
             (ev,) = spec.eigenvalues
             assert ev.multiplicity == 2 and ev.newton_converged
             assert abs(ev.value - self.LAM0) < 1e-7
@@ -828,7 +858,7 @@ class TestWindingNumber:
 
     def test_no_refinement_needs_no_budget(self, monkeypatch):
         monkeypatch.setattr(idospec.spectral, "MAX_PHASE_REFINEMENTS", 0)
-        spec = find_spectrum(compute_g(constant_field(100)), SearchWindow(*WIDE))
+        spec = spectrum_of(compute_g(constant_field(100)), SearchWindow(*WIDE))
         assert spec.stats.phase_refinements == 0
         assert spec.total_count > 0
 

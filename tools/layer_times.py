@@ -5,6 +5,10 @@ into a field (transform.picard_step, as compute_g adds its one update into
 G1), its inner-integral product (transform._inner_table),
 assemble_z_kernel, the e-march (spectral.eval_e_direct) for the 5 lambdas
 `verify` samples by default (both marches iterate quadrature.march_rows),
+Delta at 1000 lambdas on the benchmark's window (a 40 x 25 grid of it)
+and the zero search on that window (spectral.find_spectrum), both by
+the extrapolated DeltaEvaluator of G's last rows on the grids of N and 2N
+intervals, as `spectrum` with "extrapolate" searches,
 the LM Jacobian (inverse.spectrum_jacobian, d = 8) at 18
 simple targets and one triple target, the Toeplitz path's residual with
 its exact Jacobian (inverse.spectrum_residual, d = 8: toeplitz_delta on
@@ -54,7 +58,9 @@ from idospec import cli, transform  # noqa: E402
 from idospec.inverse import InverseProblem, spectrum_jacobian, spectrum_residual  # noqa: E402
 from idospec.kernels import assemble_kernel  # noqa: E402
 from idospec.quadrature import TriangularField, make_grid  # noqa: E402
-from idospec.spectral import Eigenvalue, SearchWindow, Spectrum, eval_e_direct  # noqa: E402
+from idospec.spectral import (  # noqa: E402
+    DeltaEvaluator, Eigenvalue, SearchWindow, Spectrum, eval_e_direct, find_spectrum,
+)
 
 LAMBDAS = np.array([0.5, -2.0, 1.5 - 0.5j, 3.0, 0.25j])
 # the Jacobian's targets: 18 simple ones across the benchmark's window and a
@@ -64,6 +70,8 @@ TARGETS = Spectrum(
     + (Eigenvalue(2.1 - 0.7j, 3, 0.0),),
     window=SearchWindow(-20.0, 20.0, -8.0, 0.5), total_count=21,
 )
+# Delta's 1000 lambdas: a 40 x 25 grid on the window of TARGETS
+DELTA_LAMBDAS = (np.linspace(-20.0, 20.0, 40)[:, None] + 1j * np.linspace(-8.0, 0.5, 25)).ravel()
 # the Toeplitz residual's targets: the same 18 and the triple one taken simple
 SIMPLE_TARGETS = Spectrum(
     eigenvalues=TARGETS.eigenvalues[:-1] + (Eigenvalue(2.1 - 0.7j, 1, 0.0),),
@@ -100,6 +108,10 @@ def layers(n: int, out: Path) -> dict:
                               target=SIMPLE_TARGETS, d=8)
     params = np.interp(toeplitz.param_nodes, grid.nodes, sk.components[0].p.values.real)  # P at the knots
     forward = cli._parse({"grid_n": n, "kernel": KERNEL}, "forward", None)
+    row = g.values[-1]
+    m_fine = assemble_kernel(cli._sample_kernel(kernel, make_grid(2 * n)))
+    row_fine = transform.compute_g(m_fine).g.values[-1]
+    delta = DeltaEvaluator(row, row_fine)
     return {
         "compute_g": lambda: transform.compute_g(m),
         "_march": lambda: transform._march(m.values, g1, h),
@@ -107,6 +119,9 @@ def layers(n: int, out: Path) -> dict:
         "_inner_table": lambda: transform._inner_table(m.values, g.values, h),
         "assemble_z_kernel": lambda: transform.assemble_z_kernel(g, g, r),
         "eval_e_direct (5 lambdas)": lambda: eval_e_direct(m, LAMBDAS),
+        "Delta per 1k lambdas (extrapolated)": lambda: delta(DELTA_LAMBDAS),
+        "find_spectrum (extrapolated)": lambda: find_spectrum(DeltaEvaluator(row, row_fine),
+                                                              TARGETS.window),
         "spectrum_jacobian (19 targets)": lambda: spectrum_jacobian(m, problem, tk),
         "Toeplitz spectrum_residual (19 targets)": lambda: spectrum_residual(params, toeplitz),
         "M from config": lambda: assemble_kernel(cli._sample_kernel(kernel, grid)),
