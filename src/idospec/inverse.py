@@ -15,19 +15,14 @@ of the grid and its every other node.
 
 Otherwise (the G path) Delta is spectral.DeltaEvaluator of the candidate
 G's last row, the Delta whose zeros find_spectrum finds when it does not
-extrapolate, and the derivatives in the profile parameters come from the
-paper's Green identity Delta~ - Delta = i * double integral of
-psi (M~ - M) e~, linearized at M~ = M, so a Jacobian needs the forward
-solutions e and psi of the current kernel only, not one residual per
-parameter. The paper's change of variables turns each double integral of
-psi R (P~ - P)(x - t) e into the single integral of (P~ - P)(pi - x) z(x, nu),
-with z from eval_z; the Jacobian takes that form, and
-verify_change_of_variables checks that both forms agree.
+extrapolate, and the Jacobian is forward differences of that residual, one
+G build per parameter. The paper's Green identity and change of variables
+are not needed for the fit; verify_green_identity and
+verify_change_of_variables check them numerically.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -51,8 +46,8 @@ from .kernels import (
     NumericalFailure,
     WeightVanishesError,
 )
-from .transform import TransformKernel, compute_g, reflected_kernel
-from .spectral import DeltaEvaluator, Spectrum, eval_e_via_g, eval_z, toeplitz_delta
+from .transform import compute_g
+from .spectral import DeltaEvaluator, Spectrum, toeplitz_delta
 
 
 class UnderdeterminedError(ValueError):
@@ -78,6 +73,9 @@ FTOL = 1e-8
 # damped steps, each rejection raising the damping tenfold.
 LM_DAMPING0 = 1e-3
 MAX_INNER = 12
+# The G path's Jacobian moves parameter k by FD_STEP (1 + |p_k|) for its
+# forward difference, about the square root of the double precision epsilon.
+FD_STEP = 1.5e-8
 
 
 def _spline_basis(knots: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -134,9 +132,9 @@ class InverseProblem:
     """Single-profile recovery setup: M0 and R known, P unknown.
 
     A problem whose toeplitz property is set is fitted with no G (see
-    spectrum_residual). Each G that spectrum_residual and spectrum_jacobian
-    build for any other is compute_g(m): the row march, certified by one
-    Picard update at the tolerance the march sets.
+    spectrum_residual). Each G that spectrum_residual builds for any other
+    is compute_g(m): the row march, certified by one Picard update at the
+    tolerance the march sets.
     """
 
     m0: TriangularField
@@ -206,10 +204,10 @@ class RecoveryReport:
     converged: bool
     history: list = field(default_factory=list)
     underdetermined: bool = False
-    residual_evals: int = 0     # spectrum_residual calls, one G build each on the G path
-    jacobian_evals: int = 0     # Jacobians taken, at most one G build each on the G path
-    g_builds: int = 0           # compute_g calls: none on the Toeplitz path, and a
-                                # Jacobian builds none when the kernel is its own reflection
+    residual_evals: int = 0     # residuals of the start and of each trial step
+    jacobian_evals: int = 0     # Jacobians taken
+    g_builds: int = 0           # compute_g calls: none on the Toeplitz path; on the G
+                                # path one per residual and d per Jacobian
     mu: float = 0.0             # the regularization weight the fit used
     # per LM iteration: the damping of the step it accepted (the damping it
     # ended at if it accepted none), and its trial residuals that did not
@@ -244,79 +242,34 @@ def _target_orders(problem: InverseProblem) -> tuple[np.ndarray, np.ndarray]:
 def spectrum_residual(p_params, problem: InverseProblem):
     """Candidate Delta (and derivatives, per multiplicity) at the target points.
 
-    Returns the residual and what its Jacobian needs. On the Toeplitz path
-    (problem.toeplitz set) the residual is the Richardson combination
-    (4 Delta_N - Delta_{N/2}) / 3 of toeplitz_delta on the grid and on its
-    every other node, fourth order in h, and the second value is its exact
-    Jacobian, one row per target and one column per parameter; no kernel
+    Returns the residual and its Jacobian, or None for the Jacobian. On the
+    Toeplitz path (problem.toeplitz set) the residual is the Richardson
+    combination (4 Delta_N - Delta_{N/2}) / 3 of toeplitz_delta on the grid
+    and on its every other node, fourth order in h, and the Jacobian is its
+    exact one, one row per target and one column per parameter; no kernel
     field and no G is formed, and a residual that is not finite raises
     NonFiniteResidualError, as compute_g refuses a kernel that is not
     finite. On the G path each derivative order is one call of the
-    DeltaEvaluator of G's last row over its targets, and the second value
-    is the pair (g, m): the G the residual was computed from and the
-    candidate kernel M that G solves, the point where spectrum_jacobian
-    linearizes.
+    DeltaEvaluator of G's last row over its targets, and the Jacobian is
+    None: recover_profile takes it by forward differences.
     """
     if problem.toeplitz is not None:
         m0, lift = problem.toeplitz
         p = m0 + lift @ p_params
         nus = _target_orders(problem)[0]
-        (fine, d_fine), (coarse, d_coarse) = (toeplitz_delta(p[::s], nus, grad=True) for s in (1, 2))
+        (fine, d_fine), (coarse, d_coarse) = (toeplitz_delta(p[::s], nus) for s in (1, 2))
         res = (4.0 * fine - coarse) / 3.0
         if not np.isfinite(res).all():
             raise NonFiniteResidualError("the Toeplitz residual of the fit is not finite")
         return res, (4.0 * d_fine @ lift - d_coarse @ lift[::2]) / 3.0
-    m = _candidate_kernel(p_params, problem)
-    g = compute_g(m)
+    g = compute_g(_candidate_kernel(p_params, problem))
     nus, orders = _target_orders(problem)
     delta = DeltaEvaluator(g.g.values[-1])
     res = np.empty(nus.size, dtype=complex)
     for order in np.unique(orders):
         rows = orders == order
         res[rows] = delta.deriv(nus[rows], int(order))
-    return res, (g, m)
-
-
-def spectrum_jacobian(m: TriangularField, problem: InverseProblem, g: TransformKernel):
-    """Derivatives of spectrum_residual in the parameters, from the Green identity.
-
-    m and g are the candidate kernel and its G that spectrum_residual
-    returned for the parameters. Linearizing the identity at M~ = M and
-    differentiating it j times in nu (Leibniz) gives the row of
-    Delta^(j)(nu) as
-    i * sum over a + b = j of C(j, a) * double integral over t <= x of
-    psi^(a)(x, nu) R(x, t) phi_k(x - t) e^(b)(t, nu), for each basis column
-    phi_k. e^(b) comes from g; psi^(a)(x) = w^(a)(pi - x), with w the forward
-    solution of the reflected kernel, so this builds one G, that one, unless
-    the kernel is its own reflection (see reflected_kernel): then w = e and
-    g serves for both. By the change of variables each double integral is
-    the integral of phi_k(pi - x) z(x) over [0, pi], z = eval_z(R, psi^(a),
-    e^(b)); one eval_z call takes every (a, b) column pair the rows read,
-    and one trapezoid product against the reversed basis gives all d
-    integrals of each pair. The rows are the continuous derivative by the
-    trapezoid rule, O(h^2) away from the derivative of the discrete
-    residual. Returns the Jacobian, rows in the order of spectrum_residual
-    and one column per parameter, and the reflected kernel's G, which is g
-    itself when no G was built.
-    """
-    grid = problem.grid
-    refl = reflected_kernel(m)
-    g_refl = g if refl is m else compute_g(refl)
-    nus, orders = _target_orders(problem)
-    e = eval_e_via_g(g, nus, orders)
-    psi = (e if g_refl is g else eval_e_via_g(g_refl, nus, orders))[::-1]
-    # row r holds order j of a target whose order-0 row is r - j; it sums
-    # C(j, a) times the double integral of column r - j + a of psi against
-    # column r - a of e, one (a, b) column pair each
-    rows, cols_a, cols_b, coef = np.array(
-        [(r, r - j + a, r - a, math.comb(j, a))
-         for r, j in enumerate(orders) for a in range(j + 1)], dtype=int,
-    ).reshape(-1, 4).T
-    z = eval_z(problem.r, psi[:, cols_a], e[:, cols_b])
-    pair = (trapezoid_weights(grid.n_nodes, grid.step)[:, None] * problem.basis[::-1]).T @ z
-    jac = np.zeros((orders.size, problem.d), dtype=complex)
-    np.add.at(jac, rows, coef[:, None] * pair.T)
-    return 1j * jac, g_refl
+    return res, None
 
 
 def _second_difference(params: np.ndarray) -> np.ndarray:
@@ -324,25 +277,28 @@ def _second_difference(params: np.ndarray) -> np.ndarray:
 
 
 def _stacked_residual(params: np.ndarray, problem: InverseProblem, mu: float):
-    res, lin = spectrum_residual(params, problem)
+    res, jac = spectrum_residual(params, problem)
     parts = [res.real, res.imag]
     if mu > 0:
         parts.append(np.sqrt(mu) * _second_difference(params))
-    return np.concatenate(parts), lin
+    return np.concatenate(parts), jac
 
 
-def _stacked_jacobian(lin, problem: InverseProblem, mu: float):
-    """The stacked Jacobian at the residual that returned lin, and whether it built a G."""
-    if problem.toeplitz is not None:
-        jac, built = lin, False
-    else:
-        g, m = lin
-        jac, g_refl = spectrum_jacobian(m, problem, g)
-        built = g_refl is not g
-    parts = [jac.real, jac.imag]
+def _stacked_jacobian(params: np.ndarray, res: np.ndarray, exact, problem: InverseProblem, mu: float):
+    """The stacked Jacobian at params, whose stacked residual res came with exact.
+
+    On the Toeplitz path exact is the Jacobian of the residual. On the G
+    path (exact None) column k is the forward difference of the stacked
+    residual with step FD_STEP (1 + |p_k|), one G build each.
+    """
+    if exact is None:
+        steps = FD_STEP * (1.0 + np.abs(params))
+        return np.stack([(_stacked_residual(params + step * unit, problem, mu)[0] - res) / step
+                         for step, unit in zip(steps, np.eye(problem.d))], axis=1)
+    parts = [exact.real, exact.imag]
     if mu > 0:
         parts.append(np.sqrt(mu) * _second_difference(np.eye(problem.d)))
-    return np.concatenate(parts), built
+    return np.concatenate(parts)
 
 
 def recover_profile(
@@ -357,18 +313,13 @@ def recover_profile(
     regularizer of weight mu; with fewer than 2d target data, mu = 0 is
     raised to 1e-6, and the report records the weight used. On the
     Toeplitz path each residual comes with its exact Jacobian and no G is
-    built. On the G path each iteration takes spectrum_jacobian at the G
-    its accepted residual already built, so a Jacobian costs at most one
-    G build whatever d is, and none for a reflection-symmetric kernel. That
-    Jacobian is O(h^2) away from the derivative of the discrete residual,
-    which can leave no damped step that lowers the cost near the
-    discretization floor; so there each rejected trial step corrects it
-    by a secant (Broyden) update from the residual the trial computed,
-    J += (r_trial - r - J delta) delta^T / (delta^T delta), before the next
-    damped solve. The fit converges when the cost drops below FTOL, the step
-    below XTOL, or an accepted step lowers the cost by at most STALL_RTOL
-    of it; it ends unconverged after max_iter iterations, or when
-    MAX_INNER damped steps of one iteration all fail to lower the cost.
+    built. On the G path each residual builds one G, and each iteration's
+    Jacobian is forward differences of the stacked residual, d more G
+    builds (see _stacked_jacobian). The fit converges when the cost drops
+    below FTOL, the step below XTOL, or an accepted step lowers the cost by
+    at most STALL_RTOL of it; it ends unconverged after max_iter
+    iterations, or when MAX_INNER damped steps of one iteration all fail to
+    lower the cost.
     """
     problem.check_weight_condition()
     params = np.asarray(init, dtype=float).copy()
@@ -382,9 +333,9 @@ def recover_profile(
     if mu == 0 and problem.target.total_count < 2 * problem.d:
         mu = 1e-6  # truncated spectra can be practically underdetermined
 
-    green = problem.toeplitz is None     # builds G, and its Jacobian is inexact
-    res, lin = _stacked_residual(params, problem, mu)
-    residual_evals, jacobian_evals, g_builds = 1, 0, int(green)
+    g_path = problem.toeplitz is None
+    res, exact = _stacked_residual(params, problem, mu)
+    residual_evals, jacobian_evals, g_builds = 1, 0, int(g_path)
     cost = float(np.linalg.norm(res))
     history = [cost]
     dampings, rejected = [], []
@@ -393,9 +344,9 @@ def recover_profile(
     it = 0
     while not converged and it < max_iter:
         it += 1
-        jac, built = _stacked_jacobian(lin, problem, mu)
+        jac = _stacked_jacobian(params, res, exact, problem, mu)
         jacobian_evals += 1
-        g_builds += built
+        g_builds += g_path * problem.d
 
         accepted = False
         rejected.append(0)
@@ -408,18 +359,16 @@ def recover_profile(
                 damping *= 10.0
                 continue
             trial = params + delta
-            trial_res, trial_lin = _stacked_residual(trial, problem, mu)
+            trial_res, trial_exact = _stacked_residual(trial, problem, mu)
             residual_evals += 1
-            g_builds += green
+            g_builds += g_path
             trial_cost = float(np.linalg.norm(trial_res))
             if trial_cost < cost:
                 stalled = cost - trial_cost <= STALL_RTOL * cost
-                params, res, cost, lin = trial, trial_res, trial_cost, trial_lin
+                params, res, cost, exact = trial, trial_res, trial_cost, trial_exact
                 accepted = True
                 break
             rejected[-1] += 1
-            if green:
-                jac += np.outer(trial_res - res - jac @ delta, delta / (delta @ delta))
             damping *= 10.0
         history.append(cost)
         dampings.append(damping)

@@ -181,7 +181,7 @@ def _series_inverse(a: np.ndarray) -> np.ndarray:
     return b[:, :n]
 
 
-def toeplitz_delta(p, lam, grad: bool = False):
+def toeplitz_delta(p, lam):
     """Delta of the trapezoid e-system for M(x, t) = p(x - t), and dDelta/dp.
 
     p holds the samples of p at the N + 1 nodes of the grid of N intervals
@@ -199,13 +199,12 @@ def toeplitz_delta(p, lam, grad: bool = False):
     Im lam far below 0, where q itself spans exp(|Im lam| pi): Delta is
     exact to rounding relative to the largest |e| on the grid. The first
     column of the inverse comes from _series_inverse; the solution is its
-    convolution with the right side. With grad, the gradient follows from
-    the last row of the inverse, which is that column reversed:
+    convolution with the right side. The gradient follows from the last
+    row of the inverse, which is that column reversed:
     dDelta/dc[m] is one FFT correlation of it with u, dDelta/dw[i] is the
     row itself, and both are chained to q through the partial sums above
     and to p by dq[m]/dp[m] = exp(i lam x_m). Returns Delta, one value per
-    lambda, and with grad also the (K, N + 1) array of dDelta/dp[m], one
-    row per lambda.
+    lambda, and the (K, N + 1) array of dDelta/dp[m], one row per lambda.
     """
     p = np.asarray(p, dtype=complex)
     lams = np.atleast_1d(np.asarray(lam, dtype=complex))[:, None]
@@ -225,8 +224,6 @@ def toeplitz_delta(p, lam, grad: bool = False):
     v = np.fft.ifft(ft * np.fft.fft(rhs, 2 * n))[:, :n]    # |z|^i u_i, i = 1 .. N
     carrier = np.exp(-1j * np.pi * lams[:, 0].real)        # exp(-i lam pi) / |z|^N
     delta = carrier * v[:, -1]
-    if not grad:
-        return delta
     # dDelta/dc[m] and dDelta/dw[i], less the factor i h^2 carrier, in
     # unbalanced c and w: |z|^m (t * v)[N-1-m] and |z|^i t[N-i]
     dc = np.zeros_like(q)
@@ -248,9 +245,7 @@ def eval_z(r: TriangularField, psi: np.ndarray, e_tilde: np.ndarray) -> np.ndarr
 
     psi = eval_e_direct(reflected_kernel(M), lam)[::-1], the adjoint-type
     solution with psi(pi) = 1, and e_tilde = eval_e_direct(M~, lam), for one
-    lambda or with one column per lambda; z has their shape. A column pair
-    may also hold lambda-derivatives of psi and e_tilde (the Jacobian of
-    inverse.spectrum_jacobian pairs psi^(a) with e^(b)). With
+    lambda or with one column per lambda; z has their shape. With
     w(t) = psi(pi - t), the forward solution of the reflected kernel, the
     trapezoid rule gives all columns in one contraction,
     z[i, c] = h sum over k <= i of Rw[i, k] e_tilde[i-k, c] w[k, c],
@@ -300,18 +295,17 @@ def eval_z_decomposed(b, k: TriangularField, lam) -> np.ndarray:
     return (b.values * ex.T).T + volterra_apply(k.values, ex, k.grid.step)
 
 
-def eval_e_via_g(g: TransformKernel, lam, order=0) -> np.ndarray:
+def eval_e_via_g(g: TransformKernel, lam, order: int = 0) -> np.ndarray:
     """d^b/dlambda^b e(x, lambda) from the transformation-operator representation.
 
     e^(b)(x) = (-ix)^b exp(-i lam x) + int G(x, t) (-it)^b exp(-i lam t) dt
     over [0, x], with b = order; its last entry is what
     DeltaEvaluator(g.g.values[-1]).deriv(lam, order) returns. lam and the
-    result's shape are as for eval_e_direct; order is an int, or an array
-    giving each lambda its own order.
+    result's shape are as for eval_e_direct.
     """
     grid = g.grid
-    powers = np.power.outer(-1j * grid.nodes, np.broadcast_to(order, np.shape(lam)))
-    base = powers * np.exp(-1j * _exponent(grid, lam))
+    x = grid.nodes if np.ndim(lam) == 0 else grid.nodes[:, None]
+    base = np.power(-1j * x, order) * np.exp(-1j * _exponent(grid, lam))
     return base + volterra_apply(g.g.values, base, grid.step)
 
 

@@ -22,7 +22,7 @@ import idospec.transform
 from idospec import serialize
 from idospec.kernels import NumericalFailure
 from idospec.quadrature import Profile, TriangularField, make_grid
-from idospec.spectral import DeltaEvaluator, char_delta, eval_e_via_g
+from idospec.spectral import DeltaEvaluator, SearchWindow, char_delta, eval_e_via_g
 from idospec.transform import compute_g
 from idospec.cli import (
     EXIT_CONFIG,
@@ -35,7 +35,7 @@ from idospec.cli import (
     main,
 )
 
-from oracles import transform_kernel_from_files
+from oracles import delta_of, find_spectrum_subdivision, transform_kernel_from_files
 
 # A numpy warning that reaches a command is a leak: each command refuses bad
 # input with one config-error line, not a warning first.
@@ -52,8 +52,9 @@ CONST_KERNEL = {
 }
 
 
-# R = 1 + 0.2 t: M0 + R P(x - t) is then not its own reflection
-# (x, t) -> (pi - t, pi - x), so invert and verify build the reflected G
+# R = 1 + 0.2 t: M0 + R P(x - t) is then no difference kernel, so invert fits
+# it on the G path, and not its own reflection (x, t) -> (pi - t, pi - x), so
+# verify builds the reflected G
 TILTED_R = {"kind": "analytic", "family": "polynomial", "coeffs": [[1.0, 0, 0], [0.2, 0, 1]]}
 
 
@@ -187,7 +188,47 @@ class TestForward:
         assert "max_terms" in capsys.readouterr().err
 
 
+# The six truths P = a1 sin(x + phi1) + a2 sin(2x + phi2) of benchmark seed 1,
+# as [[a1, 1, phi1], [a2, 2, phi2]]
+BENCH_SEED1_TRUTHS = [
+    [[0.338718445717945, 1, 3.6731843319365467], [0.08059479868228293, 2, 4.352465272235334]],
+    [[0.5087115532273615, 1, 0.6205420232966173], [0.22852571848355674, 2, 3.0046541417873356]],
+    [[0.6089519045313043, 1, 4.681695616737447], [0.11245577902352916, 2, 0.4155407300242823]],
+    [[0.6583934951283306, 1, 1.1933276684656808], [0.29904329143941444, 2, 3.4923697674449223]],
+    [[0.794798673896836, 1, 6.161461514881853], [0.027674806371515773, 2, 5.5161135133391115]],
+    [[0.9540905730636418, 1, 2.977289210833149], [0.16108791004334733, 2, 2.0329216673437718]],
+]
+
+
 class TestSpectrum:
+    @pytest.mark.parametrize("coeffs", BENCH_SEED1_TRUTHS)
+    def test_benchmark_invert_targets(self, workdir, coeffs):
+        # the target spectra the benchmark's invert set-up builds, at grid_n
+        # 200 on its window, here with the default search settings: each is
+        # certified on the companion path, and its roots are the subdivision
+        # oracle's on the same G
+        window = {"re_min": -20.0, "re_max": 20.0, "im_min": -8.0, "im_max": 0.5}
+        cfg = {"grid_n": 200, "window": window, "kernel": {
+            "m0": CONST_KERNEL["m0"],
+            "components": [{"r": CONST_KERNEL["components"][0]["r"],
+                            "p": {"kind": "analytic", "family": "trig", "coeffs": coeffs}}],
+        }}
+        tag = f"{coeffs[0][0]:.3f}"
+        out = workdir / f"spec_bench_out_{tag}"
+        path = write_config(workdir / f"spec_bench_{tag}.json", cfg)
+        assert main(["spectrum", "--config", path, "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "spectrum.json").read_text())["search"]["path"] == "companion"
+        spec = serialize.spectrum_from_json(out / "spectrum.json")
+        run = idospec.cli._parse(cfg, "spectrum", None)
+        g = idospec.cli._build_g(run["kernel"], make_grid(200))[1]
+        ref = find_spectrum_subdivision(delta_of(g), SearchWindow(**window))
+        assert spec.total_count == ref.total_count >= 18
+        assert len(spec.eigenvalues) == len(ref.eigenvalues)
+        for a, b in zip(spec.eigenvalues, ref.eigenvalues):
+            assert a.multiplicity == b.multiplicity
+            assert a.newton_converged == b.newton_converged
+            assert abs(a.value - b.value) <= 1e-12
+
     def test_matches_library_roots(self, target_spectrum):
         spec = serialize.spectrum_from_json(target_spectrum)
         assert spec.total_count == 4
@@ -479,13 +520,11 @@ class TestInvert:
             idospec.inverse, "compute_g", lambda *a, **k: builds.append(1) or build(*a, **k)
         )
         # On the G path, which the odd grid_n 81 and the tilted R take, each
-        # residual builds G. R = 1 gives a kernel that is its own reflection:
-        # a Jacobian reuses the residual's G; with the tilted R each Jacobian
-        # builds one more. At grid_n 80 the R = 1 fit takes the Toeplitz path
-        # and builds none. (Not from zero: P = 0 makes M = 0, which is its
-        # own reflection.)
+        # residual builds G, and each Jacobian one G per parameter for its
+        # forward differences, d = 4. At grid_n 80 the R = 1 fit takes the
+        # Toeplitz path and builds none.
         for tag, r, n, per_residual, per_jacobian in (
-            ("sym", None, 81, 1, 0), ("tilted", TILTED_R, 80, 1, 1), ("toeplitz", None, 80, 0, 0),
+            ("sym", None, 81, 1, 4), ("tilted", TILTED_R, 80, 1, 4), ("toeplitz", None, 80, 0, 0),
         ):
             builds.clear()
             cfg = self.invert_cfg(target_spectrum, init=[0.8] * 4, grid_n=n)
@@ -499,6 +538,21 @@ class TestInvert:
             assert stage["g_builds"] == len(builds) == (
                 per_residual * stage["residual_evals"] + per_jacobian * stage["jacobian_evals"]
             )
+
+    def test_random_init_follows_the_seed(self, workdir, target_spectrum):
+        # "init": "random" draws the start from --seed: one seed gives
+        # byte-identical artifacts, another seed another start
+        cfg = write_config(workdir / "inv_random.json", self.invert_cfg(target_spectrum, init="random"))
+        outs = {}
+        for tag, seed in (("a", 5), ("b", 5), ("c", 6)):
+            outs[tag] = workdir / f"inv_random_out_{tag}"
+            assert main(["invert", "--config", cfg, "--out", str(outs[tag]), "--seed", str(seed)]) == EXIT_OK
+        for name in ("recovery_report.json", "recovered_profile_1.csv"):
+            assert (outs["a"] / name).read_bytes() == (outs["b"] / name).read_bytes()
+        reports = {tag: json.loads((out / "recovery_report.json").read_text()) for tag, out in outs.items()}
+        assert reports["a"]["seed"] == 5 and reports["c"]["seed"] == 6
+        histories = {tag: report["stages"][0]["history"] for tag, report in reports.items()}
+        assert histories["c"][0] != histories["a"][0]
 
     def test_unconverged_target_root_is_refused(self, workdir, target_spectrum, capsys):
         data = json.loads(target_spectrum.read_text())
@@ -569,7 +623,7 @@ class TestInvert:
 
     # R and a start from which the default fit rejects some trial steps, on
     # the Toeplitz path of R = 1 and on the G path of the tilted R
-    LM_STARTS = [("toeplitz", None, [-3.0, 3.0, -3.0, 3.0]), ("tilted", TILTED_R, [3.0, -3.0, 3.0, -3.0])]
+    LM_STARTS = [("toeplitz", None, [-3.0, 3.0, -3.0, 3.0]), ("tilted", TILTED_R, [-3.0, 3.0, -3.0, 3.0])]
 
     @pytest.mark.parametrize("tag, r, init", LM_STARTS)
     def test_max_inner_takes_effect(self, workdir, target_spectrum, monkeypatch, tag, r, init):

@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +10,7 @@ from idospec.kernels import (
     WeightVanishesError,
     assemble_kernel,
 )
-from idospec.transform import compute_g, reflected_kernel
+from idospec.transform import compute_g
 from idospec.spectral import (
     Eigenvalue,
     SearchWindow,
@@ -30,7 +28,6 @@ from idospec.inverse import (
     profile_from_params,
     recover_profile,
     recover_sequential,
-    spectrum_jacobian,
     spectrum_residual,
     verify_green_identity,
     verify_change_of_variables,
@@ -44,7 +41,7 @@ WIDE = SearchWindow(-20.0, 20.0, -8.0, 0.5)
 
 
 def two_sine(x):
-    """A profile whose N = 100 fit from zero stalls without the secant correction."""
+    """A two-term sine profile whose fit from zero reaches the discretization floor."""
     return 0.7483 * np.sin(x + 1.1261) + 0.2921 * np.sin(2 * x + 3.3854)
 
 
@@ -71,7 +68,7 @@ def convolution_problem(target, n, r=None, d=8):
 
 def extrapolated_toeplitz(p):
     """lambda -> (4 Delta_N - Delta_{N/2}) / 3 of M = p(x - t), the Toeplitz path's residual."""
-    return lambda lam: (4.0 * toeplitz_delta(p, lam) - toeplitz_delta(p[::2], lam)) / 3.0
+    return lambda lam: (4.0 * toeplitz_delta(p, lam)[0] - toeplitz_delta(p[::2], lam)[0]) / 3.0
 
 
 def constant_target(n, polish):
@@ -103,8 +100,7 @@ def const_problem(grid80):
 @pytest.fixture(scope="module")
 def odd_problem():
     """Inverse crime setup on the G path: P = 1, R = 1 and M0 = 0 at the odd
-    N = 81, whose target is the G roots on the same grid. The kernel is its
-    own reflection, so a Jacobian builds no G."""
+    N = 81, whose target is the G roots on the same grid."""
     grid = make_grid(81)
     problem = InverseProblem(
         m0=TriangularField.zeros(grid), r=TriangularField.constant(grid, 1.0),
@@ -253,8 +249,9 @@ class TestSpectrumResidual:
         assert np.abs(res).max() < 1e-9
 
     def test_vanishes_at_true_parameters_on_the_g_path(self, odd_problem):
-        res, (g, m) = spectrum_residual(np.ones(4), odd_problem)
-        assert g.grid is m.grid is odd_problem.grid
+        # the G path's Jacobian is recover_profile's forward differences
+        res, jac = spectrum_residual(np.ones(4), odd_problem)
+        assert jac is None
         assert res.shape == (odd_problem.target.total_count,)
         assert np.abs(res).max() < 1e-9
 
@@ -286,13 +283,6 @@ def two_sine_target():
 class TestSpectrumJacobian:
     PARAMS = 0.8 * two_sine(np.linspace(0.0, PI, 8)) + 0.05
 
-    @staticmethod
-    def jacobians(problem, params):
-        res, (g, m) = spectrum_residual(params, problem)
-        analytic, _ = spectrum_jacobian(m, problem, g)
-        fd = fd_jacobian(lambda p: spectrum_residual(p, problem)[0], params)
-        return analytic, fd
-
     @pytest.mark.parametrize("n", [50, 100, 200])
     def test_toeplitz_jacobian_matches_central_differences(self, n):
         # the exact derivative of the discrete residual, targets down to
@@ -306,19 +296,6 @@ class TestSpectrumJacobian:
         assert rel.shape == (19,)
         assert rel.max() <= 1e-7
 
-    def test_columns_match_fd_to_second_order(self, two_sine_target):
-        # the Green Jacobian, on the G path that odd N takes
-        errs = []
-        for n in (51, 101, 201):
-            problem = convolution_problem(two_sine_target, n)
-            assert problem.toeplitz is None
-            analytic, fd = self.jacobians(problem, self.PARAMS)
-            assert analytic.shape == (two_sine_target.total_count, 8)
-            errs.append(np.abs(analytic - fd).max() / np.abs(fd).max())
-        assert errs[1] < 2e-3
-        for coarse, fine in zip(errs, errs[1:]):
-            assert 3.5 <= coarse / fine <= 4.5
-
     def test_derivative_rows_of_a_multiple_target(self):
         # a triple target contributes Delta, Delta' and Delta'' rows; nu need
         # not be a zero for the rows to be the derivatives of the residual
@@ -326,16 +303,21 @@ class TestSpectrumJacobian:
             eigenvalues=(Eigenvalue(2.1 - 0.7j, 3, 0.0), Eigenvalue(-1.3 - 0.2j, 1, 0.0)),
             window=WIDE, total_count=4,
         )
+        # the G path's forward differences against central ones
         problem = convolution_problem(target, 100, r=tilted_r)
-        analytic, fd = self.jacobians(problem, self.PARAMS)
-        rel = np.abs(analytic - fd).max(axis=1) / np.abs(fd).max(axis=1)
+        assert problem.toeplitz is None
+        res, _ = idospec.inverse._stacked_residual(self.PARAMS, problem, 0.0)
+        stacked = idospec.inverse._stacked_jacobian(self.PARAMS, res, None, problem, 0.0)
+        jac = stacked[:4] + 1j * stacked[4:]
+        fd = fd_jacobian(lambda p: spectrum_residual(p, problem)[0], self.PARAMS,
+                         step=1e-5, central=True)
+        rel = np.abs(jac - fd).max(axis=1) / np.abs(fd).max(axis=1)
         assert rel.shape == (4,)
-        assert rel.max() <= 5e-3
+        assert rel.max() <= 1e-6
 
     @pytest.mark.parametrize("n", [100, 101])
     def test_fit_from_zero_converges_past_the_floor(self, two_sine_target, n):
-        # N = 100 takes the Toeplitz path; the G path of N = 101 needs the
-        # secant correction (see two_sine)
+        # N = 100 takes the Toeplitz path, N = 101 the G path
         problem = convolution_problem(two_sine_target, n)
         assert (problem.toeplitz is None) == (n % 2 == 1)
         report = recover_profile(problem, np.zeros(8))
@@ -349,7 +331,8 @@ class TestSpectrumJacobian:
         # discretization floor, where a Jacobian further from the residual's
         # derivative makes LM crawl (13 iterations and 25 residuals with
         # nested-trapezoid pair integrals); N = 100 fits with the exact
-        # Jacobian of the Toeplitz path, N = 101 with the Green one
+        # Jacobian of the Toeplitz path, N = 101 with the G path's forward
+        # differences
         def truth(x):
             return (0.338718445717945 * np.sin(x + 3.6731843319365467)
                     + 0.08059479868228293 * np.sin(2 * x + 4.352465272235334))
@@ -368,9 +351,9 @@ class TestSpectrumJacobian:
         assert report.iterations <= 8
 
     def test_evaluation_counts_add_up_to_g_builds(self, const_problem, odd_problem, monkeypatch):
-        # on the G path M = P(x - t) is its own reflection, so a Jacobian
-        # reuses the residual's G; with the tilted R each Jacobian builds the
-        # reflected G; the Toeplitz path builds none
+        # on the G path, with M = P(x - t) and with the tilted R, each
+        # residual builds G and each Jacobian one G per parameter; the
+        # Toeplitz path builds none
         builds = []
         build = idospec.inverse.compute_g
         monkeypatch.setattr(
@@ -381,7 +364,7 @@ class TestSpectrumJacobian:
             target=const_problem.target, d=4,
         )
         for problem, per_residual, per_jacobian in (
-            (odd_problem, 1, 0), (tilted, 1, 1), (const_problem, 0, 0),
+            (odd_problem, 1, 4), (tilted, 1, 4), (const_problem, 0, 0),
         ):
             builds.clear()
             report = recover_profile(problem, np.full(4, 0.8))
@@ -390,41 +373,6 @@ class TestSpectrumJacobian:
             assert report.g_builds == len(builds) == (
                 per_residual * report.residual_evals + per_jacobian * report.jacobian_evals
             )
-
-    @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(8, 40), seed=st.integers(0, 2**32 - 1))
-    def test_symmetric_kernel_reuses_g_bitwise(self, n, seed):
-        # random M0 and R invariant under the reflection, a random profile and
-        # targets with a double point: the Jacobian that reuses g is the one
-        # computed from an explicitly built reflected G, bit for bit
-        rng = np.random.default_rng(seed)
-        grid = make_grid(n)
-
-        def symmetric_field(scale):
-            a = np.tril(rng.standard_normal((n + 1, 2 * n + 2)).view(complex))
-            return TriangularField(grid, scale * (a + a[::-1, ::-1].T))
-
-        nus = rng.uniform(-4.0, 4.0, 3) + 1j * rng.uniform(-1.0, 0.0, 3)
-        target = Spectrum(
-            eigenvalues=(Eigenvalue(nus[0], 2, 0.0), Eigenvalue(nus[1], 1, 0.0),
-                         Eigenvalue(nus[2], 1, 0.0)),
-            window=WIDE, total_count=4,
-        )
-        r = TriangularField(grid, symmetric_field(0.05).values + np.tril(np.ones((n + 1, n + 1))))
-        problem = InverseProblem(m0=symmetric_field(0.02), r=r, target=target, d=5)
-        params = rng.uniform(-1.0, 1.0, 5)
-        _, (g, m) = spectrum_residual(params, problem)
-        jac, g_refl = spectrum_jacobian(m, problem, g)
-        assert g_refl is g
-
-        def explicit(m):
-            return TriangularField(m.grid, reflected_kernel(m).values.copy())
-
-        with mock.patch.object(idospec.inverse, "reflected_kernel", explicit):
-            jac_built, g_built = spectrum_jacobian(m, problem, g)
-        assert g_built is not g
-        assert g_built.g.values.tobytes() == g.g.values.tobytes()
-        assert jac_built.tobytes() == jac.tobytes()
 
 
 class TestRecoverProfile:
@@ -448,9 +396,9 @@ class TestRecoverProfile:
         assert not report.converged
 
     def test_one_kernel_assembly_per_residual(self, const_problem, odd_problem, monkeypatch):
-        # on the G path the Jacobian linearizes at the kernel its residual
-        # assembled, with a symmetric kernel and with one that builds the
-        # reflected G
+        # on the G path each residual, those of the Jacobian's d forward
+        # differences included, assembles one kernel and nothing else does,
+        # with a symmetric kernel and with the tilted R
         calls = []
         assemble = idospec.inverse.assemble_kernel
         monkeypatch.setattr(
@@ -465,13 +413,13 @@ class TestRecoverProfile:
             calls.clear()
             report = recover_profile(problem, np.full(4, 0.8))
             assert report.jacobian_evals >= 1
-            assert len(calls) == report.residual_evals
+            assert len(calls) == report.residual_evals + problem.d * report.jacobian_evals
 
     def test_toeplitz_path_builds_no_field(self, const_problem, monkeypatch):
-        # no kernel assembly, G build, z contraction or reflection: each
-        # residual brings its exact Jacobian
+        # no kernel assembly and no G build: each residual brings its exact
+        # Jacobian
         calls = []
-        for name in ("assemble_kernel", "compute_g", "eval_z", "reflected_kernel", "spectrum_jacobian"):
+        for name in ("assemble_kernel", "compute_g"):
             monkeypatch.setattr(idospec.inverse, name, lambda *a, name=name, **k: calls.append(name))
         report = recover_profile(const_problem, np.full(4, 0.8))
         assert report.converged and report.jacobian_evals >= 1

@@ -9,8 +9,9 @@ Delta at 1000 lambdas on the benchmark's window (a 40 x 25 grid of it)
 and the zero search on that window (spectral.find_spectrum), both by
 the extrapolated DeltaEvaluator of G's last rows on the grids of N and 2N
 intervals, as `spectrum` with "extrapolate" searches,
-the LM Jacobian (inverse.spectrum_jacobian, d = 8) at 18
-simple targets and one triple target, the Toeplitz path's residual with
+the G path's LM Jacobian (forward differences of the stacked residual,
+inverse._stacked_jacobian, d = 8: eight G builds) at 18 simple targets and
+one triple target, the Toeplitz path's residual with
 its exact Jacobian (inverse.spectrum_residual, d = 8: toeplitz_delta on
 the grids of N and of N/2 intervals) at 19 simple targets, and building M
 from a config (cli._sample_kernel on the kernel cli._parse_kernel read, then
@@ -19,15 +20,13 @@ writing its G CSV and the other artifacts into a temporary directory), at
 N in {100, 200, 400, 800} unless --n names others. The inputs are fixed: M =
 M0 + R P(x - t) with smooth M0, R and a three-term trig profile P, given
 as the kernel object of a config (KERNEL), its G, and that G as both
-kernels of the z-split. R is not its own reflection, so each Jacobian also
-builds the reflected kernel's G. The Toeplitz row needs a difference kernel,
-so it fits M = P(x - t) with M0 = 0 and R = 1 instead: the two rows do not
-measure the same kernel. Each time is
-the median over repeats of a timeit loop of at least 50 ms. Beside it
-stands the layer's tracemalloc peak above its inputs (what one call
-allocates at most at once, its result included), in (N+1)^2 complex
-fields of 16 (N+1)^2 bytes. BLAS runs on
-one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS
+kernels of the z-split. M is no difference kernel, so it is fitted on the
+G path. The Toeplitz row needs a difference kernel, so it fits M = P(x - t)
+with M0 = 0 and R = 1 instead: the two rows do not measure the same kernel.
+Each time is the median over repeats of a timeit loop of at least 50 ms.
+Beside it stands the layer's tracemalloc peak above its inputs (what one
+call allocates at most at once, its result included), in (N+1)^2 complex
+fields of 16 (N+1)^2 bytes. BLAS runs on one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS
 is set. A last line gives the start-up time: the median wall time of five
 fresh `python -c "import idospec.cli"` processes. Nothing is checked; run
 from anywhere:
@@ -54,8 +53,8 @@ sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
-from idospec import cli, transform  # noqa: E402
-from idospec.inverse import InverseProblem, spectrum_jacobian, spectrum_residual  # noqa: E402
+from idospec import cli, inverse, transform  # noqa: E402
+from idospec.inverse import InverseProblem, spectrum_residual  # noqa: E402
 from idospec.kernels import assemble_kernel  # noqa: E402
 from idospec.quadrature import TriangularField, make_grid  # noqa: E402
 from idospec.spectral import (  # noqa: E402
@@ -99,14 +98,14 @@ def layers(n: int, out: Path) -> dict:
     sk = cli._sample_kernel(kernel, grid)
     m0, r = sk.m0, sk.components[0].r
     m = assemble_kernel(sk)
-    tk = transform.compute_g(m)
-    g = tk.g
+    g = transform.compute_g(m).g
     g1 = transform.picard_g1(m).values
     into = TriangularField(grid, g1.copy())  # each call adds one more step to it
     problem = InverseProblem(m0=m0, r=r, target=TARGETS, d=8)
     toeplitz = InverseProblem(m0=TriangularField.zeros(grid), r=TriangularField.constant(grid, 1.0),
                               target=SIMPLE_TARGETS, d=8)
     params = np.interp(toeplitz.param_nodes, grid.nodes, sk.components[0].p.values.real)  # P at the knots
+    stacked = inverse._stacked_residual(params, problem, 0.0)[0]
     forward = cli._parse({"grid_n": n, "kernel": KERNEL}, "forward", None)
     row = g.values[-1]
     m_fine = assemble_kernel(cli._sample_kernel(kernel, make_grid(2 * n)))
@@ -122,7 +121,8 @@ def layers(n: int, out: Path) -> dict:
         "Delta per 1k lambdas (extrapolated)": lambda: delta(DELTA_LAMBDAS),
         "find_spectrum (extrapolated)": lambda: find_spectrum(DeltaEvaluator(row, row_fine),
                                                               TARGETS.window),
-        "spectrum_jacobian (19 targets)": lambda: spectrum_jacobian(m, problem, tk),
+        "G-path Jacobian (19 targets)": lambda: inverse._stacked_jacobian(params, stacked, None,
+                                                                           problem, 0.0),
         "Toeplitz spectrum_residual (19 targets)": lambda: spectrum_residual(params, toeplitz),
         "M from config": lambda: assemble_kernel(cli._sample_kernel(kernel, grid)),
         "forward": lambda: cli.cmd_forward("0" * 64, out, None, **forward),
