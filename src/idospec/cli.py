@@ -92,12 +92,10 @@ _STAGE_KEYS = (
 )
 # The "opts" keys of each command that reads them, each a keyword argument of
 # the function the command calls (find_spectrum, recover_sequential), with
-# its type and range as _check_value's (kind, least, op, most): cell_size is
-# positive, the counts are at least 1, and the edge samples at most
-# MAX_EDGE_SAMPLES.
+# its type and range as _check_value's (kind, least, op, most): the counts
+# are at least 1, and the edge samples at most MAX_EDGE_SAMPLES.
 _OPTION_RANGES = {
-    "spectrum": {"cell_size": (float, 0.0, ">", None),
-                 "initial_edge_samples": (int, 1, ">=", MAX_EDGE_SAMPLES)},
+    "spectrum": {"initial_edge_samples": (int, 1, ">=", MAX_EDGE_SAMPLES)},
     "invert": {"max_iter": (int, 1, ">=", None)},
 }
 # The keys read at each level of a config, by command (its top level) or by

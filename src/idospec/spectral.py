@@ -16,14 +16,18 @@ lambda.
 Being a polynomial, Delta also hands its zeros over directly: sampled at a
 stride s it has degree N/s in exp(-i lambda s h), and the eigenvalues of its
 companion matrix are candidate zeros for one batched Newton on the real
-evaluator. Newton end points closer than cell_size form a group. A
-converged singleton is a simple zero; any other group, such as the pair of
-a double zero, is counted by the argument principle on a small square
-around it, and a zero of multiplicity m is polished by Newton on the
-(m-1)-th derivative, where it is simple. The winding number on the window
-boundary certifies the result: the multiplicities found must add up to it,
-or the search is retried once at stride 1, where the polynomial is Delta
-itself.
+evaluator. Both the search's tolerances come from the rounding of Delta's
+blocked sum, which DeltaEvaluator.rounding bounds: Newton stops where
+|Delta| is within that bound, and each end point gets the radius within
+which Delta cannot be told from zero, together with the local multiplicity
+that radius implies. End points whose discs meet form a group. A converged
+singleton of multiplicity 1 is a simple zero; any other group, such as the
+pair of a double zero, is counted by the argument principle on a small
+square around it, and a zero of multiplicity m is polished by Newton on
+the (m-1)-th derivative, where it is simple. The winding number on the
+window boundary certifies the result: the multiplicities found must add up
+to it, or the search is retried once at stride 1, where the polynomial is
+Delta itself.
 
 A difference kernel M = p(x - t) needs no G: its trapezoid e-system is lower
 triangular and Toeplitz, and toeplitz_delta solves it by FFT, with the
@@ -351,10 +355,8 @@ def char_delta_deriv(coef: np.ndarray, lam, order: int = 0):
 # --- spectrum search ----------------------------------------------------------
 
 
-# The two settings of the zero search, and their defaults: Newton end points
-# closer than CELL_SIZE form a group, and each edge of a winding number's
-# path gets at least INITIAL_EDGE_SAMPLES points (see _rect_boundary).
-CELL_SIZE = 1e-3
+# The setting of the zero search, and its default: each edge of a winding
+# number's path gets at least INITIAL_EDGE_SAMPLES points (see _rect_boundary).
 INITIAL_EDGE_SAMPLES = 32
 
 
@@ -387,7 +389,26 @@ class DeltaEvaluator:
     once, here: the coarse ones sit on the even fine nodes, and the carrier,
     the same on both grids, stays one term. A row_fine of any other length
     raises ValueError. evals and deriv_evals count the lambda points passed
-    to Delta and to its derivatives.
+    to Delta and to its derivatives; rounding's points are not counted.
+
+    rounding(lam, order) is mu, a bound on the rounding error of
+    deriv(lam, order), to first order in the unit roundoff u = eps / 2
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    3.1 and 3.6). char_delta_deriv forms each term c_j (-i x_j)^m q^j from
+    the coefficient, the power (-i x_j)^m (at most 4m u) and the
+    exponentials of -i lambda x_r and -i lambda x_kb, x_r + x_kb = x_j. Each
+    exponential is correct to 4 u for its argument, and the rounding of the
+    nodes and of lambda x shifts the two arguments by at most 4 |lambda| x_j u
+    together, at most 4 pi |lambda| u. A complex product costs at most 3 u
+    (sqrt(2) gamma_2): one forms c_j, one applies the block's exponential.
+    The inner sums of b terms and the sum over the B blocks cost at most
+    (b + 2) u and (B - 1) u, and adding the carrier, formed the same way,
+    costs u. So every term carries a relative error of at most
+    (b + B + 4m + 16 + 4 pi |lambda|) u, and b + B <= 2 sqrt(N + 1) + 2;
+    mu is that factor times the sum of the term moduli,
+    sum_j |c_j| x_j^m exp(Im lambda x_j) + pi^m exp(Im lambda pi). That sum is
+    one more blocked sum: char_delta_deriv of |coef| at i Im lambda, whose
+    terms all share the phase (-i)^m.
     """
 
     def __init__(self, row: np.ndarray, row_fine: np.ndarray | None = None):
@@ -409,6 +430,10 @@ class DeltaEvaluator:
     def deriv(self, lam, order: int = 1):
         self.deriv_evals += np.size(lam)
         return char_delta_deriv(self.coef, lam, order)
+
+    def rounding(self, lam, order: int = 0):
+        factor = 2 * math.sqrt(self.coef.size) + 4 * order + 18 + 4 * PI * np.abs(lam)
+        return factor * 2.0**-53 * np.abs(char_delta_deriv(np.abs(self.coef), 1j * lam.imag, order))
 
 
 def _check_guard(pts, vals, guard: float | None) -> None:
@@ -475,23 +500,23 @@ CANDIDATE_PHASE_STEP = 1.3
 # error.
 CANDIDATE_MARGIN = 0.5
 # A zero is kept if |Delta| there is at most RESIDUAL_RTOL times the largest
-# |Delta| on the window boundary, and the boundary is refused as passing too
-# close to a zero where |Delta| falls to BOUNDARY_RTOL times that maximum.
+# |Delta| on the window boundary, or within its rounding bound, and the
+# boundary is refused as passing too close to a zero where |Delta| falls to
+# BOUNDARY_RTOL times that maximum.
 RESIDUAL_RTOL = 1e-10
 BOUNDARY_RTOL = 1e-9
 # Bisection rounds a winding number may take to bring every phase increment
 # on its path below pi/2; each round at most doubles the samples it bisects.
 MAX_PHASE_REFINEMENTS = 14
-# Newton's method stops once a step is below NEWTON_TOL (1 + |z|), or after
-# NEWTON_MAX_ITER steps. An end point that has not converged by then (simple
-# steps approach a double zero only linearly) is counted on its square.
+# Newton's method stops once |Delta| is within its rounding bound, or after
+# NEWTON_MAX_ITER steps. An end point that has not converged by then is
+# counted on its square.
 NEWTON_MAX_ITER = 60
-NEWTON_TOL = 1e-12
-# Half-width, in cell sizes, of the square that counts the zeros of a group
-# of Newton end points. Near an m-fold zero |Delta| grows like the m-th
-# power of the distance, so the square's edge must stay well clear of the
-# disc where Delta is lost in rounding; the square shrinks to half the
-# distance to the nearest end point of another group.
+# Half-width, in rounding radii, of the square that counts the zeros of a
+# group of Newton end points. Near an m-fold zero |Delta| grows like the
+# m-th power of the distance, so on the square's edge it stands about
+# CLUSTER_BOX^m times above the rounding bound; the square shrinks to half
+# the distance to the nearest end point of another group.
 CLUSTER_BOX = 10.0
 
 
@@ -529,28 +554,47 @@ def _batched_newton(f, z, order: int = 0):
 
     A zero of f of multiplicity m is a simple zero of its (m-1)-th
     derivative, where Newton converges quadratically and as far as the
-    rounding allows; the step m f / f' stalls at about the square root of
-    the rounding instead. Each step makes one call of f (or f.deriv at
-    order) and one of f.deriv at order + 1 for all entries still moving. An
-    entry freezes once its step is below NEWTON_TOL (1 + |z|), once it
-    turns non-finite, or after NEWTON_MAX_ITER steps. Returns (roots,
-    converged, steps).
+    rounding allows. Each step makes one call of f (or f.deriv at order),
+    one of f.rounding at order and one of f.deriv at order + 1 for all
+    entries still moving. An entry whose value is within its rounding bound
+    has converged and freezes where it is; the step it would have taken is
+    returned as its last step (0 for every other entry). At a simple zero
+    that step polishes the root below the bound, but at a multiple zero,
+    whose derivative is lost in rounding too, it can throw the entry
+    several radii away (see _rounding_radius), so only the caller, once it
+    knows the multiplicity, takes it. An entry also freezes once it turns
+    non-finite, and every entry after NEWTON_MAX_ITER steps. Returns
+    (roots, converged, last steps, steps).
     """
     z = np.array(z, dtype=complex)
-    moving = np.ones(z.shape, dtype=bool)
-    converged = np.zeros(z.shape, dtype=bool)
-    steps = 0
+    converged, last = np.zeros(z.shape, dtype=bool), np.zeros_like(z)
+    idx, steps = np.arange(z.size), 0
     with np.errstate(all="ignore"):
-        while moving.any() and steps < NEWTON_MAX_ITER:
-            idx = np.flatnonzero(moving)
+        while idx.size and steps < NEWTON_MAX_ITER:
             top = f(z[idx]) if order == 0 else f.deriv(z[idx], order)
+            done = np.abs(top) <= f.rounding(z[idx], order)
             step = top / f.deriv(z[idx], order + 1)
             steps += 1
-            z[idx] -= step
-            done = np.abs(step) < NEWTON_TOL * (1.0 + np.abs(z[idx]))
-            converged[idx[done]] = True
-            moving[idx[done | ~np.isfinite(z[idx])]] = False
-    return z, converged, steps
+            converged[idx[done]], last[idx[done]] = True, step[done]
+            z[idx[~done]] -= step[~done]
+            idx = idx[~done & np.isfinite(z[idx])]
+    return z, converged, last, steps
+
+
+def _rounding_radius(f, z):
+    """Radius within which Delta cannot be told from zero, and the multiplicity it implies.
+
+    Near z, Delta differs from its Taylor term Delta^(m)(z) (w - z)^m / m!
+    by less than its rounding bound mu(z) = f.rounding(z) only within
+    (m! mu / |Delta^(m)(z)|)^(1/m). At an m-fold zero the derivatives below
+    m are lost in rounding and this is least for that m, so the radius is
+    the least over m = 1, 2, 3 and the m that attains it estimates the
+    multiplicity. Returns both, one entry per entry of z.
+    """
+    mu = f.rounding(z)
+    with np.errstate(all="ignore"):
+        radii = [(math.factorial(m) * mu / np.abs(f.deriv(z, m))) ** (1 / m) for m in (1, 2, 3)]
+    return np.min(radii, axis=0), np.argmin(radii, axis=0) + 1
 
 
 def _box_distance(z, c):
@@ -558,9 +602,9 @@ def _box_distance(z, c):
     return np.maximum(np.abs(z.real - c.real), np.abs(z.imag - c.imag))
 
 
-def _groups(z: np.ndarray, radius: float) -> list:
-    """Index arrays of the chains of points of z closer than radius in turn."""
-    near = np.abs(z[:, None] - z) < radius
+def _groups(z: np.ndarray, radius: np.ndarray) -> list:
+    """Index arrays of the chains of points of z whose discs of the given radii meet in turn."""
+    near = np.abs(z[:, None] - z) < radius[:, None] + radius
     label = np.arange(z.size)
     while True:                      # each point takes the least label of its neighbours
         least = np.where(near, label, z.size).min(axis=1, initial=z.size)
@@ -569,46 +613,49 @@ def _groups(z: np.ndarray, radius: float) -> list:
         label = least
 
 
-def _companion_roots(f: DeltaEvaluator, rect0, wind0, stride1, cell_size, edge_samples, residual_tol):
-    """Zeros in rect0 from the companion candidates, or None.
+def _companion_roots(f: DeltaEvaluator, rect0, wind0, stride1, edge_samples, residual_tol):
+    """Zeros in rect0 from the companion candidates, and whether they are certified.
 
     The candidates of the window grown by CANDIDATE_MARGIN go through one
-    batched Newton on f, and its finite end points, converged or not, are
-    grouped within cell_size (see _groups). A converged singleton
-    is a simple zero, unless stride1 is set. Any other group inside rect0
-    (the pair of a double zero, which simple Newton steps approach only
-    linearly, or the end point of a zero Newton could not settle on) takes
-    its multiplicity from the winding number on a square around its mean
-    that holds no end point of another group (see CLUSTER_BOX) and whose
-    half-width is at most the half-perimeter of the window, taken with
-    edge_samples points per edge at least. The square
-    needs no guard: the phase refinement resolves a zero near its edge or
-    fails. A group that winds 0, or whose square cannot be drawn or
-    counted, is dropped; one of multiplicity m is polished from its mean by
-    Newton on Delta^(m-1). It reports the last iterate, or the mean if the
-    polish left the square, and is flagged unconverged unless the polish
-    converged inside it. Zeros inside rect0 with a residual within
-    residual_tol are certified if their multiplicities sum to the winding
-    number wind0 of the window. Returns (eigenvalues, certified, the means
-    of the groups inside rect0 that could not be counted, did not converge
-    or failed residual_tol, (candidates, Newton steps, phase refinement
-    rounds)).
+    batched Newton on f, and each finite end point, converged or not, gets
+    its rounding radius and multiplicity estimate (see _rounding_radius);
+    end points whose discs meet form a group (see _groups). A converged
+    singleton of estimate 1 is a simple zero, and takes its last Newton
+    step. Any other group inside rect0
+    (the pair of a double zero, or the end point of a zero Newton could not
+    settle on) takes its multiplicity from the winding number on a square
+    around its mean, CLUSTER_BOX times its largest radius in half-width,
+    that holds no end point of another group and whose half-width is at
+    most the half-perimeter of the window, taken with edge_samples points
+    per edge at least. The square needs no guard: the phase refinement
+    resolves a zero near its edge or fails. A group that winds 0, or whose
+    square cannot be drawn or counted, is dropped; one of multiplicity m is
+    polished from its mean by Newton on Delta^(m-1). It reports the last
+    iterate, or the mean if the polish left the square, and is flagged
+    unconverged unless the polish converged inside it. Zeros inside rect0
+    with a residual within residual_tol, or within the rounding bound
+    where that is larger, are certified if their multiplicities sum to the
+    winding number wind0 of the window. Returns
+    (eigenvalues, certified, the means of the groups inside rect0 that
+    could not be counted, did not converge or failed the residual test,
+    (candidates, Newton steps, phase refinement rounds)).
     """
     re0, re1, im0, im1 = rect0
     grow = CANDIDATE_MARGIN
     cand = _companion_candidates(f.row, (re0 - grow, re1 + grow, im0 - grow, im1 + grow), stride1)
-    z, converged, steps = _batched_newton(f, cand)
-    z, converged = z[np.isfinite(z)], converged[np.isfinite(z)]
+    z, converged, last, steps = _batched_newton(f, cand)
+    z, converged, last = (v[np.isfinite(z)] for v in (z, converged, last))
+    radius, mult_est = _rounding_radius(f, z)
     found, rounds = [], 0            # found: (root, multiplicity, converged)
     unresolved = []                  # means of groups not counted or not converged
-    for members in _groups(z, cell_size):
-        mean = z[members].mean()
-        if members.size == 1 and converged[members[0]] and not stride1:
-            found.append((mean, 1, True))
+    for members in _groups(z, radius):
+        k, mean = members[0], z[members].mean()
+        if members.size == 1 and converged[k] and mult_est[k] == 1:
+            found.append((z[k] - last[k], 1, True))
             continue
         if not _inside(mean, rect0):
             continue
-        half = min(CLUSTER_BOX * cell_size, re1 - re0 + im1 - im0,
+        half = min(CLUSTER_BOX * radius[members].max(), re1 - re0 + im1 - im0,
                    0.5 * _box_distance(np.delete(z, members), mean).min(initial=np.inf))
         if _box_distance(z[members], mean).max() >= half:
             unresolved.append(mean)
@@ -621,26 +668,22 @@ def _companion_roots(f: DeltaEvaluator, rect0, wind0, stride1, cell_size, edge_s
             continue
         rounds += more
         if mult:
-            (root,), (ok,), more = _batched_newton(f, [mean], mult - 1)
+            (root,), (ok,), _, more = _batched_newton(f, [mean], mult - 1)
             steps += more
             held = _box_distance(root, mean) < half
             found.append((root if held else mean, mult, bool(held and ok)))
     found = [v for v in found if _inside(v[0], rect0)]
-    resid = np.abs(f(np.array([v[0] for v in found], dtype=complex)))
+    roots = np.array([v[0] for v in found], dtype=complex)
+    resid, tol = np.abs(f(roots)), np.maximum(residual_tol, f.rounding(roots))
     eigs = [Eigenvalue(complex(r), m, float(e), ok)
-            for (r, m, ok), e in zip(found, resid) if e <= residual_tol]
-    unresolved += [r for (r, _, ok), e in zip(found, resid) if not (ok and e <= residual_tol)]
+            for (r, m, ok), e, t in zip(found, resid, tol) if e <= t]
+    unresolved += [r for (r, _, ok), e, t in zip(found, resid, tol) if not (ok and e <= t)]
     certified = sum(ev.multiplicity for ev in eigs) == wind0
     return eigs, certified, unresolved, (cand.size, steps, rounds)
 
 
-def find_spectrum(
-    f: DeltaEvaluator,
-    window: SearchWindow,
-    *,
-    cell_size: float = CELL_SIZE,
-    initial_edge_samples: int = INITIAL_EDGE_SAMPLES,
-) -> Spectrum:
+def find_spectrum(f: DeltaEvaluator, window: SearchWindow, *,
+                  initial_edge_samples: int = INITIAL_EDGE_SAMPLES) -> Spectrum:
     """Locate all zeros of Delta inside the window, counted with multiplicity.
 
     f is the DeltaEvaluator of G's last row. The argument principle
@@ -648,12 +691,10 @@ def find_spectrum(
     boundary is the total multiplicity inside, and the zeros that the
     companion candidates lead to (see _companion_roots) must add up to it.
     If they do not at the chosen stride, the search is retried once at
-    stride 1, where the candidate polynomial is Delta itself, and counts
-    every group on its square, converged singletons too: Newton started on
-    a double zero can settle there as on a simple one while its partner
-    flies off. If that fails too, PhaseTrackingError names the window, the
-    multiplicity the stride-1 pass found, the groups it could not count or
-    polish, and cell_size. Every winding number's path starts with
+    stride 1, where the candidate polynomial is Delta itself. If that fails
+    too, PhaseTrackingError names the window, the multiplicity the stride-1
+    pass found, and the groups it could not count or polish. Every winding
+    number's path starts with
     initial_edge_samples points per edge at least.
     Spectrum.stats records which pass answered.
     """
@@ -672,7 +713,7 @@ def find_spectrum(
     counts = np.array([0, 0, refinements])          # candidates, Newton steps, rounds
     for path, stride1 in (("companion", False), ("stride1", True)):
         found, certified, unresolved, more = _companion_roots(
-            f, rect0, wind0, stride1, cell_size, initial_edge_samples, residual_tol)
+            f, rect0, wind0, stride1, initial_edge_samples, residual_tol)
         counts += more
         if certified:
             break
@@ -681,9 +722,7 @@ def find_spectrum(
         raise PhaseTrackingError(
             f"the zeros found in window {rect0} add up to multiplicity "
             f"{sum(ev.multiplicity for ev in found)}, not to its winding number {wind0}; "
-            f"groups of Newton end points not counted or not converged: {means}; "
-            f"cell_size {cell_size:g} (a multiple zero that rounding splits "
-            f"by more than cell_size is not grouped)"
+            f"groups of Newton end points not counted or not converged: {means}"
         )
     found.sort(key=lambda ev: (ev.value.real, ev.value.imag))
     return Spectrum(eigenvalues=tuple(found), window=window, total_count=wind0,

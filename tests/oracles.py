@@ -48,10 +48,8 @@ from idospec.quadrature import ROW_BLOCK, TriangularField, lag_view, trapezoid_w
 from idospec.serialize import field_from_csv
 from idospec.spectral import (
     BOUNDARY_RTOL,
-    CELL_SIZE,
     INITIAL_EDGE_SAMPLES,
     NEWTON_MAX_ITER,
-    NEWTON_TOL,
     RESIDUAL_RTOL,
     BoundaryNearZeroError,
     DeltaEvaluator,
@@ -484,11 +482,19 @@ def _split_rect(f, rect, edge_samples, guard):
     raise BoundaryNearZeroError(complex(0.5 * (re0 + re1), 0.5 * (im0 + im1)), 0.0)
 
 
+# The subdivision oracle's own settings: cells narrower than CELL_SIZE are
+# not split further, and its Newton stops once a step is below
+# NEWTON_TOL (1 + |z|). They are fixed tolerances, independent of the
+# rounding bound the package's search derives its stop and radius from.
+CELL_SIZE = 1e-3
+NEWTON_TOL = 1e-12
+
+
 def _newton_polish(f, z0: complex, mult: int, cell=None):
     """Newton's method from z0, with the step scaled by the multiplicity mult.
 
-    It stops as the package's Newton does: after NEWTON_MAX_ITER steps, or
-    once a step is below NEWTON_TOL (1 + |z|).
+    It stops after NEWTON_MAX_ITER steps, or once a step is below
+    NEWTON_TOL (1 + |z|).
 
     Returns (root, |f(root)|, converged). With a cell (re0, re1, im0, im1)
     the attempt is abandoned, unconverged, as soon as an iterate leaves it.

@@ -248,11 +248,12 @@ class TestSpectrum:
         assert blobs[0] == blobs[1]
 
     def test_search_stats_written(self, workdir, monkeypatch):
-        calls = []
+        calls, bounds = [], []
         delta = idospec.spectral.char_delta_deriv
 
         def recording(coef, lam, order=0):
-            calls.append((order, np.size(lam)))
+            # the rounding bound is the one sum over |coef|, which is real
+            (bounds if np.isrealobj(coef) else calls).append((order, np.size(lam)))
             return delta(coef, lam, order)
 
         monkeypatch.setattr(idospec.spectral, "char_delta_deriv", recording)
@@ -267,17 +268,22 @@ class TestSpectrum:
         out = workdir / "spec_stats_out"
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
         data = json.loads((out / "spectrum.json").read_text())
-        steps = [size for order, size in calls if order == 1]
+        # one pass, no square: each Newton step calls Delta' once, and the
+        # radii of the end points call Delta', Delta'' and Delta''' after them
+        *steps, radii = [size for order, size in calls if order == 1]
+        assert [size for order, size in calls if order > 1] == [radii, radii]
         # Delta is called on the window boundary, once per phase refinement
-        # round, once per Newton step and once for the residuals
+        # round, once per Newton step and once for the residuals; its bound
+        # once per step, once for the radii and once for the residuals
         rounds = sum(order == 0 for order, _ in calls) - len(steps) - 2
         assert data["search"] == {
             "path": "companion", "candidates": steps[0], "newton_steps": len(steps),
             "phase_refinements": rounds,
         }
         assert rounds > 0
+        assert len(bounds) == len(steps) + 2
         assert steps[0] >= data["total_count"] > 0
-        assert data["deriv_evals"] == sum(steps)
+        assert data["deriv_evals"] == sum(size for order, size in calls if order)
         assert data["delta_evals"] == sum(size for order, size in calls if order == 0)
 
     def test_heatmap_written(self, workdir):
@@ -332,11 +338,15 @@ class TestSpectrum:
         assert np.abs(data[:, 2] - coarse).max() > 1e-6 * expect.max()
 
     def test_counters_equal_points_evaluated(self, workdir, monkeypatch):
+        # delta_evals counts the points of Delta, deriv_evals those of its
+        # derivatives of every order; neither counts the rounding bound, the
+        # one sum over |coef|, which is real
         points = {0: 0, 1: 0}
         evaluate = idospec.spectral.char_delta_deriv
 
         def counting(coef, lam, order=0):
-            points[order] += np.size(lam)
+            if np.iscomplexobj(coef):
+                points[min(order, 1)] += np.size(lam)
             return evaluate(coef, lam, order)
 
         monkeypatch.setattr(idospec.spectral, "char_delta_deriv", counting)
@@ -460,7 +470,7 @@ class TestSpectrum:
             "grid_n": 40,
             "kernel": CONST_KERNEL,
             "window": {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5},
-            "opts": [["cell_size", 1e-4]],
+            "opts": [["initial_edge_samples", 64]],
         })
         out = workdir / "spec_listopt_out"
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
@@ -927,7 +937,8 @@ class TestConfigErrors:
         ("invert", {"mu": "none"}, "mu", "mu must be float"),
         ("invert", {"init": "ones"}, "init", "init must be"),
         ("invert", {"d": 4, "init": [0.0, 0.0, 0.0]}, "init", "init must be"),
-        ("spectrum", {"opts": {"cell_size": "small"}}, "cell_size", "opts.cell_size must be float"),
+        ("spectrum", {"opts": {"initial_edge_samples": "many"}}, "initial_edge_samples",
+         "opts.initial_edge_samples must be int"),
         ("invert", {"opts": {"max_iter": True}}, "max_iter", "opts.max_iter must be int"),
         ("verify", {"lambdas": []}, "lambdas", "lambdas must be"),
         ("forward", {"lambdas": [[1.0]]}, "lambdas", "lambdas must be"),
@@ -948,7 +959,6 @@ class TestConfigErrors:
         assert not builds
 
     @pytest.mark.parametrize("command, key, value", [
-        ("spectrum", "cell_size", -1.0),
         ("spectrum", "initial_edge_samples", 0),
         ("spectrum", "initial_edge_samples", MAX_EDGE_SAMPLES + 1),
         ("invert", "max_iter", 0),
@@ -1062,14 +1072,16 @@ class TestRefusedBeforeAnyGrid:
     @pytest.mark.parametrize("command, key", [
         ("spectrum", "residual_tol"), ("spectrum", "boundary_rel_tol"),
         ("spectrum", "max_phase_refinements"), ("spectrum", "newton_max_iter"),
-        ("spectrum", "newton_tol"), ("invert", "xtol"), ("invert", "ftol"),
+        ("spectrum", "newton_tol"), ("spectrum", "cell_size"), ("invert", "xtol"), ("invert", "ftol"),
         ("invert", "lm_damping0"), ("invert", "max_inner"),
     ])
     @pytest.mark.parametrize("value", [0.0, 1e-9, None])
     def test_retired_option(self, workdir, monkeypatch, capsys, command, key, value):
         # the two spectrum thresholds scale with the window boundary's largest
-        # |Delta|, and the other keys are module constants of spectral and
-        # inverse: they are no options, so a config that sets one is refused
+        # |Delta|, Newton's stop and the grouping radius (cell_size) come
+        # from Delta's rounding bound, and the other keys are module
+        # constants of spectral and inverse: they are no options, so a config
+        # that sets one is refused
         cfg = base_config(command, opts={key: value})
         name = f"early_retired_opt_{key}_{value}"
         assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
@@ -1326,13 +1338,6 @@ class TestOverflowingValues:
                               "on the 40-interval grid") and err.count("\n") == 1, err
         assert not (workdir / "overflow_verify_lambda_out" / "verify_report.json").exists()
 
-    def test_spectrum_cell_size(self, workdir, capsys):
-        # one group holds every Newton end point; its square is no wider than the window
-        cfg = {"grid_n": 8, "kernel": CONST_KERNEL, "window": self.WINDOW, "opts": {"cell_size": 1e308}}
-        assert self.run(workdir, "overflow_cell", "spectrum", cfg) == EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: ") and "cell_size 1e+308" in err, err
-
 
 class TestRefusedRunsLeaveNoOutDir:
     """The --out directory, and any parent it lacks, comes with the first
@@ -1390,7 +1395,7 @@ class TestMutatedConfigs:
             "spectrum": {"grid_n": 8, "extrapolate": True, "heatmap": {"nx": 3, "ny": 2},
                          "kernel": {"m0": const, "components": [{"r": const, "p": trig}]},
                          "window": {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5},
-                         "opts": {"cell_size": 1e-3, "initial_edge_samples": 32}},
+                         "opts": {"initial_edge_samples": 32}},
             "invert": {"grid_n": 12, "d": 4, "mu": 0.0, "init": [0.8] * 4,
                        "kernel": {"m0": const, "components": [{"r": TILTED_R}]},
                        "target": str(workdir / "mut_target" / "spectrum.json"),

@@ -8,13 +8,14 @@ import idospec.spectral
 from idospec.quadrature import PI, TriangularField, lag_view, make_grid
 from idospec.transform import TransformKernel, compute_g
 from idospec.spectral import (
+    CLUSTER_BOX,
     BoundaryNearZeroError,
     DeltaEvaluator,
     PhaseTrackingError,
-    CELL_SIZE,
     INITIAL_EDGE_SAMPLES,
     SearchWindow,
     _rect_boundary,
+    _rounding_radius,
     _winding_number,
     char_delta,
     char_delta_deriv,
@@ -538,6 +539,25 @@ class TestBlockedPolynomial:
             want = (4.0 * fine - want) / 3.0
             assert np.all(np.abs(got - want) <= 1e-13 * (4.0 * s_fine + scale) / 3.0)
 
+    @pytest.mark.parametrize("n", [2, 7, 100, 401])
+    def test_rounding_bounds_the_error(self, n):
+        # the evaluator's own coefficients summed in extended precision
+        # (64-bit significand) on the nodes j PI / N, with the carrier
+        rng = np.random.default_rng(n)
+        g, g_fine = _random_tail_kernel(n, rng), _random_tail_kernel(2 * n, rng)
+        re = np.linspace(-n, n, 21)
+        im = np.linspace(-8.0, 8.0, 9)
+        lams = (re[:, None] + 1j * im[None, :]).ravel()
+        wide = lams.astype(np.clongdouble)
+        pi = np.longdouble(PI)
+        for f in (delta_of(g), delta_of(g, g_fine)):
+            x = np.arange(f.coef.size) * (pi / (f.coef.size - 1))
+            terms = f.coef.astype(np.clongdouble) * np.exp(-1j * np.multiply.outer(wide, x))
+            for order in range(3):
+                want = (terms * (-1j * x) ** order).sum(axis=1) + (-1j * pi) ** order * np.exp(-1j * wide * pi)
+                err = np.abs(f.deriv(lams, order) - want)
+                assert np.all(err <= f.rounding(lams, order))
+
 
 class TestZeroKernel:
     @settings(max_examples=30, deadline=None)
@@ -679,16 +699,17 @@ class TestSyntheticSearch:
         assert a.multiplicity == 1 and abs(a.value - simple) < 1e-12
         assert b.multiplicity == 2 and abs(b.value - double) < 1e-10
 
-    def test_close_simple_roots(self):
+    @pytest.mark.parametrize("n, tol", [(8, 1e-12), (40, 1e-11)])
+    def test_close_simple_roots(self, n, tol):
         # Delta' at either root is about h |q_1 - q_2| = 0.01 h^2, small
-        # against the rounding of Delta's sum once h is small: at N = 40 both
-        # roots are still found within 4e-12, but the Newton steps of one
-        # never drop below newton_tol. At N = 8 the pair is well conditioned.
+        # against the rounding of Delta's sum once h is small: at N = 40
+        # Newton's steps hover at about 1e-11 and stop only where |Delta|
+        # reaches its rounding bound. At N = 8 the pair is well conditioned.
         roots = [0.2 + 0.1j, 0.21 + 0.1j]
-        spec = spectrum_of(planted_kernel(8, roots), SearchWindow(-1.0, 1.0, -1.0, 1.0))
+        spec = spectrum_of(planted_kernel(n, roots), SearchWindow(-1.0, 1.0, -1.0, 1.0))
         assert [ev.multiplicity for ev in spec.eigenvalues] == [1, 1]
         for ev, ref in zip(spec.eigenvalues, roots):
-            assert ev.newton_converged and abs(ev.value - ref) < 1e-12
+            assert ev.newton_converged and abs(ev.value - ref) < tol
 
     def test_outer_boundary_sampled_once(self):
         rect = (-2.0, 2.0, -1.0, 1.0)
@@ -708,46 +729,64 @@ class TestSyntheticSearch:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        n=st.integers(8, 40),
+        n=st.integers(8, 400),
         points=st.lists(st.tuples(st.floats(-1.8, 1.8), st.floats(-0.8, 0.8)),
                         min_size=1, max_size=5),
     )
     def test_planted_roots(self, n, points):
         # points[0] is planted twice; every planted root is 0.2 inside the
-        # window and at least ten cell sizes from the others
+        # window, and the squares of CLUSTER_BOX rounding radii around any
+        # two of them do not meet: closer zeros cannot be told from a
+        # cluster, which the search counts as one
         roots = [complex(re, im) for re, im in points]
-        assume(all(abs(a - b) >= 10 * CELL_SIZE
-                   for k, a in enumerate(roots) for b in roots[:k]))
         g = planted_kernel(n, [roots[0], *roots])
-        # rounding splits a double zero by about sqrt(rounding / (|Delta''| / 2));
-        # near cell_size it cannot be told from two simple zeros
-        split = np.sqrt(2 * _rounding(g, roots[0], 0) / abs(delta_of(g).deriv(roots[0], 2)))
-        assume(split < 0.1 * CELL_SIZE)
+        radius, mult = _rounding_radius(delta_of(g), np.array(roots))
+        assume(all(abs(roots[a] - roots[b]) >= CLUSTER_BOX * (radius[a] + radius[b])
+                   for a in range(len(roots)) for b in range(a)))
         spec = spectrum_of(g, self.WINDOW)
         assert spec.total_count == len(roots) + 1
         assert len(spec.eigenvalues) == len(roots)
         for ev in spec.eigenvalues:
             dist = [abs(ev.value - r) for r in roots]
             k = int(np.argmin(dist))
-            assert ev.multiplicity == (2 if k == 0 else 1)
+            assert ev.multiplicity == mult[k] == (2 if k == 0 else 1)
+            assert ev.newton_converged
             # a zero of multiplicity m is a simple zero of Delta^(m-1)
             bound = _attainable_error(g, roots[k], ev.multiplicity - 1)
             assert dist[k] < max(1e-7 if k == 0 else 1e-10, bound)
 
-    def test_failed_search_names_what_it_found(self):
-        # a double zero in a cluster of five zeros 0.03 across, all near q = 1
-        # at N = 35: neither pass groups and counts the cluster, and the error
-        # says what the stride-1 pass found, where its unresolved groups are
-        # and which cell_size grouped them
+    def test_cluster_within_rounding_is_counted_whole(self):
+        # a double zero in a cluster of five zeros 0.01 to 0.02 apart, all
+        # near q = 1 at N = 35: Delta is lost in rounding across the
+        # cluster, whose zeros all lie within one rounding radius of its
+        # centre, so the search certifies the five planted multiplicities
+        # as one zero of multiplicity 5 there, the zero of Delta^(4)
         double, simple = 0.0577 + 0.0087j, [0.0667 + 0.0133j, 0.05, 0.07]
-        g = planted_kernel(35, [double, double, *simple])
+        planted = [double, double, *simple]
+        g = planted_kernel(35, planted)
+        spec = spectrum_of(g, self.WINDOW)
+        assert spec.total_count == 5
+        (ev,) = spec.eigenvalues
+        assert ev.multiplicity == 5 and ev.newton_converged
+        assert abs(delta_of(g).deriv(ev.value, 4)) <= delta_of(g).rounding(ev.value, 4)
+        (radius,), _ = _rounding_radius(delta_of(g), np.array([ev.value]))
+        assert max(abs(z - ev.value) for z in planted) < radius
+
+    def test_failed_search_names_what_it_found(self, monkeypatch):
+        # with squares a thousandth of a rounding radius wide, the pair of
+        # Newton end points around the double zero does not fit inside its
+        # square, so neither pass counts it, and the error says what the
+        # stride-1 pass found and where its unresolved group is
+        monkeypatch.setattr(idospec.spectral, "CLUSTER_BOX", 1e-3)
+        double = 0.3217 - 0.4123j
+        g = planted_kernel(40, [double, double, -1.1 + 0.27j])
         with pytest.raises(PhaseTrackingError) as err:
             spectrum_of(g, self.WINDOW)
         msg = str(err.value)
-        assert re.search(r"add up to multiplicity [0-4], not to its winding number 5;", msg)
-        assert "cell_size 0.001 " in msg
-        listed = msg.split("not converged: ")[1].split("; cell_size")[0].split(", ")
-        assert listed and all(abs(complex(z) - double) < 0.03 for z in listed)
+        assert re.search(r"add up to multiplicity 1, not to its winding number 3;", msg)
+        (listed,) = msg.split("not converged: ")[1].split(", ")
+        (radius,), _ = _rounding_radius(delta_of(g), np.array([double]))
+        assert abs(complex(listed) - double) < radius
 
     def test_anything_but_an_evaluator_is_refused(self):
         g = planted_kernel(8, [0.2 + 0.1j])
@@ -797,10 +836,12 @@ class TestCompanionCandidates:
     # Delta', where Newton reaches it to the rounding.
     LAM0 = 0.3217 - 0.4123j
 
-    def test_double_root_falls_back(self):
-        # at N = 40 the stride-5 polynomial never samples the nonzero nodes
-        # 38 and 39, so only the retry at stride 1 has candidates
-        g = planted_kernel(40, [self.LAM0, self.LAM0])
+    @pytest.mark.parametrize("n", [40, 400])
+    def test_double_root_falls_back(self, n):
+        # the coarse stride (5 at N = 40, 50 at N = 400) never samples the
+        # nonzero nodes N - 2 and N - 1, so only the retry at stride 1 has
+        # candidates
+        g = planted_kernel(n, [self.LAM0, self.LAM0])
         spec = spectrum_of(g, SearchWindow(-2.0, 2.0, -1.0, 1.0))
         assert spec.stats.path == "stride1"
         (ev,) = spec.eigenvalues
