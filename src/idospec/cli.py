@@ -39,6 +39,7 @@ from .kernels import (
 from .transform import (
     assemble_z_kernel,
     compute_g,
+    last_row,
     reflected_kernel,
 )
 from .spectral import (
@@ -435,20 +436,20 @@ def cmd_forward(sha, out: Path, seed, *, n, kernel, lambdas) -> None:
 
 
 def cmd_spectrum(sha, out: Path, seed, *, n, kernel, window, opts, extrapolate, heatmap) -> None:
-    # the zero search reads G's last rows only; they are views, so each G
-    # lives as long as its row
-    grid = make_grid(n)
-    row = _build_g(kernel, grid)[1].g.values[-1]
-    row_fine = _build_g(kernel, make_grid(2 * n))[1].g.values[-1] if extrapolate else None
-    evaluator = DeltaEvaluator(row, row_fine)
+    # the zero search reads G's last rows only
+    grids = (make_grid(n), make_grid(2 * n)) if extrapolate else (make_grid(n),)
+    rows, ways = zip(*(last_row(assemble_kernel(_sample_kernel(kernel, g))) for g in grids))
+    evaluator = DeltaEvaluator(*rows)
     spec = find_spectrum(evaluator, window, **opts)
 
     serialize.write_json(out / "spectrum.json", {
         "provenance": _provenance("spectrum", sha, n),
-        **serialize.spectrum_to_dict(spec, grid.step),
+        **serialize.spectrum_to_dict(spec, grids[0].step),
         "delta_evals": evaluator.evals,
         "deriv_evals": evaluator.deriv_evals,
         "search": dataclasses.asdict(spec.stats),
+        # "series" when every row was summed without a G build
+        "g_row": "series" if set(ways) == {"series"} else "march",
     })
 
     if heatmap:

@@ -32,6 +32,7 @@ from .quadrature import (
     Grid,
     Profile,
     TriangularField,
+    difference_samples,
     lag_view,
     require_same_grid,
     trapezoid_weights,
@@ -172,18 +173,19 @@ class InverseProblem:
         """(m0, lift) when the fit takes the Toeplitz path, else None.
 
         The path needs M = M0 + R P(x - t) to be a difference kernel: M0 and
-        R each equal lag_view of their own column 0, compared by value. It
-        also needs N even, every target simple, and every |Re nu| < N/2,
-        where the grid of N/2 intervals does not alias. Then M's difference
+        R must each be one (quadrature.difference_samples). It also needs N
+        even, every target simple, and every |Re nu| < N/2, where the grid
+        of N/2 intervals does not alias. Then M's difference
         samples are m0 + lift @ params, with m0 the column 0 of M0 and lift
         the basis scaled by the column 0 of R.
         """
         n = self.grid.n_intervals
         evs = self.target.eigenvalues
+        m0, r = difference_samples(self.m0), difference_samples(self.r)
         if (n % 2 or any(ev.multiplicity != 1 or abs(ev.value.real) >= n / 2 for ev in evs)
-                or not all(np.array_equal(f.values, lag_view(f.values[:, 0])) for f in (self.m0, self.r))):
+                or m0 is None or r is None):
             return None
-        return self.m0.values[:, 0], self.r.values[:, :1] * self.basis
+        return m0, r[:, None] * self.basis
 
     def is_underdetermined(self) -> bool:
         return self.target.total_count < self.d

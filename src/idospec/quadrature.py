@@ -144,6 +144,16 @@ def lag_view(v: np.ndarray) -> np.ndarray:
     return sliding_window_view(padded, n)[::-1]
 
 
+def difference_samples(f: TriangularField) -> np.ndarray | None:
+    """Samples p with f(x_i, t_j) = p[i - j], or None if f is no difference kernel.
+
+    f is one exactly when its values equal lag_view of its column 0,
+    compared by value; p is then that column.
+    """
+    p = f.values[:, 0]
+    return p if np.array_equal(f.values, lag_view(p)) else None
+
+
 def zero_upper(values: np.ndarray) -> np.ndarray:
     """Set the entries of a square array above its diagonal to +0.0, in place.
 

@@ -6,7 +6,8 @@ with multiplicities. Once the transformation kernel G is built, Delta is the
 trapezoid sum of the last row of G against exp(-i lambda t): on the uniform
 grid, x_j = j h and pi = N h, so with q = exp(-i lambda h) it is the
 polynomial q^N + sum_j w_j G[N, j] q^j, and G's last row is all the zero
-search reads. DeltaEvaluator takes that row, and optionally the last row on
+search reads (transform.last_row forms it without G for a difference
+kernel). DeltaEvaluator takes that row, and optionally the last row on
 the grid of half the step, and forms the coefficients w_j G[N, j] once,
 with the Richardson combination of the two grids folded in;
 char_delta_deriv evaluates Delta and its lambda-derivatives from them by
@@ -36,6 +37,7 @@ exact gradient of Delta in the samples of p, for the inversion to fit on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -325,6 +327,15 @@ def _weighted_row(row: np.ndarray, stride: int = 1) -> np.ndarray:
     return trapezoid_weights(row[::stride].size, stride * (PI / (row.size - 1))) * row[::stride]
 
 
+@functools.lru_cache(maxsize=8)
+def _nodes(size: int) -> np.ndarray:
+    """The size nodes of the uniform grid on [0, pi], formed once per size and
+    read-only, as every caller shares them."""
+    x = np.linspace(0.0, PI, size)
+    x.flags.writeable = False
+    return x
+
+
 def char_delta_deriv(coef: np.ndarray, lam, order: int = 0):
     """d^m/dlambda^m of the carrier exp(-i lambda pi) plus sum_j coef_j exp(-i lambda x_j).
 
@@ -336,7 +347,7 @@ def char_delta_deriv(coef: np.ndarray, lam, order: int = 0):
     coefficient matrix, times the (K, n/b) matrix of exp(-i lambda x_kb)
     elementwise, summed per lambda. Accepts a scalar or an array of lambda.
     """
-    x = np.linspace(0.0, PI, coef.size)
+    x = _nodes(coef.size)
     if order:
         coef = coef * (-1j * x) ** order
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .quadrature import (ROW_BLOCK, Grid, Profile, TriangularField, march_rows, require_same_grid,
-                         volterra_apply, zero_upper)
+from .quadrature import (ROW_BLOCK, Grid, Profile, TriangularField, difference_samples, march_rows,
+                         require_same_grid, volterra_apply, zero_upper)
 from .kernels import NumericalFailure, shifted_factor
 
 
@@ -287,6 +287,86 @@ def compute_g(m: TriangularField, max_terms: int = 60) -> TransformKernel:
     # already lower-triangular
     g.values[:, 0] = 0.0  # boundary identity G(x, 0) = 0, kept exact
     return TransformKernel(g=g, term_norms=np.array(norms), tol=tol)
+
+
+# Most terms _series_row sums. Every row its guard admits on grids of 40
+# intervals or more ends within about 55 terms; more are needed only on a
+# coarser grid whose step h^2 |p[0]| / 4 nears 1, where the march is cheap.
+_SERIES_MAX_TERMS = 64
+
+
+def _series_row(p: np.ndarray, h: float) -> np.ndarray | None:
+    """G's last row for M[i, j] = p[i - j], summed as a short series, or None.
+
+    The row march (see _march) of a difference kernel is Crank-Nicolson in
+    t along the lines x - t = const: with H_j[d] = G[d + j, j], q = h p but
+    q[0] = h p[0] / 2, and z = (i h / 2) T(q), T(q) the lower-triangular
+    Toeplitz matrix of q, it solves
+    (1 - z) H_j = (1 + z) H_{j-1} + s_j p, H_0 = 0,
+    s_l = i h + (h^3 p[0] / 4) (2 l - 1). Unrolled, H_j is the sum over
+    m < j of s_{j-m} (1 + z)^m / (1 - z)^(m+1) p, and the coefficient of
+    z^k in that power series is the Delannoy number D(m, k), so
+    G[N, j] = H_j[N - j] = sum over k of c[j, k] (z^k p)[N - j], with
+    c[j, k] = sum over m < j of s_{j-m} D(m, k): one Toeplitz product per
+    term and two cumulative sums over m per coefficient column. These are
+    the march's own discrete equations, so the row agrees with compute_g's
+    to rounding. The sum stops after the first term whose sup norm is at
+    most eps times the row's. It is None, for compute_g to build G instead,
+    if the row is not finite, if _SERIES_MAX_TERMS terms do not reach that
+    point, or if eps times the sum of the terms' sup norms, which bounds the
+    rounding their cancellation leaves, exceeds compute_g's tol
+    1e-12 (1 + sup|row|).
+    """
+    n, eps = p.size - 1, np.finfo(float).eps
+    q = h * p
+    q[0] *= 0.5
+    s_first, s_slope = 1j * h - 0.25 * h**3 * p[0], 0.5 * h**3 * p[0]  # s_l = s_first + s_slope l
+    v = p                                   # z^k p
+    d = np.ones(n)                          # D(m, k) for m = 0 .. N - 1
+    s1 = np.zeros(n + 1)                    # sum over m < j of D(m, k), j = 0 .. N
+    row = np.zeros(n + 1, dtype=complex)
+    total = 0.0
+    for _ in range(_SERIES_MAX_TERMS):
+        np.cumsum(d, out=s1[1:])
+        # sum over m < j of s_{j-m} D(m, k) = s_first s1[j] + s_slope sum over l <= j of s1[l]
+        term = s_first * s1 + s_slope * np.cumsum(s1)
+        term *= v[::-1]
+        row += term
+        size = np.abs(term).max()
+        total += size
+        if not np.isfinite(total):
+            return None
+        if size <= eps * np.abs(row).max():
+            break
+        # D(m, k + 1) = D(m - 1, k + 1) + D(m, k) + D(m - 1, k), D(0, k + 1) = 1
+        d[1:] += d[:-1]
+        d[0] = 1.0
+        np.cumsum(d, out=d)
+        v = (0.5j * h) * np.convolve(q, v)[: n + 1]
+    else:
+        return None
+    sup = np.abs(row).max()
+    if not (np.isfinite(sup) and eps * total <= 1e-12 * (1.0 + sup)):
+        return None
+    row[0] = 0.0  # G(pi, 0) = 0, kept exact
+    return row
+
+
+def last_row(m: TriangularField) -> tuple[np.ndarray, str]:
+    """G's last row, G[N, :], and how it was formed: "series" or "march".
+
+    For a difference kernel (quadrature.difference_samples) the row is
+    _series_row's, with no field built. Otherwise, or where the series
+    declines, it is compute_g(m)'s, a view of the G built, which raises
+    PicardConvergenceError as compute_g does for a kernel that overflows.
+    """
+    p = difference_samples(m)
+    if p is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = _series_row(p, m.grid.step)
+        if row is not None:
+            return row, "series"
+    return compute_g(m).g.values[-1], "march"
 
 
 def reflected_kernel(m: TriangularField) -> TriangularField:

@@ -23,7 +23,7 @@ from idospec import serialize
 from idospec.kernels import NumericalFailure
 from idospec.quadrature import Profile, TriangularField, make_grid
 from idospec.spectral import DeltaEvaluator, SearchWindow, char_delta, eval_e_via_g
-from idospec.transform import compute_g
+from idospec.transform import compute_g, last_row
 from idospec.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -307,9 +307,10 @@ class TestSpectrum:
         })
         out = workdir / "spec_hm_bytes_out"
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        # CONST_KERNEL assembles to M = 1 exactly, so this is the command's G
-        g = compute_g(TriangularField.constant(make_grid(40), 1.0))
-        evaluator = DeltaEvaluator(g.g.values[-1])
+        # CONST_KERNEL assembles to M = 1 exactly, so this is the command's row
+        row, way = last_row(TriangularField.constant(make_grid(40), 1.0))
+        assert way == json.loads((out / "spectrum.json").read_text())["g_row"] == "series"
+        evaluator = DeltaEvaluator(row)
         fmt = serialize.fmt
         expect = ["re,im,abs_delta\n"]
         res = np.linspace(window["re_min"], window["re_max"], 9)
@@ -366,7 +367,7 @@ class TestSpectrum:
     def test_window_beyond_alias_limit_refused(self, workdir, reach, code, monkeypatch):
         builds = []
         monkeypatch.setattr(
-            idospec.cli, "compute_g", lambda *a, **k: builds.append(1) or compute_g(*a, **k)
+            idospec.cli, "last_row", lambda *a, **k: builds.append(1) or last_row(*a, **k)
         )
         cfg = write_config(workdir / f"spec_alias_{reach}.json", {
             "grid_n": 8,
@@ -375,7 +376,7 @@ class TestSpectrum:
         })
         out = workdir / f"spec_alias_out_{reach}"
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == code
-        # refused before any G build
+        # refused before any row is formed
         assert bool(builds) == (code == EXIT_OK)
 
     @pytest.mark.parametrize("reach", [8.0, 7.5])
@@ -951,6 +952,7 @@ class TestConfigErrors:
         builds = []
         for module in (idospec.cli, idospec.inverse):
             monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1))
+        monkeypatch.setattr(idospec.cli, "last_row", lambda *a, **k: builds.append(1))
         cfg = base_config(command, **extra)
         name = f"cfg_type_{command}_{key}_{len(extra)}_{len(str(extra))}"
         path = write_config(workdir / f"{name}.json", cfg)
@@ -969,6 +971,7 @@ class TestConfigErrors:
         builds = []
         for module in (idospec.cli, idospec.inverse):
             monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1))
+        monkeypatch.setattr(idospec.cli, "last_row", lambda *a, **k: builds.append(1))
         cfg = base_config(command, opts={key: value})
         path = write_config(workdir / f"cfg_range_{key}_{value}.json", cfg)
         out = workdir / f"cfg_range_{key}_{value}_out"
@@ -1026,6 +1029,7 @@ class TestOutPath:
         monkeypatch.setattr(idospec.cli, "make_grid", no_grid)
         for module in (idospec.cli, idospec.inverse):
             monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1))
+        monkeypatch.setattr(idospec.cli, "last_row", lambda *a, **k: builds.append(1))
         afile = workdir / f"out_file_{command}_{len(below)}"
         afile.write_text("kept\n")
         out = afile / below if below else afile

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import idospec.transform
 from idospec import cli
-from idospec.quadrature import PI, ROW_BLOCK, TriangularField, make_grid
+from idospec.quadrature import PI, ROW_BLOCK, TriangularField, lag_view, make_grid
 from idospec.transform import (
     PicardConvergenceError,
     _PRODUCT_BLOCK,
@@ -18,6 +20,7 @@ from idospec.transform import (
     _next_fast_len,
     assemble_z_kernel,
     compute_g,
+    last_row,
     picard_g1,
     picard_step,
     reflected_kernel,
@@ -343,6 +346,72 @@ class TestComputeG:
             stride = 400 // n
             errs.append(np.abs(tk.g.values - ref[::stride, ::stride]).max())
         assert 2.5 < errs[0] / errs[1] < 6.0
+
+
+def _difference_kernel(n, p):
+    """M[i, j] = p(x_i - t_j) on the grid of n intervals, p a function of x."""
+    grid = make_grid(n)
+    return TriangularField(grid, np.array(lag_view(np.asarray(p(grid.nodes), dtype=complex))))
+
+
+class TestLastRow:
+    """last_row's series against compute_g's last row, and its fallback to the march."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 400),
+        kind=st.sampled_from(["trig", "polynomial", "complex"]),
+        amp=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=400, kind="trig", amp=3.0, seed=0)
+    @example(n=401, kind="complex", amp=3.0, seed=1)
+    @example(n=2, kind="polynomial", amp=0.0, seed=0)
+    def test_series_matches_the_march(self, n, kind, amp, seed):
+        rng = np.random.default_rng(seed)
+        c = amp * rng.uniform(-1.0, 1.0, (2, 4))
+        if kind == "trig":
+            p = lambda x: sum(c[0, k] * np.sin(k * x + c[1, k]) for k in range(4))
+        else:
+            coef = c[0] + 1j * c[1] if kind == "complex" else c[0]
+            p = lambda x: np.polyval(coef, x / PI)
+        m = _difference_kernel(n, p)
+        row, way = last_row(m)
+        ref = compute_g(m).g.values[-1]
+        assert row.shape == ref.shape
+        assert row[:1].tobytes() == np.zeros(1, dtype=complex).tobytes()  # G(pi, 0) = +0.0
+        assert np.abs(row - ref).max() <= 1e-12 * (1.0 + np.abs(row).max())
+        if n >= 16:
+            # the series declines only for a far larger P
+            assert way == "series"
+
+    def test_large_kernel_falls_back_to_the_march(self):
+        # the terms of P = 100 grow far enough that their rounding would
+        # exceed compute_g's tol
+        m = TriangularField.constant(make_grid(100), 100.0)
+        row, way = last_row(m)
+        assert way == "march"
+        assert row.tobytes() == compute_g(m).g.values[-1].tobytes()
+
+    def test_non_difference_kernel_is_marched(self, grid50):
+        m = family_fields(grid50)["structured"]
+        row, way = last_row(m)
+        assert way == "march"
+        assert row.tobytes() == compute_g(m).g.values[-1].tobytes()
+
+    def test_overflowing_profile_exits_numerical(self, tmp_path, capsys):
+        # the series overflows and hands the kernel to compute_g, whose
+        # march fails with its own message, and no numpy warning
+        big = {"kind": "analytic", "family": "constant", "coeffs": [1e308]}
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps({"grid_n": 8, "kernel": {"m0": big}, "extrapolate": True,
+                                   "window": {"re_min": -4.0, "re_max": 4.0, "im_min": -4.0, "im_max": 0.5}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: march sup norm") and err.count("\n") == 1, err
 
 
 class TestWorkingMemory:

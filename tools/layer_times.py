@@ -1,6 +1,8 @@
 """Print the median time and the memory peak of each solver layer as a Markdown table.
 
-Layers: compute_g, the row march (transform._march), one Picard step added
+Layers: compute_g, G's last row by transform.last_row for the difference
+kernel M = P(x - t) (the series `spectrum` sums in place of a G build),
+the row march (transform._march), one Picard step added
 into a field (transform.picard_step, as compute_g adds its one update into
 G1), its inner-integral product (transform._inner_table),
 assemble_z_kernel, the e-march (spectral.eval_e_direct) for the 5 lambdas
@@ -21,8 +23,9 @@ N in {100, 200, 400, 800} unless --n names others. The inputs are fixed: M =
 M0 + R P(x - t) with smooth M0, R and a three-term trig profile P, given
 as the kernel object of a config (KERNEL), its G, and that G as both
 kernels of the z-split. M is no difference kernel, so it is fitted on the
-G path. The Toeplitz row needs a difference kernel, so it fits M = P(x - t)
-with M0 = 0 and R = 1 instead: the two rows do not measure the same kernel.
+G path. The Toeplitz row and the last row need a difference kernel, so
+they take M = P(x - t) with M0 = 0 and R = 1 instead: they do not measure
+the same kernel as compute_g.
 Each time is the median over repeats of a timeit loop of at least 50 ms.
 Beside it stands the layer's tracemalloc peak above its inputs (what one
 call allocates at most at once, its result included), in (N+1)^2 complex
@@ -56,7 +59,7 @@ import numpy as np  # noqa: E402
 from idospec import cli, inverse, transform  # noqa: E402
 from idospec.inverse import InverseProblem, spectrum_residual  # noqa: E402
 from idospec.kernels import assemble_kernel  # noqa: E402
-from idospec.quadrature import TriangularField, make_grid  # noqa: E402
+from idospec.quadrature import TriangularField, lag_view, make_grid  # noqa: E402
 from idospec.spectral import (  # noqa: E402
     DeltaEvaluator, Eigenvalue, SearchWindow, Spectrum, eval_e_direct, find_spectrum,
 )
@@ -98,6 +101,7 @@ def layers(n: int, out: Path) -> dict:
     sk = cli._sample_kernel(kernel, grid)
     m0, r = sk.m0, sk.components[0].r
     m = assemble_kernel(sk)
+    m_toeplitz = TriangularField(grid, np.array(lag_view(sk.components[0].p.values)))
     g = transform.compute_g(m).g
     g1 = transform.picard_g1(m).values
     into = TriangularField(grid, g1.copy())  # each call adds one more step to it
@@ -113,6 +117,7 @@ def layers(n: int, out: Path) -> dict:
     delta = DeltaEvaluator(row, row_fine)
     return {
         "compute_g": lambda: transform.compute_g(m),
+        "last_row (M = P(x - t))": lambda: transform.last_row(m_toeplitz),
         "_march": lambda: transform._march(m.values, g1, h),
         "picard_step": lambda: transform.picard_step(m, g, into),
         "_inner_table": lambda: transform._inner_table(m.values, g.values, h),
