@@ -38,7 +38,7 @@ from .kernels import (
 )
 from .transform import (
     assemble_z_kernel,
-    compute_g,
+    build_g,
     last_row,
     reflected_kernel,
 )
@@ -204,7 +204,7 @@ def _sample_kernel(kernel, grid) -> StructuredKernel:
 def _build_g(kernel, grid):
     """The parsed kernel M on grid and its G."""
     m = assemble_kernel(_sample_kernel(kernel, grid))
-    return m, compute_g(m)
+    return m, build_g(m)
 
 
 def _diagonal_residual(m: TriangularField, g) -> float:
@@ -427,6 +427,7 @@ def cmd_forward(sha, out: Path, seed, *, n, kernel, lambdas) -> None:
 
     serialize.write_json(out / "forward_report.json", {
         "provenance": _provenance("forward", sha, n),
+        "g_build": g.build,
         "picard_terms": g.iterations,
         "picard_term_norms": [float(v) for v in g.term_norms],
         "diagonal_identity_residual": diag_res,
@@ -511,7 +512,7 @@ def _verify_once(grid, specs, lambdas):
     m = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, p),)))
     mt = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, pt),)))
 
-    g, k2 = compute_g(m), compute_g(mt)  # before the marches, which overflow where G does
+    g, k2 = build_g(m), build_g(mt)  # before the marches, which overflow where G does
 
     # the marches every check below reads, one column per lambda; psi is the
     # reflected kernel's march read backwards, so for a kernel that is its
@@ -522,7 +523,7 @@ def _verify_once(grid, specs, lambdas):
     if refl is m:
         psi, k1 = e[::-1], g
     else:
-        psi, k1 = eval_e_direct(refl, lam)[::-1], compute_g(refl)
+        psi, k1 = eval_e_direct(refl, lam)[::-1], build_g(refl)
     b, kk = assemble_z_kernel(k1.g, k2.g, r)
     z = eval_z(r, psi, et)
     return {

@@ -372,6 +372,7 @@ def transform_kernel_to_files(tk: TransformKernel, csv_path, sidecar_path) -> No
     write_json(
         sidecar_path,
         {
+            "g_build": tk.build,
             "tol": tk.tol,
             "iterations": tk.iterations,
             "term_norms": [float(v) for v in tk.term_norms],

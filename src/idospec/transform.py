@@ -8,7 +8,10 @@ G1 + T(G1) + T(T(G1)) + ... On a uniform grid every integration limit and
 every shifted argument is a node, so both reduce to trapezoid sums without
 interpolation. T is causal in the rows of the grid, so compute_g solves the
 discrete equation directly, in one march down the rows, instead of summing
-the series, and certifies the result with a single Picard update.
+the series, and certifies the result with a single Picard update. For a
+difference kernel M = p(x - t) that march unrolls into a short series whose
+terms are rank one along the diagonals of G: build_g forms G from them with
+no march, and last_row G's last row alone.
 """
 
 from __future__ import annotations
@@ -29,11 +32,13 @@ class PicardConvergenceError(NumericalFailure):
 
 @dataclass(frozen=True, eq=False)
 class TransformKernel:
-    """G with the record of its build (see compute_g).
+    """G with the record of its build (see compute_g and build_g).
 
     term_norms holds the sup norm of the march and, unless that was already
     below tol, that of the one Picard update which certified it; tol is the
-    threshold the last norm fell below.
+    threshold the last norm fell below. A G summed as a series (_series_g)
+    ran neither: its term_norms is empty, and tol is the bound its rounding
+    guard met.
     """
 
     g: TriangularField
@@ -46,8 +51,13 @@ class TransformKernel:
 
     @property
     def iterations(self) -> int:
-        """Number of recorded norms: 1 (a march already below tol) or 2."""
+        """Number of recorded norms: 0 (a series), 1 (a march already below tol) or 2."""
         return len(self.term_norms)
+
+    @property
+    def build(self) -> str:
+        """How G was built: "series" (no norm recorded) or "march"."""
+        return "march" if len(self.term_norms) else "series"
 
 
 def _diagonal_columns(buf: np.ndarray, rows: int, n: int) -> np.ndarray:
@@ -289,14 +299,15 @@ def compute_g(m: TriangularField, max_terms: int = 60) -> TransformKernel:
     return TransformKernel(g=g, term_norms=np.array(norms), tol=tol)
 
 
-# Most terms _series_row sums. Every row its guard admits on grids of 40
-# intervals or more ends within about 55 terms; more are needed only on a
-# coarser grid whose step h^2 |p[0]| / 4 nears 1, where the march is cheap.
+# Most terms _series_terms yields. Every row or field its guard admits on
+# grids of 40 intervals or more ends within about 55 terms; more are needed
+# only on a coarser grid whose step h^2 |p[0]| / 4 nears 1, where the march
+# is cheap.
 _SERIES_MAX_TERMS = 64
 
 
-def _series_row(p: np.ndarray, h: float) -> np.ndarray | None:
-    """G's last row for M[i, j] = p[i - j], summed as a short series, or None.
+def _series_terms(p: np.ndarray, h: float):
+    """Yield the factors (c[:, k], z^k p), k = 0, 1, ..., of G for M[i, j] = p[i - j].
 
     The row march (see _march) of a difference kernel is Crank-Nicolson in
     t along the lines x - t = const: with H_j[d] = G[d + j, j], q = h p but
@@ -306,31 +317,47 @@ def _series_row(p: np.ndarray, h: float) -> np.ndarray | None:
     s_l = i h + (h^3 p[0] / 4) (2 l - 1). Unrolled, H_j is the sum over
     m < j of s_{j-m} (1 + z)^m / (1 - z)^(m+1) p, and the coefficient of
     z^k in that power series is the Delannoy number D(m, k), so
-    G[N, j] = H_j[N - j] = sum over k of c[j, k] (z^k p)[N - j], with
+    G[d + j, j] = H_j[d] = sum over k of c[j, k] (z^k p)[d], with
     c[j, k] = sum over m < j of s_{j-m} D(m, k): one Toeplitz product per
     term and two cumulative sums over m per coefficient column. These are
-    the march's own discrete equations, so the row agrees with compute_g's
-    to rounding. The sum stops after the first term whose sup norm is at
-    most eps times the row's. It is None, for compute_g to build G instead,
-    if the row is not finite, if _SERIES_MAX_TERMS terms do not reach that
-    point, or if eps times the sum of the terms' sup norms, which bounds the
-    rounding their cancellation leaves, exceeds compute_g's tol
-    1e-12 (1 + sup|row|).
+    the march's own discrete equations, so a sum of the terms agrees with
+    compute_g's G to rounding. The caller stops the sum; the generator ends
+    after _SERIES_MAX_TERMS terms. Each term is a new pair of arrays, except
+    that the first z^0 p is p itself.
     """
-    n, eps = p.size - 1, np.finfo(float).eps
+    n = p.size - 1
     q = h * p
     q[0] *= 0.5
     s_first, s_slope = 1j * h - 0.25 * h**3 * p[0], 0.5 * h**3 * p[0]  # s_l = s_first + s_slope l
     v = p                                   # z^k p
     d = np.ones(n)                          # D(m, k) for m = 0 .. N - 1
     s1 = np.zeros(n + 1)                    # sum over m < j of D(m, k), j = 0 .. N
-    row = np.zeros(n + 1, dtype=complex)
-    total = 0.0
     for _ in range(_SERIES_MAX_TERMS):
         np.cumsum(d, out=s1[1:])
         # sum over m < j of s_{j-m} D(m, k) = s_first s1[j] + s_slope sum over l <= j of s1[l]
-        term = s_first * s1 + s_slope * np.cumsum(s1)
-        term *= v[::-1]
+        yield s_first * s1 + s_slope * np.cumsum(s1), v
+        # D(m, k + 1) = D(m - 1, k + 1) + D(m, k) + D(m - 1, k), D(0, k + 1) = 1
+        d[1:] += d[:-1]
+        d[0] = 1.0
+        np.cumsum(d, out=d)
+        v = (0.5j * h) * np.convolve(q, v)[: n + 1]
+
+
+def _series_row(p: np.ndarray, h: float) -> np.ndarray | None:
+    """G's last row for M[i, j] = p[i - j], summed from _series_terms, or None.
+
+    G[N, j] = sum over k of c[j, k] (z^k p)[N - j]. The sum stops after the
+    first term whose sup norm is at most eps times the row's. It is None,
+    for compute_g to build G instead, if the row is not finite, if
+    _SERIES_MAX_TERMS terms do not reach that point, or if eps times the sum
+    of the terms' sup norms, which bounds the rounding their cancellation
+    leaves, exceeds compute_g's tol 1e-12 (1 + sup|row|).
+    """
+    eps = np.finfo(float).eps
+    row = np.zeros(p.size, dtype=complex)
+    total = 0.0
+    for c, v in _series_terms(p, h):
+        term = c * v[::-1]
         row += term
         size = np.abs(term).max()
         total += size
@@ -338,11 +365,6 @@ def _series_row(p: np.ndarray, h: float) -> np.ndarray | None:
             return None
         if size <= eps * np.abs(row).max():
             break
-        # D(m, k + 1) = D(m - 1, k + 1) + D(m, k) + D(m - 1, k), D(0, k + 1) = 1
-        d[1:] += d[:-1]
-        d[0] = 1.0
-        np.cumsum(d, out=d)
-        v = (0.5j * h) * np.convolve(q, v)[: n + 1]
     else:
         return None
     sup = np.abs(row).max()
@@ -350,6 +372,77 @@ def _series_row(p: np.ndarray, h: float) -> np.ndarray | None:
         return None
     row[0] = 0.0  # G(pi, 0) = 0, kept exact
     return row
+
+
+def _series_g(p: np.ndarray, grid: Grid) -> TransformKernel | None:
+    """G for M[i, j] = p[i - j] as the product of _series_terms' factors, or None.
+
+    The sheared G, S[j, d] = G[d + j, j], is C V with C[:, k] = c[:, k]
+    and V[k] = z^k p, an (N + 1) x K and a K x (N + 1) matrix. Term k
+    adds c[j, k] (z^k p)[d] to G's entries, j + d <= N; its sup norm on G,
+    at most sup|c[:, k]| sup|z^k p|, is its size. The factors stop after the
+    first term whose size is at most eps times the sum of the sizes so far.
+    The product is formed ROW_BLOCK rows of S at a time, one gemm each, and
+    each block is copied into G's diagonals through a strided view: S[j, d]
+    lies at offset j (N + 2) + d (N + 1) of G's buffer. A block's entries
+    with j + d > N fall outside the triangle, past G's last row; the buffer
+    holds ROW_BLOCK - 1 more rows to take them, so besides G and those rows
+    the build holds one block of S and the factors, no second field. It is
+    None, for compute_g to build G instead, if G is not finite, if
+    _SERIES_MAX_TERMS terms do not reach the stop, or if eps times the sum
+    of the sizes, which bounds the rounding their cancellation leaves,
+    exceeds compute_g's tol 1e-12 (1 + sup|G|). No Picard update certifies
+    it: that guard does. term_norms is empty (no march ran), and tol is
+    that of the guard.
+    """
+    eps = np.finfo(float).eps
+    cs, vs = [], []
+    total = 0.0
+    for c, v in _series_terms(p, grid.step):
+        cs.append(c)
+        vs.append(v)
+        # sup over j + d <= N of |c[j]| |v[d]|: the term's sup norm on G
+        size = (np.abs(c) * np.maximum.accumulate(np.abs(v))[::-1]).max()
+        total += size
+        if not np.isfinite(total):
+            return None
+        if size <= eps * total:
+            break
+    else:
+        return None
+    cmat, vmat = np.stack(cs, axis=1), np.stack(vs)
+    del cs, vs
+    n = p.size
+    block = min(ROW_BLOCK, n)
+    buf = np.zeros((n + block - 1) * n, dtype=complex)  # G, then the rows past its last
+    s = buf.itemsize
+    for j0 in range(0, n, block):
+        rows = cmat[j0 : j0 + block] @ vmat[:, : n - j0]  # S[j0 .. j0 + block - 1, :N + 1 - j0]
+        as_strided(buf[j0 * (n + 1) :], shape=rows.shape, strides=((n + 1) * s, n * s),
+                   writeable=True)[...] = rows
+    g = TriangularField(grid, buf[: n * n].reshape(n, n))
+    g.values[:, 0] = 0.0  # boundary identity G(x, 0) = 0, kept exact
+    tol = 1e-12 * (1.0 + g.sup_norm())
+    if not (np.isfinite(tol) and eps * total <= tol):
+        return None
+    return TransformKernel(g=g, term_norms=np.zeros(0), tol=tol)
+
+
+def build_g(m: TriangularField) -> TransformKernel:
+    """G of the kernel m: _series_g's for a difference kernel, else compute_g's.
+
+    A difference kernel (quadrature.difference_samples) takes the series
+    unless its guard declines; any other kernel, or one it declines, takes
+    compute_g, whose G and record are returned unchanged, and which raises
+    PicardConvergenceError for a kernel that overflows.
+    """
+    p = difference_samples(m)
+    if p is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            tk = _series_g(p, m.grid)
+        if tk is not None:
+            return tk
+    return compute_g(m)
 
 
 def last_row(m: TriangularField) -> tuple[np.ndarray, str]:

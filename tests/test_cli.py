@@ -132,6 +132,22 @@ class TestForward:
         assert report["boundary_column_max"] == 0.0
         assert (out / "g_kernel.csv").is_file()
         assert (out / "e_samples.csv").is_file()
+
+    @pytest.mark.parametrize("r, build, terms", [(None, "series", 0), (TILTED_R, "march", 2)])
+    def test_reports_how_g_was_built(self, workdir, r, build, terms):
+        # M = P(x - t) is summed as a series, with no march and no Picard
+        # update; the tilted R makes M no difference kernel, so it is marched
+        kernel = json.loads(json.dumps(CONST_KERNEL))
+        if r is not None:
+            kernel["components"][0]["r"] = r
+        cfg = write_config(workdir / f"fwd_{build}.json", {"grid_n": 30, "kernel": kernel})
+        out = workdir / f"fwd_{build}_out"
+        assert main(["forward", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "forward_report.json").read_text())
+        meta = json.loads((out / "g_kernel_meta.json").read_text())
+        assert (report["g_build"], report["picard_terms"]) == (meta["g_build"], meta["iterations"]) == (
+            build, terms)
+        assert report["picard_term_norms"] == meta["term_norms"] and len(meta["term_norms"]) == terms
         assert report["provenance"]["grid_n"] == 30
 
     def test_grid_override(self, workdir):
@@ -412,8 +428,8 @@ class TestSpectrum:
         # lies beyond pi/h = 8 as well as outside the window: it is refused,
         # naming the file and the root, before any G build
         builds = []
-        for module in (idospec.cli, idospec.inverse):
-            monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1))
+        for module, name in ((idospec.cli, "build_g"), (idospec.inverse, "compute_g")):
+            monkeypatch.setattr(module, name, lambda *a, **k: builds.append(1))
         data = json.loads(target_spectrum.read_text())
         data["eigenvalues"][0]["re"] = 45.0
         root = complex(45.0, data["eigenvalues"][0]["im"])
@@ -950,8 +966,8 @@ class TestConfigErrors:
         self, workdir, monkeypatch, capsys, command, extra, key, start
     ):
         builds = []
-        for module in (idospec.cli, idospec.inverse):
-            monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1))
+        for module, name in ((idospec.cli, "build_g"), (idospec.inverse, "compute_g")):
+            monkeypatch.setattr(module, name, lambda *a, **k: builds.append(1))
         monkeypatch.setattr(idospec.cli, "last_row", lambda *a, **k: builds.append(1))
         cfg = base_config(command, **extra)
         name = f"cfg_type_{command}_{key}_{len(extra)}_{len(str(extra))}"
@@ -969,8 +985,8 @@ class TestConfigErrors:
         self, workdir, monkeypatch, capsys, command, key, value
     ):
         builds = []
-        for module in (idospec.cli, idospec.inverse):
-            monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1))
+        for module, name in ((idospec.cli, "build_g"), (idospec.inverse, "compute_g")):
+            monkeypatch.setattr(module, name, lambda *a, **k: builds.append(1))
         monkeypatch.setattr(idospec.cli, "last_row", lambda *a, **k: builds.append(1))
         cfg = base_config(command, opts={key: value})
         path = write_config(workdir / f"cfg_range_{key}_{value}.json", cfg)
@@ -1027,8 +1043,8 @@ class TestOutPath:
 
         builds = []
         monkeypatch.setattr(idospec.cli, "make_grid", no_grid)
-        for module in (idospec.cli, idospec.inverse):
-            monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1))
+        for module, name in ((idospec.cli, "build_g"), (idospec.inverse, "compute_g")):
+            monkeypatch.setattr(module, name, lambda *a, **k: builds.append(1))
         monkeypatch.setattr(idospec.cli, "last_row", lambda *a, **k: builds.append(1))
         afile = workdir / f"out_file_{command}_{len(below)}"
         afile.write_text("kept\n")

@@ -19,6 +19,7 @@ from idospec.transform import (
     _march,
     _next_fast_len,
     assemble_z_kernel,
+    build_g,
     compute_g,
     last_row,
     picard_g1,
@@ -354,6 +355,16 @@ def _difference_kernel(n, p):
     return TriangularField(grid, np.array(lag_view(np.asarray(p(grid.nodes), dtype=complex))))
 
 
+def _random_profile(kind, amp, seed):
+    """A profile of amplitude about amp: a four-term trig sum, or a cubic
+    in x / pi with real or complex coefficients."""
+    c = amp * np.random.default_rng(seed).uniform(-1.0, 1.0, (2, 4))
+    if kind == "trig":
+        return lambda x: sum(c[0, k] * np.sin(k * x + c[1, k]) for k in range(4))
+    coef = c[0] + 1j * c[1] if kind == "complex" else c[0]
+    return lambda x: np.polyval(coef, x / PI)
+
+
 class TestLastRow:
     """last_row's series against compute_g's last row, and its fallback to the march."""
 
@@ -368,14 +379,7 @@ class TestLastRow:
     @example(n=401, kind="complex", amp=3.0, seed=1)
     @example(n=2, kind="polynomial", amp=0.0, seed=0)
     def test_series_matches_the_march(self, n, kind, amp, seed):
-        rng = np.random.default_rng(seed)
-        c = amp * rng.uniform(-1.0, 1.0, (2, 4))
-        if kind == "trig":
-            p = lambda x: sum(c[0, k] * np.sin(k * x + c[1, k]) for k in range(4))
-        else:
-            coef = c[0] + 1j * c[1] if kind == "complex" else c[0]
-            p = lambda x: np.polyval(coef, x / PI)
-        m = _difference_kernel(n, p)
+        m = _difference_kernel(n, _random_profile(kind, amp, seed))
         row, way = last_row(m)
         ref = compute_g(m).g.values[-1]
         assert row.shape == ref.shape
@@ -414,6 +418,54 @@ class TestLastRow:
         assert err.startswith("numerical failure: march sup norm") and err.count("\n") == 1, err
 
 
+class TestBuildG:
+    """build_g's series G against compute_g's, and its fallback to compute_g."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 401),
+        kind=st.sampled_from(["trig", "polynomial", "complex"]),
+        amp=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=400, kind="trig", amp=3.0, seed=0)
+    @example(n=401, kind="complex", amp=3.0, seed=1)
+    @example(n=2, kind="polynomial", amp=0.0, seed=0)
+    @example(n=2 * ROW_BLOCK, kind="polynomial", amp=1.0, seed=2)
+    def test_series_matches_the_march(self, n, kind, amp, seed):
+        m = _difference_kernel(n, _random_profile(kind, amp, seed))
+        tk, ref = build_g(m), compute_g(m)
+        g = tk.g.values
+        assert g.shape == ref.g.values.shape
+        assert g[:, 0].tobytes() == np.zeros(n + 1, dtype=complex).tobytes()  # G(x, 0) = +0.0
+        assert np.triu(g, 1).tobytes() == np.zeros_like(g).tobytes()  # +0.0 above the diagonal
+        assert np.abs(g - ref.g.values).max() <= 1e-12 * (1.0 + ref.g.sup_norm())
+        if n >= 16:
+            # the series declines only for a far larger P
+            assert (tk.build, tk.iterations) == ("series", 0)
+            assert tk.tol == 1e-12 * (1.0 + tk.g.sup_norm())
+            row, way = last_row(m)
+            assert way == "series" and np.abs(g[-1] - row).max() <= tk.tol
+
+    @pytest.mark.parametrize("m", [
+        TriangularField.constant(make_grid(100), 100.0),  # its rounding guard declines
+        family_fields(make_grid(50))["structured"],  # no difference kernel
+        family_fields(make_grid(50))["trig"],
+    ], ids=["P=100", "structured", "trig"])
+    def test_otherwise_compute_g_bitwise(self, m):
+        tk, ref = build_g(m), compute_g(m)
+        assert tk.build == "march"
+        assert tk.g.values.tobytes() == ref.g.values.tobytes()
+        assert tk.term_norms.tobytes() == ref.term_norms.tobytes() and tk.tol == ref.tol
+
+    def test_overflowing_profile_raises_as_compute_g(self):
+        m = TriangularField.constant(make_grid(8), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PicardConvergenceError, match="march sup norm"):
+                build_g(m)
+
+
 class TestWorkingMemory:
     """Full-size arrays a G build and the z-split hold at once, result included.
 
@@ -426,8 +478,13 @@ class TestWorkingMemory:
     z-split holds its result, R and two row-spectrum arrays. shifted_factor
     holds only its result, and eval_z a block of ROW_BLOCK rows of R plus
     arrays of about N + 32 entries per column: its lag view of e_tilde
-    builds no field per column. forward holds M beside a G build, and only
-    G beside its CSV writer.
+    builds no field per column. build_g's series G of a difference kernel
+    holds G, ROW_BLOCK - 1 rows past it that take the product's entries
+    outside the triangle, one block of ROW_BLOCK rows of the product and
+    its factors, about 2 K rows for K terms, and no second field: 1.5
+    fields at N = 200 and 1.3 at N = 400. forward holds M beside a G
+    build, and only G beside its CSV writer, so with the series its peak is
+    the writer's.
     """
 
     def test_shifted_factor(self):
@@ -467,6 +524,25 @@ class TestWorkingMemory:
         run = cli._parse({"grid_n": n, "kernel": {"m0": m0, "components": [{"r": r, "p": p}]}},
                          "forward", None)
         peak = _peak_fields(lambda: cli.cmd_forward("0" * 64, tmp_path, None, **run), n)
+        assert peak <= 1.0 + self.COMPUTE_G_FIELDS[n]
+
+    SERIES_G_FIELDS = {200: 1.6, 400: 1.3}
+
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_build_g_series(self, n):
+        m = _difference_kernel(n, lambda x: 0.3 * np.sin(x + 0.5) + 0.25 * np.sin(2 * x + 1.0))
+        assert build_g(m).build == "series"
+        assert _peak_fields(lambda: build_g(m), n) <= self.SERIES_G_FIELDS[n]
+
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_forward_difference_kernel(self, tmp_path, n):
+        # M = P(x - t): G is the series' and the G CSV writer holds the peak
+        zero, one = ({"kind": "analytic", "family": "constant", "coeffs": [c]} for c in (0.0, 1.0))
+        p = {"kind": "analytic", "family": "trig", "coeffs": [[0.3, 1, 0.5], [0.25, 2, 1.0]]}
+        run = cli._parse({"grid_n": n, "kernel": {"m0": zero, "components": [{"r": one, "p": p}]}},
+                         "forward", None)
+        peak = _peak_fields(lambda: cli.cmd_forward("0" * 64, tmp_path, None, **run), n)
+        assert json.loads((tmp_path / "forward_report.json").read_text())["g_build"] == "series"
         assert peak <= 1.0 + self.COMPUTE_G_FIELDS[n]
 
     def test_assemble_z_kernel(self):

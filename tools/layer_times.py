@@ -1,7 +1,9 @@
 """Print the median time and the memory peak of each solver layer as a Markdown table.
 
-Layers: compute_g, G's last row by transform.last_row for the difference
-kernel M = P(x - t) (the series `spectrum` sums in place of a G build),
+Layers: compute_g, G of the difference kernel M = P(x - t) by
+transform.build_g (the series `forward` and `verify` sum in place of the
+march), G's last row by transform.last_row for that kernel (the series
+`spectrum` sums in place of a G build),
 the row march (transform._march), one Picard step added
 into a field (transform.picard_step, as compute_g adds its one update into
 G1), its inner-integral product (transform._inner_table),
@@ -23,9 +25,9 @@ N in {100, 200, 400, 800} unless --n names others. The inputs are fixed: M =
 M0 + R P(x - t) with smooth M0, R and a three-term trig profile P, given
 as the kernel object of a config (KERNEL), its G, and that G as both
 kernels of the z-split. M is no difference kernel, so it is fitted on the
-G path. The Toeplitz row and the last row need a difference kernel, so
-they take M = P(x - t) with M0 = 0 and R = 1 instead: they do not measure
-the same kernel as compute_g.
+G path. The Toeplitz row, the series G and the last row need a difference
+kernel, so they take M = P(x - t) with M0 = 0 and R = 1 instead: they do
+not measure the same kernel as compute_g.
 Each time is the median over repeats of a timeit loop of at least 50 ms.
 Beside it stands the layer's tracemalloc peak above its inputs (what one
 call allocates at most at once, its result included), in (N+1)^2 complex
@@ -117,6 +119,7 @@ def layers(n: int, out: Path) -> dict:
     delta = DeltaEvaluator(row, row_fine)
     return {
         "compute_g": lambda: transform.compute_g(m),
+        "build_g series (M = P(x - t))": lambda: transform.build_g(m_toeplitz),
         "last_row (M = P(x - t))": lambda: transform.last_row(m_toeplitz),
         "_march": lambda: transform._march(m.values, g1, h),
         "picard_step": lambda: transform.picard_step(m, g, into),
