@@ -4,21 +4,22 @@ The residual never re-solves the eigenvalue problem inside the optimizer
 loop: a target eigenvalue nu of multiplicity m contributes the values
 Delta(nu), Delta'(nu), ..., Delta^(m-1)(nu) of the candidate characteristic
 function, which all vanish exactly when nu is a zero of that multiplicity.
-A fit takes one of two paths, which InverseProblem.toeplitz decides once.
+Delta is always spectral.DeltaEvaluator of G's last row, the Delta whose
+zeros find_spectrum finds. A fit takes one of two paths to that row, which
+InverseProblem.series decides once.
 
-When M = M0 + R P(x - t) is a difference kernel and the targets are simple
-(the Toeplitz path), Delta is that of the trapezoid e-system, a lower
-triangular Toeplitz system that spectral.toeplitz_delta solves with its
-exact gradient in the samples of M, so no G is built and each residual
-comes with its exact Jacobian; the residual is the Richardson combination
-of the grid and its every other node.
+When M = M0 + R P(x - t) is a difference kernel on an even grid (the
+series path), the rows are transform.series_row's on the grid and on its
+every other node, as spectrum with "extrapolate" reads them, so no G is
+built; Delta is their Richardson combination, and the exact Jacobian of
+the rows (transform.series_jacobian) gives the residual's.
 
-Otherwise (the G path) Delta is spectral.DeltaEvaluator of the candidate
-G's last row, the Delta whose zeros find_spectrum finds when it does not
-extrapolate, and the Jacobian is forward differences of that residual, one
-G build per parameter. The paper's Green identity and change of variables
-are not needed for the fit; verify_green_identity and
-verify_change_of_variables check them numerically.
+Otherwise (the G path) Delta is that of the candidate G's last row, the
+Delta whose zeros find_spectrum finds when it does not extrapolate, and the
+Jacobian is forward differences of that residual, one G build per
+parameter. The paper's Green identity and change of variables are not
+needed for the fit; verify_green_identity and verify_change_of_variables
+check them numerically.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .quadrature import (
     TriangularField,
     difference_samples,
     lag_view,
+    make_grid,
     require_same_grid,
     trapezoid_weights,
     volterra_apply,
@@ -47,8 +49,8 @@ from .kernels import (
     NumericalFailure,
     WeightVanishesError,
 )
-from .transform import compute_g
-from .spectral import DeltaEvaluator, Spectrum, toeplitz_delta
+from .transform import compute_g, series_jacobian, series_row
+from .spectral import DeltaEvaluator, Spectrum
 
 
 class UnderdeterminedError(ValueError):
@@ -56,7 +58,7 @@ class UnderdeterminedError(ValueError):
 
 
 class NonFiniteResidualError(NumericalFailure):
-    """A residual of the Toeplitz path is not finite."""
+    """A residual of the series path is not finite, though its rows are."""
 
 
 # The fit's one setting, and its default: it ends unconverged after MAX_ITER
@@ -74,8 +76,8 @@ FTOL = 1e-8
 # damped steps, each rejection raising the damping tenfold.
 LM_DAMPING0 = 1e-3
 MAX_INNER = 12
-# The G path's Jacobian moves parameter k by FD_STEP (1 + |p_k|) for its
-# forward difference, about the square root of the double precision epsilon.
+# A forward-difference Jacobian moves parameter k by FD_STEP (1 + |p_k|),
+# about the square root of the double precision epsilon.
 FD_STEP = 1.5e-8
 
 
@@ -132,10 +134,10 @@ def _spline_basis(knots: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 class InverseProblem:
     """Single-profile recovery setup: M0 and R known, P unknown.
 
-    A problem whose toeplitz property is set is fitted with no G (see
-    spectrum_residual). Each G that spectrum_residual builds for any other
-    is compute_g(m): the row march, certified by one Picard update at the
-    tolerance the march sets.
+    A problem whose series property is set is fitted on series rows (see
+    spectrum_residual). Each G that spectrum_residual builds, for any other
+    problem or for a row the series declines, is compute_g's: the row
+    march, certified by one Picard update at the tolerance the march sets.
     """
 
     m0: TriangularField
@@ -169,23 +171,36 @@ class InverseProblem:
         return _spline_basis(self.param_nodes, self.grid.nodes)
 
     @cached_property
-    def toeplitz(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(m0, lift) when the fit takes the Toeplitz path, else None.
+    def series(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(m0, lift) when the fit takes the series path, else None.
 
         The path needs M = M0 + R P(x - t) to be a difference kernel: M0 and
         R must each be one (quadrature.difference_samples). It also needs N
-        even, every target simple, and every |Re nu| < N/2, where the grid
-        of N/2 intervals does not alias. Then M's difference
-        samples are m0 + lift @ params, with m0 the column 0 of M0 and lift
-        the basis scaled by the column 0 of R.
+        even and every |Re nu| < N/2, where the grid of N/2 intervals does
+        not alias. Then M's difference samples are m0 + lift @ params, with
+        m0 the column 0 of M0 and lift the basis scaled by the column 0 of R.
         """
         n = self.grid.n_intervals
-        evs = self.target.eigenvalues
         m0, r = difference_samples(self.m0), difference_samples(self.r)
-        if (n % 2 or any(ev.multiplicity != 1 or abs(ev.value.real) >= n / 2 for ev in evs)
+        if (n % 2 or any(abs(ev.value.real) >= n / 2 for ev in self.target.eigenvalues)
                 or m0 is None or r is None):
             return None
         return m0, r[:, None] * self.basis
+
+    @cached_property
+    def row_gradients(self) -> tuple[np.ndarray, np.ndarray]:
+        """The derivatives of the series residual in the rows of N/2 and of N intervals.
+
+        Row t of the residual is Delta^(m)(nu) with the coefficients
+        (4 w_j row_N[j] - [j even] w'_(j/2) row_N/2[j/2]) / 3 (DeltaEvaluator),
+        w and w' the trapezoid weights of the two grids, so its derivative in
+        either row's entry j is that coefficient's weight times
+        (-i x_j)^m exp(-i nu x_j), x_j the node the entry sits on.
+        """
+        (nus, orders), x, h = _target_orders(self), self.grid.nodes, self.grid.step
+        terms = (-1j * x) ** orders[:, None] * np.exp(-1j * np.outer(nus, x))
+        return (terms[:, ::2] * trapezoid_weights(x.size // 2 + 1, 2 * h) / -3.0,
+                terms * trapezoid_weights(x.size, h) * (4.0 / 3.0))
 
     def is_underdetermined(self) -> bool:
         return self.target.total_count < self.d
@@ -208,8 +223,9 @@ class RecoveryReport:
     underdetermined: bool = False
     residual_evals: int = 0     # residuals of the start and of each trial step
     jacobian_evals: int = 0     # Jacobians taken
-    g_builds: int = 0           # compute_g calls: none on the Toeplitz path; on the G
-                                # path one per residual and d per Jacobian
+    g_builds: int = 0           # compute_g calls: on the G path one per residual, so d
+                                # per Jacobian; on the series path one per row the
+                                # series declines
     mu: float = 0.0             # the regularization weight the fit used
     # per LM iteration: the damping of the step it accepted (the damping it
     # ended at if it accepted none), and its trial residuals that did not
@@ -226,13 +242,6 @@ def profile_from_params(params, problem: InverseProblem) -> Profile:
     return Profile(problem.grid, (problem.basis @ params).astype(complex))
 
 
-def _candidate_kernel(p_params, problem: InverseProblem) -> TriangularField:
-    prof = profile_from_params(p_params, problem)
-    return assemble_kernel(
-        StructuredKernel(problem.m0, (KernelComponent(problem.r, prof),))
-    )
-
-
 def _target_orders(problem: InverseProblem) -> tuple[np.ndarray, np.ndarray]:
     """Target values and derivative orders, one entry per residual row."""
     evs = problem.target.eigenvalues
@@ -241,66 +250,95 @@ def _target_orders(problem: InverseProblem) -> tuple[np.ndarray, np.ndarray]:
     return np.array(nus, dtype=complex), np.array(orders, dtype=int)
 
 
+def _series_residual(p_params, problem: InverseProblem):
+    """spectrum_residual on the series path."""
+    m0, lift = problem.series
+    p = m0 + lift @ p_params
+    rows, terms = [], []
+    for stride in (2, 1):
+        # h is make_grid(N / stride)'s step, bitwise
+        samples, h, factors = p[::stride], stride * problem.grid.step, []
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = series_row(samples, h, factors)
+        if row is None:  # last_row's march row
+            grid = make_grid(problem.grid.n_intervals // stride)
+            row, factors = compute_g(TriangularField(grid, np.array(lag_view(samples)))).g.values[-1], None
+        rows.append(row)
+        terms.append((samples, h, factors, lift[::stride]))
+    res = _delta_at_targets(DeltaEvaluator(*rows), problem)
+    if not np.isfinite(res).all():
+        raise NonFiniteResidualError("the series residual of the fit is not finite")
+    builds = sum(factors is None for _, _, factors, _ in terms)
+
+    def jacobian():
+        return sum(grad @ (series_jacobian(samples, h, factors) @ lift)
+                   for grad, (samples, h, factors, lift) in zip(problem.row_gradients, terms))
+    return res, None if builds else jacobian, builds
+
+
+def _delta_at_targets(delta: DeltaEvaluator, problem: InverseProblem) -> np.ndarray:
+    """Delta^(j)(nu) for each residual row's target nu and order j."""
+    nus, orders = _target_orders(problem)
+    res = np.empty(nus.size, dtype=complex)
+    for order in set(orders.tolist()):  # np.unique would import numpy.ma, 0.5 MB
+        res[orders == order] = delta.deriv(nus[orders == order], order)
+    return res
+
+
 def spectrum_residual(p_params, problem: InverseProblem):
     """Candidate Delta (and derivatives, per multiplicity) at the target points.
 
-    Returns the residual and its Jacobian, or None for the Jacobian. On the
-    Toeplitz path (problem.toeplitz set) the residual is the Richardson
-    combination (4 Delta_N - Delta_{N/2}) / 3 of toeplitz_delta on the grid
-    and on its every other node, fourth order in h, and the Jacobian is its
-    exact one, one row per target and one column per parameter; no kernel
-    field and no G is formed, and a residual that is not finite raises
-    NonFiniteResidualError, as compute_g refuses a kernel that is not
-    finite. On the G path each derivative order is one call of the
-    DeltaEvaluator of G's last row over its targets, and the Jacobian is
-    None: recover_profile takes it by forward differences.
+    Returns (residual, jacobian, G builds). jacobian is a function of no
+    argument that returns the exact Jacobian, one row per residual row and
+    one column per parameter, or None: recover_profile then takes it by
+    forward differences. On the series path (problem.series set) the
+    residual is DeltaEvaluator(row_N/2, row_N)'s, the Richardson
+    combination (4 Delta_N - Delta_N/2) / 3 of the series rows of M's
+    difference samples on the grid and on its every other node, fourth
+    order in h: no kernel field and no G is formed, and jacobian chains
+    series_jacobian through the lift. A row whose rounding guard declines
+    is last_row's march row, one G build; jacobian is then None. A
+    residual that is not finite raises NonFiniteResidualError. On the G
+    path each derivative order is one call of the DeltaEvaluator of G's
+    last row over its targets, one G build, and jacobian is None.
     """
-    if problem.toeplitz is not None:
-        m0, lift = problem.toeplitz
-        p = m0 + lift @ p_params
-        nus = _target_orders(problem)[0]
-        (fine, d_fine), (coarse, d_coarse) = (toeplitz_delta(p[::s], nus) for s in (1, 2))
-        res = (4.0 * fine - coarse) / 3.0
-        if not np.isfinite(res).all():
-            raise NonFiniteResidualError("the Toeplitz residual of the fit is not finite")
-        return res, (4.0 * d_fine @ lift - d_coarse @ lift[::2]) / 3.0
-    g = compute_g(_candidate_kernel(p_params, problem))
-    nus, orders = _target_orders(problem)
-    delta = DeltaEvaluator(g.g.values[-1])
-    res = np.empty(nus.size, dtype=complex)
-    for order in np.unique(orders):
-        rows = orders == order
-        res[rows] = delta.deriv(nus[rows], int(order))
-    return res, None
+    if problem.series is not None:
+        return _series_residual(p_params, problem)
+    prof = profile_from_params(p_params, problem)
+    g = compute_g(assemble_kernel(StructuredKernel(problem.m0, (KernelComponent(problem.r, prof),))))
+    return _delta_at_targets(DeltaEvaluator(g.g.values[-1]), problem), None, 1
 
 
-def _second_difference(params: np.ndarray) -> np.ndarray:
-    return params[:-2] - 2.0 * params[1:-1] + params[2:]
+def _stacked(values: np.ndarray, params: np.ndarray, mu: float) -> np.ndarray:
+    """The real and imaginary parts of values, then with mu > 0 sqrt(mu) times
+    the second differences of params: the stacked residual of residual
+    values at params, or with the identity for params its Jacobian."""
+    parts = [values.real, values.imag]
+    if mu > 0:
+        parts.append(np.sqrt(mu) * (params[:-2] - 2.0 * params[1:-1] + params[2:]))
+    return np.concatenate(parts)
 
 
 def _stacked_residual(params: np.ndarray, problem: InverseProblem, mu: float):
-    res, jac = spectrum_residual(params, problem)
-    parts = [res.real, res.imag]
-    if mu > 0:
-        parts.append(np.sqrt(mu) * _second_difference(params))
-    return np.concatenate(parts), jac
+    res, jacobian, builds = spectrum_residual(params, problem)
+    return _stacked(res, params, mu), jacobian, builds
 
 
-def _stacked_jacobian(params: np.ndarray, res: np.ndarray, exact, problem: InverseProblem, mu: float):
-    """The stacked Jacobian at params, whose stacked residual res came with exact.
+def _stacked_jacobian(params: np.ndarray, res: np.ndarray, jacobian, problem: InverseProblem, mu: float):
+    """The stacked Jacobian at params, whose stacked residual res came with
+    jacobian, and the G builds it took.
 
-    On the Toeplitz path exact is the Jacobian of the residual. On the G
-    path (exact None) column k is the forward difference of the stacked
-    residual with step FD_STEP (1 + |p_k|), one G build each.
+    With jacobian None column k is the forward difference of the stacked
+    residual with step FD_STEP (1 + |p_k|); otherwise jacobian gives the
+    residual's rows.
     """
-    if exact is None:
+    if jacobian is None:
         steps = FD_STEP * (1.0 + np.abs(params))
-        return np.stack([(_stacked_residual(params + step * unit, problem, mu)[0] - res) / step
-                         for step, unit in zip(steps, np.eye(problem.d))], axis=1)
-    parts = [exact.real, exact.imag]
-    if mu > 0:
-        parts.append(np.sqrt(mu) * _second_difference(np.eye(problem.d)))
-    return np.concatenate(parts)
+        trials = [_stacked_residual(params + step * unit, problem, mu)
+                  for step, unit in zip(steps, np.eye(problem.d))]
+        return (np.stack([(t[0] - res) / step for t, step in zip(trials, steps)], axis=1),
+                sum(t[2] for t in trials))
+    return _stacked(jacobian(), np.eye(problem.d), mu), 0
 
 
 def recover_profile(
@@ -313,15 +351,16 @@ def recover_profile(
 
     Minimizes 0.5 * ||stacked residual||^2 with a second-difference
     regularizer of weight mu; with fewer than 2d target data, mu = 0 is
-    raised to 1e-6, and the report records the weight used. On the
-    Toeplitz path each residual comes with its exact Jacobian and no G is
-    built. On the G path each residual builds one G, and each iteration's
-    Jacobian is forward differences of the stacked residual, d more G
-    builds (see _stacked_jacobian). The fit converges when the cost drops
-    below FTOL, the step below XTOL, or an accepted step lowers the cost by
-    at most STALL_RTOL of it; it ends unconverged after max_iter
-    iterations, or when MAX_INNER damped steps of one iteration all fail to
-    lower the cost.
+    raised to 1e-6, and the report records the weight used. On the series
+    path each residual comes with its exact Jacobian, taken only for the
+    residuals an iteration starts from, and no G is built. On the G path,
+    or where a series row declines, each residual builds G, and the
+    iteration's Jacobian is forward differences of the stacked residual, d
+    more residuals (see _stacked_jacobian); g_builds counts every build.
+    The fit converges when the cost drops below FTOL, the step below XTOL,
+    or an accepted step lowers the cost by at most STALL_RTOL of it; it
+    ends unconverged after max_iter iterations, or when MAX_INNER damped
+    steps of one iteration all fail to lower the cost.
     """
     problem.check_weight_condition()
     params = np.asarray(init, dtype=float).copy()
@@ -335,9 +374,8 @@ def recover_profile(
     if mu == 0 and problem.target.total_count < 2 * problem.d:
         mu = 1e-6  # truncated spectra can be practically underdetermined
 
-    g_path = problem.toeplitz is None
-    res, exact = _stacked_residual(params, problem, mu)
-    residual_evals, jacobian_evals, g_builds = 1, 0, int(g_path)
+    res, jacobian, g_builds = _stacked_residual(params, problem, mu)
+    residual_evals, jacobian_evals = 1, 0
     cost = float(np.linalg.norm(res))
     history = [cost]
     dampings, rejected = [], []
@@ -346,9 +384,9 @@ def recover_profile(
     it = 0
     while not converged and it < max_iter:
         it += 1
-        jac = _stacked_jacobian(params, res, exact, problem, mu)
+        jac, builds = _stacked_jacobian(params, res, jacobian, problem, mu)
         jacobian_evals += 1
-        g_builds += g_path * problem.d
+        g_builds += builds
 
         accepted = False
         rejected.append(0)
@@ -361,13 +399,13 @@ def recover_profile(
                 damping *= 10.0
                 continue
             trial = params + delta
-            trial_res, trial_exact = _stacked_residual(trial, problem, mu)
+            trial_res, trial_jacobian, builds = _stacked_residual(trial, problem, mu)
             residual_evals += 1
-            g_builds += g_path
+            g_builds += builds
             trial_cost = float(np.linalg.norm(trial_res))
             if trial_cost < cost:
                 stalled = cost - trial_cost <= STALL_RTOL * cost
-                params, res, cost, exact = trial, trial_res, trial_cost, trial_exact
+                params, res, cost, jacobian = trial, trial_res, trial_cost, trial_jacobian
                 accepted = True
                 break
             rejected[-1] += 1

@@ -412,11 +412,13 @@ def _count(value, key: str, least: int) -> int:
     return int(value)
 
 
-def _flag(value, key: str) -> bool:
-    """A true/false flag read by spectrum_from_json, refused with ValueError
-    unless it is one: bool() would read "false" as True."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
+def _typed(value, key: str, kind: type):
+    """A number (kind float) or a flag (kind bool) read by spectrum_from_json,
+    refused with ValueError unless it is one: bool() would read "false" as
+    True, and float() and complex() read true as 1."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{key} must be {'true or false' if kind is bool else 'a number'}, "
+                         f"got {value!r}")
     return value
 
 
@@ -425,14 +427,15 @@ def spectrum_from_json(path) -> Spectrum:
         # fmt writes integral floats without a point ("-0", "2"); reading
         # them as floats keeps -0.0, so a rewrite is byte-identical
         data = json.load(fh, parse_int=float)
-    win = SearchWindow(**data["window"])
+    window = data["window"]
+    win = SearchWindow(**{key: _typed(window[key], key, float) for key in window})
     evs = tuple(
         Eigenvalue(
-            value=complex(e["re"], e["im"]),
+            value=complex(*(_typed(e[key], key, float) for key in ("re", "im"))),
             multiplicity=_count(e["multiplicity"], "multiplicity", 1),
-            residual=float(e["residual"]),
+            residual=_typed(e["residual"], "residual", float),
             # absent in older files, which flagged no root
-            newton_converged=_flag(e.get("newton_converged", True), "newton_converged"),
+            newton_converged=_typed(e.get("newton_converged", True), "newton_converged", bool),
         )
         for e in data["eigenvalues"]
     )

@@ -30,9 +30,9 @@ window boundary certifies the result: the multiplicities found must add up
 to it, or the search is retried once at stride 1, where the polynomial is
 Delta itself.
 
-A difference kernel M = p(x - t) needs no G: its trapezoid e-system is lower
-triangular and Toeplitz, and toeplitz_delta solves it by FFT, with the
-exact gradient of Delta in the samples of p, for the inversion to fit on.
+The inversion fits the same Delta: its residual at the target eigenvalues
+is a DeltaEvaluator's, of the series rows for a difference kernel and of
+G's last row otherwise.
 """
 
 from __future__ import annotations
@@ -163,87 +163,6 @@ def eval_e_direct(m: TriangularField, lam) -> np.ndarray:
         p *= phase[i]
         known += p
     return e[:, 0] if lx.ndim == 1 else e
-
-
-def _series_inverse(a: np.ndarray) -> np.ndarray:
-    """First n coefficients of 1 / A(x) per row of the (K, n) power-series
-    coefficients a, each with a nonzero constant term.
-
-    Newton's iteration B <- B (2 - A B) doubles the number of correct
-    coefficients per step. With k of them known, A B is 1 up to x^k, so the
-    step appends minus the first k coefficients of B times coefficients
-    k .. 2k - 1 of A B. Both products are cyclic convolutions of length 2k
-    by FFT: the wrap-around of A B lands on coefficients below k, which are
-    not read.
-    """
-    n = a.shape[1]
-    b = 1.0 / a[:, :1]
-    k = 1
-    while k < n:
-        fb = np.fft.fft(b, 2 * k)
-        top = np.fft.ifft(np.fft.fft(a[:, : 2 * k], 2 * k) * fb)[:, k:]
-        b = np.concatenate((b, -np.fft.ifft(np.fft.fft(top, 2 * k) * fb)[:, :k]), axis=1)
-        k *= 2
-    return b[:, :n]
-
-
-def toeplitz_delta(p, lam):
-    """Delta of the trapezoid e-system for M(x, t) = p(x - t), and dDelta/dp.
-
-    p holds the samples of p at the N + 1 nodes of the grid of N intervals
-    on [0, pi], lam one lambda or a 1-D array of K of them. With
-    u_i = exp(i lam x_i) e_i, the system eval_e_direct marches (before its
-    two fixed-point sweeps) is lower triangular and Toeplitz:
-    u_i - i h^2 sum over 1 <= j <= i of c[i-j] u_j = 1 + i h^2 w[i], u_0 = 1,
-    with q[m] = p[m] exp(i lam x_m), c[0] = q[0] / 4,
-    c[m] = q[0] / 2 + sum over 0 < l < m of q[l] + q[m] / 2 and
-    w[i] = sum over 0 < l < i of q[l] / 2 + q[i] / 4, and
-    Delta = exp(-i lam pi) u_N. The system is solved balanced, as D T D^-1
-    with D = diag(|z|^i), z = exp(-i lam h): it stays Toeplitz, its
-    coefficients |z|^m c[m] are sums of p against unit-modulus factors and
-    bounded powers of |z|, and so the FFTs below keep their accuracy at
-    Im lam far below 0, where q itself spans exp(|Im lam| pi): Delta is
-    exact to rounding relative to the largest |e| on the grid. The first
-    column of the inverse comes from _series_inverse; the solution is its
-    convolution with the right side. The gradient follows from the last
-    row of the inverse, which is that column reversed:
-    dDelta/dc[m] is one FFT correlation of it with u, dDelta/dw[i] is the
-    row itself, and both are chained to q through the partial sums above
-    and to p by dq[m]/dp[m] = exp(i lam x_m). Returns Delta, one value per
-    lambda, and the (K, N + 1) array of dDelta/dp[m], one row per lambda.
-    """
-    p = np.asarray(p, dtype=complex)
-    lams = np.atleast_1d(np.asarray(lam, dtype=complex))[:, None]
-    n = p.size - 1
-    h = np.pi / n
-    x = np.linspace(0.0, np.pi, n + 1)
-    phase = np.exp(1j * lams * x)                  # exp(i lam x) = z^-m
-    rho = np.exp(lams.imag * x)                    # |z|^m
-    q = p * phase
-    inner = np.cumsum(q, axis=1) - q - q[:, :1]    # sum over 0 < l < m of q[l], m >= 1
-    ih2 = 1j * h * h
-    a = -ih2 * rho[:, :n] * (inner[:, :n] + 0.5 * (q[:, :n] + q[:, :1]))
-    a[:, 0] = 1.0 - 0.25 * ih2 * q[:, 0]           # c[0] = q[0] / 4
-    rhs = rho[:, 1:] * (1.0 + ih2 * (0.5 * inner[:, 1:] + 0.25 * q[:, 1:]))
-    t = _series_inverse(a)                         # first column of the balanced inverse
-    ft = np.fft.fft(t, 2 * n)
-    v = np.fft.ifft(ft * np.fft.fft(rhs, 2 * n))[:, :n]    # |z|^i u_i, i = 1 .. N
-    carrier = np.exp(-1j * np.pi * lams[:, 0].real)        # exp(-i lam pi) / |z|^N
-    delta = carrier * v[:, -1]
-    # dDelta/dc[m] and dDelta/dw[i], less the factor i h^2 carrier, in
-    # unbalanced c and w: |z|^m (t * v)[N-1-m] and |z|^i t[N-i]
-    dc = np.zeros_like(q)
-    dc[:, :n] = rho[:, :n] * np.fft.ifft(ft * np.fft.fft(v, 2 * n))[:, n - 1 :: -1]
-    dw = np.zeros_like(q)
-    dw[:, 1:] = rho[:, 1:] * t[:, ::-1]
-    # c[m] reads q[l] with weight 1 for 0 < l < m, 1/2 for l = m and for
-    # l = 0 < m, and 1/4 for l = m = 0; w[i] reads q[l] with weight 1/2 for
-    # 0 < l < i and 1/4 for l = i
-    tail_c = np.cumsum(dc[:, ::-1], axis=1)[:, ::-1]
-    tail_w = np.cumsum(dw[:, ::-1], axis=1)[:, ::-1]
-    dq = tail_c - 0.5 * dc + 0.5 * tail_w - 0.25 * dw
-    dq[:, 0] = 0.5 * tail_c[:, 0] - 0.25 * dc[:, 0]
-    return delta, (ih2 * carrier)[:, None] * dq * phase
 
 
 def eval_z(r: TriangularField, psi: np.ndarray, e_tilde: np.ndarray) -> np.ndarray:

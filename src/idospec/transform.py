@@ -11,7 +11,8 @@ discrete equation directly, in one march down the rows, instead of summing
 the series, and certifies the result with a single Picard update. For a
 difference kernel M = p(x - t) that march unrolls into a short series whose
 terms are rank one along the diagonals of G: build_g forms G from them with
-no march, and last_row G's last row alone.
+no march, last_row G's last row alone, and series_jacobian that row's exact
+derivative in the samples of p, for the inversion to fit on.
 """
 
 from __future__ import annotations
@@ -307,7 +308,7 @@ _SERIES_MAX_TERMS = 64
 
 
 def _series_terms(p: np.ndarray, h: float):
-    """Yield the factors (c[:, k], z^k p), k = 0, 1, ..., of G for M[i, j] = p[i - j].
+    """Yield the factors (c[:, k], z^k p, sums), k = 0, 1, ..., of G for M[i, j] = p[i - j].
 
     The row march (see _march) of a difference kernel is Crank-Nicolson in
     t along the lines x - t = const: with H_j[d] = G[d + j, j], q = h p but
@@ -319,23 +320,26 @@ def _series_terms(p: np.ndarray, h: float):
     z^k in that power series is the Delannoy number D(m, k), so
     G[d + j, j] = H_j[d] = sum over k of c[j, k] (z^k p)[d], with
     c[j, k] = sum over m < j of s_{j-m} D(m, k): one Toeplitz product per
-    term and two cumulative sums over m per coefficient column. These are
-    the march's own discrete equations, so a sum of the terms agrees with
-    compute_g's G to rounding. The caller stops the sum; the generator ends
-    after _SERIES_MAX_TERMS terms. Each term is a new pair of arrays, except
-    that the first z^0 p is p itself.
+    term and two cumulative sums over m per coefficient column. sums holds
+    these two, the sum over m < j of D(m, k) and its cumulative sum over j,
+    so c[:, k] = s_first sums[0] + s_slope sums[1], s_l = s_first + s_slope l:
+    c depends on p only through p[0]. These are the march's own discrete
+    equations, so a sum of the terms agrees with compute_g's G to rounding.
+    The caller stops the sum; the generator ends after _SERIES_MAX_TERMS
+    terms. Each term is a new set of arrays, except that the first z^0 p is
+    p itself.
     """
     n = p.size - 1
     q = h * p
     q[0] *= 0.5
-    s_first, s_slope = 1j * h - 0.25 * h**3 * p[0], 0.5 * h**3 * p[0]  # s_l = s_first + s_slope l
+    s_first, s_slope = 1j * h - 0.25 * h**3 * p[0], 0.5 * h**3 * p[0]
     v = p                                   # z^k p
     d = np.ones(n)                          # D(m, k) for m = 0 .. N - 1
-    s1 = np.zeros(n + 1)                    # sum over m < j of D(m, k), j = 0 .. N
     for _ in range(_SERIES_MAX_TERMS):
-        np.cumsum(d, out=s1[1:])
-        # sum over m < j of s_{j-m} D(m, k) = s_first s1[j] + s_slope sum over l <= j of s1[l]
-        yield s_first * s1 + s_slope * np.cumsum(s1), v
+        sums = np.zeros((2, n + 1))
+        np.cumsum(d, out=sums[0, 1:])
+        np.cumsum(sums[0], out=sums[1])
+        yield s_first * sums[0] + s_slope * sums[1], v, sums
         # D(m, k + 1) = D(m - 1, k + 1) + D(m, k) + D(m - 1, k), D(0, k + 1) = 1
         d[1:] += d[:-1]
         d[0] = 1.0
@@ -343,7 +347,7 @@ def _series_terms(p: np.ndarray, h: float):
         v = (0.5j * h) * np.convolve(q, v)[: n + 1]
 
 
-def _series_row(p: np.ndarray, h: float) -> np.ndarray | None:
+def series_row(p: np.ndarray, h: float, factors: list | None = None) -> np.ndarray | None:
     """G's last row for M[i, j] = p[i - j], summed from _series_terms, or None.
 
     G[N, j] = sum over k of c[j, k] (z^k p)[N - j]. The sum stops after the
@@ -351,12 +355,16 @@ def _series_row(p: np.ndarray, h: float) -> np.ndarray | None:
     for compute_g to build G instead, if the row is not finite, if
     _SERIES_MAX_TERMS terms do not reach that point, or if eps times the sum
     of the terms' sup norms, which bounds the rounding their cancellation
-    leaves, exceeds compute_g's tol 1e-12 (1 + sup|row|).
+    leaves, exceeds compute_g's tol 1e-12 (1 + sup|row|). If factors is a
+    list, the factors of every term summed are appended to it, for
+    series_jacobian.
     """
     eps = np.finfo(float).eps
     row = np.zeros(p.size, dtype=complex)
     total = 0.0
-    for c, v in _series_terms(p, h):
+    for c, v, sums in _series_terms(p, h):
+        if factors is not None:
+            factors.append((c, v, sums))
         term = c * v[::-1]
         row += term
         size = np.abs(term).max()
@@ -374,31 +382,78 @@ def _series_row(p: np.ndarray, h: float) -> np.ndarray | None:
     return row
 
 
+def series_jacobian(p: np.ndarray, h: float, factors: list) -> np.ndarray:
+    """J[j, l] = d row[j] / d p[l] of series_row(p, h, factors)'s row.
+
+    Term k of the row is c[j, k] V_k[N - j], V_k = z^k p. With
+    V_k = (i h / 2) q * V_{k-1} (a convolution truncated to N + 1 terms),
+    d V_k[d] / d p[l] = F_k[d - l] for l >= 1, where F_0 is the unit impulse
+    and F_k = (i h / 2) (q * F_{k-1} + h V_{k-1}): p enters as V_0 and
+    through each factor q = h p. Hence J[j, l] = sum over k of
+    c[j, k] F_k[N - j - l] = G'[N - l, j], G' the sheared product of the
+    factors (C, F) as G is that of (C, V) (see _sheared_product). Column 0
+    takes two corrections: q[0] = h p[0] / 2 halves the V part there, which
+    sums to k (i h / 2) V_{k-1} in F_k, and c depends on p[0] with
+    dc[:, k] / dp[0] = h^3 (sums[1] / 2 - sums[0] / 4). Row 0 is zero, as
+    the row's entry is. This is the exact derivative of the sum of the
+    terms the row summed.
+    """
+    cs, vs, sums = zip(*factors)
+    n, ks, a = p.size - 1, np.arange(1, len(vs)), 0.5j * h
+    q = h * p
+    q[0] *= 0.5
+    vmat, cmat = np.stack(vs), np.stack(cs, axis=1)
+    fmat = np.eye(*vmat.shape, dtype=complex)  # its row 0 is F_0; the loop writes the others
+    for k in ks:
+        fmat[k] = a * (np.convolve(q, fmat[k - 1])[: n + 1] + h * vmat[k - 1])
+    jac = _sheared_product(cmat, fmat)[::-1].T
+    # column 0: c's dependence on p[0], less the V part q[0]'s half weight drops
+    jac[:, 0] += (np.einsum("kij,i,kj->j", np.stack(sums), [-0.25 * h**3, 0.5 * h**3], vmat[:, ::-1])
+                  - (0.5 * h * a) * np.einsum("jk,kj->j", cmat[:, 1:] * ks, vmat[:-1, ::-1]))
+    return jac
+
+
+def _sheared_product(cmat: np.ndarray, vmat: np.ndarray) -> np.ndarray:
+    """The lower-triangular (N + 1) x (N + 1) array G with G[d + j, j] = (C V)[j, d].
+
+    C is (N + 1) x K and V K x (N + 1). The sheared S = C V is formed
+    ROW_BLOCK rows at a time, one gemm each, and each block is copied into
+    G's diagonals through a strided view: S[j, d] lies at offset
+    j (N + 2) + d (N + 1) of G's buffer. A block's entries with j + d > N
+    fall outside the triangle, past G's last row; the buffer holds
+    ROW_BLOCK - 1 more rows to take them, so besides G and those rows the
+    product holds one block of S, no second field.
+    """
+    n = vmat.shape[1]
+    block = min(ROW_BLOCK, n)
+    buf = np.zeros((n + block - 1) * n, dtype=complex)  # G, then the rows past its last
+    s = buf.itemsize
+    for j0 in range(0, n, block):
+        rows = cmat[j0 : j0 + block] @ vmat[:, : n - j0]  # S[j0 .. j0 + block - 1, :N + 1 - j0]
+        as_strided(buf[j0 * (n + 1) :], shape=rows.shape, strides=((n + 1) * s, n * s),
+                   writeable=True)[...] = rows
+    return buf[: n * n].reshape(n, n)
+
+
 def _series_g(p: np.ndarray, grid: Grid) -> TransformKernel | None:
     """G for M[i, j] = p[i - j] as the product of _series_terms' factors, or None.
 
     The sheared G, S[j, d] = G[d + j, j], is C V with C[:, k] = c[:, k]
-    and V[k] = z^k p, an (N + 1) x K and a K x (N + 1) matrix. Term k
-    adds c[j, k] (z^k p)[d] to G's entries, j + d <= N; its sup norm on G,
-    at most sup|c[:, k]| sup|z^k p|, is its size. The factors stop after the
-    first term whose size is at most eps times the sum of the sizes so far.
-    The product is formed ROW_BLOCK rows of S at a time, one gemm each, and
-    each block is copied into G's diagonals through a strided view: S[j, d]
-    lies at offset j (N + 2) + d (N + 1) of G's buffer. A block's entries
-    with j + d > N fall outside the triangle, past G's last row; the buffer
-    holds ROW_BLOCK - 1 more rows to take them, so besides G and those rows
-    the build holds one block of S and the factors, no second field. It is
-    None, for compute_g to build G instead, if G is not finite, if
-    _SERIES_MAX_TERMS terms do not reach the stop, or if eps times the sum
-    of the sizes, which bounds the rounding their cancellation leaves,
-    exceeds compute_g's tol 1e-12 (1 + sup|G|). No Picard update certifies
-    it: that guard does. term_norms is empty (no march ran), and tol is
-    that of the guard.
+    and V[k] = z^k p, an (N + 1) x K and a K x (N + 1) matrix, formed by
+    _sheared_product. Term k adds c[j, k] (z^k p)[d] to G's entries,
+    j + d <= N; its sup norm on G, at most sup|c[:, k]| sup|z^k p|, is its
+    size. The factors stop after the first term whose size is at most eps
+    times the sum of the sizes so far. It is None, for compute_g to build
+    G instead, if G is not finite, if _SERIES_MAX_TERMS terms do not reach
+    the stop, or if eps times the sum of the sizes, which bounds the
+    rounding their cancellation leaves, exceeds compute_g's tol
+    1e-12 (1 + sup|G|). No Picard update certifies it: that guard does.
+    term_norms is empty (no march ran), and tol is that of the guard.
     """
     eps = np.finfo(float).eps
     cs, vs = [], []
     total = 0.0
-    for c, v in _series_terms(p, grid.step):
+    for c, v, _ in _series_terms(p, grid.step):
         cs.append(c)
         vs.append(v)
         # sup over j + d <= N of |c[j]| |v[d]|: the term's sup norm on G
@@ -412,15 +467,7 @@ def _series_g(p: np.ndarray, grid: Grid) -> TransformKernel | None:
         return None
     cmat, vmat = np.stack(cs, axis=1), np.stack(vs)
     del cs, vs
-    n = p.size
-    block = min(ROW_BLOCK, n)
-    buf = np.zeros((n + block - 1) * n, dtype=complex)  # G, then the rows past its last
-    s = buf.itemsize
-    for j0 in range(0, n, block):
-        rows = cmat[j0 : j0 + block] @ vmat[:, : n - j0]  # S[j0 .. j0 + block - 1, :N + 1 - j0]
-        as_strided(buf[j0 * (n + 1) :], shape=rows.shape, strides=((n + 1) * s, n * s),
-                   writeable=True)[...] = rows
-    g = TriangularField(grid, buf[: n * n].reshape(n, n))
+    g = TriangularField(grid, _sheared_product(cmat, vmat))
     g.values[:, 0] = 0.0  # boundary identity G(x, 0) = 0, kept exact
     tol = 1e-12 * (1.0 + g.sup_norm())
     if not (np.isfinite(tol) and eps * total <= tol):
@@ -449,14 +496,14 @@ def last_row(m: TriangularField) -> tuple[np.ndarray, str]:
     """G's last row, G[N, :], and how it was formed: "series" or "march".
 
     For a difference kernel (quadrature.difference_samples) the row is
-    _series_row's, with no field built. Otherwise, or where the series
+    series_row's, with no field built. Otherwise, or where the series
     declines, it is compute_g(m)'s, a view of the G built, which raises
     PicardConvergenceError as compute_g does for a kernel that overflows.
     """
     p = difference_samples(m)
     if p is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            row = _series_row(p, m.grid.step)
+            row = series_row(p, m.grid.step)
         if row is not None:
             return row, "series"
     return compute_g(m).g.values[-1], "march"

@@ -15,13 +15,10 @@ hand_blocked_march and hand_blocked_e_march are the two marches with the
 blocked loop each wrote out before both iterated quadrature.march_rows,
 the bitwise references for that driver,
 fd_jacobian differentiates the inversion residual by forward (or central)
-differences, the reference for its analytic Jacobian, toeplitz_dense_delta
-and trapezoid_e_system_delta solve the e-system of spectral.toeplitz_delta
-densely, balanced from its coefficients' definitions and entry by entry
-from the trapezoid rule, newton_polished moves target roots onto the zeros
-of a given Delta, eval_z_columns builds z one
-column at a time, each column one Volterra product of its own full-size
-field, the reference for the blocked contraction of spectral.eval_z,
+differences, the reference for its analytic Jacobian, newton_polished
+moves target roots onto the zeros of a given Delta, eval_z_columns builds
+z one column at a time, each column one Volterra product of its own
+full-size field, the reference for the blocked contraction of spectral.eval_z,
 find_spectrum_reflected searches the spectrum of the reflected kernel,
 which must match the direct one, and find_spectrum_subdivision finds the
 zeros of Delta by recursive subdivision of the window, the reference for
@@ -185,67 +182,6 @@ def fd_jacobian(residual, params, step: float = 1e-6, central: bool = False) -> 
         else:
             jac[:, k] = (residual(pert) - base) / h
     return jac
-
-
-def toeplitz_dense_delta(p, lam) -> tuple[complex, float]:
-    """Delta of the Toeplitz e-system of spectral.toeplitz_delta by a balanced dense solve.
-
-    For M(x, t) = p(x - t) on the grid of N = len(p) - 1 intervals, the
-    unknowns v_i = |z|^i exp(i lam x_i) e_i, i = 1 .. N, z = exp(-i lam h),
-    solve the N x N system with entries delta_ij - i h^2 |z|^(i-j) c[i-j]
-    and right side |z|^i (1 + i h^2 w[i]). Each balanced coefficient is
-    summed term by term from its definition,
-    |z|^m c[m] = sum over l of weight(m, l) |z|^(m-l) p[l] exp(i Re(lam) x_l),
-    so no factor exceeds the range of |z|^k, k <= N; np.linalg.solve solves
-    it, and Delta = exp(-i Re(lam) pi) v_N. Returns Delta and max |v_i|,
-    the scale of the solution (|v_i| = |e_i|).
-    """
-    p = np.asarray(p, dtype=complex)
-    lam = complex(lam)
-    n = p.size - 1
-    h = PI / n
-    m = np.arange(n + 1)
-    lag = m[:, None] - m[None, :]
-    weight = np.where(lag > 0, 1.0, 0.0)                 # rows m, columns l <= m
-    weight[:, 0] = 0.5
-    weight[m, m] = 0.5
-    weight[0, 0] = 0.25
-    weight_w = 0.5 * np.where(lag > 0, 1.0, 0.0)         # w[i]: 1/2 for 0 < l < i
-    weight_w[:, 0] = 0.0
-    weight_w[m, m] = 0.25
-    weight_w[0, 0] = 0.0
-    power = np.exp(lam.imag * h * np.maximum(lag, 0))     # |z|^(m - l)
-    q_hat = p * np.exp(1j * lam.real * h * m)
-    c = (weight * power) @ q_hat
-    w = (weight_w * power) @ q_hat
-    i = m[1:]
-    toeplitz = np.where(lag[1:, 1:] >= 0, c[np.maximum(lag[1:, 1:], 0)], 0.0)
-    system = np.eye(n) - 1j * h * h * toeplitz
-    rhs = np.exp(lam.imag * h * i) + 1j * h * h * w[1:]
-    v = np.linalg.solve(system, rhs)
-    return complex(np.exp(-1j * lam.real * PI) * v[-1]), float(np.abs(v).max())
-
-
-def trapezoid_e_system_delta(m: TriangularField, lam) -> complex:
-    """e(pi, lam) of the trapezoid e-system that eval_e_direct marches, by a dense solve.
-
-    e_i = exp(-i lam x_i) (1 + i h sum over k of a_k exp(i lam x_k) f_k),
-    f_k = h sum over j of b_j M[k, j] e_j, with the trapezoid weights a of
-    [0, x_i] and b of [0, x_k], built entry by entry for any kernel M and
-    solved whole, with no fixed-point sweep and no Toeplitz structure.
-    """
-    lam = complex(lam)
-    n = m.grid.n_intervals
-    h, x = m.grid.step, m.grid.nodes
-    system = np.eye(n + 1, dtype=complex)
-    for i in range(1, n + 1):
-        for k in range(1, i + 1):
-            a = 0.5 if k == i else 1.0
-            b = np.ones(k + 1)
-            b[0] = b[-1] = 0.5
-            system[i, : k + 1] -= (1j * h * h * a * np.exp(1j * lam * (x[k] - x[i]))) * b * m.values[k, : k + 1]
-    e = np.linalg.solve(system, np.exp(-1j * lam * x))
-    return complex(e[-1])
 
 
 def newton_polished(spectrum: Spectrum, delta, step: float = 1e-6) -> Spectrum:

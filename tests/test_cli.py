@@ -549,9 +549,9 @@ class TestInvert:
         # On the G path, which the odd grid_n 81 and the tilted R take, each
         # residual builds G, and each Jacobian one G per parameter for its
         # forward differences, d = 4. At grid_n 80 the R = 1 fit takes the
-        # Toeplitz path and builds none.
+        # series path and builds none.
         for tag, r, n, per_residual, per_jacobian in (
-            ("sym", None, 81, 1, 4), ("tilted", TILTED_R, 80, 1, 4), ("toeplitz", None, 80, 0, 0),
+            ("sym", None, 81, 1, 4), ("tilted", TILTED_R, 80, 1, 4), ("series", None, 80, 0, 0),
         ):
             builds.clear()
             cfg = self.invert_cfg(target_spectrum, init=[0.8] * 4, grid_n=n)
@@ -609,6 +609,21 @@ class TestInvert:
                        "newton_converged must be true or false, got 'false'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["re", "im", "residual", "re_min", "re_max", "im_min", "im_max"])
+    def test_number_that_is_a_bool_is_refused(self, workdir, target_spectrum, capsys, key):
+        # float(True) is 1.0: "re": true would fit a target at lambda = 1
+        data = json.loads(target_spectrum.read_text())
+        (data["window"] if key in data["window"] else data["eigenvalues"][1])[key] = True
+        edited = workdir / f"spec_bool_{key}.json"
+        edited.write_text(json.dumps(data))
+        cfg = write_config(workdir / f"inv_bool_{key}.json", self.invert_cfg(edited))
+        out = workdir / f"inv_bool_{key}_out"
+        assert main(["invert", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"config error: malformed target spectrum file {edited}: "
+                       f"{key} must be a number, got True\n")
+        assert not out.exists()
+
     def test_iteration_starved_run_fails_numerically(self, workdir, target_spectrum, monkeypatch):
         monkeypatch.setattr(idospec.inverse, "FTOL", 1e-14)
         monkeypatch.setattr(idospec.inverse, "XTOL", 1e-14)
@@ -649,8 +664,8 @@ class TestInvert:
         assert not (out / "recovery_report.json").exists()
 
     # R and a start from which the default fit rejects some trial steps, on
-    # the Toeplitz path of R = 1 and on the G path of the tilted R
-    LM_STARTS = [("toeplitz", None, [-3.0, 3.0, -3.0, 3.0]), ("tilted", TILTED_R, [-3.0, 3.0, -3.0, 3.0])]
+    # the series path of R = 1 and on the G path of the tilted R
+    LM_STARTS = [("series", None, [-3.0, 3.0, -3.0, 3.0]), ("tilted", TILTED_R, [-3.0, 3.0, -3.0, 3.0])]
 
     @pytest.mark.parametrize("tag, r, init", LM_STARTS)
     def test_max_inner_takes_effect(self, workdir, target_spectrum, monkeypatch, tag, r, init):

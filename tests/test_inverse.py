@@ -10,14 +10,14 @@ from idospec.kernels import (
     WeightVanishesError,
     assemble_kernel,
 )
-from idospec.transform import compute_g
+from idospec.transform import PicardConvergenceError, compute_g, last_row
 from idospec.spectral import (
+    DeltaEvaluator,
     Eigenvalue,
     SearchWindow,
     Spectrum,
     eval_e_direct,
     eval_z,
-    toeplitz_delta,
 )
 import idospec.inverse
 from idospec.inverse import (
@@ -57,6 +57,13 @@ DEEP = Spectrum(
         np.linspace(-19.0, 19.0, 19), np.resize([-8.0, -0.4, -4.0, 0.4], 19))),
     window=WIDE, total_count=19,
 )
+# the same with the last two taken triple and double, which add Delta' and
+# Delta'' rows at Im lambda = -8 and -0.4
+DEEP_MULTIPLE = Spectrum(
+    eigenvalues=DEEP.eigenvalues[:-2] + tuple(
+        Eigenvalue(ev.value, mult, 0.0) for ev, mult in zip(DEEP.eigenvalues[-2:], (3, 2))),
+    window=WIDE, total_count=22,
+)
 
 
 def convolution_problem(target, n, r=None, d=8):
@@ -66,18 +73,24 @@ def convolution_problem(target, n, r=None, d=8):
     return InverseProblem(m0=TriangularField.zeros(grid), r=r, target=target, d=d)
 
 
-def extrapolated_toeplitz(p):
-    """lambda -> (4 Delta_N - Delta_{N/2}) / 3 of M = p(x - t), the Toeplitz path's residual."""
-    return lambda lam: (4.0 * toeplitz_delta(p, lam)[0] - toeplitz_delta(p[::2], lam)[0]) / 3.0
+def extrapolated_delta(p):
+    """DeltaEvaluator(row_N/2, row_N) of M = p(x - t), with last_row's rows on
+    the grid of N = len(p) - 1 intervals and on its every other node: the
+    Delta of the series path's residual."""
+    n = p.size - 1
+    return DeltaEvaluator(*(last_row(TriangularField(make_grid(n // s), np.array(lag_view(p[::s]))))[0]
+                            for s in (2, 1)))
 
 
 def constant_target(n, polish):
     """Spectrum of M = 1 on the window WINDOW at n intervals: the G roots, and
-    with polish those roots moved to the zeros of the extrapolated Toeplitz
-    Delta, the zero set of the Toeplitz path's own residual."""
+    with polish those roots moved to the zeros of the extrapolated Delta of
+    the series rows, the zero set of the series path's own residual."""
     grid = make_grid(n)
     target = spectrum_of(compute_g(TriangularField.constant(grid, 1.0)), WINDOW)
-    return newton_polished(target, extrapolated_toeplitz(np.ones(n + 1))) if polish else target
+    if not polish:
+        return target
+    return newton_polished(target, extrapolated_delta(np.ones(n + 1, dtype=complex)))
 
 
 @pytest.fixture(scope="module")
@@ -87,13 +100,13 @@ def grid80():
 
 @pytest.fixture(scope="module")
 def const_problem(grid80):
-    """Inverse crime setup on the Toeplitz path: P = 1, R = 1, M0 = 0 at N = 80,
+    """Inverse crime setup on the series path: P = 1, R = 1, M0 = 0 at N = 80,
     and a target that is the zero set of the fit's own residual."""
     problem = InverseProblem(
         m0=TriangularField.zeros(grid80), r=TriangularField.constant(grid80, 1.0),
         target=constant_target(80, polish=True), d=4,
     )
-    assert problem.toeplitz is not None
+    assert problem.series is not None
     return problem
 
 
@@ -106,7 +119,7 @@ def odd_problem():
         m0=TriangularField.zeros(grid), r=TriangularField.constant(grid, 1.0),
         target=constant_target(81, polish=False), d=4,
     )
-    assert problem.toeplitz is None
+    assert problem.series is None
     return problem
 
 
@@ -193,8 +206,9 @@ class TestProblemSetup:
         with pytest.raises(WeightVanishesError):
             problem.check_weight_condition()
 
-    def test_toeplitz_path_needs_all_four_conditions(self, const_problem):
-        # a difference kernel, N even, simple targets and |Re nu| < N/2
+    def test_series_path_needs_all_three_conditions(self, const_problem):
+        # a difference kernel, N even and |Re nu| < N/2; a multiple target
+        # takes it too
         target = const_problem.target
         samples = lambda grid: 0.3 + 0.2 * np.cos(grid.nodes)
 
@@ -218,17 +232,17 @@ class TestProblemSetup:
         cases = [
             (80, one, one, target, True), (80, diff, diff, target, True),
             (8, one, one, single(-3.9 - 0.5j), True), (8, one, one, single(4.0 - 0.5j), False),
-            (81, one, one, target, False), (80, one, one, single(1.0 - 0.5j, 2), False),
+            (81, one, one, target, False), (80, one, one, single(1.0 - 0.5j, 2), True),
             (80, one, tilted_r, target, False), (80, ramp, one, target, False),
             (80, one, bumped, target, False),
         ]
         for n, m0, r, tgt, taken in cases:
             grid = make_grid(n)
             problem = InverseProblem(m0=m0(grid), r=r(grid), target=tgt, d=4)
-            assert (problem.toeplitz is not None) == taken, (n, m0, r, tgt)
+            assert (problem.series is not None) == taken, (n, m0, r, tgt)
         grid = make_grid(80)
         problem = InverseProblem(m0=diff(grid), r=diff(grid), target=target, d=4)
-        m0_samples, lift = problem.toeplitz
+        m0_samples, lift = problem.series
         assert np.array_equal(m0_samples, samples(grid))
         assert np.array_equal(lift, samples(grid)[:, None] * problem.basis)
 
@@ -243,29 +257,62 @@ class TestProblemSetup:
 
 class TestSpectrumResidual:
     def test_vanishes_at_true_parameters(self, const_problem):
-        res, jac = spectrum_residual(np.ones(4), const_problem)
+        res, jacobian, builds = spectrum_residual(np.ones(4), const_problem)
         assert res.shape == (const_problem.target.total_count,)
-        assert jac.shape == (res.size, 4)
+        assert jacobian().shape == (res.size, 4)
+        assert builds == 0
         assert np.abs(res).max() < 1e-9
 
     def test_vanishes_at_true_parameters_on_the_g_path(self, odd_problem):
         # the G path's Jacobian is recover_profile's forward differences
-        res, jac = spectrum_residual(np.ones(4), odd_problem)
-        assert jac is None
+        res, jacobian, builds = spectrum_residual(np.ones(4), odd_problem)
+        assert jacobian is None and builds == 1
         assert res.shape == (odd_problem.target.total_count,)
         assert np.abs(res).max() < 1e-9
 
-    def test_toeplitz_residual_is_the_extrapolated_delta(self, two_sine_target):
-        problem = convolution_problem(two_sine_target, 100)
+    def test_series_residual_is_the_delta_of_last_row(self, two_sine_target):
+        # one Delta: the residual is the extrapolated Delta of last_row's
+        # rows that spectrum searches, and Delta' and Delta'' for a triple
+        # target, to rounding
+        target = Spectrum(two_sine_target.eigenvalues[:-1] + (Eigenvalue(2.1 - 0.7j, 3, 0.0),),
+                          window=WIDE, total_count=two_sine_target.total_count + 2)
+        problem = convolution_problem(target, 100)
         params = TestSpectrumJacobian.PARAMS
-        res, _ = spectrum_residual(params, problem)
-        nus = np.array([ev.value for ev in two_sine_target.eigenvalues])
-        expected = extrapolated_toeplitz(problem.basis @ params)(nus)
+        res, _, builds = spectrum_residual(params, problem)
+        m0, lift = problem.series
+        delta = extrapolated_delta(m0 + lift @ params)
+        nus = np.array([ev.value for ev in two_sine_target.eigenvalues[:-1]])
+        expected = np.concatenate([delta(nus)] + [delta.deriv(np.array([2.1 - 0.7j]), j) for j in range(3)])
+        assert builds == 0 and res.shape == expected.shape
         assert np.abs(res - expected).max() <= 1e-13 * np.abs(expected).max()
 
-    def test_non_finite_toeplitz_residual_raises(self, const_problem):
-        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteResidualError):
+    def test_non_finite_series_residual_raises(self, const_problem):
+        # finite rows, but exp(-i nu x) overflows at Im nu = 300
+        far = Spectrum(eigenvalues=(Eigenvalue(300j, 1, 0.0),), window=WIDE, total_count=1)
+        problem = InverseProblem(m0=const_problem.m0, r=const_problem.r, target=far, d=4)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteResidualError):
+            spectrum_residual(np.ones(4), problem)
+
+    def test_nan_candidate_fails_in_the_march(self, const_problem):
+        # the series declines a row that is not finite, and the march it
+        # falls back to refuses it, as last_row does
+        with np.errstate(invalid="ignore"), pytest.raises(PicardConvergenceError):
             spectrum_residual(np.full(4, np.nan), const_problem)
+
+    def test_declined_row_takes_the_march_row(self):
+        # P = 100 grows the series' terms past its rounding guard on both
+        # grids: each row is last_row's march row, one G build each, and the
+        # Jacobian is left to forward differences
+        problem = convolution_problem(DEEP, 100, d=4)
+        params = np.full(4, 100.0)
+        res, jacobian, builds = spectrum_residual(params, problem)
+        m0, lift = problem.series
+        p = m0 + lift @ params
+        rows = [last_row(TriangularField(make_grid(100 // s), np.array(lag_view(p[::s])))) for s in (2, 1)]
+        assert [way for _, way in rows] == ["march", "march"]
+        assert jacobian is None and builds == 2
+        nus = np.array([ev.value for ev in DEEP.eigenvalues])
+        assert res.tobytes() == DeltaEvaluator(*(row for row, _ in rows))(nus).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -283,43 +330,47 @@ def two_sine_target():
 class TestSpectrumJacobian:
     PARAMS = 0.8 * two_sine(np.linspace(0.0, PI, 8)) + 0.05
 
+    @pytest.mark.parametrize("target", [DEEP, DEEP_MULTIPLE], ids=["simple", "multiple"])
     @pytest.mark.parametrize("n", [50, 100, 200])
-    def test_toeplitz_jacobian_matches_central_differences(self, n):
+    def test_series_jacobian_matches_central_differences(self, n, target):
         # the exact derivative of the discrete residual, targets down to
-        # Im lambda = -8
-        problem = convolution_problem(DEEP, n)
-        assert problem.toeplitz is not None
-        _, jac = spectrum_residual(self.PARAMS, problem)
+        # Im lambda = -8, with Delta' and Delta'' rows for multiple targets
+        problem = convolution_problem(target, n)
+        assert problem.series is not None
+        _, jacobian, _ = spectrum_residual(self.PARAMS, problem)
+        jac = jacobian()
         fd = fd_jacobian(lambda p: spectrum_residual(p, problem)[0], self.PARAMS,
                          step=1e-5, central=True)
         rel = np.abs(jac - fd).max(axis=1) / np.abs(fd).max(axis=1)
-        assert rel.shape == (19,)
+        assert rel.shape == (target.total_count,)
         assert rel.max() <= 1e-7
 
-    def test_derivative_rows_of_a_multiple_target(self):
+    @pytest.mark.parametrize("r, bound", [(tilted_r, 1e-6), (None, 1e-7)], ids=["g_path", "series"])
+    def test_derivative_rows_of_a_multiple_target(self, r, bound):
         # a triple target contributes Delta, Delta' and Delta'' rows; nu need
-        # not be a zero for the rows to be the derivatives of the residual
+        # not be a zero for the rows to be the derivatives of the residual.
+        # The G path's forward differences and the series path's exact
+        # Jacobian against central differences
         target = Spectrum(
             eigenvalues=(Eigenvalue(2.1 - 0.7j, 3, 0.0), Eigenvalue(-1.3 - 0.2j, 1, 0.0)),
             window=WIDE, total_count=4,
         )
-        # the G path's forward differences against central ones
-        problem = convolution_problem(target, 100, r=tilted_r)
-        assert problem.toeplitz is None
-        res, _ = idospec.inverse._stacked_residual(self.PARAMS, problem, 0.0)
-        stacked = idospec.inverse._stacked_jacobian(self.PARAMS, res, None, problem, 0.0)
+        problem = convolution_problem(target, 100, r=r)
+        res, jacobian, _ = idospec.inverse._stacked_residual(self.PARAMS, problem, 0.0)
+        assert (jacobian is None) == (problem.series is None) == (r is not None)
+        stacked, _ = idospec.inverse._stacked_jacobian(self.PARAMS, res, jacobian, problem, 0.0)
         jac = stacked[:4] + 1j * stacked[4:]
         fd = fd_jacobian(lambda p: spectrum_residual(p, problem)[0], self.PARAMS,
                          step=1e-5, central=True)
         rel = np.abs(jac - fd).max(axis=1) / np.abs(fd).max(axis=1)
         assert rel.shape == (4,)
-        assert rel.max() <= 1e-6
+        assert rel.max() <= bound
 
     @pytest.mark.parametrize("n", [100, 101])
     def test_fit_from_zero_converges_past_the_floor(self, two_sine_target, n):
-        # N = 100 takes the Toeplitz path, N = 101 the G path
+        # N = 100 takes the series path, N = 101 the G path
         problem = convolution_problem(two_sine_target, n)
-        assert (problem.toeplitz is None) == (n % 2 == 1)
+        assert (problem.series is None) == (n % 2 == 1)
         report = recover_profile(problem, np.zeros(8))
         assert report.converged
         grid = problem.grid
@@ -331,7 +382,7 @@ class TestSpectrumJacobian:
         # discretization floor, where a Jacobian further from the residual's
         # derivative makes LM crawl (13 iterations and 25 residuals with
         # nested-trapezoid pair integrals); N = 100 fits with the exact
-        # Jacobian of the Toeplitz path, N = 101 with the G path's forward
+        # Jacobian of the series path, N = 101 with the G path's forward
         # differences
         def truth(x):
             return (0.338718445717945 * np.sin(x + 3.6731843319365467)
@@ -353,7 +404,7 @@ class TestSpectrumJacobian:
     def test_evaluation_counts_add_up_to_g_builds(self, const_problem, odd_problem, monkeypatch):
         # on the G path, with M = P(x - t) and with the tilted R, each
         # residual builds G and each Jacobian one G per parameter; the
-        # Toeplitz path builds none
+        # series path builds none, with simple targets and with a double one
         builds = []
         build = idospec.inverse.compute_g
         monkeypatch.setattr(
@@ -363,8 +414,15 @@ class TestSpectrumJacobian:
             m0=const_problem.m0, r=tilted_r(const_problem.grid),
             target=const_problem.target, d=4,
         )
+        evs = const_problem.target.eigenvalues
+        double = InverseProblem(
+            m0=const_problem.m0, r=const_problem.r, d=4,
+            target=Spectrum(eigenvalues=evs[:-1] + (Eigenvalue(evs[-1].value, 2, 0.0),),
+                            window=WINDOW, total_count=len(evs) + 1),
+        )
+        assert double.series is not None
         for problem, per_residual, per_jacobian in (
-            (odd_problem, 1, 4), (tilted, 1, 4), (const_problem, 0, 0),
+            (odd_problem, 1, 4), (tilted, 1, 4), (const_problem, 0, 0), (double, 0, 0),
         ):
             builds.clear()
             report = recover_profile(problem, np.full(4, 0.8))
@@ -415,7 +473,36 @@ class TestRecoverProfile:
             assert report.jacobian_evals >= 1
             assert len(calls) == report.residual_evals + problem.d * report.jacobian_evals
 
-    def test_toeplitz_path_builds_no_field(self, const_problem, monkeypatch):
+    def test_declined_rows_fit_on_forward_differences(self, const_problem, monkeypatch):
+        # where the series declines every row, each residual takes last_row's
+        # march rows, two G builds, and each Jacobian is forward differences
+        # of d more residuals; the fit still converges
+        builds = []
+        build = idospec.inverse.compute_g
+        monkeypatch.setattr(
+            idospec.inverse, "compute_g", lambda *a, **k: builds.append(1) or build(*a, **k)
+        )
+        monkeypatch.setattr(idospec.inverse, "series_row", lambda *a, **k: None)
+        report = recover_profile(const_problem, np.full(4, 0.8))
+        assert report.converged and report.jacobian_evals == report.iterations >= 1
+        assert report.g_builds == len(builds) == 2 * (report.residual_evals + 4 * report.jacobian_evals)
+        assert np.abs(report.recovered.values - 1.0).max() < 1e-3
+
+    def test_fit_from_a_declined_start_reaches_the_series(self, const_problem, monkeypatch):
+        # from P = 100 the series' rounding guard declines the rows, which
+        # take the march until the fit nears P = 1, where it takes the series;
+        # g_builds counts every build of either kind of iteration
+        builds = []
+        build = idospec.inverse.compute_g
+        monkeypatch.setattr(
+            idospec.inverse, "compute_g", lambda *a, **k: builds.append(1) or build(*a, **k)
+        )
+        report = recover_profile(const_problem, np.full(4, 100.0))
+        assert report.converged and report.jacobian_evals == report.iterations
+        assert 0 < report.g_builds == len(builds) < 2 * (report.residual_evals + 4 * report.jacobian_evals)
+        assert np.abs(report.recovered.values - 1.0).max() < 1e-6
+
+    def test_series_path_builds_no_field(self, const_problem, monkeypatch):
         # no kernel assembly and no G build: each residual brings its exact
         # Jacobian
         calls = []
@@ -480,7 +567,7 @@ class TestClosedFormRoots:
         errs = []
         for n in (100, 200):
             problem = convolution_problem(target, n)
-            assert problem.toeplitz is not None
+            assert problem.series is not None
             report = recover_profile(problem, np.zeros(8))
             assert report.converged
             errs.append(np.abs(report.recovered.values - 1.0).max())

@@ -376,6 +376,18 @@ class TestSpectrumJson:
         with pytest.raises(ValueError, match="newton_converged must be true or false"):
             serialize.spectrum_from_json(path)
 
+    @pytest.mark.parametrize("key", ["re", "im", "residual", "re_min", "re_max", "im_min", "im_max"])
+    @pytest.mark.parametrize("value", [True, False, "1.5", None])
+    def test_number_that_is_no_number_is_refused(self, tmp_path, key, value):
+        # float(True) and complex(True, 0) are 1: a flag would load as a root
+        # at lambda = 1, a residual of 1 or a window bound True
+        path = tmp_path / "spec.json"
+        data = serialize.spectrum_to_dict(self.make_spectrum(), np.pi / 100)
+        (data["window"] if key in data["window"] else data["eigenvalues"][0])[key] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"^{key} must be a number, got {value!r}$"):
+            serialize.spectrum_from_json(path)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_write_read_write_is_byte_exact(self, tmp_path_factory, data):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import idospec.spectral
-from idospec.quadrature import PI, TriangularField, lag_view, make_grid
+from idospec.quadrature import PI, TriangularField, make_grid
 from idospec.transform import TransformKernel, compute_g
 from idospec.spectral import (
     CLUSTER_BOX,
@@ -24,7 +24,6 @@ from idospec.spectral import (
     eval_z,
     eval_z_decomposed,
     find_spectrum,
-    toeplitz_delta,
 )
 from idospec.transform import assemble_z_kernel, reflected_kernel
 
@@ -40,8 +39,6 @@ from oracles import (
     find_spectrum_subdivision,
     oracle_roots_in_window,
     spectrum_of,
-    toeplitz_dense_delta,
-    trapezoid_e_system_delta,
 )
 
 
@@ -348,60 +345,6 @@ class TestCharDelta:
             + char_delta(g_const_200, lam - h)
         ) / h**2
         assert abs(delta_of(g_const_200).deriv(lam, 2) - fd) < 1e-5
-
-
-class TestToeplitzDelta:
-    """toeplitz_delta against dense solves of the same e-system, and its gradient."""
-
-    @staticmethod
-    def profile(x, coeffs):
-        return coeffs[0] + coeffs[1] * np.sin(x + coeffs[2]) + coeffs[3] * np.cos(2 * x + coeffs[4])
-
-    @settings(max_examples=400, deadline=None)
-    @given(
-        n=st.integers(2, 64),
-        re=st.floats(-20.0, 20.0),
-        im=st.floats(-8.0, 0.5),
-        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
-    )
-    def test_matches_balanced_dense_solve(self, n, re, im, coeffs):
-        # relative to the largest |e| on the grid, the scale both solves
-        # round at: where e decays, as for the zero kernel (e = exp(-i lam
-        # x), |Delta| = 1.5e-7 at lambda = -5i), the error relative to |Delta|
-        # itself reaches 2e-12; an unbalanced dense solve is off by about
-        # 1e-9 at Im lambda = -8
-        p = self.profile(np.linspace(0.0, PI, n + 1), coeffs)
-        ref, scale = toeplitz_dense_delta(p, complex(re, im))
-        assert abs(toeplitz_delta(p, complex(re, im))[0][0] - ref) <= 1e-12 * scale
-
-    @pytest.mark.parametrize("n", [2, 5, 16])
-    def test_is_the_trapezoid_system_of_the_march(self, n):
-        # the system eval_e_direct marches, built entry by entry for
-        # M = p(x - t); its two sweeps leave it 2e-9 off at N = 100
-        grid = make_grid(n)
-        p = 0.7 + 0.3 * np.sin(grid.nodes + 0.5)
-        m = TriangularField(grid, np.array(lag_view(p.astype(complex))))
-        lams = np.array([0.3, 7.1 - 3j, -1.5 - 2j])
-        refs = [trapezoid_e_system_delta(m, lam) for lam in lams]
-        assert np.abs(toeplitz_delta(p, lams)[0] - refs).max() <= 1e-13 * np.abs(refs).max()
-        if n == 16:
-            fine = make_grid(100)
-            pf = 0.7 + 0.3 * np.sin(fine.nodes + 0.5)
-            march = eval_e_direct(TriangularField(fine, np.array(lag_view(pf.astype(complex)))), 0.3)[-1]
-            assert abs(toeplitz_delta(pf, 0.3)[0][0] - march) <= 1e-8 * abs(march)
-
-    @pytest.mark.parametrize("n", [10, 50, 200])
-    def test_gradient_matches_central_differences(self, n):
-        # along smooth directions, so that the differences keep their accuracy
-        x = np.linspace(0.0, PI, n + 1)
-        p = self.profile(x, [0.5, 0.3, 1.0, 0.2, 0.4])
-        lams = np.array([0.3, 7.1 - 3j, -15.0 - 8.0j, 2.0 + 0.5j])
-        _, grad = toeplitz_delta(p, lams)
-        step = 1e-4
-        for k in range(4):
-            v = np.cos(k * x)
-            fd = (toeplitz_delta(p + step * v, lams)[0] - toeplitz_delta(p - step * v, lams)[0]) / (2 * step)
-            assert np.abs(grad @ v - fd).max() <= 1e-7 * np.abs(fd).max()
 
 
 class TestExtrapolatedDelta:

@@ -15,9 +15,10 @@ the extrapolated DeltaEvaluator of G's last rows on the grids of N and 2N
 intervals, as `spectrum` with "extrapolate" searches,
 the G path's LM Jacobian (forward differences of the stacked residual,
 inverse._stacked_jacobian, d = 8: eight G builds) at 18 simple targets and
-one triple target, the Toeplitz path's residual with
-its exact Jacobian (inverse.spectrum_residual, d = 8: toeplitz_delta on
-the grids of N and of N/2 intervals) at 19 simple targets, and building M
+one triple target, the series path's residual with its exact Jacobian
+(inverse.spectrum_residual and the Jacobian it returns, d = 8: series rows
+on the grids of N and of N/2 intervals) at those targets and at 19 simple
+ones, the triple one taken simple, and building M
 from a config (cli._sample_kernel on the kernel cli._parse_kernel read, then
 kernels.assemble_kernel) and the whole forward command (cli.cmd_forward,
 writing its G CSV and the other artifacts into a temporary directory), at
@@ -25,9 +26,9 @@ N in {100, 200, 400, 800} unless --n names others. The inputs are fixed: M =
 M0 + R P(x - t) with smooth M0, R and a three-term trig profile P, given
 as the kernel object of a config (KERNEL), its G, and that G as both
 kernels of the z-split. M is no difference kernel, so it is fitted on the
-G path. The Toeplitz row, the series G and the last row need a difference
-kernel, so they take M = P(x - t) with M0 = 0 and R = 1 instead: they do
-not measure the same kernel as compute_g.
+G path. The series residual, the series G and the last row need a
+difference kernel, so they take M = P(x - t) with M0 = 0 and R = 1
+instead: they do not measure the same kernel as compute_g.
 Each time is the median over repeats of a timeit loop of at least 50 ms.
 Beside it stands the layer's tracemalloc peak above its inputs (what one
 call allocates at most at once, its result included), in (N+1)^2 complex
@@ -76,7 +77,7 @@ TARGETS = Spectrum(
 )
 # Delta's 1000 lambdas: a 40 x 25 grid on the window of TARGETS
 DELTA_LAMBDAS = (np.linspace(-20.0, 20.0, 40)[:, None] + 1j * np.linspace(-8.0, 0.5, 25)).ravel()
-# the Toeplitz residual's targets: the same 18 and the triple one taken simple
+# the same 18 and the triple one taken simple
 SIMPLE_TARGETS = Spectrum(
     eigenvalues=TARGETS.eigenvalues[:-1] + (Eigenvalue(2.1 - 0.7j, 1, 0.0),),
     window=TARGETS.window, total_count=19,
@@ -103,14 +104,15 @@ def layers(n: int, out: Path) -> dict:
     sk = cli._sample_kernel(kernel, grid)
     m0, r = sk.m0, sk.components[0].r
     m = assemble_kernel(sk)
-    m_toeplitz = TriangularField(grid, np.array(lag_view(sk.components[0].p.values)))
+    m_series = TriangularField(grid, np.array(lag_view(sk.components[0].p.values)))
     g = transform.compute_g(m).g
     g1 = transform.picard_g1(m).values
     into = TriangularField(grid, g1.copy())  # each call adds one more step to it
     problem = InverseProblem(m0=m0, r=r, target=TARGETS, d=8)
-    toeplitz = InverseProblem(m0=TriangularField.zeros(grid), r=TriangularField.constant(grid, 1.0),
-                              target=SIMPLE_TARGETS, d=8)
-    params = np.interp(toeplitz.param_nodes, grid.nodes, sk.components[0].p.values.real)  # P at the knots
+    series_simple, series_triple = (
+        InverseProblem(m0=TriangularField.zeros(grid), r=TriangularField.constant(grid, 1.0),
+                       target=target, d=8) for target in (SIMPLE_TARGETS, TARGETS))
+    params = np.interp(problem.param_nodes, grid.nodes, sk.components[0].p.values.real)  # P at the knots
     stacked = inverse._stacked_residual(params, problem, 0.0)[0]
     forward = cli._parse({"grid_n": n, "kernel": KERNEL}, "forward", None)
     row = g.values[-1]
@@ -119,8 +121,8 @@ def layers(n: int, out: Path) -> dict:
     delta = DeltaEvaluator(row, row_fine)
     return {
         "compute_g": lambda: transform.compute_g(m),
-        "build_g series (M = P(x - t))": lambda: transform.build_g(m_toeplitz),
-        "last_row (M = P(x - t))": lambda: transform.last_row(m_toeplitz),
+        "build_g series (M = P(x - t))": lambda: transform.build_g(m_series),
+        "last_row (M = P(x - t))": lambda: transform.last_row(m_series),
         "_march": lambda: transform._march(m.values, g1, h),
         "picard_step": lambda: transform.picard_step(m, g, into),
         "_inner_table": lambda: transform._inner_table(m.values, g.values, h),
@@ -131,10 +133,17 @@ def layers(n: int, out: Path) -> dict:
                                                               TARGETS.window),
         "G-path Jacobian (19 targets)": lambda: inverse._stacked_jacobian(params, stacked, None,
                                                                            problem, 0.0),
-        "Toeplitz spectrum_residual (19 targets)": lambda: spectrum_residual(params, toeplitz),
+        "series residual + Jacobian (19 simple targets)": lambda: series_fit_step(params, series_simple),
+        "series residual + Jacobian (18 + triple targets)": lambda: series_fit_step(params, series_triple),
         "M from config": lambda: assemble_kernel(cli._sample_kernel(kernel, grid)),
         "forward": lambda: cli.cmd_forward("0" * 64, out, None, **forward),
     }
+
+
+def series_fit_step(params, problem):
+    """The series residual and the exact Jacobian it returns."""
+    res, jacobian, _ = spectrum_residual(params, problem)
+    return res, jacobian()
 
 
 def median_ms(fn) -> float:
