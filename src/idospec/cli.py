@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .quadrature import (
+    Profile,
     TriangularField,
     cumtrapz_nodes,
     make_grid,
@@ -68,7 +69,10 @@ EXIT_WEIGHT = 4
 # kernel and at most 2.8 more fields at once (2.5 from N = 400 on) and
 # assemble_z_kernel at most 5 (transform.py), and verify keeps a few
 # kernels of each of its grids, so a command whose finest grid needs larger
-# fields is refused before it allocates anything.
+# fields is refused before it allocates anything. spectrum keeps the bound
+# for a kernel _row_kernel reads as N + 1 samples too: the series row of
+# such a kernel forms no field, but a row the series declines is marched
+# on one.
 MAX_FIELD_BYTES = 256 * 2**20
 # Most lambda points a Delta heatmap may sample, one CSV row each.
 MAX_HEATMAP_POINTS = 10**6
@@ -199,6 +203,27 @@ def _sample_kernel(kernel, grid) -> StructuredKernel:
     return StructuredKernel(_from_spec(m0, grid), tuple(
         KernelComponent(_from_spec(r, grid), _from_spec(p, grid)) for r, p in comps
     ))
+
+
+def _row_kernel(kernel, grid) -> Profile | TriangularField:
+    """The parsed kernel on grid, as last_row reads it.
+
+    Where m0 and every r are analytic constants, decided from the specs
+    alone, M is the difference kernel p(x - t), p = m0 + sum_j r_j P_j, and
+    this is the Profile of p on the N + 1 nodes: no field is formed. p is
+    bitwise column 0 of the M assemble_kernel would form, which adds
+    r_1 P_1 + m0, then each further r_j P_j: the first sum commutes.
+    Any other kernel is sampled and assembled on the triangle.
+    """
+    m0, comps = kernel
+    if not all(spec[1:3] == ("analytic", "constant") for spec in (m0, *(r for r, _ in comps))):
+        return assemble_kernel(_sample_kernel(kernel, grid))
+    p = np.full(grid.n_nodes, complex(m0[3][0]))
+    # finite factors whose products overflow give inf or NaN samples, as in assemble_kernel
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r, spec in comps:
+            p += complex(r[3][0]) * _from_spec(spec, grid).values
+    return Profile(grid, p)
 
 
 def _build_g(kernel, grid):
@@ -439,7 +464,7 @@ def cmd_forward(sha, out: Path, seed, *, n, kernel, lambdas) -> None:
 def cmd_spectrum(sha, out: Path, seed, *, n, kernel, window, opts, extrapolate, heatmap) -> None:
     # the zero search reads G's last rows only
     grids = (make_grid(n), make_grid(2 * n)) if extrapolate else (make_grid(n),)
-    rows, ways = zip(*(last_row(assemble_kernel(_sample_kernel(kernel, g))) for g in grids))
+    rows, ways = zip(*(last_row(_row_kernel(kernel, g)) for g in grids))
     evaluator = DeltaEvaluator(*rows)
     spec = find_spectrum(evaluator, window, **opts)
 

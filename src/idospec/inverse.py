@@ -49,7 +49,7 @@ from .kernels import (
     NumericalFailure,
     WeightVanishesError,
 )
-from .transform import compute_g, series_jacobian, series_row
+from .transform import compute_g, last_row, series_jacobian
 from .spectral import DeltaEvaluator, Spectrum
 
 
@@ -188,6 +188,11 @@ class InverseProblem:
         return m0, r[:, None] * self.basis
 
     @cached_property
+    def row_grids(self) -> tuple[Grid, Grid]:
+        """The grids of N/2 and of N intervals the series rows are summed on."""
+        return make_grid(self.grid.n_intervals // 2), self.grid
+
+    @cached_property
     def row_gradients(self) -> tuple[np.ndarray, np.ndarray]:
         """The derivatives of the series residual in the rows of N/2 and of N intervals.
 
@@ -255,16 +260,11 @@ def _series_residual(p_params, problem: InverseProblem):
     m0, lift = problem.series
     p = m0 + lift @ p_params
     rows, terms = [], []
-    for stride in (2, 1):
-        # h is make_grid(N / stride)'s step, bitwise
-        samples, h, factors = p[::stride], stride * problem.grid.step, []
-        with np.errstate(over="ignore", invalid="ignore"):
-            row = series_row(samples, h, factors)
-        if row is None:  # last_row's march row
-            grid = make_grid(problem.grid.n_intervals // stride)
-            row, factors = compute_g(TriangularField(grid, np.array(lag_view(samples)))).g.values[-1], None
+    for stride, grid in zip((2, 1), problem.row_grids):
+        samples, factors = p[::stride], []
+        row, way = last_row(Profile(grid, samples), factors)
         rows.append(row)
-        terms.append((samples, h, factors, lift[::stride]))
+        terms.append((samples, grid.step, factors if way == "series" else None, lift[::stride]))
     res = _delta_at_targets(DeltaEvaluator(*rows), problem)
     if not np.isfinite(res).all():
         raise NonFiniteResidualError("the series residual of the fit is not finite")

@@ -539,7 +539,8 @@ def _groups(z: np.ndarray, radius: np.ndarray) -> list:
     while True:                      # each point takes the least label of its neighbours
         least = np.where(near, label, z.size).min(axis=1, initial=z.size)
         if np.array_equal(least, label):
-            return [np.flatnonzero(label == k) for k in np.unique(label)]
+            # np.unique would import numpy.ma, 1.3 MB of a spectrum process
+            return [np.flatnonzero(label == k) for k in sorted(set(label.tolist()))]
         label = least
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .quadrature import (ROW_BLOCK, Grid, Profile, TriangularField, difference_samples, march_rows,
-                         require_same_grid, volterra_apply, zero_upper)
+from .quadrature import (ROW_BLOCK, Grid, Profile, TriangularField, difference_samples, lag_view,
+                         march_rows, require_same_grid, volterra_apply, zero_upper)
 from .kernels import NumericalFailure, shifted_factor
 
 
@@ -492,20 +492,27 @@ def build_g(m: TriangularField) -> TransformKernel:
     return compute_g(m)
 
 
-def last_row(m: TriangularField) -> tuple[np.ndarray, str]:
+def last_row(m: TriangularField | Profile, factors: list | None = None) -> tuple[np.ndarray, str]:
     """G's last row, G[N, :], and how it was formed: "series" or "march".
 
-    For a difference kernel (quadrature.difference_samples) the row is
-    series_row's, with no field built. Otherwise, or where the series
-    declines, it is compute_g(m)'s, a view of the G built, which raises
-    PicardConvergenceError as compute_g does for a kernel that overflows.
+    m is a kernel field, or a Profile p that stands for the difference
+    kernel M[i, j] = p[i - j] by its N + 1 samples. A difference kernel (a
+    Profile, or a field quadrature.difference_samples finds to be one) takes
+    series_row's row, with no field built; if factors is a list, series_row
+    appends its terms' factors to it, for series_jacobian, and they are
+    complete where the row is "series". Otherwise, or where the series
+    declines, the row is compute_g's of the field (lag_view of p for a
+    Profile), a view of the G built, which raises PicardConvergenceError as
+    compute_g does for a kernel that overflows.
     """
-    p = difference_samples(m)
+    p = m.values if isinstance(m, Profile) else difference_samples(m)
     if p is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            row = series_row(p, m.grid.step)
+            row = series_row(p, m.grid.step, factors)
         if row is not None:
             return row, "series"
+        if isinstance(m, Profile):
+            m = TriangularField(m.grid, np.array(lag_view(p)))
     return compute_g(m).g.values[-1], "march"
 
 

@@ -20,7 +20,7 @@ import idospec.inverse
 import idospec.spectral
 import idospec.transform
 from idospec import serialize
-from idospec.kernels import NumericalFailure
+from idospec.kernels import NumericalFailure, assemble_kernel
 from idospec.quadrature import Profile, TriangularField, make_grid
 from idospec.spectral import DeltaEvaluator, SearchWindow, char_delta, eval_e_via_g
 from idospec.transform import compute_g, last_row
@@ -428,7 +428,8 @@ class TestSpectrum:
         # lies beyond pi/h = 8 as well as outside the window: it is refused,
         # naming the file and the root, before any G build
         builds = []
-        for module, name in ((idospec.cli, "build_g"), (idospec.inverse, "compute_g")):
+        for module, name in ((idospec.cli, "build_g"), (idospec.inverse, "compute_g"),
+                             (idospec.transform, "compute_g")):
             monkeypatch.setattr(module, name, lambda *a, **k: builds.append(1))
         data = json.loads(target_spectrum.read_text())
         data["eigenvalues"][0]["re"] = 45.0
@@ -502,6 +503,100 @@ class TestSpectrum:
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
 
 
+def _constant(c):
+    return {"kind": "analytic", "family": "constant", "coeffs": [c]}
+
+
+# config constants of m0 and r: zeros of both signs, negatives and a spread
+_FACTORS = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 1.0]), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _profile_specs(draw, n, folder):
+    """A P spec of each kind: constant, polynomial, trig or a samples CSV on n intervals."""
+    kind = draw(st.sampled_from(["constant", "polynomial", "trig", "samples"]))
+    small = st.floats(-2.0, 2.0)
+    if kind == "constant":
+        return _constant(draw(small))
+    if kind == "polynomial":
+        return {"kind": "analytic", "family": "polynomial",
+                "coeffs": draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4))}
+    if kind == "trig":
+        return {"kind": "analytic", "family": "trig", "coeffs": draw(st.lists(
+            st.tuples(small, st.floats(0.0, 4.0), st.floats(-3.0, 3.0)).map(list),
+            min_size=1, max_size=3))}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    path = folder / f"p_{n}_{draw(st.integers(0, 10**9))}.csv"
+    grid = make_grid(n)
+    serialize.profile_to_csv(Profile(grid, np.array([1.0, 1j]) @ rng.uniform(-1.0, 1.0, (2, n + 1))), path)
+    return {"kind": "samples", "path": str(path)}
+
+
+class TestDifferenceSamples:
+    """spectrum of a kernel whose m0 and every r are analytic constants reads
+    M's N + 1 difference samples, formed with no field, bitwise column 0 of
+    the M assemble_kernel would form; any other kernel is assembled."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 401), m0=_FACTORS,
+           rs=st.lists(_FACTORS, min_size=0, max_size=3))
+    def test_samples_are_column_0_bitwise(self, workdir, data, n, m0, rs):
+        grid = make_grid(n)
+        specs = [data.draw(_profile_specs(n, workdir)) for _ in rs]
+        kernel = idospec.cli._parse_kernel({"m0": _constant(m0), "components": [
+            {"r": _constant(r), "p": p} for r, p in zip(rs, specs)]})
+        p = idospec.cli._row_kernel(kernel, grid)
+        m = assemble_kernel(idospec.cli._sample_kernel(kernel, grid))
+        assert isinstance(p, Profile) and p.grid is grid
+        assert p.values.tobytes() == m.values[:, 0].tobytes()
+        row, way = last_row(p)
+        ref, ref_way = last_row(m)
+        assert way == ref_way and row.tobytes() == ref.tobytes()
+
+    def test_declined_series_marches_the_same_row(self, workdir, monkeypatch):
+        # P = 100 at N = 100: the series' rounding guard declines, and the
+        # row is compute_g's of M = 100, bitwise
+        rows = []
+        monkeypatch.setattr(idospec.cli, "last_row", lambda *a: rows.append(last_row(*a)) or rows[-1])
+        kernel = {"m0": _constant(0.0), "components": [{"r": _constant(1.0), "p": _constant(100.0)}]}
+        cfg = write_config(workdir / "spec_p100.json", {
+            "grid_n": 100, "kernel": kernel,
+            "window": {"re_min": -2.0, "re_max": 2.0, "im_min": -2.0, "im_max": 0.5}})
+        out = workdir / "spec_p100_out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "spectrum.json").read_text())["g_row"] == "march"
+        ((row, way),) = rows
+        ref = compute_g(TriangularField.constant(make_grid(100), 100.0)).g.values[-1]
+        assert way == "march" and row.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("r, fields", [(TILTED_R, 2), (CONST_KERNEL["components"][0]["r"], 0)],
+                             ids=["tilted", "constant"])
+    def test_only_a_factor_that_is_no_constant_assembles_the_field(self, workdir, monkeypatch, r, fields):
+        calls = []
+        assemble = idospec.cli.assemble_kernel
+        monkeypatch.setattr(idospec.cli, "assemble_kernel", lambda *a: calls.append(1) or assemble(*a))
+        kernel = {"m0": CONST_KERNEL["m0"], "components": [{"r": r, "p": _constant(1.0)}]}
+        tag = f"spec_assembled_{fields}"
+        cfg = write_config(workdir / f"{tag}.json", {
+            "grid_n": 40, "kernel": kernel, "window": WINDOW, "extrapolate": True})
+        assert main(["spectrum", "--config", cfg, "--out", str(workdir / tag)]) == EXIT_OK
+        assert len(calls) == fields
+        g_row = json.loads((workdir / tag / "spectrum.json").read_text())["g_row"]
+        assert g_row == ("series" if fields == 0 else "march")
+
+    def test_overflowing_product_exits_numerical(self, workdir, capsys):
+        # P = 10 is finite, but r P is not: the series declines, and the
+        # march of the field of inf fails with its message, as the assembled
+        # M's did
+        kernel = {"m0": _constant(1.0), "components": [{"r": _constant(1e308), "p": _constant(10.0)}]}
+        cfg = write_config(workdir / "spec_rp_overflow.json", {
+            "grid_n": 8, "kernel": kernel, "window": WINDOW})
+        code = main(["spectrum", "--config", cfg, "--out", str(workdir / "spec_rp_overflow")])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: march sup norm") and err.count("\n") == 1, err
+
+
 class TestInvert:
     def invert_cfg(self, target, **extra):
         cfg = {
@@ -541,11 +636,11 @@ class TestInvert:
             assert report["stages"][0]["mu"] == used
 
     def test_report_counts_g_builds(self, workdir, target_spectrum, monkeypatch):
+        # builds of the G path (inverse) and of a series row's march (transform)
         builds = []
-        build = idospec.inverse.compute_g
-        monkeypatch.setattr(
-            idospec.inverse, "compute_g", lambda *a, **k: builds.append(1) or build(*a, **k)
-        )
+        build = idospec.transform.compute_g
+        for module in (idospec.inverse, idospec.transform):
+            monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1) or build(*a, **k))
         # On the G path, which the odd grid_n 81 and the tilted R take, each
         # residual builds G, and each Jacobian one G per parameter for its
         # forward differences, d = 4. At grid_n 80 the R = 1 fit takes the
@@ -981,7 +1076,8 @@ class TestConfigErrors:
         self, workdir, monkeypatch, capsys, command, extra, key, start
     ):
         builds = []
-        for module, name in ((idospec.cli, "build_g"), (idospec.inverse, "compute_g")):
+        for module, name in ((idospec.cli, "build_g"), (idospec.inverse, "compute_g"),
+                             (idospec.transform, "compute_g")):
             monkeypatch.setattr(module, name, lambda *a, **k: builds.append(1))
         monkeypatch.setattr(idospec.cli, "last_row", lambda *a, **k: builds.append(1))
         cfg = base_config(command, **extra)
@@ -1000,7 +1096,8 @@ class TestConfigErrors:
         self, workdir, monkeypatch, capsys, command, key, value
     ):
         builds = []
-        for module, name in ((idospec.cli, "build_g"), (idospec.inverse, "compute_g")):
+        for module, name in ((idospec.cli, "build_g"), (idospec.inverse, "compute_g"),
+                             (idospec.transform, "compute_g")):
             monkeypatch.setattr(module, name, lambda *a, **k: builds.append(1))
         monkeypatch.setattr(idospec.cli, "last_row", lambda *a, **k: builds.append(1))
         cfg = base_config(command, opts={key: value})
@@ -1058,7 +1155,8 @@ class TestOutPath:
 
         builds = []
         monkeypatch.setattr(idospec.cli, "make_grid", no_grid)
-        for module, name in ((idospec.cli, "build_g"), (idospec.inverse, "compute_g")):
+        for module, name in ((idospec.cli, "build_g"), (idospec.inverse, "compute_g"),
+                             (idospec.transform, "compute_g")):
             monkeypatch.setattr(module, name, lambda *a, **k: builds.append(1))
         monkeypatch.setattr(idospec.cli, "last_row", lambda *a, **k: builds.append(1))
         afile = workdir / f"out_file_{command}_{len(below)}"
@@ -1676,3 +1774,34 @@ def test_commands_run_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK] * 4, proc.stderr
+
+
+# Runs one command in-process through main; prints its exit code and whether
+# numpy.ma was imported, as JSON.
+_NUMPY_MA_RUNNER = """
+import json, sys
+from idospec.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_spectrum_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, 1.3 MB of a process; the
+    # zero search groups its Newton end points without it. The kernel and
+    # window are the benchmark's, which the companion path searches
+    kernel = {"m0": CONST_KERNEL["m0"], "components": [{
+        "r": CONST_KERNEL["components"][0]["r"],
+        "p": {"kind": "analytic", "family": "trig", "coeffs": [[0.3, 1, 0.5], [0.25, 2, 1.0]]}}]}
+    cfg = write_config(tmp_path / "cfg.json", {
+        "grid_n": 100, "kernel": kernel, "extrapolate": True,
+        "window": {"re_min": -20.0, "re_max": 20.0, "im_min": -8.0, "im_max": 0.5}})
+    src = str(Path(idospec.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MA_RUNNER, "spectrum", "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK, False], proc.stderr
+    assert json.loads((tmp_path / "out" / "spectrum.json").read_text())["search"]["path"] == "companion"

@@ -20,6 +20,7 @@ from idospec.spectral import (
     eval_z,
 )
 import idospec.inverse
+import idospec.transform
 from idospec.inverse import (
     STALL_RTOL,
     InverseProblem,
@@ -38,6 +39,16 @@ from oracles import eval_psi, fd_jacobian, newton_polished, oracle_roots_in_wind
 
 WINDOW = SearchWindow(-6.0, 6.0, -6.0, 0.5)
 WIDE = SearchWindow(-20.0, 20.0, -8.0, 0.5)
+
+
+def count_builds(monkeypatch) -> list:
+    """A list that gains an entry per G build: compute_g of the G path, in
+    inverse, and of last_row's march row, in transform."""
+    builds = []
+    build = idospec.transform.compute_g
+    for module in (idospec.inverse, idospec.transform):
+        monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1) or build(*a, **k))
+    return builds
 
 
 def two_sine(x):
@@ -405,11 +416,7 @@ class TestSpectrumJacobian:
         # on the G path, with M = P(x - t) and with the tilted R, each
         # residual builds G and each Jacobian one G per parameter; the
         # series path builds none, with simple targets and with a double one
-        builds = []
-        build = idospec.inverse.compute_g
-        monkeypatch.setattr(
-            idospec.inverse, "compute_g", lambda *a, **k: builds.append(1) or build(*a, **k)
-        )
+        builds = count_builds(monkeypatch)
         tilted = InverseProblem(
             m0=const_problem.m0, r=tilted_r(const_problem.grid),
             target=const_problem.target, d=4,
@@ -477,12 +484,8 @@ class TestRecoverProfile:
         # where the series declines every row, each residual takes last_row's
         # march rows, two G builds, and each Jacobian is forward differences
         # of d more residuals; the fit still converges
-        builds = []
-        build = idospec.inverse.compute_g
-        monkeypatch.setattr(
-            idospec.inverse, "compute_g", lambda *a, **k: builds.append(1) or build(*a, **k)
-        )
-        monkeypatch.setattr(idospec.inverse, "series_row", lambda *a, **k: None)
+        builds = count_builds(monkeypatch)
+        monkeypatch.setattr(idospec.transform, "series_row", lambda *a, **k: None)
         report = recover_profile(const_problem, np.full(4, 0.8))
         assert report.converged and report.jacobian_evals == report.iterations >= 1
         assert report.g_builds == len(builds) == 2 * (report.residual_evals + 4 * report.jacobian_evals)
@@ -492,11 +495,7 @@ class TestRecoverProfile:
         # from P = 100 the series' rounding guard declines the rows, which
         # take the march until the fit nears P = 1, where it takes the series;
         # g_builds counts every build of either kind of iteration
-        builds = []
-        build = idospec.inverse.compute_g
-        monkeypatch.setattr(
-            idospec.inverse, "compute_g", lambda *a, **k: builds.append(1) or build(*a, **k)
-        )
+        builds = count_builds(monkeypatch)
         report = recover_profile(const_problem, np.full(4, 100.0))
         assert report.converged and report.jacobian_evals == report.iterations
         assert 0 < report.g_builds == len(builds) < 2 * (report.residual_evals + 4 * report.jacobian_evals)
@@ -506,8 +505,9 @@ class TestRecoverProfile:
         # no kernel assembly and no G build: each residual brings its exact
         # Jacobian
         calls = []
-        for name in ("assemble_kernel", "compute_g"):
-            monkeypatch.setattr(idospec.inverse, name, lambda *a, name=name, **k: calls.append(name))
+        for module, name in ((idospec.inverse, "assemble_kernel"), (idospec.inverse, "compute_g"),
+                             (idospec.transform, "compute_g")):
+            monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
         report = recover_profile(const_problem, np.full(4, 0.8))
         assert report.converged and report.jacobian_evals >= 1
         assert report.g_builds == 0 and calls == []

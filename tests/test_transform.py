@@ -484,7 +484,9 @@ class TestWorkingMemory:
     its factors, about 2 K rows for K terms, and no second field: 1.5
     fields at N = 200 and 1.3 at N = 400. forward holds M beside a G
     build, and only G beside its CSV writer, so with the series its peak is
-    the writer's.
+    the writer's. spectrum of a kernel whose m0 and every r are constants
+    holds arrays of N + 1 entries per term of its rows and the zero
+    search's arrays, no field: 0.08 fields of its 2N grid at N = 400.
     """
 
     def test_shifted_factor(self):
@@ -544,6 +546,21 @@ class TestWorkingMemory:
         peak = _peak_fields(lambda: cli.cmd_forward("0" * 64, tmp_path, None, **run), n)
         assert json.loads((tmp_path / "forward_report.json").read_text())["g_build"] == "series"
         assert peak <= 1.0 + self.COMPUTE_G_FIELDS[n]
+
+    def test_spectrum_difference_kernel(self, tmp_path):
+        # m0 and r are constants: each row is summed from M's N + 1
+        # difference samples, and the search reads the two rows, so no field
+        # of either grid is formed
+        zero, one = ({"kind": "analytic", "family": "constant", "coeffs": [c]} for c in (0.0, 1.0))
+        p = {"kind": "analytic", "family": "trig", "coeffs": [[0.3, 1, 0.5], [0.25, 2, 1.0]]}
+        n = 400
+        run = cli._parse({"grid_n": n, "extrapolate": True,
+                          "kernel": {"m0": zero, "components": [{"r": one, "p": p}]},
+                          "window": {"re_min": -20.0, "re_max": 20.0, "im_min": -8.0, "im_max": 0.5}},
+                         "spectrum", None)
+        peak = _peak_fields(lambda: cli.cmd_spectrum("0" * 64, tmp_path, None, **run), 2 * n)
+        assert json.loads((tmp_path / "spectrum.json").read_text())["g_row"] == "series"
+        assert peak < 0.1
 
     def test_assemble_z_kernel(self):
         n = 200

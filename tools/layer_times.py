@@ -18,17 +18,20 @@ inverse._stacked_jacobian, d = 8: eight G builds) at 18 simple targets and
 one triple target, the series path's residual with its exact Jacobian
 (inverse.spectrum_residual and the Jacobian it returns, d = 8: series rows
 on the grids of N and of N/2 intervals) at those targets and at 19 simple
-ones, the triple one taken simple, and building M
+ones, the triple one taken simple, building M
 from a config (cli._sample_kernel on the kernel cli._parse_kernel read, then
-kernels.assemble_kernel) and the whole forward command (cli.cmd_forward,
+kernels.assemble_kernel), M's N + 1 difference samples from a config whose
+m0 and r are constants (cli._row_kernel, what `spectrum` reads for such a
+kernel in place of M) and the whole forward command (cli.cmd_forward,
 writing its G CSV and the other artifacts into a temporary directory), at
 N in {100, 200, 400, 800} unless --n names others. The inputs are fixed: M =
 M0 + R P(x - t) with smooth M0, R and a three-term trig profile P, given
 as the kernel object of a config (KERNEL), its G, and that G as both
 kernels of the z-split. M is no difference kernel, so it is fitted on the
-G path. The series residual, the series G and the last row need a
-difference kernel, so they take M = P(x - t) with M0 = 0 and R = 1
-instead: they do not measure the same kernel as compute_g.
+G path. The series residual, the series G, the last row and the
+difference samples need a difference kernel, so they take M = P(x - t)
+with M0 = 0 and R = 1 instead: they do not measure the same kernel as
+compute_g.
 Each time is the median over repeats of a timeit loop of at least 50 ms.
 Beside it stands the layer's tracemalloc peak above its inputs (what one
 call allocates at most at once, its result included), in (N+1)^2 complex
@@ -101,6 +104,9 @@ def layers(n: int, out: Path) -> dict:
     grid = make_grid(n)
     h = grid.step
     kernel = cli._parse_kernel(KERNEL)
+    zero, one = ({"kind": "analytic", "family": "constant", "coeffs": [c]} for c in (0.0, 1.0))
+    series_kernel = cli._parse_kernel(
+        {"m0": zero, "components": [{"r": one, "p": KERNEL["components"][0]["p"]}]})
     sk = cli._sample_kernel(kernel, grid)
     m0, r = sk.m0, sk.components[0].r
     m = assemble_kernel(sk)
@@ -136,6 +142,7 @@ def layers(n: int, out: Path) -> dict:
         "series residual + Jacobian (19 simple targets)": lambda: series_fit_step(params, series_simple),
         "series residual + Jacobian (18 + triple targets)": lambda: series_fit_step(params, series_triple),
         "M from config": lambda: assemble_kernel(cli._sample_kernel(kernel, grid)),
+        "difference samples from config": lambda: cli._row_kernel(series_kernel, grid),
         "forward": lambda: cli.cmd_forward("0" * 64, out, None, **forward),
     }
 
