@@ -24,7 +24,7 @@ import numpy as np
 
 from .quadrature import (
     Profile,
-    TriangularField,
+    as_field,
     cumtrapz_nodes,
     make_grid,
 )
@@ -33,8 +33,8 @@ from .kernels import (
     NumericalFailure,
     StructuredKernel,
     WeightVanishesError,
-    assemble_kernel,
     field_from_family,
+    kernel_samples,
     profile_from_family,
 )
 from .transform import (
@@ -69,10 +69,9 @@ EXIT_WEIGHT = 4
 # kernel and at most 2.8 more fields at once (2.5 from N = 400 on) and
 # assemble_z_kernel at most 5 (transform.py), and verify keeps a few
 # kernels of each of its grids, so a command whose finest grid needs larger
-# fields is refused before it allocates anything. spectrum keeps the bound
-# for a kernel _row_kernel reads as N + 1 samples too: the series row of
-# such a kernel forms no field, but a row the series declines is marched
-# on one.
+# fields is refused before it allocates anything. The bound holds for a
+# kernel read as the Profile of its N + 1 samples too: its series row forms
+# no field, but a row or G the series declines is marched on one.
 MAX_FIELD_BYTES = 256 * 2**20
 # Most lambda points a Delta heatmap may sample, one CSV row each.
 MAX_HEATMAP_POINTS = 10**6
@@ -180,13 +179,15 @@ def _read_input(what, read, path, *args):
 def _from_spec(spec, grid):
     """The field or profile a spec from _parse_spec describes, sampled on grid.
 
-    Samples carrying NaN or inf are refused. Config numbers are finite, but
-    CSV samples need not be, and an analytic family can still overflow on
-    the grid: it samples inf or NaN without a warning.
+    An analytic constant, a field's included, is sampled as a Profile of N + 1
+    samples: the constant field c is the difference kernel of the constant
+    profile c. Samples carrying NaN or inf are refused. Config numbers are
+    finite, but CSV samples need not be, and an analytic family can still
+    overflow on the grid: it samples inf or NaN without a warning.
     """
     what, kind, *args = spec
     if kind == "analytic":
-        sample = field_from_family if what == "field" else profile_from_family
+        sample = profile_from_family if what == "profile" or args[0] == "constant" else field_from_family
         with np.errstate(over="ignore", invalid="ignore"):
             sampled = sample(grid, *args)
     else:
@@ -205,36 +206,13 @@ def _sample_kernel(kernel, grid) -> StructuredKernel:
     ))
 
 
-def _row_kernel(kernel, grid) -> Profile | TriangularField:
-    """The parsed kernel on grid, as last_row reads it.
+def _diagonal_residual(m, g) -> float:
+    """Sup over x of |G(x, x) - i * integral over [0, x] of M(s, s) ds|.
 
-    Where m0 and every r are analytic constants, decided from the specs
-    alone, M is the difference kernel p(x - t), p = m0 + sum_j r_j P_j, and
-    this is the Profile of p on the N + 1 nodes: no field is formed. p is
-    bitwise column 0 of the M assemble_kernel would form, which adds
-    r_1 P_1 + m0, then each further r_j P_j: the first sum commutes.
-    Any other kernel is sampled and assembled on the triangle.
+    m is a field, or the Profile p of M = p(x - t), whose diagonal is p[0].
     """
-    m0, comps = kernel
-    if not all(spec[1:3] == ("analytic", "constant") for spec in (m0, *(r for r, _ in comps))):
-        return assemble_kernel(_sample_kernel(kernel, grid))
-    p = np.full(grid.n_nodes, complex(m0[3][0]))
-    # finite factors whose products overflow give inf or NaN samples, as in assemble_kernel
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r, spec in comps:
-            p += complex(r[3][0]) * _from_spec(spec, grid).values
-    return Profile(grid, p)
-
-
-def _build_g(kernel, grid):
-    """The parsed kernel M on grid and its G."""
-    m = assemble_kernel(_sample_kernel(kernel, grid))
-    return m, build_g(m)
-
-
-def _diagonal_residual(m: TriangularField, g) -> float:
-    """Sup over x of |G(x, x) - i * integral over [0, x] of M(s, s) ds|."""
-    target = 1j * cumtrapz_nodes(np.diagonal(m.values), m.grid)
+    diag = np.full(m.grid.n_nodes, m.values[0]) if isinstance(m, Profile) else np.diagonal(m.values)
+    target = 1j * cumtrapz_nodes(diag, m.grid)
     return float(np.abs(np.diagonal(g.g.values) - target).max())
 
 
@@ -275,11 +253,13 @@ def _check_keys(key, obj, allowed) -> dict:
     return obj
 
 
-def _parse_spec(key, spec, what) -> tuple:
+def _parse_spec(key, spec, what, two_grids=None) -> tuple:
     """The field or profile (what) spec at key, as (what, "analytic", family,
     coeffs) or (what, "samples", path).
 
-    coeffs must have its family's format in kernels.COEFF_FORMATS.
+    coeffs must have its family's format in kernels.COEFF_FORMATS. two_grids
+    names a run that samples on grids of N and 2N intervals, which refuses
+    a samples spec: its file holds one grid.
     """
     # a spec that is no object passes to _check_keys, which refuses it
     kind = spec.get("kind") if isinstance(spec, dict) else "analytic"
@@ -288,6 +268,9 @@ def _parse_spec(key, spec, what) -> tuple:
     _check_keys(key, spec, _KEYS[kind])
     if kind == "samples":
         _check_value(f"{key}.path", spec.get("path"), str)
+        if two_grids:
+            raise ConfigError(f"{key} is a samples file, which holds one grid, but {two_grids} "
+                              f"samples on grids of N and 2N intervals")
         return what, kind, spec["path"]
     formats = kernels.COEFF_FORMATS[what]
     family, coeffs = spec.get("family"), spec.get("coeffs")
@@ -309,19 +292,20 @@ def _parse_spec(key, spec, what) -> tuple:
     return what, kind, family, coeffs
 
 
-def _parse_kernel(kernel) -> tuple:
+def _parse_kernel(kernel, two_grids=None) -> tuple:
     """A config's kernel object as (m0, ((r, p), ...)) of parsed specs.
 
-    A component without "p" has the zero profile.
+    A component without "p" has the zero profile. two_grids is _parse_spec's.
     """
     _check_keys("kernel", kernel, _KEYS["kernel"])
     comps, most = kernel.get("components", []), kernels.MAX_COMPONENTS
     if not (isinstance(comps, list) and len(comps) <= most):
         raise ConfigError(f"kernel.components must be a list of <= {most} objects, got {comps!r}")
     keys = [f"kernel.components[{k}]" for k in range(len(comps))]
-    return _parse_spec("kernel.m0", kernel.get("m0"), "field"), tuple(
-        (_parse_spec(f"{key}.r", _check_keys(key, comp, _KEYS["component"]).get("r"), "field"),
-         _parse_spec(f"{key}.p", comp.get("p", _ZERO), "profile"))
+    return _parse_spec("kernel.m0", kernel.get("m0"), "field", two_grids), tuple(
+        (_parse_spec(f"{key}.r", _check_keys(key, comp, _KEYS["component"]).get("r"), "field",
+                     two_grids),
+         _parse_spec(f"{key}.p", comp.get("p", _ZERO), "profile", two_grids))
         for key, comp in zip(keys, comps)
     )
 
@@ -333,9 +317,10 @@ def _parse(cfg, command, grid_n) -> dict:
     may hold only the keys its level reads (_KEYS, and _OPTION_RANGES for
     "opts"); any other key is refused with its path. Each value is checked
     for type and range, naming its key, and given its default before
-    anything is built or allocated, so a bad value costs no grid: "opts",
-    the kernel specs (each against kernels.COEFF_FORMATS) and the lambdas
-    first, then grid_n, then what the grid bounds, invert's d and
+    anything is built or allocated, so a bad value costs no grid: "opts"
+    and "extrapolate", the kernel specs (each against kernels.COEFF_FORMATS,
+    and no samples spec for verify or an extrapolated spectrum) and the
+    lambdas first, then grid_n, then what the grid bounds, invert's d and
     spectrum's window. Lambda points beyond RE_REACH or IM_REACH are refused.
     """
     _check_keys("", cfg, _KEYS[command])
@@ -345,11 +330,15 @@ def _parse(cfg, command, grid_n) -> dict:
         opts = run["opts"] = _check_keys("opts", cfg.get("opts", {}), ranges)
         for key, value in opts.items():
             _check_value(f"opts.{key}", value, *ranges[key])
+    extrapolate = cfg.get("extrapolate", False)  # only a spectrum config may hold it
+    _check_value("extrapolate", extrapolate, bool)
+    # the runs whose finest grid has 2N intervals
+    two_grids = "verify" if command == "verify" else "an extrapolated spectrum" if extrapolate else None
     if command == "verify":
-        run["specs"] = [_parse_spec(key, cfg.get(key), what) for key, what in (
+        run["specs"] = [_parse_spec(key, cfg.get(key), what, two_grids) for key, what in (
             ("m0", "field"), ("r", "field"), ("p", "profile"), ("p_tilde", "profile"))]
     else:
-        run["kernel"] = _parse_kernel(cfg.get("kernel"))
+        run["kernel"] = _parse_kernel(cfg.get("kernel"), two_grids)
     if command in _DEFAULT_LAMBDAS:
         lams = cfg.get("lambdas", _DEFAULT_LAMBDAS[command])
         if not (isinstance(lams, list) and lams and all(
@@ -361,13 +350,11 @@ def _parse(cfg, command, grid_n) -> dict:
             raise ConfigError(
                 f"lambdas must have |re| < {RE_REACH:.6g} and |im| < {IM_REACH:.6g}, got {lams!r}")
         run["lambdas"] = [complex(re, im) for re, im in lams]
-    extrapolate = cfg.get("extrapolate", False)  # only a spectrum config may hold it
-    _check_value("extrapolate", extrapolate, bool)
     n = run["n"] = cfg.get("grid_n") if grid_n is None else grid_n
     for value in (cfg.get("grid_n", n), n):  # the config's too where --grid-n overrides it
         _check_value("grid_n", value, int, 2)
     # the command's finest grid has refine * n intervals
-    refine = 2 if command == "verify" or extrapolate else 1
+    refine = 2 if two_grids else 1
     field_bytes = np.dtype(complex).itemsize * (refine * n + 1) ** 2
     if field_bytes > MAX_FIELD_BYTES:
         raise ConfigError(
@@ -436,7 +423,8 @@ def _check_alias_free(window: SearchWindow, n: int, what: str) -> None:
 
 def cmd_forward(sha, out: Path, seed, *, n, kernel, lambdas) -> None:
     grid = make_grid(n)
-    m, g = _build_g(kernel, grid)
+    m = kernel_samples(_sample_kernel(kernel, grid))
+    g = build_g(m)
     diag_res = _diagonal_residual(m, g)
     del m  # so the G writer's blocks sit on G alone
 
@@ -464,7 +452,7 @@ def cmd_forward(sha, out: Path, seed, *, n, kernel, lambdas) -> None:
 def cmd_spectrum(sha, out: Path, seed, *, n, kernel, window, opts, extrapolate, heatmap) -> None:
     # the zero search reads G's last rows only
     grids = (make_grid(n), make_grid(2 * n)) if extrapolate else (make_grid(n),)
-    rows, ways = zip(*(last_row(_row_kernel(kernel, g)) for g in grids))
+    rows, ways = zip(*(last_row(kernel_samples(_sample_kernel(kernel, g))) for g in grids))
     evaluator = DeltaEvaluator(*rows)
     spec = find_spectrum(evaluator, window, **opts)
 
@@ -534,10 +522,11 @@ def cmd_invert(sha, out: Path, seed, *, n, kernel, targets, d, mu, init, opts) -
 
 def _verify_once(grid, specs, lambdas):
     m0, r, p, pt = (_from_spec(spec, grid) for spec in specs)
-    m = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, p),)))
-    mt = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, pt),)))
+    m, mt = (kernel_samples(StructuredKernel(m0, (KernelComponent(r, q),))) for q in (p, pt))
 
     g, k2 = build_g(m), build_g(mt)  # before the marches, which overflow where G does
+    # the marches and the checks below read the kernels and r as fields
+    m, mt, r = as_field(m), as_field(mt), as_field(r)
 
     # the marches every check below reads, one column per lambda; psi is the
     # reflected kernel's march read backwards, so for a kernel that is its

@@ -8,11 +8,12 @@ Delta is always spectral.DeltaEvaluator of G's last row, the Delta whose
 zeros find_spectrum finds. A fit takes one of two paths to that row, which
 InverseProblem.series decides once.
 
-When M = M0 + R P(x - t) is a difference kernel on an even grid (the
-series path), the rows are transform.series_row's on the grid and on its
-every other node, as spectrum with "extrapolate" reads them, so no G is
-built; Delta is their Richardson combination, and the exact Jacobian of
-the rows (transform.series_jacobian) gives the residual's.
+When M0 and R are Profiles, so that M = M0 + R P(x - t) is a difference
+kernel, and the grid is even (the series path), the rows are
+transform.series_row's on the grid and on its every other node, as
+spectrum with "extrapolate" reads them, so no G is built; Delta is their
+Richardson combination, and the exact Jacobian of the rows
+(transform.series_jacobian) gives the residual's.
 
 Otherwise (the G path) Delta is that of the candidate G's last row, the
 Delta whose zeros find_spectrum finds when it does not extrapolate, and the
@@ -33,7 +34,6 @@ from .quadrature import (
     Grid,
     Profile,
     TriangularField,
-    difference_samples,
     lag_view,
     make_grid,
     require_same_grid,
@@ -44,6 +44,7 @@ from .kernels import (
     KernelComponent,
     StructuredKernel,
     assemble_kernel,
+    kernel_samples,
     compute_B,
     check_B_nonvanishing,
     NumericalFailure,
@@ -134,14 +135,16 @@ def _spline_basis(knots: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 class InverseProblem:
     """Single-profile recovery setup: M0 and R known, P unknown.
 
-    A problem whose series property is set is fitted on series rows (see
-    spectrum_residual). Each G that spectrum_residual builds, for any other
-    problem or for a row the series declines, is compute_g's: the row
-    march, certified by one Picard update at the tolerance the march sets.
+    M0 and R are fields, or Profiles that stand for the difference kernels
+    of their samples (kernels.StructuredKernel). A problem whose series
+    property is set is fitted on series rows (see spectrum_residual). Each
+    G that spectrum_residual builds, for any other problem or for a row the
+    series declines, is compute_g's: the row march, certified by one Picard
+    update at the tolerance the march sets.
     """
 
-    m0: TriangularField
-    r: TriangularField
+    m0: TriangularField | Profile
+    r: TriangularField | Profile
     target: Spectrum
     d: int
     mu: float = 0.0
@@ -174,18 +177,18 @@ class InverseProblem:
     def series(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(m0, lift) when the fit takes the series path, else None.
 
-        The path needs M = M0 + R P(x - t) to be a difference kernel: M0 and
-        R must each be one (quadrature.difference_samples). It also needs N
+        The path needs M = M0 + R P(x - t) to be a difference kernel, decided
+        by type: M0 and R must each be a Profile. A field is not inspected,
+        even one that equals a Profile read at x - t. The path also needs N
         even and every |Re nu| < N/2, where the grid of N/2 intervals does
         not alias. Then M's difference samples are m0 + lift @ params, with
-        m0 the column 0 of M0 and lift the basis scaled by the column 0 of R.
+        m0 the samples of M0 and lift the basis scaled by those of R.
         """
         n = self.grid.n_intervals
-        m0, r = difference_samples(self.m0), difference_samples(self.r)
         if (n % 2 or any(abs(ev.value.real) >= n / 2 for ev in self.target.eigenvalues)
-                or m0 is None or r is None):
+                or not isinstance(self.m0, Profile) or not isinstance(self.r, Profile)):
             return None
-        return m0, r[:, None] * self.basis
+        return self.m0.values, self.r.values[:, None] * self.basis
 
     @cached_property
     def row_grids(self) -> tuple[Grid, Grid]:
@@ -449,7 +452,8 @@ def recover_sequential(
     """Stage-by-stage recovery of P_1, ..., P_p from the truncation spectra.
 
     Stage k sees the spectrum of the k-truncated kernel and solves for P_k
-    with the previously recovered profiles frozen into the known part.
+    with the previously recovered profiles frozen into the known part, as
+    kernel_samples forms it: a Profile where M0 and the R_j so far are.
     """
     if len(spectra) > family.p_count:
         raise ValueError(
@@ -469,7 +473,7 @@ def recover_sequential(
         reports.append(report)
         if not report.converged or k + 1 == len(spectra):
             break
-        m0_eff = assemble_kernel(
+        m0_eff = kernel_samples(
             StructuredKernel(m0_eff, (KernelComponent(comp.r, report.recovered),))
         )
     return reports

@@ -2,7 +2,10 @@
 
 The factors R_j and the convolution profiles P_j are stored sampled and
 separate, because the inverse solver perturbs the profiles repeatedly and
-reassembles the kernel per iterate.
+reassembles the kernel per iterate. M0 or an R_j may be a Profile q, which
+stands for the difference kernel q(x - t) by its N + 1 samples; the CLI
+samples an analytic constant so. When M0 and every R_j are Profiles, M is
+the difference kernel of kernel_samples' Profile, and no field is formed.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from .quadrature import (
     Grid,
     Profile,
     TriangularField,
+    as_field,
     lag_view,
     require_same_grid,
     volterra_apply,
@@ -44,7 +48,7 @@ class WeightVanishesError(ValueError):
 class KernelComponent:
     """One convolution component: factor r(x,t) and profile p(x-t)."""
 
-    r: TriangularField
+    r: TriangularField | Profile
     p: Profile
 
     def __post_init__(self):
@@ -53,7 +57,7 @@ class KernelComponent:
 
 @dataclass(frozen=True, eq=False)
 class StructuredKernel:
-    m0: TriangularField
+    m0: TriangularField | Profile
     components: tuple
 
     def __post_init__(self):
@@ -103,27 +107,54 @@ def shifted_factor(r: TriangularField) -> np.ndarray:
     return shifted_rows(r, 0, n, np.empty((n, n), dtype=r.values.dtype))
 
 
+def _summed(sk: StructuredKernel, read) -> np.ndarray:
+    """read(R_1) read(P_1) + read(M0), then each further read(R_j) read(P_j)
+    added in place, read(f) giving the samples of the part f.
+
+    Finite factors whose products overflow give inf or NaN without a warning.
+    """
+    # each product is a fresh array: the first takes M0 in, so M0 is not copied
+    products = (read(c.r) * read(c.p) for c in sk.components)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = next(products, None)
+        vals = read(sk.m0).copy() if vals is None else np.add(vals, read(sk.m0), out=vals)
+        for prod in products:
+            vals += prod
+    return vals
+
+
 def assemble_kernel(sk: StructuredKernel) -> TriangularField:
     """Sample M = M0 + sum_j R_j * P_j(x - t) on the triangle.
 
-    Finite factors whose products overflow give inf or NaN samples without a
+    A Profile M0 or R_j is read at x - t (lag_view), as each P_j is. Finite
+    factors whose products overflow give inf or NaN samples without a
     warning; compute_g refuses such an M.
     """
-    # each product is a fresh array: the first takes M0 in, so M0 is not copied
-    products = (c.r.values * lag_view(c.p.values) for c in sk.components)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = next(products, None)
-        vals = sk.m0.values.copy() if vals is None else np.add(vals, sk.m0.values, out=vals)
-        for prod in products:
-            vals += prod
-    return TriangularField(sk.grid, zero_upper(vals))
+    return TriangularField(sk.grid, zero_upper(_summed(
+        sk, lambda f: lag_view(f.values) if isinstance(f, Profile) else f.values)))
 
 
-def compute_B(r: TriangularField) -> Profile:
-    """Weight B(x) = integral over [0, x] of r(pi - t, x - t) dt."""
+def kernel_samples(sk: StructuredKernel) -> Profile | TriangularField:
+    """M as the Profile p = m0 + sum_j r_j P_j when M0 and every R_j are
+    Profiles, else assemble_kernel(sk).
+
+    Such an M is the difference kernel p(x - t), and p, formed with no
+    field, is bitwise column 0 of the M assemble_kernel forms: the parts
+    are added in its order.
+    """
+    if not all(isinstance(f, Profile) for f in (sk.m0, *(c.r for c in sk.components))):
+        return assemble_kernel(sk)
+    return Profile(sk.grid, _summed(sk, lambda f: f.values))
+
+
+def compute_B(r: TriangularField | Profile) -> Profile:
+    """Weight B(x) = integral over [0, x] of r(pi - t, x - t) dt.
+
+    A Profile r is lifted to its field (quadrature.as_field) first.
+    """
     grid = r.grid
     ones = np.ones(grid.n_nodes, dtype=complex)
-    return Profile(grid, volterra_apply(shifted_factor(r), ones, grid.step))
+    return Profile(grid, volterra_apply(shifted_factor(as_field(r)), ones, grid.step))
 
 
 def check_B_nonvanishing(b: Profile) -> bool:

@@ -144,16 +144,6 @@ def lag_view(v: np.ndarray) -> np.ndarray:
     return sliding_window_view(padded, n)[::-1]
 
 
-def difference_samples(f: TriangularField) -> np.ndarray | None:
-    """Samples p with f(x_i, t_j) = p[i - j], or None if f is no difference kernel.
-
-    f is one exactly when its values equal lag_view of its column 0,
-    compared by value; p is then that column.
-    """
-    p = f.values[:, 0]
-    return p if np.array_equal(f.values, lag_view(p)) else None
-
-
 def zero_upper(values: np.ndarray) -> np.ndarray:
     """Set the entries of a square array above its diagonal to +0.0, in place.
 
@@ -233,3 +223,12 @@ class TriangularField:
         time, so it forms no full-size array of magnitudes."""
         v = self.values
         return float(np.max([np.abs(v[r : r + ROW_BLOCK]).max() for r in range(0, len(v), ROW_BLOCK)]))
+
+
+def as_field(m: TriangularField | Profile) -> TriangularField:
+    """m as a field. A Profile p stands for the difference kernel p(x - t)
+    and is lifted to a new field of its samples p[i - j] (lag_view); a
+    field is returned itself."""
+    if isinstance(m, Profile):
+        return TriangularField(m.grid, np.array(lag_view(m.values)))
+    return m

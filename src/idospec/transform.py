@@ -9,10 +9,11 @@ every shifted argument is a node, so both reduce to trapezoid sums without
 interpolation. T is causal in the rows of the grid, so compute_g solves the
 discrete equation directly, in one march down the rows, instead of summing
 the series, and certifies the result with a single Picard update. For a
-difference kernel M = p(x - t) that march unrolls into a short series whose
-terms are rank one along the diagonals of G: build_g forms G from them with
-no march, last_row G's last row alone, and series_jacobian that row's exact
-derivative in the samples of p, for the inversion to fit on.
+difference kernel M = p(x - t), handed in as the Profile of its samples p,
+that march unrolls into a short series whose terms are rank one along the
+diagonals of G: build_g forms G from them with no march, last_row G's last
+row alone, and series_jacobian that row's exact derivative in the samples
+of p, for the inversion to fit on.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .quadrature import (ROW_BLOCK, Grid, Profile, TriangularField, difference_samples, lag_view,
-                         march_rows, require_same_grid, volterra_apply, zero_upper)
+from .quadrature import (ROW_BLOCK, Grid, Profile, TriangularField, as_field, march_rows,
+                         require_same_grid, volterra_apply, zero_upper)
 from .kernels import NumericalFailure, shifted_factor
 
 
@@ -347,17 +348,18 @@ def _series_terms(p: np.ndarray, h: float):
         v = (0.5j * h) * np.convolve(q, v)[: n + 1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def series_row(p: np.ndarray, h: float, factors: list | None = None) -> np.ndarray | None:
     """G's last row for M[i, j] = p[i - j], summed from _series_terms, or None.
 
     G[N, j] = sum over k of c[j, k] (z^k p)[N - j]. The sum stops after the
     first term whose sup norm is at most eps times the row's. It is None,
-    for compute_g to build G instead, if the row is not finite, if
-    _SERIES_MAX_TERMS terms do not reach that point, or if eps times the sum
-    of the terms' sup norms, which bounds the rounding their cancellation
-    leaves, exceeds compute_g's tol 1e-12 (1 + sup|row|). If factors is a
-    list, the factors of every term summed are appended to it, for
-    series_jacobian.
+    with no warning, for compute_g to build G instead, if the row is not
+    finite, if _SERIES_MAX_TERMS terms do not reach that point, or if eps
+    times the sum of the terms' sup norms, which bounds the rounding their
+    cancellation leaves, exceeds compute_g's tol 1e-12 (1 + sup|row|). If
+    factors is a list, the factors of every term summed are appended to it,
+    for series_jacobian.
     """
     eps = np.finfo(float).eps
     row = np.zeros(p.size, dtype=complex)
@@ -435,6 +437,7 @@ def _sheared_product(cmat: np.ndarray, vmat: np.ndarray) -> np.ndarray:
     return buf[: n * n].reshape(n, n)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _series_g(p: np.ndarray, grid: Grid) -> TransformKernel | None:
     """G for M[i, j] = p[i - j] as the product of _series_terms' factors, or None.
 
@@ -447,8 +450,9 @@ def _series_g(p: np.ndarray, grid: Grid) -> TransformKernel | None:
     G instead, if G is not finite, if _SERIES_MAX_TERMS terms do not reach
     the stop, or if eps times the sum of the sizes, which bounds the
     rounding their cancellation leaves, exceeds compute_g's tol
-    1e-12 (1 + sup|G|). No Picard update certifies it: that guard does.
-    term_norms is empty (no march ran), and tol is that of the guard.
+    1e-12 (1 + sup|G|); an overflow gives no warning. No Picard update
+    certifies it: that guard does. term_norms is empty (no march ran), and
+    tol is that of the guard.
     """
     eps = np.finfo(float).eps
     cs, vs = [], []
@@ -475,45 +479,36 @@ def _series_g(p: np.ndarray, grid: Grid) -> TransformKernel | None:
     return TransformKernel(g=g, term_norms=np.zeros(0), tol=tol)
 
 
-def build_g(m: TriangularField) -> TransformKernel:
+def build_g(m: TriangularField | Profile) -> TransformKernel:
     """G of the kernel m: _series_g's for a difference kernel, else compute_g's.
 
-    A difference kernel (quadrature.difference_samples) takes the series
-    unless its guard declines; any other kernel, or one it declines, takes
-    compute_g, whose G and record are returned unchanged, and which raises
-    PicardConvergenceError for a kernel that overflows.
+    m is a kernel field, or a Profile p that stands for the difference
+    kernel M[i, j] = p[i - j] by its N + 1 samples. A Profile takes the
+    series unless its guard declines; a field, or a Profile it declines
+    (lifted by quadrature.as_field), takes compute_g, whose G and record are
+    returned unchanged, and which raises PicardConvergenceError for a kernel
+    that overflows.
     """
-    p = difference_samples(m)
-    if p is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            tk = _series_g(p, m.grid)
-        if tk is not None:
-            return tk
-    return compute_g(m)
+    tk = _series_g(m.values, m.grid) if isinstance(m, Profile) else None
+    return compute_g(as_field(m)) if tk is None else tk
 
 
 def last_row(m: TriangularField | Profile, factors: list | None = None) -> tuple[np.ndarray, str]:
     """G's last row, G[N, :], and how it was formed: "series" or "march".
 
     m is a kernel field, or a Profile p that stands for the difference
-    kernel M[i, j] = p[i - j] by its N + 1 samples. A difference kernel (a
-    Profile, or a field quadrature.difference_samples finds to be one) takes
+    kernel M[i, j] = p[i - j] by its N + 1 samples. A Profile takes
     series_row's row, with no field built; if factors is a list, series_row
     appends its terms' factors to it, for series_jacobian, and they are
-    complete where the row is "series". Otherwise, or where the series
-    declines, the row is compute_g's of the field (lag_view of p for a
-    Profile), a view of the G built, which raises PicardConvergenceError as
-    compute_g does for a kernel that overflows.
+    complete where the row is "series". A field, or a Profile the series
+    declines (lifted by quadrature.as_field), gets compute_g's last row, a
+    view of the G built, which raises PicardConvergenceError as compute_g
+    does for a kernel that overflows.
     """
-    p = m.values if isinstance(m, Profile) else difference_samples(m)
-    if p is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            row = series_row(p, m.grid.step, factors)
-        if row is not None:
-            return row, "series"
-        if isinstance(m, Profile):
-            m = TriangularField(m.grid, np.array(lag_view(p)))
-    return compute_g(m).g.values[-1], "march"
+    row = series_row(m.values, m.grid.step, factors) if isinstance(m, Profile) else None
+    if row is None:
+        return compute_g(as_field(m)).g.values[-1], "march"
+    return row, "series"
 
 
 def reflected_kernel(m: TriangularField) -> TriangularField:

@@ -256,10 +256,11 @@ def test_criterion_09_single_profile_round_trip(g_cache):
     )), WIDE_WINDOW)
     assert target.total_count >= 12
 
+    # M0 = 0 and R = 1 as the Profiles invert samples them: the series path
     grid = make_grid(200)
     problem = InverseProblem(
-        m0=TriangularField.zeros(grid),
-        r=TriangularField.constant(grid, 1.0),
+        m0=Profile.zeros(grid),
+        r=Profile.constant(grid, 1.0),
         target=target,
         d=8,
     )
@@ -269,8 +270,9 @@ def test_criterion_09_single_profile_round_trip(g_cache):
     ok = report.converged and sup_err <= 1e-2 and elapsed < 300.0
     record_criterion(
         9, "single-profile round trip", ok,
-        f"{target.total_count} targets, sup err {sup_err:.2e}, {elapsed:.0f}s",
+        f"{target.total_count} targets, sup err {sup_err:.2e}, g_builds {report.g_builds}, {elapsed:.0f}s",
     )
+    assert report.g_builds == 0
     assert report.converged
     assert sup_err <= 1e-2
     assert elapsed < 300.0
@@ -281,9 +283,10 @@ def test_criterion_10_sequential_round_trip():
     t0 = time.monotonic()
 
     def build_family(grid):
-        r = TriangularField.constant(grid, 1.0)
+        # M0 = 0 and R = 1 as the Profiles invert samples them: the series path
+        r = Profile.constant(grid, 1.0)
         return StructuredKernel(
-            TriangularField.zeros(grid),
+            Profile.zeros(grid),
             (
                 KernelComponent(r, Profile.constant(grid, 1.0)),
                 KernelComponent(r, Profile.from_function(grid, np.cos)),
@@ -316,8 +319,10 @@ def test_criterion_10_sequential_round_trip():
     )
     record_criterion(
         10, "sequential two-stage round trip", ok,
-        f"stage errors {errs[0]:.2e}, {errs[1]:.2e}, {elapsed:.0f}s",
+        f"stage errors {errs[0]:.2e}, {errs[1]:.2e}, "
+        f"g_builds {[rep.g_builds for rep in reports]}, {elapsed:.0f}s",
     )
+    assert [rep.g_builds for rep in reports] == [0, 0]
     assert all(rep.converged for rep in reports)
     assert max(errs) <= 1e-2
     assert elapsed < 300.0

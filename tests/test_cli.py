@@ -20,10 +20,12 @@ import idospec.inverse
 import idospec.spectral
 import idospec.transform
 from idospec import serialize
-from idospec.kernels import NumericalFailure, assemble_kernel
-from idospec.quadrature import Profile, TriangularField, make_grid
+from idospec.kernels import (
+    KernelComponent, NumericalFailure, StructuredKernel, assemble_kernel, kernel_samples,
+)
+from idospec.quadrature import Profile, TriangularField, as_field, make_grid
 from idospec.spectral import DeltaEvaluator, SearchWindow, char_delta, eval_e_via_g
-from idospec.transform import compute_g, last_row
+from idospec.transform import build_g, compute_g, last_row
 from idospec.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -236,7 +238,7 @@ class TestSpectrum:
         assert json.loads((out / "spectrum.json").read_text())["search"]["path"] == "companion"
         spec = serialize.spectrum_from_json(out / "spectrum.json")
         run = idospec.cli._parse(cfg, "spectrum", None)
-        g = idospec.cli._build_g(run["kernel"], make_grid(200))[1]
+        g = build_g(kernel_samples(idospec.cli._sample_kernel(run["kernel"], make_grid(200))))
         ref = find_spectrum_subdivision(delta_of(g), SearchWindow(**window))
         assert spec.total_count == ref.total_count >= 18
         assert len(spec.eigenvalues) == len(ref.eigenvalues)
@@ -323,8 +325,8 @@ class TestSpectrum:
         })
         out = workdir / "spec_hm_bytes_out"
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        # CONST_KERNEL assembles to M = 1 exactly, so this is the command's row
-        row, way = last_row(TriangularField.constant(make_grid(40), 1.0))
+        # CONST_KERNEL is M = 1 exactly, the Profile 1, so this is the command's row
+        row, way = last_row(Profile.constant(make_grid(40), 1.0))
         assert way == json.loads((out / "spectrum.json").read_text())["g_row"] == "series"
         evaluator = DeltaEvaluator(row)
         fmt = serialize.fmt
@@ -533,25 +535,34 @@ def _profile_specs(draw, n, folder):
 
 
 class TestDifferenceSamples:
-    """spectrum of a kernel whose m0 and every r are analytic constants reads
-    M's N + 1 difference samples, formed with no field, bitwise column 0 of
-    the M assemble_kernel would form; any other kernel is assembled."""
+    """A kernel whose m0 and every r are analytic constants is the Profile of
+    M's N + 1 difference samples from config to root, formed with no field,
+    bitwise column 0 of the M assemble_kernel forms; any other kernel is
+    assembled."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(2, 401), m0=_FACTORS,
-           rs=st.lists(_FACTORS, min_size=0, max_size=3))
-    def test_samples_are_column_0_bitwise(self, workdir, data, n, m0, rs):
+           rs=st.lists(_FACTORS, min_size=0, max_size=3), r2=_FACTORS)
+    def test_samples_are_column_0_bitwise(self, workdir, data, n, m0, rs, r2):
+        # kernel_samples' Profile read at x - t is the field assemble_kernel
+        # forms of the same parts, bitwise in every entry; so is the stage-2
+        # update m0 + r P_recovered that recover_sequential forms from it,
+        # against the update of the fields
         grid = make_grid(n)
         specs = [data.draw(_profile_specs(n, workdir)) for _ in rs]
         kernel = idospec.cli._parse_kernel({"m0": _constant(m0), "components": [
             {"r": _constant(r), "p": p} for r, p in zip(rs, specs)]})
-        p = idospec.cli._row_kernel(kernel, grid)
-        m = assemble_kernel(idospec.cli._sample_kernel(kernel, grid))
+        sk = idospec.cli._sample_kernel(kernel, grid)
+        p, m = kernel_samples(sk), assemble_kernel(sk)
         assert isinstance(p, Profile) and p.grid is grid
-        assert p.values.tobytes() == m.values[:, 0].tobytes()
-        row, way = last_row(p)
-        ref, ref_way = last_row(m)
-        assert way == ref_way and row.tobytes() == ref.tobytes()
+        assert as_field(p).values.tobytes() == m.values.tobytes()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        recovered = Profile(grid, rng.uniform(-1.0, 1.0, n + 1).astype(complex))
+        r = Profile.constant(grid, r2)
+        update = kernel_samples(StructuredKernel(p, (KernelComponent(r, recovered),)))
+        fields = assemble_kernel(StructuredKernel(m, (KernelComponent(as_field(r), recovered),)))
+        assert isinstance(update, Profile)
+        assert update.values.tobytes() == fields.values[:, 0].tobytes()
 
     def test_declined_series_marches_the_same_row(self, workdir, monkeypatch):
         # P = 100 at N = 100: the series' rounding guard declines, and the
@@ -569,20 +580,46 @@ class TestDifferenceSamples:
         ref = compute_g(TriangularField.constant(make_grid(100), 100.0)).g.values[-1]
         assert way == "march" and row.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("r, fields", [(TILTED_R, 2), (CONST_KERNEL["components"][0]["r"], 0)],
-                             ids=["tilted", "constant"])
-    def test_only_a_factor_that_is_no_constant_assembles_the_field(self, workdir, monkeypatch, r, fields):
-        calls = []
-        assemble = idospec.cli.assemble_kernel
-        monkeypatch.setattr(idospec.cli, "assemble_kernel", lambda *a: calls.append(1) or assemble(*a))
-        kernel = {"m0": CONST_KERNEL["m0"], "components": [{"r": r, "p": _constant(1.0)}]}
-        tag = f"spec_assembled_{fields}"
-        cfg = write_config(workdir / f"{tag}.json", {
-            "grid_n": 40, "kernel": kernel, "window": WINDOW, "extrapolate": True})
-        assert main(["spectrum", "--config", cfg, "--out", str(workdir / tag)]) == EXIT_OK
-        assert len(calls) == fields
-        g_row = json.loads((workdir / tag / "spectrum.json").read_text())["g_row"]
-        assert g_row == ("series" if fields == 0 else "march")
+    @pytest.mark.parametrize("r", [TILTED_R, CONST_KERNEL["components"][0]["r"]], ids=["tilted", "constant"])
+    @pytest.mark.parametrize("command", ["spectrum", "forward", "verify", "invert"])
+    def test_only_a_factor_that_is_no_constant_assembles_the_field(
+        self, workdir, target_spectrum, monkeypatch, command, r
+    ):
+        # constant factors: no field is sampled or assembled, and every G
+        # and row is summed as a series. The tilted R is sampled and
+        # assembled, and G is marched
+        calls, builds = [], []
+        for module, name in ((idospec.cli, "field_from_family"), (idospec.kernels, "assemble_kernel"),
+                             (idospec.inverse, "assemble_kernel")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        for module in (idospec.transform, idospec.inverse):
+            monkeypatch.setattr(module, "compute_g",
+                                lambda *a, fn=module.compute_g: builds.append(1) or fn(*a))
+        zero, one = _constant(0.0), _constant(1.0)
+        cfg = {
+            "spectrum": {"grid_n": 40, "kernel": {"m0": zero, "components": [{"r": r, "p": one}]},
+                         "window": WINDOW, "extrapolate": True},
+            "forward": {"grid_n": 40, "kernel": {"m0": zero, "components": [{"r": r, "p": one}]}},
+            "verify": {"grid_n": 20, "m0": zero, "r": r, "p": one, "p_tilde": _constant(0.5)},
+            "invert": {"grid_n": 80, "d": 4, "init": [0.8] * 4, "opts": {"max_iter": 1},
+                       "kernel": {"m0": zero, "components": [{"r": r}]}, "target": str(target_spectrum)},
+        }[command]
+        tag = f"assembled_{command}_{'tilted' if r is TILTED_R else 'constant'}"
+        code = main([command, "--config", write_config(workdir / f"{tag}.json", cfg),
+                     "--out", str(workdir / tag)])
+        # one LM iteration from 0.8 does not converge
+        assert code == (EXIT_NUMERICAL if command == "invert" else EXIT_OK)
+        tilted = r is TILTED_R
+        assert set(calls) == ({"field_from_family", "assemble_kernel"} if tilted else set())
+        assert bool(builds) == tilted
+        records = {"spectrum": ("spectrum.json", "g_row"), "forward": ("forward_report.json", "g_build")}
+        if command in records:
+            name, key = records[command]
+            assert json.loads((workdir / tag / name).read_text())[key] == ("march" if tilted else "series")
+        if command == "invert":
+            (stage,) = json.loads((workdir / tag / "recovery_report.json").read_text())["stages"]
+            assert (stage["g_builds"] > 0) == tilted and stage["g_builds"] == len(builds)
 
     def test_overflowing_product_exits_numerical(self, workdir, capsys):
         # P = 10 is finite, but r P is not: the series declines, and the
@@ -1275,6 +1312,33 @@ class TestRefusedBeforeAnyGrid:
         cfg = base_config("spectrum", grid_n=20, extrapolate=value)
         assert self.run(workdir, monkeypatch, f"early_extrapolate_{k}", "spectrum", cfg) == EXIT_CONFIG
         assert f"extrapolate must be bool, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, path", [
+        ("verify", ("m0",)), ("verify", ("p",)), ("verify", ("p_tilde",)),
+        ("spectrum", ("kernel", "m0")), ("spectrum", ("kernel", "components", 0, "r")),
+        ("spectrum", ("kernel", "components", 0, "p")),
+    ])
+    def test_samples_spec_in_a_two_grid_run(self, workdir, monkeypatch, capsys, command, path):
+        # verify, and spectrum with extrapolate, sample on grids of N and 2N
+        # intervals, and a samples file holds one grid: such a run used to do
+        # the coarse grid's work, then refuse the file as the wrong length
+        # for the fine grid. A one-grid spectrum reads the same spec
+        cfg = base_config(command, grid_n=8)
+        if command == "spectrum":
+            cfg.update(extrapolate=True, kernel={"m0": self.CONST, "components": [{"r": self.CONST}]})
+        node = cfg
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = {"kind": "samples", "path": str(workdir / "p8.csv")}
+        key = TestMutatedConfigs.key_path(path)
+        run = "verify" if command == "verify" else "an extrapolated spectrum"
+        name = f"early_samples_{command}_{key}"
+        assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"config error: {key} is a samples file, which holds one "
+                                           f"grid, but {run} samples on grids of N and 2N intervals\n")
+        if command == "spectrum":
+            cfg["extrapolate"] = False
+            assert idospec.cli._parse(cfg, command, None)["kernel"]
 
     @pytest.mark.parametrize("command", ["forward", "spectrum", "invert"])
     @pytest.mark.parametrize("k, kernel", enumerate([None, "const", [CONST_KERNEL]]))

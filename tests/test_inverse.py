@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from idospec.quadrature import PI, Profile, TriangularField, lag_view, make_grid
+from idospec.quadrature import PI, Profile, TriangularField, make_grid
 from idospec.kernels import (
     KernelComponent,
     StructuredKernel,
@@ -78,19 +78,20 @@ DEEP_MULTIPLE = Spectrum(
 
 
 def convolution_problem(target, n, r=None, d=8):
-    """d-parameter fit of M = R(x, t) P(x - t) on n intervals; R = 1 unless given."""
+    """d-parameter fit of M = R(x, t) P(x - t) on n intervals. M0 = 0 and R
+    = 1 are Profiles, as invert samples such constants; R is the field r(grid)
+    if given."""
     grid = make_grid(n)
-    r = TriangularField.constant(grid, 1.0) if r is None else r(grid)
-    return InverseProblem(m0=TriangularField.zeros(grid), r=r, target=target, d=d)
+    r = Profile.constant(grid, 1.0) if r is None else r(grid)
+    return InverseProblem(m0=Profile.zeros(grid), r=r, target=target, d=d)
 
 
 def extrapolated_delta(p):
-    """DeltaEvaluator(row_N/2, row_N) of M = p(x - t), with last_row's rows on
-    the grid of N = len(p) - 1 intervals and on its every other node: the
-    Delta of the series path's residual."""
+    """DeltaEvaluator(row_N/2, row_N) of M = p(x - t), with last_row's rows of
+    the Profiles of p on the grid of N = len(p) - 1 intervals and on its
+    every other node: the Delta of the series path's residual."""
     n = p.size - 1
-    return DeltaEvaluator(*(last_row(TriangularField(make_grid(n // s), np.array(lag_view(p[::s]))))[0]
-                            for s in (2, 1)))
+    return DeltaEvaluator(*(last_row(Profile(make_grid(n // s), p[::s]))[0] for s in (2, 1)))
 
 
 def constant_target(n, polish):
@@ -112,9 +113,10 @@ def grid80():
 @pytest.fixture(scope="module")
 def const_problem(grid80):
     """Inverse crime setup on the series path: P = 1, R = 1, M0 = 0 at N = 80,
-    and a target that is the zero set of the fit's own residual."""
+    M0 and R as Profiles, and a target that is the zero set of the fit's own
+    residual."""
     problem = InverseProblem(
-        m0=TriangularField.zeros(grid80), r=TriangularField.constant(grid80, 1.0),
+        m0=Profile.zeros(grid80), r=Profile.constant(grid80, 1.0),
         target=constant_target(80, polish=True), d=4,
     )
     assert problem.series is not None
@@ -124,10 +126,11 @@ def const_problem(grid80):
 @pytest.fixture(scope="module")
 def odd_problem():
     """Inverse crime setup on the G path: P = 1, R = 1 and M0 = 0 at the odd
-    N = 81, whose target is the G roots on the same grid."""
+    N = 81, M0 and R as Profiles, whose target is the G roots on the same
+    grid."""
     grid = make_grid(81)
     problem = InverseProblem(
-        m0=TriangularField.zeros(grid), r=TriangularField.constant(grid, 1.0),
+        m0=Profile.zeros(grid), r=Profile.constant(grid, 1.0),
         target=constant_target(81, polish=False), d=4,
     )
     assert problem.series is None
@@ -218,21 +221,19 @@ class TestProblemSetup:
             problem.check_weight_condition()
 
     def test_series_path_needs_all_three_conditions(self, const_problem):
-        # a difference kernel, N even and |Re nu| < N/2; a multiple target
-        # takes it too
+        # M0 and R Profiles, N even and |Re nu| < N/2; a multiple target
+        # takes it too. A field is not inspected, even R = 1
         target = const_problem.target
         samples = lambda grid: 0.3 + 0.2 * np.cos(grid.nodes)
 
         def one(grid):
-            return TriangularField.constant(grid, 1.0)
+            return Profile.constant(grid, 1.0)
 
         def diff(grid):
-            return TriangularField(grid, np.array(lag_view(samples(grid) + 0j)))
+            return Profile(grid, samples(grid) + 0j)
 
-        def bumped(grid):               # R = 1 but one entry one ulp above it
-            r = one(grid)
-            r.values[5, 2] += 2.0**-52
-            return r
+        def field(grid):                # R = 1 as a field
+            return TriangularField.constant(grid, 1.0)
 
         def ramp(grid):
             return TriangularField.from_function(grid, lambda x, t: 0.05 + 0.03 * x)
@@ -245,7 +246,7 @@ class TestProblemSetup:
             (8, one, one, single(-3.9 - 0.5j), True), (8, one, one, single(4.0 - 0.5j), False),
             (81, one, one, target, False), (80, one, one, single(1.0 - 0.5j, 2), True),
             (80, one, tilted_r, target, False), (80, ramp, one, target, False),
-            (80, one, bumped, target, False),
+            (80, one, field, target, False), (80, field, one, target, False),
         ]
         for n, m0, r, tgt, taken in cases:
             grid = make_grid(n)
@@ -319,7 +320,7 @@ class TestSpectrumResidual:
         res, jacobian, builds = spectrum_residual(params, problem)
         m0, lift = problem.series
         p = m0 + lift @ params
-        rows = [last_row(TriangularField(make_grid(100 // s), np.array(lag_view(p[::s])))) for s in (2, 1)]
+        rows = [last_row(Profile(make_grid(100 // s), p[::s])) for s in (2, 1)]
         assert [way for _, way in rows] == ["march", "march"]
         assert jacobian is None and builds == 2
         nus = np.array([ev.value for ev in DEEP.eigenvalues])
@@ -600,21 +601,25 @@ class TestRecoverSequential:
     def test_known_kernel_assembled_between_stages_only(
         self, grid80, const_problem, monkeypatch, stages
     ):
-        # with the stage fits stubbed out, every assemble_kernel call is a
-        # stage's recovered profile frozen into the next stage's known part
+        # with the stage fits stubbed out, every kernel_samples call is a
+        # stage's recovered profile frozen into the next stage's known part.
+        # M0 and R are Profiles, so that part is the Profile m0 + r P, which
+        # keeps the next stage on the series path, and no field is assembled
+        problems = []
+
         def fit(problem, init, *, max_iter):
+            problems.append(problem)
             return idospec.inverse.RecoveryReport(
                 recovered=Profile.constant(grid80, 1.0), residual_norm=0.0,
                 iterations=0, converged=True,
             )
 
-        assemblies = []
-        assemble = idospec.inverse.assemble_kernel
+        calls = []
+        samples = idospec.inverse.kernel_samples
         monkeypatch.setattr(idospec.inverse, "recover_profile", fit)
-        monkeypatch.setattr(
-            idospec.inverse, "assemble_kernel",
-            lambda sk: assemblies.append(1) or assemble(sk),
-        )
+        monkeypatch.setattr(idospec.inverse, "kernel_samples", lambda sk: calls.append(1) or samples(sk))
+        for module in (idospec.inverse, idospec.kernels):
+            monkeypatch.setattr(module, "assemble_kernel", lambda *a: calls.append("assembled"))
         family = StructuredKernel(
             const_problem.m0,
             (KernelComponent(const_problem.r, Profile.constant(grid80, 1.0)),) * 3,
@@ -622,7 +627,10 @@ class TestRecoverSequential:
         spectra = [const_problem.target] * stages
         reports = recover_sequential(spectra, family, d=4)
         assert len(reports) == stages
-        assert len(assemblies) == len(spectra) - 1
+        assert calls == [1] * (len(spectra) - 1)
+        for k, problem in enumerate(problems):
+            assert isinstance(problem.m0, Profile) and problem.series is not None
+            assert np.array_equal(problem.m0.values, np.full(grid80.n_nodes, float(k)))
 
 
 class TestIdentities:

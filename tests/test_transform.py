@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import idospec.transform
 from idospec import cli
-from idospec.quadrature import PI, ROW_BLOCK, TriangularField, lag_view, make_grid
+from idospec.quadrature import PI, ROW_BLOCK, Profile, TriangularField, as_field, make_grid
 from idospec.transform import (
     PicardConvergenceError,
     _PRODUCT_BLOCK,
@@ -350,9 +350,10 @@ class TestComputeG:
 
 
 def _difference_kernel(n, p):
-    """M[i, j] = p(x_i - t_j) on the grid of n intervals, p a function of x."""
+    """M[i, j] = p(x_i - t_j) on the grid of n intervals, p a function of x,
+    as the Profile of its samples."""
     grid = make_grid(n)
-    return TriangularField(grid, np.array(lag_view(np.asarray(p(grid.nodes), dtype=complex))))
+    return Profile(grid, np.asarray(p(grid.nodes), dtype=complex))
 
 
 def _random_profile(kind, amp, seed):
@@ -366,7 +367,8 @@ def _random_profile(kind, amp, seed):
 
 
 class TestLastRow:
-    """last_row's series against compute_g's last row, and its fallback to the march."""
+    """last_row's series of a Profile against compute_g's last row of its
+    field, and its fallback to the march."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -381,7 +383,7 @@ class TestLastRow:
     def test_series_matches_the_march(self, n, kind, amp, seed):
         m = _difference_kernel(n, _random_profile(kind, amp, seed))
         row, way = last_row(m)
-        ref = compute_g(m).g.values[-1]
+        ref = compute_g(as_field(m)).g.values[-1]
         assert row.shape == ref.shape
         assert row[:1].tobytes() == np.zeros(1, dtype=complex).tobytes()  # G(pi, 0) = +0.0
         assert np.abs(row - ref).max() <= 1e-12 * (1.0 + np.abs(row).max())
@@ -392,13 +394,20 @@ class TestLastRow:
     def test_large_kernel_falls_back_to_the_march(self):
         # the terms of P = 100 grow far enough that their rounding would
         # exceed compute_g's tol
-        m = TriangularField.constant(make_grid(100), 100.0)
+        m = Profile.constant(make_grid(100), 100.0)
+        row, way = last_row(m)
+        assert way == "march"
+        assert row.tobytes() == compute_g(as_field(m)).g.values[-1].tobytes()
+
+    def test_non_difference_kernel_is_marched(self, grid50):
+        m = family_fields(grid50)["structured"]
         row, way = last_row(m)
         assert way == "march"
         assert row.tobytes() == compute_g(m).g.values[-1].tobytes()
 
-    def test_non_difference_kernel_is_marched(self, grid50):
-        m = family_fields(grid50)["structured"]
+    def test_field_of_a_difference_kernel_is_marched(self, grid50):
+        # only a Profile takes the series: a field is not inspected
+        m = as_field(Profile.constant(grid50, 1.0))
         row, way = last_row(m)
         assert way == "march"
         assert row.tobytes() == compute_g(m).g.values[-1].tobytes()
@@ -419,7 +428,8 @@ class TestLastRow:
 
 
 class TestBuildG:
-    """build_g's series G against compute_g's, and its fallback to compute_g."""
+    """build_g's series G of a Profile against compute_g's G of its field,
+    and its fallback to compute_g."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -434,7 +444,7 @@ class TestBuildG:
     @example(n=2 * ROW_BLOCK, kind="polynomial", amp=1.0, seed=2)
     def test_series_matches_the_march(self, n, kind, amp, seed):
         m = _difference_kernel(n, _random_profile(kind, amp, seed))
-        tk, ref = build_g(m), compute_g(m)
+        tk, ref = build_g(m), compute_g(as_field(m))
         g = tk.g.values
         assert g.shape == ref.g.values.shape
         assert g[:, 0].tobytes() == np.zeros(n + 1, dtype=complex).tobytes()  # G(x, 0) = +0.0
@@ -448,18 +458,19 @@ class TestBuildG:
             assert way == "series" and np.abs(g[-1] - row).max() <= tk.tol
 
     @pytest.mark.parametrize("m", [
-        TriangularField.constant(make_grid(100), 100.0),  # its rounding guard declines
+        Profile.constant(make_grid(100), 100.0),  # its rounding guard declines
         family_fields(make_grid(50))["structured"],  # no difference kernel
         family_fields(make_grid(50))["trig"],
-    ], ids=["P=100", "structured", "trig"])
+        as_field(Profile.constant(make_grid(50), 1.0)),  # a field is not inspected
+    ], ids=["P=100", "structured", "trig", "field of M = 1"])
     def test_otherwise_compute_g_bitwise(self, m):
-        tk, ref = build_g(m), compute_g(m)
+        tk, ref = build_g(m), compute_g(as_field(m))
         assert tk.build == "march"
         assert tk.g.values.tobytes() == ref.g.values.tobytes()
         assert tk.term_norms.tobytes() == ref.term_norms.tobytes() and tk.tol == ref.tol
 
     def test_overflowing_profile_raises_as_compute_g(self):
-        m = TriangularField.constant(make_grid(8), 1e308)
+        m = Profile.constant(make_grid(8), 1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PicardConvergenceError, match="march sup norm"):
@@ -482,11 +493,12 @@ class TestWorkingMemory:
     holds G, ROW_BLOCK - 1 rows past it that take the product's entries
     outside the triangle, one block of ROW_BLOCK rows of the product and
     its factors, about 2 K rows for K terms, and no second field: 1.5
-    fields at N = 200 and 1.3 at N = 400. forward holds M beside a G
-    build, and only G beside its CSV writer, so with the series its peak is
-    the writer's. spectrum of a kernel whose m0 and every r are constants
-    holds arrays of N + 1 entries per term of its rows and the zero
-    search's arrays, no field: 0.08 fields of its 2N grid at N = 400.
+    fields at N = 200 and 1.3 at N = 400. forward holds M (the Profile of
+    a difference kernel) beside a G build, and only G beside its CSV
+    writer, so with the series its peak is the writer's. spectrum of a
+    kernel whose m0 and every r are constants holds arrays of N + 1
+    entries per term of its rows and the zero search's arrays, no field:
+    0.08 fields of its 2N grid at N = 400.
     """
 
     def test_shifted_factor(self):

@@ -17,21 +17,23 @@ the G path's LM Jacobian (forward differences of the stacked residual,
 inverse._stacked_jacobian, d = 8: eight G builds) at 18 simple targets and
 one triple target, the series path's residual with its exact Jacobian
 (inverse.spectrum_residual and the Jacobian it returns, d = 8: series rows
-on the grids of N and of N/2 intervals) at those targets and at 19 simple
-ones, the triple one taken simple, building M
+on the grids of N and of N/2 intervals, M0 = 0 and R = 1 as the Profiles
+`invert` samples) at those targets and at 19 simple ones, the triple one
+taken simple, building M
 from a config (cli._sample_kernel on the kernel cli._parse_kernel read, then
 kernels.assemble_kernel), M's N + 1 difference samples from a config whose
-m0 and r are constants (cli._row_kernel, what `spectrum` reads for such a
-kernel in place of M) and the whole forward command (cli.cmd_forward,
+m0 and r are constants (kernels.kernel_samples of cli._sample_kernel's
+Profiles, what every command reads for such a kernel in place of M) and
+the whole forward command (cli.cmd_forward,
 writing its G CSV and the other artifacts into a temporary directory), at
 N in {100, 200, 400, 800} unless --n names others. The inputs are fixed: M =
 M0 + R P(x - t) with smooth M0, R and a three-term trig profile P, given
 as the kernel object of a config (KERNEL), its G, and that G as both
 kernels of the z-split. M is no difference kernel, so it is fitted on the
 G path. The series residual, the series G, the last row and the
-difference samples need a difference kernel, so they take M = P(x - t)
-with M0 = 0 and R = 1 instead: they do not measure the same kernel as
-compute_g.
+difference samples need a difference kernel, so they take M = P(x - t),
+the Profile P, with M0 = 0 and R = 1 instead: they do not measure the same
+kernel as compute_g.
 Each time is the median over repeats of a timeit loop of at least 50 ms.
 Beside it stands the layer's tracemalloc peak above its inputs (what one
 call allocates at most at once, its result included), in (N+1)^2 complex
@@ -64,8 +66,8 @@ import numpy as np  # noqa: E402
 
 from idospec import cli, inverse, transform  # noqa: E402
 from idospec.inverse import InverseProblem, spectrum_residual  # noqa: E402
-from idospec.kernels import assemble_kernel  # noqa: E402
-from idospec.quadrature import TriangularField, lag_view, make_grid  # noqa: E402
+from idospec.kernels import assemble_kernel, kernel_samples  # noqa: E402
+from idospec.quadrature import Profile, TriangularField, make_grid  # noqa: E402
 from idospec.spectral import (  # noqa: E402
     DeltaEvaluator, Eigenvalue, SearchWindow, Spectrum, eval_e_direct, find_spectrum,
 )
@@ -110,14 +112,15 @@ def layers(n: int, out: Path) -> dict:
     sk = cli._sample_kernel(kernel, grid)
     m0, r = sk.m0, sk.components[0].r
     m = assemble_kernel(sk)
-    m_series = TriangularField(grid, np.array(lag_view(sk.components[0].p.values)))
+    m_series = sk.components[0].p  # the Profile of M = P(x - t)
     g = transform.compute_g(m).g
     g1 = transform.picard_g1(m).values
     into = TriangularField(grid, g1.copy())  # each call adds one more step to it
     problem = InverseProblem(m0=m0, r=r, target=TARGETS, d=8)
     series_simple, series_triple = (
-        InverseProblem(m0=TriangularField.zeros(grid), r=TriangularField.constant(grid, 1.0),
+        InverseProblem(m0=Profile.zeros(grid), r=Profile.constant(grid, 1.0),
                        target=target, d=8) for target in (SIMPLE_TARGETS, TARGETS))
+    assert series_simple.series is not None and series_triple.series is not None  # no G path
     params = np.interp(problem.param_nodes, grid.nodes, sk.components[0].p.values.real)  # P at the knots
     stacked = inverse._stacked_residual(params, problem, 0.0)[0]
     forward = cli._parse({"grid_n": n, "kernel": KERNEL}, "forward", None)
@@ -142,7 +145,7 @@ def layers(n: int, out: Path) -> dict:
         "series residual + Jacobian (19 simple targets)": lambda: series_fit_step(params, series_simple),
         "series residual + Jacobian (18 + triple targets)": lambda: series_fit_step(params, series_triple),
         "M from config": lambda: assemble_kernel(cli._sample_kernel(kernel, grid)),
-        "difference samples from config": lambda: cli._row_kernel(series_kernel, grid),
+        "difference samples from config": lambda: kernel_samples(cli._sample_kernel(series_kernel, grid)),
         "forward": lambda: cli.cmd_forward("0" * 64, out, None, **forward),
     }
 
