@@ -18,7 +18,6 @@ from .quadrature import (
     Grid,
     Profile,
     TriangularField,
-    as_field,
     lag_view,
     require_same_grid,
     volterra_apply,
@@ -150,11 +149,16 @@ def kernel_samples(sk: StructuredKernel) -> Profile | TriangularField:
 def compute_B(r: TriangularField | Profile) -> Profile:
     """Weight B(x) = integral over [0, x] of r(pi - t, x - t) dt.
 
-    A Profile r is lifted to its field (quadrature.as_field) first.
+    A Profile r stands for rho(x - t), whose integrand rho(pi - x) does not
+    depend on t: B(x) = x rho(pi - x), formed with no field. Samples that
+    overflow give inf or NaN without a warning, as the field's do.
     """
     grid = r.grid
+    if isinstance(r, Profile):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Profile(grid, grid.nodes * r.values[::-1])
     ones = np.ones(grid.n_nodes, dtype=complex)
-    return Profile(grid, volterra_apply(shifted_factor(as_field(r)), ones, grid.step))
+    return Profile(grid, volterra_apply(shifted_factor(r), ones, grid.step))
 
 
 def check_B_nonvanishing(b: Profile) -> bool:

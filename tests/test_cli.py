@@ -875,7 +875,8 @@ class TestInvert:
         path = write_config(workdir / "inv_zero_weight.json", cfg)
         out = workdir / "inv_zero_weight_out"
         assert main(["invert", "--config", path, "--out", str(out)]) == EXIT_WEIGHT
-        assert capsys.readouterr().err.startswith("weight condition failure: ")
+        err = capsys.readouterr().err
+        assert err.startswith("weight condition failure: ") and err.count("\n") == 1, err
 
     def test_missing_target_is_config_error(self, workdir):
         cfg = write_config(
@@ -1041,6 +1042,7 @@ class TestConfigErrors:
         assert main([command, "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "malformed" in err and str(path) in err and message in err
+        assert err.count("\n") == 1, err
         assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
     @pytest.mark.parametrize("k, drop, text, key", [
@@ -1255,7 +1257,8 @@ class TestRefusedBeforeAnyGrid:
         cfg = base_config(command, opts={key: value})
         name = f"early_retired_opt_{key}_{value}"
         assert self.run(workdir, monkeypatch, name, command, cfg) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"config error: unknown key opts.{key}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown key opts.{key}: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("command, key, bound, argv", [
         ("spectrum", "opts.initial_edge_samples", MAX_EDGE_SAMPLES, []),
@@ -1421,7 +1424,8 @@ class TestRefusedBeforeAnyGrid:
         cfg = {"grid_n": 16, "d": 4, "targets": targets,
                "kernel": {"m0": self.CONST, "components": [{"r": self.CONST}] * 2}}
         assert self.run(workdir, monkeypatch, f"early_empty_{stage}", "invert", cfg) == EXIT_CONFIG
-        assert f"target spectrum {empty} is empty and mu is 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"target spectrum {empty} is empty and mu is 0" in err and err.count("\n") == 1, err
         cfg["mu"] = 0.1                # regularized, the fit goes on to build its grid
         with pytest.raises(AssertionError, match="make_grid"):
             self.run(workdir, monkeypatch, f"early_empty_mu_{stage}", "invert", cfg)
@@ -1635,6 +1639,7 @@ class TestMutatedConfigs:
                 inserted = self.key_path(path + ("extra",))
                 assert code == EXIT_CONFIG and not grid.called, (command, inserted)
                 assert err.getvalue().startswith(f"config error: unknown key {inserted}: "), err.getvalue()
+                assert err.getvalue().count("\n") == 1, err.getvalue()
                 levels.add(err.getvalue().split(": ")[-1])
         # the top level of each command, kernel, component, both spec kinds,
         # window, heatmap and both commands' opts

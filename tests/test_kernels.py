@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idospec.quadrature import PI, Profile, TriangularField, lag_view, make_grid, zero_upper
+from idospec.quadrature import PI, Profile, TriangularField, as_field, lag_view, make_grid, zero_upper
 from idospec.kernels import (
     COEFF_FORMATS,
     ComponentCountError,
@@ -145,6 +145,19 @@ class TestComputeB:
         assert np.abs(b.values - ref).max() <= 1e-13 * np.abs(ref).max()
         z = TriangularField.zeros(grid)
         assert np.array_equal(assemble_z_kernel(z, z, r)[0].values, b.values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 201), seed=st.integers(0, 2**32 - 1),
+           shift=st.sampled_from([0.0, 2.0, -2.0]), imag=st.sampled_from([0.0, 1.0]))
+    def test_profile_matches_its_field(self, n, seed, shift, imag):
+        # a Profile rho, read as rho(x - t), gives the B of its field, with
+        # the same decision; shift 0 makes a real rho change sign
+        rng = np.random.default_rng(seed)
+        grid = make_grid(n)
+        r = Profile(grid, shift + rng.uniform(-1.0, 1.0, n + 1) + 1j * imag * rng.uniform(-1.0, 1.0, n + 1))
+        b, ref = compute_B(r), compute_B(as_field(r))
+        assert np.abs(b.values - ref.values).max() <= 1e-13 * np.abs(ref.values).max()
+        assert check_B_nonvanishing(b) == check_B_nonvanishing(ref)
 
     def test_unit_r_gives_identity(self, grid100):
         r = TriangularField.constant(grid100, 1.0)
