@@ -6,21 +6,22 @@ Delta(nu), Delta'(nu), ..., Delta^(m-1)(nu) of the candidate characteristic
 function, which all vanish exactly when nu is a zero of that multiplicity.
 Delta is always spectral.DeltaEvaluator of G's last row, the Delta whose
 zeros find_spectrum finds. A fit takes one of two paths to that row, which
-InverseProblem.series decides once.
+InverseProblem.series decides once, by the types of M0 and R alone.
 
 When M0 and R are Profiles, so that M = M0 + R P(x - t) is a difference
-kernel, and the grid is even (the series path), the rows are
-transform.series_row's on the grid and on its every other node, as
-spectrum with "extrapolate" reads them, so no G is built; Delta is their
-Richardson combination, and the exact Jacobian of the rows
-(transform.series_jacobian) gives the residual's.
+kernel (the series path), the rows are transform.series_row's, so no G is
+built, and the exact Jacobian of the rows (transform.series_jacobian)
+gives the residual's. Where N is even and no target aliases on the grid of
+N/2 intervals, the rows are those on the grid and on its every other node,
+as spectrum with "extrapolate" reads them, and Delta is their Richardson
+combination; otherwise the row on the grid serves alone, the Delta that
+spectrum searches when it does not extrapolate.
 
-Otherwise (the G path) Delta is that of the candidate G's last row, the
-Delta whose zeros find_spectrum finds when it does not extrapolate, and the
-Jacobian is forward differences of that residual, one G build per
-parameter. The paper's Green identity and change of variables are not
-needed for the fit; verify_green_identity and verify_change_of_variables
-check them numerically.
+Otherwise (the G path: a field M0 or R) Delta is that of the candidate G's
+last row, and the Jacobian is forward differences of that residual, one G
+build per parameter. The paper's Green identity and change of variables
+are not needed for the fit; verify_green_identity and
+verify_change_of_variables check them numerically.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class UnderdeterminedError(ValueError):
 
 
 class NonFiniteResidualError(NumericalFailure):
-    """A residual of the series path is not finite, though its rows are."""
+    """A fit's residual is not finite, though the rows it was read from are."""
 
 
 # The fit's one setting, and its default: it ends unconverged after MAX_ITER
@@ -179,36 +180,44 @@ class InverseProblem:
 
         The path needs M = M0 + R P(x - t) to be a difference kernel, decided
         by type: M0 and R must each be a Profile. A field is not inspected,
-        even one that equals a Profile read at x - t. The path also needs N
-        even and every |Re nu| < N/2, where the grid of N/2 intervals does
-        not alias. Then M's difference samples are m0 + lift @ params, with
-        m0 the samples of M0 and lift the basis scaled by those of R.
+        even one that equals a Profile read at x - t. Then M's difference
+        samples are m0 + lift @ params, with m0 the samples of M0 and lift
+        the basis scaled by those of R.
         """
-        n = self.grid.n_intervals
-        if (n % 2 or any(abs(ev.value.real) >= n / 2 for ev in self.target.eigenvalues)
-                or not isinstance(self.m0, Profile) or not isinstance(self.r, Profile)):
+        if not (isinstance(self.m0, Profile) and isinstance(self.r, Profile)):
             return None
         return self.m0.values, self.r.values[:, None] * self.basis
 
     @cached_property
-    def row_grids(self) -> tuple[Grid, Grid]:
-        """The grids of N/2 and of N intervals the series rows are summed on."""
-        return make_grid(self.grid.n_intervals // 2), self.grid
+    def row_grids(self) -> tuple[Grid, ...]:
+        """The grids the series rows are summed on.
+
+        Those of N/2 and of N intervals, whose rows Delta folds, where N is
+        even and every |Re nu| < N/2, so that the coarse grid does not alias
+        a target; else the grid of N intervals alone.
+        """
+        n = self.grid.n_intervals
+        if n % 2 or any(abs(ev.value.real) >= n / 2 for ev in self.target.eigenvalues):
+            return (self.grid,)
+        return make_grid(n // 2), self.grid
 
     @cached_property
-    def row_gradients(self) -> tuple[np.ndarray, np.ndarray]:
-        """The derivatives of the series residual in the rows of N/2 and of N intervals.
+    def row_gradients(self) -> tuple[np.ndarray, ...]:
+        """The derivatives of the series residual in the rows of row_grids.
 
-        Row t of the residual is Delta^(m)(nu) with the coefficients
-        (4 w_j row_N[j] - [j even] w'_(j/2) row_N/2[j/2]) / 3 (DeltaEvaluator),
-        w and w' the trapezoid weights of the two grids, so its derivative in
-        either row's entry j is that coefficient's weight times
-        (-i x_j)^m exp(-i nu x_j), x_j the node the entry sits on.
+        Row t of the residual is Delta^(m)(nu), whose coefficients are
+        w_j row_N[j] for one row, and (4 w_j row_N[j] - [j even]
+        w'_(j/2) row_N/2[j/2]) / 3 for two (DeltaEvaluator), w and w' the
+        trapezoid weights of the two grids, so its derivative in a row's
+        entry j is that entry's weight times (-i x_j)^m exp(-i nu x_j), x_j
+        the node the entry sits on.
         """
         (nus, orders), x, h = _target_orders(self), self.grid.nodes, self.grid.step
         terms = (-1j * x) ** orders[:, None] * np.exp(-1j * np.outer(nus, x))
-        return (terms[:, ::2] * trapezoid_weights(x.size // 2 + 1, 2 * h) / -3.0,
-                terms * trapezoid_weights(x.size, h) * (4.0 / 3.0))
+        fine = terms * trapezoid_weights(x.size, h)
+        if len(self.row_grids) == 1:
+            return (fine,)
+        return terms[:, ::2] * trapezoid_weights(x.size // 2 + 1, 2 * h) / -3.0, fine * (4.0 / 3.0)
 
     def is_underdetermined(self) -> bool:
         return self.target.total_count < self.d
@@ -263,14 +272,13 @@ def _series_residual(p_params, problem: InverseProblem):
     m0, lift = problem.series
     p = m0 + lift @ p_params
     rows, terms = [], []
-    for stride, grid in zip((2, 1), problem.row_grids):
+    for grid in problem.row_grids:
+        stride = problem.grid.n_intervals // grid.n_intervals
         samples, factors = p[::stride], []
         row, way = last_row(Profile(grid, samples), factors)
         rows.append(row)
         terms.append((samples, grid.step, factors if way == "series" else None, lift[::stride]))
     res = _delta_at_targets(DeltaEvaluator(*rows), problem)
-    if not np.isfinite(res).all():
-        raise NonFiniteResidualError("the series residual of the fit is not finite")
     builds = sum(factors is None for _, _, factors, _ in terms)
 
     def jacobian():
@@ -295,21 +303,27 @@ def spectrum_residual(p_params, problem: InverseProblem):
     argument that returns the exact Jacobian, one row per residual row and
     one column per parameter, or None: recover_profile then takes it by
     forward differences. On the series path (problem.series set) the
-    residual is DeltaEvaluator(row_N/2, row_N)'s, the Richardson
-    combination (4 Delta_N - Delta_N/2) / 3 of the series rows of M's
-    difference samples on the grid and on its every other node, fourth
-    order in h: no kernel field and no G is formed, and jacobian chains
-    series_jacobian through the lift. A row whose rounding guard declines
-    is last_row's march row, one G build; jacobian is then None. A
-    residual that is not finite raises NonFiniteResidualError. On the G
-    path each derivative order is one call of the DeltaEvaluator of G's
-    last row over its targets, one G build, and jacobian is None.
+    residual is the DeltaEvaluator of the series rows of M's difference
+    samples on problem.row_grids: with two, the Richardson combination
+    (4 Delta_N - Delta_N/2) / 3 of the rows on the grid and on its every
+    other node, fourth order in h; with one, Delta_N, the Delta of G's last
+    row to rounding. No kernel field and no G is formed, and jacobian
+    chains series_jacobian through the lift. A row whose rounding guard
+    declines is last_row's march row, one G build; jacobian is then None.
+    On the G path each derivative order is one call of the DeltaEvaluator
+    of G's last row over its targets, one G build, and jacobian is None.
+    On either path a residual that is not finite raises
+    NonFiniteResidualError.
     """
     if problem.series is not None:
-        return _series_residual(p_params, problem)
-    prof = profile_from_params(p_params, problem)
-    g = compute_g(assemble_kernel(StructuredKernel(problem.m0, (KernelComponent(problem.r, prof),))))
-    return _delta_at_targets(DeltaEvaluator(g.g.values[-1]), problem), None, 1
+        res, jacobian, builds = _series_residual(p_params, problem)
+    else:
+        prof = profile_from_params(p_params, problem)
+        g = compute_g(assemble_kernel(StructuredKernel(problem.m0, (KernelComponent(problem.r, prof),))))
+        res, jacobian, builds = _delta_at_targets(DeltaEvaluator(g.g.values[-1]), problem), None, 1
+    if not np.isfinite(res).all():
+        raise NonFiniteResidualError("the residual of the fit is not finite")
+    return res, jacobian, builds
 
 
 def _stacked(values: np.ndarray, params: np.ndarray, mu: float) -> np.ndarray:

@@ -11,9 +11,11 @@ discrete equation directly, in one march down the rows, instead of summing
 the series, and certifies the result with a single Picard update. For a
 difference kernel M = p(x - t), handed in as the Profile of its samples p,
 that march unrolls into a short series whose terms are rank one along the
-diagonals of G: build_g forms G from them with no march, last_row G's last
-row alone, and series_jacobian that row's exact derivative in the samples
-of p, for the inversion to fit on.
+diagonals of G. series_row sums them for G's last row and decides where
+the series stops, once: last_row returns that row, build_g forms all of G
+from the factors of the same terms with no march, and series_jacobian
+gives the row's exact derivative in the samples of p, for the inversion
+to fit on.
 """
 
 from __future__ import annotations
@@ -326,7 +328,7 @@ def _series_terms(p: np.ndarray, h: float):
     so c[:, k] = s_first sums[0] + s_slope sums[1], s_l = s_first + s_slope l:
     c depends on p only through p[0]. These are the march's own discrete
     equations, so a sum of the terms agrees with compute_g's G to rounding.
-    The caller stops the sum; the generator ends after _SERIES_MAX_TERMS
+    series_row stops the sum; the generator ends after _SERIES_MAX_TERMS
     terms. Each term is a new set of arrays, except that the first z^0 p is
     p itself.
     """
@@ -439,38 +441,31 @@ def _sheared_product(cmat: np.ndarray, vmat: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _series_g(p: np.ndarray, grid: Grid) -> TransformKernel | None:
-    """G for M[i, j] = p[i - j] as the product of _series_terms' factors, or None.
+    """G for M[i, j] = p[i - j] as the product of series_row's factors, or None.
 
     The sheared G, S[j, d] = G[d + j, j], is C V with C[:, k] = c[:, k]
     and V[k] = z^k p, an (N + 1) x K and a K x (N + 1) matrix, formed by
-    _sheared_product. Term k adds c[j, k] (z^k p)[d] to G's entries,
-    j + d <= N; its sup norm on G, at most sup|c[:, k]| sup|z^k p|, is its
-    size. The factors stop after the first term whose size is at most eps
-    times the sum of the sizes so far. It is None, for compute_g to build
-    G instead, if G is not finite, if _SERIES_MAX_TERMS terms do not reach
-    the stop, or if eps times the sum of the sizes, which bounds the
-    rounding their cancellation leaves, exceeds compute_g's tol
+    _sheared_product from the K terms series_row sums for G's last row.
+    Term k adds c[j, k] (z^k p)[d] to G's entries, j + d <= N; its sup norm
+    on G, at most sup|c[:, k]| sup|z^k p|, is its size. It is None, for
+    compute_g to build G instead, if series_row declines the row, if the
+    last term's size exceeds eps times the sum of the sizes (the row
+    stopped before G would), or if eps times that sum, which bounds the
+    rounding the terms' cancellation leaves, exceeds compute_g's tol
     1e-12 (1 + sup|G|); an overflow gives no warning. No Picard update
     certifies it: that guard does. term_norms is empty (no march ran), and
     tol is that of the guard.
     """
-    eps = np.finfo(float).eps
-    cs, vs = [], []
-    total = 0.0
-    for c, v, _ in _series_terms(p, grid.step):
-        cs.append(c)
-        vs.append(v)
-        # sup over j + d <= N of |c[j]| |v[d]|: the term's sup norm on G
-        size = (np.abs(c) * np.maximum.accumulate(np.abs(v))[::-1]).max()
-        total += size
-        if not np.isfinite(total):
-            return None
-        if size <= eps * total:
-            break
-    else:
+    factors = []
+    if series_row(p, grid.step, factors) is None:
         return None
-    cmat, vmat = np.stack(cs, axis=1), np.stack(vs)
-    del cs, vs
+    cmat, vmat = np.stack([c for c, _, _ in factors], axis=1), np.stack([v for _, v, _ in factors])
+    del factors
+    # sup over j + d <= N of |c[j, k]| |v[k, d]|: term k's sup norm on G
+    sizes = (np.abs(cmat) * np.maximum.accumulate(np.abs(vmat), axis=1)[:, ::-1].T).max(axis=0)
+    eps, total = np.finfo(float).eps, sizes.sum()
+    if not sizes[-1] <= eps * total:
+        return None
     g = TriangularField(grid, _sheared_product(cmat, vmat))
     g.values[:, 0] = 0.0  # boundary identity G(x, 0) = 0, kept exact
     tol = 1e-12 * (1.0 + g.sup_norm())

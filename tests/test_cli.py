@@ -678,12 +678,13 @@ class TestInvert:
         build = idospec.transform.compute_g
         for module in (idospec.inverse, idospec.transform):
             monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1) or build(*a, **k))
-        # On the G path, which the odd grid_n 81 and the tilted R take, each
+        # On the G path, which the tilted R takes at grid_n 80 and 81, each
         # residual builds G, and each Jacobian one G per parameter for its
-        # forward differences, d = 4. At grid_n 80 the R = 1 fit takes the
-        # series path and builds none.
+        # forward differences, d = 4. The R = 1 fit takes the series path
+        # and builds none, at grid_n 80 and at the odd 81 alike.
         for tag, r, n, per_residual, per_jacobian in (
-            ("sym", None, 81, 1, 4), ("tilted", TILTED_R, 80, 1, 4), ("series", None, 80, 0, 0),
+            ("sym", None, 81, 0, 0), ("tilted", TILTED_R, 80, 1, 4),
+            ("tilted_odd", TILTED_R, 81, 1, 4), ("series", None, 80, 0, 0),
         ):
             builds.clear()
             cfg = self.invert_cfg(target_spectrum, init=[0.8] * 4, grid_n=n)

@@ -125,14 +125,26 @@ def const_problem(grid80):
 
 @pytest.fixture(scope="module")
 def odd_problem():
-    """Inverse crime setup on the G path: P = 1, R = 1 and M0 = 0 at the odd
-    N = 81, M0 and R as Profiles, whose target is the G roots on the same
-    grid."""
+    """Inverse crime setup on the series path with one row: P = 1, R = 1 and
+    M0 = 0 at the odd N = 81, M0 and R as Profiles, whose target is the G
+    roots on the same grid, the zeros of that row's Delta to rounding."""
     grid = make_grid(81)
     problem = InverseProblem(
         m0=Profile.zeros(grid), r=Profile.constant(grid, 1.0),
         target=constant_target(81, polish=False), d=4,
     )
+    assert problem.series is not None and problem.row_grids == (grid,)
+    return problem
+
+
+@pytest.fixture(scope="module")
+def tilted_problem(grid80):
+    """Inverse crime setup on the G path: P = 1, the tilted R and M0 = 0 at
+    N = 80, whose target is the G roots of that kernel on the same grid."""
+    r = tilted_r(grid80)
+    m = assemble_kernel(StructuredKernel(
+        TriangularField.zeros(grid80), (KernelComponent(r, Profile.constant(grid80, 1.0)),)))
+    problem = InverseProblem(m0=Profile.zeros(grid80), r=r, target=spectrum_of(compute_g(m), WINDOW), d=4)
     assert problem.series is None
     return problem
 
@@ -220,9 +232,11 @@ class TestProblemSetup:
         with pytest.raises(WeightVanishesError):
             problem.check_weight_condition()
 
-    def test_series_path_needs_all_three_conditions(self, const_problem):
-        # M0 and R Profiles, N even and |Re nu| < N/2; a multiple target
-        # takes it too. A field is not inspected, even R = 1
+    def test_series_path_is_decided_by_type(self, const_problem):
+        # M0 and R Profiles; a field is not inspected, even R = 1. The rows
+        # of N/2 and N intervals are folded where N is even and every
+        # |Re nu| < N/2, a multiple target too; else the row of N intervals
+        # serves alone
         target = const_problem.target
         samples = lambda grid: 0.3 + 0.2 * np.cos(grid.nodes)
 
@@ -242,16 +256,18 @@ class TestProblemSetup:
             return Spectrum(eigenvalues=(Eigenvalue(nu, mult, 0.0),), window=WIDE, total_count=mult)
 
         cases = [
-            (80, one, one, target, True), (80, diff, diff, target, True),
-            (8, one, one, single(-3.9 - 0.5j), True), (8, one, one, single(4.0 - 0.5j), False),
-            (81, one, one, target, False), (80, one, one, single(1.0 - 0.5j, 2), True),
-            (80, one, tilted_r, target, False), (80, ramp, one, target, False),
-            (80, one, field, target, False), (80, field, one, target, False),
+            (80, one, one, target, 2), (80, diff, diff, target, 2),
+            (8, one, one, single(-3.9 - 0.5j), 2), (8, one, one, single(4.0 - 0.5j), 1),
+            (81, one, one, target, 1), (80, one, one, single(1.0 - 0.5j, 2), 2),
+            (80, one, tilted_r, target, 0), (80, ramp, one, target, 0),
+            (80, one, field, target, 0), (80, field, one, target, 0),
         ]
-        for n, m0, r, tgt, taken in cases:
+        for n, m0, r, tgt, rows in cases:
             grid = make_grid(n)
             problem = InverseProblem(m0=m0(grid), r=r(grid), target=tgt, d=4)
-            assert (problem.series is not None) == taken, (n, m0, r, tgt)
+            assert (problem.series is not None) == bool(rows), (n, m0, r, tgt)
+            if rows:
+                assert [g.n_intervals for g in problem.row_grids] == [n // 2, n][-rows:], (n, tgt)
         grid = make_grid(80)
         problem = InverseProblem(m0=diff(grid), r=diff(grid), target=target, d=4)
         m0_samples, lift = problem.series
@@ -268,19 +284,40 @@ class TestProblemSetup:
 
 
 class TestSpectrumResidual:
-    def test_vanishes_at_true_parameters(self, const_problem):
-        res, jacobian, builds = spectrum_residual(np.ones(4), const_problem)
-        assert res.shape == (const_problem.target.total_count,)
+    @pytest.mark.parametrize("name", ["const_problem", "odd_problem"])
+    def test_vanishes_at_true_parameters(self, name, request):
+        # at the odd N = 81 the row of N intervals serves alone: its Delta is
+        # the one the G roots are the zeros of. Neither builds a G
+        problem = request.getfixturevalue(name)
+        res, jacobian, builds = spectrum_residual(np.ones(4), problem)
+        assert res.shape == (problem.target.total_count,)
         assert jacobian().shape == (res.size, 4)
         assert builds == 0
         assert np.abs(res).max() < 1e-9
 
-    def test_vanishes_at_true_parameters_on_the_g_path(self, odd_problem):
+    def test_vanishes_at_true_parameters_on_the_g_path(self, tilted_problem):
         # the G path's Jacobian is recover_profile's forward differences
-        res, jacobian, builds = spectrum_residual(np.ones(4), odd_problem)
+        res, jacobian, builds = spectrum_residual(np.ones(4), tilted_problem)
         assert jacobian is None and builds == 1
-        assert res.shape == (odd_problem.target.total_count,)
+        assert res.shape == (tilted_problem.target.total_count,)
         assert np.abs(res).max() < 1e-9
+
+    def test_single_row_residual_is_the_delta_of_last_row(self, odd_problem):
+        # bitwise: the residual is DeltaEvaluator of last_row's one row at
+        # the target orders, here a double target's Delta' row too
+        evs = odd_problem.target.eigenvalues
+        problem = InverseProblem(
+            m0=odd_problem.m0, r=odd_problem.r, d=4,
+            target=Spectrum(eigenvalues=evs[:-1] + (Eigenvalue(evs[-1].value, 2, 0.0),),
+                            window=WINDOW, total_count=len(evs) + 1),
+        )
+        params = np.array([0.9, 1.2, 0.7, 1.1])
+        res, _, _ = spectrum_residual(params, problem)
+        m0, lift = problem.series
+        delta = DeltaEvaluator(last_row(Profile(problem.grid, m0 + lift @ params))[0])
+        nus = np.array([ev.value for ev in evs])
+        expected = np.concatenate([delta(nus), delta.deriv(nus[-1:], 1)])
+        assert res.tobytes() == expected.tobytes()
 
     def test_series_residual_is_the_delta_of_last_row(self, two_sine_target):
         # one Delta: the residual is the extrapolated Delta of last_row's
@@ -298,10 +335,12 @@ class TestSpectrumResidual:
         assert builds == 0 and res.shape == expected.shape
         assert np.abs(res - expected).max() <= 1e-13 * np.abs(expected).max()
 
-    def test_non_finite_series_residual_raises(self, const_problem):
-        # finite rows, but exp(-i nu x) overflows at Im nu = 300
+    @pytest.mark.parametrize("r", [None, tilted_r], ids=["series", "g_path"])
+    def test_non_finite_series_residual_raises(self, const_problem, r):
+        # finite rows, or a finite G, but exp(-i nu x) overflows at Im nu = 300
         far = Spectrum(eigenvalues=(Eigenvalue(300j, 1, 0.0),), window=WIDE, total_count=1)
-        problem = InverseProblem(m0=const_problem.m0, r=const_problem.r, target=far, d=4)
+        r = const_problem.r if r is None else r(const_problem.grid)
+        problem = InverseProblem(m0=const_problem.m0, r=r, target=far, d=4)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteResidualError):
             spectrum_residual(np.ones(4), problem)
 
@@ -343,10 +382,11 @@ class TestSpectrumJacobian:
     PARAMS = 0.8 * two_sine(np.linspace(0.0, PI, 8)) + 0.05
 
     @pytest.mark.parametrize("target", [DEEP, DEEP_MULTIPLE], ids=["simple", "multiple"])
-    @pytest.mark.parametrize("n", [50, 100, 200])
+    @pytest.mark.parametrize("n", [50, 51, 100, 101, 200])
     def test_series_jacobian_matches_central_differences(self, n, target):
         # the exact derivative of the discrete residual, targets down to
-        # Im lambda = -8, with Delta' and Delta'' rows for multiple targets
+        # Im lambda = -8, with Delta' and Delta'' rows for multiple targets;
+        # an odd N fits on the one row of N intervals
         problem = convolution_problem(target, n)
         assert problem.series is not None
         _, jacobian, _ = spectrum_residual(self.PARAMS, problem)
@@ -380,11 +420,12 @@ class TestSpectrumJacobian:
 
     @pytest.mark.parametrize("n", [100, 101])
     def test_fit_from_zero_converges_past_the_floor(self, two_sine_target, n):
-        # N = 100 takes the series path, N = 101 the G path
+        # N = 100 folds the series rows of N/2 and N intervals, N = 101 fits
+        # on the row of N intervals alone; neither builds a G
         problem = convolution_problem(two_sine_target, n)
-        assert (problem.series is None) == (n % 2 == 1)
+        assert problem.series is not None and len(problem.row_grids) == 2 - n % 2
         report = recover_profile(problem, np.zeros(8))
-        assert report.converged
+        assert report.converged and report.g_builds == 0
         grid = problem.grid
         assert np.abs(report.recovered.values - two_sine(grid.nodes)).max() <= 0.05
 
@@ -393,9 +434,9 @@ class TestSpectrumJacobian:
         # truth 0 of benchmark seed 1: its fit from zero ends at the
         # discretization floor, where a Jacobian further from the residual's
         # derivative makes LM crawl (13 iterations and 25 residuals with
-        # nested-trapezoid pair integrals); N = 100 fits with the exact
-        # Jacobian of the series path, N = 101 with the G path's forward
-        # differences
+        # nested-trapezoid pair integrals); N = 100 fits on the folded
+        # series rows, N = 101 on the one row of N intervals, each with its
+        # exact Jacobian
         def truth(x):
             return (0.338718445717945 * np.sin(x + 3.6731843319365467)
                     + 0.08059479868228293 * np.sin(2 * x + 4.352465272235334))
@@ -414,14 +455,14 @@ class TestSpectrumJacobian:
         assert report.iterations <= 8
 
     def test_evaluation_counts_add_up_to_g_builds(self, const_problem, odd_problem, monkeypatch):
-        # on the G path, with M = P(x - t) and with the tilted R, each
+        # on the G path, which the tilted R takes at N = 80 and 81, each
         # residual builds G and each Jacobian one G per parameter; the
-        # series path builds none, with simple targets and with a double one
+        # series path builds none, with simple targets, with a double one
+        # and with the one row of the odd N = 81
         builds = count_builds(monkeypatch)
-        tilted = InverseProblem(
-            m0=const_problem.m0, r=tilted_r(const_problem.grid),
-            target=const_problem.target, d=4,
-        )
+        tilted, tilted_odd = (InverseProblem(
+            m0=problem.m0, r=tilted_r(problem.grid), target=problem.target, d=4,
+        ) for problem in (const_problem, odd_problem))
         evs = const_problem.target.eigenvalues
         double = InverseProblem(
             m0=const_problem.m0, r=const_problem.r, d=4,
@@ -430,7 +471,7 @@ class TestSpectrumJacobian:
         )
         assert double.series is not None
         for problem, per_residual, per_jacobian in (
-            (odd_problem, 1, 4), (tilted, 1, 4), (const_problem, 0, 0), (double, 0, 0),
+            (tilted, 1, 4), (tilted_odd, 1, 4), (const_problem, 0, 0), (double, 0, 0), (odd_problem, 0, 0),
         ):
             builds.clear()
             report = recover_profile(problem, np.full(4, 0.8))
@@ -464,22 +505,23 @@ class TestRecoverProfile:
     def test_one_kernel_assembly_per_residual(self, const_problem, odd_problem, monkeypatch):
         # on the G path each residual, those of the Jacobian's d forward
         # differences included, assembles one kernel and nothing else does,
-        # with a symmetric kernel and with the tilted R
+        # with the tilted R at N = 80 and 81; the series path of the odd
+        # N = 81 assembles none
         calls = []
         assemble = idospec.inverse.assemble_kernel
         monkeypatch.setattr(
             idospec.inverse, "assemble_kernel",
             lambda *a, **k: calls.append(1) or assemble(*a, **k),
         )
-        tilted = InverseProblem(
-            m0=const_problem.m0, r=tilted_r(const_problem.grid),
-            target=const_problem.target, d=4,
-        )
-        for problem in (odd_problem, tilted):
+        for base in (const_problem, odd_problem):
+            tilted = InverseProblem(m0=base.m0, r=tilted_r(base.grid), target=base.target, d=4)
             calls.clear()
-            report = recover_profile(problem, np.full(4, 0.8))
+            report = recover_profile(tilted, np.full(4, 0.8))
             assert report.jacobian_evals >= 1
-            assert len(calls) == report.residual_evals + problem.d * report.jacobian_evals
+            assert len(calls) == report.residual_evals + tilted.d * report.jacobian_evals
+        calls.clear()
+        report = recover_profile(odd_problem, np.full(4, 0.8))
+        assert report.jacobian_evals >= 1 and calls == [] and report.g_builds == 0
 
     def test_declined_rows_fit_on_forward_differences(self, const_problem, monkeypatch):
         # where the series declines every row, each residual takes last_row's

@@ -152,11 +152,13 @@ def test_traced_benchmark_run(workload, zero, positive):
 def test_layer_times_runs_every_layer(tmp_path):
     # the tool calls package internals (transform's _march and _inner_table,
     # cli's _parse, _parse_kernel and _sample_kernel): a rename breaks it.
-    # N = 36 is the smallest even grid on which its series problems, whose
-    # targets reach |Re nu| = 17, take the series path it asserts
+    # Its series problems, whose targets reach |Re nu| = 17, fold the rows
+    # of N/2 and N intervals at N = 36 and fit on the one row of N at the
+    # odd N = 35; it asserts that neither builds a G
     spec = importlib.util.spec_from_file_location("layer_times", ROOT / "tools" / "layer_times.py")
     layer_times = importlib.util.module_from_spec(spec)
     with mock.patch.dict(os.environ):  # it sets one BLAS thread for its own process
         spec.loader.exec_module(layer_times)
-    for fn in layer_times.layers(36, tmp_path).values():
-        fn()
+    for n in (36, 35):
+        for fn in layer_times.layers(n, tmp_path).values():
+            fn()

@@ -469,6 +469,25 @@ class TestBuildG:
         assert tk.g.values.tobytes() == ref.g.values.tobytes()
         assert tk.term_norms.tobytes() == ref.term_norms.tobytes() and tk.tol == ref.tol
 
+    @pytest.mark.parametrize("n", [16, 100, 401])
+    def test_row_stopped_early_is_declined(self, n, monkeypatch):
+        # G checks the stop of series_row on its own terms: a row that ends
+        # one term early, its last factor dropped, leaves G's last term above
+        # eps times the sum of the terms, and G is marched instead
+        row = idospec.transform.series_row
+
+        def early(p, h, factors):
+            out = row(p, h, factors)
+            factors.pop()
+            return out
+
+        m = _difference_kernel(n, lambda x: 0.3 * np.sin(x + 0.5) + 0.25 * np.sin(2 * x + 1.0))
+        assert build_g(m).build == "series"
+        monkeypatch.setattr(idospec.transform, "series_row", early)
+        tk = build_g(m)
+        assert tk.build == "march"
+        assert tk.g.values.tobytes() == compute_g(as_field(m)).g.values.tobytes()
+
     def test_overflowing_profile_raises_as_compute_g(self):
         m = Profile.constant(make_grid(8), 1e308)
         with warnings.catch_warnings():

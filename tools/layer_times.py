@@ -17,7 +17,8 @@ the G path's LM Jacobian (forward differences of the stacked residual,
 inverse._stacked_jacobian, d = 8: eight G builds) at 18 simple targets and
 one triple target, the series path's residual with its exact Jacobian
 (inverse.spectrum_residual and the Jacobian it returns, d = 8: series rows
-on the grids of N and of N/2 intervals, M0 = 0 and R = 1 as the Profiles
+on the grids of N and of N/2 intervals, or on that of N alone where N is
+odd or a target's |Re nu| reaches N/2, M0 = 0 and R = 1 as the Profiles
 `invert` samples) at those targets and at 19 simple ones, the triple one
 taken simple, building M
 from a config (cli._sample_kernel on the kernel cli._parse_kernel read, then
@@ -120,8 +121,9 @@ def layers(n: int, out: Path) -> dict:
     series_simple, series_triple = (
         InverseProblem(m0=Profile.zeros(grid), r=Profile.constant(grid, 1.0),
                        target=target, d=8) for target in (SIMPLE_TARGETS, TARGETS))
-    assert series_simple.series is not None and series_triple.series is not None  # no G path
     params = np.interp(problem.param_nodes, grid.nodes, sk.components[0].p.values.real)  # P at the knots
+    # no G path: the series residuals build no G, on two rows or on one
+    assert all(spectrum_residual(params, p)[2] == 0 for p in (series_simple, series_triple))
     stacked = inverse._stacked_residual(params, problem, 0.0)[0]
     forward = cli._parse({"grid_n": n, "kernel": KERNEL}, "forward", None)
     row = g.values[-1]
