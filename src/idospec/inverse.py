@@ -4,23 +4,19 @@ The residual never re-solves the eigenvalue problem inside the optimizer
 loop: a target eigenvalue nu of multiplicity m contributes the values
 Delta(nu), Delta'(nu), ..., Delta^(m-1)(nu) of the candidate characteristic
 function, which all vanish exactly when nu is a zero of that multiplicity.
-Delta is always spectral.DeltaEvaluator of G's last row, the Delta whose
-zeros find_spectrum finds. A fit takes one of two paths to that row, which
-InverseProblem.series decides once, by the types of M0 and R alone.
+Delta is spectral.DeltaEvaluator of rows from transform.last_row, the Delta
+whose zeros find_spectrum finds: exact Jacobian when every row is a series
+row, forward differences otherwise.
 
-When M0 and R are Profiles, so that M = M0 + R P(x - t) is a difference
-kernel (the series path), the rows are transform.series_row's, so no G is
-built, and the exact Jacobian of the rows (transform.series_jacobian)
-gives the residual's. Where N is even and no target aliases on the grid of
-N/2 intervals, the rows are those on the grid and on its every other node,
-as spectrum with "extrapolate" reads them, and Delta is their Richardson
-combination; otherwise the row on the grid serves alone, the Delta that
-spectrum searches when it does not extrapolate.
-
-Otherwise (the G path: a field M0 or R) Delta is that of the candidate G's
-last row, and the Jacobian is forward differences of that residual, one G
-build per parameter. The paper's Green identity and change of variables
-are not needed for the fit; verify_green_identity and
+The candidate M = M0 + R P(x - t) is a Profile of difference samples where
+M0 and R are Profiles (InverseProblem.series, decided by type alone), else
+an assembled field. last_row sums a Profile's row as a series, so no G is
+built, and marches G for a field or for a row the series declines. Where N
+is even and no target aliases on the grid of N/2 intervals, a Profile's
+rows are those on the grid and on its every other node, as spectrum with
+"extrapolate" reads them, and Delta is their Richardson combination;
+otherwise the row on the grid serves alone. The paper's Green identity and
+change of variables are not needed for the fit; verify_green_identity and
 verify_change_of_variables check them numerically.
 """
 
@@ -51,6 +47,7 @@ from .kernels import (
     NumericalFailure,
     WeightVanishesError,
 )
+# compute_g is not called here; the benchmark's self-tests and the tests' build counters read it
 from .transform import compute_g, last_row, series_jacobian
 from .spectral import DeltaEvaluator, Spectrum
 
@@ -137,11 +134,10 @@ class InverseProblem:
     """Single-profile recovery setup: M0 and R known, P unknown.
 
     M0 and R are fields, or Profiles that stand for the difference kernels
-    of their samples (kernels.StructuredKernel). A problem whose series
-    property is set is fitted on series rows (see spectrum_residual). Each
-    G that spectrum_residual builds, for any other problem or for a row the
-    series declines, is compute_g's: the row march, certified by one Picard
-    update at the tolerance the march sets.
+    of their samples (kernels.StructuredKernel). spectrum_residual reads
+    the candidate M's rows on row_grids from transform.last_row: series
+    rows where the series property is set and the series accepts them,
+    else the last row of compute_g's march.
     """
 
     m0: TriangularField | Profile
@@ -176,13 +172,12 @@ class InverseProblem:
 
     @cached_property
     def series(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(m0, lift) when the fit takes the series path, else None.
+        """(m0, lift) when M = M0 + R P(x - t) is a difference kernel, else None.
 
-        The path needs M = M0 + R P(x - t) to be a difference kernel, decided
-        by type: M0 and R must each be a Profile. A field is not inspected,
-        even one that equals a Profile read at x - t. Then M's difference
-        samples are m0 + lift @ params, with m0 the samples of M0 and lift
-        the basis scaled by those of R.
+        That is decided by type: M0 and R must each be a Profile. A field is
+        not inspected, even one that equals a Profile read at x - t. Then
+        M's difference samples are m0 + lift @ params, with m0 the samples
+        of M0 and lift the basis scaled by those of R.
         """
         if not (isinstance(self.m0, Profile) and isinstance(self.r, Profile)):
             return None
@@ -190,14 +185,16 @@ class InverseProblem:
 
     @cached_property
     def row_grids(self) -> tuple[Grid, ...]:
-        """The grids the series rows are summed on.
+        """The grids spectrum_residual reads M's last rows on.
 
-        Those of N/2 and of N intervals, whose rows Delta folds, where N is
-        even and every |Re nu| < N/2, so that the coarse grid does not alias
-        a target; else the grid of N intervals alone.
+        Where the fit takes series rows, those of N/2 and of N intervals,
+        whose rows Delta folds, where N is even and every |Re nu| < N/2, so
+        that the coarse grid does not alias a target; else, and always for
+        a field M, the grid of N intervals alone.
         """
         n = self.grid.n_intervals
-        if n % 2 or any(abs(ev.value.real) >= n / 2 for ev in self.target.eigenvalues):
+        if (self.series is None or n % 2
+                or any(abs(ev.value.real) >= n / 2 for ev in self.target.eigenvalues)):
             return (self.grid,)
         return make_grid(n // 2), self.grid
 
@@ -240,9 +237,8 @@ class RecoveryReport:
     underdetermined: bool = False
     residual_evals: int = 0     # residuals of the start and of each trial step
     jacobian_evals: int = 0     # Jacobians taken
-    g_builds: int = 0           # compute_g calls: on the G path one per residual, so d
-                                # per Jacobian; on the series path one per row the
-                                # series declines
+    g_builds: int = 0           # compute_g calls: one per march row of each residual,
+                                # those of forward-difference Jacobians included
     mu: float = 0.0             # the regularization weight the fit used
     # per LM iteration: the damping of the step it accepted (the damping it
     # ended at if it accepted none), and its trial residuals that did not
@@ -267,26 +263,6 @@ def _target_orders(problem: InverseProblem) -> tuple[np.ndarray, np.ndarray]:
     return np.array(nus, dtype=complex), np.array(orders, dtype=int)
 
 
-def _series_residual(p_params, problem: InverseProblem):
-    """spectrum_residual on the series path."""
-    m0, lift = problem.series
-    p = m0 + lift @ p_params
-    rows, terms = [], []
-    for grid in problem.row_grids:
-        stride = problem.grid.n_intervals // grid.n_intervals
-        samples, factors = p[::stride], []
-        row, way = last_row(Profile(grid, samples), factors)
-        rows.append(row)
-        terms.append((samples, grid.step, factors if way == "series" else None, lift[::stride]))
-    res = _delta_at_targets(DeltaEvaluator(*rows), problem)
-    builds = sum(factors is None for _, _, factors, _ in terms)
-
-    def jacobian():
-        return sum(grad @ (series_jacobian(samples, h, factors) @ lift)
-                   for grad, (samples, h, factors, lift) in zip(problem.row_gradients, terms))
-    return res, None if builds else jacobian, builds
-
-
 def _delta_at_targets(delta: DeltaEvaluator, problem: InverseProblem) -> np.ndarray:
     """Delta^(j)(nu) for each residual row's target nu and order j."""
     nus, orders = _target_orders(problem)
@@ -299,31 +275,41 @@ def _delta_at_targets(delta: DeltaEvaluator, problem: InverseProblem) -> np.ndar
 def spectrum_residual(p_params, problem: InverseProblem):
     """Candidate Delta (and derivatives, per multiplicity) at the target points.
 
-    Returns (residual, jacobian, G builds). jacobian is a function of no
-    argument that returns the exact Jacobian, one row per residual row and
-    one column per parameter, or None: recover_profile then takes it by
-    forward differences. On the series path (problem.series set) the
-    residual is the DeltaEvaluator of the series rows of M's difference
-    samples on problem.row_grids: with two, the Richardson combination
-    (4 Delta_N - Delta_N/2) / 3 of the rows on the grid and on its every
-    other node, fourth order in h; with one, Delta_N, the Delta of G's last
-    row to rounding. No kernel field and no G is formed, and jacobian
-    chains series_jacobian through the lift. A row whose rounding guard
-    declines is last_row's march row, one G build; jacobian is then None.
-    On the G path each derivative order is one call of the DeltaEvaluator
-    of G's last row over its targets, one G build, and jacobian is None.
-    On either path a residual that is not finite raises
-    NonFiniteResidualError.
+    Returns (residual, jacobian, G builds). The residual is the
+    DeltaEvaluator of the rows transform.last_row reads of the candidate M on
+    problem.row_grids, M the difference samples m0 + lift @ params where
+    problem.series is set, else the assembled kernel field. With two rows,
+    on the grid and on its every other node, it is the Richardson
+    combination (4 Delta_N - Delta_N/2) / 3, fourth order in h; with one,
+    Delta_N. jacobian is a function of no argument that returns the exact
+    Jacobian, one row per residual row and one column per parameter, by
+    series_jacobian chained through the lift, when every row is a series
+    row; otherwise it is None and recover_profile takes forward
+    differences. Each march row is one G build. A residual that is not
+    finite raises NonFiniteResidualError.
     """
     if problem.series is not None:
-        res, jacobian, builds = _series_residual(p_params, problem)
+        m0, lift = problem.series
+        m = Profile(problem.grid, m0 + lift @ p_params)
     else:
         prof = profile_from_params(p_params, problem)
-        g = compute_g(assemble_kernel(StructuredKernel(problem.m0, (KernelComponent(problem.r, prof),))))
-        res, jacobian, builds = _delta_at_targets(DeltaEvaluator(g.g.values[-1]), problem), None, 1
+        m = assemble_kernel(StructuredKernel(problem.m0, (KernelComponent(problem.r, prof),)))
+    rows, terms = [], []
+    for grid in problem.row_grids:
+        stride = problem.grid.n_intervals // grid.n_intervals
+        sub, factors = m if stride == 1 else Profile(grid, m.values[::stride]), []
+        row, way = last_row(sub, factors)
+        rows.append(row)
+        terms.append((sub, factors, stride) if way == "series" else None)
+    res = _delta_at_targets(DeltaEvaluator(*rows), problem)
     if not np.isfinite(res).all():
         raise NonFiniteResidualError("the residual of the fit is not finite")
-    return res, jacobian, builds
+    builds = terms.count(None)
+
+    def jacobian():
+        return sum(grad @ (series_jacobian(sub.values, sub.grid.step, factors) @ lift[::stride])
+                   for grad, (sub, factors, stride) in zip(problem.row_gradients, terms))
+    return res, None if builds else jacobian, builds
 
 
 def _stacked(values: np.ndarray, params: np.ndarray, mu: float) -> np.ndarray:
@@ -368,12 +354,12 @@ def recover_profile(
 
     Minimizes 0.5 * ||stacked residual||^2 with a second-difference
     regularizer of weight mu; with fewer than 2d target data, mu = 0 is
-    raised to 1e-6, and the report records the weight used. On the series
-    path each residual comes with its exact Jacobian, taken only for the
-    residuals an iteration starts from, and no G is built. On the G path,
-    or where a series row declines, each residual builds G, and the
+    raised to 1e-6, and the report records the weight used. A residual
+    whose rows are all series rows comes with its exact Jacobian, taken
+    only for the residuals an iteration starts from; otherwise the
     iteration's Jacobian is forward differences of the stacked residual, d
-    more residuals (see _stacked_jacobian); g_builds counts every build.
+    more residuals (see _stacked_jacobian). g_builds counts the march rows
+    of every residual.
     The fit converges when the cost drops below FTOL, the step below XTOL,
     or an accepted step lowers the cost by at most STALL_RTOL of it; it
     ends unconverged after max_iter iterations, or when MAX_INNER damped

@@ -673,15 +673,14 @@ class TestInvert:
             assert report["stages"][0]["mu"] == used
 
     def test_report_counts_g_builds(self, workdir, target_spectrum, monkeypatch):
-        # builds of the G path (inverse) and of a series row's march (transform)
+        # every build is the march of a row of transform.last_row
         builds = []
         build = idospec.transform.compute_g
-        for module in (idospec.inverse, idospec.transform):
-            monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1) or build(*a, **k))
-        # On the G path, which the tilted R takes at grid_n 80 and 81, each
-        # residual builds G, and each Jacobian one G per parameter for its
-        # forward differences, d = 4. The R = 1 fit takes the series path
-        # and builds none, at grid_n 80 and at the odd 81 alike.
+        monkeypatch.setattr(idospec.transform, "compute_g", lambda *a, **k: builds.append(1) or build(*a, **k))
+        # The tilted R is a field, at grid_n 80 and 81: each residual marches
+        # its one row, and each Jacobian one per parameter for its forward
+        # differences, d = 4. The R = 1 fit sums series rows and builds
+        # none, at grid_n 80 and at the odd 81 alike.
         for tag, r, n, per_residual, per_jacobian in (
             ("sym", None, 81, 0, 0), ("tilted", TILTED_R, 80, 1, 4),
             ("tilted_odd", TILTED_R, 81, 1, 4), ("series", None, 80, 0, 0),

@@ -26,6 +26,7 @@ from idospec.inverse import (
     InverseProblem,
     NonFiniteResidualError,
     UnderdeterminedError,
+    _delta_at_targets,
     profile_from_params,
     recover_profile,
     recover_sequential,
@@ -42,12 +43,11 @@ WIDE = SearchWindow(-20.0, 20.0, -8.0, 0.5)
 
 
 def count_builds(monkeypatch) -> list:
-    """A list that gains an entry per G build: compute_g of the G path, in
-    inverse, and of last_row's march row, in transform."""
+    """A list that gains an entry per G build: compute_g of last_row's march
+    row, in transform, the one place a fit builds G."""
     builds = []
     build = idospec.transform.compute_g
-    for module in (idospec.inverse, idospec.transform):
-        monkeypatch.setattr(module, "compute_g", lambda *a, **k: builds.append(1) or build(*a, **k))
+    monkeypatch.setattr(idospec.transform, "compute_g", lambda *a, **k: builds.append(1) or build(*a, **k))
     return builds
 
 
@@ -139,8 +139,9 @@ def odd_problem():
 
 @pytest.fixture(scope="module")
 def tilted_problem(grid80):
-    """Inverse crime setup on the G path: P = 1, the tilted R and M0 = 0 at
-    N = 80, whose target is the G roots of that kernel on the same grid."""
+    """Inverse crime setup on a field, fitted on march rows: P = 1, the
+    tilted R and M0 = 0 at N = 80, whose target is the G roots of that
+    kernel on the same grid."""
     r = tilted_r(grid80)
     m = assemble_kernel(StructuredKernel(
         TriangularField.zeros(grid80), (KernelComponent(r, Profile.constant(grid80, 1.0)),)))
@@ -235,8 +236,8 @@ class TestProblemSetup:
     def test_series_path_is_decided_by_type(self, const_problem):
         # M0 and R Profiles; a field is not inspected, even R = 1. The rows
         # of N/2 and N intervals are folded where N is even and every
-        # |Re nu| < N/2, a multiple target too; else the row of N intervals
-        # serves alone
+        # |Re nu| < N/2, a multiple target too; else, and for a field M at
+        # any N, the row of N intervals serves alone
         target = const_problem.target
         samples = lambda grid: 0.3 + 0.2 * np.cos(grid.nodes)
 
@@ -268,6 +269,8 @@ class TestProblemSetup:
             assert (problem.series is not None) == bool(rows), (n, m0, r, tgt)
             if rows:
                 assert [g.n_intervals for g in problem.row_grids] == [n // 2, n][-rows:], (n, tgt)
+            else:
+                assert problem.row_grids == (grid,), (n, m0, r)
         grid = make_grid(80)
         problem = InverseProblem(m0=diff(grid), r=diff(grid), target=target, d=4)
         m0_samples, lift = problem.series
@@ -301,6 +304,24 @@ class TestSpectrumResidual:
         assert jacobian is None and builds == 1
         assert res.shape == (tilted_problem.target.total_count,)
         assert np.abs(res).max() < 1e-9
+
+    @pytest.mark.parametrize("m0", ["profile", "field"])
+    def test_field_residual_is_the_delta_of_compute_g(self, tilted_problem, m0):
+        # bitwise: a field M's one row is compute_g's last row of the
+        # assembled kernel, one G build, and the Jacobian is left to forward
+        # differences; with the tilted R, or with a field M0 and R = 1 at
+        # targets with Delta' and Delta'' rows
+        grid = tilted_problem.grid
+        problem = tilted_problem if m0 == "profile" else InverseProblem(
+            m0=TriangularField.from_function(grid, lambda x, t: 0.05 + 0.03 * x),
+            r=Profile.constant(grid, 1.0), target=DEEP_MULTIPLE, d=4)
+        params = np.array([0.9, 1.2, 0.7, 1.1])
+        res, jacobian, builds = spectrum_residual(params, problem)
+        prof = profile_from_params(params, problem)
+        m = assemble_kernel(StructuredKernel(problem.m0, (KernelComponent(problem.r, prof),)))
+        expected = _delta_at_targets(DeltaEvaluator(compute_g(m).g.values[-1]), problem)
+        assert jacobian is None and builds == 1
+        assert res.tobytes() == expected.tobytes()
 
     def test_single_row_residual_is_the_delta_of_last_row(self, odd_problem):
         # bitwise: the residual is DeltaEvaluator of last_row's one row at

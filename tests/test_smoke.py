@@ -1,4 +1,4 @@
-"""Whole runs of the CLI, of the benchmark and of tools/layer_times.py.
+"""Whole runs of the CLI, of the benchmark, of its self-tests and of tools/layer_times.py.
 
 Each checks a fact only a whole run shows: the path a fit took and how far
 it went, a process's memory peak, the bytes of a large G CSV, or the layers
@@ -83,7 +83,7 @@ def test_large_grid_spectrum_memory(tmp_path):
 
 
 def test_tilted_kernel_fit(tmp_path):
-    # R = 1 + 0.2 t is no difference kernel, so the fit takes the G path:
+    # R = 1 + 0.2 t is no difference kernel, so the fit reads march rows:
     # each residual builds G, and each Jacobian builds one G per parameter
     # (d = 4) for its forward differences. The target comes from the same
     # kernel with P = 1, whose row the spectrum marches; the fit takes 5 LM
@@ -147,6 +147,16 @@ def test_traced_benchmark_run(workload, zero, positive):
     assert result["correct"] is True
     assert {name: metrics[name] for name in zero} == dict.fromkeys(zero, 0)
     assert all(metrics[name] > 0 for name in positive), {name: metrics[name] for name in positive}
+
+
+def test_benchmark_self_tests():
+    # bench/ is outside testpaths. Its self-tests read package names the
+    # benchmark relies on, idospec.inverse.compute_g among them, so a change
+    # to the package that unbinds one fails here
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "bench/test_bench.py"],
+        capture_output=True, text=True, cwd=ROOT)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
 def test_layer_times_runs_every_layer(tmp_path):

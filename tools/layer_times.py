@@ -13,14 +13,14 @@ Delta at 1000 lambdas on the benchmark's window (a 40 x 25 grid of it)
 and the zero search on that window (spectral.find_spectrum), both by
 the extrapolated DeltaEvaluator of G's last rows on the grids of N and 2N
 intervals, as `spectrum` with "extrapolate" searches,
-the G path's LM Jacobian (forward differences of the stacked residual,
-inverse._stacked_jacobian, d = 8: eight G builds) at 18 simple targets and
-one triple target, the series path's residual with its exact Jacobian
-(inverse.spectrum_residual and the Jacobian it returns, d = 8: series rows
-on the grids of N and of N/2 intervals, or on that of N alone where N is
-odd or a target's |Re nu| reaches N/2, M0 = 0 and R = 1 as the Profiles
-`invert` samples) at those targets and at 19 simple ones, the triple one
-taken simple, building M
+the LM Jacobian of a fit whose rows are march rows (forward differences
+of the stacked residual, inverse._stacked_jacobian, d = 8: eight G builds)
+at 18 simple targets and one triple target, the residual of a fit whose
+rows are series rows with its exact Jacobian (inverse.spectrum_residual
+and the Jacobian it returns, d = 8: rows on the grids of N and of N/2
+intervals, or on that of N alone where N is odd or a target's |Re nu|
+reaches N/2, M0 = 0 and R = 1 as the Profiles `invert` samples) at those
+targets and at 19 simple ones, the triple one taken simple, building M
 from a config (cli._sample_kernel on the kernel cli._parse_kernel read, then
 kernels.assemble_kernel), M's N + 1 difference samples from a config whose
 m0 and r are constants (kernels.kernel_samples of cli._sample_kernel's
@@ -30,8 +30,8 @@ writing its G CSV and the other artifacts into a temporary directory), at
 N in {100, 200, 400, 800} unless --n names others. The inputs are fixed: M =
 M0 + R P(x - t) with smooth M0, R and a three-term trig profile P, given
 as the kernel object of a config (KERNEL), its G, and that G as both
-kernels of the z-split. M is no difference kernel, so it is fitted on the
-G path. The series residual, the series G, the last row and the
+kernels of the z-split. M is no difference kernel, so its fit reads
+last_row's march row. The series residual, the series G, the last row and the
 difference samples need a difference kernel, so they take M = P(x - t),
 the Profile P, with M0 = 0 and R = 1 instead: they do not measure the same
 kernel as compute_g.
@@ -122,7 +122,7 @@ def layers(n: int, out: Path) -> dict:
         InverseProblem(m0=Profile.zeros(grid), r=Profile.constant(grid, 1.0),
                        target=target, d=8) for target in (SIMPLE_TARGETS, TARGETS))
     params = np.interp(problem.param_nodes, grid.nodes, sk.components[0].p.values.real)  # P at the knots
-    # no G path: the series residuals build no G, on two rows or on one
+    # the series residuals build no G, on two rows or on one
     assert all(spectrum_residual(params, p)[2] == 0 for p in (series_simple, series_triple))
     stacked = inverse._stacked_residual(params, problem, 0.0)[0]
     forward = cli._parse({"grid_n": n, "kernel": KERNEL}, "forward", None)
@@ -142,8 +142,8 @@ def layers(n: int, out: Path) -> dict:
         "Delta per 1k lambdas (extrapolated)": lambda: delta(DELTA_LAMBDAS),
         "find_spectrum (extrapolated)": lambda: find_spectrum(DeltaEvaluator(row, row_fine),
                                                               TARGETS.window),
-        "G-path Jacobian (19 targets)": lambda: inverse._stacked_jacobian(params, stacked, None,
-                                                                           problem, 0.0),
+        "march-row Jacobian (19 targets)": lambda: inverse._stacked_jacobian(params, stacked, None,
+                                                                              problem, 0.0),
         "series residual + Jacobian (19 simple targets)": lambda: series_fit_step(params, series_simple),
         "series residual + Jacobian (18 + triple targets)": lambda: series_fit_step(params, series_triple),
         "M from config": lambda: assemble_kernel(cli._sample_kernel(kernel, grid)),
