@@ -11,10 +11,12 @@ row, forward differences otherwise.
 The candidate M = M0 + R P(x - t) is a Profile of difference samples where
 M0 and R are Profiles (InverseProblem.series, decided by type alone), else
 an assembled field. last_row sums a Profile's row as a series, so no G is
-built, and marches G for a field or for a row the series declines. Where N
-is even and no target aliases on the grid of N/2 intervals, a Profile's
-rows are those on the grid and on its every other node, as spectrum with
-"extrapolate" reads them, and Delta is their Richardson combination;
+built, with the Delannoy sums the problem keeps per row grid for the whole
+fit (InverseProblem.series_tables), and marches G for a field or for a row
+the series declines. Where N is even and no target aliases on the grid of
+N/2 intervals, a Profile's rows are those on the grid and on its every
+other node, as spectrum with "extrapolate" reads them, and Delta is their
+Richardson combination;
 otherwise the row on the grid serves alone. The paper's Green identity and
 change of variables are not needed for the fit; verify_green_identity and
 verify_change_of_variables check them numerically.
@@ -48,7 +50,7 @@ from .kernels import (
     WeightVanishesError,
 )
 # compute_g is not called here; the benchmark's self-tests and the tests' build counters read it
-from .transform import compute_g, last_row, series_jacobian
+from .transform import SeriesTables, compute_g, last_row, series_jacobian
 from .spectral import DeltaEvaluator, Spectrum
 
 
@@ -137,7 +139,9 @@ class InverseProblem:
     of their samples (kernels.StructuredKernel). spectrum_residual reads
     the candidate M's rows on row_grids from transform.last_row: series
     rows where the series property is set and the series accepts them,
-    else the last row of compute_g's march.
+    else the last row of compute_g's march. The series rows read their
+    Delannoy sums from series_tables, which the problem keeps, so a fit
+    forms them once and they are freed with the problem.
     """
 
     m0: TriangularField | Profile
@@ -197,6 +201,15 @@ class InverseProblem:
                 or any(abs(ev.value.real) >= n / 2 for ev in self.target.eigenvalues)):
             return (self.grid,)
         return make_grid(n // 2), self.grid
+
+    @cached_property
+    def series_tables(self) -> tuple[SeriesTables | None, ...]:
+        """One transform.SeriesTables per entry of row_grids where series is
+        set, each filled as the fit's rows read it; else one None per grid,
+        and no tables are formed."""
+        if self.series is None:
+            return (None,) * len(self.row_grids)
+        return tuple(SeriesTables(grid.n_intervals) for grid in self.row_grids)
 
     @cached_property
     def row_gradients(self) -> tuple[np.ndarray, ...]:
@@ -278,7 +291,9 @@ def spectrum_residual(p_params, problem: InverseProblem):
     Returns (residual, jacobian, G builds). The residual is the
     DeltaEvaluator of the rows transform.last_row reads of the candidate M on
     problem.row_grids, M the difference samples m0 + lift @ params where
-    problem.series is set, else the assembled kernel field. With two rows,
+    problem.series is set, else the assembled kernel field. Each series row
+    reads its Delannoy sums from the problem's series_tables for its grid,
+    so only the first residual of a fit forms them. With two rows,
     on the grid and on its every other node, it is the Richardson
     combination (4 Delta_N - Delta_N/2) / 3, fourth order in h; with one,
     Delta_N. jacobian is a function of no argument that returns the exact
@@ -295,10 +310,10 @@ def spectrum_residual(p_params, problem: InverseProblem):
         prof = profile_from_params(p_params, problem)
         m = assemble_kernel(StructuredKernel(problem.m0, (KernelComponent(problem.r, prof),)))
     rows, terms = [], []
-    for grid in problem.row_grids:
+    for grid, tables in zip(problem.row_grids, problem.series_tables):
         stride = problem.grid.n_intervals // grid.n_intervals
         sub, factors = m if stride == 1 else Profile(grid, m.values[::stride]), []
-        row, way = last_row(sub, factors)
+        row, way = last_row(sub, factors, tables)
         rows.append(row)
         terms.append((sub, factors, stride) if way == "series" else None)
     res = _delta_at_targets(DeltaEvaluator(*rows), problem)

@@ -15,7 +15,9 @@ diagonals of G. series_row sums them for G's last row and decides where
 the series stops, once: last_row returns that row, build_g forms all of G
 from the factors of the same terms with no march, and series_jacobian
 gives the row's exact derivative in the samples of p, for the inversion
-to fit on.
+to fit on. The Delannoy sums the terms' coefficients are formed from
+depend on N alone: a SeriesTables holds them, so the rows one fit sums on
+a grid form them once.
 """
 
 from __future__ import annotations
@@ -310,7 +312,40 @@ def compute_g(m: TriangularField, max_terms: int = 60) -> TransformKernel:
 _SERIES_MAX_TERMS = 64
 
 
-def _series_terms(p: np.ndarray, h: float):
+class SeriesTables:
+    """The Delannoy sums of _series_terms on a grid of n intervals, formed once each.
+
+    sums(k) is term k's (2, n + 1) array: the sum over m < j of the Delannoy
+    number D(m, k), and its cumulative sum over j, j = 0 .. n. They depend
+    on n and k alone, not on p, so one object serves every row summed on its
+    grid: term k's sums are formed the first time a row reads them, from
+    D(m, k), which advances one term at a time, and are kept, read-only. A
+    fresh object forms a row's sums as one pass of _series_terms would; an
+    InverseProblem holds one per row grid, so a fit forms them once.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._d = np.ones(n)   # D(m, k) for m = 0 .. n - 1, k the last term formed
+        self._sums: list[np.ndarray] = []
+
+    def sums(self, k: int) -> np.ndarray:
+        while len(self._sums) <= k:
+            d = self._d
+            if self._sums:
+                # D(m, k + 1) = D(m - 1, k + 1) + D(m, k) + D(m - 1, k), D(0, k + 1) = 1
+                d[1:] += d[:-1]
+                d[0] = 1.0
+                np.cumsum(d, out=d)
+            sums = np.zeros((2, self.n + 1))
+            np.cumsum(d, out=sums[0, 1:])
+            np.cumsum(sums[0], out=sums[1])
+            sums.flags.writeable = False
+            self._sums.append(sums)
+        return self._sums[k]
+
+
+def _series_terms(p: np.ndarray, h: float, tables: SeriesTables | None = None):
     """Yield the factors (c[:, k], z^k p, sums), k = 0, 1, ..., of G for M[i, j] = p[i - j].
 
     The row march (see _march) of a difference kernel is Crank-Nicolson in
@@ -323,35 +358,34 @@ def _series_terms(p: np.ndarray, h: float):
     z^k in that power series is the Delannoy number D(m, k), so
     G[d + j, j] = H_j[d] = sum over k of c[j, k] (z^k p)[d], with
     c[j, k] = sum over m < j of s_{j-m} D(m, k): one Toeplitz product per
-    term and two cumulative sums over m per coefficient column. sums holds
+    term and two cumulative sums over m per coefficient column. sums, read
+    from tables (a SeriesTables of the grid, a fresh one if None), holds
     these two, the sum over m < j of D(m, k) and its cumulative sum over j,
     so c[:, k] = s_first sums[0] + s_slope sums[1], s_l = s_first + s_slope l:
     c depends on p only through p[0]. These are the march's own discrete
     equations, so a sum of the terms agrees with compute_g's G to rounding.
     series_row stops the sum; the generator ends after _SERIES_MAX_TERMS
-    terms. Each term is a new set of arrays, except that the first z^0 p is
-    p itself.
+    terms. c and z^k p are new arrays for each term, except that the first
+    z^0 p is p itself; sums is the table's own read-only array. Tables for
+    a grid of another size raise ValueError before the first term.
     """
     n = p.size - 1
+    if tables is not None and tables.n != n:
+        raise ValueError(f"series tables for {tables.n} intervals, p for {n}")
     q = h * p
     q[0] *= 0.5
+    tables = SeriesTables(n) if tables is None else tables  # after q, as its d was
     s_first, s_slope = 1j * h - 0.25 * h**3 * p[0], 0.5 * h**3 * p[0]
     v = p                                   # z^k p
-    d = np.ones(n)                          # D(m, k) for m = 0 .. N - 1
-    for _ in range(_SERIES_MAX_TERMS):
-        sums = np.zeros((2, n + 1))
-        np.cumsum(d, out=sums[0, 1:])
-        np.cumsum(sums[0], out=sums[1])
+    for k in range(_SERIES_MAX_TERMS):
+        sums = tables.sums(k)
         yield s_first * sums[0] + s_slope * sums[1], v, sums
-        # D(m, k + 1) = D(m - 1, k + 1) + D(m, k) + D(m - 1, k), D(0, k + 1) = 1
-        d[1:] += d[:-1]
-        d[0] = 1.0
-        np.cumsum(d, out=d)
         v = (0.5j * h) * np.convolve(q, v)[: n + 1]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def series_row(p: np.ndarray, h: float, factors: list | None = None) -> np.ndarray | None:
+def series_row(p: np.ndarray, h: float, factors: list | None = None,
+               tables: SeriesTables | None = None) -> np.ndarray | None:
     """G's last row for M[i, j] = p[i - j], summed from _series_terms, or None.
 
     G[N, j] = sum over k of c[j, k] (z^k p)[N - j]. The sum stops after the
@@ -361,12 +395,14 @@ def series_row(p: np.ndarray, h: float, factors: list | None = None) -> np.ndarr
     times the sum of the terms' sup norms, which bounds the rounding their
     cancellation leaves, exceeds compute_g's tol 1e-12 (1 + sup|row|). If
     factors is a list, the factors of every term summed are appended to it,
-    for series_jacobian.
+    for series_jacobian. The terms read their Delannoy sums from tables, a
+    SeriesTables of the grid of p.size - 1 intervals that a caller summing
+    several rows on one grid passes to each; None forms fresh ones.
     """
     eps = np.finfo(float).eps
     row = np.zeros(p.size, dtype=complex)
     total = 0.0
-    for c, v, sums in _series_terms(p, h):
+    for c, v, sums in _series_terms(p, h, tables):
         if factors is not None:
             factors.append((c, v, sums))
         term = c * v[::-1]
@@ -488,19 +524,22 @@ def build_g(m: TriangularField | Profile) -> TransformKernel:
     return compute_g(as_field(m)) if tk is None else tk
 
 
-def last_row(m: TriangularField | Profile, factors: list | None = None) -> tuple[np.ndarray, str]:
+def last_row(m: TriangularField | Profile, factors: list | None = None,
+             tables: SeriesTables | None = None) -> tuple[np.ndarray, str]:
     """G's last row, G[N, :], and how it was formed: "series" or "march".
 
     m is a kernel field, or a Profile p that stands for the difference
     kernel M[i, j] = p[i - j] by its N + 1 samples. A Profile takes
-    series_row's row, with no field built; if factors is a list, series_row
+    series_row's row, with no field built. Its Delannoy sums come from
+    tables, a SeriesTables of m's grid that a fit keeps for all its rows on
+    that grid, or fresh ones if None. If factors is a list, series_row
     appends its terms' factors to it, for series_jacobian, and they are
-    complete where the row is "series". A field, or a Profile the series
-    declines (lifted by quadrature.as_field), gets compute_g's last row, a
-    view of the G built, which raises PicardConvergenceError as compute_g
-    does for a kernel that overflows.
+    complete where the row is "series". A field, which reads no tables, or
+    a Profile the series declines (lifted by quadrature.as_field), gets
+    compute_g's last row, a view of the G built, which raises
+    PicardConvergenceError as compute_g does for a kernel that overflows.
     """
-    row = series_row(m.values, m.grid.step, factors) if isinstance(m, Profile) else None
+    row = series_row(m.values, m.grid.step, factors, tables) if isinstance(m, Profile) else None
     if row is None:
         return compute_g(as_field(m)).g.values[-1], "march"
     return row, "series"

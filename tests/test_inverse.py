@@ -10,7 +10,7 @@ from idospec.kernels import (
     WeightVanishesError,
     assemble_kernel,
 )
-from idospec.transform import PicardConvergenceError, compute_g, last_row
+from idospec.transform import PicardConvergenceError, SeriesTables, compute_g, last_row
 from idospec.spectral import (
     DeltaEvaluator,
     Eigenvalue,
@@ -323,6 +323,16 @@ class TestSpectrumResidual:
         assert jacobian is None and builds == 1
         assert res.tobytes() == expected.tobytes()
 
+    def test_field_fit_forms_no_series_tables(self, tilted_problem, monkeypatch):
+        # the tilted R's rows are march rows, which read no Delannoy sums
+        formed, init = [], SeriesTables.__init__
+        monkeypatch.setattr(SeriesTables, "__init__", lambda self, n: formed.append(n) or init(self, n))
+        problem = InverseProblem(m0=tilted_problem.m0, r=tilted_problem.r,
+                                 target=tilted_problem.target, d=4)
+        report = recover_profile(problem, np.full(4, 0.8))
+        assert report.g_builds > 0 and formed == []
+        assert problem.series_tables == (None,)
+
     def test_single_row_residual_is_the_delta_of_last_row(self, odd_problem):
         # bitwise: the residual is DeltaEvaluator of last_row's one row at
         # the target orders, here a double target's Delta' row too
@@ -399,6 +409,25 @@ def two_sine_target():
     return spectrum_of(compute_g(m), WIDE)
 
 
+def floor_truth(x):
+    """Truth 0 of benchmark seed 1, a two-term sine profile."""
+    return (0.338718445717945 * np.sin(x + 3.6731843319365467)
+            + 0.08059479868228293 * np.sin(2 * x + 4.352465272235334))
+
+
+@pytest.fixture(scope="module")
+def floor_target():
+    """Wide-window spectrum of M = floor_truth(x - t) at N = 200, the grid the
+    benchmark builds its invert targets on."""
+    grid = make_grid(200)
+    m = assemble_kernel(StructuredKernel(
+        TriangularField.zeros(grid),
+        (KernelComponent(TriangularField.constant(grid, 1.0),
+                         Profile.from_function(grid, floor_truth)),),
+    ))
+    return spectrum_of(compute_g(m), WIDE, initial_edge_samples=64)
+
+
 class TestSpectrumJacobian:
     PARAMS = 0.8 * two_sine(np.linspace(0.0, PI, 8)) + 0.05
 
@@ -451,29 +480,47 @@ class TestSpectrumJacobian:
         assert np.abs(report.recovered.values - two_sine(grid.nodes)).max() <= 0.05
 
     @pytest.mark.parametrize("n", [100, 101])
-    def test_fit_near_the_floor_does_not_crawl(self, n):
-        # truth 0 of benchmark seed 1: its fit from zero ends at the
-        # discretization floor, where a Jacobian further from the residual's
-        # derivative makes LM crawl (13 iterations and 25 residuals with
-        # nested-trapezoid pair integrals); N = 100 fits on the folded
-        # series rows, N = 101 on the one row of N intervals, each with its
-        # exact Jacobian
-        def truth(x):
-            return (0.338718445717945 * np.sin(x + 3.6731843319365467)
-                    + 0.08059479868228293 * np.sin(2 * x + 4.352465272235334))
-
-        grid = make_grid(200)
-        m = assemble_kernel(StructuredKernel(
-            TriangularField.zeros(grid),
-            (KernelComponent(TriangularField.constant(grid, 1.0),
-                             Profile.from_function(grid, truth)),),
-        ))
-        target = spectrum_of(compute_g(m), WIDE, initial_edge_samples=64)
-        problem = convolution_problem(target, n)
+    def test_fit_near_the_floor_does_not_crawl(self, n, floor_target):
+        # its fit from zero ends at the discretization floor, where a
+        # Jacobian further from the residual's derivative makes LM crawl (13
+        # iterations and 25 residuals with nested-trapezoid pair integrals);
+        # N = 100 fits on the folded series rows, N = 101 on the one row of N
+        # intervals, each with its exact Jacobian
+        problem = convolution_problem(floor_target, n)
         report = recover_profile(problem, np.zeros(8))
         assert report.converged
-        assert np.abs(report.recovered.values - truth(problem.grid.nodes)).max() <= 0.05
+        assert np.abs(report.recovered.values - floor_truth(problem.grid.nodes)).max() <= 0.05
         assert report.iterations <= 8
+
+    @pytest.mark.parametrize("n", [100, 101])
+    def test_fit_is_bitwise_that_of_fresh_tables(self, n, floor_target, monkeypatch):
+        # the problem's tables, formed once and read by every row of the
+        # fit, against a fresh table for every row: N = 100 reads two grids'
+        # tables, N = 101 one
+        def fit():
+            problem = convolution_problem(floor_target, n)
+            assert len(problem.row_grids) == 2 - n % 2
+            return recover_profile(problem, np.zeros(8))
+
+        shared = fit()
+        rows = []
+        row = idospec.inverse.last_row
+
+        def fresh(m, factors, tables):
+            rows.append(tables)
+            return row(m, factors, SeriesTables(m.grid.n_intervals))
+
+        monkeypatch.setattr(idospec.inverse, "last_row", fresh)
+        report = fit()
+        assert len(rows) == (2 - n % 2) * report.residual_evals
+        assert all(isinstance(tables, SeriesTables) for tables in rows)
+        assert report.recovered.values.tobytes() == shared.recovered.values.tobytes()
+        for name in ("history", "damping", "rejected_trials"):
+            assert np.array(getattr(report, name)).tobytes() == np.array(getattr(shared, name)).tobytes()
+        for name in ("residual_norm", "iterations", "converged", "residual_evals",
+                     "jacobian_evals", "g_builds", "mu"):
+            assert getattr(report, name) == getattr(shared, name)
+        assert shared.converged and shared.g_builds == 0
 
     def test_evaluation_counts_add_up_to_g_builds(self, const_problem, odd_problem, monkeypatch):
         # on the G path, which the tilted R takes at N = 80 and 81, each

@@ -1,3 +1,4 @@
+import gc
 import json
 import tracemalloc
 import warnings
@@ -12,6 +13,7 @@ from idospec import cli
 from idospec.quadrature import PI, ROW_BLOCK, Profile, TriangularField, as_field, make_grid
 from idospec.transform import (
     PicardConvergenceError,
+    SeriesTables,
     _PRODUCT_BLOCK,
     _diagonal_trapezoid,
     _inner_table,
@@ -25,6 +27,8 @@ from idospec.transform import (
     picard_g1,
     picard_step,
     reflected_kernel,
+    series_jacobian,
+    series_row,
 )
 
 from idospec.kernels import compute_B, shifted_factor
@@ -494,6 +498,107 @@ class TestBuildG:
             warnings.simplefilter("error")
             with pytest.raises(PicardConvergenceError, match="march sup norm"):
                 build_g(m)
+
+
+def _series_and_jacobian(p, h, tables=None):
+    """series_row's row of p, with its terms' factors and series_jacobian of
+    them (None with a row the series declines)."""
+    factors = []
+    row = series_row(p, h, factors, tables)
+    return row, factors, None if row is None else series_jacobian(p, h, factors)
+
+
+class TestSeriesTables:
+    """Rows summed on one shared SeriesTables against the same rows on fresh ones."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 201),
+        kinds=st.lists(st.sampled_from(["trig", "polynomial", "complex"]), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=100, kinds=["trig", "complex"], seed=0)
+    @example(n=101, kinds=["polynomial", "trig"], seed=1)
+    def test_shared_tables_are_bitwise_fresh(self, n, kinds, seed):
+        # a row of few terms first, then larger profiles with other p[0],
+        # then the small one again: the table is read while partly built,
+        # grows, and is read again after it has grown
+        h = make_grid(n).step
+        small = _difference_kernel(n, _random_profile("trig", 0.01, seed)).values
+        ps = [small] + [_difference_kernel(n, _random_profile(kind, 3.0, seed + k)).values
+                        for k, kind in enumerate(kinds, 1)] + [small]
+        tables, lengths = SeriesTables(n), []
+        for p in ps:
+            row, factors, jac = _series_and_jacobian(p, h, tables)
+            ref, ref_factors, ref_jac = _series_and_jacobian(p, h)
+            assert (row is None) == (ref is None)
+            assert len(factors) == len(ref_factors)
+            lengths.append(len(factors))
+            if row is not None:
+                assert row.tobytes() == ref.tobytes()
+                assert jac.tobytes() == ref_jac.tobytes()
+        assert len({p[0] for p in ps[:-1]}) == len(ps) - 1
+        if n >= 16:
+            # the rows of amplitude 3 need more terms than the small one
+            assert lengths[0] == lengths[-1] < max(lengths)
+
+    @pytest.mark.parametrize("n, other", [(100, 50), (50, 100), (101, 100)])
+    def test_tables_of_another_grid_raise_before_any_sum(self, n, other):
+        m = _difference_kernel(n, lambda x: 0.3 * np.sin(x + 0.5))
+        tables, read, factors = SeriesTables(other), [], []
+        tables.sums = lambda k: read.append(k)
+        with pytest.raises(ValueError, match="intervals"):
+            series_row(m.values, m.grid.step, factors, tables)
+        with pytest.raises(ValueError, match="intervals"):
+            last_row(m, factors, tables)
+        assert read == [] and factors == []
+
+
+class TestSeriesTablesScope:
+    """Tables live only as long as the call or the fit that formed them: a
+    table pinned for the whole process moves the heap's layout and the
+    memory peak of unrelated commands."""
+
+    @pytest.fixture
+    def formed(self, monkeypatch):
+        """A list that gains an entry per SeriesTables formed."""
+        formed, init = [], SeriesTables.__init__
+        monkeypatch.setattr(SeriesTables, "__init__", lambda self, n: formed.append(n) or init(self, n))
+        return formed
+
+    @staticmethod
+    def live_tables() -> int:
+        gc.collect()
+        return sum(isinstance(obj, SeriesTables) for obj in gc.get_objects())
+
+    def test_transform_holds_no_tables(self):
+        # on a grid no other test uses, so a table kept in any container shows
+        m = _difference_kernel(37, lambda x: 0.3 * np.sin(x + 0.5))
+        last_row(m)
+        build_g(m)
+        gc.collect()
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, SeriesTables) and obj.n == 37]
+        assert not [v for v in vars(idospec.transform).values() if isinstance(v, SeriesTables)]
+
+    @pytest.mark.parametrize("call", ["build_g", "last_row"])
+    def test_no_tables_survive_a_row_or_g(self, call, formed):
+        m = _difference_kernel(100, lambda x: 0.3 * np.sin(x + 0.5) + 0.25 * np.sin(2 * x + 1.0))
+        before = self.live_tables()
+        {"build_g": build_g, "last_row": last_row}[call](m)
+        assert formed == [100]
+        assert self.live_tables() == before
+
+    def test_no_tables_survive_spectrum(self, tmp_path, formed):
+        zero, one = ({"kind": "analytic", "family": "constant", "coeffs": [c]} for c in (0.0, 1.0))
+        p = {"kind": "analytic", "family": "trig", "coeffs": [[0.3, 1, 0.5], [0.25, 2, 1.0]]}
+        cfg = tmp_path / "spectrum.json"
+        cfg.write_text(json.dumps({
+            "grid_n": 40, "extrapolate": True, "kernel": {"m0": zero, "components": [{"r": one, "p": p}]},
+            "window": {"re_min": -6.0, "re_max": 6.0, "im_min": -6.0, "im_max": 0.5}}))
+        before = self.live_tables()
+        assert cli.main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        assert sorted(formed) == [40, 80]  # one fresh table per row
+        assert self.live_tables() == before
 
 
 class TestWorkingMemory:

@@ -20,7 +20,11 @@ rows are series rows with its exact Jacobian (inverse.spectrum_residual
 and the Jacobian it returns, d = 8: rows on the grids of N and of N/2
 intervals, or on that of N alone where N is odd or a target's |Re nu|
 reaches N/2, M0 = 0 and R = 1 as the Profiles `invert` samples) at those
-targets and at 19 simple ones, the triple one taken simple, building M
+targets and at 19 simple ones, the triple one taken simple, on one problem
+whose Delannoy sums (transform.SeriesTables) are already formed, as for
+every residual of a fit but its first, and that first residual with its
+Jacobian at the 19 simple targets, which forms them and the problem's
+other cached parts (a new InverseProblem each call), building M
 from a config (cli._sample_kernel on the kernel cli._parse_kernel read, then
 kernels.assemble_kernel), M's N + 1 difference samples from a config whose
 m0 and r are constants (kernels.kernel_samples of cli._sample_kernel's
@@ -146,6 +150,9 @@ def layers(n: int, out: Path) -> dict:
                                                                               problem, 0.0),
         "series residual + Jacobian (19 simple targets)": lambda: series_fit_step(params, series_simple),
         "series residual + Jacobian (18 + triple targets)": lambda: series_fit_step(params, series_triple),
+        "first series residual + Jacobian of a fit (19 simple targets, tables formed)":
+            lambda: series_fit_step(params, InverseProblem(m0=series_simple.m0, r=series_simple.r,
+                                                           target=SIMPLE_TARGETS, d=8)),
         "M from config": lambda: assemble_kernel(cli._sample_kernel(kernel, grid)),
         "difference samples from config": lambda: kernel_samples(cli._sample_kernel(series_kernel, grid)),
         "forward": lambda: cli.cmd_forward("0" * 64, out, None, **forward),
