@@ -525,16 +525,19 @@ def _verify_once(grid, specs, lambdas):
     m, mt = (kernel_samples(StructuredKernel(m0, (KernelComponent(r, q),))) for q in (p, pt))
 
     g, k2 = build_g(m), build_g(mt)  # before the marches, which overflow where G does
-    # the marches and the checks below read the kernels and r as fields
-    m, mt, r = as_field(m), as_field(mt), as_field(r)
+    # a Profile kernel is its own reflection by type, and a field is compared
+    refl = reflected_kernel(m)
+    own_reflection = refl is m
+    # the marches and the checks below read the kernels as fields; r, a
+    # Profile or a field, is read as it is
+    m, mt = as_field(m), as_field(mt)
 
     # the marches every check below reads, one column per lambda; psi is the
     # reflected kernel's march read backwards, so for a kernel that is its
     # own reflection it is e's, and k1, the reflected kernel's G, is g
     lam = np.array(lambdas, dtype=complex)
     e, et = eval_e_direct(m, lam), eval_e_direct(mt, lam)
-    refl = reflected_kernel(m)
-    if refl is m:
+    if own_reflection:
         psi, k1 = e[::-1], g
     else:
         psi, k1 = eval_e_direct(refl, lam)[::-1], build_g(refl)

@@ -524,7 +524,7 @@ def verify_green_identity(
 
 
 def verify_change_of_variables(
-    r: TriangularField,
+    r: TriangularField | Profile,
     p: Profile,
     p_tilde: Profile,
     psi: np.ndarray,
@@ -538,11 +538,15 @@ def verify_change_of_variables(
     lambda or with one column per lambda, giving one residual per lambda.
     Form A integrates psi * R * (P - P_tilde)(x - t) * e_tilde over the
     triangle; form B integrates (P - P_tilde)(pi - x) against z(x, lambda).
-    Both equal the same quantity in exact arithmetic.
+    Both equal the same quantity in exact arithmetic. r is a field or the
+    Profile rho of rho(x - t), whose R (P - P_tilde)(x - t) is the
+    difference kernel of rho (P - P_tilde): formed on its lag view, it has
+    the values of the lifted field's product.
     """
     require_same_grid(r.grid, p.grid, p_tilde.grid)
     grid = r.grid
     dp = p.values - p_tilde.values
-    form_a = _triangle_double_integral(psi, r.values * lag_view(dp), e_tilde, grid)
+    rdp = np.array(lag_view(r.values * dp)) if isinstance(r, Profile) else r.values * lag_view(dp)
+    form_a = _triangle_double_integral(psi, rdp, e_tilde, grid)
     weights = trapezoid_weights(grid.n_nodes, grid.step) * dp[::-1]
     return np.abs(form_a - weights @ z)

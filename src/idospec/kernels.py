@@ -76,7 +76,7 @@ class StructuredKernel:
         return len(self.components)
 
 
-def shifted_rows(r: TriangularField, i0: int, i1: int, out: np.ndarray) -> np.ndarray:
+def shifted_rows(r: TriangularField | Profile, i0: int, i1: int, out: np.ndarray) -> np.ndarray:
     """Rows i0 .. i1 - 1 of shifted_factor(r), columns 0 .. i1 - 1, into out.
 
     out has i1 - i0 rows and at least i1 columns; entry k of row i is
@@ -84,7 +84,14 @@ def shifted_rows(r: TriangularField, i0: int, i1: int, out: np.ndarray) -> np.nd
     C-ordered samples, so one strided copy reads every column but the last.
     For k > i that index falls on r's upper triangle, which is zero. Column
     N would read before the first sample; it is zero but for R[N, N].
+    A Profile r, rho(x - t), fills row i with rho(pi - x_i) = rho[N - i]
+    up to its diagonal, the same values its lifted field (as_field) gives.
     """
+    if isinstance(r, Profile):
+        block = out[:, :i1]
+        block[...] = 0.0
+        np.copyto(block, r.values[::-1][i0:i1, None], where=np.tri(i1 - i0, i1, i0, dtype=bool))
+        return out
     n = r.grid.n_intervals
     vals = np.ascontiguousarray(r.values)
     s, k1 = vals.itemsize, min(i1, n)

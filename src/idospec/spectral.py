@@ -43,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import PI, ROW_BLOCK, TriangularField, march_rows, trapezoid_weights, volterra_apply
+from .quadrature import (PI, ROW_BLOCK, Profile, TriangularField, march_rows, trapezoid_weights,
+                         volterra_apply)
 from .kernels import NumericalFailure, shifted_rows
 from .transform import TransformKernel
 
@@ -165,7 +166,7 @@ def eval_e_direct(m: TriangularField, lam) -> np.ndarray:
     return e[:, 0] if lx.ndim == 1 else e
 
 
-def eval_z(r: TriangularField, psi: np.ndarray, e_tilde: np.ndarray) -> np.ndarray:
+def eval_z(r: TriangularField | Profile, psi: np.ndarray, e_tilde: np.ndarray) -> np.ndarray:
     """z(x, lambda) = integral of r(pi-t, x-t) psi(pi-t) e_tilde(x-t) over [0, x].
 
     psi = eval_e_direct(reflected_kernel(M), lam)[::-1], the adjoint-type
@@ -175,9 +176,9 @@ def eval_z(r: TriangularField, psi: np.ndarray, e_tilde: np.ndarray) -> np.ndarr
     trapezoid rule gives all columns in one contraction,
     z[i, c] = h sum over k <= i of Rw[i, k] e_tilde[i-k, c] w[k, c],
     where Rw is R = kernels.shifted_factor(r) with its end weights, column 0
-    and the diagonal, halved. The sum runs per block of ROW_BLOCK rows over
-    the k < i1 the block reads: shifted_rows gathers those rows of R, so R
-    is never held whole, and e_tilde[i-k, c] is read through a strided lag
+    and the diagonal, halved; r is a field or the Profile of rho(x - t). The
+    sum runs per block of ROW_BLOCK rows over the k < i1 the block reads:
+    shifted_rows gathers those rows of R, so R is never held whole, and e_tilde[i-k, c] is read through a strided lag
     view of e_tilde, transposed and led by ROW_BLOCK - 1 zeros per column,
     so no field is built per column and the lag tensor is never formed.
     Raises ValueError, before any work, unless psi and e_tilde have

@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .quadrature import (ROW_BLOCK, Grid, Profile, TriangularField, as_field, march_rows,
                          require_same_grid, volterra_apply, zero_upper)
-from .kernels import NumericalFailure, shifted_factor
+from .kernels import NumericalFailure, compute_B, shifted_factor
 
 
 class PicardConvergenceError(NumericalFailure):
@@ -545,15 +545,18 @@ def last_row(m: TriangularField | Profile, factors: list | None = None,
     return row, "series"
 
 
-def reflected_kernel(m: TriangularField) -> TriangularField:
-    """Field (x,t) -> m(pi - t, pi - x); an involution on the triangle.
+def reflected_kernel(m: TriangularField | Profile) -> TriangularField | Profile:
+    """Kernel (x,t) -> m(pi - t, pi - x); an involution on the triangle.
 
-    A field the reflection leaves unchanged (equal values, as for
-    M0 + R P(x - t) with M0 and R invariant, e.g. R = 1 and M0 = 0) is
-    returned itself, so callers can test `reflected_kernel(m) is m` and
-    reuse what they computed for m instead of solving the adjoint problem
-    again.
+    A kernel the reflection leaves unchanged is returned itself, so callers
+    can test `reflected_kernel(m) is m` and reuse what they computed for m
+    instead of solving the adjoint problem again. A Profile p, which stands
+    for p(x - t), is such a kernel by type: (pi - t) - (pi - x) = x - t. A
+    field is compared entry by entry (equal values, as for M0 + R P(x - t)
+    with M0 and R invariant).
     """
+    if isinstance(m, Profile):
+        return m
     vals = m.values[::-1, ::-1].T
     if np.array_equal(vals, m.values):
         return m
@@ -591,17 +594,92 @@ def _shear(vals: np.ndarray) -> np.ndarray:
     return buf[m - 1 :].reshape(m, m)
 
 
+def _halved_row_spectra(vals: np.ndarray, size: int) -> np.ndarray:
+    """FFTs of length size of the rows of a square vals with its diagonal
+    halved, ROW_BLOCK rows at a time in place: a new (len(vals), size) array."""
+    m = len(vals)
+    f = np.zeros((m, size), dtype=complex)
+    f[:, :m] = vals
+    np.einsum("ii->i", f[:, :m])[...] *= 0.5
+    for r0 in range(0, m, ROW_BLOCK):
+        rows = f[r0 : r0 + ROW_BLOCK]
+        np.fft.fft(rows, axis=1, out=rows)
+    return f
+
+
+def _column_convolve(fa: np.ndarray, fb: np.ndarray, length: int) -> None:
+    """Replace each column of fa by the first len(fa) entries of its linear
+    convolution with the same column of fb, by FFTs of the given length.
+
+    The columns run ROW_BLOCK at a time, transposed into two buffers of
+    that many rows, so the FFTs run along contiguous rows; length at least
+    2 len(fa) - 1 keeps the product from wrapping.
+    """
+    m, size = fa.shape
+    pt, qt = np.empty((2, min(ROW_BLOCK, size), length), dtype=complex)
+    for c0 in range(0, size, ROW_BLOCK):
+        c1 = min(c0 + ROW_BLOCK, size)
+        p, q = pt[: c1 - c0], qt[: c1 - c0]
+        for buf, f in ((p, fa), (q, fb)):
+            buf[:, :m] = f[:, c0:c1].T
+            buf[:, m:] = 0.0
+            np.fft.fft(buf, axis=1, out=buf)
+        p *= q
+        np.fft.ifft(p, axis=1, out=p)
+        fa[:, c0:c1] = p[:, :m].T
+
+
+def _difference_z_kernel(k1v: np.ndarray, k2v: np.ndarray, r: Profile) -> np.ndarray:
+    """assemble_z_kernel's K for the Profile r of rho(x - t).
+
+    Its shifted factor R[i, k] = rho(pi - x_i) does not depend on k, so
+    K[i, j] is rho(pi - x_i) times two sums with no weight from R:
+
+    - terms 1 and 2, h times the trapezoid of k1 + k2 along the diagonal
+      through (x_i, t_j), from column 0 to row i: one _diagonal_trapezoid;
+    - term 3, h^2 times the 2-D linear convolution of k1 and k2, both with
+      halved diagonals, on 0 < j < i. Rows 0 of k1 and k2 are zero, so the
+      sum over 0 < k < i may run over every k. Row FFTs of length
+      _next_fast_len(m) cannot wrap, as in the field path; _column_convolve
+      then convolves the columns of the two row spectra in place, so no
+      padded array of 2m rows is formed.
+
+    It holds the two row-spectrum arrays and _column_convolve's buffers at
+    most; k2's spectra go before K is formed in k1's.
+    """
+    m, h = r.grid.n_nodes, r.grid.step
+    size = _next_fast_len(m)
+    fa = _halved_row_spectra(k1v, size)
+    _column_convolve(fa, _halved_row_spectra(k2v, size), _next_fast_len(2 * m - 1))
+    for r0 in range(0, m, ROW_BLOCK):
+        rows = fa[r0 : r0 + ROW_BLOCK]
+        np.fft.ifft(rows, axis=1, out=rows)
+
+    kout = zero_upper(fa[:, :m])  # term 3, on 0 < j < i only
+    np.einsum("ii->i", kout)[...] = 0.0
+    kout *= h * h
+    pair = np.empty((min(_PRODUCT_BLOCK, m), m), dtype=complex)
+    _diagonal_trapezoid(
+        lambda i0, i1, work: np.add(k1v[i0:i1], k2v[i0:i1], out=pair[: i1 - i0]), m, h, kout)
+    kout *= r.values[::-1, None]  # rho(pi - x_i) along row i
+    kout[:, 0] = 0.0
+    return np.ascontiguousarray(kout)
+
+
 def assemble_z_kernel(
     k1: TriangularField,
     k2: TriangularField,
-    r: TriangularField,
+    r: TriangularField | Profile,
 ) -> tuple[Profile, TriangularField]:
     """Split z(x, lambda) into B(x) exp(-i*lambda*x) + int K(x,t) exp(-i*lambda*t) dt.
 
     k1 is the transformation kernel of the reflected solution w, k2 that of
-    the second forward solution; r is the convolution factor. Both k1 and
-    k2 must vanish at t = 0 (column 0 exactly zero), as compute_g's G does;
-    other input raises ValueError. With R[i, k] = r(pi - t_k, x_i - t_k),
+    the second forward solution; r is the convolution factor, a field or
+    the Profile rho of rho(x - t). Both k1 and k2 must vanish at t = 0
+    (column 0 exactly zero), as compute_g's G does; other input raises
+    ValueError. A Profile r takes _difference_z_kernel's K and
+    kernels.compute_B's B, with no shifted factor; a field r takes the sums
+    below. With R[i, k] = r(pi - t_k, x_i - t_k),
     R2[i, s] = R[i, i-s] and the sheared kernels S1[k, d] = k1[k, k-d],
     S2[k, d] = k2[k, k-d], every sum below is a trapezoid in the summation
     index, and K collects three terms:
@@ -628,6 +706,8 @@ def assemble_z_kernel(
     if np.any(k1.values[:, 0]) or np.any(k2.values[:, 0]):
         raise ValueError("k1 and k2 must vanish at t = 0: column 0 is not exactly zero")
     grid = r.grid
+    if isinstance(r, Profile):
+        return compute_B(r), TriangularField(grid, _difference_z_kernel(k1.values, k2.values, r))
     m, h = grid.n_nodes, grid.step
     rmat = shifted_factor(r)
     b = Profile(grid, volterra_apply(rmat, np.ones(m, dtype=complex), h))  # compute_B(r)
@@ -643,14 +723,8 @@ def assemble_z_kernel(
     # holds the rows of k2 in reverse order, so the rows i-1 .. 1 that row
     # i of K pairs with k1's rows 1 .. i-1 are contiguous.
     size = _next_fast_len(m)
-    fa, fb = spectra = np.zeros((2, m, size), dtype=complex)
-    fa[:, :m] = k1.values
-    fb[:, :m] = k2.values[::-1]
-    np.einsum("ii->i", fa[:, :m])[...] *= 0.5
-    np.einsum("ii->i", fb[::-1, :m])[...] *= 0.5
-    for r0 in range(0, m, ROW_BLOCK):
-        for rows in spectra[:, r0 : r0 + ROW_BLOCK]:
-            rows[...] = np.fft.fft(rows, axis=1)
+    fa = _halved_row_spectra(k1.values, size)
+    fb = _halved_row_spectra(k2.values, size)[::-1]
     prod = np.empty((ROW_BLOCK, size), dtype=complex)
     spec = np.empty((ROW_BLOCK, size), dtype=complex)
     for c0 in range(2, m, ROW_BLOCK):

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import idospec.cli
 import idospec.inverse
+import idospec.kernels
 import idospec.spectral
 import idospec.transform
 from idospec import serialize
@@ -969,6 +970,52 @@ class TestVerify:
             out = workdir / f"ver_z_out_{tag}"
             assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
             assert sorted(calls) == [10, 20]
+
+    def test_constant_r_is_never_lifted(self, workdir, monkeypatch):
+        # m0 and r are analytic constants, so r reaches assemble_z_kernel,
+        # eval_z and the change-of-variables check as the Profile of
+        # rho(x - t): no shifted factor is formed, and as_field lifts only
+        # the two kernels of each grid, which the marches read
+        def refused(r):
+            raise AssertionError("shifted_factor called for a Profile r")
+
+        monkeypatch.setattr(idospec.transform, "shifted_factor", refused)
+        monkeypatch.setattr(idospec.kernels, "shifted_factor", refused)
+        kernels, lifted = [], []
+        samples, lift = idospec.cli.kernel_samples, idospec.cli.as_field
+        monkeypatch.setattr(idospec.cli, "kernel_samples", lambda sk: kernels.append(samples(sk)) or kernels[-1])
+        monkeypatch.setattr(idospec.cli, "as_field", lambda m: lifted.append(m) or lift(m))
+        cfg = write_config(workdir / "ver_profile_r.json", {"grid_n": 10, **self.KERNEL})
+        assert main(["verify", "--config", cfg, "--out", str(workdir / "ver_profile_r_out")]) == EXIT_OK
+        assert len(kernels) == len(lifted) == 4
+        assert all(isinstance(m, Profile) and any(m is k for k in kernels) for m in lifted)
+
+    def test_field_r_takes_the_field_path(self, workdir, monkeypatch):
+        # the tilted R is sampled as a field, and a samples file is read as
+        # one even where it holds a constant: assemble_z_kernel forms its
+        # shifted factor, once per grid
+        calls = []
+        shifted = idospec.transform.shifted_factor
+        monkeypatch.setattr(idospec.transform, "shifted_factor",
+                            lambda r: calls.append(r.grid.n_intervals) or shifted(r))
+        cfg = write_config(workdir / "ver_field_r.json", {"grid_n": 10, **self.KERNEL, "r": TILTED_R})
+        assert main(["verify", "--config", cfg, "--out", str(workdir / "ver_field_r_out")]) == EXIT_OK
+        assert calls == [10, 20]
+
+        # verify refuses a samples spec before any grid is built, as its file
+        # holds one grid, so the one-grid check is called with it directly
+        grid = make_grid(10)
+        path = workdir / "ver_field_r10.csv"
+        serialize.field_to_csv(TriangularField.constant(grid, 1.0), path)
+        specs = idospec.cli._parse({"grid_n": 10, **self.KERNEL}, "verify", None)["specs"]
+        field_specs = (specs[0], ("field", "samples", str(path)), *specs[2:])
+        calls.clear()
+        got = idospec.cli._verify_once(grid, field_specs, [0.5])
+        assert calls == [10]
+        ref = idospec.cli._verify_once(grid, specs, [0.5])
+        assert calls == [10]
+        for key, value in ref.items():
+            assert got[key] == pytest.approx(value, rel=1e-9, abs=1e-15), key
 
     def test_picard_budget_exhausted(self, workdir, capsys):
         # max_terms is retired: the budget that allowed no update is refused

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from idospec.quadrature import PI, Profile, TriangularField, make_grid
+from idospec.quadrature import PI, Profile, TriangularField, as_field, make_grid
 from idospec.kernels import (
     KernelComponent,
     StructuredKernel,
@@ -770,3 +770,16 @@ class TestIdentities:
         mt = assemble_kernel(StructuredKernel(m0, (KernelComponent(r, pt),)))
         psi, et = eval_psi(m, lam), eval_e_direct(mt, lam)
         assert verify_change_of_variables(r, p, pt, psi, et, eval_z(r, psi, et)) < 1e-3
+
+    @pytest.mark.parametrize("shape", [(65,), (65, 1), (65, 3)])
+    def test_change_of_variables_profile_r_is_its_lifted_field(self, shape):
+        # verify hands r over as the Profile of rho(x - t) when it is one;
+        # one lambda (1-D columns) is the case a strided product field would
+        # round differently
+        grid = make_grid(64)
+        rng = np.random.default_rng(len(shape))
+        rho, p, pt = (Profile(grid, rng.standard_normal(65) + 1j * rng.standard_normal(65))
+                      for _ in range(3))
+        psi, et, z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(3))
+        got, ref = (verify_change_of_variables(r, p, pt, psi, et, z) for r in (rho, as_field(rho)))
+        assert got.tobytes() == ref.tobytes()

@@ -14,6 +14,7 @@ from idospec.kernels import (
     field_from_family,
     profile_from_family,
     shifted_factor,
+    shifted_rows,
 )
 from idospec.transform import assemble_z_kernel
 
@@ -118,6 +119,20 @@ class TestShiftedFactor:
         r = TriangularField(make_grid(n), np.tril(vals))
         idx = np.arange(n + 1)
         assert np.array_equal(shifted_factor(r), r.values[n - idx, idx[:, None] - idx])
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 97), seed=st.integers(0, 2**32 - 1))
+    def test_profile_rows_are_its_lifted_fields(self, n, seed):
+        # rho(x - t) gives row i the value rho(pi - x_i) up to the diagonal,
+        # bitwise the rows of its lifted field, for any block of rows
+        rng = np.random.default_rng(seed)
+        rho = Profile(make_grid(n), rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
+        i0 = int(rng.integers(0, n + 1))
+        i1 = int(rng.integers(i0 + 1, n + 2))
+        got, ref = (shifted_rows(r, i0, i1, np.full((i1 - i0, n + 1), np.nan, dtype=complex))[:, :i1]
+                    for r in (rho, as_field(rho)))
+        assert got.tobytes() == ref.tobytes()
+        assert shifted_factor(rho).tobytes() == shifted_factor(as_field(rho)).tobytes()
 
 
 def _compute_B_loop(r):

@@ -128,10 +128,12 @@ TRACED = [
     # read zero points
     ("spectrum", ["kernels.assemble_kernel.calls"], ["spectral.delta_points"]),
     # a march that bypassed the traced eval_e_direct, or a verify that
-    # computed z or the change-of-variables forms inside the CLI instead of
-    # through eval_z and verify_change_of_variables
+    # computed z, the change-of-variables forms or the z-split inside the
+    # CLI, or in a Profile branch of its own, instead of through eval_z,
+    # verify_change_of_variables and assemble_z_kernel
     ("identities", ["transform.compute_g.calls", "kernels.assemble_kernel.calls"],
-     ["spectral.eval_e_direct.s", "spectral.eval_z.s", "inverse.verify_change_of_variables.s"]),
+     ["spectral.eval_e_direct.s", "spectral.eval_z.s", "inverse.verify_change_of_variables.s",
+      "transform.assemble_z_kernel.s"]),
 ]
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import idospec.spectral
-from idospec.quadrature import PI, TriangularField, make_grid
+from idospec.quadrature import PI, Profile, TriangularField, as_field, make_grid
 from idospec.transform import TransformKernel, compute_g
 from idospec.spectral import (
     CLUSTER_BOX,
@@ -223,6 +223,16 @@ class TestEvalZContraction:
         z1 = eval_z(r, psi[:, 0], et[:, 0])
         assert z1.shape == (n + 1,) and z1[0] == 0.0
         _assert_z_matches(z1, r, psi[:, 0], et[:, 0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([31, 32, 33, 63, 64, 65, 97]) | st.integers(2, 40),
+           seed=st.integers(0, 2**32 - 1), n_cols=st.integers(1, 6))
+    def test_profile_r_is_its_lifted_field(self, n, seed, n_cols):
+        # verify hands r to eval_z as the Profile of rho(x - t) when it is one
+        rng = np.random.default_rng(seed)
+        rho = Profile(make_grid(n), rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
+        psi, et = (_random_columns(rng, n + 1, n_cols) for _ in range(2))
+        assert eval_z(rho, psi, et).tobytes() == eval_z(as_field(rho), psi, et).tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -610,7 +610,10 @@ class TestWorkingMemory:
     is 2.7 fields at N = 200 and 2.4 at N = 400. The e-march holds arrays of
     N + 1 entries per lambda and the driver's ROW_BLOCK rows of h M, no
     field: 0.65 fields at N = 100 and 0.30 at N = 200 for 5 lambdas. The
-    z-split holds its result, R and two row-spectrum arrays. shifted_factor
+    z-split of a field r holds its result, R and two row-spectrum arrays:
+    4.6 fields at N = 200. That of a Profile r holds the two row-spectrum
+    arrays, the second freed before K is formed in the first, and two
+    blocks of ROW_BLOCK columns of 2N entries: 2.7 fields. shifted_factor
     holds only its result, and eval_z a block of ROW_BLOCK rows of R plus
     arrays of about N + 32 entries per column: its lag view of e_tilde
     builds no field per column. build_g's series G of a difference kernel
@@ -705,6 +708,10 @@ class TestWorkingMemory:
         r = TriangularField.from_function(grid, lambda x, t: 1.0 + 0.2 * np.cos(t))
         assemble_z_kernel(g, g, r)  # fills numpy's FFT plan cache, which is no working memory
         assert _peak_fields(lambda: assemble_z_kernel(g, g, r), n) <= 5.0
+        # the Profile of R = 1, as verify hands it over, peaks below the field's 4.6
+        r = Profile.constant(grid, 1.0)
+        assemble_z_kernel(g, g, r)
+        assert _peak_fields(lambda: assemble_z_kernel(g, g, r), n) <= 3.0
 
 
 class TestMarchAgainstPicardSeries:
@@ -867,6 +874,13 @@ class TestReflectedKernel:
         assert not np.array_equal(ref.values, m.values)
         assert ref.values.tobytes() == np.tril(bumped[::-1, ::-1].T).tobytes()
 
+    def test_profile_is_its_own_reflection(self, grid50):
+        # p(x - t) is reflection-invariant by type: nothing is compared
+        p = Profile.from_function(grid50, lambda x: np.sin(x) + 0.3j * x)
+        assert reflected_kernel(p) is p
+        lifted = as_field(p)
+        assert reflected_kernel(lifted) is lifted
+
     def test_involution(self, grid50):
         m = family_fields(grid50)["structured"]
         back = reflected_kernel(reflected_kernel(m))
@@ -915,13 +929,36 @@ class TestZKernelAssembly:
         assert np.all(np.triu(k.values, 1) == 0.0)
         assert np.all(k.values[:, 0] == 0.0)
 
+    @settings(max_examples=24, deadline=None)
+    @given(n=st.sampled_from([31, 32, 33, 63, 64, 65, 100, 200]), seed=st.integers(0, 2**32 - 1))
+    # the Profile branch runs blocks of ROW_BLOCK rows and columns and of
+    # _PRODUCT_BLOCK rows: N + 1 nodes at and around their edges
+    @example(n=ROW_BLOCK - 1, seed=0)
+    @example(n=ROW_BLOCK, seed=1)
+    @example(n=2 * ROW_BLOCK + 1, seed=2)
+    @example(n=200, seed=3)
+    def test_profile_r_matches_its_field(self, n, seed):
+        # a Profile r, rho(x - t), gives the K and B of its lifted field
+        rng = np.random.default_rng(seed)
+        grid = make_grid(n)
+        k1, k2 = (TriangularField(grid, _random_lower(rng, n + 1, 1.0)) for _ in range(2))
+        k1.values[:, 0] = k2.values[:, 0] = 0.0
+        rho = Profile(grid, rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
+        b, k = assemble_z_kernel(k1, k2, rho)
+        b_ref, k_ref = assemble_z_kernel(k1, k2, as_field(rho))
+        assert np.abs(k.values - k_ref.values).max() <= 1e-14 * np.abs(k_ref.values).max()
+        assert np.abs(b.values - b_ref.values).max() <= 1e-14 * np.abs(b_ref.values).max()
+        assert np.all(np.triu(k.values, 1) == 0.0)
+        assert np.all(k.values[:, 0] == 0.0)
+
     @pytest.mark.parametrize("which", [0, 1])
     def test_nonzero_first_column_refused(self, grid50, which):
-        r = TriangularField.constant(grid50, 1.0)
         kernels = [picard_g1(family_fields(grid50)["trig"]) for _ in range(2)]
         kernels[which].values[7, 0] = 1e-300
-        with pytest.raises(ValueError, match="column 0"):
-            assemble_z_kernel(*kernels, r)
+        # a field r and a Profile r alike, before the Profile branch
+        for r in (TriangularField.constant(grid50, 1.0), Profile.constant(grid50, 1.0)):
+            with pytest.raises(ValueError, match="column 0"):
+                assemble_z_kernel(*kernels, r)
 
     @pytest.mark.parametrize("n", [33, 64, 100])
     @pytest.mark.parametrize("tilt", [0.0, 1.0])

@@ -7,8 +7,9 @@ march), G's last row by transform.last_row for that kernel (the series
 the row march (transform._march), one Picard step added
 into a field (transform.picard_step, as compute_g adds its one update into
 G1), its inner-integral product (transform._inner_table),
-assemble_z_kernel, the e-march (spectral.eval_e_direct) for the 5 lambdas
-`verify` samples by default (both marches iterate quadrature.march_rows),
+assemble_z_kernel for the field R and for the Profile of R = 1 (what
+`verify` hands over for an analytic-constant r), the e-march
+(spectral.eval_e_direct) for the 5 lambdas `verify` samples by default (both marches iterate quadrature.march_rows),
 Delta at 1000 lambdas on the benchmark's window (a 40 x 25 grid of it)
 and the zero search on that window (spectral.find_spectrum), both by
 the extrapolated DeltaEvaluator of G's last rows on the grids of N and 2N
@@ -118,6 +119,7 @@ def layers(n: int, out: Path) -> dict:
     m0, r = sk.m0, sk.components[0].r
     m = assemble_kernel(sk)
     m_series = sk.components[0].p  # the Profile of M = P(x - t)
+    r_profile = cli._sample_kernel(series_kernel, grid).components[0].r  # R = 1
     g = transform.compute_g(m).g
     g1 = transform.picard_g1(m).values
     into = TriangularField(grid, g1.copy())  # each call adds one more step to it
@@ -142,6 +144,7 @@ def layers(n: int, out: Path) -> dict:
         "picard_step": lambda: transform.picard_step(m, g, into),
         "_inner_table": lambda: transform._inner_table(m.values, g.values, h),
         "assemble_z_kernel": lambda: transform.assemble_z_kernel(g, g, r),
+        "assemble_z_kernel (Profile R)": lambda: transform.assemble_z_kernel(g, g, r_profile),
         "eval_e_direct (5 lambdas)": lambda: eval_e_direct(m, LAMBDAS),
         "Delta per 1k lambdas (extrapolated)": lambda: delta(DELTA_LAMBDAS),
         "find_spectrum (extrapolated)": lambda: find_spectrum(DeltaEvaluator(row, row_fine),
