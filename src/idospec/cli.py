@@ -525,9 +525,6 @@ def _verify_once(grid, specs, lambdas):
     m, mt = (kernel_samples(StructuredKernel(m0, (KernelComponent(r, q),))) for q in (p, pt))
 
     g, k2 = build_g(m), build_g(mt)  # before the marches, which overflow where G does
-    # a Profile kernel is its own reflection by type, and a field is compared
-    refl = reflected_kernel(m)
-    own_reflection = refl is m
     # the marches and the checks below read the kernels as fields; r, a
     # Profile or a field, is read as it is
     m, mt = as_field(m), as_field(mt)
@@ -537,7 +534,8 @@ def _verify_once(grid, specs, lambdas):
     # own reflection it is e's, and k1, the reflected kernel's G, is g
     lam = np.array(lambdas, dtype=complex)
     e, et = eval_e_direct(m, lam), eval_e_direct(mt, lam)
-    if own_reflection:
+    refl = reflected_kernel(m)
+    if refl is m:
         psi, k1 = e[::-1], g
     else:
         psi, k1 = eval_e_direct(refl, lam)[::-1], build_g(refl)

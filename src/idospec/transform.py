@@ -545,18 +545,15 @@ def last_row(m: TriangularField | Profile, factors: list | None = None,
     return row, "series"
 
 
-def reflected_kernel(m: TriangularField | Profile) -> TriangularField | Profile:
-    """Kernel (x,t) -> m(pi - t, pi - x); an involution on the triangle.
+def reflected_kernel(m: TriangularField) -> TriangularField:
+    """Field (x,t) -> m(pi - t, pi - x); an involution on the triangle.
 
-    A kernel the reflection leaves unchanged is returned itself, so callers
-    can test `reflected_kernel(m) is m` and reuse what they computed for m
-    instead of solving the adjoint problem again. A Profile p, which stands
-    for p(x - t), is such a kernel by type: (pi - t) - (pi - x) = x - t. A
-    field is compared entry by entry (equal values, as for M0 + R P(x - t)
-    with M0 and R invariant).
+    A field the reflection leaves unchanged (equal values, as for
+    M0 + R P(x - t) with M0 and R invariant, e.g. R = 1 and M0 = 0) is
+    returned itself, so callers can test `reflected_kernel(m) is m` and
+    reuse what they computed for m instead of solving the adjoint problem
+    again.
     """
-    if isinstance(m, Profile):
-        return m
     vals = m.values[::-1, ::-1].T
     if np.array_equal(vals, m.values):
         return m
@@ -603,7 +600,7 @@ def _halved_row_spectra(vals: np.ndarray, size: int) -> np.ndarray:
     np.einsum("ii->i", f[:, :m])[...] *= 0.5
     for r0 in range(0, m, ROW_BLOCK):
         rows = f[r0 : r0 + ROW_BLOCK]
-        np.fft.fft(rows, axis=1, out=rows)
+        rows[...] = np.fft.fft(rows, axis=1)
     return f
 
 
@@ -623,9 +620,9 @@ def _column_convolve(fa: np.ndarray, fb: np.ndarray, length: int) -> None:
         for buf, f in ((p, fa), (q, fb)):
             buf[:, :m] = f[:, c0:c1].T
             buf[:, m:] = 0.0
-            np.fft.fft(buf, axis=1, out=buf)
+            buf[...] = np.fft.fft(buf, axis=1)
         p *= q
-        np.fft.ifft(p, axis=1, out=p)
+        p[...] = np.fft.ifft(p, axis=1)
         fa[:, c0:c1] = p[:, :m].T
 
 
@@ -653,7 +650,7 @@ def _difference_z_kernel(k1v: np.ndarray, k2v: np.ndarray, r: Profile) -> np.nda
     _column_convolve(fa, _halved_row_spectra(k2v, size), _next_fast_len(2 * m - 1))
     for r0 in range(0, m, ROW_BLOCK):
         rows = fa[r0 : r0 + ROW_BLOCK]
-        np.fft.ifft(rows, axis=1, out=rows)
+        rows[...] = np.fft.ifft(rows, axis=1)
 
     kout = zero_upper(fa[:, :m])  # term 3, on 0 < j < i only
     np.einsum("ii->i", kout)[...] = 0.0

@@ -612,8 +612,9 @@ class TestWorkingMemory:
     field: 0.65 fields at N = 100 and 0.30 at N = 200 for 5 lambdas. The
     z-split of a field r holds its result, R and two row-spectrum arrays:
     4.6 fields at N = 200. That of a Profile r holds the two row-spectrum
-    arrays, the second freed before K is formed in the first, and two
-    blocks of ROW_BLOCK columns of 2N entries: 2.7 fields. shifted_factor
+    arrays, the second freed before K is formed in the first, and three
+    blocks of ROW_BLOCK columns of 2N entries (two buffers and the FFT's
+    result, as numpy before 2.0 has no out= for it): 3.1 fields. shifted_factor
     holds only its result, and eval_z a block of ROW_BLOCK rows of R plus
     arrays of about N + 32 entries per column: its lag view of e_tilde
     builds no field per column. build_g's series G of a difference kernel
@@ -711,7 +712,7 @@ class TestWorkingMemory:
         # the Profile of R = 1, as verify hands it over, peaks below the field's 4.6
         r = Profile.constant(grid, 1.0)
         assemble_z_kernel(g, g, r)
-        assert _peak_fields(lambda: assemble_z_kernel(g, g, r), n) <= 3.0
+        assert _peak_fields(lambda: assemble_z_kernel(g, g, r), n) <= 3.3
 
 
 class TestMarchAgainstPicardSeries:
@@ -874,13 +875,6 @@ class TestReflectedKernel:
         assert not np.array_equal(ref.values, m.values)
         assert ref.values.tobytes() == np.tril(bumped[::-1, ::-1].T).tobytes()
 
-    def test_profile_is_its_own_reflection(self, grid50):
-        # p(x - t) is reflection-invariant by type: nothing is compared
-        p = Profile.from_function(grid50, lambda x: np.sin(x) + 0.3j * x)
-        assert reflected_kernel(p) is p
-        lifted = as_field(p)
-        assert reflected_kernel(lifted) is lifted
-
     def test_involution(self, grid50):
         m = family_fields(grid50)["structured"]
         back = reflected_kernel(reflected_kernel(m))
@@ -950,6 +944,21 @@ class TestZKernelAssembly:
         assert np.abs(b.values - b_ref.values).max() <= 1e-14 * np.abs(b_ref.values).max()
         assert np.all(np.triu(k.values, 1) == 0.0)
         assert np.all(k.values[:, 0] == 0.0)
+
+    def test_ffts_take_no_out_argument(self, monkeypatch):
+        # numpy before 2.0 (pyproject allows 1.24) has no out= in np.fft
+        def no_out(fft):
+            def call(*args, **kwargs):
+                assert "out" not in kwargs, f"np.fft.{fft.__name__} with out="
+                return fft(*args, **kwargs)
+            return call
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, no_out(getattr(np.fft, name)))
+        grid = make_grid(2 * ROW_BLOCK + 1)
+        k = picard_g1(family_fields(grid)["trig"])
+        for r in (TriangularField.constant(grid, 1.0), Profile.constant(grid, 1.0)):
+            assemble_z_kernel(k, k, r)
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_nonzero_first_column_refused(self, grid50, which):
